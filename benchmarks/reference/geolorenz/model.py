@@ -1,0 +1,332 @@
+"""Geometric Lorenz model pieces: the one-dimensional quotient map family,
+the contracting skew product over it, the log-singular roof function, and a
+validator that checks every model axiom and reports per-axiom results.
+"""
+
+import math
+
+import numpy as np
+
+from .errors import DomainError, PreconditionError
+
+SQRT2 = math.sqrt(2.0)
+
+# symbols for the two branches; L is x < 0, R is x > 0
+BRANCHES = ("L", "R")
+
+
+class LorenzMap1D:
+    """Quotient map f on [-1, 1] minus the origin.
+
+    Branches
+    --------
+    f(x) = 1 - beta * (-x)**alpha   for x < 0
+    f(x) = -1 + beta * x**alpha     for x > 0
+
+    Both branches are increasing, f(0-) = 1 and f(0+) = -1, and the
+    family is odd: f(-x) = -f(x).
+
+    Parameters
+    ----------
+    alpha : float in (0, 1]
+        Branch exponent. alpha = 1 gives constant slope beta.
+    beta : float > 0
+        Slope scale. The expansion axiom needs alpha*beta > sqrt(2),
+        the range axiom needs beta < 2; the validator checks both.
+    """
+
+    def __init__(self, alpha=1.0, beta=1.7):
+        alpha = float(alpha)
+        beta = float(beta)
+        if not 0.0 < alpha <= 1.0:
+            raise PreconditionError("alpha must lie in (0, 1], got %r" % alpha)
+        if beta <= 0.0:
+            raise PreconditionError("beta must be positive, got %r" % beta)
+        self.alpha = alpha
+        self.beta = beta
+
+    def __call__(self, x):
+        return evaluate_base(self, x)
+
+    def __repr__(self):
+        return "LorenzMap1D(alpha=%r, beta=%r)" % (self.alpha, self.beta)
+
+    def deriv(self, x):
+        """|f'(x)| = alpha*beta*|x|**(alpha-1); minimum alpha*beta at |x|=1."""
+        if x == 0.0:
+            raise DomainError("derivative undefined at x = 0")
+        return self.alpha * self.beta * abs(x) ** (self.alpha - 1.0)
+
+    def min_slope(self):
+        """Infimum of f' over the domain (attained at |x| = 1)."""
+        return self.alpha * self.beta
+
+    def step_array(self, xs):
+        """Vectorized branch evaluation; xs must avoid 0 (not checked)."""
+        xs = np.asarray(xs, dtype=float)
+        pw = np.abs(xs) ** self.alpha
+        return np.where(xs < 0, 1.0 - self.beta * pw, -1.0 + self.beta * pw)
+
+    def branch_range(self, symbol):
+        """Closed image interval of a branch: L -> [1-beta, 1], R -> [-1, beta-1]."""
+        if symbol == "L":
+            return (1.0 - self.beta, 1.0)
+        if symbol == "R":
+            return (-1.0, self.beta - 1.0)
+        raise PreconditionError("unknown branch symbol %r" % symbol)
+
+    def inverse_branch(self, symbol, t, clip=False):
+        """Preimage of t under one branch.
+
+        L branch: t in [1-beta, 1] -> -((1-t)/beta)**(1/alpha) in [-1, 0]
+        R branch: t in [-1, beta-1] -> ((1+t)/beta)**(1/alpha) in [0, 1]
+
+        With clip=True, t outside the branch range is clamped to it first
+        (used by cylinder pullbacks, where clamping encodes an empty or
+        partial intersection with the branch domain).
+        """
+        lo, hi = self.branch_range(symbol)
+        if clip:
+            t = min(max(t, lo), hi)
+        elif not lo <= t <= hi:
+            raise DomainError(
+                "t=%r outside range of branch %s = [%r, %r]" % (t, symbol, lo, hi))
+        if symbol == "L":
+            return -(((1.0 - t) / self.beta) ** (1.0 / self.alpha))
+        return ((1.0 + t) / self.beta) ** (1.0 / self.alpha)
+
+    def iterate(self, x, n):
+        """Orbit segment [x, f(x), ..., f^(n-1)(x)]; raises if it hits 0."""
+        out = []
+        for _ in range(n):
+            out.append(x)
+            x = evaluate_base(self, x)
+        return out
+
+
+def evaluate_base(lmap, x):
+    """Evaluate the quotient map at one point.
+
+    Raises DomainError at x = 0 and for |x| > 1. The result lies strictly
+    inside (-1, 1) whenever beta < 2.
+    """
+    if x == 0.0:
+        raise DomainError("quotient map undefined at x = 0")
+    if abs(x) > 1.0:
+        raise DomainError("|x| > 1 is outside the trapping interval, got %r" % x)
+    if x < 0.0:
+        return 1.0 - lmap.beta * (-x) ** lmap.alpha
+    return -1.0 + lmap.beta * x ** lmap.alpha
+
+
+class SkewProductReturnMap:
+    """Return map (x, y) -> (f(x), H(x, y)) on the section square.
+
+    The fiber map is affine in y:
+
+        H(x, y) = -sign(x) * (c_H + rho * y * |x|**alpha)
+
+    so |H| <= c_H + rho and the y-contraction rate is exactly rho.
+    Sign convention: H < 0 for x > 0 and H > 0 for x < 0 (this needs
+    c_H > rho, which the validator checks as the fiber-sign axiom).
+    """
+
+    def __init__(self, base, rho=0.3, c_H=0.5):
+        rho = float(rho)
+        c_H = float(c_H)
+        if not isinstance(base, LorenzMap1D):
+            raise PreconditionError("base must be a LorenzMap1D")
+        if not 0.0 < rho < 1.0:
+            raise PreconditionError("rho must lie in (0, 1), got %r" % rho)
+        if c_H <= 0.0:
+            raise PreconditionError("c_H must be positive, got %r" % c_H)
+        self.base = base
+        self.rho = rho
+        self.c_H = c_H
+
+    def __repr__(self):
+        return "SkewProductReturnMap(%r, rho=%r, c_H=%r)" % (
+            self.base, self.rho, self.c_H)
+
+    def fiber(self, x, y):
+        """H(x, y); DomainError at x = 0."""
+        if x == 0.0:
+            raise DomainError("fiber map undefined on the singular line x = 0")
+        mag = self.c_H + self.rho * y * abs(x) ** self.base.alpha
+        return -mag if x > 0 else mag
+
+    def __call__(self, x, y):
+        return evaluate_base(self.base, x), self.fiber(x, y)
+
+
+class RoofFunction:
+    """Return-time model r(x) = c0 + c1 * max(0, log(eta0 / |x|)).
+
+    Near the singular line the passage time diverges logarithmically,
+    mimicking the linearized transit past a hyperbolic equilibrium; away
+    from it (|x| >= eta0) the return takes the base time c0. The dwell
+    time d_b(x) is the part of one passage spent within distance b of
+    the singularity; the model assigns c1 units of time per unit of
+    log-distance, capped by the singular part of the roof.
+
+    Parameters
+    ----------
+    c0 : float > 0, base return time
+    c1 : float >= 0, dwell coefficient (c1 = 0 gives a constant roof)
+    eta0 : float in (0, 1), calibration radius where the log term vanishes
+    """
+
+    def __init__(self, c0=1.0, c1=1.0, eta0=0.5):
+        c0 = float(c0)
+        c1 = float(c1)
+        eta0 = float(eta0)
+        if c0 <= 0.0:
+            raise PreconditionError("c0 must be positive, got %r" % c0)
+        if c1 < 0.0:
+            raise PreconditionError("c1 must be nonnegative, got %r" % c1)
+        if not 0.0 < eta0 < 1.0:
+            raise PreconditionError("eta0 must lie in (0, 1), got %r" % eta0)
+        self.c0 = c0
+        self.c1 = c1
+        self.eta0 = eta0
+
+    def __repr__(self):
+        return "RoofFunction(c0=%r, c1=%r, eta0=%r)" % (self.c0, self.c1, self.eta0)
+
+    def __call__(self, x):
+        return roof_value(self, x)
+
+    def dwell(self, x, b):
+        """Time within distance b of the singularity during one passage.
+
+        d_b(x) = c1 * max(0, log(b/|x|)) clipped to [0, r(x) - c0]; the cap
+        only binds for b > eta0 since the roof resolves distances below eta0.
+        """
+        if x == 0.0:
+            raise DomainError("dwell undefined at x = 0")
+        if b <= 0.0:
+            raise PreconditionError("dwell radius must be positive, got %r" % b)
+        raw = self.c1 * max(0.0, math.log(b / abs(x)))
+        cap = roof_value(self, x) - self.c0
+        return min(max(raw, 0.0), cap)
+
+    def scaled(self, k):
+        """Roof multiplied by constant k > 0 (time-rescaled flow)."""
+        if k <= 0.0:
+            raise PreconditionError("scale factor must be positive")
+        return RoofFunction(self.c0 * k, self.c1 * k, self.eta0)
+
+
+def roof_value(roof, x):
+    """r(x) per the formula; DomainError at x = 0."""
+    if x == 0.0:
+        raise DomainError("roof undefined at x = 0")
+    return roof.c0 + roof.c1 * max(0.0, math.log(roof.eta0 / abs(x)))
+
+
+class ModelValidationReport:
+    """Per-axiom pass/fail rows plus measured extremes and a parameter echo."""
+
+    def __init__(self, params, grid_density):
+        self.params = dict(params)
+        self.grid_density = int(grid_density)
+        self.checks = []
+        self.measured = {}
+
+    def add(self, name, passed, detail):
+        self.checks.append({"name": name, "passed": bool(passed), "detail": detail})
+
+    @property
+    def all_pass(self):
+        return all(row["passed"] for row in self.checks)
+
+    def failed_names(self):
+        return [row["name"] for row in self.checks if not row["passed"]]
+
+    def as_dict(self):
+        return {
+            "all_pass": self.all_pass,
+            "checks": self.checks,
+            "measured": self.measured,
+            "params": self.params,
+            "grid_density": self.grid_density,
+        }
+
+
+# floor for the x-grid of the fiber-derivative scan: for alpha < 1 the
+# x-derivative of H is unbounded as x -> 0, so the axiom is checked on
+# sampled points bounded away from the singular line (see report detail)
+_DERIV_X_FLOOR = 1e-2
+
+
+def validate_model(skew, grid_density=1000):
+    """Check every model axiom, analytically where a closed form exists and
+    on grids as confirmation. Failures are report rows, never exceptions.
+    """
+    if grid_density < 100:
+        raise PreconditionError("grid_density must be >= 100, got %r" % grid_density)
+    lmap = skew.base
+    alpha, beta, rho, c_H = lmap.alpha, lmap.beta, skew.rho, skew.c_H
+    rep = ModelValidationReport(
+        {"alpha": alpha, "beta": beta, "rho": rho, "c_H": c_H}, grid_density)
+
+    g = int(grid_density)
+    xs_half = (np.arange(g) + 0.5) / g          # (0, 1) open grid
+    xs = np.concatenate([-xs_half[::-1], xs_half])
+
+    # one-sided limits at the singular line
+    f_left = evaluate_base(lmap, -1e-12)
+    f_right = evaluate_base(lmap, 1e-12)
+    ok = abs(f_left - 1.0) <= 1e-6 and abs(f_right + 1.0) <= 1e-6
+    rep.add("limits-at-origin", ok,
+            "f(0-)=%.3e-close to 1, f(0+)=%.3e-close to -1"
+            % (abs(f_left - 1.0), abs(f_right + 1.0)))
+
+    # range axiom: -1 < f(x) < 1 needs beta < 2
+    fx = lmap.step_array(xs)
+    fx_end = max(abs(evaluate_base(lmap, 1.0)), abs(evaluate_base(lmap, -1.0)))
+    max_abs_f = max(float(np.max(np.abs(fx))), fx_end)
+    rep.measured["max_abs_f"] = max_abs_f
+    rep.add("range", beta < 2.0 and max_abs_f < 1.0,
+            "beta=%g (needs < 2); grid max |f| = %.12g" % (beta, max_abs_f))
+
+    # expansion axiom: f' > sqrt(2); closed-form minimum alpha*beta at |x| = 1
+    min_fp_analytic = alpha * beta
+    min_fp_grid = float(np.min(alpha * beta * np.abs(xs) ** (alpha - 1.0)))
+    min_fp = min(min_fp_analytic, min_fp_grid)
+    rep.measured["min_fprime"] = min_fp
+    rep.add("expansion", min_fp_analytic > SQRT2 and min_fp_grid > SQRT2,
+            "min f' = %.12g (needs > sqrt(2) = %.12g)" % (min_fp, SQRT2))
+
+    # fiber sign: H < 0 right of the singular line, > 0 left of it; the
+    # worst case over y in [-1, 1] is c_H - rho at |x| = 1
+    ys = np.linspace(-1.0, 1.0, 21)
+    hx = np.array([[skew.fiber(x, y) for y in ys] for x in xs_half])
+    sign_ok = bool(np.all(hx < 0.0)) and c_H > rho
+    rep.add("fiber-sign", sign_ok,
+            "sign(H) fixed by sign(x); needs c_H > rho (%g > %g)" % (c_H, rho))
+
+    # fiber contraction: |H| <= c_H + rho < 1
+    max_abs_h = float(np.max(np.abs(hx)))
+    rep.measured["max_abs_H"] = max_abs_h
+    rep.add("fiber-contraction", c_H + rho < 1.0 and max_abs_h < 1.0,
+            "c_H + rho = %g (needs < 1); grid max |H| = %.12g" % (c_H + rho, max_abs_h))
+
+    # fiber derivative: finite differences of H on a grid with |x| >= 1e-2;
+    # for alpha < 1 the x-derivative grows like |x|**(alpha-1) toward the
+    # singular line, so the check is meaningful only on the sampled region
+    h = 1e-6
+    xg = np.linspace(_DERIV_X_FLOOR, 1.0 - h, 50)
+    yg = np.linspace(-1.0 + h, 1.0 - h, 21)
+    max_dh = 0.0
+    for x in xg:
+        for y in yg:
+            dx = (skew.fiber(x + h, y) - skew.fiber(x - h, y)) / (2 * h)
+            dy = (skew.fiber(x, y + h) - skew.fiber(x, y - h)) / (2 * h)
+            max_dh = max(max_dh, abs(dx), abs(dy))
+    rep.measured["max_dH"] = max_dh
+    rep.add("fiber-derivative", max_dh < 1.0,
+            "grid sup max(|dH/dx|, |dH/dy|) = %.12g on |x| >= %g" %
+            (max_dh, _DERIV_X_FLOOR))
+
+    return rep
