@@ -16,8 +16,8 @@ import numpy as np
 
 from .errors import DepthTooShallowError, PreconditionError
 from .potentials import midpoint_error_many, passage_error_many
-from .symbolic import (ALPHABET, MAX_DEPTH, _pullback, cylinder_levels,
-                       strongly_connected_components)
+from .symbolic import (ALPHABET, EMPTY_WIDTH, MAX_DEPTH, cylinder_levels,
+                       pullback, strongly_connected_components, symbol_matrix)
 
 DEFAULT_DEPTH = 12
 
@@ -519,6 +519,11 @@ def _monotone_range_many(value_fn, lo, hi):
 
 # ---------------------------------------------------------------------------
 # path expansion: depth-D cylinder masses of a Markov measure, vectorized
+#
+# A scheme depends only on the map and the horseshoe's word structure, so
+# the cache keys on (alpha, beta, depth, vertex words, successor arrays):
+# every horseshoe object with that structure, such as the restricted
+# component of each equilibrium measure of a bisection, shares one build.
 
 _scheme_cache = {}
 
@@ -530,6 +535,8 @@ class _CylinderScheme:
     records, per path, the starting vertex, the (vertex, symbol) steps,
     and the cylinder interval of the full word, so that the mass vector
     of any Markov measure on the horseshoe is a single vectorized gather.
+    The intervals come from one array pullback of the (paths, D) symbol
+    matrix.
     """
 
     def __init__(self, lmap, horseshoe, depth):
@@ -569,21 +576,19 @@ class _CylinderScheme:
         self.steps_v = steps_v
         self.steps_s = steps_s
         self.words = words
-        lo = np.empty(len(words))
-        hi = np.empty(len(words))
-        for i, w in enumerate(words):
-            a, b = _pullback(lmap, w, -1.0, 1.0)
-            if b - a <= 1e-12:
-                # fictitious refinement: the SFT allows a tail the kneading
-                # data forbids; fall back to the deepest live prefix
-                probe = w[:-1]
-                while probe:
-                    a, b = _pullback(lmap, probe, -1.0, 1.0)
-                    if b - a > 1e-12:
-                        break
-                    probe = probe[:-1]
-            lo[i] = a
-            hi[i] = b
+        symbols = np.hstack([symbol_matrix(horseshoe.vertices)[start],
+                             steps_s])
+        lo, hi = pullback(lmap, symbols)
+        # fictitious refinement: the SFT allows a tail the kneading data
+        # forbids; such a path falls back to its deepest live prefix
+        dead = np.nonzero(hi - lo <= EMPTY_WIDTH)[0]
+        for length in range(depth - 1, 0, -1):
+            if not dead.size:
+                break
+            a, b = pullback(lmap, symbols[dead, :length])
+            lo[dead] = a
+            hi[dead] = b
+            dead = dead[b - a <= EMPTY_WIDTH]
         self.lo = lo
         self.hi = hi
         self.mid = 0.5 * (lo + hi)
@@ -596,13 +601,12 @@ class _CylinderScheme:
 
 
 def _scheme(lmap, horseshoe, depth):
-    key = (id(horseshoe), int(depth))
-    hit = _scheme_cache.get(key)
-    # the key uses id(), so confirm the cached entry is for this object
-    if hit is not None and hit[0] is horseshoe:
-        return hit[1]
-    scheme = _CylinderScheme(lmap, horseshoe, depth)
-    if len(_scheme_cache) > 64:
-        _scheme_cache.clear()
-    _scheme_cache[key] = (horseshoe, scheme)
+    key = (lmap.alpha, lmap.beta, int(depth), horseshoe.vertices,
+           tuple(horseshoe.succ[s].tobytes() for s in ALPHABET))
+    scheme = _scheme_cache.get(key)
+    if scheme is None:
+        scheme = _CylinderScheme(lmap, horseshoe, depth)
+        if len(_scheme_cache) > 64:
+            _scheme_cache.clear()
+        _scheme_cache[key] = scheme
     return scheme

@@ -264,18 +264,23 @@ def equilibrium_measure(lmap, horseshoe, potential, t=1.0, label=None):
     stationary vector proportional to g*h. The computation restricts to
     the strongly connected component with the largest Perron root, so the
     result is ergodic; rows and the stationary vector are polished to the
-    validation tolerances.
+    validation tolerances. The decomposition into cyclic components does
+    not depend on t: it is computed once per horseshoe object
+    (`SFTHorseshoe.cyclic_components`), and every measure built on the
+    same horseshoe shares the same restricted sub-SFT. A Perron iteration
+    that does not converge raises PreconditionError.
     """
     mids = horseshoe.midpoints
     lw = float(t) * np.asarray(potential.value(mids, np.zeros_like(mids)),
                                dtype=float)
-    comps = strongly_connected_components(horseshoe)
     best = None
-    for comp in comps:
-        sub = restrict_horseshoe(horseshoe, comp)
-        if sub.edge_count() == 0:
-            continue
-        val, vec, _, _ = _weighted_power(sub.succ, lw[comp], shift=1.0)
+    for comp, sub in horseshoe.cyclic_components():
+        val, vec, iterations, converged = _weighted_power(
+            sub.succ, lw[comp], shift=1.0)
+        if not converged:
+            raise PreconditionError(
+                "Perron iteration on a %d-vertex component did not converge "
+                "in %d iterations" % (len(comp), iterations))
         if best is None or val > best[0] + 1e-15:
             best = (val, comp, sub, vec)
     if best is None:

@@ -215,29 +215,44 @@ class CylinderInterval:
             self.word, self.lo, self.hi, self.nonempty)
 
 
-def _pullback(lmap, word, lo, hi):
-    """Pull the interval [lo, hi] back through the word's branch chain.
+def symbol_matrix(words):
+    """Equal-length words as a uint8 matrix of ALPHABET indices (L = 0, R = 1)."""
+    raw = np.frombuffer("".join(words).encode("ascii"), dtype=np.uint8)
+    return (raw == ord("R")).astype(np.uint8).reshape(len(words), -1)
 
-    Composing branch inverses right to left; each inverse first clamps to
-    the branch range, which encodes intersection with the branch domain.
-    Returns the closed cylinder-interval endpoints.
+
+def pullback(lmap, symbols):
+    """Cylinder endpoints of many words at once.
+
+    `symbols` is a (words, length) matrix of ALPHABET indices (see
+    `symbol_matrix`). Each row pulls [-1, 1] back through its branch
+    chain, last symbol first: clamp to the branch range, which encodes
+    intersection with the branch domain, then apply the branch inverse.
+    Both inverses are increasing, so lo <= hi holds at every step.
+    Returns the closed cylinder endpoints as two arrays.
     """
-    for s in reversed(word):
-        lo = lmap.inverse_branch(s, lo, clip=True)
-        hi = lmap.inverse_branch(s, hi, clip=True)
-        if lo > hi:
-            lo, hi = hi, lo
-    return lo, hi
+    symbols = np.asarray(symbols)
+    ends = np.empty((2, symbols.shape[0]))
+    ends[0] = -1.0
+    ends[1] = 1.0
+    beta = lmap.beta
+    power = 1.0 / lmap.alpha
+    for j in range(symbols.shape[1] - 1, -1, -1):
+        right = symbols[:, j] == 1
+        t = np.clip(ends, np.where(right, -1.0, 1.0 - beta),
+                    np.where(right, beta - 1.0, 1.0))
+        ends = (np.where(right, 1.0 + t, 1.0 - t) / beta) ** power
+        ends = np.where(right, ends, -ends)
+    return ends[0], ends[1]
 
 
 def cylinder_interval(lmap, word):
     """Cylinder of a word, computed by composing branch inverses."""
     check_word(word)
-    if len(word) > MAX_DEPTH * 4:
-        raise PreconditionError("word too long")
-    lo, hi = _pullback(lmap, word, -1.0, 1.0)
-    nonempty = (hi - lo) > EMPTY_WIDTH
-    return CylinderInterval(word, lo, hi, nonempty)
+    lo, hi = pullback(lmap, symbol_matrix([word]))
+    lo = float(lo[0])
+    hi = float(hi[0])
+    return CylinderInterval(word, lo, hi, (hi - lo) > EMPTY_WIDTH)
 
 
 @functools.lru_cache(maxsize=16)
@@ -393,6 +408,7 @@ class SFTHorseshoe:
         self.cyl_lo = np.asarray(cyl_lo, dtype=float)
         self.cyl_hi = np.asarray(cyl_hi, dtype=float)
         self._index = {w: i for i, w in enumerate(self.vertices)}
+        self._cyclic = None
 
     @property
     def n_vertices(self):
@@ -427,6 +443,26 @@ class SFTHorseshoe:
             if j >= 0:
                 out.append((s, int(j)))
         return out
+
+    def cyclic_components(self):
+        """Strongly connected components that carry a cycle.
+
+        Returns (indices, sub-SFT) pairs in the order of
+        `strongly_connected_components`. One-vertex components without a
+        self-loop are dropped before restriction. The decomposition is
+        computed on first use and stored on this horseshoe, so it is
+        shared by every later caller and freed with the object.
+        """
+        if self._cyclic is None:
+            cyclic = []
+            for comp in strongly_connected_components(self):
+                i = comp[0]
+                if len(comp) == 1 and all(self.succ[s][i] != i
+                                          for s in ALPHABET):
+                    continue
+                cyclic.append((comp, restrict_horseshoe(self, comp)))
+            self._cyclic = cyclic
+        return self._cyclic
 
     @classmethod
     def from_adjacency(cls, depth, vertices, adjacency, lmap, x_gap=0.0):

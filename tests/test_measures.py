@@ -5,17 +5,22 @@ import math
 import numpy as np
 import pytest
 
+from geolorenz import measures
 from geolorenz import (
     AtomicMeasure,
     ConstantPotential,
     CoordinatePotential,
     DepthTooShallowError,
+    LorenzMap1D,
     MarkovMeasure,
     PreconditionError,
     RoofFunction,
     SectionGridPotential,
+    SFTHorseshoe,
     SingularDeltaMeasure,
+    build_horseshoe,
     convex_combine,
+    cylinder_interval,
     entropy_map,
     enumerate_periodic,
     equilibrium_measure,
@@ -23,6 +28,8 @@ from geolorenz import (
     integrate_map,
     measure_distance,
     measure_from_payload,
+    restrict_horseshoe,
+    strongly_connected_components,
     suspend,
 )
 
@@ -237,3 +244,91 @@ def test_equilibrium_is_stationary_markov(tilted):
         ok = arr >= 0
         np.add.at(flow, arr[ok], pi[ok] * tilted.probs[ok, k])
     assert np.max(np.abs(flow - pi)) < 1e-10
+
+
+# ---------------------------------------------------------------------------
+# cylinder schemes: array pullback against the scalar branch chain, cache
+
+
+def _scalar_pullback(lmap, word):
+    lo, hi = -1.0, 1.0
+    for s in reversed(word):
+        lo = lmap.inverse_branch(s, lo, clip=True)
+        hi = lmap.inverse_branch(s, hi, clip=True)
+        if lo > hi:
+            lo, hi = hi, lo
+    return lo, hi
+
+
+def _scalar_scheme_interval(lmap, word):
+    """The path interval by scalar inverse branches, with the fallback to
+    the deepest live prefix for paths the kneading data forbids."""
+    lo, hi = _scalar_pullback(lmap, word)
+    probe = word[:-1]
+    while hi - lo <= 1e-12 and probe:
+        lo, hi = _scalar_pullback(lmap, probe)
+        probe = probe[:-1]
+    return lo, hi
+
+
+@pytest.mark.parametrize("alpha, beta, rtol", [
+    (1.0, 1.7, 0.0),
+    (1.0, 1.95, 0.0),
+    # numpy's vectorized power may differ from libm pow in the last bit
+    (0.8, 1.99, 1e-14),
+])
+def test_scheme_intervals_match_scalar_inverse_branches(alpha, beta, rtol):
+    lm = LorenzMap1D(alpha, beta)
+    scheme = measures._CylinderScheme(lm, build_horseshoe(lm, 6, 0.002), 10)
+    raw = np.array([_scalar_pullback(lm, w) for w in scheme.words])
+    assert np.any(raw[:, 1] - raw[:, 0] <= 1e-12), \
+        "no path exercises the dead-row fallback"
+    ref = np.array([_scalar_scheme_interval(lm, w) for w in scheme.words])
+    # cylinder_interval is the same pullback on a single row
+    single = [cylinder_interval(lm, w) for w in scheme.words[::7]]
+    for got, want in ((scheme.lo, ref[:, 0]), (scheme.hi, ref[:, 1]),
+                      ([c.lo for c in single], raw[::7, 0]),
+                      ([c.hi for c in single], raw[::7, 1])):
+        np.testing.assert_allclose(got, want, rtol=rtol, atol=0.0)
+
+
+def _counting_scheme(monkeypatch):
+    builds = []
+
+    class Counting(measures._CylinderScheme):
+        def __init__(self, *args):
+            builds.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(measures, "_CylinderScheme", Counting)
+    monkeypatch.setattr(measures, "_scheme_cache", {})
+    return builds
+
+
+def test_scheme_cache_shared_by_equal_structures(monkeypatch, lmap,
+                                                 horseshoe6):
+    builds = _counting_scheme(monkeypatch)
+    big = max(strongly_connected_components(horseshoe6), key=len)
+    first = restrict_horseshoe(horseshoe6, big)
+    second = restrict_horseshoe(horseshoe6, big)
+    assert first is not second
+    scheme = measures._scheme(lmap, first, 10)
+    assert measures._scheme(lmap, second, 10) is scheme
+    assert len(builds) == 1
+    measures._scheme(lmap, second, 11)
+    assert len(builds) == 2
+
+
+def test_scheme_cache_keys_on_the_map(monkeypatch, lmap):
+    # one vertex structure under two maps must give two schemes
+    builds = _counting_scheme(monkeypatch)
+    words = ("LR", "RL", "RR")
+    adj = [[0, 1, 1], [1, 0, 0], [0, 1, 1]]
+    hs = SFTHorseshoe.from_adjacency(2, words, adj, lmap)
+    other = LorenzMap1D(1.0, 1.95)
+    a = measures._scheme(lmap, hs, 6)
+    b = measures._scheme(other, hs, 6)
+    assert len(builds) == 2
+    assert not np.array_equal(a.lo, b.lo)
+    ref = np.array([_scalar_scheme_interval(other, w) for w in b.words])
+    assert np.array_equal(b.lo, ref[:, 0])

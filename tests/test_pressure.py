@@ -5,11 +5,13 @@ import math
 import numpy as np
 import pytest
 
+from geolorenz import pressure, symbolic
 from geolorenz import (
     ConstantPotential,
     CoordinatePotential,
     LorenzMap1D,
     PreconditionError,
+    SFTHorseshoe,
     SectionGridPotential,
     build_catalog,
     build_horseshoe,
@@ -187,3 +189,45 @@ def test_estimate_bounds_level_guard(lmap, coord):
                             CatalogRecipe(include_delta=True))
     with pytest.raises(PreconditionError):
         estimate_P_bounds(catalog, coord)  # only the Dirac at map level
+
+
+def test_equilibrium_family_decomposes_once(monkeypatch, lmap, coord):
+    hs = build_horseshoe(lmap, 8, 0.002)
+    calls = []
+    real = symbolic.strongly_connected_components
+
+    def counting(graph):
+        if graph is hs:
+            calls.append(graph)
+        return real(graph)
+
+    monkeypatch.setattr(symbolic, "strongly_connected_components", counting)
+    family = [equilibrium_measure(lmap, hs, coord, t=t)
+              for t in (-2.0, 0.0, 0.5, 0.75, 2.0)]
+    assert len(calls) == 1
+    assert all(eq.horseshoe is family[0].horseshoe for eq in family)
+
+
+def test_equilibrium_scores_self_loop_singleton(lmap, coord):
+    # components: {LL} acyclic, {LR, RL} a 2-cycle, {RR} a self-loop;
+    # at t = 1 the coordinate potential favours the self-loop at RR
+    words = ("LL", "LR", "RL", "RR")
+    adj = [[0, 1, 0, 0], [0, 0, 1, 1], [0, 1, 0, 0], [0, 0, 0, 1]]
+    hs = SFTHorseshoe.from_adjacency(2, words, adj, lmap)
+    assert [len(c) for c, _ in hs.cyclic_components()] == [2, 1]
+    eq = equilibrium_measure(lmap, hs, coord, t=1.0)
+    assert eq.horseshoe.vertices == ("RR",)
+    assert entropy_map(eq) == 0.0
+
+
+def test_equilibrium_rejects_unconverged_perron(monkeypatch, lmap,
+                                                horseshoe6, coord):
+    real = pressure._weighted_power
+
+    def stalled(*args, **kwargs):
+        value, vec, _, _ = real(*args, **kwargs)
+        return value, vec, 20000, False
+
+    monkeypatch.setattr(pressure, "_weighted_power", stalled)
+    with pytest.raises(PreconditionError, match="20000 iterations"):
+        equilibrium_measure(lmap, horseshoe6, coord, t=1.0)
