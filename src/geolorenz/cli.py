@@ -6,6 +6,9 @@ realize, spectrum, gap-demo, repro. Every command reads one RunConfig
 envelope into the output directory, and exits 0 on success, 2 when a
 computed report fails its own verdict (model axiom failure, uncertified
 gap, repro mismatch), 3 on precondition violations, 4 on config errors.
+A repro suite that violates a precondition does not discard the others:
+their payloads are written, repro_summary lists the failure under
+"errors", and the exit code is 3.
 
 The output directory resolves as --out, then $GEOLORENZ_OUT, then the
 configured output.dir. --jobs N parallelizes independent catalog
@@ -281,17 +284,24 @@ def _cmd_gap_demo(args, config, emitter):
 
 
 def _cmd_repro(args, config, emitter):
-    payloads, checks, passed = run_suite(args.suite, config, jobs=args.jobs)
+    payloads, checks, passed, errors = run_suite(args.suite, config,
+                                                 jobs=args.jobs)
     for name in sorted(payloads):
         emitter.emit_json(name, payloads[name])
-    emitter.emit_json("repro_summary",
-                      {"suite": args.suite, "passed": passed,
-                       "checks": checks})
+    summary = {"suite": args.suite, "passed": passed, "checks": checks}
+    if errors:
+        summary["errors"] = errors
+    emitter.emit_json("repro_summary", summary)
     for c in checks:
         status = "pass" if c["passed"] else "FAIL"
         print("%s %s/%s actual=%r reference=%r tol=%r" %
               (status, c["suite"], c["name"], c["actual"], c["reference"],
                c["tol"]))
+    for e in errors:
+        print("precondition violated in suite %s: %s"
+              % (e["suite"], e["message"]), file=sys.stderr)
+    if errors:
+        return 3
     return 0 if passed else 2
 
 

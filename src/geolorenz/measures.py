@@ -17,7 +17,8 @@ import numpy as np
 from .errors import DepthTooShallowError, PreconditionError
 from .potentials import midpoint_error_many, passage_error_many
 from .symbolic import (ALPHABET, EMPTY_WIDTH, MAX_DEPTH, cylinder_levels,
-                       pullback, strongly_connected_components, symbol_matrix)
+                       encode_words, pullback, strongly_connected_components,
+                       symbol_matrix)
 
 DEFAULT_DEPTH = 12
 
@@ -301,12 +302,17 @@ def _integrate(potential, measure, depth):
                                               np.zeros_like(scheme.mid)))
             errs = midpoint_error_many(potential, scheme.lo, scheme.hi)
             return float(mass @ vals), float(mass @ errs)
-        levels = cylinder_levels(measure.lmap, depth)[depth]
+        level = cylinder_levels(measure.lmap, depth)[depth]
         masses = measure.cylinder_masses(depth)
+        words = sorted(masses)
+        pos = level.find(encode_words(words))
+        if (pos < 0).any():
+            raise PreconditionError(
+                "measure charges an empty depth-%d cylinder" % depth)
         value = 0.0
         bound = 0.0
-        for w in sorted(masses):
-            lo, hi = levels[w]
+        for w, lo, hi in zip(words, level.lo[pos].tolist(),
+                             level.hi[pos].tolist()):
             mid = 0.5 * (lo + hi)
             value += masses[w] * float(potential.value(mid, 0.0))
             bound += masses[w] * float(potential.midpoint_error(lo, hi))

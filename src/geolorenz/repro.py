@@ -222,7 +222,13 @@ _RUNNERS = {"entropy": run_entropy, "variational": run_variational,
 
 
 def run_suite(suite, config, jobs=1):
-    """Run one suite or `all`; returns (payloads, checks, all_passed)."""
+    """Run one suite or `all`; returns (payloads, checks, all_passed, errors).
+
+    A suite that raises `PreconditionError` contributes no payload and
+    no checks; it is listed in `errors` as {"suite", "message"} and the
+    remaining suites still run. `all_passed` is False when any suite
+    failed that way.
+    """
     if suite == "all":
         names = SUITE_NAMES
     elif suite in _RUNNERS:
@@ -233,9 +239,14 @@ def run_suite(suite, config, jobs=1):
             % (suite, ", ".join(SUITE_NAMES)))
     payloads = {}
     all_checks = []
+    errors = []
     for name in names:
-        payload, checks = _RUNNERS[name](config, jobs=jobs)
+        try:
+            payload, checks = _RUNNERS[name](config, jobs=jobs)
+        except PreconditionError as exc:
+            errors.append({"suite": name, "message": str(exc)})
+            continue
         payloads["repro_" + name] = payload
         all_checks.extend({"suite": name, **c} for c in checks)
-    passed = all(c["passed"] for c in all_checks)
-    return payloads, all_checks, passed
+    passed = not errors and all(c["passed"] for c in all_checks)
+    return payloads, all_checks, passed, errors

@@ -6,8 +6,13 @@ admissibility of finite words, cylinder intervals, periodic orbit
 location by inverse-branch contraction, and subshift-of-finite-type
 horseshoes whose cylinders keep a prescribed distance from x = 0.
 
-Words are plain strings over 'L' and 'R'. Two admissibility notions
-coexist and differ:
+Cylinder enumeration works on integer word codes: each level of
+`cylinder_levels` is a `CylinderLevel` of sorted uint64 codes (L = 0,
+R = 1, first symbol most significant) with endpoint arrays, and horseshoe
+edges are found by searching those codes. Words are strings over 'L' and
+'R' only at the edges: user-supplied words, `admissible_words`,
+`SFTHorseshoe.vertices`, measure ids and payloads. Two admissibility
+notions coexist and differ:
 
 * `is_admissible(word, kp)` decides whether some orbit realizes the
   word as an itinerary prefix, i.e. whether the word's cylinder is
@@ -38,6 +43,9 @@ MAX_DEPTH = 24
 
 # orbit points closer to 0 than this are treated as hitting the singularity
 SINGULAR_TOL = 1e-14
+
+# words decoded to strings per numpy block in decode_words
+_DECODE_BLOCK = 1 << 16
 
 # width below which a pulled-back cylinder is considered empty; true
 # nonempty cylinders at depth <= MAX_DEPTH are wider than beta**-24 ~ 3e-6
@@ -221,28 +229,73 @@ def symbol_matrix(words):
     return (raw == ord("R")).astype(np.uint8).reshape(len(words), -1)
 
 
+def encode_words(words):
+    """Equal-length words as uint64 codes.
+
+    L = 0 and R = 1, first symbol most significant, so for words of one
+    length code order is the lexicographic word order.
+    """
+    bits = symbol_matrix(words).astype(np.uint64)
+    codes = np.zeros(len(words), dtype=np.uint64)
+    for j in range(bits.shape[1]):
+        codes = (codes << np.uint64(1)) | bits[:, j]
+    return codes
+
+
+def decode_words(codes, depth):
+    """The length-`depth` words of `codes`, as a list of strings.
+
+    Inverse of `encode_words`. Each block of words is assembled as one
+    (words, depth) matrix of UCS-4 code points, which numpy reads as
+    strings without a per-word conversion.
+    """
+    codes = np.asarray(codes, dtype=np.uint64)
+    if depth == 0:
+        return [""] * len(codes)
+    words = []
+    # blocks bound the temporary matrices to a few MB at any depth
+    for start in range(0, len(codes), _DECODE_BLOCK):
+        block = codes[start:start + _DECODE_BLOCK]
+        # one row per symbol position, so each row is written contiguously
+        chars = np.empty((depth, len(block)), dtype=np.uint32)
+        for j in range(depth):
+            chars[j] = (block >> np.uint64(depth - 1 - j)) & np.uint64(1)
+        chars *= ord("R") - ord("L")
+        chars += ord("L")
+        words.extend(np.ascontiguousarray(chars.T).view("U%d" % depth)[:, 0]
+                     .tolist())
+    return words
+
+
+def _inverse_step(lmap, right, ends):
+    """Pull cylinder endpoints back through one branch.
+
+    `right` selects the R branch (True) or the L branch, for all columns
+    of `ends` at once or per column. Clamp to the branch range, which
+    encodes intersection with the branch domain, then apply the branch
+    inverse. Both inverses are increasing, so lo <= hi is kept.
+    """
+    beta = lmap.beta
+    t = np.clip(ends, np.where(right, -1.0, 1.0 - beta),
+                np.where(right, beta - 1.0, 1.0))
+    ends = (np.where(right, 1.0 + t, 1.0 - t) / beta) ** (1.0 / lmap.alpha)
+    return np.where(right, ends, -ends)
+
+
 def pullback(lmap, symbols):
     """Cylinder endpoints of many words at once.
 
     `symbols` is a (words, length) matrix of ALPHABET indices (see
     `symbol_matrix`). Each row pulls [-1, 1] back through its branch
-    chain, last symbol first: clamp to the branch range, which encodes
-    intersection with the branch domain, then apply the branch inverse.
-    Both inverses are increasing, so lo <= hi holds at every step.
+    chain, last symbol first, one `_inverse_step` per symbol.
     Returns the closed cylinder endpoints as two arrays.
     """
     symbols = np.asarray(symbols)
     ends = np.empty((2, symbols.shape[0]))
     ends[0] = -1.0
     ends[1] = 1.0
-    beta = lmap.beta
-    power = 1.0 / lmap.alpha
     for j in range(symbols.shape[1] - 1, -1, -1):
-        right = symbols[:, j] == 1
-        t = np.clip(ends, np.where(right, -1.0, 1.0 - beta),
-                    np.where(right, beta - 1.0, 1.0))
-        ends = (np.where(right, 1.0 + t, 1.0 - t) / beta) ** power
-        ends = np.where(right, ends, -ends)
+        ends = _inverse_step(lmap, symbols[:, j] == 1, ends)
     return ends[0], ends[1]
 
 
@@ -255,31 +308,72 @@ def cylinder_interval(lmap, word):
     return CylinderInterval(word, lo, hi, (hi - lo) > EMPTY_WIDTH)
 
 
+class CylinderLevel:
+    """The nonempty cylinders of one word length, as sorted parallel arrays.
+
+    `codes` holds the words as uint64 codes (see `encode_words`), strictly
+    increasing; `lo` and `hi` hold the closed cylinder endpoints. `len()`
+    is the word count. Strings are made only on request, by `words()`.
+    The arrays are read-only, since cached levels are shared.
+    """
+
+    def __init__(self, depth, codes, lo, hi):
+        self.depth = depth
+        self.codes = codes
+        self.lo = lo
+        self.hi = hi
+        for arr in (codes, lo, hi):
+            arr.flags.writeable = False
+
+    def __len__(self):
+        return len(self.codes)
+
+    def words(self):
+        """The words in code (= lexicographic) order."""
+        return decode_words(self.codes, self.depth)
+
+    def find(self, codes):
+        """Positions of the given codes in this level, -1 where absent."""
+        codes = np.asarray(codes, dtype=np.uint64)
+        pos = np.minimum(np.searchsorted(self.codes, codes),
+                         len(self.codes) - 1)
+        return np.where(self.codes[pos] == codes, pos, -1)
+
+    def subset(self, keep):
+        """The level restricted to a boolean mask of its words."""
+        return CylinderLevel(self.depth, self.codes[keep], self.lo[keep],
+                             self.hi[keep])
+
+
 @functools.lru_cache(maxsize=16)
 def _cylinder_levels_cached(alpha, beta, depth):
     lmap = LorenzMap1D(alpha, beta)
-    levels = [{"": (-1.0, 1.0)}]
-    for _ in range(depth):
-        prev = levels[-1]
-        nxt = {}
-        for s in ALPHABET:
-            for w, (lo, hi) in prev.items():
-                a = lmap.inverse_branch(s, lo, clip=True)
-                b = lmap.inverse_branch(s, hi, clip=True)
-                if a > b:
-                    a, b = b, a
-                if b - a > EMPTY_WIDTH:
-                    nxt[s + w] = (a, b)
-        levels.append(nxt)
+    level = CylinderLevel(0, np.zeros(1, dtype=np.uint64),
+                          np.array([-1.0]), np.array([1.0]))
+    levels = [level]
+    for d in range(depth):
+        # the word s + w has code s << d | code(w); the L half then the
+        # R half keeps the codes sorted
+        prev = np.vstack([level.lo, level.hi])
+        codes = []
+        ends = []
+        for bit, s in enumerate(ALPHABET):
+            pulled = _inverse_step(lmap, s == "R", prev)
+            live = pulled[1] - pulled[0] > EMPTY_WIDTH
+            codes.append(level.codes[live] | np.uint64(bit << d))
+            ends.append(pulled[:, live])
+        ends = np.hstack(ends)
+        level = CylinderLevel(d + 1, np.concatenate(codes), ends[0], ends[1])
+        levels.append(level)
     return levels
 
 
 def cylinder_levels(lmap, depth):
     """All nonempty cylinders up to the given depth.
 
-    Returns a list indexed by word length; entry d is a dict mapping each
-    admissible depth-d word to its closed cylinder endpoints. Cached per
-    (alpha, beta, depth).
+    Returns a list indexed by word length; entry d is the `CylinderLevel`
+    of the depth-d words, built from entry d - 1 with one vectorized
+    `_inverse_step` per symbol. Cached per (alpha, beta, depth).
     """
     if depth > MAX_DEPTH:
         raise PreconditionError(
@@ -289,7 +383,7 @@ def cylinder_levels(lmap, depth):
 
 def admissible_words(lmap, depth):
     """Sorted list of admissible words of exactly the given length."""
-    return sorted(cylinder_levels(lmap, depth)[depth].keys())
+    return cylinder_levels(lmap, depth)[depth].words()
 
 
 class PeriodicOrbitRecord:
@@ -394,10 +488,13 @@ def enumerate_periodic(lmap, n_max, kp=None):
 class SFTHorseshoe:
     """Subshift of finite type over depth-m cylinder words away from x = 0.
 
-    vertices are admissible depth-m words; an edge u -> v exists iff v is
-    the shift successor u[1:] + s and the joined word u + s is admissible.
-    Successors are stored as two index arrays (one per appended symbol),
-    -1 meaning no edge; adjacency_matrix() materializes the 0/1 matrix.
+    vertices are admissible depth-m words, as strings in lexicographic
+    order; an edge u -> v exists iff v is the shift successor u[1:] + s
+    and the joined word u + s is admissible. Successors are stored as two
+    index arrays (one per appended symbol), -1 meaning no edge;
+    adjacency_matrix() materializes the 0/1 matrix. `build_horseshoe` and
+    `full_shift_sft` find the edges on word codes and decode the vertex
+    strings once.
     """
 
     def __init__(self, depth, vertices, succ_by_symbol, x_gap, cyl_lo, cyl_hi):
@@ -491,10 +588,28 @@ class SFTHorseshoe:
                    x_gap, [c.lo for c in cyls], [c.hi for c in cyls])
 
 
-def _interval_dist_zero(lo, hi):
-    if lo <= 0.0 <= hi:
-        return 0.0
-    return min(abs(lo), abs(hi))
+def _dist_to_zero(lo, hi):
+    """Distance of each closed interval [lo, hi] to 0."""
+    return np.where((lo <= 0.0) & (0.0 <= hi), 0.0,
+                    np.minimum(np.abs(lo), np.abs(hi)))
+
+
+def _sft_from_levels(levels, depth, keep, x_gap):
+    """SFT on the depth-m cylinders selected by the boolean mask `keep`.
+
+    The edge u -> v on symbol s exists iff the joined word u + s is a
+    nonempty (m+1)-cylinder and v = (u + s)[1:] is a kept vertex; both
+    are code lookups, since (u + s)[1:] is code(u + s) & (2^m - 1).
+    """
+    verts = levels[depth].subset(keep)
+    mask = np.uint64((1 << depth) - 1)
+    succ = {}
+    for bit, s in enumerate(ALPHABET):
+        joined = (verts.codes << np.uint64(1)) | np.uint64(bit)
+        target = verts.find(joined & mask)
+        target[levels[depth + 1].find(joined) < 0] = -1
+        succ[s] = target
+    return SFTHorseshoe(depth, verts.words(), succ, x_gap, verts.lo, verts.hi)
 
 
 def build_horseshoe(lmap, depth, x_gap, kp=None):
@@ -511,38 +626,21 @@ def build_horseshoe(lmap, depth, x_gap, kp=None):
     if not 0.0 < x_gap < 1.0:
         raise PreconditionError("x_gap must lie in (0, 1), got %r" % x_gap)
     levels = cylinder_levels(lmap, depth + 1)
-    cyl_m = levels[depth]
-    cyl_m1 = levels[depth - 1]
-    joined = levels[depth + 1]
-
-    vertices = []
-    for w in sorted(cyl_m.keys()):
-        lo, hi = cyl_m[w]
-        slo, shi = cyl_m1[w[1:]]
-        if _interval_dist_zero(lo, hi) >= x_gap and \
-           _interval_dist_zero(slo, shi) >= x_gap:
-            vertices.append(w)
-    if not vertices:
+    level = levels[depth]
+    shifted = levels[depth - 1]
+    # every depth-m word was built from its shift, so the lookup hits
+    tail = shifted.find(level.codes & np.uint64((1 << (depth - 1)) - 1))
+    keep = ((_dist_to_zero(level.lo, level.hi) >= x_gap)
+            & (_dist_to_zero(shifted.lo[tail], shifted.hi[tail]) >= x_gap))
+    if not keep.any():
         raise EmptyHorseshoeError(
             "x_gap = %g excludes every depth-%d cylinder" % (x_gap, depth))
-
-    index = {w: i for i, w in enumerate(vertices)}
-    n = len(vertices)
-    succ = {s: np.full(n, -1, dtype=np.int64) for s in ALPHABET}
-    edges = 0
-    for w, i in index.items():
-        for s in ALPHABET:
-            v = w[1:] + s
-            if w + s in joined and v in index:
-                succ[s][i] = index[v]
-                edges += 1
-    if edges == 0:
+    horseshoe = _sft_from_levels(levels, depth, keep, x_gap)
+    if horseshoe.edge_count() == 0:
         raise EmptyHorseshoeError(
             "x_gap = %g leaves vertices but no transitions at depth %d"
             % (x_gap, depth))
-    lo = [cyl_m[w][0] for w in vertices]
-    hi = [cyl_m[w][1] for w in vertices]
-    return SFTHorseshoe(depth, vertices, succ, x_gap, lo, hi)
+    return horseshoe
 
 
 def full_shift_sft(lmap, depth):
@@ -554,20 +652,8 @@ def full_shift_sft(lmap, depth):
     if depth < 1:
         raise PreconditionError("depth must be >= 1")
     levels = cylinder_levels(lmap, depth + 1)
-    cyl_m = levels[depth]
-    joined = levels[depth + 1]
-    vertices = sorted(cyl_m.keys())
-    index = {w: i for i, w in enumerate(vertices)}
-    n = len(vertices)
-    succ = {s: np.full(n, -1, dtype=np.int64) for s in ALPHABET}
-    for w, i in index.items():
-        for s in ALPHABET:
-            v = w[1:] + s
-            if w + s in joined and v in index:
-                succ[s][i] = index[v]
-    lo = [cyl_m[w][0] for w in vertices]
-    hi = [cyl_m[w][1] for w in vertices]
-    return SFTHorseshoe(depth, vertices, succ, 0.0, lo, hi)
+    keep = np.ones(len(levels[depth]), dtype=bool)
+    return _sft_from_levels(levels, depth, keep, 0.0)
 
 
 def strongly_connected_components(horseshoe):
@@ -628,12 +714,12 @@ def strongly_connected_components(horseshoe):
 
 def restrict_horseshoe(horseshoe, indices):
     """Sub-SFT on a vertex subset (used to pass to an irreducible component)."""
-    indices = np.asarray(sorted(int(i) for i in indices), dtype=np.int64)
-    remap = {int(old): new for new, old in enumerate(indices)}
+    indices = np.sort(np.asarray(indices, dtype=np.int64))
+    # new index of each old vertex, -1 if dropped; the extra last slot
+    # maps a missing successor (-1) to -1
+    remap = np.full(horseshoe.n_vertices + 1, -1, dtype=np.int64)
+    remap[indices] = np.arange(len(indices), dtype=np.int64)
     vertices = [horseshoe.vertices[i] for i in indices]
-    succ = {}
-    for s in ALPHABET:
-        arr = horseshoe.succ[s][indices]
-        succ[s] = np.array([remap.get(int(j), -1) for j in arr], dtype=np.int64)
+    succ = {s: remap[horseshoe.succ[s][indices]] for s in ALPHABET}
     return SFTHorseshoe(horseshoe.depth, vertices, succ, horseshoe.x_gap,
                         horseshoe.cyl_lo[indices], horseshoe.cyl_hi[indices])

@@ -230,6 +230,28 @@ def test_repro_entropy_suite(tmp_path, capsys):
     assert "pass entropy/" in stdout
 
 
+def test_repro_all_keeps_completed_suites_on_precondition_failure(
+        tmp_path, capsys):
+    # at beta = 1.95 the gap suite's eta violates the small-ball
+    # hypothesis; the suites before it must still be written
+    cfg = tmp_path / "steep.cfg"
+    cfg.write_text("model.beta = 1.95\n")
+    out = str(tmp_path / "r")
+    assert run(["--config", str(cfg), "--out", out, "repro",
+                "--suite", "all"]) == 3
+    for suite in ("entropy", "variational", "intermediate"):
+        assert read_json(out, "repro_" + suite)["suite"] == suite
+    assert not os.path.exists(os.path.join(out, "repro_gap.json"))
+    summary = read_json(out, "repro_summary")
+    assert summary["passed"] is False
+    assert [e["suite"] for e in summary["errors"]] == ["gap"]
+    assert "eta" in summary["errors"][0]["message"]
+    assert {c["suite"] for c in summary["checks"]} == {
+        "entropy", "variational", "intermediate"}
+    assert "repro_summary.json" in read_json(out, "envelope")["payload_files"]
+    assert "precondition violated in suite gap" in capsys.readouterr().err
+
+
 def test_outdir_env_override(tmp_path, monkeypatch):
     target = tmp_path / "env_out"
     monkeypatch.setenv("GEOLORENZ_OUT", str(target))

@@ -146,7 +146,8 @@ def test_birkhoff_sampling_oracle(lmap, parry, coord):
     scheme_depth = parry.horseshoe.depth
     from geolorenz.symbolic import cylinder_levels
 
-    spans = cylinder_levels(lmap, scheme_depth)[scheme_depth]
+    level = cylinder_levels(lmap, scheme_depth)[scheme_depth]
+    spans = dict(zip(level.words(), zip(level.lo.tolist(), level.hi.tolist())))
     i = int(np.argmax(parry.stationary))
     total, n_steps = 0.0, 20000
     for _ in range(n_steps):
@@ -269,6 +270,22 @@ def _scalar_scheme_interval(lmap, word):
         lo, hi = _scalar_pullback(lmap, probe)
         probe = probe[:-1]
     return lo, hi
+
+
+def test_shallow_integral_matches_scalar_prefix_cylinders(lmap, parry, coord):
+    # below the horseshoe depth the integral charges each vertex prefix
+    # with its stationary mass, evaluated on the prefix cylinder
+    depth = 6
+    assert depth < parry.horseshoe.depth
+    masses = {}
+    for w, pi in zip(parry.horseshoe.vertices, parry.stationary):
+        masses[w[:depth]] = masses.get(w[:depth], 0.0) + float(pi)
+    value = bound = 0.0
+    for w in sorted(masses):
+        lo, hi = _scalar_pullback(lmap, w)
+        value += masses[w] * float(coord.value(0.5 * (lo + hi), 0.0))
+        bound += masses[w] * float(coord.midpoint_error(lo, hi))
+    assert integrate_map(coord, parry, depth=depth) == (value, bound)
 
 
 @pytest.mark.parametrize("alpha, beta, rtol", [

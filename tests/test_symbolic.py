@@ -20,6 +20,7 @@ from geolorenz import (
     InsufficientKneadingError,
     LorenzMap1D,
     PreconditionError,
+    admissible_words,
     build_horseshoe,
     cylinder_interval,
     cylinder_levels,
@@ -36,8 +37,14 @@ from geolorenz import (
     restrict_horseshoe,
     strongly_connected_components,
 )
+from geolorenz import symbolic
 
 BETA = Fraction(17, 10)
+
+
+def spans_of(level):
+    """A cylinder level as a dict from word to (lo, hi)."""
+    return dict(zip(level.words(), zip(level.lo.tolist(), level.hi.tolist())))
 
 
 def exact_step(x):
@@ -134,7 +141,7 @@ def test_lap_growth_rate_near_log_beta(lmap):
 
 
 def test_cylinder_nesting_and_disjointness(lmap):
-    levels = cylinder_levels(lmap, 7)
+    levels = [spans_of(level) for level in cylinder_levels(lmap, 7)]
     for n in range(1, 7):
         for w, (lo, hi) in levels[n].items():
             for s in "LR":
@@ -151,7 +158,7 @@ def test_cylinder_nesting_and_disjointness(lmap):
 
 
 def test_cylinder_itinerary_prefix(lmap):
-    levels = cylinder_levels(lmap, 6)
+    levels = [spans_of(level) for level in cylinder_levels(lmap, 6)]
     for w, (lo, hi) in levels[6].items():
         mid = 0.5 * (lo + hi)
         assert itinerary_of(lmap, mid, 6) == w
@@ -212,7 +219,7 @@ def test_exact_periodic_point_value(lmap):
 def test_horseshoe_vertex_rule_brute_force(lmap):
     depth, gap = 8, 0.01
     hs = build_horseshoe(lmap, depth, gap)
-    levels = cylinder_levels(lmap, depth)
+    levels = [spans_of(level) for level in cylinder_levels(lmap, depth)]
 
     def dist0(span):
         lo, hi = span
@@ -227,7 +234,7 @@ def test_horseshoe_vertex_rule_brute_force(lmap):
 
 
 def test_horseshoe_edges_are_shift_compatible(lmap, horseshoe6):
-    joined = cylinder_levels(lmap, 7)[7]
+    joined = spans_of(cylinder_levels(lmap, 7)[7])
     for i, w in enumerate(horseshoe6.vertices):
         for s, j in horseshoe6.successors(i):
             v = horseshoe6.vertices[j]
@@ -259,7 +266,7 @@ def test_horseshoe_cycle_orbit_avoids_gap(lmap):
 def test_horseshoe_small_gap_recovers_all_but_boundary(lmap):
     depth = 6
     hs = build_horseshoe(lmap, depth, 1e-9)
-    levels = cylinder_levels(lmap, depth)
+    levels = [spans_of(level) for level in cylinder_levels(lmap, depth)]
 
     def touches(span):
         return span[0] <= 0.0 <= span[1]
@@ -328,3 +335,98 @@ def test_adjacency_matrix_agrees_with_successors(horseshoe6):
             expected[i, j] = 1.0
     assert np.array_equal(mat, expected)
     assert horseshoe6.edge_count() == int(expected.sum())
+
+
+def scalar_levels(lm, depth):
+    """Cylinder levels by plain recursion over scalar inverse branches.
+
+    The reference for the array enumeration: dicts from word to (lo, hi),
+    built with no numpy and no word codes.
+    """
+    levels = [{"": (-1.0, 1.0)}]
+    for _ in range(depth):
+        nxt = {}
+        for s in "LR":
+            for w, (lo, hi) in levels[-1].items():
+                a = lm.inverse_branch(s, lo, clip=True)
+                b = lm.inverse_branch(s, hi, clip=True)
+                if b - a > 1e-12:
+                    nxt[s + w] = (a, b)
+        levels.append(nxt)
+    return levels
+
+
+@pytest.mark.parametrize("alpha, beta, rtol, atol", [
+    (1.0, 1.7, 0.0, 0.0),
+    (1.0, 1.95, 0.0, 0.0),
+    # numpy's vectorized power may differ from libm pow in the last bit;
+    # the difference stays near one ulp of 1, which is a larger relative
+    # error at endpoints close to 0
+    (0.8, 1.99, 1e-14, 4 * np.finfo(float).eps),
+])
+def test_cylinder_levels_match_scalar_recursion(alpha, beta, rtol, atol):
+    lm = LorenzMap1D(alpha, beta)
+    want = scalar_levels(lm, 12)
+    got = cylinder_levels(lm, 12)
+    for d in range(13):
+        words = sorted(want[d])
+        assert got[d].words() == words
+        ends = np.array([want[d][w] for w in words])
+        np.testing.assert_allclose(got[d].lo, ends[:, 0], rtol=rtol, atol=atol)
+        np.testing.assert_allclose(got[d].hi, ends[:, 1], rtol=rtol, atol=atol)
+
+
+@pytest.mark.parametrize("alpha, beta", [(1.0, 1.7), (0.8, 1.99)])
+def test_level_codes_increase_and_decode_to_admissible_words(alpha, beta):
+    lm = LorenzMap1D(alpha, beta)
+    levels = cylinder_levels(lm, 12)
+    for d in range(1, 13):
+        codes = [int(c) for c in levels[d].codes]
+        assert all(a < b for a, b in zip(codes, codes[1:]))
+        decoded = [format(c, "0%db" % d).replace("0", "L").replace("1", "R")
+                   for c in codes]
+        assert decoded == admissible_words(lm, d)
+        assert len(levels[d]) == len(decoded)
+
+
+@pytest.mark.parametrize("alpha, beta", [(1.0, 1.95), (0.8, 1.99)])
+def test_sft_edges_follow_the_string_rule(alpha, beta):
+    lm = LorenzMap1D(alpha, beta)
+    for depth, gap in ((6, None), (9, None), (6, 0.002), (9, 0.01)):
+        if gap is None:
+            sft = full_shift_sft(lm, depth)
+        else:
+            sft = build_horseshoe(lm, depth, gap)
+        joined = scalar_levels(lm, depth + 1)[depth + 1]
+        vertices = set(sft.vertices)
+        for i, w in enumerate(sft.vertices):
+            for s in "LR":
+                j = int(sft.succ[s][i])
+                if w + s in joined and w[1:] + s in vertices:
+                    assert j >= 0 and sft.vertices[j] == w[1:] + s
+                else:
+                    assert j == -1
+
+
+def test_decode_spans_several_blocks():
+    level = cylinder_levels(LorenzMap1D(1.0, 1.95), 18)[18]
+    assert len(level) > 2 * symbolic._DECODE_BLOCK
+    assert level.words() == [
+        format(int(c), "018b").replace("0", "L").replace("1", "R")
+        for c in level.codes]
+
+
+def test_cylinder_levels_depth_cap(lmap):
+    with pytest.raises(PreconditionError):
+        cylinder_levels(lmap, symbolic.MAX_DEPTH + 1)
+
+
+def test_restrict_horseshoe_succ_matches_dict_remap(horseshoe12):
+    for comp in strongly_connected_components(horseshoe12):
+        sub = restrict_horseshoe(horseshoe12, comp)
+        remap = {int(old): new for new, old in enumerate(sorted(comp))}
+        for s in "LR":
+            want = np.array([remap.get(int(j), -1)
+                             for j in horseshoe12.succ[s][np.sort(comp)]],
+                            dtype=np.int64)
+            assert sub.succ[s].tobytes() == want.tobytes()
