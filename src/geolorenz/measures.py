@@ -15,6 +15,7 @@ import types
 import numpy as np
 
 from .errors import DepthTooShallowError, PreconditionError
+from .model import abs_range, roof_array
 from .potentials import midpoint_error_many, passage_error_many
 from .symbolic import (ALPHABET, EMPTY_WIDTH, MAX_DEPTH, cylinder_levels,
                        encode_words, pullback, strongly_connected_components,
@@ -437,7 +438,8 @@ def measure_from_payload(lmap, payload):
 
 
 # ---------------------------------------------------------------------------
-# roof-model integrands: quack like potentials (value / midpoint_error)
+# roof-model integrands: quack like potentials (value / midpoint_error),
+# array-native like them
 
 class _RoofIntegrand:
     """r(x) as an integrand; exact range bounds from monotonicity in |x|."""
@@ -446,16 +448,11 @@ class _RoofIntegrand:
         self.roof = roof
 
     def value(self, x, y=0.0):
-        a = np.abs(np.asarray(x, dtype=float))
-        out = self.roof.c0 + self.roof.c1 * np.maximum(
-            0.0, np.log(self.roof.eta0 / np.maximum(a, 1e-300)))
+        out = roof_array(self.roof, x)
         return out if np.ndim(x) else float(out)
 
     def midpoint_error(self, lo, hi):
         return _monotone_range(self.value, lo, hi)
-
-    def midpoint_error_many(self, lo, hi):
-        return _monotone_range_many(self.value, lo, hi)
 
 
 class _DwellIntegrand:
@@ -477,9 +474,6 @@ class _DwellIntegrand:
     def midpoint_error(self, lo, hi):
         return _monotone_range(self.value, lo, hi)
 
-    def midpoint_error_many(self, lo, hi):
-        return _monotone_range_many(self.value, lo, hi)
-
 
 class _PassageIntegrand:
     """Per-passage integral of a potential: the flow weight over one return."""
@@ -492,35 +486,18 @@ class _PassageIntegrand:
         return self.potential.passage_integral(x, self.roof)
 
     def midpoint_error(self, lo, hi):
-        return self.potential.passage_error(lo, hi, self.roof)
-
-    def midpoint_error_many(self, lo, hi):
         return passage_error_many(self.potential, self.roof, lo, hi)
 
 
 def _monotone_range(value_fn, lo, hi):
-    """Exact range of a function of |x| that is monotone in |x|."""
-    if lo <= 0.0 <= hi:
-        d0 = 0.0
-    else:
-        d0 = min(abs(lo), abs(hi))
-    d1 = max(abs(lo), abs(hi))
-    if d0 <= 0.0:
-        return math.inf
-    top = float(value_fn(d0))
-    bot = float(value_fn(d1))
-    return abs(top - bot)
+    """Exact range over each [lo, hi] of a function monotone in |x|.
 
-
-def _monotone_range_many(value_fn, lo, hi):
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
-    spans = (lo <= 0.0) & (hi >= 0.0)
-    d0 = np.where(spans, 0.0, np.minimum(np.abs(lo), np.abs(hi)))
-    d1 = np.maximum(np.abs(lo), np.abs(hi))
-    out = np.abs(value_fn(np.maximum(d0, 1e-300))
-                 - value_fn(np.maximum(d1, 1e-300)))
-    return np.where(d0 <= 0.0, np.inf, out)
+    The range is infinite where the interval reaches 0, since both
+    integrands diverge there.
+    """
+    d0, d1 = abs_range(lo, hi)
+    out = np.where(d0 <= 0.0, np.inf, np.abs(value_fn(d0) - value_fn(d1)))
+    return out if np.ndim(lo) else float(out)
 
 
 # ---------------------------------------------------------------------------

@@ -224,6 +224,22 @@ def roof_value(roof, x):
     return roof.c0 + roof.c1 * max(0.0, math.log(roof.eta0 / abs(x)))
 
 
+def roof_array(roof, x):
+    """r(x) at an array of points, with |x| floored at 1e-300 (no DomainError)."""
+    a = np.abs(np.asarray(x, dtype=float))
+    return roof.c0 + roof.c1 * np.maximum(
+        0.0, np.log(roof.eta0 / np.maximum(a, 1e-300)))
+
+
+def abs_range(lo, hi):
+    """Range of |x| over each closed interval [lo, hi]: (nearest, farthest)."""
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    nearest = np.where((lo <= 0.0) & (hi >= 0.0), 0.0,
+                       np.minimum(np.abs(lo), np.abs(hi)))
+    return nearest, np.maximum(np.abs(lo), np.abs(hi))
+
+
 class ModelValidationReport:
     """Per-axiom pass/fail rows plus measured extremes and a parameter echo."""
 

@@ -9,6 +9,13 @@ over one passage of the suspension (`passage_integral`), which for a
 plain section observable is just phi(x, 0) * r(x) and for the singular
 bump is the exact dwell-model integral.
 
+Every method is array-native: `value(x, y)` and `passage_integral(x,
+roof)` take arrays of points, and the bounds `midpoint_error(lo, hi)`,
+`abs_bound(lo, hi)` and `passage_error(lo, hi, roof)` take arrays of
+cylinder endpoints and return one bound per cylinder. Scalar inputs
+return Python floats. There is one formula per bound, so the array
+result equals the elementwise scalar results bit for bit.
+
 The mini-language used by configuration files and the command line:
 
     const:c        constant potential c
@@ -24,6 +31,7 @@ import math
 import numpy as np
 
 from .errors import ConfigError, PreconditionError
+from .model import abs_range, roof_array
 
 LOG2 = math.log(2.0)
 
@@ -39,13 +47,13 @@ def _scalar_or_array(out, x):
     return out
 
 
-def _interval_abs_range(lo, hi):
-    """Range of |x| over [lo, hi]: (closest to 0, farthest from 0)."""
-    if lo <= 0.0 <= hi:
-        d0 = 0.0
-    else:
-        d0 = min(abs(lo), abs(hi))
-    return d0, max(abs(lo), abs(hi))
+def _roof_range(roof, lo, hi):
+    """(min, max) of the roof over each closed interval [lo, hi]."""
+    d0, d1 = abs_range(lo, hi)
+    r_max = roof_array(roof, d0)
+    if roof.c1 > 0.0:
+        r_max = np.where(d0 <= 0.0, np.inf, r_max)
+    return roof_array(roof, d1), r_max
 
 
 class ConstantPotential:
@@ -62,10 +70,10 @@ class ConstantPotential:
         return _scalar_or_array(out, x)
 
     def midpoint_error(self, lo, hi):
-        return 0.0
+        return _scalar_or_array(np.zeros(np.shape(lo)), lo)
 
     def abs_bound(self, lo, hi):
-        return abs(self.c)
+        return _scalar_or_array(np.full(np.shape(lo), abs(self.c)), lo)
 
     def lipschitz_bound(self):
         return 0.0
@@ -75,12 +83,12 @@ class ConstantPotential:
 
     def passage_integral(self, x, roof):
         xs = _as_array(x)
-        out = self.c * _roof_array(roof, xs)
+        out = self.c * roof_array(roof, xs)
         return _scalar_or_array(out, x)
 
     def passage_error(self, lo, hi, roof):
-        r_lo, r_hi = _roof_range(roof, lo, hi)
-        return abs(self.c) * (r_hi - r_lo)
+        r_min, r_max = _roof_range(roof, lo, hi)
+        return _scalar_or_array(abs(self.c) * (r_max - r_min), lo)
 
     def spec_string(self):
         return "const:%.17g" % self.c
@@ -97,10 +105,10 @@ class CoordinatePotential:
         return "CoordinatePotential()"
 
     def midpoint_error(self, lo, hi):
-        return 0.5 * (hi - lo)
+        return _scalar_or_array(0.5 * (_as_array(hi) - _as_array(lo)), lo)
 
     def abs_bound(self, lo, hi):
-        return max(abs(lo), abs(hi))
+        return _scalar_or_array(abs_range(lo, hi)[1], lo)
 
     def lipschitz_bound(self):
         return 1.0
@@ -110,13 +118,14 @@ class CoordinatePotential:
 
     def passage_integral(self, x, roof):
         xs = _as_array(x)
-        out = xs * _roof_array(roof, xs)
+        out = xs * roof_array(roof, xs)
         return _scalar_or_array(out, x)
 
     def passage_error(self, lo, hi, roof):
-        r_lo, r_hi = _roof_range(roof, lo, hi)
-        m = max(abs(lo), abs(hi))
-        return m * (r_hi - r_lo) + r_hi * self.midpoint_error(lo, hi)
+        r_min, r_max = _roof_range(roof, lo, hi)
+        width = _as_array(hi) - _as_array(lo)
+        out = self.abs_bound(lo, hi) * (r_max - r_min) + r_max * 0.5 * width
+        return _scalar_or_array(out, lo)
 
     def spec_string(self):
         return "coord:x"
@@ -171,11 +180,13 @@ class SectionGridPotential:
         return _scalar_or_array(out, np.broadcast(x, y))
 
     def midpoint_error(self, lo, hi):
-        return self.lipschitz * 0.5 * (hi - lo)
+        out = self.lipschitz * 0.5 * (_as_array(hi) - _as_array(lo))
+        return _scalar_or_array(out, lo)
 
     def abs_bound(self, lo, hi):
         # coarse but safe: global sup of the samples
-        return float(np.max(np.abs(self.values)))
+        out = np.full(np.shape(lo), np.max(np.abs(self.values)))
+        return _scalar_or_array(out, lo)
 
     def lipschitz_bound(self):
         return self.lipschitz
@@ -185,13 +196,15 @@ class SectionGridPotential:
 
     def passage_integral(self, x, roof):
         xs = _as_array(x)
-        out = self.value(xs, np.zeros_like(xs)) * _roof_array(roof, xs)
+        out = self.value(xs, np.zeros_like(xs)) * roof_array(roof, xs)
         return _scalar_or_array(out, x)
 
     def passage_error(self, lo, hi, roof):
-        r_lo, r_hi = _roof_range(roof, lo, hi)
-        return (self.abs_bound(lo, hi) * (r_hi - r_lo)
-                + r_hi * self.midpoint_error(lo, hi))
+        r_min, r_max = _roof_range(roof, lo, hi)
+        width = _as_array(hi) - _as_array(lo)
+        out = (self.abs_bound(lo, hi) * (r_max - r_min)
+               + r_max * self.lipschitz * 0.5 * width)
+        return _scalar_or_array(out, lo)
 
     def spec_string(self):
         if self.origin is not None:
@@ -288,14 +301,11 @@ class SingularBumpPotential:
 
     def midpoint_error(self, lo, hi):
         # profile is monotone in |x|, so the exact range is endpoint-to-endpoint
-        d0, d1 = _interval_abs_range(lo, hi)
-        top = self.level if d0 <= self.eta else float(self._profile(np.float64(d0)))
-        bot = float(self._profile(np.float64(max(d1, 1e-300))))
-        return top - bot
+        d0, d1 = abs_range(lo, hi)
+        return _scalar_or_array(self._profile(d0) - self._profile(d1), lo)
 
     def abs_bound(self, lo, hi):
-        d0, _ = _interval_abs_range(lo, hi)
-        return self.level if d0 <= self.eta else float(self._profile(np.float64(d0)))
+        return _scalar_or_array(self._profile(abs_range(lo, hi)[0]), lo)
 
     def lipschitz_bound(self):
         return self.level / (LOG2 * self.eta)
@@ -325,100 +335,24 @@ class SingularBumpPotential:
 
     def passage_error(self, lo, hi, roof):
         self._check_roof(roof)
-        d0, d1 = _interval_abs_range(lo, hi)
-        if d0 <= 0.0:
-            return math.inf if roof.c1 > 0.0 else 0.0
-        top = float(self._passage(np.float64(d0), roof))
-        bot = float(self._passage(np.float64(d1), roof))
-        return top - bot
+        d0, d1 = abs_range(lo, hi)
+        out = self._passage(d0, roof) - self._passage(d1, roof)
+        if roof.c1 > 0.0:
+            out = np.where(d0 <= 0.0, np.inf, out)
+        return _scalar_or_array(out, lo)
 
     def spec_string(self):
         return "bump:%.17g,%.17g" % (self.level, self.eta)
 
 
-def _roof_array(roof, xs):
-    a = np.abs(np.asarray(xs, dtype=float))
-    return roof.c0 + roof.c1 * np.maximum(0.0, np.log(roof.eta0 / np.maximum(a, 1e-300)))
-
-
-def _roof_range(roof, lo, hi):
-    """(min, max) of the roof over the closed interval [lo, hi]."""
-    d0, d1 = _interval_abs_range(lo, hi)
-    r_min = roof.c0 + roof.c1 * max(0.0, math.log(roof.eta0 / d1)) if d1 > 0 else math.inf
-    if d0 <= 0.0:
-        r_max = math.inf if roof.c1 > 0.0 else roof.c0
-    else:
-        r_max = roof.c0 + roof.c1 * max(0.0, math.log(roof.eta0 / d0))
-    return r_min, r_max
-
-
-def _abs_range_many(lo, hi):
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
-    spans = (lo <= 0.0) & (hi >= 0.0)
-    d0 = np.where(spans, 0.0, np.minimum(np.abs(lo), np.abs(hi)))
-    d1 = np.maximum(np.abs(lo), np.abs(hi))
-    return d0, d1
-
-
-def _roof_range_many(roof, lo, hi):
-    d0, d1 = _abs_range_many(lo, hi)
-    r_min = roof.c0 + roof.c1 * np.maximum(
-        0.0, np.log(roof.eta0 / np.maximum(d1, 1e-300)))
-    r_max = roof.c0 + roof.c1 * np.maximum(
-        0.0, np.log(roof.eta0 / np.maximum(d0, 1e-300)))
-    if roof.c1 > 0.0:
-        r_max = np.where(d0 <= 0.0, np.inf, r_max)
-    return r_min, r_max
-
-
 def midpoint_error_many(potential, lo, hi):
-    """Vectorized midpoint_error over arrays of cylinder endpoints."""
-    fn = getattr(potential, "midpoint_error_many", None)
-    if fn is not None:
-        return fn(lo, hi)
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
-    if isinstance(potential, ConstantPotential):
-        return np.zeros_like(lo)
-    if isinstance(potential, CoordinatePotential):
-        return 0.5 * (hi - lo)
-    if isinstance(potential, SectionGridPotential):
-        return potential.lipschitz * 0.5 * (hi - lo)
-    if isinstance(potential, SingularBumpPotential):
-        d0, d1 = _abs_range_many(lo, hi)
-        top = potential._profile(np.maximum(d0, 1e-300))
-        top = np.where(d0 <= potential.eta, potential.level, top)
-        bot = potential._profile(np.maximum(d1, 1e-300))
-        return top - bot
-    return np.array([potential.midpoint_error(a, b) for a, b in zip(lo, hi)])
+    """Alias of `potential.midpoint_error` on endpoint arrays."""
+    return potential.midpoint_error(lo, hi)
 
 
 def passage_error_many(potential, roof, lo, hi):
-    """Vectorized passage_error over arrays of cylinder endpoints."""
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
-    if isinstance(potential, SingularBumpPotential):
-        potential._check_roof(roof)
-        d0, d1 = _abs_range_many(lo, hi)
-        top = potential._passage(np.maximum(d0, 1e-300), roof)
-        bot = potential._passage(np.maximum(d1, 1e-300), roof)
-        out = top - bot
-        if roof.c1 > 0.0:
-            out = np.where(d0 <= 0.0, np.inf, out)
-        return out
-    r_min, r_max = _roof_range_many(roof, lo, hi)
-    dr = r_max - r_min
-    if isinstance(potential, ConstantPotential):
-        return abs(potential.c) * dr
-    if isinstance(potential, CoordinatePotential):
-        _, d1 = _abs_range_many(lo, hi)
-        return d1 * dr + r_max * 0.5 * (hi - lo)
-    if isinstance(potential, SectionGridPotential):
-        sup = float(np.max(np.abs(potential.values)))
-        return sup * dr + r_max * potential.lipschitz * 0.5 * (hi - lo)
-    return np.array([potential.passage_error(a, b, roof)
-                     for a, b in zip(lo, hi)])
+    """Alias of `potential.passage_error` on endpoint arrays."""
+    return potential.passage_error(lo, hi, roof)
 
 
 def parse_potential_spec(spec, base_dir=None):

@@ -6,6 +6,11 @@ workhorse (leading eigenvalue of the potential-weighted adjacency on
 cylinder words); the catalog supremum realizes the variational principle
 over whatever measures the caller supplies. Disagreement beyond the
 reported slack is surfaced, never hidden.
+
+All Perron eigendata come from one power solver, `_weighted_power`. The
+transfer estimator asks it for the right side only; an equilibrium state
+asks for the right vector h and the left vector g in the same loop, both
+stopped by Collatz-Wielandt brackets, and its stationary vector is g*h.
 """
 
 import math
@@ -93,54 +98,93 @@ def pressure_separated(lmap, potential, n, eps, pitch_divisor=6):
                              "separated_points": len(kept)}, slack)
 
 
-def _weighted_power(succ, log_weights, shift=0.0, tol=1e-12, max_iter=20000):
-    """Leading eigenvalue of M + shift*I, M[u][v] = A(u,v) * e^(lw[v]).
+def _predecessors(succ, n):
+    """(2, n) table of the at most two predecessors of each vertex, -1 if none.
 
-    Weights enter max-shifted so arbitrarily large log weights stay
-    finite; the returned value is log of the Perron root of M itself.
-    Start vector is all ones; sup-norm normalization each step.
+    An edge u -> v of a shift-compatible graph has u = a + W and v = W + s,
+    so v has at most the two predecessors L + W and R + W.
+    """
+    rows = [np.nonzero(succ[s] >= 0)[0] for s in ALPHABET]
+    src = np.concatenate(rows)
+    dst = np.concatenate([succ[s][r] for s, r in zip(ALPHABET, rows)])
+    order = np.argsort(dst, kind="stable")
+    src, dst = src[order], dst[order]
+    count = np.bincount(dst, minlength=n)
+    if n and count.max() > len(ALPHABET):
+        raise PreconditionError("graph is not shift-compatible: a vertex "
+                                "has more than two predecessors")
+    first = np.searchsorted(dst, np.arange(n))
+    prev = np.full((len(ALPHABET), n), -1, dtype=np.int64)
+    for k in range(len(ALPHABET)):
+        has = count > k
+        prev[k, has] = src[first[has] + k]
+    return prev
+
+
+def _weighted_power(succ, log_weights, shift=0.0, left=False, tol=1e-12,
+                    max_iter=20000):
+    """Perron root of M + shift*I, M[u][v] = A(u,v) * e^(lw[v]), and its vectors.
+
+    Returns (log lambda, h, g, iterations, converged): log of the Perron
+    root of M itself, the right vector h and, with `left`, the left
+    vector g (None otherwise), each sup-normalized. Weights enter
+    max-shifted so arbitrarily large log weights stay finite. Both sides
+    start at all ones and advance in one loop: the rows of the stacked
+    vector [h, g] gather their at most two successors (right side) or
+    predecessors (left side) with one `take`. The loop stops when the
+    Collatz-Wielandt bracket of every side is within `tol`.
     """
     lw = np.asarray(log_weights, dtype=float)
     n = lw.size
     c = float(np.max(lw)) if n else 0.0
     w = np.exp(lw - c)
-    gathers = []
-    for s in ALPHABET:
-        idx = succ[s]
-        ok = idx >= 0
-        gathers.append((np.nonzero(ok)[0], idx[ok]))
-    v = np.ones(n)
+    # one row per symbol slot: the right side gathers the successors with
+    # their weights, the left side the predecessors with its own weight;
+    # an absent edge reads entry 0 with coefficient 0
+    nxt = np.stack([succ[s] for s in ALPHABET])
+    idx = [np.where(nxt >= 0, nxt, 0)]
+    coef = [np.where(nxt >= 0, w[nxt], 0.0)]
+    if left:
+        prev = _predecessors(succ, n)
+        idx.append(np.where(prev >= 0, prev + n, 0))
+        coef.append(np.where(prev >= 0, w, 0.0))
+    idx = np.concatenate(idx, axis=1)
+    coef = np.concatenate(coef, axis=1)
+    sides = 2 if left else 1
+    v = np.ones((sides, n))
     lam = 0.0
     converged = False
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        y = shift * v if shift else np.zeros(n)
-        for rows, cols in gathers:
-            y[rows] += w[cols] * v[cols]
-        top = float(np.max(y))
-        if top <= 0.0:
-            return -math.inf, v, iterations, True
+        flat = v.reshape(-1)
+        y = shift * flat
+        for coef_k, gathered in zip(coef, flat.take(idx)):
+            y += coef_k * gathered
+        y = y.reshape(sides, n)
+        top = y.max(axis=1)
+        if top[0] <= 0.0:
+            return -math.inf, v[0], None, iterations, True
         # Collatz-Wielandt: for positive v the quotients y/v bracket the
         # Perron root, so the gap between their extremes is a stopping
         # rule that cannot fire early (the raw eigenvalue estimate can
         # stall at the maximal out-degree for many iterations)
-        positive = v > 0.0
-        if np.all(positive):
+        if (v > 0.0).all():
             quot = y / v
-            lo_q = float(np.min(quot))
-            hi_q = float(np.max(quot))
-            lam = 0.5 * (lo_q + hi_q)
-            if hi_q - lo_q <= tol * max(1.0, hi_q):
+            lo_q = quot.min(axis=1)
+            hi_q = quot.max(axis=1)
+            lam = 0.5 * (lo_q[0] + hi_q[0])
+            if (hi_q - lo_q <= tol * np.maximum(1.0, hi_q)).all():
                 converged = True
-                v = y / top
+                v = y / top[:, None]
                 break
         else:
-            lam = top
-        v = y / top
+            lam = top[0]
+        v = y / top[:, None]
     lam_m = lam - shift
+    g = v[1] if left else None
     if lam_m <= 0.0:
-        return -math.inf, v, iterations, converged
-    return math.log(lam_m) + c, v, iterations, converged
+        return -math.inf, v[0], g, iterations, converged
+    return math.log(lam_m) + c, v[0], g, iterations, converged
 
 
 def pressure_transfer(lmap, potential, depth=12):
@@ -152,7 +196,7 @@ def pressure_transfer(lmap, potential, depth=12):
     sft = full_shift_sft(lmap, depth)
     mids = sft.midpoints
     lw = np.asarray(potential.value(mids, np.zeros_like(mids)), dtype=float)
-    value, _, iterations, converged = _weighted_power(sft.succ, lw)
+    value, _, _, iterations, converged = _weighted_power(sft.succ, lw)
     params = {"depth": depth, "words": sft.n_vertices,
               "iterations": iterations}
     if not converged:
@@ -164,7 +208,7 @@ def pressure_transfer(lmap, potential, depth=12):
             sub = restrict_horseshoe(sft, comp)
             if sub.edge_count() == 0:
                 continue
-            val, _, _, _ = _weighted_power(sub.succ, lw[comp], shift=1.0)
+            val = _weighted_power(sub.succ, lw[comp], shift=1.0)[0]
             best = max(best, val)
         value = best
         params["fallback"] = "per-component"
@@ -260,77 +304,41 @@ def equilibrium_measure(lmap, horseshoe, potential, t=1.0, label=None):
     """Equilibrium state of t*phi on the horseshoe SFT.
 
     Perron eigendata of M[u][v] = A(u,v)*e^(t*phi(mid v)) stochasticized
-    the standard way: P(u,v) = M(u,v) h(v) / (lambda h(u)) with
-    stationary vector proportional to g*h. The computation restricts to
-    the strongly connected component with the largest Perron root, so the
-    result is ergodic; rows and the stationary vector are polished to the
-    validation tolerances. The decomposition into cyclic components does
-    not depend on t: it is computed once per horseshoe object
-    (`SFTHorseshoe.cyclic_components`), and every measure built on the
-    same horseshoe shares the same restricted sub-SFT. A Perron iteration
-    that does not converge raises PreconditionError.
+    the standard way: P = D(Mh)^-1 M D(h), which is row-stochastic by
+    construction. One power solve (`_weighted_power` with `left`) gives the
+    right vector h and the left vector g together, both stopped by
+    Collatz-Wielandt brackets, and the stationary vector is g*h
+    normalized, stationary for P to the solver tolerance. The computation
+    restricts to the strongly connected component with the largest Perron
+    root, so the result is ergodic. The decomposition into cyclic
+    components does not depend on t: it is computed once per horseshoe
+    object (`SFTHorseshoe.cyclic_components`), and every measure built on
+    the same horseshoe shares the same restricted sub-SFT. A Perron solve
+    that does not converge on either side raises PreconditionError.
     """
     mids = horseshoe.midpoints
     lw = float(t) * np.asarray(potential.value(mids, np.zeros_like(mids)),
                                dtype=float)
     best = None
     for comp, sub in horseshoe.cyclic_components():
-        val, vec, iterations, converged = _weighted_power(
-            sub.succ, lw[comp], shift=1.0)
+        val, h, g, iterations, converged = _weighted_power(
+            sub.succ, lw[comp], shift=1.0, left=True)
         if not converged:
             raise PreconditionError(
                 "Perron iteration on a %d-vertex component did not converge "
                 "in %d iterations" % (len(comp), iterations))
         if best is None or val > best[0] + 1e-15:
-            best = (val, comp, sub, vec)
+            best = (val, comp, sub, h, g)
     if best is None:
         raise PreconditionError("horseshoe has no cycles; no equilibrium exists")
-    log_lam, comp, sub, h = best
+    _, comp, sub, h, g = best
 
-    # left eigenvector: transpose gathers under the same shift
-    lw_c = lw[comp]
-    c = float(np.max(lw_c))
-    w = np.exp(lw_c - c)
-    n = len(comp)
-    rev = []
-    for s in ALPHABET:
-        idx = sub.succ[s]
-        ok = idx >= 0
-        rev.append((np.nonzero(ok)[0], idx[ok]))
-    g = np.ones(n)
-    lam = 0.0
-    for _ in range(20000):
-        y = g.copy()
-        for rows, cols in rev:
-            np.add.at(y, cols, w[cols] * g[rows])
-        new_lam = float(np.max(y))
-        g = y / new_lam
-        if abs(new_lam - lam) <= 1e-13 * max(1.0, new_lam):
-            break
-        lam = new_lam
-    lam_scaled = math.exp(log_lam - c)
-
-    probs = np.zeros((n, len(ALPHABET)))
+    w = np.exp(lw[comp] - np.max(lw[comp]))
+    probs = np.zeros((len(comp), len(ALPHABET)))
     for k, s in enumerate(ALPHABET):
         idx = sub.succ[s]
         ok = idx >= 0
-        probs[ok, k] = w[idx[ok]] * h[idx[ok]] / (lam_scaled * h[ok])
-    rows = probs.sum(axis=1)
-    probs /= rows[:, None]
-
+        probs[ok, k] = w[idx[ok]] * h[idx[ok]]
+    probs /= probs.sum(axis=1)[:, None]
     pi = g * h
-    pi /= pi.sum()
-    for _ in range(5000):
-        pushed = np.zeros(n)
-        for k, s in enumerate(ALPHABET):
-            idx = sub.succ[s]
-            ok = idx >= 0
-            np.add.at(pushed, idx[ok], pi[ok] * probs[ok, k])
-        # lazy step: same fixed point, converges even on periodic chains
-        nxt = 0.5 * (pushed + pi)
-        nxt /= nxt.sum()
-        done = float(np.max(np.abs(nxt - pi))) < 1e-15
-        pi = nxt
-        if done:
-            break
-    return MarkovMeasure(lmap, sub, probs, pi, label=label)
+    return MarkovMeasure(lmap, sub, probs, pi / pi.sum(), label=label)

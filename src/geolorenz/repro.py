@@ -26,7 +26,7 @@ from .pressure import (estimate_P_bounds, h_top_estimate, pressure_measure,
                        pressure_separated, pressure_transfer)
 from .spectrum import (TargetRequest, build_gap_potential,
                        realize_intermediate, spectrum_scan, verify_gap)
-from .symbolic import admissible_words
+from .symbolic import cylinder_levels
 
 SUITE_NAMES = ("entropy", "variational", "intermediate", "gap")
 
@@ -85,8 +85,8 @@ def _lap_oracle(lmap, lengths):
     import math
 
     n_lo, n_hi = lengths
-    c_lo = len(admissible_words(lmap, n_lo))
-    c_hi = len(admissible_words(lmap, n_hi))
+    c_lo = len(cylinder_levels(lmap, n_lo)[n_lo])
+    c_hi = len(cylinder_levels(lmap, n_hi)[n_hi])
     return math.log(c_hi / c_lo), c_lo, c_hi
 
 

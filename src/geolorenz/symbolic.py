@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import (DomainError, EmptyHorseshoeError, InadmissibleWordError,
                      InsufficientKneadingError, PreconditionError)
-from .model import LorenzMap1D
+from .model import LorenzMap1D, abs_range
 
 ALPHABET = ("L", "R")
 
@@ -212,11 +212,6 @@ class CylinderInterval:
     @property
     def midpoint(self):
         return 0.5 * (self.lo + self.hi)
-
-    def distance_to_zero(self):
-        if self.lo <= 0.0 <= self.hi:
-            return 0.0
-        return min(abs(self.lo), abs(self.hi))
 
     def __repr__(self):
         return "CylinderInterval(%r, [%.6g, %.6g], nonempty=%r)" % (
@@ -588,12 +583,6 @@ class SFTHorseshoe:
                    x_gap, [c.lo for c in cyls], [c.hi for c in cyls])
 
 
-def _dist_to_zero(lo, hi):
-    """Distance of each closed interval [lo, hi] to 0."""
-    return np.where((lo <= 0.0) & (0.0 <= hi), 0.0,
-                    np.minimum(np.abs(lo), np.abs(hi)))
-
-
 def _sft_from_levels(levels, depth, keep, x_gap):
     """SFT on the depth-m cylinders selected by the boolean mask `keep`.
 
@@ -630,8 +619,8 @@ def build_horseshoe(lmap, depth, x_gap, kp=None):
     shifted = levels[depth - 1]
     # every depth-m word was built from its shift, so the lookup hits
     tail = shifted.find(level.codes & np.uint64((1 << (depth - 1)) - 1))
-    keep = ((_dist_to_zero(level.lo, level.hi) >= x_gap)
-            & (_dist_to_zero(shifted.lo[tail], shifted.hi[tail]) >= x_gap))
+    keep = ((abs_range(level.lo, level.hi)[0] >= x_gap)
+            & (abs_range(shifted.lo[tail], shifted.hi[tail])[0] >= x_gap))
     if not keep.any():
         raise EmptyHorseshoeError(
             "x_gap = %g excludes every depth-%d cylinder" % (x_gap, depth))

@@ -17,6 +17,8 @@ from geolorenz import (
     SingularBumpPotential,
     parse_potential_spec,
 )
+from geolorenz.measures import (_DwellIntegrand, _PassageIntegrand,
+                                _RoofIntegrand)
 
 
 def test_constant_and_coordinate_values():
@@ -95,6 +97,51 @@ def test_midpoint_error_honesty():
             err = pot.midpoint_error(lo, hi)
             for t in np.linspace(lo, hi, 21):
                 assert abs(pot.value(float(t)) - pot.value(mid)) <= err + 1e-12
+
+
+# cylinders that straddle 0, touch +-eta = 0.1 and +-2*eta = 0.2 of the
+# bump and the roof radius eta0 = 0.5, lie on one side, or are degenerate
+PROTOCOL_INTERVALS = [
+    (-0.3, 0.2), (-0.1, 0.1), (-0.25, 0.0), (0.0, 0.3), (-0.2, -0.1),
+    (0.1, 0.2), (0.05, 0.1), (0.2, 0.5), (-0.5, -0.2), (-0.9, -0.6),
+    (0.3, 0.9), (0.1, 0.1), (-0.2, -0.2), (0.15, 0.15), (0.7, 0.7),
+]
+
+
+def _protocol_cases():
+    roof = RoofFunction(c0=1.0, c1=1.0, eta0=0.5)
+    pots = [ConstantPotential(0.75), CoordinatePotential(),
+            SectionGridPotential.seeded(7), SingularBumpPotential(2.0, 0.1)]
+    cases = []
+    for pot in pots:
+        name = type(pot).__name__
+        cases += [(name + ".value", lambda lo, hi, pot=pot: pot.value(lo)),
+                  (name + ".passage_integral",
+                   lambda lo, hi, pot=pot: pot.passage_integral(hi, roof)),
+                  (name + ".midpoint_error", pot.midpoint_error),
+                  (name + ".abs_bound", pot.abs_bound),
+                  (name + ".passage_error",
+                   lambda lo, hi, pot=pot: pot.passage_error(lo, hi, roof))]
+    for integrand in (_RoofIntegrand(roof), _DwellIntegrand(roof, 0.2),
+                      _PassageIntegrand(SingularBumpPotential(2.0, 0.1),
+                                        roof)):
+        name = type(integrand).__name__
+        cases += [(name + ".value",
+                   lambda lo, hi, f=integrand: f.value(hi)),
+                  (name + ".midpoint_error", integrand.midpoint_error)]
+    return cases
+
+
+@pytest.mark.parametrize("name, method", _protocol_cases(),
+                         ids=[name for name, _ in _protocol_cases()])
+def test_array_call_equals_scalar_calls(name, method):
+    lo, hi = np.array(PROTOCOL_INTERVALS).T
+    scalar = [method(a, b) for a, b in PROTOCOL_INTERVALS]
+    assert all(type(v) is float for v in scalar)
+    out = method(lo, hi)
+    assert isinstance(out, np.ndarray) and out.shape == lo.shape
+    # bit for bit, infinities included
+    assert out.tolist() == scalar
 
 
 def test_seeded_grid_is_deterministic_and_bounded():

@@ -1,5 +1,6 @@
 """Pressure estimators: equivariance, monotonicity, oracles, equilibria."""
 
+import functools
 import math
 
 import numpy as np
@@ -225,9 +226,93 @@ def test_equilibrium_rejects_unconverged_perron(monkeypatch, lmap,
     real = pressure._weighted_power
 
     def stalled(*args, **kwargs):
-        value, vec, _, _ = real(*args, **kwargs)
-        return value, vec, 20000, False
+        value, h, g, _, _ = real(*args, **kwargs)
+        return value, h, g, 20000, False
 
     monkeypatch.setattr(pressure, "_weighted_power", stalled)
     with pytest.raises(PreconditionError, match="20000 iterations"):
         equilibrium_measure(lmap, horseshoe6, coord, t=1.0)
+
+
+def _weighted(graph, potential, t):
+    """Dense M[u][v] = A(u,v) * e^(t*phi(mid v))."""
+    phi = potential.value(graph.midpoints)
+    return graph.adjacency_matrix() * np.exp(t * phi)[None, :]
+
+
+def _check_against_dense_eigendata(lmap, hs, potential, t):
+    # an oracle sharing no code with the power solver: numpy's dense
+    # eigendecomposition of the weighted matrix and of the transition matrix
+    eq = equilibrium_measure(lmap, hs, potential, t=t)
+    sub = eq.horseshoe
+    # the spectral radius of the whole horseshoe's matrix is the largest
+    # Perron root over its components; h + t*integral recovers log lambda
+    rho = np.max(np.abs(np.linalg.eigvals(_weighted(hs, potential, t))))
+    phi = potential.value(sub.midpoints)
+    log_lam = entropy_map(eq) + t * float(eq.stationary @ phi)
+    assert log_lam == pytest.approx(math.log(rho), abs=1e-10)
+    mat = _weighted(sub, potential, t)
+    vals, vecs = np.linalg.eig(mat)
+    k = int(np.argmax(vals.real))
+    lam = vals[k].real
+    h = np.abs(vecs[:, k].real)
+    assert lam == pytest.approx(rho, rel=1e-12)
+    np.testing.assert_allclose(eq.transition_matrix(),
+                               mat * h[None, :] / (lam * h[:, None]),
+                               rtol=0.0, atol=1e-10)
+    vals, vecs = np.linalg.eig(eq.transition_matrix().T)
+    k = int(np.argmin(np.abs(vals - 1.0)))
+    pi = np.abs(vecs[:, k].real)
+    np.testing.assert_allclose(eq.stationary, pi / pi.sum(),
+                               rtol=0.0, atol=1e-10)
+    return eq
+
+
+@pytest.mark.parametrize("t", [-2.0, 0.0, 1.0, 3.0])
+@pytest.mark.parametrize("depth", [6, 8])
+def test_equilibrium_matches_dense_eigendata(lmap, coord, depth, t):
+    hs = build_horseshoe(lmap, depth, 0.002)
+    _check_against_dense_eigendata(lmap, hs, coord, t)
+
+
+def test_equilibrium_on_period_two_component_matches_dense(lmap, coord):
+    # the hand-built graph of test_equilibrium_scores_self_loop_singleton:
+    # at t = -2 the 2-cycle {LR, RL} wins, whose matrix has eigenvalues
+    # +lambda and -lambda, so only the shifted iteration converges
+    words = ("LL", "LR", "RL", "RR")
+    adj = [[0, 1, 0, 0], [0, 0, 1, 1], [0, 1, 0, 0], [0, 0, 0, 1]]
+    hs = SFTHorseshoe.from_adjacency(2, words, adj, lmap)
+    eq = _check_against_dense_eigendata(lmap, hs, coord, -2.0)
+    assert eq.horseshoe.vertices == ("LR", "RL")
+
+
+class _VertexWeights:
+    """Potential whose value at each vertex midpoint is log of a chosen weight."""
+
+    def __init__(self, horseshoe, weights):
+        self.table = dict(zip(horseshoe.midpoints.tolist(),
+                              np.log(weights).tolist()))
+
+    def value(self, x, y=0.0):
+        return np.array([self.table[m] for m in np.asarray(x).tolist()])
+
+
+def test_equilibrium_rejects_unconverged_left_vector(monkeypatch, lmap):
+    # on the full 2-shift of length-2 words, weights 1, 3, 2, 2 give every
+    # row of M the sum 4: the right vector is uniform and converges in one
+    # step, the left vector is (1, 3, 3, 3) and does not
+    words = ("LL", "LR", "RL", "RR")
+    adj = [[1, 1, 0, 0], [0, 0, 1, 1], [1, 1, 0, 0], [0, 0, 1, 1]]
+    hs = SFTHorseshoe.from_adjacency(2, words, adj, lmap)
+    pot = _VertexWeights(hs, [1.0, 3.0, 2.0, 2.0])
+    eq = equilibrium_measure(lmap, hs, pot, t=1.0)
+    np.testing.assert_allclose(eq.stationary, [0.1, 0.3, 0.3, 0.3],
+                               rtol=0.0, atol=1e-12)
+    real = pressure._weighted_power
+    lw = pot.value(hs.midpoints)
+    assert real(hs.succ, lw, shift=1.0, max_iter=1)[4]
+    assert not real(hs.succ, lw, shift=1.0, left=True, max_iter=1)[4]
+    monkeypatch.setattr(pressure, "_weighted_power",
+                        functools.partial(real, max_iter=1))
+    with pytest.raises(PreconditionError, match="in 1 iterations"):
+        equilibrium_measure(lmap, hs, pot, t=1.0)
