@@ -68,7 +68,9 @@ class MarkovMeasure:
     following the ALPHABET[k] edge out of vertex i. Validation enforces
     row-stochasticity (1e-12), stationarity (1e-10), support inside the
     adjacency, and irreducibility of the support graph, so the measure is
-    ergodic by construction.
+    ergodic by construction. When the support is the whole adjacency, as
+    for every equilibrium state, irreducibility is read from the
+    horseshoe's stored decomposition (`SFTHorseshoe.cyclic_components`).
     """
 
     variant = "markov"
@@ -119,13 +121,20 @@ class MarkovMeasure:
         return out
 
     def _support_irreducible(self, probs):
+        hs = self.horseshoe
+        if all(np.all(probs[hs.succ[s] >= 0, k] > 0.0)
+               for k, s in enumerate(ALPHABET)):
+            # the support is the whole adjacency (always so for an
+            # equilibrium state): the horseshoe's stored decomposition
+            # answers, so a family of measures on it runs Kosaraju once
+            comps = hs.cyclic_components()
+            return len(comps) == 1 and len(comps[0][0]) == hs.n_vertices
         masked = {}
         for k, s in enumerate(ALPHABET):
-            arr = self.horseshoe.succ[s].copy()
+            arr = hs.succ[s].copy()
             arr[probs[:, k] <= 0.0] = -1
             masked[s] = arr
-        shadow = types.SimpleNamespace(
-            n_vertices=self.horseshoe.n_vertices, succ=masked)
+        shadow = types.SimpleNamespace(n_vertices=hs.n_vertices, succ=masked)
         comps = strongly_connected_components(shadow)
         return len(comps) == 1
 

@@ -11,6 +11,12 @@ All Perron eigendata come from one power solver, `_weighted_power`. The
 transfer estimator asks it for the right side only; an equilibrium state
 asks for the right vector h and the left vector g in the same loop, both
 stopped by Collatz-Wielandt brackets, and its stationary vector is g*h.
+On graphs that may be periodic (the components of an equilibrium state,
+the per-component fallback of the transfer estimator) the solver
+iterates M + s*I with s half its current estimate of the Perron root
+lambda, so the convergence rate does not depend on how small the
+max-normalized weights make lambda, and since lambda <= 2 the bracket is
+never looser than with a fixed s = 1.
 """
 
 import math
@@ -121,18 +127,30 @@ def _predecessors(succ, n):
     return prev
 
 
-def _weighted_power(succ, log_weights, shift=0.0, left=False, tol=1e-12,
+def _weighted_power(succ, log_weights, shift=False, left=False, tol=1e-12,
                     max_iter=20000):
-    """Perron root of M + shift*I, M[u][v] = A(u,v) * e^(lw[v]), and its vectors.
+    """Perron root of M[u][v] = A(u,v) * e^(lw[v]) and its vectors.
 
     Returns (log lambda, h, g, iterations, converged): log of the Perron
-    root of M itself, the right vector h and, with `left`, the left
-    vector g (None otherwise), each sup-normalized. Weights enter
-    max-shifted so arbitrarily large log weights stay finite. Both sides
-    start at all ones and advance in one loop: the rows of the stacked
-    vector [h, g] gather their at most two successors (right side) or
-    predecessors (left side) with one `take`. The loop stops when the
-    Collatz-Wielandt bracket of every side is within `tol`.
+    root of M, the right vector h and, with `left`, the left vector g
+    (None otherwise), each sup-normalized. Weights enter max-shifted so
+    arbitrarily large log weights stay finite. Both sides start at all
+    ones and advance in one loop: the rows of the stacked vector [h, g]
+    gather their at most two successors (right side) or predecessors
+    (left side) with one `take`. The loop stops when the Collatz-Wielandt
+    bracket of every side is within `tol`, relative to max(1, its top).
+
+    Without `shift` the loop iterates M itself. With `shift` it iterates
+    M + s*I, which converges on periodic components too: s starts at 1
+    and is then half the current estimate of lambda (the midpoint of the
+    bracket minus s). The peripheral eigenvalues lambda*e^(2 pi i k/p) of
+    a period-p component then have modulus |e^(2 pi i k/p) + 1/2| / (3/2)
+    < 1 relative to lambda + s (1/3 at period 2) whatever the scale of
+    the weights, where a fixed s = 1 makes that ratio tend to 1 as the
+    max-normalized lambda gets small. Every entry of M is at most 1 and
+    every row has at most two, so lambda <= 2: the shifted top
+    3*lambda/2 never exceeds 1 + lambda, and the bracket is never looser
+    than with s = 1.
     """
     lw = np.asarray(log_weights, dtype=float)
     n = lw.size
@@ -152,12 +170,13 @@ def _weighted_power(succ, log_weights, shift=0.0, left=False, tol=1e-12,
     coef = np.concatenate(coef, axis=1)
     sides = 2 if left else 1
     v = np.ones((sides, n))
+    s = 1.0 if shift else 0.0
     lam = 0.0
     converged = False
     iterations = 0
     for iterations in range(1, max_iter + 1):
         flat = v.reshape(-1)
-        y = shift * flat
+        y = s * flat
         for coef_k, gathered in zip(coef, flat.take(idx)):
             y += coef_k * gathered
         y = y.reshape(sides, n)
@@ -167,24 +186,26 @@ def _weighted_power(succ, log_weights, shift=0.0, left=False, tol=1e-12,
         # Collatz-Wielandt: for positive v the quotients y/v bracket the
         # Perron root, so the gap between their extremes is a stopping
         # rule that cannot fire early (the raw eigenvalue estimate can
-        # stall at the maximal out-degree for many iterations)
+        # stall at the maximal out-degree for many iterations); minus s,
+        # the quotients bracket the root of M itself
         if (v > 0.0).all():
             quot = y / v
             lo_q = quot.min(axis=1)
             hi_q = quot.max(axis=1)
-            lam = 0.5 * (lo_q[0] + hi_q[0])
+            lam = 0.5 * (lo_q[0] + hi_q[0]) - s
             if (hi_q - lo_q <= tol * np.maximum(1.0, hi_q)).all():
                 converged = True
                 v = y / top[:, None]
                 break
         else:
-            lam = top[0]
+            lam = top[0] - s
         v = y / top[:, None]
-    lam_m = lam - shift
+        if shift and lam > 0.0:
+            s = 0.5 * lam
     g = v[1] if left else None
-    if lam_m <= 0.0:
+    if lam <= 0.0:
         return -math.inf, v[0], g, iterations, converged
-    return math.log(lam_m) + c, v[0], g, iterations, converged
+    return math.log(lam) + c, v[0], g, iterations, converged
 
 
 def pressure_transfer(lmap, potential, depth=12):
@@ -208,7 +229,7 @@ def pressure_transfer(lmap, potential, depth=12):
             sub = restrict_horseshoe(sft, comp)
             if sub.edge_count() == 0:
                 continue
-            val = _weighted_power(sub.succ, lw[comp], shift=1.0)[0]
+            val = _weighted_power(sub.succ, lw[comp], shift=True)[0]
             best = max(best, val)
         value = best
         params["fallback"] = "per-component"
@@ -305,10 +326,15 @@ def equilibrium_measure(lmap, horseshoe, potential, t=1.0, label=None):
 
     Perron eigendata of M[u][v] = A(u,v)*e^(t*phi(mid v)) stochasticized
     the standard way: P = D(Mh)^-1 M D(h), which is row-stochastic by
-    construction. One power solve (`_weighted_power` with `left`) gives the
-    right vector h and the left vector g together, both stopped by
-    Collatz-Wielandt brackets, and the stationary vector is g*h
-    normalized, stationary for P to the solver tolerance. The computation
+    construction. One power solve (`_weighted_power` with `left` and
+    `shift`) gives the right vector h and the left vector g together,
+    both stopped by Collatz-Wielandt brackets, and the stationary vector
+    is g*h normalized, stationary for P to the solver tolerance. The
+    solve iterates M + s*I with s = lambda/2 from its second step, so on
+    a component of period 2 the eigenvalue -lambda maps to the ratio 1/3
+    whatever the scale of the weights, and lambda is bracketed within
+    1e-12 * max(1, 3*lambda/2), never looser than with s = 1, since
+    lambda <= 2. The computation
     restricts to the strongly connected component with the largest Perron
     root, so the result is ergodic. The decomposition into cyclic
     components does not depend on t: it is computed once per horseshoe
@@ -322,7 +348,7 @@ def equilibrium_measure(lmap, horseshoe, potential, t=1.0, label=None):
     best = None
     for comp, sub in horseshoe.cyclic_components():
         val, h, g, iterations, converged = _weighted_power(
-            sub.succ, lw[comp], shift=1.0, left=True)
+            sub.succ, lw[comp], shift=True, left=True)
         if not converged:
             raise PreconditionError(
                 "Perron iteration on a %d-vertex component did not converge "

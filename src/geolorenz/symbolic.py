@@ -24,6 +24,7 @@ notions coexist and differ:
   cylinder but no period-2 point realizes it.
 """
 
+import collections
 import functools
 import itertools
 import math
@@ -340,13 +341,18 @@ class CylinderLevel:
                              self.hi[keep])
 
 
-@functools.lru_cache(maxsize=16)
-def _cylinder_levels_cached(alpha, beta, depth):
-    lmap = LorenzMap1D(alpha, beta)
-    level = CylinderLevel(0, np.zeros(1, dtype=np.uint64),
-                          np.array([-1.0]), np.array([1.0]))
-    levels = [level]
-    for d in range(depth):
+# per model (alpha, beta), least recently used first: the lists of levels
+# handed out so far, by depth. All of them are prefixes of the deepest one
+# and share its CylinderLevel objects, so each level is built once.
+_LEVELS = collections.OrderedDict()
+_LEVELS_MODELS = 16
+
+
+def _extend_levels(lmap, levels, depth):
+    """`levels` continued to the given depth (a new list)."""
+    levels = list(levels)
+    level = levels[-1]
+    for d in range(len(levels) - 1, depth):
         # the word s + w has code s << d | code(w); the L half then the
         # R half keeps the codes sorted
         prev = np.vstack([level.lo, level.hi])
@@ -368,12 +374,34 @@ def cylinder_levels(lmap, depth):
 
     Returns a list indexed by word length; entry d is the `CylinderLevel`
     of the depth-d words, built from entry d - 1 with one vectorized
-    `_inverse_step` per symbol. Cached per (alpha, beta, depth).
+    `_inverse_step` per symbol. Cached per model (alpha, beta), for the
+    16 most recently used models: a request no deeper than the deepest
+    list built so far is a prefix of it, and a deeper one continues it
+    from its last level, so no level is enumerated twice. The same depth
+    returns the same list object.
     """
     if depth > MAX_DEPTH:
         raise PreconditionError(
             "enumeration depth %d exceeds maximum %d" % (depth, MAX_DEPTH))
-    return _cylinder_levels_cached(lmap.alpha, lmap.beta, int(depth))
+    depth = int(depth)
+    key = (lmap.alpha, lmap.beta)
+    lists = _LEVELS.pop(key, None)
+    if lists is None:
+        root = CylinderLevel(0, np.zeros(1, dtype=np.uint64),
+                             np.array([-1.0]), np.array([1.0]))
+        lists = {0: [root]}
+    _LEVELS[key] = lists
+    if len(_LEVELS) > _LEVELS_MODELS:
+        _LEVELS.popitem(last=False)
+    levels = lists.get(depth)
+    if levels is None:
+        deepest = lists[max(lists)]
+        if depth < len(deepest):
+            levels = deepest[:depth + 1]
+        else:
+            levels = _extend_levels(LorenzMap1D(*key), deepest, depth)
+        lists[depth] = levels
+    return levels
 
 
 def admissible_words(lmap, depth):
@@ -541,9 +569,10 @@ class SFTHorseshoe:
 
         Returns (indices, sub-SFT) pairs in the order of
         `strongly_connected_components`. One-vertex components without a
-        self-loop are dropped before restriction. The decomposition is
-        computed on first use and stored on this horseshoe, so it is
-        shared by every later caller and freed with the object.
+        self-loop are dropped before restriction, and a component of all
+        vertices is this horseshoe itself. The decomposition is computed
+        on first use and stored on this horseshoe, so it is shared by
+        every later caller and freed with the object.
         """
         if self._cyclic is None:
             cyclic = []
@@ -552,7 +581,9 @@ class SFTHorseshoe:
                 if len(comp) == 1 and all(self.succ[s][i] != i
                                           for s in ALPHABET):
                     continue
-                cyclic.append((comp, restrict_horseshoe(self, comp)))
+                sub = (self if len(comp) == self.n_vertices
+                       else restrict_horseshoe(self, comp))
+                cyclic.append((comp, sub))
             self._cyclic = cyclic
         return self._cyclic
 

@@ -115,6 +115,32 @@ def test_markov_off_adjacency_support_rejected(lmap, horseshoe12, parry):
             MarkovMeasure(lmap, horseshoe12, probs, parry.stationary)
 
 
+def test_markov_reducible_support_rejected(lmap):
+    # full 2-shift on length-2 words; LL and RR carry self-loops
+    words = ("LL", "LR", "RL", "RR")
+    adj = [[1, 1, 0, 0], [0, 0, 1, 1], [1, 1, 0, 0], [0, 0, 1, 1]]
+    hs = SFTHorseshoe.from_adjacency(2, words, adj, lmap)
+    # a proper support with two absorbing self-loops is reducible
+    probs = [[1.0, 0.0], [0.0, 1.0], [1.0, 0.0], [0.0, 1.0]]
+    with pytest.raises(PreconditionError, match="not irreducible"):
+        MarkovMeasure(lmap, hs, probs, [0.5, 0.0, 0.0, 0.5])
+    # a proper support along the 4-cycle LL -> LR -> RR -> RL is irreducible
+    probs = [[0.0, 1.0], [0.0, 1.0], [1.0, 0.0], [1.0, 0.0]]
+    MarkovMeasure(lmap, hs, probs, [0.25] * 4)
+    # full support on a reducible adjacency: RR absorbs everything
+    adj = [[0, 1, 0, 0], [0, 0, 1, 1], [0, 1, 0, 0], [0, 0, 0, 1]]
+    hs = SFTHorseshoe.from_adjacency(2, words, adj, lmap)
+    probs = [[0.0, 1.0], [0.5, 0.5], [0.0, 1.0], [0.0, 1.0]]
+    with pytest.raises(PreconditionError, match="not irreducible"):
+        MarkovMeasure(lmap, hs, probs, [0.0, 0.0, 0.0, 1.0])
+    # full support, one cycle {LR, RL}, but LL only feeds into it
+    adj = [[0, 1, 0], [0, 0, 1], [0, 1, 0]]
+    hs = SFTHorseshoe.from_adjacency(2, words[:3], adj, lmap)
+    probs = [[0.0, 1.0], [1.0, 0.0], [0.0, 1.0]]
+    with pytest.raises(PreconditionError, match="not irreducible"):
+        MarkovMeasure(lmap, hs, probs, [0.0, 0.5, 0.5])
+
+
 def test_cylinder_masses_are_probabilities(parry):
     for depth in (12, 14):
         masses = parry.cylinder_masses(depth)

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from geolorenz import pressure, symbolic
+from geolorenz import measures, pressure, symbolic
 from geolorenz import (
     ConstantPotential,
     CoordinatePotential,
@@ -193,20 +193,26 @@ def test_estimate_bounds_level_guard(lmap, coord):
 
 
 def test_equilibrium_family_decomposes_once(monkeypatch, lmap, coord):
+    # one Kosaraju run for the horseshoe and one for the sub-SFT that all
+    # measures share; each measure's irreducibility check (its support is
+    # the whole sub-SFT) reads the sub-SFT's stored decomposition
     hs = build_horseshoe(lmap, 8, 0.002)
     calls = []
     real = symbolic.strongly_connected_components
 
     def counting(graph):
-        if graph is hs:
-            calls.append(graph)
+        calls.append(graph)
         return real(graph)
 
     monkeypatch.setattr(symbolic, "strongly_connected_components", counting)
+    monkeypatch.setattr(measures, "strongly_connected_components", counting)
     family = [equilibrium_measure(lmap, hs, coord, t=t)
               for t in (-2.0, 0.0, 0.5, 0.75, 2.0)]
-    assert len(calls) == 1
     assert all(eq.horseshoe is family[0].horseshoe for eq in family)
+    assert len(calls) == 2
+    assert calls[0] is hs and calls[1] is family[0].horseshoe
+    # an irreducible horseshoe is its own one cyclic component
+    assert family[0].horseshoe.cyclic_components()[0][1] is calls[1]
 
 
 def test_equilibrium_scores_self_loop_singleton(lmap, coord):
@@ -268,7 +274,7 @@ def _check_against_dense_eigendata(lmap, hs, potential, t):
     return eq
 
 
-@pytest.mark.parametrize("t", [-2.0, 0.0, 1.0, 3.0])
+@pytest.mark.parametrize("t", [-6.0, -2.0, 0.0, 1.0, 3.0])
 @pytest.mark.parametrize("depth", [6, 8])
 def test_equilibrium_matches_dense_eigendata(lmap, coord, depth, t):
     hs = build_horseshoe(lmap, depth, 0.002)
@@ -310,9 +316,44 @@ def test_equilibrium_rejects_unconverged_left_vector(monkeypatch, lmap):
                                rtol=0.0, atol=1e-12)
     real = pressure._weighted_power
     lw = pot.value(hs.midpoints)
-    assert real(hs.succ, lw, shift=1.0, max_iter=1)[4]
-    assert not real(hs.succ, lw, shift=1.0, left=True, max_iter=1)[4]
+    assert real(hs.succ, lw, shift=True, max_iter=1)[4]
+    assert not real(hs.succ, lw, shift=True, left=True, max_iter=1)[4]
     monkeypatch.setattr(pressure, "_weighted_power",
                         functools.partial(real, max_iter=1))
     with pytest.raises(PreconditionError, match="in 1 iterations"):
         equilibrium_measure(lmap, hs, pot, t=1.0)
+
+
+def test_shifted_power_on_period_three_cycle():
+    # LL -> LR -> RL -> LL is the only cycle, so lambda^3 is the product of
+    # the weights e^0, e^-5, e^3 and log lambda is their mean, -2/3. The
+    # matrix has period 3, so only a shifted iteration converges; after
+    # max-normalization lambda is e^(-11/3), and a fixed shift of 1 took
+    # 677 iterations here
+    succ = {"L": np.array([-1, 2, 0]), "R": np.array([1, -1, -1])}
+    lw = np.array([0.0, -5.0, 3.0])
+    value, h, g, iterations, converged = pressure._weighted_power(
+        succ, lw, shift=True, left=True)
+    assert converged
+    assert iterations <= 100
+    assert value == pytest.approx(-2.0 / 3.0, rel=0.0, abs=1e-12)
+    # lambda h_u = (M h)_u = e^(lw[v]) h_v for the one successor v of u
+    lam = math.exp(-2.0 / 3.0)
+    want = np.ones(3)
+    want[1] = lam * want[0] / math.exp(lw[1])
+    want[2] = lam * want[1] / math.exp(lw[2])
+    np.testing.assert_allclose(h, want / want.max(), rtol=1e-10, atol=0.0)
+
+
+def test_perron_root_at_strong_negative_tilt(lmap, horseshoe12, coord):
+    # at t = -6 the max-normalized Perron root is about 0.04; against the
+    # dense spectral radius of the whole weighted matrix, in few iterations
+    t = -6.0
+    lw = t * coord.value(horseshoe12.midpoints)
+    solves = [pressure._weighted_power(sub.succ, lw[comp], shift=True,
+                                       left=True)
+              for comp, sub in horseshoe12.cyclic_components()]
+    assert all(s[4] for s in solves)
+    assert max(s[3] for s in solves) <= 150
+    rho = np.max(np.abs(np.linalg.eigvals(_weighted(horseshoe12, coord, t))))
+    assert abs(math.exp(max(s[0] for s in solves)) / rho - 1.0) <= 1e-11

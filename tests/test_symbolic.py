@@ -6,6 +6,7 @@ so kneading words, lap counts, and preimage trees can be recomputed from
 scratch and compared.
 """
 
+import collections
 import math
 from fractions import Fraction
 
@@ -419,6 +420,43 @@ def test_decode_spans_several_blocks():
 def test_cylinder_levels_depth_cap(lmap):
     with pytest.raises(PreconditionError):
         cylinder_levels(lmap, symbolic.MAX_DEPTH + 1)
+
+
+def test_cylinder_levels_continue_the_deepest_list(monkeypatch):
+    # one list per model: 12 -> 19 -> 15 extends the depth-12 list to 19,
+    # then slices it; every level must equal a cold build bit for bit
+    lm = LorenzMap1D(1.0, 1.7)
+    cold = {}
+    for depth in (12, 19, 15):
+        monkeypatch.setattr(symbolic, "_LEVELS", collections.OrderedDict())
+        cold[depth] = cylinder_levels(lm, depth)
+    monkeypatch.setattr(symbolic, "_LEVELS", collections.OrderedDict())
+    warm = {}
+    for depth in (12, 19, 15):
+        warm[depth] = cylinder_levels(lm, depth)
+        assert len(warm[depth]) == len(cold[depth]) == depth + 1
+        for got, want in zip(warm[depth], cold[depth]):
+            assert got.depth == want.depth
+            for attr in ("codes", "lo", "hi"):
+                assert (getattr(got, attr).tobytes()
+                        == getattr(want, attr).tobytes())
+        assert cylinder_levels(lm, depth) is warm[depth]
+    # each level was built once: the lists share their level objects
+    assert all(a is b for a, b in zip(warm[15], warm[19]))
+    assert all(a is b for a, b in zip(warm[12], warm[19]))
+
+
+def test_cylinder_levels_cache_holds_sixteen_models(monkeypatch):
+    monkeypatch.setattr(symbolic, "_LEVELS", collections.OrderedDict())
+    models = [LorenzMap1D(1.0, 1.5 + 0.02 * k) for k in range(17)]
+    first = cylinder_levels(models[0], 4)
+    second = cylinder_levels(models[1], 4)
+    assert cylinder_levels(models[0], 4) is first  # now most recent
+    for lm in models[2:]:
+        cylinder_levels(lm, 4)
+    assert len(symbolic._LEVELS) == 16
+    assert cylinder_levels(models[0], 4) is first
+    assert cylinder_levels(models[1], 4) is not second  # evicted
 
 
 def test_restrict_horseshoe_succ_matches_dict_remap(horseshoe12):
