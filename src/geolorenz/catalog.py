@@ -92,8 +92,12 @@ def build_catalog(lmap, potential, recipe=DEFAULT_RECIPE):
 
     Equilibria weight the active potential, so the catalog is a function
     of (model, potential, recipe); t=0 members do not depend on the
-    potential. Ordering is deterministic: atomics sorted by (period,
-    word), then horseshoe families in recipe order, then the Dirac.
+    potential. The periodic orbits, the horseshoes and their SCC
+    decompositions depend on the model alone: they come from the model's
+    store in `symbolic`, so catalogs for many potentials on one model
+    build and decompose them once. Ordering is deterministic: atomics
+    sorted by (period, word), then horseshoe families in recipe order,
+    then the Dirac.
     """
     from .pressure import equilibrium_measure
 

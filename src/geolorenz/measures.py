@@ -126,7 +126,7 @@ class MarkovMeasure:
                for k, s in enumerate(ALPHABET)):
             # the support is the whole adjacency (always so for an
             # equilibrium state): the horseshoe's stored decomposition
-            # answers, so a family of measures on it runs Kosaraju once
+            # answers, so a family of measures on it decomposes it once
             comps = hs.cyclic_components()
             return len(comps) == 1 and len(comps[0][0]) == hs.n_vertices
         masked = {}
@@ -423,17 +423,19 @@ def measure_from_payload(lmap, payload):
         full = build_horseshoe(lmap, int(payload["depth"]),
                                float(payload["x_gap"]))
         wanted = list(payload["vertices"])
-        index = {w: i for i, w in enumerate(full.vertices)}
-        missing = [w for w in wanted if w not in index]
-        if missing:
+        try:
+            picked = [full.index(w) for w in wanted]
+        except KeyError as exc:
             raise PreconditionError(
                 "serialized horseshoe vertex %r does not exist at depth %d, "
-                "gap %g" % (missing[0], payload["depth"], payload["x_gap"]))
+                "gap %g" % (exc.args[0], payload["depth"], payload["x_gap"])
+            ) from None
         from .symbolic import restrict_horseshoe
 
-        sub = restrict_horseshoe(full, [index[w] for w in wanted])
+        sub = restrict_horseshoe(full, picked)
         # restrict_horseshoe sorts vertices; realign the serialized rows
-        realign = [wanted.index(w) for w in sub.vertices]
+        row = {w: k for k, w in enumerate(wanted)}
+        realign = [row[w] for w in sub.vertices]
         probs = np.asarray(payload["probs"], dtype=float)[realign]
         stationary = np.asarray(payload["stationary"], dtype=float)[realign]
         return MarkovMeasure(lmap, sub, probs, stationary, label=label)

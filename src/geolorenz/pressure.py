@@ -26,8 +26,7 @@ import numpy as np
 from .errors import PreconditionError
 from .measures import (MarkovMeasure, SingularDeltaMeasure, entropy_map,
                        integrate_map, suspend)
-from .symbolic import (ALPHABET, full_shift_sft, restrict_horseshoe,
-                       strongly_connected_components)
+from .symbolic import ALPHABET, full_shift_sft
 
 MAX_TRANSFER_DEPTH = 14
 
@@ -222,16 +221,10 @@ def pressure_transfer(lmap, potential, depth=12):
               "iterations": iterations}
     if not converged:
         # reducible (or periodic) word graph: score each strongly
-        # connected component separately and keep the best
-        comps = strongly_connected_components(sft)
-        best = -math.inf
-        for comp in comps:
-            sub = restrict_horseshoe(sft, comp)
-            if sub.edge_count() == 0:
-                continue
-            val = _weighted_power(sub.succ, lw[comp], shift=True)[0]
-            best = max(best, val)
-        value = best
+        # connected component that carries a cycle and keep the best
+        value = max((_weighted_power(sub.succ, lw[comp], shift=True)[0]
+                     for comp, sub in sft.cyclic_components()),
+                    default=-math.inf)
         params["fallback"] = "per-component"
     w_max = float(np.max(sft.cyl_hi - sft.cyl_lo))
     slack = 1.28 * (2.0 ** (-depth / 2.0)) + potential.lipschitz_bound() * w_max

@@ -6,6 +6,13 @@ admissibility of finite words, cylinder intervals, periodic orbit
 location by inverse-branch contraction, and subshift-of-finite-type
 horseshoes whose cylinders keep a prescribed distance from x = 0.
 
+Everything here that depends on the model (alpha, beta) alone is built
+once per model and kept in one store per model, for the 16 most recently
+used models: the cylinder levels, the horseshoes by (depth, x_gap) with
+their stored SCC decompositions, and the periodic orbits. Catalogs for
+different potentials and every realization request share these objects,
+so they are read-only.
+
 Cylinder enumeration works on integer word codes: each level of
 `cylinder_levels` is a `CylinderLevel` of sorted uint64 codes (L = 0,
 R = 1, first symbol most significant) with endpoint arrays, and horseshoe
@@ -26,7 +33,6 @@ notions coexist and differ:
 
 import collections
 import functools
-import itertools
 import math
 
 import mpmath as mp
@@ -341,11 +347,42 @@ class CylinderLevel:
                              self.hi[keep])
 
 
-# per model (alpha, beta), least recently used first: the lists of levels
-# handed out so far, by depth. All of them are prefixes of the deepest one
-# and share its CylinderLevel objects, so each level is built once.
-_LEVELS = collections.OrderedDict()
-_LEVELS_MODELS = 16
+class _ModelStore:
+    """The model-only symbolic objects of one model (alpha, beta).
+
+    `levels`: each depth handed out -> its list of cylinder levels, all
+    prefixes of the deepest one, so each level is built once.
+    `horseshoes`: (depth, x_gap) -> horseshoe. `orbits`: the periodic
+    records of periods <= `n_max`, by (period, word). `points`: each word
+    located so far -> its record.
+    """
+
+    def __init__(self):
+        root = CylinderLevel(0, np.zeros(1, dtype=np.uint64),
+                             np.array([-1.0]), np.array([1.0]))
+        self.levels = {0: [root]}
+        self.horseshoes = {}
+        self.orbits = []
+        self.n_max = 0
+        self.points = {}
+
+
+# per model (alpha, beta), least recently used first: the model's store.
+# Evicting a model drops all of its symbolic objects together.
+_MODELS = collections.OrderedDict()
+_MODEL_LIMIT = 16
+
+
+def _model_store(lmap):
+    """The store of the map's model, marked most recently used."""
+    key = (lmap.alpha, lmap.beta)
+    store = _MODELS.pop(key, None)
+    if store is None:
+        store = _ModelStore()
+    _MODELS[key] = store
+    if len(_MODELS) > _MODEL_LIMIT:
+        _MODELS.popitem(last=False)
+    return store
 
 
 def _extend_levels(lmap, levels, depth):
@@ -384,22 +421,15 @@ def cylinder_levels(lmap, depth):
         raise PreconditionError(
             "enumeration depth %d exceeds maximum %d" % (depth, MAX_DEPTH))
     depth = int(depth)
-    key = (lmap.alpha, lmap.beta)
-    lists = _LEVELS.pop(key, None)
-    if lists is None:
-        root = CylinderLevel(0, np.zeros(1, dtype=np.uint64),
-                             np.array([-1.0]), np.array([1.0]))
-        lists = {0: [root]}
-    _LEVELS[key] = lists
-    if len(_LEVELS) > _LEVELS_MODELS:
-        _LEVELS.popitem(last=False)
+    lists = _model_store(lmap).levels
     levels = lists.get(depth)
     if levels is None:
         deepest = lists[max(lists)]
         if depth < len(deepest):
             levels = deepest[:depth + 1]
         else:
-            levels = _extend_levels(LorenzMap1D(*key), deepest, depth)
+            levels = _extend_levels(LorenzMap1D(lmap.alpha, lmap.beta),
+                                    deepest, depth)
         lists[depth] = levels
     return levels
 
@@ -438,12 +468,71 @@ def is_primitive(word):
     return True
 
 
+def _periodic_points(lmap, words):
+    """Periodic points and multipliers of primitive words, all at once.
+
+    The point of a word is the unique fixed point of its composed inverse
+    branches; each inverse contracts by at least 1/min_slope, so plain
+    iteration from 0 converges geometrically. Every rotation of every
+    word iterates together, one `_inverse_step` per symbol, each from its
+    own last symbol backwards, and a row is frozen after the first pass
+    through its word that moves it by less than 1e-15 (or after its pass
+    limit). Rotation j of a word gives the orbit point f^j(x), so the
+    multiplier, the product of |f'| along the orbit, is read at points
+    located by contraction: the expanding forward map would multiply a
+    last-bit error in x by up to the multiplier itself. Words may differ
+    in length. Returns (points, multipliers) as arrays; raises
+    PreconditionError if some f(f^j(x)) misses f^(j+1)(x) by over 1e-10.
+    """
+    periods = np.array([len(w) for w in words])
+    # padded to one width; no word is read past its own length
+    width = int(periods.max())
+    symbols = symbol_matrix([w.ljust(width, "L") for w in words])
+    # one row per rotation: row first[k] + j is word k rotated by j
+    first = np.concatenate([[0], np.cumsum(periods)[:-1]])
+    word_of = np.repeat(np.arange(len(words)), periods)
+    period = periods[word_of]
+    step = np.arange(len(word_of)) - first[word_of]
+    row_symbols = np.stack([symbols[word_of, (i + step) % period]
+                            for i in range(width)], axis=1)
+    x = np.zeros(len(word_of))
+    start = x.copy()       # each row's point at the start of its pass
+    pos = period - 1       # the next symbol of each row
+    # contraction per pass is min_slope**-p; bound the passes accordingly
+    passes = np.maximum(60, 200 // period + 10)
+    live = np.arange(len(word_of))
+    while live.size:
+        x[live] = _inverse_step(lmap, row_symbols[live, pos[live]] == 1,
+                                x[live])
+        pos[live] -= 1
+        ended = live[pos[live] < 0]
+        passes[ended] -= 1
+        done = ended[(np.abs(x[ended] - start[ended]) < 1e-15)
+                     | (passes[ended] == 0)]
+        start[ended] = x[ended]
+        pos[ended] = period[ended] - 1
+        pos[done] = -1  # frozen: no next symbol
+        live = live[pos[live] >= 0]
+    if (x == 0.0).any():
+        raise DomainError("periodic orbit of %r hits the singularity"
+                          % words[word_of[np.argmax(x == 0.0)]])
+    successor = first[word_of] + (step + 1) % period
+    defect = np.abs(lmap.step_array(x) - x[successor])
+    if defect.max() > 1e-10:
+        k = int(np.argmax(defect))
+        raise PreconditionError(
+            "periodic-point iteration failed to close up on %r (defect %.3e); "
+            "this indicates an internal inconsistency"
+            % (words[word_of[k]], defect[k]))
+    slope = lmap.alpha * lmap.beta * np.abs(x) ** (lmap.alpha - 1.0)
+    return x[first], np.multiply.reduceat(slope, first)
+
+
 def find_periodic_point(lmap, word, kp=None):
     """Locate the periodic point whose itinerary is word^inf.
 
-    The point is the unique fixed point of the composed inverse branches
-    along the reversed word; each inverse contracts by at least
-    1/min_slope, so plain iteration converges geometrically.
+    One word of `_periodic_points`; the record is kept in the model's
+    store, so each word is located once per model.
     """
     check_word(word)
     if not is_primitive(word):
@@ -453,59 +542,62 @@ def find_periodic_point(lmap, word, kp=None):
     if not periodic_word_admissible(word, kp):
         raise InadmissibleWordError(
             "no periodic orbit realizes %r in this model" % word)
-    x = 0.0
-    p = len(word)
-    # contraction factor per sweep is min_slope**-p; iterate to fixed point
-    sweeps = max(60, int(200.0 / p) + 10)
-    for _ in range(sweeps):
-        prev = x
-        for s in reversed(word):
-            x = lmap.inverse_branch(s, x, clip=True)
-        if abs(x - prev) < 1e-15:
-            break
-    pts = lmap.iterate(x, p)
-    closure = abs(lmap(pts[-1]) - x)
-    if closure > 1e-10:
-        raise PreconditionError(
-            "periodic-point iteration failed to close up on %r (defect %.3e); "
-            "this indicates an internal inconsistency" % (word, closure))
-    mult = 1.0
-    for q in pts:
-        mult *= lmap.deriv(q)
-    return PeriodicOrbitRecord(word, x, mult)
+    points = _model_store(lmap).points
+    record = points.get(word)
+    if record is None:
+        (x,), (mult,) = _periodic_points(lmap, [word])
+        record = points[word] = PeriodicOrbitRecord(word, float(x),
+                                                    float(mult))
+    return record
 
 
 def least_rotation(word):
     return min(word[j:] + word[:j] for j in range(len(word)))
 
 
-def enumerate_periodic(lmap, n_max, kp=None):
+def _necklace_codes(p):
+    """Codes of the primitive length-p words that are their least rotation.
+
+    Such a word is smaller than each of its p - 1 nontrivial rotations
+    (equal to none, since it is primitive); a rotation of a code is two
+    shifts. The codes come out increasing, i.e. in word order.
+    """
+    codes = np.arange(1 << p, dtype=np.uint64)
+    mask = np.uint64((1 << p) - 1)
+    keep = np.ones(len(codes), dtype=bool)
+    for j in range(1, p):
+        keep &= codes < (((codes << np.uint64(j))
+                          | (codes >> np.uint64(p - j))) & mask)
+    return codes[keep]
+
+
+def enumerate_periodic(lmap, n_max):
     """One record per primitive admissible necklace of length <= n_max.
 
     Deterministic ordering: by period, then lexicographically by the
-    representative word (the least rotation).
+    representative word (the least rotation). Cached per model with the
+    cylinder levels: a smaller n_max is served as the period <= n_max
+    prefix of the longest list built, and a larger one locates only the
+    new periods, all in one `_periodic_points` call.
     """
     if n_max < 1:
         raise PreconditionError("n_max must be >= 1")
     if n_max > 16:
         raise PreconditionError("n_max > 16 exceeds the configured bound")
-    if kp is None:
+    store = _model_store(lmap)
+    if n_max > store.n_max:
         kp = kneading(lmap, max(64, 4 * n_max))
-    records = []
-    seen = set()
-    for p in range(1, n_max + 1):
-        for tup in itertools.product(ALPHABET, repeat=p):
-            word = "".join(tup)
-            if not is_primitive(word):
-                continue
-            canon = least_rotation(word)
-            if canon in seen:
-                continue
-            seen.add(canon)
-            if periodic_word_admissible(canon, kp):
-                records.append(find_periodic_point(lmap, canon, kp))
-    records.sort(key=lambda r: (r.period, r.word))
-    return records
+        words = [w for p in range(store.n_max + 1, n_max + 1)
+                 for w in decode_words(_necklace_codes(p), p)
+                 if periodic_word_admissible(w, kp)]
+        if words:
+            points, mults = _periodic_points(lmap, words)
+            for word, x, mult in zip(words, points.tolist(), mults.tolist()):
+                record = store.points.setdefault(
+                    word, PeriodicOrbitRecord(word, x, mult))
+                store.orbits.append(record)
+        store.n_max = n_max
+    return [r for r in store.orbits if r.period <= n_max]
 
 
 class SFTHorseshoe:
@@ -516,29 +608,45 @@ class SFTHorseshoe:
     and the joined word u + s is admissible. Successors are stored as two
     index arrays (one per appended symbol), -1 meaning no edge;
     adjacency_matrix() materializes the 0/1 matrix. `build_horseshoe` and
-    `full_shift_sft` find the edges on word codes and decode the vertex
-    strings once.
+    `full_shift_sft` find the edges on word codes and pass the vertices
+    as their codes, which are decoded to strings on the first use of
+    `vertices` (graph work such as the SCC decomposition needs none). The
+    arrays are read-only, since horseshoes are shared through the
+    per-model store; the word-to-index map behind `index()` is built on
+    its first call.
     """
 
     def __init__(self, depth, vertices, succ_by_symbol, x_gap, cyl_lo, cyl_hi):
         self.depth = depth
-        self.vertices = tuple(vertices)
+        # the words, or a uint64 array of their codes (see encode_words)
+        self._vertices = (vertices if isinstance(vertices, np.ndarray)
+                          else tuple(vertices))
         self.succ = {s: np.asarray(a, dtype=np.int64) for s, a in succ_by_symbol.items()}
         self.x_gap = float(x_gap)
         self.cyl_lo = np.asarray(cyl_lo, dtype=float)
         self.cyl_hi = np.asarray(cyl_hi, dtype=float)
-        self._index = {w: i for i, w in enumerate(self.vertices)}
+        for arr in (*self.succ.values(), self.cyl_lo, self.cyl_hi):
+            arr.flags.writeable = False
+        self._index = None
         self._cyclic = None
 
     @property
+    def vertices(self):
+        if isinstance(self._vertices, np.ndarray):
+            self._vertices = tuple(decode_words(self._vertices, self.depth))
+        return self._vertices
+
+    @property
     def n_vertices(self):
-        return len(self.vertices)
+        return len(self.cyl_lo)
 
     @property
     def midpoints(self):
         return 0.5 * (self.cyl_lo + self.cyl_hi)
 
     def index(self, word):
+        if self._index is None:
+            self._index = {w: i for i, w in enumerate(self.vertices)}
         return self._index[word]
 
     def edge_count(self):
@@ -572,7 +680,9 @@ class SFTHorseshoe:
         self-loop are dropped before restriction, and a component of all
         vertices is this horseshoe itself. The decomposition is computed
         on first use and stored on this horseshoe, so it is shared by
-        every later caller and freed with the object.
+        every later caller and freed with the object; a horseshoe from
+        `build_horseshoe` lives in its model's store, so every catalog
+        and realization request on that model decomposes it once.
         """
         if self._cyclic is None:
             cyclic = []
@@ -629,22 +739,29 @@ def _sft_from_levels(levels, depth, keep, x_gap):
         target = verts.find(joined & mask)
         target[levels[depth + 1].find(joined) < 0] = -1
         succ[s] = target
-    return SFTHorseshoe(depth, verts.words(), succ, x_gap, verts.lo, verts.hi)
+    return SFTHorseshoe(depth, verts.codes, succ, x_gap, verts.lo, verts.hi)
 
 
-def build_horseshoe(lmap, depth, x_gap, kp=None):
+def build_horseshoe(lmap, depth, x_gap):
     """Extract the SFT over depth-m words whose cylinders avoid the gap.
 
     A word is kept when the closed cylinder of the word itself and the
     closed cylinder of its shift (the image cylinder, one symbol shorter)
     both lie at distance >= x_gap from 0, so every orbit threading the
     SFT provably avoids |x| < x_gap. Edges follow shift compatibility
-    with the joined (m+1)-word required admissible.
+    with the joined (m+1)-word required admissible. The horseshoe does
+    not depend on any potential: it is kept in the model's store under
+    (depth, x_gap), and the same arguments return the same object.
     """
     if depth < 2:
         raise PreconditionError("horseshoe depth must be >= 2")
     if not 0.0 < x_gap < 1.0:
         raise PreconditionError("x_gap must lie in (0, 1), got %r" % x_gap)
+    horseshoes = _model_store(lmap).horseshoes
+    key = (int(depth), float(x_gap))
+    horseshoe = horseshoes.get(key)
+    if horseshoe is not None:
+        return horseshoe
     levels = cylinder_levels(lmap, depth + 1)
     level = levels[depth]
     shifted = levels[depth - 1]
@@ -660,6 +777,7 @@ def build_horseshoe(lmap, depth, x_gap, kp=None):
         raise EmptyHorseshoeError(
             "x_gap = %g leaves vertices but no transitions at depth %d"
             % (x_gap, depth))
+    horseshoes[key] = horseshoe
     return horseshoe
 
 
@@ -676,60 +794,58 @@ def full_shift_sft(lmap, depth):
     return _sft_from_levels(levels, depth, keep, 0.0)
 
 
-def strongly_connected_components(horseshoe):
-    """Kosaraju SCC decomposition over the successor graph.
+def _reach(start, src, dst, n):
+    """Boolean mask of the vertices reachable from `start` along src -> dst."""
+    seen = np.zeros(n, dtype=bool)
+    seen[start] = True
+    while True:
+        new = dst[seen[src] & ~seen[dst]]
+        if not new.size:
+            return seen
+        seen[new] = True
 
-    Returns a list of index arrays, one per component, in a deterministic
-    order (by smallest contained vertex index).
+
+def strongly_connected_components(graph):
+    """Strongly connected components of a successor graph.
+
+    `graph` needs `n_vertices` and `succ`, one successor array per symbol
+    with -1 for no edge. Forward-backward decomposition on arrays: each
+    round first trims, until none is left, every live vertex with no live
+    in-edge or no live out-edge (it lies on no cycle, so it is a component
+    of its own), with one bincount over the edge list per trim; then the
+    vertices both reachable from and reaching the smallest live vertex
+    form its component, which leaves the live set.
+
+    Returns a list of index arrays, one per component, each ascending,
+    in a deterministic order (by smallest contained vertex index).
     """
-    n = horseshoe.n_vertices
-    succs = [horseshoe.succ[s] for s in ALPHABET]
-    order = []
-    seen = [False] * n
-    for start in range(n):
-        if seen[start]:
-            continue
-        stack = [(start, 0)]
-        seen[start] = True
-        while stack:
-            node, si = stack.pop()
-            if si < len(succs):
-                stack.append((node, si + 1))
-                nxt = int(succs[si][node])
-                if nxt >= 0 and not seen[nxt]:
-                    seen[nxt] = True
-                    stack.append((nxt, 0))
-            else:
-                order.append(node)
-    # transpose adjacency
-    preds = [[] for _ in range(n)]
-    for arr in succs:
-        for u in range(n):
-            v = int(arr[u])
-            if v >= 0:
-                preds[v].append(u)
-    comp = [-1] * n
-    ncomp = 0
-    for node in reversed(order):
-        if comp[node] >= 0:
-            continue
-        stack = [node]
-        comp[node] = ncomp
-        members = [node]
-        while stack:
-            u = stack.pop()
-            for w in preds[u]:
-                if comp[w] < 0:
-                    comp[w] = ncomp
-                    stack.append(w)
-                    members.append(w)
-        ncomp += 1
-    groups = {}
-    for i, c in enumerate(comp):
-        groups.setdefault(c, []).append(i)
-    comps = [np.array(sorted(g), dtype=np.int64) for g in groups.values()]
-    comps.sort(key=lambda a: int(a[0]))
-    return comps
+    n = graph.n_vertices
+    if not n:
+        return []
+    src = np.concatenate([np.flatnonzero(graph.succ[s] >= 0) for s in ALPHABET])
+    dst = np.concatenate([graph.succ[s][graph.succ[s] >= 0] for s in ALPHABET])
+    # the smallest vertex of each vertex's component: a pivot is the
+    # smallest live vertex, and components leave the live set whole
+    root = np.arange(n)
+    live = np.ones(n, dtype=bool)
+    while True:
+        while True:
+            edge = live[src] & live[dst]
+            src, dst = src[edge], dst[edge]
+            degree = np.bincount(np.concatenate([src, dst + n]),
+                                 minlength=2 * n)
+            trim = live & ((degree[:n] == 0) | (degree[n:] == 0))
+            if not trim.any():
+                break
+            live &= ~trim
+        if not live.any():
+            break
+        pivot = int(np.argmax(live))
+        comp = _reach(pivot, src, dst, n) & _reach(pivot, dst, src, n)
+        root[comp] = pivot
+        live &= ~comp
+    order = np.argsort(root, kind="stable")
+    return np.split(order, np.flatnonzero(np.diff(root[order])) + 1)
 
 
 def restrict_horseshoe(horseshoe, indices):

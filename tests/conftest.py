@@ -1,5 +1,7 @@
 """Shared fixtures: the canonical constant-slope model and its companions."""
 
+import collections
+
 import pytest
 
 from geolorenz import (
@@ -9,6 +11,7 @@ from geolorenz import (
     SkewProductReturnMap,
     build_horseshoe,
 )
+from geolorenz import symbolic
 
 
 @pytest.fixture(scope="session")
@@ -40,3 +43,15 @@ def horseshoe12(lmap):
 @pytest.fixture(scope="session")
 def horseshoe6(lmap):
     return build_horseshoe(lmap, 6, 0.002)
+
+
+@pytest.fixture
+def fresh_model_cache(monkeypatch):
+    """An empty per-model store of `symbolic` for the test, restored after.
+
+    Tests that count symbolic work (SCC runs, enumerations, builds) use it,
+    so objects an earlier test left in the store do not hide that work.
+    """
+    store = collections.OrderedDict()
+    monkeypatch.setattr(symbolic, "_MODELS", store)
+    return store

@@ -192,11 +192,7 @@ def test_estimate_bounds_level_guard(lmap, coord):
         estimate_P_bounds(catalog, coord)  # only the Dirac at map level
 
 
-def test_equilibrium_family_decomposes_once(monkeypatch, lmap, coord):
-    # one Kosaraju run for the horseshoe and one for the sub-SFT that all
-    # measures share; each measure's irreducibility check (its support is
-    # the whole sub-SFT) reads the sub-SFT's stored decomposition
-    hs = build_horseshoe(lmap, 8, 0.002)
+def _count_scc_runs(monkeypatch):
     calls = []
     real = symbolic.strongly_connected_components
 
@@ -206,6 +202,16 @@ def test_equilibrium_family_decomposes_once(monkeypatch, lmap, coord):
 
     monkeypatch.setattr(symbolic, "strongly_connected_components", counting)
     monkeypatch.setattr(measures, "strongly_connected_components", counting)
+    return calls
+
+
+def test_equilibrium_family_decomposes_once(monkeypatch, fresh_model_cache,
+                                            lmap, coord):
+    # one SCC run for the horseshoe and one for the sub-SFT that all
+    # measures share; each measure's irreducibility check (its support is
+    # the whole sub-SFT) reads the sub-SFT's stored decomposition
+    hs = build_horseshoe(lmap, 8, 0.002)
+    calls = _count_scc_runs(monkeypatch)
     family = [equilibrium_measure(lmap, hs, coord, t=t)
               for t in (-2.0, 0.0, 0.5, 0.75, 2.0)]
     assert all(eq.horseshoe is family[0].horseshoe for eq in family)
@@ -213,6 +219,41 @@ def test_equilibrium_family_decomposes_once(monkeypatch, lmap, coord):
     assert calls[0] is hs and calls[1] is family[0].horseshoe
     # an irreducible horseshoe is its own one cyclic component
     assert family[0].horseshoe.cyclic_components()[0][1] is calls[1]
+
+
+def test_catalogs_share_the_model_horseshoes(monkeypatch, fresh_model_cache,
+                                             lmap, coord):
+    # the horseshoe, its sub-SFT and the periodic orbits depend on the
+    # model alone: a second potential builds and decomposes nothing anew
+    calls = _count_scc_runs(monkeypatch)
+    first = build_catalog(lmap, coord)
+    runs = len(calls)
+    assert runs == len({id(graph) for graph in calls})  # once per graph
+    second = build_catalog(lmap, SectionGridPotential.seeded(3))
+    assert len(calls) == runs
+    markov = [(a, b) for a, b in zip(first, second) if a.variant == "markov"]
+    assert markov
+    assert all(a.horseshoe is b.horseshoe for a, b in markov)
+    assert build_horseshoe(lmap, 12, 0.002).cyclic_components()[0][1] \
+        is markov[0][0].horseshoe
+    atomic = [(a, b) for a, b in zip(first, second) if a.variant == "atomic"]
+    assert all(a.orbit is b.orbit for a, b in atomic)
+
+
+def test_transfer_fallback_scores_cyclic_components(monkeypatch, lmap):
+    # on the hand-built graph of test_equilibrium_scores_self_loop_singleton
+    # the 2-cycle {LR, RL} with weights 2, 2 beats the self-loop at RR
+    # with weight 1, so the unshifted iteration oscillates and the
+    # per-component fallback must find lambda = 2
+    words = ("LL", "LR", "RL", "RR")
+    adj = [[0, 1, 0, 0], [0, 0, 1, 1], [0, 1, 0, 0], [0, 0, 0, 1]]
+    hs = SFTHorseshoe.from_adjacency(2, words, adj, lmap)
+    pot = _VertexWeights(hs, [1.0, 2.0, 2.0, 1.0])
+    pot.lipschitz_bound = lambda: 0.0
+    monkeypatch.setattr(pressure, "full_shift_sft", lambda lm, depth: hs)
+    estimate = pressure_transfer(lmap, pot, depth=2)
+    assert estimate.params["fallback"] == "per-component"
+    assert estimate.value == pytest.approx(math.log(2.0), rel=0.0, abs=1e-12)
 
 
 def test_equilibrium_scores_self_loop_singleton(lmap, coord):

@@ -6,10 +6,12 @@ so kneading words, lap counts, and preimage trees can be recomputed from
 scratch and compared.
 """
 
-import collections
+import itertools
 import math
+import types
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -422,15 +424,15 @@ def test_cylinder_levels_depth_cap(lmap):
         cylinder_levels(lmap, symbolic.MAX_DEPTH + 1)
 
 
-def test_cylinder_levels_continue_the_deepest_list(monkeypatch):
+def test_cylinder_levels_continue_the_deepest_list(fresh_model_cache):
     # one list per model: 12 -> 19 -> 15 extends the depth-12 list to 19,
     # then slices it; every level must equal a cold build bit for bit
     lm = LorenzMap1D(1.0, 1.7)
     cold = {}
     for depth in (12, 19, 15):
-        monkeypatch.setattr(symbolic, "_LEVELS", collections.OrderedDict())
+        fresh_model_cache.clear()
         cold[depth] = cylinder_levels(lm, depth)
-    monkeypatch.setattr(symbolic, "_LEVELS", collections.OrderedDict())
+    fresh_model_cache.clear()
     warm = {}
     for depth in (12, 19, 15):
         warm[depth] = cylinder_levels(lm, depth)
@@ -446,17 +448,23 @@ def test_cylinder_levels_continue_the_deepest_list(monkeypatch):
     assert all(a is b for a, b in zip(warm[12], warm[19]))
 
 
-def test_cylinder_levels_cache_holds_sixteen_models(monkeypatch):
-    monkeypatch.setattr(symbolic, "_LEVELS", collections.OrderedDict())
+def test_cylinder_levels_cache_holds_sixteen_models(fresh_model_cache):
+    # levels, horseshoes and periodic orbits share one entry per model,
+    # so the 17th model evicts all three of the least recently used one
     models = [LorenzMap1D(1.0, 1.5 + 0.02 * k) for k in range(17)]
     first = cylinder_levels(models[0], 4)
     second = cylinder_levels(models[1], 4)
+    horseshoe = build_horseshoe(models[1], 6, 0.01)
+    orbits = enumerate_periodic(models[1], 4)
     assert cylinder_levels(models[0], 4) is first  # now most recent
     for lm in models[2:]:
         cylinder_levels(lm, 4)
-    assert len(symbolic._LEVELS) == 16
+    assert len(fresh_model_cache) == 16
     assert cylinder_levels(models[0], 4) is first
+    assert (models[1].alpha, models[1].beta) not in fresh_model_cache
     assert cylinder_levels(models[1], 4) is not second  # evicted
+    assert build_horseshoe(models[1], 6, 0.01) is not horseshoe
+    assert enumerate_periodic(models[1], 4)[0] is not orbits[0]
 
 
 def test_restrict_horseshoe_succ_matches_dict_remap(horseshoe12):
@@ -468,3 +476,256 @@ def test_restrict_horseshoe_succ_matches_dict_remap(horseshoe12):
                              for j in horseshoe12.succ[s][np.sort(comp)]],
                             dtype=np.int64)
             assert sub.succ[s].tobytes() == want.tobytes()
+
+
+def kosaraju(graph):
+    """Kosaraju SCC decomposition in plain Python: the oracle for the array one.
+
+    Same contract: index arrays, each ascending, ordered by smallest index.
+    """
+    n = graph.n_vertices
+    succs = [graph.succ[s] for s in "LR"]
+    order = []
+    seen = [False] * n
+    for start in range(n):
+        if seen[start]:
+            continue
+        stack = [(start, 0)]
+        seen[start] = True
+        while stack:
+            node, si = stack.pop()
+            if si < len(succs):
+                stack.append((node, si + 1))
+                nxt = int(succs[si][node])
+                if nxt >= 0 and not seen[nxt]:
+                    seen[nxt] = True
+                    stack.append((nxt, 0))
+            else:
+                order.append(node)
+    preds = [[] for _ in range(n)]
+    for arr in succs:
+        for u in range(n):
+            v = int(arr[u])
+            if v >= 0:
+                preds[v].append(u)
+    comp = [-1] * n
+    ncomp = 0
+    for node in reversed(order):
+        if comp[node] >= 0:
+            continue
+        stack = [node]
+        comp[node] = ncomp
+        while stack:
+            u = stack.pop()
+            for w in preds[u]:
+                if comp[w] < 0:
+                    comp[w] = ncomp
+                    stack.append(w)
+        ncomp += 1
+    groups = {}
+    for i, c in enumerate(comp):
+        groups.setdefault(c, []).append(i)
+    comps = [np.array(sorted(g), dtype=np.int64) for g in groups.values()]
+    comps.sort(key=lambda a: int(a[0]))
+    return comps
+
+
+def assert_same_components(graph):
+    got = strongly_connected_components(graph)
+    want = kosaraju(graph)
+    assert [c.tolist() for c in got] == [c.tolist() for c in want]
+    return got
+
+
+def graph_of(n, edges):
+    """Successor graph with edges (u, v, symbol) as the SCC functions read it."""
+    succ = {s: np.full(n, -1, dtype=np.int64) for s in "LR"}
+    for u, v, s in edges:
+        succ[s][u] = v
+    return types.SimpleNamespace(n_vertices=n, succ=succ)
+
+
+@pytest.mark.parametrize("alpha, beta", [(1.0, 1.7), (1.0, 1.95),
+                                         (0.8, 1.99)])
+def test_scc_matches_kosaraju_on_horseshoes(alpha, beta):
+    lm = LorenzMap1D(alpha, beta)
+    sizes = set()
+    for graph in (build_horseshoe(lm, 12, 0.002), build_horseshoe(lm, 10, 0.2),
+                  build_horseshoe(lm, 9, 0.05), full_shift_sft(lm, 8)):
+        sizes.add(len(assert_same_components(graph)))
+    assert max(sizes) > 1  # some graph here is reducible
+
+
+def test_scc_matches_kosaraju_on_random_shift_graphs():
+    rng = np.random.default_rng(20261018)
+    for depth in (3, 5, 8):
+        n = 1 << depth
+        for keep in (0.45, 0.6, 0.8, 0.95):
+            # vertex i is the word of code i; its successor on symbol s is
+            # the code of i[1:] + s, kept with probability `keep`
+            edges = [(i, ((i << 1) | bit) & (n - 1), s)
+                     for i in range(n) for bit, s in enumerate("LR")
+                     if rng.random() < keep]
+            assert_same_components(graph_of(n, edges))
+
+
+def test_scc_small_graphs():
+    chain = graph_of(4, [(0, 1, "L"), (1, 2, "R"), (2, 3, "L")])
+    assert [c.tolist() for c in assert_same_components(chain)] == [
+        [0], [1], [2], [3]]
+    loop = graph_of(3, [(0, 1, "L"), (1, 1, "R"), (1, 2, "L")])
+    assert [c.tolist() for c in assert_same_components(loop)] == [
+        [0], [1], [2]]
+    two = graph_of(3, [(2, 0, "L"), (0, 2, "R")])
+    assert [c.tolist() for c in assert_same_components(two)] == [[0, 2], [1]]
+    edgeless = graph_of(3, [])
+    assert [c.tolist() for c in assert_same_components(edgeless)] == [
+        [0], [1], [2]]
+    assert strongly_connected_components(graph_of(0, [])) == []
+    assert kosaraju(graph_of(0, [])) == []
+
+
+def test_scc_on_masked_shadow_graph(horseshoe12):
+    # the shadow MarkovMeasure builds for a support smaller than the
+    # adjacency: the horseshoe's successor arrays with some edges cut
+    rng = np.random.default_rng(7)
+    for cut in (0.05, 0.3):
+        masked = {}
+        for s in "LR":
+            arr = horseshoe12.succ[s].copy()
+            arr[rng.random(arr.size) < cut] = -1
+            masked[s] = arr
+        shadow = types.SimpleNamespace(n_vertices=horseshoe12.n_vertices,
+                                       succ=masked)
+        assert len(assert_same_components(shadow)) > 1
+
+
+def scalar_periodic(lm, words):
+    """(point, multiplier) of each word by scalar inverse-branch iteration.
+
+    The reference for the array search: from 0, apply the inverse branches
+    last symbol first, stop after the first pass through the word that
+    moves the point by less than 1e-15, then multiply |f'| along the orbit.
+    """
+    out = []
+    for word in words:
+        p = len(word)
+        x = 0.0
+        for _ in range(max(60, int(200.0 / p) + 10)):
+            prev = x
+            for s in reversed(word):
+                x = lm.inverse_branch(s, x, clip=True)
+            if abs(x - prev) < 1e-15:
+                break
+        mult = 1.0
+        for q in lm.iterate(x, p):
+            mult *= lm.deriv(q)
+        out.append((x, mult))
+    return out
+
+
+@pytest.mark.parametrize("alpha, beta, rtol", [
+    (1.0, 1.7, 0.0),
+    (1.0, 1.95, 0.0),
+    # numpy's vectorized power may differ from libm pow in the last bit
+    (0.8, 1.99, 1e-14),
+])
+def test_enumerate_periodic_matches_scalar_chain(fresh_model_cache, alpha,
+                                                 beta, rtol):
+    lm = LorenzMap1D(alpha, beta)
+    kp = kneading(lm, 64)
+    words = []
+    for p in range(1, 11):
+        necklaces = {least_rotation("".join(t))
+                     for t in itertools.product("LR", repeat=p)}
+        words += sorted(w for w in necklaces if symbolic.is_primitive(w)
+                        and symbolic.periodic_word_admissible(w, kp))
+    records = enumerate_periodic(lm, 10)
+    assert [r.word for r in records] == words
+    long = "LRRLLRLRRRLL"
+    records.append(find_periodic_point(lm, long))
+    want = np.array(scalar_periodic(lm, words + [long]))
+    np.testing.assert_allclose([r.point for r in records], want[:, 0],
+                               rtol=rtol, atol=0.0)
+    if alpha == 1.0:
+        # every |f'| is alpha * beta, whatever the orbit points
+        assert [r.multiplier for r in records] == want[:, 1].tolist()
+
+
+def mp_multiplier(alpha, beta, word):
+    """Multiplier of word^inf in 30-digit arithmetic: the point by 100+
+    contracting inverse steps, then |f'| along its forward orbit."""
+    with mpmath.workdps(30):
+        a, b = mpmath.mpf(alpha), mpmath.mpf(beta)
+        x = mpmath.mpf(0)
+        for _ in range(100 // len(word) + 1):
+            for s in reversed(word):
+                if s == "R":
+                    x = ((1 + min(x, b - 1)) / b) ** (1 / a)
+                else:
+                    x = -((1 - max(x, 1 - b)) / b) ** (1 / a)
+        mult = mpmath.mpf(1)
+        for _ in word:
+            mult *= a * b * abs(x) ** (a - 1)
+            x = 1 - b * (-x) ** a if x < 0 else -1 + b * x ** a
+        return float(mult)
+
+
+def test_periodic_multipliers_match_high_precision(fresh_model_cache):
+    # each orbit point comes from contraction, good to about one ulp of 1;
+    # |f'| ~ |x|^(alpha - 1) turns that into a relative error of at most
+    # (1 - alpha) * 2.2e-16 / |x| per factor, about 8e-15 at the closest
+    # approach to 0 here (0.0057, on LLLLLLLRRR), so 10 factors stay
+    # within 1e-13. Read along the forward orbit of x, as the scalar
+    # search did, these multipliers were up to 1.2e-12 off
+    lm = LorenzMap1D(0.8, 1.99)
+    records = enumerate_periodic(lm, 10)
+    want = [mp_multiplier(0.8, 1.99, r.word) for r in records]
+    np.testing.assert_allclose([r.multiplier for r in records], want,
+                               rtol=1e-13, atol=0.0)
+
+
+def test_enumerate_periodic_serves_shorter_requests(monkeypatch,
+                                                    fresh_model_cache, lmap):
+    calls = []
+    real = symbolic._periodic_points
+
+    def counting(lm, words):
+        calls.append(list(words))
+        return real(lm, words)
+
+    monkeypatch.setattr(symbolic, "_periodic_points", counting)
+    eight = enumerate_periodic(lmap, 8)
+    assert len(calls) == 1
+    five = enumerate_periodic(lmap, 5)
+    assert len(calls) == 1
+    assert five == [r for r in eight if r.period <= 5]
+    # a longer request locates the new periods only
+    ten = enumerate_periodic(lmap, 10)
+    assert len(calls) == 2
+    assert {len(w) for w in calls[1]} == {9, 10}
+    assert ten[:len(eight)] == eight
+    # equal to a cold build
+    fresh_model_cache.clear()
+    cold = enumerate_periodic(lmap, 10)
+    assert [(r.word, r.point, r.multiplier) for r in cold] == \
+        [(r.word, r.point, r.multiplier) for r in ten]
+    assert len(calls) == 3
+    # a located word is not searched again
+    assert find_periodic_point(lmap, cold[-1].word) is cold[-1]
+    assert len(calls) == 3
+
+
+def test_cached_horseshoe_is_read_only(fresh_model_cache, lmap):
+    hs = build_horseshoe(lmap, 8, 0.002)
+    assert build_horseshoe(lmap, 8, 0.002) is hs
+    for arr in (hs.succ["L"], hs.succ["R"], hs.cyl_lo, hs.cyl_hi):
+        with pytest.raises(ValueError):
+            arr[0] = arr[1]
+    # vertex strings and the index are made on first use only
+    strongly_connected_components(hs)
+    assert isinstance(hs._vertices, np.ndarray) and hs._index is None
+    assert len(hs.vertices) == hs.n_vertices
+    assert list(hs.vertices) == sorted(set(hs.vertices)
+                                       & set(admissible_words(lmap, 8)))
+    assert hs.index(hs.vertices[5]) == 5
