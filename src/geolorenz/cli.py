@@ -26,11 +26,12 @@ from .errors import ConfigError, GeolorenzError
 from .measures import (SingularDeltaMeasure, entropy_map,
                        measure_from_payload, suspend)
 from .model import validate_model
+from .parallel import pmap
 from .potentials import parse_potential_spec
 from .pressure import (h_top_estimate, pressure_separated,
                        pressure_transfer)
 from .report import Emitter
-from .repro import _pmap, run_suite
+from .repro import run_suite
 from .spectrum import (HYPOTHESIS_THRESHOLD, TargetRequest,
                        build_gap_potential, realize_intermediate,
                        spectrum_scan, verify_gap)
@@ -172,7 +173,7 @@ def _cmd_measure_stats(args, config, emitter):
     roof = config.make_roof()
     catalog = _make_catalog(config, potential)
     tasks = [(m, roof, potential, args.ball_radius) for m in catalog]
-    rows = _pmap(_stats_row, tasks, args.jobs)
+    rows = pmap(_stats_row, tasks, args.jobs)
     rows.sort(key=lambda r: r["measure_id"])
     emitter.emit_json("measure_stats",
                       {"potential": args.potential,

@@ -17,6 +17,19 @@ iterates M + s*I with s half its current estimate of the Perron root
 lambda, so the convergence rate does not depend on how small the
 max-normalized weights make lambda, and since lambda <= 2 the bracket is
 never looser than with a fixed s = 1.
+
+Equilibrium states are memoized. A solve depends on the horseshoe and
+the log weights lw = t*phi(midpoints) alone, so `equilibrium_measure`
+keeps its result (winning sub-SFT, transition table, stationary vector)
+in the horseshoe's `equilibria` dict, keyed on the bytes of lw + 0.0
+(so -0.0 and +0.0 are one key, and t = 0 is one state for every
+potential). The memo holds at most EQUILIBRIUM_MEMO_LIMIT + 1 entries:
+it is emptied when it grows past the limit, and it is freed with its
+horseshoe when the per-model store evicts the model. Equal keys mean
+equal inputs to the same deterministic solve, so a hit is bit for bit
+the cold result and nothing depends on call history; only converged
+solves are kept, and each call builds and validates a fresh
+`MarkovMeasure`.
 """
 
 import math
@@ -29,6 +42,8 @@ from .measures import (MarkovMeasure, SingularDeltaMeasure, entropy_map,
 from .symbolic import ALPHABET, full_shift_sft
 
 MAX_TRANSFER_DEPTH = 14
+# solved equilibrium states kept per horseshoe (see equilibrium_measure)
+EQUILIBRIUM_MEMO_LIMIT = 64
 
 
 class PressureEstimate:
@@ -334,10 +349,38 @@ def equilibrium_measure(lmap, horseshoe, potential, t=1.0, label=None):
     object (`SFTHorseshoe.cyclic_components`), and every measure built on
     the same horseshoe shares the same restricted sub-SFT. A Perron solve
     that does not converge on either side raises PreconditionError.
+
+    The solve is memoized on the horseshoe (`SFTHorseshoe.equilibria`)
+    under the bytes of lw + 0.0, lw = t*phi(midpoints), since it depends
+    on nothing else: a hit is bit for bit the cold result, so results do
+    not depend on call history. The memo keeps converged solves only, at
+    most `EQUILIBRIUM_MEMO_LIMIT` + 1 (it is emptied past the limit), and
+    is freed with its horseshoe. Every call still builds and validates a
+    fresh `MarkovMeasure`, so a label set on one result never reaches
+    another.
     """
     mids = horseshoe.midpoints
+    # + 0.0 turns -0.0 into +0.0, so 0*phi is one key for every potential
     lw = float(t) * np.asarray(potential.value(mids, np.zeros_like(mids)),
-                               dtype=float)
+                               dtype=float) + 0.0
+    key = lw.tobytes()
+    memo = horseshoe.equilibria
+    solved = memo.get(key)
+    if solved is None:
+        solved = _solve_equilibrium(horseshoe, lw)
+        if len(memo) > EQUILIBRIUM_MEMO_LIMIT:
+            memo.clear()
+        memo[key] = solved
+    sub, probs, pi = solved
+    return MarkovMeasure(lmap, sub, probs, pi, label=label)
+
+
+def _solve_equilibrium(horseshoe, lw):
+    """(sub-SFT, transition table, stationary vector) of the log weights lw.
+
+    The arrays are read-only: they are shared by every measure built from
+    the memo entry that holds them.
+    """
     best = None
     for comp, sub in horseshoe.cyclic_components():
         val, h, g, iterations, converged = _weighted_power(
@@ -360,4 +403,7 @@ def equilibrium_measure(lmap, horseshoe, potential, t=1.0, label=None):
         probs[ok, k] = w[idx[ok]] * h[idx[ok]]
     probs /= probs.sum(axis=1)[:, None]
     pi = g * h
-    return MarkovMeasure(lmap, sub, probs, pi / pi.sum(), label=label)
+    pi /= pi.sum()
+    for arr in (probs, pi):
+        arr.flags.writeable = False
+    return sub, probs, pi

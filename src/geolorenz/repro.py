@@ -20,6 +20,7 @@ from .catalog import (DEFAULT_RECIPE, GAP_CORE_RECIPE,
                       GAP_DEMONSTRATOR_RECIPE, build_catalog)
 from .errors import PreconditionError
 from .measures import SingularDeltaMeasure
+from .parallel import pmap
 from .potentials import ConstantPotential, CoordinatePotential, \
     SectionGridPotential
 from .pressure import (estimate_P_bounds, h_top_estimate, pressure_measure,
@@ -29,17 +30,6 @@ from .spectrum import (TargetRequest, build_gap_potential,
 from .symbolic import cylinder_levels
 
 SUITE_NAMES = ("entropy", "variational", "intermediate", "gap")
-
-
-def _pmap(fn, items, jobs=1):
-    """Order-preserving map, optionally across processes."""
-    items = list(items)
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    import multiprocessing as mp
-
-    with mp.Pool(processes=min(int(jobs), len(items))) as pool:
-        return pool.map(fn, items)
 
 
 def load_expectations(suite):
@@ -140,9 +130,9 @@ def _variational_seed(args):
 def run_variational(config, jobs=1):
     spec = load_expectations("variational")
     lmap = config.make_model().base
-    rows = _pmap(_variational_seed,
-                 [(lmap.alpha, lmap.beta, spec["transfer_depth"], s)
-                  for s in spec["seeds"]], jobs)
+    rows = pmap(_variational_seed,
+                [(lmap.alpha, lmap.beta, spec["transfer_depth"], s)
+                 for s in spec["seeds"]], jobs)
     worst_sup = max(r["catalog_sup"] - r["transfer"] for r in rows)
     worst_eq = max(r["transfer"] - r["equilibrium"] for r in rows)
     actuals = {"catalog_sup_minus_transfer": worst_sup,

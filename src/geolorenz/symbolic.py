@@ -613,7 +613,9 @@ class SFTHorseshoe:
     `vertices` (graph work such as the SCC decomposition needs none). The
     arrays are read-only, since horseshoes are shared through the
     per-model store; the word-to-index map behind `index()` is built on
-    its first call.
+    its first call. `equilibria` is the memo of solved equilibrium states
+    that `pressure.equilibrium_measure` keeps on the horseshoe, keyed on
+    the bytes of their log-weight vector, so it lives and dies with it.
     """
 
     def __init__(self, depth, vertices, succ_by_symbol, x_gap, cyl_lo, cyl_hi):
@@ -629,6 +631,7 @@ class SFTHorseshoe:
             arr.flags.writeable = False
         self._index = None
         self._cyclic = None
+        self.equilibria = {}
 
     @property
     def vertices(self):
@@ -794,27 +797,48 @@ def full_shift_sft(lmap, depth):
     return _sft_from_levels(levels, depth, keep, 0.0)
 
 
-def _reach(start, src, dst, n):
-    """Boolean mask of the vertices reachable from `start` along src -> dst."""
-    seen = np.zeros(n, dtype=bool)
-    seen[start] = True
-    while True:
-        new = dst[seen[src] & ~seen[dst]]
-        if not new.size:
-            return seen
-        seen[new] = True
+def _neighbours(adjacency, frontier):
+    """The targets of the edges out of `frontier`, with repeats.
+
+    `adjacency` is (count, first, targets): the targets of vertex u are
+    targets[first[u]:first[u] + count[u]], so a round gathers only the
+    edges of its frontier.
+    """
+    count, first, targets = adjacency
+    size = count[frontier]
+    end = np.cumsum(size)
+    # entry k of frontier vertex f's run sits at first[f] + k
+    pos = np.repeat(first[frontier] - (end - size), size)
+    return targets[pos + np.arange(pos.size)]
+
+
+def _distinct(values, slot):
+    """`values` without repeats, in no particular order.
+
+    `slot` is scratch space with an entry for every value; the last write
+    to a slot wins, so each value keeps one entry, without a sort.
+    """
+    rank = np.arange(values.size)
+    slot[values] = rank
+    return values[slot[values] == rank]
 
 
 def strongly_connected_components(graph):
     """Strongly connected components of a successor graph.
 
     `graph` needs `n_vertices` and `succ`, one successor array per symbol
-    with -1 for no edge. Forward-backward decomposition on arrays: each
-    round first trims, until none is left, every live vertex with no live
-    in-edge or no live out-edge (it lies on no cycle, so it is a component
-    of its own), with one bincount over the edge list per trim; then the
-    vertices both reachable from and reaching the smallest live vertex
-    form its component, which leaves the live set.
+    with -1 for no edge; in-degrees are arbitrary. Forward-backward
+    decomposition on arrays, over one graph holding the edges u -> v and,
+    shifted by n, their reversals v + n -> u + n, stored once per call
+    sorted by source. Its in-degree at v counts v's live in-edges and at
+    v + n its live out-edges. Vertices die in rounds: each round lowers
+    those counts along the edges of the vertices that died last, and
+    every live vertex left without a live in-edge or out-edge lies on no
+    cycle, so it is a component of its own and dies next. When none is
+    left, the vertices both reachable from and reaching the smallest live
+    vertex (one breadth-first search from it in both halves) form its
+    component, which dies in turn. Each round works on the edges of its
+    own frontier only.
 
     Returns a list of index arrays, one per component, each ascending,
     in a deterministic order (by smallest contained vertex index).
@@ -822,28 +846,54 @@ def strongly_connected_components(graph):
     n = graph.n_vertices
     if not n:
         return []
-    src = np.concatenate([np.flatnonzero(graph.succ[s] >= 0) for s in ALPHABET])
-    dst = np.concatenate([graph.succ[s][graph.succ[s] >= 0] for s in ALPHABET])
+    succ = np.stack([graph.succ[s] for s in ALPHABET], axis=1)
+    has = succ >= 0
+    # the edges u -> v by source u, row by row, then reversed by source v
+    dst = succ[has]
+    out_degree = has.sum(axis=1)
+    in_degree = np.bincount(dst, minlength=n)
+    src = np.repeat(np.arange(n), out_degree)[np.argsort(dst, kind="stable")]
+    count = np.concatenate([out_degree, in_degree])
+    adjacency = (count, np.cumsum(count) - count, np.concatenate([dst, src + n]))
+    degree = np.concatenate([in_degree, out_degree])
+    slot = np.empty(2 * n, dtype=np.int64)
+    # dead in both halves: vertices trimmed or in a component found; a
+    # search marks what it visits here too and unmarks it afterwards
+    dead = np.zeros(2 * n, dtype=bool)
     # the smallest vertex of each vertex's component: a pivot is the
-    # smallest live vertex, and components leave the live set whole
+    # smallest live vertex, and components die whole
     root = np.arange(n)
-    live = np.ones(n, dtype=bool)
+    pivot = 0
+    live = n
+    dying = np.flatnonzero((degree[:n] == 0) | (degree[n:] == 0))
     while True:
-        while True:
-            edge = live[src] & live[dst]
-            src, dst = src[edge], dst[edge]
-            degree = np.bincount(np.concatenate([src, dst + n]),
-                                 minlength=2 * n)
-            trim = live & ((degree[:n] == 0) | (degree[n:] == 0))
-            if not trim.any():
+        while dying.size:
+            dead[dying] = True
+            dead[dying + n] = True
+            live -= dying.size
+            if not live:
                 break
-            live &= ~trim
-        if not live.any():
+            hit = _neighbours(adjacency, np.concatenate([dying, dying + n]))
+            np.subtract.at(degree, hit, 1)
+            hit = hit[~dead[hit]] % n
+            dying = _distinct(hit[(degree[hit] == 0) | (degree[hit + n] == 0)],
+                              slot)
+        if not live:
             break
-        pivot = int(np.argmax(live))
-        comp = _reach(pivot, src, dst, n) & _reach(pivot, dst, src, n)
-        root[comp] = pivot
-        live &= ~comp
+        pivot += int(np.argmin(dead[pivot:n]))
+        frontier = np.array([pivot, pivot + n])
+        visited = []
+        while frontier.size:
+            dead[frontier] = True
+            visited.append(frontier)
+            hit = _neighbours(adjacency, frontier)
+            frontier = _distinct(hit[~dead[hit]], slot)
+        visited = np.concatenate(visited)
+        half = visited % n
+        both = dead[half] & dead[half + n]
+        dead[visited[~both]] = False
+        dying = visited[both & (visited < n)]
+        root[dying] = pivot
     order = np.argsort(root, kind="stable")
     return np.split(order, np.flatnonzero(np.diff(root[order])) + 1)
 

@@ -1,7 +1,9 @@
 """Pressure estimators: equivariance, monotonicity, oracles, equilibria."""
 
 import functools
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -268,8 +270,10 @@ def test_equilibrium_scores_self_loop_singleton(lmap, coord):
     assert entropy_map(eq) == 0.0
 
 
-def test_equilibrium_rejects_unconverged_perron(monkeypatch, lmap,
-                                                horseshoe6, coord):
+def test_equilibrium_rejects_unconverged_perron(monkeypatch, lmap, coord,
+                                                fresh_model_cache):
+    # a horseshoe with an empty memo, so the stalled solve really runs
+    horseshoe6 = build_horseshoe(lmap, 6, 0.002)
     real = pressure._weighted_power
 
     def stalled(*args, **kwargs):
@@ -353,6 +357,8 @@ def test_equilibrium_rejects_unconverged_left_vector(monkeypatch, lmap):
     hs = SFTHorseshoe.from_adjacency(2, words, adj, lmap)
     pot = _VertexWeights(hs, [1.0, 3.0, 2.0, 2.0])
     eq = equilibrium_measure(lmap, hs, pot, t=1.0)
+    # the stalled solve below runs on a copy with an empty memo
+    hs = SFTHorseshoe.from_adjacency(2, words, adj, lmap)
     np.testing.assert_allclose(eq.stationary, [0.1, 0.3, 0.3, 0.3],
                                rtol=0.0, atol=1e-12)
     real = pressure._weighted_power
@@ -398,3 +404,143 @@ def test_perron_root_at_strong_negative_tilt(lmap, horseshoe12, coord):
     assert max(s[3] for s in solves) <= 150
     rho = np.max(np.abs(np.linalg.eigvals(_weighted(horseshoe12, coord, t))))
     assert abs(math.exp(max(s[0] for s in solves)) / rho - 1.0) <= 1e-11
+
+
+# depth per model keeps each dense matrix at 450 to 600 vertices
+IDENTITY_MODELS = [(1.0, 1.7, 11), (1.0, 1.95, 9), (0.8, 1.99, 9)]
+
+
+@pytest.mark.parametrize("alpha, beta, depth", IDENTITY_MODELS)
+def test_thermodynamic_identities_against_dense_radius(
+        fresh_model_cache, coord, alpha, beta, depth):
+    # Ruelle's formula for the finite weighted matrix M(t): the log
+    # spectral radius has derivative sum pi_v phi(mid v), and
+    # h(mu_t) = log rho(t) - t * sum pi_v phi(mid v). The oracle is
+    # numpy's dense eigvals, which shares no code with the power solver.
+    # Measured worst errors over these models and t: 4.8e-12 for the
+    # entropy identity and 2.4e-10 for the central difference with step
+    # 1e-5 (rounding in eigvals over 2e-5); the tolerances keep a margin
+    # of four.
+    lm = LorenzMap1D(alpha, beta)
+    hs = build_horseshoe(lm, depth, 0.002)
+
+    def log_rho(t):
+        return math.log(np.max(np.abs(np.linalg.eigvals(
+            _weighted(hs, coord, t)))))
+
+    step = 1e-5
+    for t in (-6.0, -2.0, 0.5, 1.0):
+        cold = equilibrium_measure(lm, hs, coord, t=t)
+        mean = float(cold.stationary @ coord.value(cold.horseshoe.midpoints))
+        assert abs(entropy_map(cold) + t * mean - log_rho(t)) <= 2e-11
+        # the second call is served by the horseshoe's memo
+        warm = equilibrium_measure(lm, hs, coord, t=t)
+        mean = float(warm.stationary @ coord.value(warm.horseshoe.midpoints))
+        slope = (log_rho(t + step) - log_rho(t - step)) / (2.0 * step)
+        assert abs(slope - mean) <= 1e-9
+    assert len(hs.equilibria) == 4
+
+
+def _count_solves(monkeypatch):
+    calls = []
+    real = pressure._weighted_power
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(pressure, "_weighted_power", counting)
+    return calls
+
+
+def test_memo_hit_equals_cold_solve(fresh_model_cache, lmap, coord):
+    hs = build_horseshoe(lmap, 8, 0.002)
+    cold = [equilibrium_measure(lmap, hs, coord, t=t) for t in (-2.0, 0.7)]
+    assert len(hs.equilibria) == 2
+    for t, first in zip((-2.0, 0.7), cold):
+        warm = equilibrium_measure(lmap, hs, coord, t=t)
+        assert warm is not first
+        assert warm.horseshoe is first.horseshoe
+        assert warm.probs.tobytes() == first.probs.tobytes()
+        assert warm.stationary.tobytes() == first.stationary.tobytes()
+    # and equal to a solve on a horseshoe whose memo has never seen t
+    fresh_model_cache.clear()
+    other = build_horseshoe(lmap, 8, 0.002)
+    assert other is not hs and not other.equilibria
+    again = equilibrium_measure(lmap, other, coord, t=0.7)
+    assert again.probs.tobytes() == cold[1].probs.tobytes()
+    assert again.stationary.tobytes() == cold[1].stationary.tobytes()
+
+
+def test_zero_tilt_is_one_solve_for_every_potential(monkeypatch,
+                                                    fresh_model_cache,
+                                                    lmap, coord):
+    # 0 * phi is -0.0 where phi < 0 and +0.0 elsewhere: the key folds the
+    # signs, so the coordinate and a positive constant share one state
+    hs = build_horseshoe(lmap, 8, 0.002)
+    assert (coord.value(hs.midpoints) < 0.0).any()
+    calls = _count_solves(monkeypatch)
+    first = equilibrium_measure(lmap, hs, coord, t=0.0)
+    solves = len(calls)
+    assert solves == len(hs.cyclic_components())
+    second = equilibrium_measure(lmap, hs, ConstantPotential(2.5), t=0.0)
+    third = equilibrium_measure(lmap, hs, SectionGridPotential.seeded(4),
+                                t=-0.0)
+    assert len(calls) == solves
+    assert len(hs.equilibria) == 1
+    for eq in (second, third):
+        assert eq.probs.tobytes() == first.probs.tobytes()
+        assert eq.stationary.tobytes() == first.stationary.tobytes()
+
+
+def test_memo_hands_out_fresh_measures(fresh_model_cache, lmap, coord):
+    hs = build_horseshoe(lmap, 6, 0.002)
+    first = equilibrium_measure(lmap, hs, coord, t=0.5, label="eq:first")
+    first.label = "eq:renamed"
+    second = equilibrium_measure(lmap, hs, coord, t=0.5)
+    assert second is not first
+    assert second.label is None
+    assert second.id.startswith("markov:")
+    assert equilibrium_measure(lmap, hs, coord, t=0.5,
+                               label="eq:third").label == "eq:third"
+    assert first.label == "eq:renamed"
+    # the shared arrays are read-only, so no caller can change the memo
+    with pytest.raises(ValueError):
+        second.probs[0, 0] = 0.5
+
+
+def test_unconverged_solve_is_not_memoized(monkeypatch, fresh_model_cache,
+                                           lmap, coord):
+    hs = build_horseshoe(lmap, 6, 0.002)
+    real = pressure._weighted_power
+    monkeypatch.setattr(pressure, "_weighted_power",
+                        functools.partial(real, max_iter=1))
+    for _ in range(2):
+        with pytest.raises(PreconditionError, match="in 1 iterations"):
+            equilibrium_measure(lmap, hs, coord, t=1.0)
+    assert not hs.equilibria
+    monkeypatch.setattr(pressure, "_weighted_power", real)
+    equilibrium_measure(lmap, hs, coord, t=1.0)
+    assert len(hs.equilibria) == 1
+
+
+def test_memo_is_bounded_and_evicted_with_its_model(fresh_model_cache,
+                                                    lmap, coord):
+    limit = pressure.EQUILIBRIUM_MEMO_LIMIT
+    hs = build_horseshoe(lmap, 4, 0.002)
+    sizes = []
+    for k in range(limit + 6):
+        equilibrium_measure(lmap, hs, coord, t=0.01 * k)
+        sizes.append(len(hs.equilibria))
+    assert max(sizes) == limit + 1
+    assert sizes[-1] < limit
+    # sixteen newer models evict this model's store, and the horseshoe
+    # goes with it, memo and all
+    gone = weakref.ref(hs)
+    del hs
+    for k in range(16):
+        symbolic.cylinder_levels(LorenzMap1D(1.0, 1.51 + 0.02 * k), 4)
+    assert (lmap.alpha, lmap.beta) not in fresh_model_cache
+    gc.collect()
+    assert gone() is None
+    assert not build_horseshoe(lmap, 4, 0.002).equilibria

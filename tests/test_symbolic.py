@@ -585,6 +585,25 @@ def test_scc_small_graphs():
     assert kosaraju(graph_of(0, [])) == []
 
 
+def test_scc_on_long_cycle_chain_and_high_in_degree():
+    # a long cycle and a long chain take one search round or one trimming
+    # round per vertex; random successors give in-degrees far above two
+    n = 8000
+    cycle = graph_of(n, [(i, (i + 1) % n, "L") for i in range(n)])
+    assert [len(c) for c in assert_same_components(cycle)] == [n]
+    chain = graph_of(n, [(i, i + 1, "LR"[i % 2]) for i in range(n - 1)])
+    assert len(assert_same_components(chain)) == n
+    rng = np.random.default_rng(11)
+    for n, hubs in ((60, 3), (400, 8)):
+        targets = rng.integers(0, hubs, size=(n, 2))
+        edges = [(u, int(targets[u, k]), s) for u in range(n)
+                 for k, s in enumerate("LR") if rng.random() < 0.8]
+        graph = graph_of(n, edges)
+        assert max(np.bincount(np.concatenate(
+            [graph.succ[s][graph.succ[s] >= 0] for s in "LR"]))) > 2
+        assert_same_components(graph)
+
+
 def test_scc_on_masked_shadow_graph(horseshoe12):
     # the shadow MarkovMeasure builds for a support smaller than the
     # adjacency: the horseshoe's successor arrays with some edges cut
