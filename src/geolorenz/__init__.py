@@ -37,9 +37,8 @@ from .spectrum import (GapReport, PressureSpectrumReport, TargetRequest,
 from .symbolic import (KneadingPair, PeriodicOrbitRecord, SFTHorseshoe,
                        admissible_words, build_horseshoe, cylinder_interval,
                        cylinder_levels, enumerate_periodic,
-                       find_periodic_point, full_shift_sft, is_admissible,
-                       itinerary_of, kneading, least_rotation,
-                       periodic_word_admissible, restrict_horseshoe,
-                       strongly_connected_components)
+                       find_periodic_point, is_admissible, itinerary_of,
+                       kneading, least_rotation, periodic_word_admissible,
+                       restrict_horseshoe, strongly_connected_components)
 
 __version__ = "0.1.0"

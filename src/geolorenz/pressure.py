@@ -39,7 +39,7 @@ import numpy as np
 from .errors import PreconditionError
 from .measures import (MarkovMeasure, SingularDeltaMeasure, entropy_map,
                        integrate_map, suspend)
-from .symbolic import ALPHABET, full_shift_sft
+from .symbolic import ALPHABET, build_horseshoe
 
 MAX_TRANSFER_DEPTH = 14
 # solved equilibrium states kept per horseshoe (see equilibrium_measure)
@@ -71,6 +71,14 @@ def pressure_separated(lmap, potential, n, eps, pitch_divisor=6):
     set dense enough that the estimate sits within a few percent of the
     true growth rate for the models in range). Lower bound by
     construction; converges as n grows and eps shrinks.
+
+    The greedy keeps a point when its length-n orbit is eps-separated (sup
+    norm) from that of the last point kept. A kept point is kept with the
+    run after it of points separated from their left neighbour (step,
+    built row by row in one length-m buffer); past the run, points are
+    measured against the last kept one a block at a time up to the first
+    separated one. Python iterations count the stretches of dropped
+    points, not the m grid points; the 4 M guard bounds m, not n x m.
     """
     if n < 1:
         raise PreconditionError("n must be at least 1")
@@ -88,34 +96,44 @@ def pressure_separated(lmap, potential, n, eps, pitch_divisor=6):
     xs = xs[np.abs(xs) > 1e-12]
 
     traj = np.empty((n, xs.size))
-    cur = xs.copy()
+    traj[0] = xs
     alive = np.ones(xs.size, dtype=bool)
-    for j in range(n):
-        traj[j] = cur
-        if j < n - 1:
-            cur = lmap.step_array(cur)
-            alive &= np.abs(cur) > 1e-12
-    traj = traj[:, alive]
+    for j in range(1, n):
+        traj[j] = lmap.step_array(traj[j - 1])
+        alive &= np.abs(traj[j]) > 1e-12
+    traj = traj.compress(alive, axis=1)
+    m = traj.shape[1]
+    # C order: the sum over axis 0 adds the rows in orbit order, from 0.0
+    phi = np.ascontiguousarray(potential.value(traj, 0.0),
+                               dtype=float).sum(axis=0, initial=0.0)
 
-    phi = np.zeros(traj.shape[1])
-    for j in range(n):
-        phi += np.asarray(potential.value(traj[j], np.zeros_like(traj[j])))
-
-    kept = [0]
-    last = traj[:, 0]
-    for i in range(1, traj.shape[1]):
-        col = traj[:, i]
-        if np.max(np.abs(col - last)) >= eps:
-            kept.append(i)
-            last = col
-    weights = phi[kept]
+    step = np.zeros(m - 1)
+    for row in traj:
+        np.maximum(step, np.abs(row[1:] - row[:-1]), out=step)
+    # the points not separated from their left neighbour, then m
+    breaks = np.append(np.flatnonzero(~(step >= eps)) + 1, m)
+    keep = np.zeros(m, dtype=bool)
+    start = 0
+    while start < m:
+        # keep `start` and its run; point `stop` is too close to stop - 1
+        stop = int(breaks[np.searchsorted(breaks, start + 1)])
+        keep[start:stop] = True
+        start, width = stop + 1, 16
+        while start < m:
+            gap = traj[:, start:start + width] - traj[:, stop - 1, None]
+            far = np.abs(gap).max(axis=0) >= eps
+            if far.any():
+                start += int(far.argmax())
+                break
+            start, width = start + width, 2 * width
+    weights = phi[keep]
     mshift = float(np.max(weights))
     value = (math.log(float(np.sum(np.exp(weights - mshift)))) + mshift) / n
 
     slack = math.log(4.0) / n + potential.lipschitz_bound() * eps
     return PressureEstimate(value, "separated",
                             {"n": n, "eps": eps, "pitch": pitch,
-                             "separated_points": len(kept)}, slack)
+                             "separated_points": int(keep.sum())}, slack)
 
 
 def _predecessors(succ, n):
@@ -223,12 +241,12 @@ def _weighted_power(succ, log_weights, shift=False, left=False, tol=1e-12,
 
 
 def pressure_transfer(lmap, potential, depth=12):
-    """Log leading eigenvalue of the weighted cylinder-word adjacency."""
+    """Log leading eigenvalue of the weighted full shift (x_gap = 0)."""
     if not 1 <= depth <= MAX_TRANSFER_DEPTH:
         raise PreconditionError(
             "transfer depth must lie in [1, %d], got %r"
             % (MAX_TRANSFER_DEPTH, depth))
-    sft = full_shift_sft(lmap, depth)
+    sft = build_horseshoe(lmap, depth, 0.0)
     mids = sft.midpoints
     lw = np.asarray(potential.value(mids, np.zeros_like(mids)), dtype=float)
     value, _, _, iterations, converged = _weighted_power(sft.succ, lw)

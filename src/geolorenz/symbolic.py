@@ -607,10 +607,10 @@ class SFTHorseshoe:
     order; an edge u -> v exists iff v is the shift successor u[1:] + s
     and the joined word u + s is admissible. Successors are stored as two
     index arrays (one per appended symbol), -1 meaning no edge;
-    adjacency_matrix() materializes the 0/1 matrix. `build_horseshoe` and
-    `full_shift_sft` find the edges on word codes and pass the vertices
-    as their codes, which are decoded to strings on the first use of
-    `vertices` (graph work such as the SCC decomposition needs none). The
+    adjacency_matrix() materializes the 0/1 matrix. `build_horseshoe`
+    finds the edges on word codes and passes the vertices as their
+    codes, which are decoded to strings on the first use of `vertices`
+    (graph work such as the SCC decomposition needs none). The
     arrays are read-only, since horseshoes are shared through the
     per-model store; the word-to-index map behind `index()` is built on
     its first call. `equilibria` is the memo of solved equilibrium states
@@ -727,24 +727,6 @@ class SFTHorseshoe:
                    x_gap, [c.lo for c in cyls], [c.hi for c in cyls])
 
 
-def _sft_from_levels(levels, depth, keep, x_gap):
-    """SFT on the depth-m cylinders selected by the boolean mask `keep`.
-
-    The edge u -> v on symbol s exists iff the joined word u + s is a
-    nonempty (m+1)-cylinder and v = (u + s)[1:] is a kept vertex; both
-    are code lookups, since (u + s)[1:] is code(u + s) & (2^m - 1).
-    """
-    verts = levels[depth].subset(keep)
-    mask = np.uint64((1 << depth) - 1)
-    succ = {}
-    for bit, s in enumerate(ALPHABET):
-        joined = (verts.codes << np.uint64(1)) | np.uint64(bit)
-        target = verts.find(joined & mask)
-        target[levels[depth + 1].find(joined) < 0] = -1
-        succ[s] = target
-    return SFTHorseshoe(depth, verts.codes, succ, x_gap, verts.lo, verts.hi)
-
-
 def build_horseshoe(lmap, depth, x_gap):
     """Extract the SFT over depth-m words whose cylinders avoid the gap.
 
@@ -752,14 +734,15 @@ def build_horseshoe(lmap, depth, x_gap):
     closed cylinder of its shift (the image cylinder, one symbol shorter)
     both lie at distance >= x_gap from 0, so every orbit threading the
     SFT provably avoids |x| < x_gap. Edges follow shift compatibility
-    with the joined (m+1)-word required admissible. The horseshoe does
-    not depend on any potential: it is kept in the model's store under
+    with the joined (m+1)-word required admissible; x_gap = 0 keeps every
+    word, the full shift of `pressure_transfer`. The horseshoe does not
+    depend on any potential: it is kept in the model's store under
     (depth, x_gap), and the same arguments return the same object.
     """
-    if depth < 2:
-        raise PreconditionError("horseshoe depth must be >= 2")
-    if not 0.0 < x_gap < 1.0:
-        raise PreconditionError("x_gap must lie in (0, 1), got %r" % x_gap)
+    if depth < 1:
+        raise PreconditionError("horseshoe depth must be >= 1")
+    if not 0.0 <= x_gap < 1.0:
+        raise PreconditionError("x_gap must lie in [0, 1), got %r" % x_gap)
     horseshoes = _model_store(lmap).horseshoes
     key = (int(depth), float(x_gap))
     horseshoe = horseshoes.get(key)
@@ -775,26 +758,24 @@ def build_horseshoe(lmap, depth, x_gap):
     if not keep.any():
         raise EmptyHorseshoeError(
             "x_gap = %g excludes every depth-%d cylinder" % (x_gap, depth))
-    horseshoe = _sft_from_levels(levels, depth, keep, x_gap)
+    verts = level.subset(keep)
+    # the edge u -> v on symbol s exists iff the joined word u + s is a
+    # nonempty (m+1)-cylinder and v = (u + s)[1:] is a kept vertex; both
+    # are code lookups, since (u + s)[1:] is code(u + s) & (2^m - 1)
+    mask = np.uint64((1 << depth) - 1)
+    succ = {}
+    for bit, s in enumerate(ALPHABET):
+        joined = (verts.codes << np.uint64(1)) | np.uint64(bit)
+        target = verts.find(joined & mask)
+        target[levels[depth + 1].find(joined) < 0] = -1
+        succ[s] = target
+    horseshoe = SFTHorseshoe(depth, verts.codes, succ, x_gap, verts.lo, verts.hi)
     if horseshoe.edge_count() == 0:
         raise EmptyHorseshoeError(
             "x_gap = %g leaves vertices but no transitions at depth %d"
             % (x_gap, depth))
     horseshoes[key] = horseshoe
     return horseshoe
-
-
-def full_shift_sft(lmap, depth):
-    """The unpruned SFT over all admissible depth-m words (x_gap = 0).
-
-    Same structure as a horseshoe but without the gap exclusion; the
-    transfer-operator pressure estimator runs on this object.
-    """
-    if depth < 1:
-        raise PreconditionError("depth must be >= 1")
-    levels = cylinder_levels(lmap, depth + 1)
-    keep = np.ones(len(levels[depth]), dtype=bool)
-    return _sft_from_levels(levels, depth, keep, 0.0)
 
 
 def _neighbours(adjacency, frontier):

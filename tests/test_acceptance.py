@@ -25,12 +25,12 @@ from geolorenz import (
     TargetRequest,
     build_catalog,
     build_gap_potential,
+    build_horseshoe,
     convex_combine,
     entropy_map,
     equilibrium_measure,
     estimate_P_bounds,
     find_periodic_point,
-    full_shift_sft,
     h_top_estimate,
     integrate_map,
     pressure_measure,
@@ -172,7 +172,7 @@ def test_criterion_5_closed_forms(lmap, coord):
     assert entropy_map(atom) == 0.0
 
     # Bernoulli(1/2) on the full 2-shift has entropy log 2
-    shift2 = full_shift_sft(lmap, 1)
+    shift2 = build_horseshoe(lmap, 1, 0.0)
     bern = MarkovMeasure(lmap, shift2, np.full((2, 2), 0.5),
                          np.array([0.5, 0.5]))
     assert abs(entropy_map(bern) - math.log(2.0)) <= 1e-12

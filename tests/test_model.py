@@ -113,6 +113,79 @@ def test_fiber_sign(skew):
             assert skew.fiber(-x, y) > 0.0
 
 
+def _fiber_scalar(skew, x, y):
+    """H(x, y) at one point, in Python floats (the scalar oracle)."""
+    mag = skew.c_H + skew.rho * y * abs(x) ** skew.base.alpha
+    return -mag if x > 0 else mag
+
+
+@pytest.mark.parametrize("alpha, beta, rtol", [(1.0, 1.7, 0.0),
+                                               (0.8, 1.985, 1e-14)])
+def test_fiber_arrays_match_scalar_oracle(alpha, beta, rtol):
+    # numpy's power may differ from libm pow in the last bit at alpha != 1
+    skew = SkewProductReturnMap(LorenzMap1D(alpha, beta))
+    xs = np.array([-1.0, -0.37, -1e-9, 2e-7, 0.013, 0.5, 1.0])
+    ys = np.linspace(-1.0, 1.0, 9)
+    grid = skew.fiber(xs[:, None], ys)
+    assert grid.shape == (xs.size, ys.size)
+    oracle = [[_fiber_scalar(skew, float(x), float(y)) for y in ys]
+              for x in xs]
+    np.testing.assert_allclose(grid, oracle, rtol=rtol, atol=0.0)
+    one = skew.fiber(0.3, -0.2)
+    assert type(one) is float
+    assert one == pytest.approx(_fiber_scalar(skew, 0.3, -0.2), rel=rtol,
+                                abs=0.0)
+    with pytest.raises(DomainError):
+        skew.fiber(0.0, 0.5)
+    with pytest.raises(DomainError):
+        skew.fiber(np.array([0.3, 0.0, -0.2]), 0.5)
+
+
+def _fiber_rows_oracle(skew, grid_density):
+    """measured max |H| and max |dH| of the validator, by scalar loops."""
+    g = grid_density
+    xs_half = [(k + 0.5) / g for k in range(g)]
+    ys = np.linspace(-1.0, 1.0, 21).tolist()
+    hx = [_fiber_scalar(skew, x, y) for x in xs_half for y in ys]
+    h = 1e-6
+    max_dh = 0.0
+    for x in np.linspace(1e-2, 1.0 - h, 50).tolist():
+        for y in np.linspace(-1.0 + h, 1.0 - h, 21).tolist():
+            dx = (_fiber_scalar(skew, x + h, y)
+                  - _fiber_scalar(skew, x - h, y)) / (2 * h)
+            dy = (_fiber_scalar(skew, x, y + h)
+                  - _fiber_scalar(skew, x, y - h)) / (2 * h)
+            max_dh = max(max_dh, abs(dx), abs(dy))
+    return {"fiber-sign": all(v < 0.0 for v in hx) and skew.c_H > skew.rho,
+            "max_abs_H": max(abs(v) for v in hx), "max_dH": max_dh}
+
+
+@pytest.mark.parametrize("alpha, beta, rho, c_H", [
+    (1.0, 1.7, 0.3, 0.5),
+    (0.8, 1.985, 0.3, 0.5),
+    (1.0, 1.7, 0.45, 0.3),    # fiber sign lost
+    (0.8, 1.985, 0.9, 0.95),  # contraction and derivative lost
+])
+@pytest.mark.parametrize("grid_density", [100, 10000])
+def test_validator_fiber_grids_match_scalar_oracle(alpha, beta, rho, c_H,
+                                                   grid_density):
+    skew = SkewProductReturnMap(LorenzMap1D(alpha, beta), rho=rho, c_H=c_H)
+    report = validate_model(skew, grid_density=grid_density)
+    oracle = _fiber_rows_oracle(skew, grid_density)
+    # at alpha != 1 a last-bit difference of numpy's power from libm pow
+    # may move |H| by an ulp, and a finite difference by ulp / (2h)
+    rel, dh_abs = (0.0, 0.0) if alpha == 1.0 else (1e-14, 1e-9)
+    assert report.measured["max_abs_H"] == pytest.approx(
+        oracle["max_abs_H"], rel=rel, abs=0.0)
+    assert report.measured["max_dH"] == pytest.approx(
+        oracle["max_dH"], rel=rel, abs=dh_abs)
+    rows = {row["name"]: row["passed"] for row in report.checks}
+    assert rows["fiber-sign"] == oracle["fiber-sign"]
+    assert rows["fiber-contraction"] == (c_H + rho < 1.0
+                                         and oracle["max_abs_H"] < 1.0)
+    assert rows["fiber-derivative"] == (oracle["max_dH"] < 1.0)
+
+
 def test_skew_product_guards(lmap):
     with pytest.raises(PreconditionError):
         SkewProductReturnMap(lmap, rho=1.2, c_H=0.5)

@@ -119,6 +119,66 @@ def test_separated_estimator_parameters(lmap):
                            pitch_divisor=2)
 
 
+def _separated_oracle(lmap, potential, n, eps, pitch_divisor=6):
+    """(value, separated points) of the greedy scan as one loop per point.
+
+    This is the scalar estimator that the run/block scan of
+    `pressure_separated` replaced: grid, orbits and potential sums as
+    there, then one sup-norm distance to the last kept orbit per point.
+    """
+    pitch = eps / pitch_divisor
+    xs = np.linspace(-1.0, 1.0, int(math.floor(2.0 / pitch)) + 1)
+    xs = xs[np.abs(xs) > 1e-12]
+    traj = np.empty((n, xs.size))
+    cur = xs.copy()
+    alive = np.ones(xs.size, dtype=bool)
+    for j in range(n):
+        traj[j] = cur
+        if j < n - 1:
+            cur = lmap.step_array(cur)
+            alive &= np.abs(cur) > 1e-12
+    traj = traj[:, alive]
+    phi = np.zeros(traj.shape[1])
+    for j in range(n):
+        phi += np.asarray(potential.value(traj[j], np.zeros_like(traj[j])))
+    kept = [0]
+    last = traj[:, 0]
+    for i in range(1, traj.shape[1]):
+        col = traj[:, i]
+        if np.max(np.abs(col - last)) >= eps:
+            kept.append(i)
+            last = col
+    weights = phi[kept]
+    mshift = float(np.max(weights))
+    value = (math.log(float(np.sum(np.exp(weights - mshift)))) + mshift) / n
+    return value, len(kept)
+
+
+@pytest.mark.parametrize("alpha, beta", [(1.0, 1.45), (1.0, 1.7),
+                                         (1.0, 1.945), (0.8, 1.985)])
+def test_separated_scan_matches_greedy_loop(alpha, beta, grid_pot):
+    # many dropped points at divisor 6 but at (18, 1e-3), where none
+    # drops; at divisor 24 each stretch of dropped points spans two blocks
+    lm = LorenzMap1D(alpha, beta)
+    for n, eps, divisor in ((1, 0.1, 6), (2, 1e-3, 6), (5, 0.05, 6),
+                            (18, 1e-3, 6), (1, 0.05, 24)):
+        est = pressure_separated(lm, grid_pot, n, eps, divisor)
+        value, points = _separated_oracle(lm, grid_pot, n, eps, divisor)
+        assert est.params["separated_points"] == points
+        assert est.value == value
+
+
+def test_separated_scan_keeps_exact_ties():
+    # here some orbit distances equal eps exactly, both between neighbours
+    # inside a run and in a block scan; the greedy keeps such a point
+    lm = LorenzMap1D(1.0, 1.75)
+    coord = CoordinatePotential()
+    est = pressure_separated(lm, coord, 2, 1.5, pitch_divisor=11)
+    assert (est.value, est.params["separated_points"]) == _separated_oracle(
+        lm, coord, 2, 1.5, pitch_divisor=11)
+    assert est.params["separated_points"] == 4
+
+
 def test_transfer_depth_guard(lmap):
     with pytest.raises(PreconditionError):
         pressure_transfer(lmap, ConstantPotential(0.0), depth=0)
@@ -252,7 +312,8 @@ def test_transfer_fallback_scores_cyclic_components(monkeypatch, lmap):
     hs = SFTHorseshoe.from_adjacency(2, words, adj, lmap)
     pot = _VertexWeights(hs, [1.0, 2.0, 2.0, 1.0])
     pot.lipschitz_bound = lambda: 0.0
-    monkeypatch.setattr(pressure, "full_shift_sft", lambda lm, depth: hs)
+    monkeypatch.setattr(pressure, "build_horseshoe",
+                        lambda lm, depth, x_gap: hs)
     estimate = pressure_transfer(lmap, pot, depth=2)
     assert estimate.params["fallback"] == "per-component"
     assert estimate.value == pytest.approx(math.log(2.0), rel=0.0, abs=1e-12)

@@ -31,7 +31,6 @@ from geolorenz import (
     enumerate_periodic,
     equilibrium_measure,
     find_periodic_point,
-    full_shift_sft,
     is_admissible,
     itinerary_of,
     kneading,
@@ -283,9 +282,14 @@ def test_horseshoe_small_gap_recovers_all_but_boundary(lmap):
 
 def test_horseshoe_guards(lmap):
     with pytest.raises(PreconditionError):
-        build_horseshoe(lmap, 1, 0.01)
+        build_horseshoe(lmap, 0, 0.0)
     with pytest.raises(PreconditionError):
-        build_horseshoe(lmap, 8, 0.0)
+        build_horseshoe(lmap, 8, -0.01)
+    with pytest.raises(PreconditionError):
+        build_horseshoe(lmap, 8, 1.0)
+    # both depth-1 cylinders reach the singular line
+    with pytest.raises(EmptyHorseshoeError):
+        build_horseshoe(lmap, 1, 0.01)
     with pytest.raises(EmptyHorseshoeError):
         build_horseshoe(lmap, 8, 0.9)
 
@@ -315,7 +319,7 @@ def test_restrict_horseshoe_keeps_adjacency(lmap, horseshoe12):
 
 def test_full_shift_vertex_count_matches_admissible(lmap):
     for depth in (4, 8):
-        sft = full_shift_sft(lmap, depth)
+        sft = build_horseshoe(lmap, depth, 0.0)
         assert sft.n_vertices == len(cylinder_levels(lmap, depth)[depth])
         assert 0.0 < sft.adjacency_density() <= 1.0
 
@@ -395,11 +399,8 @@ def test_level_codes_increase_and_decode_to_admissible_words(alpha, beta):
 @pytest.mark.parametrize("alpha, beta", [(1.0, 1.95), (0.8, 1.99)])
 def test_sft_edges_follow_the_string_rule(alpha, beta):
     lm = LorenzMap1D(alpha, beta)
-    for depth, gap in ((6, None), (9, None), (6, 0.002), (9, 0.01)):
-        if gap is None:
-            sft = full_shift_sft(lm, depth)
-        else:
-            sft = build_horseshoe(lm, depth, gap)
+    for depth, gap in ((6, 0.0), (9, 0.0), (6, 0.002), (9, 0.01)):
+        sft = build_horseshoe(lm, depth, gap)
         joined = scalar_levels(lm, depth + 1)[depth + 1]
         vertices = set(sft.vertices)
         for i, w in enumerate(sft.vertices):
@@ -551,7 +552,7 @@ def test_scc_matches_kosaraju_on_horseshoes(alpha, beta):
     lm = LorenzMap1D(alpha, beta)
     sizes = set()
     for graph in (build_horseshoe(lm, 12, 0.002), build_horseshoe(lm, 10, 0.2),
-                  build_horseshoe(lm, 9, 0.05), full_shift_sft(lm, 8)):
+                  build_horseshoe(lm, 9, 0.05), build_horseshoe(lm, 8, 0.0)):
         sizes.add(len(assert_same_components(graph)))
     assert max(sizes) > 1  # some graph here is reducible
 
