@@ -20,17 +20,18 @@ from .errors import (BracketFailureError, ConfigError, DepthTooShallowError,
                      PreconditionError)
 from .measures import (AtomicMeasure, ConvexMeasure, FlowMeasureStats,
                        MarkovMeasure, SingularDeltaMeasure, convex_combine,
-                       entropy_map, integrate_map, measure_distance,
-                       measure_from_payload, suspend)
+                       entropy_map, integrate_many, integrate_map,
+                       measure_distance, measure_from_payload, suspend)
 from .model import (LorenzMap1D, ModelValidationReport, RoofFunction,
                     SkewProductReturnMap, evaluate_base, roof_value,
                     validate_model)
 from .potentials import (ConstantPotential, CoordinatePotential,
                          SectionGridPotential, SingularBumpPotential,
                          parse_potential_spec)
-from .pressure import (PressureBounds, PressureEstimate, equilibrium_measure,
-                       estimate_P_bounds, h_top_estimate, pressure_measure,
-                       pressure_separated, pressure_transfer)
+from .pressure import (PressureBounds, PressureEstimate, catalog_pressures,
+                       equilibrium_measure, estimate_P_bounds, h_top_estimate,
+                       pressure_measure, pressure_separated,
+                       pressure_transfer)
 from .spectrum import (GapReport, PressureSpectrumReport, TargetRequest,
                        build_gap_potential, realize_intermediate,
                        reduce_to_essential_case, spectrum_scan, verify_gap)

@@ -6,6 +6,13 @@ and the Dirac measure at the singularity (flow-level only). Entropy and
 potential integrals are exact where closed forms exist and otherwise come
 with rigorous per-cylinder error bounds. Flow quantities never touch an
 integrator: the suspension translates everything through the roof model.
+
+The one section integrator, `integrate_many`, takes a catalog at a time:
+each integrand is evaluated once for the orbit points of all atoms and
+once per shared cylinder scheme, and each member gets the floats of its
+one-element call (`integrate_map`, `suspend`) bit for bit. Orbits are
+averaged by per-period blocks, as `np.mean` averages one orbit, not by
+`np.add.reduceat`, whose segment sums round differently.
 """
 
 import hashlib
@@ -283,14 +290,15 @@ def entropy_map(measure):
 def integrate_map(potential, measure, depth=DEFAULT_DEPTH, tol=None):
     """Section integral of the potential with a rigorous error bound.
 
-    Returns (value, bound). Atomic orbits are averaged exactly (bound 0).
-    Markov measures are integrated over depth-`depth` cylinder words at
-    cylinder midpoints; the bound sums each word's mass against the
-    potential's modulus of continuity on that cylinder. When `tol` is
-    given and the bound exceeds it, DepthTooShallowError is raised.
+    Returns (value, bound), the one-element call of `integrate_many`.
+    Atomic orbits are averaged exactly (bound 0). Markov measures are
+    integrated over depth-`depth` cylinder words at cylinder midpoints;
+    the bound sums each word's mass against the potential's modulus of
+    continuity on that cylinder. When `tol` is given and the bound
+    exceeds it, DepthTooShallowError is raised.
     """
-    _reject_delta(measure, "section integration")
-    value, bound = _integrate(potential, measure, depth)
+    (values, bounds), = _integrate_each([potential], [measure], depth)
+    value, bound = values[0], bounds[0]
     if tol is not None and bound > tol:
         raise DepthTooShallowError(
             "integration error bound %.3g exceeds tolerance %.3g at depth %d"
@@ -298,44 +306,118 @@ def integrate_map(potential, measure, depth=DEFAULT_DEPTH, tol=None):
     return value, bound
 
 
-def _integrate(potential, measure, depth):
-    if isinstance(measure, AtomicMeasure):
-        pts = measure.points()
-        vals = np.asarray(potential.value(pts, np.zeros_like(pts)), dtype=float)
-        return float(np.mean(vals)), 0.0
-    if isinstance(measure, MarkovMeasure):
-        m = measure.horseshoe.depth
-        if depth >= m:
-            scheme = _scheme(measure.lmap, measure.horseshoe, depth)
-            mass = scheme.masses(measure.stationary, measure.probs)
-            vals = np.asarray(potential.value(scheme.mid,
-                                              np.zeros_like(scheme.mid)))
-            errs = midpoint_error_many(potential, scheme.lo, scheme.hi)
-            return float(mass @ vals), float(mass @ errs)
-        level = cylinder_levels(measure.lmap, depth)[depth]
-        masses = measure.cylinder_masses(depth)
-        words = sorted(masses)
-        pos = level.find(encode_words(words))
-        if (pos < 0).any():
-            raise PreconditionError(
-                "measure charges an empty depth-%d cylinder" % depth)
-        value = 0.0
-        bound = 0.0
-        for w, lo, hi in zip(words, level.lo[pos].tolist(),
-                             level.hi[pos].tolist()):
-            mid = 0.5 * (lo + hi)
-            value += masses[w] * float(potential.value(mid, 0.0))
-            bound += masses[w] * float(potential.midpoint_error(lo, hi))
-        return value, bound
-    if isinstance(measure, ConvexMeasure):
-        value = 0.0
-        bound = 0.0
-        for w, comp in measure.components:
-            v, b = _integrate(potential, comp, depth)
-            value += w * v
-            bound += w * b
-        return value, bound
-    raise PreconditionError("unknown measure variant %r" % (measure,))
+def integrate_many(integrand, measures, depth=DEFAULT_DEPTH):
+    """Section integrals of one integrand over many measures.
+
+    Returns (values, bounds) in the order of `measures`, each equal bit
+    for bit to `integrate_map` on that measure alone. The orbit points of
+    all atoms, mixture components included, go through one
+    `integrand.value` call, laid out period by period; the orbits of one
+    period, read as a (count, p) matrix, are averaged by row sums over p,
+    the arithmetic of `np.mean` on one orbit (numpy reduces each row
+    pairwise). Markov measures share one evaluation of the integrand and
+    its bound per cylinder scheme. Mixtures recombine from 0.0 in
+    component order; the singular Dirac is rejected.
+    """
+    return _integrate_each([integrand], list(measures), depth)[0]
+
+
+def _integrate_each(integrands, measures, depth):
+    """[(values, bounds)] of each integrand over a list of measures (see
+    `integrate_many`), sorting the measures into orbit blocks and cylinder
+    schemes, and computing their cylinder masses, once for all integrands.
+    """
+    index = {}     # id -> position of each distinct atomic or Markov measure
+    blocks = {}    # period -> [(position, atom)] of the atoms of that period
+    schemes = {}   # id(scheme) -> (scheme, [(position, cylinder masses)])
+    shallow = []
+    mixed = False
+    for measure in measures:
+        if isinstance(measure, ConvexMeasure):
+            mixed = True
+            parts = [comp for _, comp in measure.components]
+        else:
+            parts = (measure,)
+        for leaf in parts:
+            if id(leaf) in index:
+                continue
+            i = index[id(leaf)] = len(index)
+            if isinstance(leaf, AtomicMeasure):
+                blocks.setdefault(leaf.points().size, []).append((i, leaf))
+            elif not isinstance(leaf, MarkovMeasure):
+                _reject_delta(leaf, "section integration")
+                raise PreconditionError("unknown measure variant %r" % (leaf,))
+            elif depth >= leaf.horseshoe.depth:
+                scheme = _scheme(leaf.lmap, leaf.horseshoe, depth)
+                schemes.setdefault(id(scheme), (scheme, []))[1].append(
+                    (i, scheme.masses(leaf.stationary, leaf.probs)))
+            else:
+                shallow.append((i, leaf))
+    if blocks:
+        pts = [atom.points() for block in blocks.values() for _, atom in block]
+        # a lone orbit is read in place: a one-measure call copies nothing
+        pts = pts[0] if len(pts) == 1 else np.concatenate(pts)
+        zeros = np.zeros(pts.shape)
+    # the results of distinct plain measures are, in order, theirs
+    plain = not mixed and len(index) == len(measures)
+    out = []
+    for integrand in integrands:
+        value = [0.0] * len(index)
+        bound = [0.0] * len(index)     # atoms are exact
+        if blocks:
+            vals = np.asarray(integrand.value(pts, zeros), dtype=float)
+            start = 0
+            for p, block in blocks.items():
+                stop = start + len(block) * p
+                sums = np.add.reduce(vals[start:stop].reshape(-1, p), axis=1)
+                for (i, _), total in zip(block, sums.tolist()):
+                    value[i] = total / p
+                start = stop
+        for scheme, block in schemes.values():
+            vals = np.asarray(integrand.value(scheme.mid,
+                                              np.zeros(scheme.mid.shape)))
+            errs = midpoint_error_many(integrand, scheme.lo, scheme.hi)
+            for i, mass in block:
+                value[i] = float(mass @ vals)
+                bound[i] = float(mass @ errs)
+        for i, leaf in shallow:
+            value[i], bound[i] = _integrate_shallow(integrand, leaf, depth)
+        if plain:
+            out.append((value, bound))
+        else:
+            out.append(([_mix(value, index, m) for m in measures],
+                        [_mix(bound, index, m) for m in measures]))
+    return out
+
+
+def _mix(result, index, measure):
+    """A measure's entry in `result`, placed by `index`; a mixture's is
+    summed from its components' entries from 0.0 in component order."""
+    if not isinstance(measure, ConvexMeasure):
+        return result[index[id(measure)]]
+    total = 0.0
+    for w, comp in measure.components:
+        total += w * result[index[id(comp)]]
+    return total
+
+
+def _integrate_shallow(potential, measure, depth):
+    """A Markov measure at a depth below its horseshoe's, word by word."""
+    level = cylinder_levels(measure.lmap, depth)[depth]
+    masses = measure.cylinder_masses(depth)
+    words = sorted(masses)
+    pos = level.find(encode_words(words))
+    if (pos < 0).any():
+        raise PreconditionError(
+            "measure charges an empty depth-%d cylinder" % depth)
+    value = 0.0
+    bound = 0.0
+    for w, lo, hi in zip(words, level.lo[pos].tolist(),
+                         level.hi[pos].tolist()):
+        mid = 0.5 * (lo + hi)
+        value += masses[w] * float(potential.value(mid, 0.0))
+        bound += masses[w] * float(potential.midpoint_error(lo, hi))
+    return value, bound
 
 
 def convex_combine(components, label=None):
@@ -370,11 +452,7 @@ class FlowMeasureStats:
         self.singular = singular
 
     def ball_fraction(self, b):
-        if self.singular:
-            return 1.0
-        dwell = _DwellIntegrand(self.roof, b)
-        value, _ = integrate_map(dwell, self.measure, self.depth)
-        return float(min(max(value / self.mean_roof, 0.0), 1.0))
+        return ball_fractions([self], b)[0]
 
     def pressure(self):
         return self.h_flow + self.potential_integral
@@ -386,18 +464,54 @@ class FlowMeasureStats:
 
 def suspend(measure, roof, potential, depth=DEFAULT_DEPTH):
     """Translate a section measure into flow-level statistics."""
-    if isinstance(measure, SingularDeltaMeasure):
-        return FlowMeasureStats(measure, roof, depth,
-                                mean_roof=math.inf, h_flow=0.0,
-                                potential_integral=potential.value_at_sigma(),
-                                singular=True)
-    mean_roof, _ = integrate_map(_RoofIntegrand(roof), measure, depth)
-    h_flow = entropy_map(measure) / mean_roof
-    passage, _ = integrate_map(_PassageIntegrand(potential, roof),
-                               measure, depth)
-    return FlowMeasureStats(measure, roof, depth, mean_roof=mean_roof,
-                            h_flow=h_flow,
-                            potential_integral=passage / mean_roof)
+    return suspend_many([measure], roof, potential, depth)[0]
+
+
+def suspend_many(measures, roof, potential, depth=DEFAULT_DEPTH):
+    """`suspend` of each measure: the roof and passage integrands of all
+    section measures in one pass of the section integrator."""
+    measures = list(measures)
+    section = [m for m in measures if not isinstance(m, SingularDeltaMeasure)]
+    (roofs, _), (passages, _) = _integrate_each(
+        [_RoofIntegrand(roof), _PassageIntegrand(potential, roof)], section,
+        depth)
+    flows = iter(zip(roofs, passages))
+    out = []
+    for m in measures:
+        if isinstance(m, SingularDeltaMeasure):
+            out.append(FlowMeasureStats(
+                m, roof, depth, mean_roof=math.inf, h_flow=0.0,
+                potential_integral=potential.value_at_sigma(),
+                singular=True))
+        else:
+            mean_roof, passage = next(flows)
+            out.append(FlowMeasureStats(
+                m, roof, depth, mean_roof=mean_roof,
+                h_flow=entropy_map(m) / mean_roof,
+                potential_integral=passage / mean_roof))
+    return out
+
+
+def ball_fractions(stats, b):
+    """`ball_fraction(b)` of each FlowMeasureStats, one dwell integral for all.
+
+    The stats must share one roof and depth, as those of one
+    `suspend_many` call do.
+    """
+    section = [s for s in stats if not s.singular]
+    if not section:
+        return [1.0] * len(stats)
+    roof, depth = section[0].roof, section[0].depth
+    for s in section:
+        if s.roof is not roof or s.depth != depth:
+            raise PreconditionError(
+                "batched ball fractions need one roof and one depth")
+    (dwells, _), = _integrate_each([_DwellIntegrand(roof, b)],
+                                   [s.measure for s in section], depth)
+    dwells = iter(dwells)
+    return [1.0 if s.singular
+            else float(min(max(next(dwells) / s.mean_roof, 0.0), 1.0))
+            for s in stats]
 
 
 def measure_distance(a, b, depth=DEFAULT_DEPTH):

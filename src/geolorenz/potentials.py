@@ -90,9 +90,6 @@ class ConstantPotential:
         r_min, r_max = _roof_range(roof, lo, hi)
         return _scalar_or_array(abs(self.c) * (r_max - r_min), lo)
 
-    def spec_string(self):
-        return "const:%.17g" % self.c
-
 
 class CoordinatePotential:
     """phi(x, y) = x, the standard non-constant test observable."""
@@ -127,9 +124,6 @@ class CoordinatePotential:
         out = self.abs_bound(lo, hi) * (r_max - r_min) + r_max * 0.5 * width
         return _scalar_or_array(out, lo)
 
-    def spec_string(self):
-        return "coord:x"
-
 
 class SectionGridPotential:
     """Bilinear interpolation of samples on an (x, y) grid.
@@ -140,7 +134,7 @@ class SectionGridPotential:
     declared constant is honest for the interpolant as well.
     """
 
-    def __init__(self, xs, ys, values, lipschitz, origin=None):
+    def __init__(self, xs, ys, values, lipschitz):
         self.xs = np.asarray(xs, dtype=float)
         self.ys = np.asarray(ys, dtype=float)
         self.values = np.asarray(values, dtype=float)
@@ -155,7 +149,6 @@ class SectionGridPotential:
         self.lipschitz = float(lipschitz)
         if self.lipschitz < 0:
             raise PreconditionError("Lipschitz constant must be nonnegative")
-        self.origin = origin
 
     def __repr__(self):
         return "SectionGridPotential(%dx%d, lipschitz=%.4g)" % (
@@ -206,11 +199,6 @@ class SectionGridPotential:
                + r_max * self.lipschitz * 0.5 * width)
         return _scalar_or_array(out, lo)
 
-    def spec_string(self):
-        if self.origin is not None:
-            return "grid:%s" % self.origin
-        return "grid:<inline>"
-
     @classmethod
     def seeded(cls, seed, amplitude=0.3, lipschitz=1.0, n_modes=4,
                nx=241, ny=9):
@@ -238,7 +226,7 @@ class SectionGridPotential:
         series = np.cos(gx) @ amps
         vals = (scale * series)[:, None] * (1.0 + 0.25 * ymod
                                             * np.cos(np.pi * ys)[None, :])
-        return cls(xs, ys, vals, scale * lip_raw, origin="seed:%d" % int(seed))
+        return cls(xs, ys, vals, scale * lip_raw)
 
     def to_payload(self):
         return {
@@ -249,10 +237,10 @@ class SectionGridPotential:
         }
 
     @classmethod
-    def from_payload(cls, payload, origin=None):
+    def from_payload(cls, payload):
         try:
             return cls(payload["xs"], payload["ys"], payload["values"],
-                       payload["lipschitz"], origin=origin)
+                       payload["lipschitz"])
         except (KeyError, TypeError) as exc:
             raise ConfigError("malformed grid potential payload: %s" % exc)
 
@@ -341,9 +329,6 @@ class SingularBumpPotential:
             out = np.where(d0 <= 0.0, np.inf, out)
         return _scalar_or_array(out, lo)
 
-    def spec_string(self):
-        return "bump:%.17g,%.17g" % (self.level, self.eta)
-
 
 def midpoint_error_many(potential, lo, hi):
     """Alias of `potential.midpoint_error` on endpoint arrays."""
@@ -406,6 +391,6 @@ def parse_potential_spec(spec, base_dir=None):
             raise ConfigError("cannot read grid potential file %r: %s" % (rest, exc))
         except json.JSONDecodeError as exc:
             raise ConfigError("grid potential file %r is not valid JSON: %s" % (rest, exc))
-        return SectionGridPotential.from_payload(payload, origin=rest)
+        return SectionGridPotential.from_payload(payload)
     raise ConfigError(
         "unknown potential spec %r (expected const:, coord:, bump:, or grid:)" % spec)

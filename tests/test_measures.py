@@ -163,6 +163,53 @@ def test_integrate_tol_guard(parry):
     pot = SectionGridPotential.seeded(3)
     with pytest.raises(DepthTooShallowError):
         integrate_map(pot, parry, depth=6, tol=1e-12)
+    # at the scheme depth too, where the bound is a mass-weighted sum
+    value, bound = integrate_map(pot, parry, depth=12)
+    assert bound > 0.0
+    assert integrate_map(pot, parry, depth=12, tol=bound) == (value, bound)
+    with pytest.raises(DepthTooShallowError):
+        integrate_map(pot, parry, depth=12, tol=0.5 * bound)
+
+
+@pytest.mark.parametrize("depth", [6, 12])
+def test_integrate_many_equals_one_measure_calls(lmap, parry, tilted, atom,
+                                                 coord, depth):
+    # a batch gives each member what a call on that member alone gives,
+    # bit for bit: atoms of several periods, two Markov measures sharing
+    # a scheme, a mixture of both kinds, and a repeated member
+    atoms = [AtomicMeasure(lmap, find_periodic_point(lmap, w))
+             for w in ("LR", "LLRR", "LRRLR", "LRLRR")]
+    mix = convex_combine([(0.25, atoms[1]), (0.5, tilted), (0.25, atom)])
+    batch = atoms + [parry, atom, mix, tilted, atoms[0]]
+    for pot in (coord, SectionGridPotential.seeded(5)):
+        singles = [integrate_map(pot, m, depth) for m in batch]
+        values, bounds = measures.integrate_many(pot, batch, depth)
+        assert values == [v for v, _ in singles]
+        assert bounds == [b for _, b in singles]
+    assert measures.integrate_many(coord, [], depth) == ([], [])
+
+
+def test_batched_suspension_equals_one_measure_calls(lmap, parry, atom,
+                                                     roof, coord):
+    delta = SingularDeltaMeasure()
+    mix = convex_combine([(0.4, atom), (0.6, parry)])
+    batch = [atom, delta, parry, mix]
+    stats = measures.suspend_many(batch, roof, coord)
+    fractions = measures.ball_fractions(stats, 0.2)
+    for m, got, bf in zip(batch, stats, fractions):
+        one = suspend(m, roof, coord)
+        assert got.as_dict() == one.as_dict()
+        assert got.singular == one.singular
+        assert bf == one.ball_fraction(0.2)
+    assert stats[1].singular and fractions[1] == 1.0
+    # the Dirac has flow conventions only: the section integrator
+    # rejects it inside a batch as it does alone
+    with pytest.raises(PreconditionError):
+        measures.integrate_many(coord, [atom, delta])
+    # one dwell integral serves stats of one roof and depth only
+    other = suspend(atom, roof.scaled(2.0), coord)
+    with pytest.raises(PreconditionError):
+        measures.ball_fractions([stats[0], other], 0.2)
 
 
 def test_birkhoff_sampling_oracle(lmap, parry, coord):

@@ -16,6 +16,7 @@ from geolorenz import (
     PreconditionError,
     SFTHorseshoe,
     SectionGridPotential,
+    SingularDeltaMeasure,
     build_catalog,
     build_horseshoe,
     entropy_map,
@@ -51,9 +52,6 @@ class Shifted:
 
     def value_at_sigma(self):
         return self.base.value_at_sigma() + self.c
-
-    def spec_string(self):
-        return "shifted"
 
 
 @pytest.fixture(scope="module")
@@ -252,6 +250,8 @@ def test_estimate_bounds_level_guard(lmap, coord):
                             CatalogRecipe(include_delta=True))
     with pytest.raises(PreconditionError):
         estimate_P_bounds(catalog, coord)  # only the Dirac at map level
+    with pytest.raises(PreconditionError):
+        pressure_measure(SingularDeltaMeasure(), coord)  # alone, likewise
 
 
 def _count_scc_runs(monkeypatch):

@@ -1,40 +1,68 @@
 """Spectrum reports, gap certification, case reduction, realization."""
 
+import collections
 import math
 
 import numpy as np
 import pytest
 
+from geolorenz import measures
 from geolorenz import (
     AtomicMeasure,
     BracketFailureError,
     ConstantPotential,
+    ConvexMeasure,
     CoordinatePotential,
     EtaTooLargeError,
+    LorenzMap1D,
     MarkovMeasure,
     NoWitnessError,
     PreconditionError,
+    SectionGridPotential,
     SFTHorseshoe,
     SingularBumpPotential,
     SingularDeltaMeasure,
     TargetRequest,
     build_catalog,
     build_gap_potential,
+    convex_combine,
     entropy_map,
     equilibrium_measure,
     estimate_P_bounds,
     find_periodic_point,
     h_top_estimate,
     integrate_map,
+    parse_potential_spec,
     pressure_measure,
     realize_intermediate,
     reduce_to_essential_case,
     spectrum_scan,
     verify_gap,
 )
-from geolorenz.catalog import GAP_CORE_RECIPE, GAP_DEMONSTRATOR_RECIPE
+from geolorenz.catalog import (DEFAULT_RECIPE, GAP_CORE_RECIPE,
+                               GAP_DEMONSTRATOR_RECIPE)
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
+
+
+class Shifted:
+    """A duck-typed potential plus a constant; map level only (it has no
+    passage integral)."""
+
+    def __init__(self, base, c):
+        self.base, self.c = base, c
+
+    def value(self, x, y=0.0):
+        return self.base.value(x, y) + self.c
+
+    def midpoint_error(self, lo, hi):
+        return self.base.midpoint_error(lo, hi)
+
+    def lipschitz_bound(self):
+        return self.base.lipschitz_bound()
+
+    def value_at_sigma(self):
+        return self.base.value_at_sigma() + self.c
 
 
 @pytest.fixture(scope="module")
@@ -208,22 +236,6 @@ def test_spectrum_scan_sorted_with_attained_gap(lmap, coord):
 
 
 def test_spectrum_argmax_invariant_under_shift(lmap, coord):
-    class Shifted:
-        def __init__(self, base, c):
-            self.base, self.c = base, c
-
-        def value(self, x, y=0.0):
-            return self.base.value(x, y) + self.c
-
-        def midpoint_error(self, lo, hi):
-            return self.base.midpoint_error(lo, hi)
-
-        def lipschitz_bound(self):
-            return self.base.lipschitz_bound()
-
-        def value_at_sigma(self):
-            return self.base.value_at_sigma() + self.c
-
     catalog = build_catalog(lmap, coord)
     base = spectrum_scan(coord, catalog, level="map")
     shifted = spectrum_scan(Shifted(coord, 0.4), catalog, level="map")
@@ -285,3 +297,134 @@ def test_reduce_no_witness_above(lmap, coord):
     I, _ = integrate_map(coord, mu, 12)
     with pytest.raises(NoWitnessError):
         reduce_to_essential_case(mu, coord, I, atoms, tol=1e-2)
+
+
+# ---------------------------------------------------------------------------
+# catalog passes against the per-member formulas they replaced
+
+def _member_integral(integrand, m, depth=12):
+    """One measure at a time: the orbit mean of an atom, the scheme
+    masses against the midpoint values of a Markov measure, and a
+    mixture's weighted sum from 0.0 in component order."""
+    if isinstance(m, AtomicMeasure):
+        pts = m.points()
+        return float(np.mean(integrand.value(pts, np.zeros_like(pts))))
+    if isinstance(m, ConvexMeasure):
+        value = 0.0
+        for w, comp in m.components:
+            value += w * _member_integral(integrand, comp, depth)
+        return value
+    scheme = measures._scheme(m.lmap, m.horseshoe, depth)
+    mass = scheme.masses(m.stationary, m.probs)
+    return float(mass @ np.asarray(integrand.value(
+        scheme.mid, np.zeros_like(scheme.mid))))
+
+
+def _member_flow(m, phi, roof, b):
+    """(mean roof, h_flow, integral, pressure, ball fraction) of one measure."""
+    if isinstance(m, SingularDeltaMeasure):
+        return math.inf, 0.0, phi.value_at_sigma(), \
+            0.0 + phi.value_at_sigma(), 1.0
+    mean_roof = _member_integral(measures._RoofIntegrand(roof), m)
+    passage = _member_integral(measures._PassageIntegrand(phi, roof), m)
+    dwell = _member_integral(measures._DwellIntegrand(roof, b), m)
+    h_flow = entropy_map(m) / mean_roof
+    integral = passage / mean_roof
+    bf = float(min(max(dwell / mean_roof, 0.0), 1.0))
+    return mean_roof, h_flow, integral, h_flow + integral, bf
+
+
+def _member_pressure(m, phi, level, roof):
+    if level == "map":
+        return entropy_map(m) + _member_integral(phi, m)
+    return _member_flow(m, phi, roof, 0.2)[3]
+
+
+ORACLE_POTENTIALS = ("coord:x", "grid:seed:11", "bump:0.5,0.1", "const:0.25",
+                     "shifted")
+
+
+@pytest.mark.parametrize("alpha, beta", [(1.0, 1.7), (1.0, 1.95),
+                                         (0.8, 1.99)])
+def test_catalog_passes_equal_per_member_formulas(alpha, beta, roof):
+    lmap = LorenzMap1D(alpha, beta)
+    for spec in ORACLE_POTENTIALS:
+        phi = (Shifted(CoordinatePotential(), 0.4) if spec == "shifted"
+               else parse_potential_spec(spec))
+        catalog = build_catalog(lmap, phi, DEFAULT_RECIPE)
+        atom = next(m for m in catalog if isinstance(m, AtomicMeasure))
+        markov = [m for m in catalog if isinstance(m, MarkovMeasure)]
+        catalog.append(convex_combine(
+            [(0.3, atom), (0.5, markov[1]), (0.2, markov[0])],
+            label="convex:mixed"))
+        # the passage integral is flow-level only; Shifted has none
+        levels = ("map",) if spec == "shifted" else ("map", "flow")
+        for level in levels:
+            use_roof = roof if level == "flow" else None
+            expected = {m.id: _member_pressure(m, phi, level, roof)
+                        for m in catalog
+                        if level == "flow"
+                        or not isinstance(m, SingularDeltaMeasure)}
+            scan = spectrum_scan(phi, catalog, level=level, roof=use_roof)
+            assert dict(scan.entries) == expected, (spec, level)
+            bounds = estimate_P_bounds(catalog, phi, level=level,
+                                       roof=use_roof)
+            assert (bounds.p_inf, bounds.p_top) == (
+                min(expected.values()), max(expected.values()))
+            for m in catalog:
+                if m.id in expected:
+                    assert pressure_measure(m, phi, level=level,
+                                            roof=use_roof) == \
+                        expected[m.id], (spec, level, m.id)
+        if spec.startswith("bump"):
+            report = verify_gap(lmap, roof, phi, catalog)
+            for row in report.rows:
+                m = next(c for c in catalog if c.id == row["measure_id"])
+                assert (row["mean_roof"], row["h_flow"], row["integral"],
+                        row["pressure"], row["ball_fraction"]) == \
+                    _member_flow(m, phi, roof, 2.0 * phi.eta), row
+
+
+def test_spectrum_scan_evaluates_each_integrand_once_per_catalog(
+        lmap, roof, monkeypatch):
+    # per integrand: one value call for all the atoms together and one per
+    # distinct cylinder scheme, whose bound is also evaluated once
+    phi = SectionGridPotential.seeded(2)
+    catalog = build_catalog(lmap, phi, DEFAULT_RECIPE)
+    markov = [m for m in catalog if isinstance(m, MarkovMeasure)]
+    schemes = {id(measures._scheme(lmap, m.horseshoe, 12)) for m in markov}
+    assert len(markov) == 2 and len(schemes) == 1
+    calls = collections.Counter()
+    # the integrator's own calls: the bounds of the roof integrand and the
+    # passage integral of the grid call `value` in turn, uncounted
+    inside = [0]
+
+    def counted(cls, name):
+        original = getattr(cls, name)
+
+        def wrapper(self, *args):
+            if not inside[0]:
+                calls[cls.__name__, name] += 1
+            inside[0] += 1
+            try:
+                return original(self, *args)
+            finally:
+                inside[0] -= 1
+
+        monkeypatch.setattr(cls, name, wrapper)
+
+    for cls in (SectionGridPotential, measures._RoofIntegrand,
+                measures._PassageIntegrand):
+        counted(cls, "value")
+        counted(cls, "midpoint_error")
+    spectrum_scan(phi, catalog, level="map")
+    assert calls == {("SectionGridPotential", "value"): 1 + len(schemes),
+                     ("SectionGridPotential", "midpoint_error"): len(schemes)}
+    calls.clear()
+    spectrum_scan(phi, catalog, level="flow", roof=roof)
+    # plus the Dirac's value at the singularity, its flow convention
+    assert calls == {("SectionGridPotential", "value"): 1,
+                     ("_RoofIntegrand", "value"): 1 + len(schemes),
+                     ("_RoofIntegrand", "midpoint_error"): len(schemes),
+                     ("_PassageIntegrand", "value"): 1 + len(schemes),
+                     ("_PassageIntegrand", "midpoint_error"): len(schemes)}
