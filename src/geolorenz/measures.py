@@ -25,8 +25,8 @@ from .errors import DepthTooShallowError, PreconditionError
 from .model import abs_range, roof_array
 from .potentials import midpoint_error_many, passage_error_many
 from .symbolic import (ALPHABET, EMPTY_WIDTH, MAX_DEPTH, cylinder_levels,
-                       encode_words, pullback, strongly_connected_components,
-                       symbol_matrix)
+                       decode_words, encode_words, pullback,
+                       strongly_connected_components)
 
 DEFAULT_DEPTH = 12
 
@@ -629,9 +629,10 @@ def _monotone_range(value_fn, lo, hi):
 # path expansion: depth-D cylinder masses of a Markov measure, vectorized
 #
 # A scheme depends only on the map and the horseshoe's word structure, so
-# the cache keys on (alpha, beta, depth, vertex words, successor arrays):
-# every horseshoe object with that structure, such as the restricted
-# component of each equilibrium measure of a bisection, shares one build.
+# the cache keys on (alpha, beta, depth, `SFTHorseshoe.structure`), the
+# vertex codes and successor arrays as bytes: every horseshoe object with
+# that structure, such as the restricted component of each equilibrium
+# measure of a bisection, shares one build. Schemes hold no strings.
 
 _scheme_cache = {}
 
@@ -640,11 +641,15 @@ class _CylinderScheme:
     """Depth-D refinement of a horseshoe's word structure.
 
     Extends every vertex word by all SFT-compatible tails to length D and
-    records, per path, the starting vertex, the (vertex, symbol) steps,
-    and the cylinder interval of the full word, so that the mass vector
-    of any Markov measure on the horseshoe is a single vectorized gather.
-    The intervals come from one array pullback of the (paths, D) symbol
-    matrix.
+    records, per path, the starting vertex (`start`), the steps it takes
+    as flat indices 2*vertex + symbol into a (vertices, 2) transition
+    table (`steps`), the uint64 code of its depth-D word (`codes`), and
+    the cylinder interval of that word, so that the mass vector of any
+    Markov measure on the horseshoe is one gather and one product. Each
+    extension records the parent of every new path; the steps are read
+    back along those links once, not copied at every extension. The
+    intervals come from one array pullback of the (paths, D) symbol
+    matrix of the codes; `words` decodes the codes only on request.
     """
 
     def __init__(self, lmap, horseshoe, depth):
@@ -654,38 +659,30 @@ class _CylinderScheme:
         if depth > MAX_DEPTH:
             raise PreconditionError(
                 "scheme depth %d exceeds maximum %d" % (depth, MAX_DEPTH))
-        k = depth - m
-        n = horseshoe.n_vertices
-        start = np.arange(n, dtype=np.int64)
-        cur = start.copy()
-        words = list(horseshoe.vertices)
-        steps_v = np.zeros((n, 0), dtype=np.int64)
-        steps_s = np.zeros((n, 0), dtype=np.int64)
-        for _ in range(k):
-            pieces = []
-            for s_idx, s in enumerate(ALPHABET):
-                nxt = horseshoe.succ[s][cur]
-                ok = np.nonzero(nxt >= 0)[0]
-                pieces.append((s_idx, s, ok, nxt[ok]))
-            new_words = []
-            idx_all = []
-            for s_idx, s, ok, _ in pieces:
-                new_words.extend(words[i] + s for i in ok)
-                idx_all.append(ok)
-            idx = np.concatenate(idx_all)
-            sym = np.concatenate([np.full(len(ok), s_idx, dtype=np.int64)
-                                  for s_idx, _, ok, _ in pieces])
-            steps_v = np.hstack([steps_v[idx], cur[idx][:, None]])
-            steps_s = np.hstack([steps_s[idx], sym[:, None]])
-            start = start[idx]
-            cur = np.concatenate([nx for _, _, _, nx in pieces])
-            words = new_words
-        self.start = start
-        self.steps_v = steps_v
-        self.steps_s = steps_s
-        self.words = words
-        symbols = np.hstack([symbol_matrix(horseshoe.vertices)[start],
-                             steps_s])
+        cur = np.arange(horseshoe.n_vertices, dtype=np.int64)
+        codes = horseshoe.codes
+        links = []     # per extension: (parent path, step) of each new path
+        for _ in range(depth - m):
+            nxt = [horseshoe.succ[s][cur] for s in ALPHABET]
+            ok = [np.flatnonzero(a >= 0) for a in nxt]
+            links.append((np.concatenate(ok),
+                          np.concatenate([2 * cur[o] + k
+                                          for k, o in enumerate(ok)])))
+            codes = np.concatenate([(codes[o] << np.uint64(1)) | np.uint64(k)
+                                    for k, o in enumerate(ok)])
+            cur = np.concatenate([a[o] for a, o in zip(nxt, ok)])
+        steps = np.empty((len(cur), len(links)), dtype=np.int64)
+        path = np.arange(len(cur), dtype=np.int64)
+        for j in range(len(links) - 1, -1, -1):
+            parent, step = links[j]
+            steps[:, j] = step[path]
+            path = parent[path]
+        self.start = path
+        self.steps = steps
+        self.codes = codes
+        self.depth = depth
+        shifts = np.arange(depth - 1, -1, -1, dtype=np.uint64)
+        symbols = (codes[:, None] >> shifts) & np.uint64(1)
         lo, hi = pullback(lmap, symbols)
         # fictitious refinement: the SFT allows a tail the kneading data
         # forbids; such a path falls back to its deepest live prefix
@@ -701,16 +698,20 @@ class _CylinderScheme:
         self.hi = hi
         self.mid = 0.5 * (lo + hi)
 
+    @property
+    def words(self):
+        """The depth-D word of each path, decoded from its code."""
+        return decode_words(self.codes, self.depth)
+
     def masses(self, stationary, probs):
         mass = stationary[self.start]
-        if self.steps_v.shape[1]:
-            mass = mass * np.prod(probs[self.steps_v, self.steps_s], axis=1)
+        if self.steps.shape[1]:
+            mass = mass * np.prod(probs.reshape(-1).take(self.steps), axis=1)
         return mass
 
 
 def _scheme(lmap, horseshoe, depth):
-    key = (lmap.alpha, lmap.beta, int(depth), horseshoe.vertices,
-           tuple(horseshoe.succ[s].tobytes() for s in ALPHABET))
+    key = (lmap.alpha, lmap.beta, int(depth), horseshoe.structure)
     scheme = _scheme_cache.get(key)
     if scheme is None:
         scheme = _CylinderScheme(lmap, horseshoe, depth)

@@ -155,13 +155,14 @@ class SectionGridPotential:
             self.xs.size, self.ys.size, self.lipschitz)
 
     def value(self, x, y=0.0):
-        xa = np.clip(_as_array(x), self.xs[0], self.xs[-1])
-        ya = np.clip(_as_array(y), self.ys[0], self.ys[-1])
+        # minimum(maximum()) is np.clip's arithmetic without its wrapper
+        xa = np.minimum(np.maximum(_as_array(x), self.xs[0]), self.xs[-1])
+        ya = np.minimum(np.maximum(_as_array(y), self.ys[0]), self.ys[-1])
         xa, ya = np.broadcast_arrays(xa, ya)
-        i = np.clip(np.searchsorted(self.xs, xa, side="right") - 1,
-                    0, self.xs.size - 2)
-        j = np.clip(np.searchsorted(self.ys, ya, side="right") - 1,
-                    0, self.ys.size - 2)
+        i = np.minimum(np.maximum(self.xs.searchsorted(xa, side="right") - 1,
+                                  0), self.xs.size - 2)
+        j = np.minimum(np.maximum(self.ys.searchsorted(ya, side="right") - 1,
+                                  0), self.ys.size - 2)
         tx = (xa - self.xs[i]) / (self.xs[i + 1] - self.xs[i])
         ty = (ya - self.ys[j]) / (self.ys[j + 1] - self.ys[j])
         v00 = self.values[i, j]

@@ -11,12 +11,17 @@ All Perron eigendata come from one power solver, `_weighted_power`. The
 transfer estimator asks it for the right side only; an equilibrium state
 asks for the right vector h and the left vector g in the same loop, both
 stopped by Collatz-Wielandt brackets, and its stationary vector is g*h.
-On graphs that may be periodic (the components of an equilibrium state,
-the per-component fallback of the transfer estimator) the solver
-iterates M + s*I with s half its current estimate of the Perron root
-lambda, so the convergence rate does not depend on how small the
-max-normalized weights make lambda, and since lambda <= 2 the bracket is
-never looser than with a fixed s = 1.
+A step is one weighted gather of the at most two neighbours of every
+entry, added to s*v row by row, one reduction each for the maxima, the
+positivity test and the two bracket ends, and a stopping rule on the
+Python floats of those ends: bit for bit the earlier loop, which
+`tests/test_pressure.py` keeps as its oracle. On graphs that may be
+periodic (the components of an equilibrium state, the per-component
+fallback of the transfer estimator) the solver iterates M + s*I with s
+half its current estimate of the Perron root lambda, so the convergence
+rate does not depend on how small the max-normalized weights make
+lambda, and since lambda <= 2 the bracket is never looser than with a
+fixed s = 1.
 
 Equilibrium states are memoized. A solve depends on the horseshoe and
 the log weights lw = t*phi(midpoints) alone, so `equilibrium_measure`
@@ -172,8 +177,12 @@ def _weighted_power(succ, log_weights, shift=False, left=False, tol=1e-12,
     arbitrarily large log weights stay finite. Both sides start at all
     ones and advance in one loop: the rows of the stacked vector [h, g]
     gather their at most two successors (right side) or predecessors
-    (left side) with one `take`. The loop stops when the Collatz-Wielandt
-    bracket of every side is within `tol`, relative to max(1, its top).
+    (left side) with one `take` into a (2, sides*n) table, scaled by the
+    edge weights in place and added to s*v one row at a time. The loop
+    stops when the Collatz-Wielandt bracket of every side, compared as
+    Python floats, is within `tol`, relative to max(1, its top). Every
+    float and iteration count is that of the earlier loop (a product and
+    a sum per row, ndarray min/max), bit for bit.
 
     Without `shift` the loop iterates M itself. With `shift` it iterates
     M + s*I, which converges on periodic components too: s starts at 1
@@ -209,26 +218,31 @@ def _weighted_power(succ, log_weights, shift=False, left=False, tol=1e-12,
     lam = 0.0
     converged = False
     iterations = 0
+    maximum, minimum = np.maximum.reduce, np.minimum.reduce
     for iterations in range(1, max_iter + 1):
         flat = v.reshape(-1)
+        gathered = flat.take(idx)
+        gathered *= coef
         y = s * flat
-        for coef_k, gathered in zip(coef, flat.take(idx)):
-            y += coef_k * gathered
+        y += gathered[0]
+        y += gathered[1]
         y = y.reshape(sides, n)
-        top = y.max(axis=1)
+        top = maximum(y, axis=1)
         if top[0] <= 0.0:
             return -math.inf, v[0], None, iterations, True
         # Collatz-Wielandt: for positive v the quotients y/v bracket the
         # Perron root, so the gap between their extremes is a stopping
         # rule that cannot fire early (the raw eigenvalue estimate can
         # stall at the maximal out-degree for many iterations); minus s,
-        # the quotients bracket the root of M itself
-        if (v > 0.0).all():
+        # the quotients bracket the root of M itself. v >= 0 always, so
+        # its least entry decides positivity (a NaN fails the test)
+        if minimum(flat) > 0.0:
             quot = y / v
-            lo_q = quot.min(axis=1)
-            hi_q = quot.max(axis=1)
+            lo_q = minimum(quot, axis=1).tolist()
+            hi_q = maximum(quot, axis=1).tolist()
             lam = 0.5 * (lo_q[0] + hi_q[0]) - s
-            if (hi_q - lo_q <= tol * np.maximum(1.0, hi_q)).all():
+            if all(hi - lo <= tol * max(1.0, hi)
+                   for lo, hi in zip(lo_q, hi_q)):
                 converged = True
                 v = y / top[:, None]
                 break

@@ -603,14 +603,13 @@ def enumerate_periodic(lmap, n_max):
 class SFTHorseshoe:
     """Subshift of finite type over depth-m cylinder words away from x = 0.
 
-    vertices are admissible depth-m words, as strings in lexicographic
-    order; an edge u -> v exists iff v is the shift successor u[1:] + s
-    and the joined word u + s is admissible. Successors are stored as two
-    index arrays (one per appended symbol), -1 meaning no edge;
-    adjacency_matrix() materializes the 0/1 matrix. `build_horseshoe`
-    finds the edges on word codes and passes the vertices as their
-    codes, which are decoded to strings on the first use of `vertices`
-    (graph work such as the SCC decomposition needs none). The
+    vertices are admissible depth-m words, held as their uint64 codes
+    (`codes`, see `encode_words`); an edge u -> v exists iff v is the
+    shift successor u[1:] + s and the joined word u + s is admissible.
+    Successors are stored as two index arrays (one per appended symbol),
+    -1 meaning no edge; adjacency_matrix() materializes the 0/1 matrix.
+    The words are decoded to strings on the first use of `vertices`
+    (graph work, cylinder schemes and their cache keys need none). The
     arrays are read-only, since horseshoes are shared through the
     per-model store; the word-to-index map behind `index()` is built on
     its first call. `equilibria` is the memo of solved equilibrium states
@@ -618,26 +617,39 @@ class SFTHorseshoe:
     the bytes of their log-weight vector, so it lives and dies with it.
     """
 
-    def __init__(self, depth, vertices, succ_by_symbol, x_gap, cyl_lo, cyl_hi):
+    def __init__(self, depth, codes, succ_by_symbol, x_gap, cyl_lo, cyl_hi):
         self.depth = depth
-        # the words, or a uint64 array of their codes (see encode_words)
-        self._vertices = (vertices if isinstance(vertices, np.ndarray)
-                          else tuple(vertices))
+        self.codes = np.asarray(codes, dtype=np.uint64)
         self.succ = {s: np.asarray(a, dtype=np.int64) for s, a in succ_by_symbol.items()}
         self.x_gap = float(x_gap)
         self.cyl_lo = np.asarray(cyl_lo, dtype=float)
         self.cyl_hi = np.asarray(cyl_hi, dtype=float)
-        for arr in (*self.succ.values(), self.cyl_lo, self.cyl_hi):
+        for arr in (self.codes, *self.succ.values(), self.cyl_lo, self.cyl_hi):
             arr.flags.writeable = False
+        self._vertices = None
+        self._structure = None
         self._index = None
         self._cyclic = None
         self.equilibria = {}
 
     @property
     def vertices(self):
-        if isinstance(self._vertices, np.ndarray):
-            self._vertices = tuple(decode_words(self._vertices, self.depth))
+        if self._vertices is None:
+            self._vertices = tuple(decode_words(self.codes, self.depth))
         return self._vertices
+
+    @property
+    def structure(self):
+        """(depth, vertex codes, successor arrays), the arrays as bytes.
+
+        Horseshoes of equal word structure have equal structures, so it
+        keys caches (see `measures._scheme`); it is built on first use
+        and kept, so a lookup hashes bytes whose hashes are stored.
+        """
+        if self._structure is None:
+            self._structure = (self.depth, self.codes.tobytes(),
+                               *(self.succ[s].tobytes() for s in ALPHABET))
+        return self._structure
 
     @property
     def n_vertices(self):
@@ -712,6 +724,8 @@ class SFTHorseshoe:
         n = len(vertices)
         if adjacency.shape != (n, n):
             raise PreconditionError("adjacency shape mismatch")
+        if any(len(w) != depth for w in vertices):
+            raise PreconditionError("vertices must be depth-%d words" % depth)
         succ = {s: np.full(n, -1, dtype=np.int64) for s in ALPHABET}
         index = {w: k for k, w in enumerate(vertices)}
         for i, u in enumerate(vertices):
@@ -723,7 +737,7 @@ class SFTHorseshoe:
                         "edge %r -> %r is not shift-compatible" % (u, v))
                 succ[v[-1]][i] = index[v]
         cyls = [cylinder_interval(lmap, w) for w in vertices]
-        return cls(depth, vertices, succ,
+        return cls(depth, encode_words(vertices), succ,
                    x_gap, [c.lo for c in cyls], [c.hi for c in cyls])
 
 
@@ -886,7 +900,7 @@ def restrict_horseshoe(horseshoe, indices):
     # maps a missing successor (-1) to -1
     remap = np.full(horseshoe.n_vertices + 1, -1, dtype=np.int64)
     remap[indices] = np.arange(len(indices), dtype=np.int64)
-    vertices = [horseshoe.vertices[i] for i in indices]
     succ = {s: remap[horseshoe.succ[s][indices]] for s in ALPHABET}
-    return SFTHorseshoe(horseshoe.depth, vertices, succ, horseshoe.x_gap,
+    return SFTHorseshoe(horseshoe.depth, horseshoe.codes[indices], succ,
+                        horseshoe.x_gap,
                         horseshoe.cyl_lo[indices], horseshoe.cyl_hi[indices])

@@ -422,3 +422,58 @@ def test_scheme_cache_keys_on_the_map(monkeypatch, lmap):
     assert not np.array_equal(a.lo, b.lo)
     ref = np.array([_scalar_scheme_interval(other, w) for w in b.words])
     assert np.array_equal(b.lo, ref[:, 0])
+
+
+def _reference_scheme_paths(horseshoe, depth):
+    """(words, start, steps_v, steps_s): the scheme's paths as first built,
+    by string concatenation and one (vertex, symbol) column pair per
+    extension."""
+    n = horseshoe.n_vertices
+    start = np.arange(n, dtype=np.int64)
+    cur = start.copy()
+    words = list(horseshoe.vertices)
+    steps_v = np.zeros((n, 0), dtype=np.int64)
+    steps_s = np.zeros((n, 0), dtype=np.int64)
+    for _ in range(depth - horseshoe.depth):
+        pieces = []
+        for s_idx, s in enumerate(("L", "R")):
+            nxt = horseshoe.succ[s][cur]
+            ok = np.nonzero(nxt >= 0)[0]
+            pieces.append((s_idx, s, ok, nxt[ok]))
+        new_words = []
+        idx_all = []
+        for s_idx, s, ok, _ in pieces:
+            new_words.extend(words[i] + s for i in ok)
+            idx_all.append(ok)
+        idx = np.concatenate(idx_all)
+        sym = np.concatenate([np.full(len(ok), s_idx, dtype=np.int64)
+                              for s_idx, _, ok, _ in pieces])
+        steps_v = np.hstack([steps_v[idx], cur[idx][:, None]])
+        steps_s = np.hstack([steps_s[idx], sym[:, None]])
+        start = start[idx]
+        cur = np.concatenate([nx for _, _, _, nx in pieces])
+        words = new_words
+    return words, start, steps_v, steps_s
+
+
+@pytest.mark.parametrize("alpha, beta, x_gap, t, depths", [
+    # the replay scheme of a realization at beta = 1.7
+    (1.0, 1.7, 0.05, -1.5, (12, 13, 20)),
+    (0.8, 1.99, 0.002, 2.0, (12, 15)),
+])
+def test_scheme_paths_match_string_construction(alpha, beta, x_gap, t,
+                                                depths):
+    lm = LorenzMap1D(alpha, beta)
+    mu = equilibrium_measure(lm, build_horseshoe(lm, 12, x_gap),
+                             CoordinatePotential(), t=t)
+    for depth in depths:
+        scheme = measures._CylinderScheme(lm, mu.horseshoe, depth)
+        words, start, steps_v, steps_s = _reference_scheme_paths(
+            mu.horseshoe, depth)
+        assert scheme.words == words
+        assert np.array_equal(scheme.start, start)
+        assert np.array_equal(scheme.steps, 2 * steps_v + steps_s)
+        want = mu.stationary[start]
+        if steps_v.shape[1]:
+            want = want * np.prod(mu.probs[steps_v, steps_s], axis=1)
+        assert np.array_equal(scheme.masses(mu.stationary, mu.probs), want)

@@ -605,3 +605,108 @@ def test_memo_is_bounded_and_evicted_with_its_model(fresh_model_cache,
     gc.collect()
     assert gone() is None
     assert not build_horseshoe(lmap, 4, 0.002).equilibria
+
+
+# ---------------------------------------------------------------------------
+# the Perron step against the loop it replaced
+
+def _reference_weighted_power(succ, log_weights, shift=False, left=False,
+                              tol=1e-12, max_iter=20000):
+    """The power loop as first written, with ndarray reductions on the
+    (sides,) brackets: `_weighted_power` must return its results bit for
+    bit, since it does the same arithmetic in the same order."""
+    lw = np.asarray(log_weights, dtype=float)
+    n = lw.size
+    c = float(np.max(lw)) if n else 0.0
+    w = np.exp(lw - c)
+    nxt = np.stack([succ[s] for s in symbolic.ALPHABET])
+    idx = [np.where(nxt >= 0, nxt, 0)]
+    coef = [np.where(nxt >= 0, w[nxt], 0.0)]
+    if left:
+        prev = pressure._predecessors(succ, n)
+        idx.append(np.where(prev >= 0, prev + n, 0))
+        coef.append(np.where(prev >= 0, w, 0.0))
+    idx = np.concatenate(idx, axis=1)
+    coef = np.concatenate(coef, axis=1)
+    sides = 2 if left else 1
+    v = np.ones((sides, n))
+    s = 1.0 if shift else 0.0
+    lam = 0.0
+    converged = False
+    iterations = 0
+    for iterations in range(1, max_iter + 1):
+        flat = v.reshape(-1)
+        y = s * flat
+        for coef_k, gathered in zip(coef, flat.take(idx)):
+            y += coef_k * gathered
+        y = y.reshape(sides, n)
+        top = y.max(axis=1)
+        if top[0] <= 0.0:
+            return -math.inf, v[0], None, iterations, True
+        if (v > 0.0).all():
+            quot = y / v
+            lo_q = quot.min(axis=1)
+            hi_q = quot.max(axis=1)
+            lam = 0.5 * (lo_q[0] + hi_q[0]) - s
+            if (hi_q - lo_q <= tol * np.maximum(1.0, hi_q)).all():
+                converged = True
+                v = y / top[:, None]
+                break
+        else:
+            lam = top[0] - s
+        v = y / top[:, None]
+        if shift and lam > 0.0:
+            s = 0.5 * lam
+    g = v[1] if left else None
+    if lam <= 0.0:
+        return -math.inf, v[0], g, iterations, converged
+    return math.log(lam) + c, v[0], g, iterations, converged
+
+
+def _assert_same_solve(got, want):
+    assert got[0] == want[0]
+    assert np.array_equal(got[1], want[1])
+    assert (got[2] is None) == (want[2] is None)
+    if want[2] is not None:
+        assert np.array_equal(got[2], want[2])
+    assert got[3:] == want[3:]
+
+
+def _oracle_cases():
+    """(succ, log weights, keyword arguments) of the solves to compare."""
+    coord = CoordinatePotential()
+    cases = []
+    # transfer solves: one side, no shift, on the full shift of each model
+    for alpha, beta in ((1.0, 1.7), (1.0, 1.95), (0.8, 1.99)):
+        sft = build_horseshoe(LorenzMap1D(alpha, beta), 10, 0.0)
+        cases.append((sft.succ, coord.value(sft.midpoints), {}))
+    # equilibrium components: both sides, shifted
+    hs = build_horseshoe(LorenzMap1D(1.0, 1.7), 12, 0.002)
+    for t in (-6.0, -3.7, 0.0, 1.0, 2.0):
+        lw = t * coord.value(hs.midpoints) + 0.0
+        for comp, sub in hs.cyclic_components():
+            cases.append((sub.succ, lw[comp], {"shift": True, "left": True}))
+    # the 2-cycle LR <-> RL (eigenvalues +lambda and -lambda)
+    two = {"L": np.array([-1, 1]), "R": np.array([0, -1])}
+    cases.append((two, np.array([0.3, -0.8]), {"shift": True, "left": True}))
+    # a run stopped by max_iter, unconverged
+    cases.append((hs.succ, coord.value(hs.midpoints), {"max_iter": 3}))
+    cases.append((hs.succ, coord.value(hs.midpoints),
+                  {"shift": True, "left": True, "max_iter": 5}))
+    # no edges: the first step's top is 0, the early return
+    none = {"L": np.array([-1, -1]), "R": np.array([-1, -1])}
+    cases.append((none, np.zeros(2), {}))
+    cases.append((none, np.zeros(2), {"left": True}))
+    return cases
+
+
+def test_weighted_power_matches_reference_loop():
+    cases = _oracle_cases()
+    unconverged = early = 0
+    for succ, lw, kwargs in cases:
+        got = pressure._weighted_power(succ, lw, **kwargs)
+        want = _reference_weighted_power(succ, lw, **kwargs)
+        _assert_same_solve(got, want)
+        unconverged += not want[4]
+        early += want[0] == -math.inf and want[3] == 1
+    assert unconverged >= 2 and early == 2

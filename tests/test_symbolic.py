@@ -739,12 +739,12 @@ def test_enumerate_periodic_serves_shorter_requests(monkeypatch,
 def test_cached_horseshoe_is_read_only(fresh_model_cache, lmap):
     hs = build_horseshoe(lmap, 8, 0.002)
     assert build_horseshoe(lmap, 8, 0.002) is hs
-    for arr in (hs.succ["L"], hs.succ["R"], hs.cyl_lo, hs.cyl_hi):
+    for arr in (hs.codes, hs.succ["L"], hs.succ["R"], hs.cyl_lo, hs.cyl_hi):
         with pytest.raises(ValueError):
             arr[0] = arr[1]
     # vertex strings and the index are made on first use only
     strongly_connected_components(hs)
-    assert isinstance(hs._vertices, np.ndarray) and hs._index is None
+    assert hs._vertices is None and hs._index is None
     assert len(hs.vertices) == hs.n_vertices
     assert list(hs.vertices) == sorted(set(hs.vertices)
                                        & set(admissible_words(lmap, 8)))
