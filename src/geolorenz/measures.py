@@ -377,9 +377,11 @@ def _integrate_each(integrands, measures, depth):
             vals = np.asarray(integrand.value(scheme.mid,
                                               np.zeros(scheme.mid.shape)))
             errs = midpoint_error_many(integrand, scheme.lo, scheme.hi)
+            # np.add.reduce sums pairwise in a fixed order; a BLAS dot
+            # splits long vectors by thread count, and its last bits with them
             for i, mass in block:
-                value[i] = float(mass @ vals)
-                bound[i] = float(mass @ errs)
+                value[i] = float(np.add.reduce(mass * vals))
+                bound[i] = float(np.add.reduce(mass * errs))
         for i, leaf in shallow:
             value[i], bound[i] = _integrate_shallow(integrand, leaf, depth)
         if plain:

@@ -1,6 +1,9 @@
 """Measure representations, entropy, integration, suspension, distance."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -477,3 +480,33 @@ def test_scheme_paths_match_string_construction(alpha, beta, x_gap, t,
         if steps_v.shape[1]:
             want = want * np.prod(mu.probs[steps_v, steps_s], axis=1)
         assert np.array_equal(scheme.masses(mu.stationary, mu.probs), want)
+
+
+_THREADS_PROBE = """
+import geolorenz as gl
+lm = gl.LorenzMap1D(1.0, 1.7)
+phi = gl.parse_potential_spec("coord:x")
+mu = gl.equilibrium_measure(lm, gl.build_horseshoe(lm, 12, 0.05), phi, t=-1.0)
+value, bound = gl.integrate_map(phi, mu, 20)
+print(len(gl.measures._scheme(lm, mu.horseshoe, 20).start),
+      value.hex(), bound.hex())
+"""
+
+
+def test_markov_integral_independent_of_blas_threads():
+    # the depth-20 scheme has 19,968 paths, long enough that a BLAS dot
+    # would split the sum across threads
+    import geolorenz
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(
+        geolorenz.__file__)))
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       [root, os.environ.get("PYTHONPATH", "")]))
+        outs.append(subprocess.run(
+            [sys.executable, "-c", _THREADS_PROBE], env=env, check=True,
+            capture_output=True, text=True, timeout=300).stdout)
+    assert outs[0].split()[0] == "19968"
+    assert outs[0] == outs[1]

@@ -316,8 +316,8 @@ def _member_integral(integrand, m, depth=12):
         return value
     scheme = measures._scheme(m.lmap, m.horseshoe, depth)
     mass = scheme.masses(m.stationary, m.probs)
-    return float(mass @ np.asarray(integrand.value(
-        scheme.mid, np.zeros_like(scheme.mid))))
+    return float(np.add.reduce(mass * np.asarray(integrand.value(
+        scheme.mid, np.zeros_like(scheme.mid)))))
 
 
 def _member_flow(m, phi, roof, b):
