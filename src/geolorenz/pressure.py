@@ -52,6 +52,8 @@ from .symbolic import ALPHABET, build_horseshoe
 MAX_TRANSFER_DEPTH = 14
 # solved equilibrium states kept per horseshoe (see equilibrium_measure)
 EQUILIBRIUM_MEMO_LIMIT = 64
+# Perron steps per Collatz-Wielandt check (see _weighted_power)
+CERTIFY_EVERY = 16
 
 
 class PressureEstimate:
@@ -167,42 +169,16 @@ def _predecessors(succ, n):
     return prev
 
 
-def _weighted_power(succ, log_weights, shift=False, left=False, tol=1e-12,
+def _weighted_power(succ, log_weights, left=False, tol=1e-12,
                     max_iter=20000):
     """Perron root of M[u][v] = A(u,v) * e^(lw[v]) and its vectors.
 
-    Returns (log lambda, h, g, iterations, converged): log of the Perron
-    root of M, the right vector h and, with `left`, the left vector g
-    (None otherwise), each sup-normalized. Weights enter max-shifted so
-    arbitrarily large log weights stay finite. Both sides start at all
-    ones and advance in one loop: the rows of the stacked vector [h, g]
-    gather their at most two successors (right side) or predecessors
-    (left side) with one `take` into a (2, sides*n) table, scaled by the
-    edge weights in place and added to s*v one row at a time. The loop
-    stops when the Collatz-Wielandt bracket of every side, compared as
-    Python floats, is within `tol`, relative to max(1, its top). Every
-    float and iteration count is that of the earlier loop (a product and
-    a sum per row, ndarray min/max), bit for bit.
-
-    Without `shift` the loop iterates M itself. With `shift` it iterates
-    M + s*I, which converges on periodic components too: s starts at 1
-    and is then half the current estimate of lambda (the midpoint of the
-    bracket minus s). The peripheral eigenvalues lambda*e^(2 pi i k/p) of
-    a period-p component then have modulus |e^(2 pi i k/p) + 1/2| / (3/2)
-    < 1 relative to lambda + s (1/3 at period 2) whatever the scale of
-    the weights, where a fixed s = 1 makes that ratio tend to 1 as the
-    max-normalized lambda gets small. Every entry of M is at most 1 and
-    every row has at most two, so lambda <= 2: the shifted top
-    3*lambda/2 never exceeds 1 + lambda, and the bracket is never looser
-    than with s = 1.
+    (intermediate: blocks of CERTIFY_EVERY steps, certified step first)
     """
     lw = np.asarray(log_weights, dtype=float)
     n = lw.size
     c = float(np.max(lw)) if n else 0.0
     w = np.exp(lw - c)
-    # one row per symbol slot: the right side gathers the successors with
-    # their weights, the left side the predecessors with its own weight;
-    # an absent edge reads entry 0 with coefficient 0
     nxt = np.stack([succ[s] for s in ALPHABET])
     idx = [np.where(nxt >= 0, nxt, 0)]
     coef = [np.where(nxt >= 0, w[nxt], 0.0)]
@@ -214,12 +190,13 @@ def _weighted_power(succ, log_weights, shift=False, left=False, tol=1e-12,
     coef = np.concatenate(coef, axis=1)
     sides = 2 if left else 1
     v = np.ones((sides, n))
-    s = 1.0 if shift else 0.0
+    s = 1.0
     lam = 0.0
     converged = False
     iterations = 0
     maximum, minimum = np.maximum.reduce, np.minimum.reduce
-    for iterations in range(1, max_iter + 1):
+    while iterations < max_iter:
+        iterations += 1
         flat = v.reshape(-1)
         gathered = flat.take(idx)
         gathered *= coef
@@ -230,13 +207,8 @@ def _weighted_power(succ, log_weights, shift=False, left=False, tol=1e-12,
         top = maximum(y, axis=1)
         if top[0] <= 0.0:
             return -math.inf, v[0], None, iterations, True
-        # Collatz-Wielandt: for positive v the quotients y/v bracket the
-        # Perron root, so the gap between their extremes is a stopping
-        # rule that cannot fire early (the raw eigenvalue estimate can
-        # stall at the maximal out-degree for many iterations); minus s,
-        # the quotients bracket the root of M itself. v >= 0 always, so
-        # its least entry decides positivity (a NaN fails the test)
-        if minimum(flat) > 0.0:
+        positive = minimum(flat) > 0.0
+        if positive:
             quot = y / v
             lo_q = minimum(quot, axis=1).tolist()
             hi_q = maximum(quot, axis=1).tolist()
@@ -249,8 +221,24 @@ def _weighted_power(succ, log_weights, shift=False, left=False, tol=1e-12,
         else:
             lam = top[0] - s
         v = y / top[:, None]
-        if shift and lam > 0.0:
+        if lam > 0.0:
             s = 0.5 * lam
+        if not positive:
+            continue
+        run = min(CERTIFY_EVERY - 1, max_iter - iterations)
+        scale = lam + s
+        step = coef / scale
+        r = s / scale
+        for _ in range(run):
+            flat = v.reshape(-1)
+            gathered = flat.take(idx)
+            gathered *= step
+            y = r * flat
+            y += gathered[0]
+            y += gathered[1]
+            v = y.reshape(sides, n)
+        iterations += run
+    v = v / maximum(v, axis=1)[:, None]
     g = v[1] if left else None
     if lam <= 0.0:
         return -math.inf, v[0], g, iterations, converged
@@ -272,7 +260,7 @@ def pressure_transfer(lmap, potential, depth=12):
     if not converged:
         # reducible (or periodic) word graph: score each strongly
         # connected component that carries a cycle and keep the best
-        value = max((_weighted_power(sub.succ, lw[comp], shift=True)[0]
+        value = max((_weighted_power(sub.succ, lw[comp])[0]
                      for comp, sub in sft.cyclic_components()),
                     default=-math.inf)
         params["fallback"] = "per-component"
@@ -433,7 +421,7 @@ def _solve_equilibrium(horseshoe, lw):
     best = None
     for comp, sub in horseshoe.cyclic_components():
         val, h, g, iterations, converged = _weighted_power(
-            sub.succ, lw[comp], shift=True, left=True)
+            sub.succ, lw[comp], left=True)
         if not converged:
             raise PreconditionError(
                 "Perron iteration on a %d-vertex component did not converge "

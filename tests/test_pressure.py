@@ -424,8 +424,8 @@ def test_equilibrium_rejects_unconverged_left_vector(monkeypatch, lmap):
                                rtol=0.0, atol=1e-12)
     real = pressure._weighted_power
     lw = pot.value(hs.midpoints)
-    assert real(hs.succ, lw, shift=True, max_iter=1)[4]
-    assert not real(hs.succ, lw, shift=True, left=True, max_iter=1)[4]
+    assert real(hs.succ, lw, max_iter=1)[4]
+    assert not real(hs.succ, lw, left=True, max_iter=1)[4]
     monkeypatch.setattr(pressure, "_weighted_power",
                         functools.partial(real, max_iter=1))
     with pytest.raises(PreconditionError, match="in 1 iterations"):
@@ -441,7 +441,7 @@ def test_shifted_power_on_period_three_cycle():
     succ = {"L": np.array([-1, 2, 0]), "R": np.array([1, -1, -1])}
     lw = np.array([0.0, -5.0, 3.0])
     value, h, g, iterations, converged = pressure._weighted_power(
-        succ, lw, shift=True, left=True)
+        succ, lw, left=True)
     assert converged
     assert iterations <= 100
     assert value == pytest.approx(-2.0 / 3.0, rel=0.0, abs=1e-12)
@@ -458,7 +458,7 @@ def test_perron_root_at_strong_negative_tilt(lmap, horseshoe12, coord):
     # dense spectral radius of the whole weighted matrix, in few iterations
     t = -6.0
     lw = t * coord.value(horseshoe12.midpoints)
-    solves = [pressure._weighted_power(sub.succ, lw[comp], shift=True,
+    solves = [pressure._weighted_power(sub.succ, lw[comp],
                                        left=True)
               for comp, sub in horseshoe12.cyclic_components()]
     assert all(s[4] for s in solves)
@@ -700,13 +700,16 @@ def _oracle_cases():
     return cases
 
 
-def test_weighted_power_matches_reference_loop():
+def test_weighted_power_matches_reference_loop(monkeypatch):
+    # one step per block: every step is certified, as in the reference
+    # loop with its shift on
+    monkeypatch.setattr(pressure, "CERTIFY_EVERY", 1)
     cases = _oracle_cases()
-    unconverged = early = 0
+    unconverged = 0
     for succ, lw, kwargs in cases:
+        kwargs = {k: v for k, v in kwargs.items() if k != "shift"}
         got = pressure._weighted_power(succ, lw, **kwargs)
-        want = _reference_weighted_power(succ, lw, **kwargs)
+        want = _reference_weighted_power(succ, lw, shift=True, **kwargs)
         _assert_same_solve(got, want)
         unconverged += not want[4]
-        early += want[0] == -math.inf and want[3] == 1
-    assert unconverged == 2 and early == 2
+    assert unconverged == 2
