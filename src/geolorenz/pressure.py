@@ -9,34 +9,31 @@ reported slack is surfaced, never hidden.
 
 All Perron eigendata come from one power solver, `_weighted_power`. The
 transfer estimator asks it for the right side only; an equilibrium state
-asks for the right vector h and the left vector g in the same loop, both
-stopped by Collatz-Wielandt brackets, and its stationary vector is g*h.
-A step is one weighted gather of the at most two neighbours of every
-entry, added to s*v row by row, one reduction each for the maxima, the
-positivity test and the two bracket ends, and a stopping rule on the
-Python floats of those ends: bit for bit the earlier loop, which
-`tests/test_pressure.py` keeps as its oracle. On graphs that may be
-periodic (the components of an equilibrium state, the per-component
-fallback of the transfer estimator) the solver iterates M + s*I with s
-half its current estimate of the Perron root lambda, so the convergence
-rate does not depend on how small the max-normalized weights make
-lambda, and since lambda <= 2 the bracket is never looser than with a
-fixed s = 1.
+asks for the right vector h and the left vector g in the same loop, and
+its stationary vector is g*h. Every solve iterates M + s*I with s half
+the current estimate of the Perron root lambda, so periodic components
+converge at a rate that does not depend on how small the max-normalized
+weights make lambda. The loop runs in blocks of CERTIFY_EVERY steps: one
+certified step reads the Collatz-Wielandt bracket from M's own quotients
+and stops when it is within 1e-12 relative to its top, then plain steps
+of (M + s*I)/scale take no reduction at all. A bracket that holds
+relative to lambda keeps log lambda at the dense root for any tilt.
 
 Equilibrium states are memoized. A solve depends on the horseshoe and
 the log weights lw = t*phi(midpoints) alone, so `equilibrium_measure`
-keeps its result (winning sub-SFT, transition table, stationary vector)
-in the horseshoe's `equilibria` dict, keyed on the bytes of lw + 0.0
-(so -0.0 and +0.0 are one key, and t = 0 is one state for every
-potential). The memo holds at most EQUILIBRIUM_MEMO_LIMIT + 1 entries:
+keeps its result, the validated `MarkovMeasure` on the winning sub-SFT
+with every array read-only, in the horseshoe's `equilibria` dict, keyed
+on the bytes of lw + 0.0 (so -0.0 and +0.0 are one key, and t = 0 is one
+state for every potential). The memo holds at most EQUILIBRIUM_MEMO_LIMIT + 1 entries:
 it is emptied when it grows past the limit, and it is freed with its
 horseshoe when the per-model store evicts the model. Equal keys mean
 equal inputs to the same deterministic solve, so a hit is bit for bit
 the cold result and nothing depends on call history; only converged
-solves are kept, and each call builds and validates a fresh
-`MarkovMeasure`.
+solves are kept. Every call hands out a shallow copy of the kept measure
+with its own label, so nothing is validated twice and no label leaks.
 """
 
+import copy
 import math
 
 import numpy as np
@@ -173,12 +170,56 @@ def _weighted_power(succ, log_weights, left=False, tol=1e-12,
                     max_iter=20000):
     """Perron root of M[u][v] = A(u,v) * e^(lw[v]) and its vectors.
 
-    (intermediate: blocks of CERTIFY_EVERY steps, certified step first)
+    Returns (log lambda, h, g, iterations, converged): log of the Perron
+    root of M, the right vector h and, with `left`, the left vector g
+    (None otherwise), each sup-normalized. Weights enter max-shifted, so
+    every entry of M is at most 1 and arbitrarily large log weights stay
+    finite. Both sides start at all ones and advance together: the rows
+    of the stacked vector [h, g] gather their at most two successors
+    (right side) or predecessors (left side) with one `take` into a
+    (2, sides*n) table, scaled by the edge weights in place.
+
+    Every solve iterates M + s*I, with one shift per side: s is half the
+    side's latest estimate of lambda (1 until it has one). The
+    peripheral eigenvalues lambda*e^(2 pi i k/p) of a period-p component
+    then have modulus |e^(2 pi i k/p) + 1/2| / (3/2) < 1 relative to
+    lambda + s (1/3 at period 2) whatever the scale of the weights, so the
+    loop converges on periodic components too.
+
+    The loop runs in blocks of CERTIFY_EVERY steps. A block starts with a
+    certified step: it sup-normalizes v, takes one step Mv with the
+    unscaled weights, and reads the Collatz-Wielandt bracket
+    [min (Mv)/v, max (Mv)/v] of each side from M's own quotients, before
+    s*v is added. The loop stops when every side's bracket is within
+    `tol` relative to its top, hi - lo <= tol*hi, which holds however
+    small lambda is. Otherwise the step sets s = lambda_hat/2 for the
+    midpoint lambda_hat of the bracket and scale = lambda_hat + s, and
+    the rest of the block is plain steps v <- (M + s*I) v / scale: one
+    `take` of three rows (the two neighbours and the entry itself), one
+    multiply by the table of the weights and of s, divided by scale once
+    per block, and two adds, with no reduction. This is sound because:
+
+    - plain steps never widen the bracket: B = M + s*I >= 0 commutes with
+      M, so max (MBx)/(Bx) <= max (Mx)/x and min (MBx)/(Bx) >= min (Mx)/x
+      for positive x. Skipping checks can delay the stop by at most a
+      block; it can never stop early;
+    - a plain step multiplies each entry of a positive v by a factor in
+      [s/scale, (hi + s)/scale] = [1/3, 5/3] (hi <= 2*lambda_hat), so a
+      block's growth lies in [3^-15, (5/3)^15] and cannot under- or
+      overflow for any tilt. A v with a zero entry (an underflowed
+      weight) has no bracket and no such bound: it is certified at every
+      step and never reports convergence;
+    - the first step of a solve is certified, so a graph with no edges
+      (Mv = 0, the bracket [0, 0]) returns -inf, converged, at
+      iteration 1, and a run stops at exactly `max_iter` steps.
     """
     lw = np.asarray(log_weights, dtype=float)
     n = lw.size
     c = float(np.max(lw)) if n else 0.0
     w = np.exp(lw - c)
+    # one row per symbol slot: the right side gathers the successors with
+    # their weights, the left side the predecessors with its own weight;
+    # an absent edge reads entry 0 with coefficient 0
     nxt = np.stack([succ[s] for s in ALPHABET])
     idx = [np.where(nxt >= 0, nxt, 0)]
     coef = [np.where(nxt >= 0, w[nxt], 0.0)]
@@ -186,67 +227,70 @@ def _weighted_power(succ, log_weights, left=False, tol=1e-12,
         prev = _predecessors(succ, n)
         idx.append(np.where(prev >= 0, prev + n, 0))
         coef.append(np.where(prev >= 0, w, 0.0))
-    idx = np.concatenate(idx, axis=1)
-    coef = np.concatenate(coef, axis=1)
     sides = 2 if left else 1
+    # plain steps gather a third row, each entry itself, for s*v
+    idx = np.vstack([np.concatenate(idx, axis=1), np.arange(sides * n)])
+    coef = np.concatenate(coef, axis=1)
+    step = np.empty((3, sides, n))
     v = np.ones((sides, n))
-    s = 1.0
-    lam = 0.0
+    s = np.ones((sides, 1))
+    est = np.zeros(sides)
     converged = False
     iterations = 0
     maximum, minimum = np.maximum.reduce, np.minimum.reduce
     while iterations < max_iter:
+        # the certified step
         iterations += 1
+        v /= maximum(v, axis=1, keepdims=True)
         flat = v.reshape(-1)
-        gathered = flat.take(idx)
+        gathered = flat.take(idx[:2])
         gathered *= coef
-        y = s * flat
-        y += gathered[0]
-        y += gathered[1]
-        y = y.reshape(sides, n)
-        top = maximum(y, axis=1)
-        if top[0] <= 0.0:
-            return -math.inf, v[0], None, iterations, True
-        positive = minimum(flat) > 0.0
-        if positive:
-            quot = y / v
-            lo_q = minimum(quot, axis=1).tolist()
-            hi_q = maximum(quot, axis=1).tolist()
-            lam = 0.5 * (lo_q[0] + hi_q[0]) - s
-            if all(hi - lo <= tol * max(1.0, hi)
-                   for lo, hi in zip(lo_q, hi_q)):
+        gathered[0] += gathered[1]
+        mv = gathered[0].reshape(sides, n)
+        run = 0
+        # v >= 0 always, so its least entry decides positivity (a NaN
+        # fails the test)
+        if minimum(flat) > 0.0:
+            quot = mv / v
+            lo, hi = minimum(quot, axis=1), maximum(quot, axis=1)
+            est = 0.5 * (lo + hi)
+            if (hi - lo <= tol * hi).all():
                 converged = True
-                v = y / top[:, None]
                 break
+            run = min(CERTIFY_EVERY - 1, max_iter - iterations)
         else:
-            lam = top[0] - s
-        v = y / top[:, None]
-        if lam > 0.0:
-            s = 0.5 * lam
-        if not positive:
-            continue
-        run = min(CERTIFY_EVERY - 1, max_iter - iterations)
-        scale = lam + s
-        step = coef / scale
-        r = s / scale
+            est = maximum(mv, axis=1)
+        s = np.where(est[:, None] > 0.0, 0.5 * est[:, None], s)
+        scale = est[:, None] + s
+        v = (mv + s * v) / scale
+        np.divide(coef.reshape(2, sides, n), scale, out=step[:2])
+        step[2] = s / scale
+        table = step.reshape(3, -1)
+        flat = v.reshape(-1)
         for _ in range(run):
-            flat = v.reshape(-1)
             gathered = flat.take(idx)
-            gathered *= step
-            y = r * flat
-            y += gathered[0]
-            y += gathered[1]
-            v = y.reshape(sides, n)
+            gathered *= table
+            flat = gathered[0]
+            flat += gathered[1]
+            flat += gathered[2]
+        v = flat.reshape(sides, n)
         iterations += run
-    v = v / maximum(v, axis=1)[:, None]
+    v = v / maximum(v, axis=1, keepdims=True)
     g = v[1] if left else None
-    if lam <= 0.0:
+    lam = float(est[0])
+    if not lam > 0.0:
         return -math.inf, v[0], g, iterations, converged
     return math.log(lam) + c, v[0], g, iterations, converged
 
 
 def pressure_transfer(lmap, potential, depth=12):
-    """Log leading eigenvalue of the weighted full shift (x_gap = 0)."""
+    """Log leading eigenvalue of the weighted full shift (x_gap = 0).
+
+    One `_weighted_power` solve brackets the Perron root within 1e-12
+    relative to its top. A word graph on which that bracket does not
+    close (a reducible graph) is scored per strongly connected
+    component that carries a cycle, and the best root is kept.
+    """
     if not 1 <= depth <= MAX_TRANSFER_DEPTH:
         raise PreconditionError(
             "transfer depth must lie in [1, %d], got %r"
@@ -371,15 +415,14 @@ def equilibrium_measure(lmap, horseshoe, potential, t=1.0, label=None):
 
     Perron eigendata of M[u][v] = A(u,v)*e^(t*phi(mid v)) stochasticized
     the standard way: P = D(Mh)^-1 M D(h), which is row-stochastic by
-    construction. One power solve (`_weighted_power` with `left` and
-    `shift`) gives the right vector h and the left vector g together,
-    both stopped by Collatz-Wielandt brackets, and the stationary vector
-    is g*h normalized, stationary for P to the solver tolerance. The
-    solve iterates M + s*I with s = lambda/2 from its second step, so on
+    construction. One power solve (`_weighted_power` with `left`) gives
+    the right vector h and the left vector g together, and the stationary
+    vector is g*h normalized, stationary for P to the solver tolerance.
+    The solve iterates M + s*I with s half its estimate of lambda, so on
     a component of period 2 the eigenvalue -lambda maps to the ratio 1/3
-    whatever the scale of the weights, and lambda is bracketed within
-    1e-12 * max(1, 3*lambda/2), never looser than with s = 1, since
-    lambda <= 2. The computation
+    whatever the scale of the weights, and it stops when the
+    Collatz-Wielandt brackets of M itself are within 1e-12 relative to
+    their tops, for any tilt t. The computation
     restricts to the strongly connected component with the largest Perron
     root, so the result is ergodic. The decomposition into cyclic
     components does not depend on t: it is computed once per horseshoe
@@ -392,9 +435,10 @@ def equilibrium_measure(lmap, horseshoe, potential, t=1.0, label=None):
     on nothing else: a hit is bit for bit the cold result, so results do
     not depend on call history. The memo keeps converged solves only, at
     most `EQUILIBRIUM_MEMO_LIMIT` + 1 (it is emptied past the limit), and
-    is freed with its horseshoe. Every call still builds and validates a
-    fresh `MarkovMeasure`, so a label set on one result never reaches
-    another.
+    is freed with its horseshoe. It keeps the `MarkovMeasure` validated
+    once, with read-only arrays; every call returns a shallow copy
+    carrying the caller's map and label, so a label set on one result
+    never reaches another.
     """
     mids = horseshoe.midpoints
     # + 0.0 turns -0.0 into +0.0, so 0*phi is one key for every potential
@@ -404,19 +448,21 @@ def equilibrium_measure(lmap, horseshoe, potential, t=1.0, label=None):
     memo = horseshoe.equilibria
     solved = memo.get(key)
     if solved is None:
-        solved = _solve_equilibrium(horseshoe, lw)
+        solved = _solve_equilibrium(lmap, horseshoe, lw)
         if len(memo) > EQUILIBRIUM_MEMO_LIMIT:
             memo.clear()
         memo[key] = solved
-    sub, probs, pi = solved
-    return MarkovMeasure(lmap, sub, probs, pi, label=label)
+    measure = copy.copy(solved)
+    measure.lmap = lmap
+    measure.label = label
+    return measure
 
 
-def _solve_equilibrium(horseshoe, lw):
-    """(sub-SFT, transition table, stationary vector) of the log weights lw.
+def _solve_equilibrium(lmap, horseshoe, lw):
+    """The validated `MarkovMeasure` of the log weights lw.
 
-    The arrays are read-only: they are shared by every measure built from
-    the memo entry that holds them.
+    Its arrays are read-only: they are shared by every copy handed out
+    from the memo entry that holds it.
     """
     best = None
     for comp, sub in horseshoe.cyclic_components():
@@ -441,6 +487,7 @@ def _solve_equilibrium(horseshoe, lw):
     probs /= probs.sum(axis=1)[:, None]
     pi = g * h
     pi /= pi.sum()
-    for arr in (probs, pi):
+    measure = MarkovMeasure(lmap, sub, probs, pi)
+    for arr in (measure.probs, measure.stationary):
         arr.flags.writeable = False
-    return sub, probs, pi
+    return measure
