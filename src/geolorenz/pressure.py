@@ -24,13 +24,14 @@ the log weights lw = t*phi(midpoints) alone, so `equilibrium_measure`
 keeps its result, the validated `MarkovMeasure` on the winning sub-SFT
 with every array read-only, in the horseshoe's `equilibria` dict, keyed
 on the bytes of lw + 0.0 (so -0.0 and +0.0 are one key, and t = 0 is one
-state for every potential). The memo holds at most EQUILIBRIUM_MEMO_LIMIT + 1 entries:
-it is emptied when it grows past the limit, and it is freed with its
-horseshoe when the per-model store evicts the model. Equal keys mean
-equal inputs to the same deterministic solve, so a hit is bit for bit
-the cold result and nothing depends on call history; only converged
-solves are kept. Every call hands out a shallow copy of the kept measure
-with its own label, so nothing is validated twice and no label leaks.
+state for every potential). The memo holds at most
+EQUILIBRIUM_MEMO_LIMIT + 1 entries: it is emptied when it grows past the
+limit, and it is freed with its horseshoe when the per-model store
+evicts the model. Equal keys mean equal inputs to the same
+deterministic solve, so a hit is bit for bit the cold result and nothing
+depends on call history; only converged solves are kept. Every call
+hands out a shallow copy of the kept measure with its own label, so
+nothing is validated twice and no label leaks.
 """
 
 import copy
@@ -422,9 +423,11 @@ def equilibrium_measure(lmap, horseshoe, potential, t=1.0, label=None):
     a component of period 2 the eigenvalue -lambda maps to the ratio 1/3
     whatever the scale of the weights, and it stops when the
     Collatz-Wielandt brackets of M itself are within 1e-12 relative to
-    their tops, for any tilt t. The computation
-    restricts to the strongly connected component with the largest Perron
-    root, so the result is ergodic. The decomposition into cyclic
+    their tops, for any tilt t. The computation restricts to the strongly
+    connected component with the largest Perron root, so the result is
+    ergodic. A weight that underflows after max-normalization can leave
+    no certifiable bracket; that solve does not converge and raises. The
+    decomposition into cyclic
     components does not depend on t: it is computed once per horseshoe
     object (`SFTHorseshoe.cyclic_components`), and every measure built on
     the same horseshoe shares the same restricted sub-SFT. A Perron solve

@@ -305,8 +305,8 @@ def test_catalogs_share_the_model_horseshoes(monkeypatch, fresh_model_cache,
 def test_transfer_fallback_scores_cyclic_components(monkeypatch, lmap):
     # on the hand-built graph of test_equilibrium_scores_self_loop_singleton
     # the 2-cycle {LR, RL} with weights 2, 2 beats the self-loop at RR
-    # with weight 1, so the unshifted iteration oscillates and the
-    # per-component fallback must find lambda = 2
+    # with weight 1, whose quotient stays at 1: the whole graph's bracket
+    # never closes, and the per-component fallback must find lambda = 2
     words = ("LL", "LR", "RL", "RR")
     adj = [[0, 1, 0, 0], [0, 0, 1, 1], [0, 1, 0, 0], [0, 0, 0, 1]]
     hs = SFTHorseshoe.from_adjacency(2, words, adj, lmap)
@@ -458,8 +458,7 @@ def test_perron_root_at_strong_negative_tilt(lmap, horseshoe12, coord):
     # dense spectral radius of the whole weighted matrix, in few iterations
     t = -6.0
     lw = t * coord.value(horseshoe12.midpoints)
-    solves = [pressure._weighted_power(sub.succ, lw[comp],
-                                       left=True)
+    solves = [pressure._weighted_power(sub.succ, lw[comp], left=True)
               for comp, sub in horseshoe12.cyclic_components()]
     assert all(s[4] for s in solves)
     assert max(s[3] for s in solves) <= 150
@@ -684,7 +683,7 @@ def _oracle_cases():
     cases.append((hs.succ, coord.value(hs.midpoints), {"max_iter": 3}))
     cases.append((hs.succ, coord.value(hs.midpoints),
                   {"left": True, "max_iter": 5}))
-    # no edges: the first step's top is 0, the early return
+    # no edges: the bracket of the first step is [0, 0]
     none = {"L": np.array([-1, -1]), "R": np.array([-1, -1])}
     cases.append((none, np.zeros(2), {}))
     cases.append((none, np.zeros(2), {"left": True}))
@@ -715,7 +714,7 @@ def test_weighted_power_matches_reference_loop(monkeypatch):
         got = pressure._weighted_power(succ, lw, **kwargs)
         assert got[4] == want[4]
         if not want[4]:
-            # stopped by max_iter, exactly, at any block length
+            # stopped by max_iter, exactly
             assert got[3] == want[3] == kwargs["max_iter"]
             unconverged += 1
             continue
@@ -772,7 +771,7 @@ def test_perron_root_of_two_cycle_at_tiny_lambda(lmap):
     # LR -> RL -> LR with log weights 0 and -700: lambda^2 = e^-700. The
     # absolute stop reported -28.77, converged
     two = {"L": np.array([1, -1]), "R": np.array([-1, 0])}
-    value, h, g, _, converged = pressure._weighted_power(
+    value, _, _, _, converged = pressure._weighted_power(
         two, np.array([0.0, -700.0]), left=True)
     assert converged
     assert value == pytest.approx(-350.0, rel=0.0, abs=1e-12)
