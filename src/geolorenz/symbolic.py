@@ -440,20 +440,34 @@ def admissible_words(lmap, depth):
 
 
 class PeriodicOrbitRecord:
-    """A located periodic point: primitive word, point, expansion multiplier."""
+    """A located periodic point: primitive word, point, expansion multiplier.
+
+    Records live in the model's store, so every atom on one orbit shares
+    one. A record caches model-only work: its orbit points, read-only,
+    and in `averages` the orbit average of each keyed integrand of
+    `measures.integrate_many` by its key (at most `measures.CACHE_LIMIT`
+    + 1 keys, emptied past that).
+    """
 
     def __init__(self, word, point, multiplier):
         self.word = word
         self.point = point
         self.multiplier = multiplier
+        self.averages = {}
+        self._points = None
 
     @property
     def period(self):
         return len(self.word)
 
     def orbit_points(self, lmap):
-        """The full orbit [x, f(x), ..., f^(p-1)(x)]."""
-        return lmap.iterate(self.point, self.period)
+        """The full orbit [x, f(x), ..., f^(p-1)(x)] of the record's model,
+        as a read-only array computed once."""
+        if self._points is None:
+            points = np.array(lmap.iterate(self.point, self.period))
+            points.flags.writeable = False
+            self._points = points
+        return self._points
 
     def __repr__(self):
         return "PeriodicOrbitRecord(%r, point=%.12g, multiplier=%.6g)" % (

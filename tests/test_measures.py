@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import types
 
 import numpy as np
 import pytest
@@ -213,6 +214,58 @@ def test_batched_suspension_equals_one_measure_calls(lmap, parry, atom,
     other = suspend(atom, roof.scaled(2.0), coord)
     with pytest.raises(PreconditionError):
         measures.ball_fractions([stats[0], other], 0.2)
+
+
+def test_model_only_caches_give_the_cold_floats(lmap, roof,
+                                                fresh_model_cache,
+                                                monkeypatch):
+    # suspension, ball fractions and flow scans read cached roof and dwell
+    # integrals (on the orbit records and the cylinder schemes) and must
+    # return what cold caches return, bit for bit, hits and misses mixed
+    from geolorenz.catalog import DEFAULT_RECIPE, build_catalog
+    from geolorenz.spectrum import spectrum_scan
+
+    monkeypatch.setattr(measures, "_scheme_cache", {})
+    phi = SectionGridPotential.seeded(4)
+
+    def results(catalog):
+        stats = measures.suspend_many(catalog, roof, phi)
+        out = [s.mean_roof for s in stats]
+        out += [s.pressure() for s in stats]
+        for b in (0.05, 0.2):
+            out += measures.ball_fractions(stats, b)
+        out += [v for _, v in spectrum_scan(phi, catalog, level="flow",
+                                             roof=roof).entries]
+        return [v.hex() for v in out]
+
+    def catalog():
+        return build_catalog(lmap, phi, DEFAULT_RECIPE) + [
+            SingularDeltaMeasure()]
+
+    cold = results(catalog())
+    records = [m.orbit for m in catalog() if isinstance(m, AtomicMeasure)]
+    assert records and all(len(r.averages) == 3 for r in records)
+    assert results(catalog()) == cold
+    # cold again, then warm for half of the catalog only
+    fresh_model_cache.clear()
+    measures._scheme_cache.clear()
+    members = catalog()
+    results(members[::2])
+    assert results(members) == cold
+    # on warm caches each keyed integral equals that of the same integrand
+    # without a key, which is never cached: a key missing a parameter of
+    # the roof or the radius would read another integral's entries
+    section = [m for m in members if not isinstance(m, SingularDeltaMeasure)]
+    for integrand in (measures._RoofIntegrand(roof),
+                      measures._RoofIntegrand(RoofFunction(1.0, 1.0, 0.25)),
+                      measures._DwellIntegrand(roof, 0.05),
+                      measures._DwellIntegrand(roof, 0.2),
+                      measures._DwellIntegrand(RoofFunction(1.0, 1.0, 0.25),
+                                               0.2)):
+        keyless = types.SimpleNamespace(
+            value=integrand.value, midpoint_error=integrand.midpoint_error)
+        assert measures.integrate_many(integrand, section) == \
+            measures.integrate_many(keyless, section)
 
 
 def test_birkhoff_sampling_oracle(lmap, parry, coord):

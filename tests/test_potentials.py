@@ -165,6 +165,58 @@ def test_grid_validation():
     with pytest.raises(PreconditionError):
         SectionGridPotential([0.0, 1.0], [0.0, 1.0],
                              [[1.0, 1.0], [2.0, 2.0]], -1.0)
+    # a one-point axis has no cell to interpolate in
+    with pytest.raises(PreconditionError, match="two points"):
+        SectionGridPotential([0.0, 1.0], [0.5], [[1.0], [2.0]], 1.0)
+
+
+def _grid_value_oracle(grid, x, y=0.0):
+    """`SectionGridPotential.value` as four 2-D fancy indexings, verbatim."""
+    xa = np.minimum(np.maximum(np.asarray(x, dtype=float), grid.xs[0]),
+                    grid.xs[-1])
+    ya = np.minimum(np.maximum(np.asarray(y, dtype=float), grid.ys[0]),
+                    grid.ys[-1])
+    xa, ya = np.broadcast_arrays(xa, ya)
+    i = np.minimum(np.maximum(grid.xs.searchsorted(xa, side="right") - 1,
+                              0), grid.xs.size - 2)
+    j = np.minimum(np.maximum(grid.ys.searchsorted(ya, side="right") - 1,
+                              0), grid.ys.size - 2)
+    tx = (xa - grid.xs[i]) / (grid.xs[i + 1] - grid.xs[i])
+    ty = (ya - grid.ys[j]) / (grid.ys[j + 1] - grid.ys[j])
+    v00 = grid.values[i, j]
+    v10 = grid.values[i + 1, j]
+    v01 = grid.values[i, j + 1]
+    v11 = grid.values[i + 1, j + 1]
+    out = ((1 - tx) * (1 - ty) * v00 + tx * (1 - ty) * v10
+           + (1 - tx) * ty * v01 + tx * ty * v11)
+    return float(out) if np.ndim(out) == 0 else out
+
+
+def test_grid_value_matches_fancy_index_oracle():
+    rng = np.random.default_rng(5)
+    grids = [SectionGridPotential.seeded(3)]
+    for nx, ny in ((2, 2), (3, 7), (17, 2), (40, 9)):
+        xs = np.sort(rng.uniform(-1.0, 1.0, nx))
+        ys = np.sort(rng.uniform(-1.5, 1.5, ny))
+        grids.append(SectionGridPotential(xs, ys, rng.normal(size=(nx, ny)),
+                                          1.0))
+    for grid in grids:
+        # inside and off the grid, breakpoints and the ends included
+        x = np.concatenate([rng.uniform(-1.3, 1.3, 200), grid.xs])
+        y = rng.uniform(-2.0, 2.0, x.size)
+        y[:grid.ys.size] = grid.ys
+        cases = [(x, y), (x, 0.0), (x, np.zeros_like(x)), (0.25, y),
+                 (x[:200].reshape(10, -1), y[:200].reshape(10, -1)),
+                 (x[:, None], grid.ys[None, :])]
+        cases += [(float(a), float(b)) for a, b in zip(x[::23], y[::23])]
+        for xa, ya in cases:
+            got = grid.value(xa, ya)
+            want = _grid_value_oracle(grid, xa, ya)
+            assert type(got) is type(want)
+            assert np.shape(got) == np.shape(want)
+            # bit for bit, as hex strings
+            assert [v.hex() for v in np.ravel(got).tolist()] == \
+                [v.hex() for v in np.ravel(want).tolist()]
 
 
 def test_parse_potential_specs_round_trip(tmp_path):

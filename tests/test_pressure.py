@@ -679,10 +679,12 @@ def _oracle_cases():
     # the 2-cycle LR -> RL -> LR (eigenvalues +lambda and -lambda)
     two = {"L": np.array([1, -1]), "R": np.array([-1, 0])}
     cases.append((two, np.array([0.3, -0.8]), {"left": True}))
-    # a run stopped by max_iter, unconverged
-    cases.append((hs.succ, coord.value(hs.midpoints), {"max_iter": 3}))
-    cases.append((hs.succ, coord.value(hs.midpoints),
-                  {"left": True, "max_iter": 5}))
+    # a run stopped by max_iter, unconverged, on a component where the
+    # solve would converge
+    comp, sub = hs.cyclic_components()[0]
+    lw = coord.value(hs.midpoints)[comp]
+    cases.append((sub.succ, lw, {"max_iter": 3}))
+    cases.append((sub.succ, lw, {"left": True, "max_iter": 5}))
     # no edges: the bracket of the first step is [0, 0]
     none = {"L": np.array([-1, -1]), "R": np.array([-1, -1])}
     cases.append((none, np.zeros(2), {}))
@@ -734,6 +736,16 @@ def test_weighted_power_matches_reference_loop(monkeypatch):
             one = pressure._weighted_power(succ, lw, **kwargs)
         assert one[4] and abs(one[0] - root) <= 1e-12
     assert unconverged == 2 and early == 2
+    # the whole pruned horseshoe has words with no successor and words with
+    # no predecessor, zero rows of M on each side: no bracket can close,
+    # and the solve stops at its first certified step, not at max_iter
+    hs = build_horseshoe(LorenzMap1D(1.0, 1.7), 12, 0.002)
+    lw = CoordinatePotential().value(hs.midpoints)
+    assert ((hs.succ["L"] < 0) & (hs.succ["R"] < 0)).any()
+    for left in (False, True):
+        _, _, _, iterations, converged = pressure._weighted_power(
+            hs.succ, lw, left=left)
+        assert not converged and iterations == 1
 
 
 class _LogWeights:
@@ -776,9 +788,28 @@ def test_perron_root_of_two_cycle_at_tiny_lambda(lmap):
     assert converged
     assert value == pytest.approx(-350.0, rel=0.0, abs=1e-12)
     # e^-1395 underflows: the max-normalized matrix has one zero entry and
-    # no cycle, so the solve reports no convergence and no measure exists
+    # no cycle, so the solve reports no convergence and no measure exists.
+    # Each side has a zero row, so it stops within its first blocks
+    # instead of running all max_iter steps
     lw = np.array([-5.0, -1400.0])
-    assert not pressure._weighted_power(two, lw, left=True)[4]
+    _, _, _, iterations, converged = pressure._weighted_power(two, lw,
+                                                              left=True)
+    assert not converged
+    assert iterations <= 3 * pressure.CERTIFY_EVERY + 1
     hs = SFTHorseshoe.from_adjacency(2, ("LR", "RL"), [[0, 1], [1, 0]], lmap)
     with pytest.raises(PreconditionError, match="did not converge"):
         equilibrium_measure(lmap, hs, _LogWeights(lw), t=1.0)
+
+
+def test_perron_solve_stops_on_a_closed_zero_set():
+    # vertex 0 loops and feeds vertex 1, which loops with weight e^-10: a
+    # reducible graph whose bracket [e^-10, 1] never closes. The entry of
+    # vertex 1 in h underflows after some 450 steps and, having no edge
+    # out of the zero set, stays zero: the solve stops there, unconverged,
+    # instead of running all max_iter steps
+    graph = {"L": np.array([0, 1]), "R": np.array([1, -1])}
+    value, h, _, iterations, converged = pressure._weighted_power(
+        graph, np.array([0.0, -10.0]))
+    assert not converged
+    assert iterations < 1000
+    assert h.tolist() == [1.0, 0.0] and value == 0.0

@@ -18,6 +18,7 @@ from geolorenz import (
     MarkovMeasure,
     NoWitnessError,
     PreconditionError,
+    RoofFunction,
     SectionGridPotential,
     SFTHorseshoe,
     SingularBumpPotential,
@@ -386,9 +387,13 @@ def test_catalog_passes_equal_per_member_formulas(alpha, beta, roof):
 
 
 def test_spectrum_scan_evaluates_each_integrand_once_per_catalog(
-        lmap, roof, monkeypatch):
+        lmap, roof, fresh_model_cache, monkeypatch):
     # per integrand: one value call for all the atoms together and one per
-    # distinct cylinder scheme, whose bound is also evaluated once
+    # distinct cylinder scheme, whose bound is also evaluated once. The
+    # roof's integrals are model-only work: cold orbit records (a fresh
+    # model store) and cold schemes compute them once, and a later scan
+    # under an equal roof reads them back
+    monkeypatch.setattr(measures, "_scheme_cache", {})
     phi = SectionGridPotential.seeded(2)
     catalog = build_catalog(lmap, phi, DEFAULT_RECIPE)
     markov = [m for m in catalog if isinstance(m, MarkovMeasure)]
@@ -420,11 +425,18 @@ def test_spectrum_scan_evaluates_each_integrand_once_per_catalog(
     spectrum_scan(phi, catalog, level="map")
     assert calls == {("SectionGridPotential", "value"): 1 + len(schemes),
                      ("SectionGridPotential", "midpoint_error"): len(schemes)}
-    calls.clear()
-    spectrum_scan(phi, catalog, level="flow", roof=roof)
     # plus the Dirac's value at the singularity, its flow convention
-    assert calls == {("SectionGridPotential", "value"): 1,
-                     ("_RoofIntegrand", "value"): 1 + len(schemes),
-                     ("_RoofIntegrand", "midpoint_error"): len(schemes),
-                     ("_PassageIntegrand", "value"): 1 + len(schemes),
-                     ("_PassageIntegrand", "midpoint_error"): len(schemes)}
+    passage = {("SectionGridPotential", "value"): 1,
+               ("_PassageIntegrand", "value"): 1 + len(schemes),
+               ("_PassageIntegrand", "midpoint_error"): len(schemes)}
+    first_roof = {("_RoofIntegrand", "value"): 1 + len(schemes),
+                  ("_RoofIntegrand", "midpoint_error"): len(schemes)}
+    for flow_roof, roof_calls in (
+            (roof, first_roof),
+            # equal to the first roof but a distinct object: a cache hit
+            (RoofFunction(roof.c0, roof.c1, roof.eta0), {}),
+            (roof.scaled(2.0), first_roof),
+            (RoofFunction(roof.c0, roof.c1, 0.25), first_roof)):
+        calls.clear()
+        spectrum_scan(phi, catalog, level="flow", roof=flow_roof)
+        assert calls == {**passage, **roof_calls}
