@@ -15,16 +15,14 @@ from .catalog import (CatalogRecipe, DEFAULT_RECIPE, GAP_CORE_RECIPE,
 from .config import RunConfig, default_config, load_config, parse_config_text
 from .errors import (BracketFailureError, ConfigError, DepthTooShallowError,
                      DomainError, EmptyHorseshoeError, EtaTooLargeError,
-                     GeolorenzError, InadmissibleWordError,
-                     InsufficientKneadingError, NoWitnessError,
+                     GeolorenzError, InadmissibleWordError, NoWitnessError,
                      PreconditionError)
 from .measures import (AtomicMeasure, ConvexMeasure, FlowMeasureStats,
                        MarkovMeasure, SingularDeltaMeasure, convex_combine,
                        entropy_map, integrate_many, integrate_map,
                        measure_distance, measure_from_payload, suspend)
 from .model import (LorenzMap1D, ModelValidationReport, RoofFunction,
-                    SkewProductReturnMap, evaluate_base, roof_value,
-                    validate_model)
+                    SkewProductReturnMap, evaluate_base, validate_model)
 from .potentials import (ConstantPotential, CoordinatePotential,
                          SectionGridPotential, SingularBumpPotential,
                          parse_potential_spec)
@@ -36,10 +34,8 @@ from .spectrum import (GapReport, PressureSpectrumReport, TargetRequest,
                        build_gap_potential, realize_intermediate,
                        reduce_to_essential_case, spectrum_scan, verify_gap)
 from .symbolic import (KneadingPair, PeriodicOrbitRecord, SFTHorseshoe,
-                       admissible_words, build_horseshoe, cylinder_interval,
-                       cylinder_levels, enumerate_periodic,
-                       find_periodic_point, is_admissible, itinerary_of,
-                       kneading, least_rotation, periodic_word_admissible,
+                       admissible_words, build_horseshoe, cylinder_levels,
+                       enumerate_periodic, find_periodic_point, kneading,
                        restrict_horseshoe, strongly_connected_components)
 
 __version__ = "0.1.0"

@@ -20,10 +20,6 @@ class InadmissibleWordError(PreconditionError):
     pass
 
 
-class InsufficientKneadingError(PreconditionError):
-    """Kneading data shorter than the word being tested."""
-
-
 class EmptyHorseshoeError(PreconditionError):
     """x_gap pruned every vertex."""
 

@@ -22,10 +22,12 @@ import types
 import numpy as np
 
 from .errors import DepthTooShallowError, PreconditionError
-from .model import abs_range, roof_array
+from .model import abs_range, dwell_array, roof_array
 from .potentials import midpoint_error_many, passage_error_many
-from .symbolic import (ALPHABET, EMPTY_WIDTH, MAX_DEPTH, cylinder_levels,
-                       decode_words, encode_words, pullback,
+from .symbolic import (ALPHABET, EMPTY_WIDTH, MAX_DEPTH, CylinderLevel,
+                       build_horseshoe, check_word, code_symbols,
+                       cylinder_levels, encode_words, find_periodic_point,
+                       pullback, restrict_horseshoe,
                        strongly_connected_components)
 
 DEFAULT_DEPTH = 12
@@ -56,14 +58,12 @@ class AtomicMeasure:
         return self._points
 
     def cylinder_masses(self, depth):
+        """(codes, masses) of the depth-`depth` cylinders (see `_summed`)."""
         word = self.orbit.word
         p = len(word)
         ext = word * (depth // p + 2)
-        masses = {}
-        for i in range(p):
-            w = ext[i:i + depth]
-            masses[w] = masses.get(w, 0.0) + 1.0 / p
-        return masses
+        return _summed(encode_words([ext[i:i + depth] for i in range(p)]),
+                       np.full(p, 1.0 / p))
 
     def to_payload(self):
         return {"variant": "atomic", "word": self.orbit.word,
@@ -159,7 +159,7 @@ class MarkovMeasure:
         if self.label:
             return self.label
         digest = hashlib.sha256()
-        digest.update(("|".join(self.horseshoe.vertices)).encode())
+        digest.update(self.horseshoe.codes.tobytes())
         digest.update(np.ascontiguousarray(self.probs).tobytes())
         digest.update(np.ascontiguousarray(self.stationary).tobytes())
         return "markov:d%d:g%g:%s" % (self.horseshoe.depth,
@@ -180,19 +180,14 @@ class MarkovMeasure:
         return mat
 
     def cylinder_masses(self, depth):
+        """(codes, masses) of the depth-`depth` cylinders (see `_summed`)."""
         m = self.horseshoe.depth
         if depth >= m:
             scheme = _scheme(self.lmap, self.horseshoe, depth)
-            mass = scheme.masses(self.stationary, self.probs)
-            out = {}
-            for w, mu in zip(scheme.words, mass):
-                out[w] = out.get(w, 0.0) + float(mu)
-            return out
-        out = {}
-        for w, pi in zip(self.horseshoe.vertices, self.stationary):
-            key = w[:depth]
-            out[key] = out.get(key, 0.0) + float(pi)
-        return out
+            return _summed(scheme.codes,
+                           scheme.masses(self.stationary, self.probs))
+        return _summed(self.horseshoe.codes >> np.uint64(m - depth),
+                       self.stationary)
 
     def to_payload(self):
         return {
@@ -243,11 +238,11 @@ class ConvexMeasure:
         return "ConvexMeasure(%d components)" % len(self.components)
 
     def cylinder_masses(self, depth):
-        out = {}
-        for w, comp in self.components:
-            for word, mu in comp.cylinder_masses(depth).items():
-                out[word] = out.get(word, 0.0) + w * mu
-        return out
+        """(codes, masses) of the depth-`depth` cylinders (see `_summed`)."""
+        parts = [comp.cylinder_masses(depth) for _, comp in self.components]
+        return _summed(np.concatenate([codes for codes, _ in parts]),
+                       np.concatenate([w * masses for (w, _), (_, masses)
+                                       in zip(self.components, parts)]))
 
     def to_payload(self):
         return {"variant": "convex", "label": self.label,
@@ -460,22 +455,31 @@ def _mix(result, index, measure):
 
 
 def _integrate_shallow(potential, measure, depth):
-    """A Markov measure at a depth below its horseshoe's, word by word."""
+    """A Markov measure at a depth below its horseshoe's, cylinder by
+    cylinder in code (= word) order."""
     level = cylinder_levels(measure.lmap, depth)[depth]
-    masses = measure.cylinder_masses(depth)
-    words = sorted(masses)
-    pos = level.find(encode_words(words))
+    codes, masses = measure.cylinder_masses(depth)
+    pos = level.find(codes)
     if (pos < 0).any():
         raise PreconditionError(
             "measure charges an empty depth-%d cylinder" % depth)
     value = 0.0
     bound = 0.0
-    for w, lo, hi in zip(words, level.lo[pos].tolist(),
-                         level.hi[pos].tolist()):
+    for mass, lo, hi in zip(masses.tolist(), level.lo[pos].tolist(),
+                            level.hi[pos].tolist()):
         mid = 0.5 * (lo + hi)
-        value += masses[w] * float(potential.value(mid, 0.0))
-        bound += masses[w] * float(potential.midpoint_error(lo, hi))
+        value += mass * float(potential.value(mid, 0.0))
+        bound += mass * float(potential.midpoint_error(lo, hi))
     return value, bound
+
+
+def _summed(codes, masses):
+    """(distinct codes increasing, the masses summed per code), each sum
+    from 0.0 in input order (`np.add.at` is unbuffered)."""
+    keys, inverse = np.unique(codes, return_inverse=True)
+    total = np.zeros(len(keys))
+    np.add.at(total, inverse, masses)
+    return keys, total
 
 
 def convex_combine(components, label=None):
@@ -580,19 +584,21 @@ def ball_fractions(stats, b):
 
 
 def measure_distance(a, b, depth=DEFAULT_DEPTH):
-    """L1 distance between depth-`depth` cylinder mass vectors."""
+    """L1 distance between depth-`depth` cylinder mass vectors, summed in
+    code order over the union of the charged cylinders."""
     _reject_delta(a, "cylinder distance")
     _reject_delta(b, "cylinder distance")
-    ma = a.cylinder_masses(depth)
-    mb = b.cylinder_masses(depth)
-    keys = sorted(set(ma) | set(mb))
-    return float(sum(abs(ma.get(k, 0.0) - mb.get(k, 0.0)) for k in keys))
+    (codes_a, masses_a), (codes_b, masses_b) = (a.cylinder_masses(depth),
+                                                b.cylinder_masses(depth))
+    keys = np.union1d(codes_a, codes_b)
+    diff = np.zeros(len(keys))
+    diff[np.searchsorted(keys, codes_a)] = masses_a
+    diff[np.searchsorted(keys, codes_b)] -= masses_b
+    return float(sum(np.abs(diff).tolist()))
 
 
 def measure_from_payload(lmap, payload):
     """Rebuild a measure from its serialized form (see each to_payload)."""
-    from .symbolic import build_horseshoe, find_periodic_point
-
     variant = payload.get("variant")
     label = payload.get("label")
     if variant == "atomic":
@@ -602,19 +608,28 @@ def measure_from_payload(lmap, payload):
         full = build_horseshoe(lmap, int(payload["depth"]),
                                float(payload["x_gap"]))
         wanted = list(payload["vertices"])
-        try:
-            picked = [full.index(w) for w in wanted]
-        except KeyError as exc:
+        seen = set()
+        for w in wanted:
+            if len(w) != full.depth:
+                raise PreconditionError(
+                    "serialized vertex %r is not a depth-%d word"
+                    % (w, full.depth))
+            check_word(w)
+            if w in seen:
+                raise PreconditionError(
+                    "serialized vertex %r appears twice" % w)
+            seen.add(w)
+        # the vertices are nonempty cylinders of one length, codes sorted
+        picked = CylinderLevel(full.depth, full.codes, full.cyl_lo,
+                               full.cyl_hi).find(encode_words(wanted))
+        if (picked < 0).any():
             raise PreconditionError(
                 "serialized horseshoe vertex %r does not exist at depth %d, "
-                "gap %g" % (exc.args[0], payload["depth"], payload["x_gap"])
-            ) from None
-        from .symbolic import restrict_horseshoe
-
+                "gap %g" % (wanted[np.argmax(picked < 0)], full.depth,
+                            full.x_gap))
         sub = restrict_horseshoe(full, picked)
         # restrict_horseshoe sorts vertices; realign the serialized rows
-        row = {w: k for k, w in enumerate(wanted)}
-        realign = [row[w] for w in sub.vertices]
+        realign = np.argsort(picked)
         probs = np.asarray(payload["probs"], dtype=float)[realign]
         stationary = np.asarray(payload["stationary"], dtype=float)[realign]
         return MarkovMeasure(lmap, sub, probs, stationary, label=label)
@@ -664,10 +679,7 @@ class _DwellIntegrand:
                                        self.b]).tobytes())
 
     def value(self, x, y=0.0):
-        a = np.maximum(np.abs(np.asarray(x, dtype=float)), 1e-300)
-        raw = self.roof.c1 * np.maximum(0.0, np.log(self.b / a))
-        cap = self.roof.c1 * np.maximum(0.0, np.log(self.roof.eta0 / a))
-        out = np.minimum(raw, cap)
+        out = dwell_array(self.roof, x, self.b)
         return out if np.ndim(x) else float(out)
 
     def midpoint_error(self, lo, hi):
@@ -723,7 +735,7 @@ class _CylinderScheme:
     extension records the parent of every new path; the steps are read
     back along those links once, not copied at every extension. The
     intervals come from one array pullback of the (paths, D) symbol
-    matrix of the codes; `words` decodes the codes only on request.
+    matrix of the codes.
 
     `integrals` caches the read-only (values, bounds) arrays of each
     keyed integrand by its key (see `integrate_many`), at most
@@ -759,8 +771,7 @@ class _CylinderScheme:
         self.steps = steps
         self.codes = codes
         self.depth = depth
-        shifts = np.arange(depth - 1, -1, -1, dtype=np.uint64)
-        symbols = (codes[:, None] >> shifts) & np.uint64(1)
+        symbols = code_symbols(codes, depth)
         lo, hi = pullback(lmap, symbols)
         # fictitious refinement: the SFT allows a tail the kneading data
         # forbids; such a path falls back to its deepest live prefix
@@ -776,11 +787,6 @@ class _CylinderScheme:
         self.hi = hi
         self.mid = 0.5 * (lo + hi)
         self.integrals = {}
-
-    @property
-    def words(self):
-        """The depth-D word of each path, decoded from its code."""
-        return decode_words(self.codes, self.depth)
 
     def masses(self, stationary, probs):
         mass = stationary[self.start]

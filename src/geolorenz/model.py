@@ -11,9 +11,6 @@ from .errors import DomainError, PreconditionError
 
 SQRT2 = math.sqrt(2.0)
 
-# symbols for the two branches; L is x < 0, R is x > 0
-BRANCHES = ("L", "R")
-
 
 class LorenzMap1D:
     """Quotient map f on [-1, 1] minus the origin.
@@ -198,21 +195,19 @@ class RoofFunction:
         return "RoofFunction(c0=%r, c1=%r, eta0=%r)" % (self.c0, self.c1, self.eta0)
 
     def __call__(self, x):
-        return roof_value(self, x)
+        """r(x) at one point (see `roof_array`); DomainError at x = 0."""
+        if x == 0.0:
+            raise DomainError("roof undefined at x = 0")
+        return float(roof_array(self, x))
 
     def dwell(self, x, b):
-        """Time within distance b of the singularity during one passage.
-
-        d_b(x) = c1 * max(0, log(b/|x|)) clipped to [0, r(x) - c0]; the cap
-        only binds for b > eta0 since the roof resolves distances below eta0.
-        """
+        """Time within distance b of the singularity during one passage,
+        at one point (see `dwell_array`); DomainError at x = 0."""
         if x == 0.0:
             raise DomainError("dwell undefined at x = 0")
         if b <= 0.0:
             raise PreconditionError("dwell radius must be positive, got %r" % b)
-        raw = self.c1 * max(0.0, math.log(b / abs(x)))
-        cap = roof_value(self, x) - self.c0
-        return min(max(raw, 0.0), cap)
+        return float(dwell_array(self, x, b))
 
     def scaled(self, k):
         """Roof multiplied by constant k > 0 (time-rescaled flow)."""
@@ -221,18 +216,21 @@ class RoofFunction:
         return RoofFunction(self.c0 * k, self.c1 * k, self.eta0)
 
 
-def roof_value(roof, x):
-    """r(x) per the formula; DomainError at x = 0."""
-    if x == 0.0:
-        raise DomainError("roof undefined at x = 0")
-    return roof.c0 + roof.c1 * max(0.0, math.log(roof.eta0 / abs(x)))
-
-
 def roof_array(roof, x):
     """r(x) at an array of points, with |x| floored at 1e-300 (no DomainError)."""
     a = np.abs(np.asarray(x, dtype=float))
     return roof.c0 + roof.c1 * np.maximum(
         0.0, np.log(roof.eta0 / np.maximum(a, 1e-300)))
+
+
+def dwell_array(roof, x, b):
+    """d_b(x) = c1 * max(0, log(b/|x|)) at an array of points, capped by the
+    singular part of the roof (which binds only for b > eta0); |x| is
+    floored at 1e-300 as in `roof_array`."""
+    a = np.maximum(np.abs(np.asarray(x, dtype=float)), 1e-300)
+    raw = roof.c1 * np.maximum(0.0, np.log(b / a))
+    cap = roof.c1 * np.maximum(0.0, np.log(roof.eta0 / a))
+    return np.minimum(raw, cap)
 
 
 def abs_range(lo, hi):

@@ -2,9 +2,9 @@
 
 Itineraries over the alphabet {L, R} (L means x < 0, R means x > 0),
 kneading sequences of the two one-sided limits at the singular point,
-admissibility of finite words, cylinder intervals, periodic orbit
-location by inverse-branch contraction, and subshift-of-finite-type
-horseshoes whose cylinders keep a prescribed distance from x = 0.
+cylinder levels, admissibility of periodic words, periodic orbit location
+by inverse-branch contraction, and subshift-of-finite-type horseshoes
+whose cylinders keep a prescribed distance from x = 0.
 
 Everything here that depends on the model (alpha, beta) alone is built
 once per model and kept in one store per model, for the 16 most recently
@@ -13,20 +13,20 @@ their stored SCC decompositions, and the periodic orbits. Catalogs for
 different potentials and every realization request share these objects,
 so they are read-only.
 
-Cylinder enumeration works on integer word codes: each level of
-`cylinder_levels` is a `CylinderLevel` of sorted uint64 codes (L = 0,
-R = 1, first symbol most significant) with endpoint arrays, and horseshoe
-edges are found by searching those codes. Words are strings over 'L' and
-'R' only at the edges: user-supplied words, `admissible_words`,
-`SFTHorseshoe.vertices`, measure ids and payloads. Two admissibility
-notions coexist and differ:
+Words are held as integer codes: each level of `cylinder_levels` is a
+`CylinderLevel` of sorted uint64 codes (L = 0, R = 1, first symbol most
+significant) with endpoint arrays, and horseshoe edges are found by
+searching those codes. Words are strings over 'L' and 'R' only at the
+edges: user-supplied words, the kneading pair, periodic orbit records,
+`admissible_words`, `SFTHorseshoe.vertices`, measure ids and payloads.
+Two admissibility notions coexist and differ:
 
-* `is_admissible(word, kp)` decides whether some orbit realizes the
-  word as an itinerary prefix, i.e. whether the word's cylinder is
-  nonempty. This is the finite-word (cylinder) criterion.
-* `periodic_word_admissible(word, kp)` decides whether a periodic
-  point with itinerary word^inf exists: every cyclic shift of the
-  periodic extension must fit between the kneading bounds. This is
+* A finite word is admissible, i.e. realized by some orbit as an
+  itinerary prefix, iff its cylinder is nonempty, i.e. iff its code is
+  in the level of its length in `cylinder_levels`.
+* A word w is periodically admissible iff a periodic point with
+  itinerary w^inf exists: every cyclic shift of the periodic extension
+  must fit between the kneading bounds (`_periodic_admissible`). This is
   strictly stronger; e.g. at beta = 1.7 the word "RR" has a nonempty
   cylinder but no period-2 point realizes it.
 """
@@ -39,7 +39,7 @@ import mpmath as mp
 import numpy as np
 
 from .errors import (DomainError, EmptyHorseshoeError, InadmissibleWordError,
-                     InsufficientKneadingError, PreconditionError)
+                     PreconditionError)
 from .model import LorenzMap1D, abs_range
 
 ALPHABET = ("L", "R")
@@ -67,18 +67,6 @@ def check_word(word):
     for ch in word:
         if ch not in ("L", "R"):
             raise PreconditionError("bad symbol %r in word %r" % (ch, word))
-
-
-def word_le(a, b):
-    """Lexicographic order with L < R; a prefix compares as <=.
-
-    Both branches of the map are increasing, so itinerary order is plain
-    lexicographic order with no sign bookkeeping.
-    """
-    for ca, cb in zip(a, b):
-        if ca != cb:
-            return ca == "L"
-    return True
 
 
 class KneadingPair:
@@ -142,106 +130,30 @@ def kneading(lmap, depth=64):
     return _kneading_cached(lmap.alpha, lmap.beta, int(depth))
 
 
-def itinerary_of(lmap, x, n):
-    """Symbol word of the orbit segment x, f(x), ..., f^(n-1)(x).
-
-    Raises DomainError naming the first index whose orbit point is within
-    SINGULAR_TOL of the singularity.
-    """
-    if n < 1:
-        raise PreconditionError("need n >= 1 symbols")
-    word = []
-    for j in range(n):
-        if abs(x) < SINGULAR_TOL:
-            raise DomainError(
-                "orbit hits the singularity at index %d (|x| = %.3e)" % (j, abs(x)))
-        word.append("R" if x > 0 else "L")
-        if j + 1 < n:
-            x = lmap(x)
-    return "".join(word)
-
-
-def is_admissible(word, kp):
-    """Finite-word admissibility: true iff the word's cylinder is nonempty.
-
-    Every suffix beginning with R must be <= k_minus and every suffix
-    beginning with L must be >= k_plus, prefixes comparing as equal.
-    """
-    check_word(word)
-    if kp.depth < len(word):
-        raise InsufficientKneadingError(
-            "kneading depth %d < word length %d" % (kp.depth, len(word)))
-    for j in range(len(word)):
-        suf = word[j:]
-        if suf[0] == "R":
-            if not word_le(suf, kp.k_minus):
-                return False
-        else:
-            if not word_le(kp.k_plus, suf):
-                return False
-    return True
-
-
-def periodic_word_admissible(word, kp):
-    """True iff a periodic orbit with itinerary word^inf fits the kneading bounds.
-
-    Checks every cyclic shift of the periodic extension against k_plus and
-    k_minus over the full kneading depth. Ties at full depth pass.
-    """
-    check_word(word)
-    p = len(word)
-    depth = kp.depth
-    reps = depth // p + 2
-    for j in range(p):
-        ext = ((word[j:] + word[:j]) * reps)[:depth]
-        if ext[0] == "R":
-            if not word_le(ext, kp.k_minus):
-                return False
-        else:
-            if not word_le(kp.k_plus, ext):
-                return False
-    return True
-
-
-class CylinderInterval:
-    """Closed interval of points whose itinerary starts with a given word."""
-
-    def __init__(self, word, lo, hi, nonempty):
-        self.word = word
-        self.lo = lo
-        self.hi = hi
-        self.nonempty = nonempty
-
-    @property
-    def width(self):
-        return self.hi - self.lo
-
-    @property
-    def midpoint(self):
-        return 0.5 * (self.lo + self.hi)
-
-    def __repr__(self):
-        return "CylinderInterval(%r, [%.6g, %.6g], nonempty=%r)" % (
-            self.word, self.lo, self.hi, self.nonempty)
-
-
 def symbol_matrix(words):
     """Equal-length words as a uint8 matrix of ALPHABET indices (L = 0, R = 1)."""
     raw = np.frombuffer("".join(words).encode("ascii"), dtype=np.uint8)
-    return (raw == ord("R")).astype(np.uint8).reshape(len(words), -1)
+    width = len(words[0]) if len(words) else 0
+    return (raw == ord("R")).astype(np.uint8).reshape(len(words), width)
+
+
+def code_symbols(codes, depth):
+    """The (words, depth) symbol matrix of length-`depth` word codes."""
+    shifts = np.arange(depth - 1, -1, -1, dtype=np.uint64)
+    return ((codes[:, None] >> shifts) & np.uint64(1)).astype(np.uint8)
 
 
 def encode_words(words):
-    """Equal-length words as uint64 codes.
+    """Equal-length words of at most 64 symbols as uint64 codes.
 
     L = 0 and R = 1, first symbol most significant, so for words of one
     length code order is the lexicographic word order.
     """
     bits = symbol_matrix(words).astype(np.uint64)
-    codes = np.zeros(len(words), dtype=np.uint64)
-    for j in range(bits.shape[1]):
-        codes = (codes << np.uint64(1)) | bits[:, j]
-    return codes
+    if bits.shape[1] > 64:
+        raise PreconditionError("a word code holds at most 64 symbols")
+    shifts = np.arange(bits.shape[1] - 1, -1, -1, dtype=np.uint64)
+    return np.bitwise_or.reduce(bits << shifts, axis=1)
 
 
 def decode_words(codes, depth):
@@ -301,22 +213,13 @@ def pullback(lmap, symbols):
     return ends[0], ends[1]
 
 
-def cylinder_interval(lmap, word):
-    """Cylinder of a word, computed by composing branch inverses."""
-    check_word(word)
-    lo, hi = pullback(lmap, symbol_matrix([word]))
-    lo = float(lo[0])
-    hi = float(hi[0])
-    return CylinderInterval(word, lo, hi, (hi - lo) > EMPTY_WIDTH)
-
-
 class CylinderLevel:
     """The nonempty cylinders of one word length, as sorted parallel arrays.
 
     `codes` holds the words as uint64 codes (see `encode_words`), strictly
     increasing; `lo` and `hi` hold the closed cylinder endpoints. `len()`
-    is the word count. Strings are made only on request, by `words()`.
-    The arrays are read-only, since cached levels are shared.
+    is the word count. The arrays are read-only, since cached levels are
+    shared.
     """
 
     def __init__(self, depth, codes, lo, hi):
@@ -329,10 +232,6 @@ class CylinderLevel:
 
     def __len__(self):
         return len(self.codes)
-
-    def words(self):
-        """The words in code (= lexicographic) order."""
-        return decode_words(self.codes, self.depth)
 
     def find(self, codes):
         """Positions of the given codes in this level, -1 where absent."""
@@ -436,7 +335,7 @@ def cylinder_levels(lmap, depth):
 
 def admissible_words(lmap, depth):
     """Sorted list of admissible words of exactly the given length."""
-    return cylinder_levels(lmap, depth)[depth].words()
+    return decode_words(cylinder_levels(lmap, depth)[depth].codes, depth)
 
 
 class PeriodicOrbitRecord:
@@ -542,31 +441,50 @@ def _periodic_points(lmap, words):
     return x[first], np.multiply.reduceat(slope, first)
 
 
-def find_periodic_point(lmap, word, kp=None):
+def _periodic_admissible(symbols, kp):
+    """Which rows w of a (words, p) symbol matrix are periodically admissible.
+
+    Every rotation of w^inf, read to the kneading depth, must be <= k_minus
+    if it begins with R and >= k_plus if it begins with L, in lexicographic
+    order with L < R: the first differing symbol decides, and a tie passes.
+    All rotations of all rows are compared at once, as one uint8 array.
+    """
+    p = symbols.shape[1]
+    depth = kp.depth
+    # row 0 bounds the rotations that begin with L, row 1 those with R
+    bounds = symbol_matrix([kp.k_plus[:depth], kp.k_minus[:depth]])
+    # rotation r of w^inf, read to the kneading depth
+    ext = symbols[:, (np.arange(p)[:, None] + np.arange(depth)) % p]
+    lead = ext[:, :, 0]
+    differ = ext != bounds[lead]
+    first = differ.argmax(axis=2)
+    # at the first difference an R rotation must read L (it is then below
+    # k_minus) and an L rotation must read R (it is then above k_plus)
+    decider = np.take_along_axis(ext, first[:, :, None], axis=2)[:, :, 0]
+    return (~differ.any(axis=2) | (decider != lead)).all(axis=1)
+
+
+def find_periodic_point(lmap, word):
     """Locate the periodic point whose itinerary is word^inf.
 
     One word of `_periodic_points`; the record is kept in the model's
-    store, so each word is located once per model.
+    store, so each word is located and tested once per model (it was
+    admitted at a kneading depth at least as deep as this call's).
     """
     check_word(word)
     if not is_primitive(word):
         raise PreconditionError("word %r is not primitive" % word)
-    if kp is None:
-        kp = kneading(lmap, max(64, 4 * len(word)))
-    if not periodic_word_admissible(word, kp):
-        raise InadmissibleWordError(
-            "no periodic orbit realizes %r in this model" % word)
     points = _model_store(lmap).points
     record = points.get(word)
     if record is None:
+        kp = kneading(lmap, max(64, 4 * len(word)))
+        if not _periodic_admissible(symbol_matrix([word]), kp)[0]:
+            raise InadmissibleWordError(
+                "no periodic orbit realizes %r in this model" % word)
         (x,), (mult,) = _periodic_points(lmap, [word])
         record = points[word] = PeriodicOrbitRecord(word, float(x),
                                                     float(mult))
     return record
-
-
-def least_rotation(word):
-    return min(word[j:] + word[:j] for j in range(len(word)))
 
 
 def _necklace_codes(p):
@@ -601,9 +519,11 @@ def enumerate_periodic(lmap, n_max):
     store = _model_store(lmap)
     if n_max > store.n_max:
         kp = kneading(lmap, max(64, 4 * n_max))
-        words = [w for p in range(store.n_max + 1, n_max + 1)
-                 for w in decode_words(_necklace_codes(p), p)
-                 if periodic_word_admissible(w, kp)]
+        words = []
+        for p in range(store.n_max + 1, n_max + 1):
+            codes = _necklace_codes(p)
+            keep = _periodic_admissible(code_symbols(codes, p), kp)
+            words += decode_words(codes[keep], p)
         if words:
             points, mults = _periodic_points(lmap, words)
             for word, x, mult in zip(words, points.tolist(), mults.tolist()):
@@ -625,8 +545,7 @@ class SFTHorseshoe:
     The words are decoded to strings on the first use of `vertices`
     (graph work, cylinder schemes and their cache keys need none). The
     arrays are read-only, since horseshoes are shared through the
-    per-model store; the word-to-index map behind `index()` is built on
-    its first call. `equilibria` is the memo of solved equilibrium states
+    per-model store. `equilibria` is the memo of solved equilibrium states
     that `pressure.equilibrium_measure` keeps on the horseshoe, keyed on
     the bytes of their log-weight vector, so it lives and dies with it.
     """
@@ -642,7 +561,6 @@ class SFTHorseshoe:
             arr.flags.writeable = False
         self._vertices = None
         self._structure = None
-        self._index = None
         self._cyclic = None
         self.equilibria = {}
 
@@ -673,11 +591,6 @@ class SFTHorseshoe:
     def midpoints(self):
         return 0.5 * (self.cyl_lo + self.cyl_hi)
 
-    def index(self, word):
-        if self._index is None:
-            self._index = {w: i for i, w in enumerate(self.vertices)}
-        return self._index[word]
-
     def edge_count(self):
         return int(sum(int(np.sum(a >= 0)) for a in self.succ.values()))
 
@@ -692,14 +605,6 @@ class SFTHorseshoe:
     def adjacency_density(self):
         n = self.n_vertices
         return self.edge_count() / float(n * n) if n else 0.0
-
-    def successors(self, i):
-        out = []
-        for s in ALPHABET:
-            j = self.succ[s][i]
-            if j >= 0:
-                out.append((s, int(j)))
-        return out
 
     def cyclic_components(self):
         """Strongly connected components that carry a cycle.
@@ -738,21 +643,20 @@ class SFTHorseshoe:
         n = len(vertices)
         if adjacency.shape != (n, n):
             raise PreconditionError("adjacency shape mismatch")
-        if any(len(w) != depth for w in vertices):
-            raise PreconditionError("vertices must be depth-%d words" % depth)
+        for w in vertices:
+            check_word(w)
+            if len(w) != depth:
+                raise PreconditionError(
+                    "vertex %r is not a depth-%d word" % (w, depth))
         succ = {s: np.full(n, -1, dtype=np.int64) for s in ALPHABET}
-        index = {w: k for k, w in enumerate(vertices)}
-        for i, u in enumerate(vertices):
-            for j, v in enumerate(vertices):
-                if not adjacency[i, j]:
-                    continue
-                if v[:-1] != u[1:]:
-                    raise PreconditionError(
-                        "edge %r -> %r is not shift-compatible" % (u, v))
-                succ[v[-1]][i] = index[v]
-        cyls = [cylinder_interval(lmap, w) for w in vertices]
-        return cls(depth, encode_words(vertices), succ,
-                   x_gap, [c.lo for c in cyls], [c.hi for c in cyls])
+        for i, j in zip(*np.nonzero(adjacency)):
+            u, v = vertices[i], vertices[j]
+            if v[:-1] != u[1:]:
+                raise PreconditionError(
+                    "edge %r -> %r is not shift-compatible" % (u, v))
+            succ[v[-1]][i] = j
+        lo, hi = pullback(lmap, symbol_matrix(vertices))
+        return cls(depth, encode_words(vertices), succ, x_gap, lo, hi)
 
 
 def build_horseshoe(lmap, depth, x_gap):

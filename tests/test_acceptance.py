@@ -228,8 +228,8 @@ def test_criterion_6_small_scale_oracle(lmap):
         for depth in (3, 4, 5, 6):
             est = pressure_transfer(lmap, pot, depth=depth)
             level = cylinder_levels(lmap, depth)[depth]
-            spans = dict(zip(level.words(), zip(level.lo.tolist(),
-                                                level.hi.tolist())))
+            spans = dict(zip(admissible_words(lmap, depth),
+                             zip(level.lo.tolist(), level.hi.tolist())))
             total = 0.0
             for w in admissible_words(lmap, depth):
                 lo, hi = spans[w]

@@ -9,6 +9,7 @@ import types
 import numpy as np
 import pytest
 
+import word_oracles
 from geolorenz import measures
 from geolorenz import (
     AtomicMeasure,
@@ -24,7 +25,6 @@ from geolorenz import (
     SingularDeltaMeasure,
     build_horseshoe,
     convex_combine,
-    cylinder_interval,
     entropy_map,
     enumerate_periodic,
     equilibrium_measure,
@@ -36,6 +36,7 @@ from geolorenz import (
     strongly_connected_components,
     suspend,
 )
+from geolorenz.symbolic import decode_words
 
 
 @pytest.fixture(scope="module")
@@ -146,11 +147,33 @@ def test_markov_reducible_support_rejected(lmap):
 
 
 def test_cylinder_masses_are_probabilities(parry):
-    for depth in (12, 14):
-        masses = parry.cylinder_masses(depth)
-        vals = np.array(list(masses.values()))
-        assert np.all(vals >= 0.0)
-        assert vals.sum() == pytest.approx(1.0, abs=1e-9)
+    for depth in (6, 12, 14):
+        codes, masses = parry.cylinder_masses(depth)
+        assert np.all(np.diff(codes) > 0)
+        assert np.all(masses >= 0.0)
+        assert masses.sum() == pytest.approx(1.0, abs=1e-9)
+
+
+def test_cylinder_masses_and_distance_match_dict_oracle(lmap, parry, tilted):
+    # the (codes, masses) arrays against the word-keyed dicts, float for
+    # float: atoms, Markov measures above and below their horseshoe
+    # depth, and a three-part mixture
+    atoms = [AtomicMeasure(lmap, find_periodic_point(lmap, w))
+             for w in ("LR", "LRR", "LLRR", "LRLRR")]
+    mix = convex_combine([(0.2, parry), (0.5, tilted), (0.3, atoms[2])])
+    pool = [parry, tilted, *atoms, mix]
+    for depth in (2, 3, 6, 12, 14):
+        for m in pool:
+            codes, masses = m.cylinder_masses(depth)
+            want = word_oracles.cylinder_masses(m, depth)
+            words = decode_words(codes, depth)
+            assert words == sorted(want)
+            assert [v.hex() for v in masses.tolist()] == \
+                [want[w].hex() for w in words]
+        for a in pool:
+            for b in pool:
+                assert measure_distance(a, b, depth).hex() == \
+                    word_oracles.measure_distance(a, b, depth).hex()
 
 
 def test_error_bound_honesty_over_seeded_potentials(parry):
@@ -276,7 +299,8 @@ def test_birkhoff_sampling_oracle(lmap, parry, coord):
     from geolorenz.symbolic import cylinder_levels
 
     level = cylinder_levels(lmap, scheme_depth)[scheme_depth]
-    spans = dict(zip(level.words(), zip(level.lo.tolist(), level.hi.tolist())))
+    spans = dict(zip(decode_words(level.codes, scheme_depth),
+                     zip(level.lo.tolist(), level.hi.tolist())))
     i = int(np.argmax(parry.stationary))
     total, n_steps = 0.0, 20000
     for _ in range(n_steps):
@@ -363,6 +387,46 @@ def test_payload_round_trip(lmap, parry, atom):
             assert measure_distance(m, clone) <= 1e-12
 
 
+@pytest.mark.parametrize("case", ["symbol", "length", "duplicate",
+                                  "missing"])
+def test_payload_names_the_malformed_vertex(lmap, parry, case):
+    # the fourth serialized vertex is replaced by a malformed word
+    payload = parry.to_payload()
+    vertices = payload["vertices"]
+    word, message = {
+        "symbol": (vertices[3][:-1] + "X", "bad symbol 'X' in word"),
+        "length": (vertices[3] + "L", "is not a depth-12 word"),
+        "duplicate": (vertices[0], "appears twice"),
+        "missing": ("R" * 12, "does not exist at depth 12"),
+    }[case]
+    payload["vertices"] = vertices[:3] + [word] + vertices[4:]
+    with pytest.raises(PreconditionError) as err:
+        measure_from_payload(lmap, payload)
+    assert message in str(err.value)
+    assert repr(word) in str(err.value)
+
+
+def test_payload_without_vertices_is_rejected(lmap, parry):
+    payload = dict(parry.to_payload(), vertices=[], probs=[], stationary=[])
+    with pytest.raises(PreconditionError):
+        measure_from_payload(lmap, payload)
+
+
+def test_from_adjacency_rejects_bad_vertex_words(lmap):
+    adj = [[1, 1], [1, 1]]
+    with pytest.raises(PreconditionError, match="bad symbol 'X'"):
+        SFTHorseshoe.from_adjacency(1, ["L", "X"], adj, lmap)
+    with pytest.raises(PreconditionError, match="'LR' is not a depth-1"):
+        SFTHorseshoe.from_adjacency(1, ["L", "LR"], adj, lmap)
+    with pytest.raises(PreconditionError, match="'LR' -> 'LR' is not shift"):
+        SFTHorseshoe.from_adjacency(2, ["LR", "RL"], [[1, 1], [1, 0]], lmap)
+    # a word code holds 64 symbols; a longer vertex must not wrap around
+    u = "R" + "LR" * 32
+    with pytest.raises(PreconditionError, match="at most 64 symbols"):
+        SFTHorseshoe.from_adjacency(65, [u, u[1:] + "L"], [[0, 1], [0, 0]],
+                                    lmap)
+
+
 def test_equilibrium_is_stationary_markov(tilted):
     # construction already validates; spot-check the balance directly on
     # the measure's own (recurrent-part) horseshoe
@@ -426,15 +490,12 @@ def test_shallow_integral_matches_scalar_prefix_cylinders(lmap, parry, coord):
 def test_scheme_intervals_match_scalar_inverse_branches(alpha, beta, rtol):
     lm = LorenzMap1D(alpha, beta)
     scheme = measures._CylinderScheme(lm, build_horseshoe(lm, 6, 0.002), 10)
-    raw = np.array([_scalar_pullback(lm, w) for w in scheme.words])
+    words = decode_words(scheme.codes, scheme.depth)
+    raw = np.array([_scalar_pullback(lm, w) for w in words])
     assert np.any(raw[:, 1] - raw[:, 0] <= 1e-12), \
         "no path exercises the dead-row fallback"
-    ref = np.array([_scalar_scheme_interval(lm, w) for w in scheme.words])
-    # cylinder_interval is the same pullback on a single row
-    single = [cylinder_interval(lm, w) for w in scheme.words[::7]]
-    for got, want in ((scheme.lo, ref[:, 0]), (scheme.hi, ref[:, 1]),
-                      ([c.lo for c in single], raw[::7, 0]),
-                      ([c.hi for c in single], raw[::7, 1])):
+    ref = np.array([_scalar_scheme_interval(lm, w) for w in words])
+    for got, want in ((scheme.lo, ref[:, 0]), (scheme.hi, ref[:, 1])):
         np.testing.assert_allclose(got, want, rtol=rtol, atol=0.0)
 
 
@@ -476,7 +537,8 @@ def test_scheme_cache_keys_on_the_map(monkeypatch, lmap):
     b = measures._scheme(other, hs, 6)
     assert len(builds) == 2
     assert not np.array_equal(a.lo, b.lo)
-    ref = np.array([_scalar_scheme_interval(other, w) for w in b.words])
+    ref = np.array([_scalar_scheme_interval(other, w)
+                    for w in decode_words(b.codes, b.depth)])
     assert np.array_equal(b.lo, ref[:, 0])
 
 
@@ -526,7 +588,7 @@ def test_scheme_paths_match_string_construction(alpha, beta, x_gap, t,
         scheme = measures._CylinderScheme(lm, mu.horseshoe, depth)
         words, start, steps_v, steps_s = _reference_scheme_paths(
             mu.horseshoe, depth)
-        assert scheme.words == words
+        assert decode_words(scheme.codes, depth) == words
         assert np.array_equal(scheme.start, start)
         assert np.array_equal(scheme.steps, 2 * steps_v + steps_s)
         want = mu.stationary[start]

@@ -263,6 +263,15 @@ def test_dwell_bounds_and_monotonicity(roof):
     assert roof.dwell(0.3, 0.05) == 0.0
 
 
+def test_roof_and_dwell_undefined_at_the_singularity(roof):
+    with pytest.raises(DomainError):
+        roof(0.0)
+    with pytest.raises(DomainError):
+        roof.dwell(0.0, 0.1)
+    with pytest.raises(PreconditionError):
+        roof.dwell(0.1, 0.0)
+
+
 def test_roof_scaled(roof):
     double = roof.scaled(2.0)
     for x in (0.01, 0.2, 0.7):

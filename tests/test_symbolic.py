@@ -17,36 +17,33 @@ import pytest
 
 from geolorenz import (
     ConstantPotential,
-    DomainError,
     EmptyHorseshoeError,
     InadmissibleWordError,
-    InsufficientKneadingError,
     LorenzMap1D,
     PreconditionError,
     admissible_words,
     build_horseshoe,
-    cylinder_interval,
     cylinder_levels,
     entropy_map,
     enumerate_periodic,
     equilibrium_measure,
     find_periodic_point,
-    is_admissible,
-    itinerary_of,
     kneading,
-    least_rotation,
     pressure_transfer,
     restrict_horseshoe,
     strongly_connected_components,
 )
 from geolorenz import symbolic
+from word_oracles import (is_admissible, itinerary_of, least_rotation,
+                          periodic_word_admissible, successors)
 
 BETA = Fraction(17, 10)
 
 
 def spans_of(level):
     """A cylinder level as a dict from word to (lo, hi)."""
-    return dict(zip(level.words(), zip(level.lo.tolist(), level.hi.tolist())))
+    return dict(zip(symbolic.decode_words(level.codes, level.depth),
+                    zip(level.lo.tolist(), level.hi.tolist())))
 
 
 def exact_step(x):
@@ -109,25 +106,22 @@ def test_kneading_symmetric_pair(lmap):
     assert kp.k_minus == swapped
 
 
-def test_admissibility_equals_nonemptiness_exhaustive(lmap):
-    kp = kneading(lmap, 16)
-    for n in range(1, 11):
+def assert_admissible_iff_in_levels(lm, n_max):
+    # the kneading criterion of the oracle against membership in the
+    # cylinder levels, which the library enumerates by pullback
+    kp = kneading(lm, 16)
+    for n in range(1, n_max + 1):
+        live = set(admissible_words(lm, n))
         for w in all_words(n):
-            assert is_admissible(w, kp) == cylinder_interval(lmap, w).nonempty, w
+            assert is_admissible(w, kp) == (w in live), w
+
+
+def test_admissibility_equals_nonemptiness_exhaustive(lmap):
+    assert_admissible_iff_in_levels(lmap, 10)
 
 
 def test_admissibility_equals_nonemptiness_other_beta():
-    lm = LorenzMap1D(alpha=1.0, beta=1.9)
-    kp = kneading(lm, 12)
-    for n in range(1, 9):
-        for w in all_words(n):
-            assert is_admissible(w, kp) == cylinder_interval(lm, w).nonempty, w
-
-
-def test_admissibility_needs_kneading_depth(lmap):
-    kp = kneading(lmap, 4)
-    with pytest.raises(InsufficientKneadingError):
-        is_admissible("RLRLR", kp)
+    assert_admissible_iff_in_levels(LorenzMap1D(alpha=1.0, beta=1.9), 10)
 
 
 def test_lap_counts_match_exact_preimage_tree(lmap):
@@ -164,18 +158,6 @@ def test_cylinder_itinerary_prefix(lmap):
     for w, (lo, hi) in levels[6].items():
         mid = 0.5 * (lo + hi)
         assert itinerary_of(lmap, mid, 6) == w
-
-
-def test_cylinder_interval_rejects_bad_words(lmap):
-    with pytest.raises(PreconditionError):
-        cylinder_interval(lmap, "")
-    with pytest.raises(PreconditionError):
-        cylinder_interval(lmap, "LRX")
-
-
-def test_itinerary_flags_singular_orbit(lmap):
-    with pytest.raises(DomainError):
-        itinerary_of(lmap, 1e-16, 3)
 
 
 def test_periodic_records(lmap):
@@ -238,7 +220,7 @@ def test_horseshoe_vertex_rule_brute_force(lmap):
 def test_horseshoe_edges_are_shift_compatible(lmap, horseshoe6):
     joined = spans_of(cylinder_levels(lmap, 7)[7])
     for i, w in enumerate(horseshoe6.vertices):
-        for s, j in horseshoe6.successors(i):
+        for s, j in successors(horseshoe6, i):
             v = horseshoe6.vertices[j]
             assert v == w[1:] + s
             assert w + s in joined
@@ -255,7 +237,7 @@ def test_horseshoe_cycle_orbit_avoids_gap(lmap):
     while i not in seen:
         seen[i] = len(path)
         path.append(i)
-        succs = hs.successors(i)
+        succs = successors(hs, i)
         assert succs, "stranded vertex inside a strongly connected component"
         i = succs[0][1]
     cycle = path[seen[i]:]
@@ -338,7 +320,7 @@ def test_adjacency_matrix_agrees_with_successors(horseshoe6):
     n = horseshoe6.n_vertices
     expected = np.zeros((n, n))
     for i in range(n):
-        for _, j in horseshoe6.successors(i):
+        for _, j in successors(horseshoe6, i):
             expected[i, j] = 1.0
     assert np.array_equal(mat, expected)
     assert horseshoe6.edge_count() == int(expected.sum())
@@ -377,7 +359,7 @@ def test_cylinder_levels_match_scalar_recursion(alpha, beta, rtol, atol):
     got = cylinder_levels(lm, 12)
     for d in range(13):
         words = sorted(want[d])
-        assert got[d].words() == words
+        assert symbolic.decode_words(got[d].codes, d) == words
         ends = np.array([want[d][w] for w in words])
         np.testing.assert_allclose(got[d].lo, ends[:, 0], rtol=rtol, atol=atol)
         np.testing.assert_allclose(got[d].hi, ends[:, 1], rtol=rtol, atol=atol)
@@ -415,7 +397,7 @@ def test_sft_edges_follow_the_string_rule(alpha, beta):
 def test_decode_spans_several_blocks():
     level = cylinder_levels(LorenzMap1D(1.0, 1.95), 18)[18]
     assert len(level) > 2 * symbolic._DECODE_BLOCK
-    assert level.words() == [
+    assert symbolic.decode_words(level.codes, level.depth) == [
         format(int(c), "018b").replace("0", "L").replace("1", "R")
         for c in level.codes]
 
@@ -659,7 +641,7 @@ def test_enumerate_periodic_matches_scalar_chain(fresh_model_cache, alpha,
         necklaces = {least_rotation("".join(t))
                      for t in itertools.product("LR", repeat=p)}
         words += sorted(w for w in necklaces if symbolic.is_primitive(w)
-                        and symbolic.periodic_word_admissible(w, kp))
+                        and periodic_word_admissible(w, kp))
     records = enumerate_periodic(lm, 10)
     assert [r.word for r in records] == words
     long = "LRRLLRLRRRLL"
@@ -742,10 +724,51 @@ def test_cached_horseshoe_is_read_only(fresh_model_cache, lmap):
     for arr in (hs.codes, hs.succ["L"], hs.succ["R"], hs.cyl_lo, hs.cyl_hi):
         with pytest.raises(ValueError):
             arr[0] = arr[1]
-    # vertex strings and the index are made on first use only
+    # vertex strings are made on first use only
     strongly_connected_components(hs)
-    assert hs._vertices is None and hs._index is None
+    assert hs._vertices is None
     assert len(hs.vertices) == hs.n_vertices
     assert list(hs.vertices) == sorted(set(hs.vertices)
                                        & set(admissible_words(lmap, 8)))
-    assert hs.index(hs.vertices[5]) == 5
+
+
+def assert_periodic_admissibility_matches_oracle(kp, p_max):
+    # every necklace of period <= p_max, each rotation compared with the
+    # kneading words symbol by symbol as strings
+    for p in range(1, p_max + 1):
+        codes = symbolic._necklace_codes(p)
+        got = symbolic._periodic_admissible(symbolic.code_symbols(codes, p),
+                                            kp)
+        want = [periodic_word_admissible(w, kp)
+                for w in symbolic.decode_words(codes, p)]
+        assert got.tolist() == want, p
+
+
+@pytest.mark.parametrize("alpha, beta", [(1.0, 1.7), (1.0, 1.95),
+                                         (0.8, 1.99)])
+def test_periodic_admissibility_matches_string_oracle(alpha, beta):
+    assert_periodic_admissibility_matches_oracle(
+        kneading(LorenzMap1D(alpha, beta), 64), 16)
+
+
+@pytest.mark.parametrize("k_minus, k_plus", [("RRLRL", "LLRLR"),
+                                             ("RRRL", "LRLLR")])
+def test_periodic_admissibility_ties_match_string_oracle(k_minus, k_plus):
+    # periodic kneading words, so that the rotations of some necklaces
+    # agree with a kneading word over the whole depth
+    kp = symbolic.KneadingPair((k_minus * 20)[:64], (k_plus * 20)[:63])
+    assert_periodic_admissibility_matches_oracle(kp, 12)
+
+
+def test_long_primitive_words_against_the_oracle(fresh_model_cache, lmap):
+    # longer than a uint64 code holds; the kneading depth is 4 * 70
+    kp = kneading(lmap, 280)
+    good = "LRR" * 23 + "L"
+    bad = "LRR" * 23 + "R"
+    assert periodic_word_admissible(good, kp)
+    assert not periodic_word_admissible(bad, kp)
+    rec = find_periodic_point(lmap, good)
+    assert (rec.word, rec.period) == (good, 70)
+    assert rec.multiplier == pytest.approx(1.7 ** 70, rel=1e-12)
+    with pytest.raises(InadmissibleWordError):
+        find_periodic_point(lmap, bad)
