@@ -23,7 +23,7 @@ from .catalog import (GAP_CORE_RECIPE, GAP_DEMONSTRATOR_RECIPE,
                       build_catalog)
 from .config import default_config, load_config
 from .errors import ConfigError, GeolorenzError
-from .measures import (SingularDeltaMeasure, ball_fractions, entropy_map,
+from .measures import (SingularDeltaMeasure, ball_fractions,
                        measure_from_payload, suspend_many)
 # unused here, kept since benchmarks/test_benchmark.py checks that the
 # tracer wraps this binding
@@ -34,9 +34,9 @@ from .pressure import (h_top_estimate, pressure_separated,
                        pressure_transfer)
 from .report import Emitter
 from .repro import run_suite
-from .spectrum import (HYPOTHESIS_THRESHOLD, TargetRequest,
-                       build_gap_potential, realize_intermediate,
-                       spectrum_scan, verify_gap)
+from .spectrum import (TargetRequest, build_gap_potential,
+                       realize_intermediate, spectrum_scan, stats_rows,
+                       verify_gap)
 from .symbolic import build_horseshoe, enumerate_periodic, \
     strongly_connected_components
 
@@ -111,18 +111,6 @@ def _resolve_outdir(args, config):
     return config["output.dir"]
 
 
-def _stats_row(measure, stats, bf):
-    if isinstance(measure, SingularDeltaMeasure):
-        h_map = 0.0
-    else:
-        h_map = entropy_map(measure)
-    return {"measure_id": measure.id, "entropy_map": h_map,
-            "mean_roof": stats.mean_roof, "h_flow": stats.h_flow,
-            "integral": stats.potential_integral,
-            "pressure": stats.pressure(), "ball_fraction": bf,
-            "hypothesis_flag": bool(bf < HYPOTHESIS_THRESHOLD)}
-
-
 def _cmd_validate(args, config, emitter):
     report = validate_model(config.make_model(), args.grid_density)
     emitter.emit_json("validate", report.as_dict())
@@ -174,9 +162,7 @@ def _cmd_measure_stats(args, config, emitter):
     # one pass of the section integrator for the whole catalog; each row
     # gets the floats of its member alone
     stats = suspend_many(catalog, roof, potential)
-    rows = [_stats_row(m, s, bf) for m, s, bf in
-            zip(catalog, stats, ball_fractions(stats, args.ball_radius))]
-    rows.sort(key=lambda r: r["measure_id"])
+    rows = stats_rows(stats, ball_fractions(stats, args.ball_radius))
     emitter.emit_json("measure_stats",
                       {"potential": args.potential,
                        "ball_radius": args.ball_radius, "rows": rows})

@@ -25,15 +25,12 @@ from .errors import DepthTooShallowError, PreconditionError
 from .model import abs_range, dwell_array, roof_array
 from .potentials import midpoint_error_many, passage_error_many
 from .symbolic import (ALPHABET, EMPTY_WIDTH, MAX_DEPTH, CylinderLevel,
-                       build_horseshoe, check_word, code_symbols,
+                       _remember, build_horseshoe, check_word, code_symbols,
                        cylinder_levels, encode_words, find_periodic_point,
                        pullback, restrict_horseshoe,
                        strongly_connected_components)
 
 DEFAULT_DEPTH = 12
-# keys kept by each cache of this module: the cylinder schemes and the
-# model-only integrals on each orbit record and each scheme
-CACHE_LIMIT = 64
 
 
 class AtomicMeasure:
@@ -73,12 +70,12 @@ class AtomicMeasure:
 class MarkovMeasure:
     """Stationary Markov chain on a horseshoe SFT.
 
-    Transition probabilities are stored per vertex and appended symbol
-    (at most two successors each); `probs[i, k]` is the probability of
-    following the ALPHABET[k] edge out of vertex i. Validation enforces
-    row-stochasticity (1e-12), stationarity (1e-10), support inside the
-    adjacency, and irreducibility of the support graph, so the measure is
-    ergodic by construction. When the support is the whole adjacency, as
+    Transition probabilities share the layout of the horseshoe's table
+    `next`: `probs[i, k]` is the probability of following the edge
+    next[i, k] out of vertex i. Validation enforces row-stochasticity
+    (1e-12), stationarity (1e-10), support inside the adjacency, and
+    irreducibility of the support graph, so the measure is ergodic by
+    construction. When the support is the whole adjacency, as
     for every equilibrium state, irreducibility is read from the
     horseshoe's stored decomposition (`SFTHorseshoe.cyclic_components`).
     The entropy is computed once, after validation (`entropy`).
@@ -106,12 +103,11 @@ class MarkovMeasure:
                 % np.max(np.abs(rows - 1.0)))
         if abs(stationary.sum() - 1.0) > 1e-12:
             raise PreconditionError("stationary vector must sum to 1 within 1e-12")
-        for k, s in enumerate(ALPHABET):
-            bad = (probs[:, k] > 0.0) & (horseshoe.succ[s] < 0)
-            if np.any(bad):
-                raise PreconditionError(
-                    "transition support leaves the adjacency at vertex %d"
-                    % int(np.nonzero(bad)[0][0]))
+        bad = (probs > 0.0) & (horseshoe.next < 0)
+        if np.any(bad):
+            raise PreconditionError(
+                "transition support leaves the adjacency at vertex %d"
+                % int(np.nonzero(bad)[0][0]))
         flow = self._push(stationary, probs)
         if np.max(np.abs(flow - stationary)) > 1e-10:
             raise PreconditionError(
@@ -129,30 +125,24 @@ class MarkovMeasure:
         self.entropy = float(-np.sum(self.stationary * plogp.sum(axis=1)))
 
     def _push(self, pi, probs):
+        # symbol by symbol, each in vertex order
+        table = self.horseshoe.next.T
+        ok = table >= 0
         out = np.zeros_like(pi)
-        for k, s in enumerate(ALPHABET):
-            arr = self.horseshoe.succ[s]
-            ok = arr >= 0
-            np.add.at(out, arr[ok], pi[ok] * probs[ok, k])
+        np.add.at(out, table[ok], (probs.T * pi)[ok])
         return out
 
     def _support_irreducible(self, probs):
         hs = self.horseshoe
-        if all(np.all(probs[hs.succ[s] >= 0, k] > 0.0)
-               for k, s in enumerate(ALPHABET)):
+        if (probs[hs.next >= 0] > 0.0).all():
             # the support is the whole adjacency (always so for an
             # equilibrium state): the horseshoe's stored decomposition
             # answers, so a family of measures on it decomposes it once
             comps = hs.cyclic_components()
             return len(comps) == 1 and len(comps[0][0]) == hs.n_vertices
-        masked = {}
-        for k, s in enumerate(ALPHABET):
-            arr = hs.succ[s].copy()
-            arr[probs[:, k] <= 0.0] = -1
-            masked[s] = arr
-        shadow = types.SimpleNamespace(n_vertices=hs.n_vertices, succ=masked)
-        comps = strongly_connected_components(shadow)
-        return len(comps) == 1
+        support = np.where(probs > 0.0, hs.next, -1)
+        shadow = types.SimpleNamespace(n_vertices=hs.n_vertices, next=support)
+        return len(strongly_connected_components(shadow)) == 1
 
     @property
     def id(self):
@@ -173,10 +163,8 @@ class MarkovMeasure:
     def transition_matrix(self):
         n = self.horseshoe.n_vertices
         mat = np.zeros((n, n))
-        for k, s in enumerate(ALPHABET):
-            arr = self.horseshoe.succ[s]
-            ok = arr >= 0
-            mat[np.nonzero(ok)[0], arr[ok]] = self.probs[ok, k]
+        src, bit = np.nonzero(self.horseshoe.next >= 0)
+        mat[src, self.horseshoe.next[src, bit]] = self.probs[src, bit]
         return mat
 
     def cylinder_masses(self, depth):
@@ -326,7 +314,8 @@ def integrate_many(integrand, measures, depth=DEFAULT_DEPTH):
     the points live, both shared through the per-model stores: each
     atom's average on its `PeriodicOrbitRecord`, and each scheme's
     (values, bounds) arrays, read-only, on the `_CylinderScheme`. Each
-    cache holds at most CACHE_LIMIT + 1 keys and is emptied past that.
+    cache holds at most `symbolic.CACHE_LIMIT` + 1 keys and is emptied
+    past that.
     Potentials carry no key and are never cached. A hit returns the cold
     floats, since each average and each array entry depends on its own
     points only.
@@ -433,14 +422,6 @@ def _orbit_averages(integrand, atoms):
             out[k] = total / p
         start = stop
     return out
-
-
-def _remember(cache, key, value):
-    """cache[key] = value, emptying the cache once it holds more than
-    CACHE_LIMIT keys."""
-    if len(cache) > CACHE_LIMIT:
-        cache.clear()
-    cache[key] = value
 
 
 def _mix(result, index, measure):
@@ -567,6 +548,8 @@ def ball_fractions(stats, b):
     `suspend_many` call do. The dwell integral is cached like the roof's,
     under (c0, c1, eta0, b).
     """
+    if not b > 0.0:
+        raise PreconditionError("dwell radius must be positive")
     section = [s for s in stats if not s.singular]
     if not section:
         return [1.0] * len(stats)
@@ -627,8 +610,14 @@ def measure_from_payload(lmap, payload):
                 "serialized horseshoe vertex %r does not exist at depth %d, "
                 "gap %g" % (wanted[np.argmax(picked < 0)], full.depth,
                             full.x_gap))
-        sub = restrict_horseshoe(full, picked)
-        # restrict_horseshoe sorts vertices; realign the serialized rows
+        # an equilibrium state's vertices are a component the horseshoe
+        # stores: reuse that object, and with it its cylinder schemes
+        keep = np.sort(picked)
+        sub = next((s for c, s in full.cyclic_components()
+                    if np.array_equal(c, keep)), None)
+        if sub is None:
+            sub = restrict_horseshoe(full, keep)
+        # the vertices are sorted; realign the serialized rows
         realign = np.argsort(picked)
         probs = np.asarray(payload["probs"], dtype=float)[realign]
         stationary = np.asarray(payload["stationary"], dtype=float)[realign]
@@ -671,8 +660,6 @@ class _DwellIntegrand:
     """
 
     def __init__(self, roof, b):
-        if b <= 0.0:
-            raise PreconditionError("dwell radius must be positive")
         self.roof = roof
         self.b = float(b)
         self.key = ("dwell", np.array([roof.c0, roof.c1, roof.eta0,
@@ -714,13 +701,11 @@ def _monotone_range(value_fn, lo, hi):
 # ---------------------------------------------------------------------------
 # path expansion: depth-D cylinder masses of a Markov measure, vectorized
 #
-# A scheme depends only on the map and the horseshoe's word structure, so
-# the cache keys on (alpha, beta, depth, `SFTHorseshoe.structure`), the
-# vertex codes and successor arrays as bytes: every horseshoe object with
-# that structure, such as the restricted component of each equilibrium
-# measure of a bisection, shares one build. Schemes hold no strings.
-
-_scheme_cache = {}
+# A scheme depends only on the map and the horseshoe, so it is kept on the
+# horseshoe (`SFTHorseshoe.schemes`) under (alpha, beta, depth): every
+# measure on one horseshoe object, such as the restricted component that
+# each equilibrium state of a bisection shares, reads one build, and the
+# scheme is freed with its horseshoe. Schemes hold no strings.
 
 
 class _CylinderScheme:
@@ -738,8 +723,7 @@ class _CylinderScheme:
     matrix of the codes.
 
     `integrals` caches the read-only (values, bounds) arrays of each
-    keyed integrand by its key (see `integrate_many`), at most
-    CACHE_LIMIT + 1 keys, emptied past that.
+    keyed integrand by its key (see `integrate_many` and `_remember`).
     """
 
     def __init__(self, lmap, horseshoe, depth):
@@ -749,18 +733,19 @@ class _CylinderScheme:
         if depth > MAX_DEPTH:
             raise PreconditionError(
                 "scheme depth %d exceeds maximum %d" % (depth, MAX_DEPTH))
+        table = horseshoe.next
         cur = np.arange(horseshoe.n_vertices, dtype=np.int64)
         codes = horseshoe.codes
         links = []     # per extension: (parent path, step) of each new path
         for _ in range(depth - m):
-            nxt = [horseshoe.succ[s][cur] for s in ALPHABET]
-            ok = [np.flatnonzero(a >= 0) for a in nxt]
-            links.append((np.concatenate(ok),
-                          np.concatenate([2 * cur[o] + k
-                                          for k, o in enumerate(ok)])))
-            codes = np.concatenate([(codes[o] << np.uint64(1)) | np.uint64(k)
-                                    for k, o in enumerate(ok)])
-            cur = np.concatenate([a[o] for a, o in zip(nxt, ok)])
+            # the L extensions of all paths, in path order, then the R ones
+            ok = [np.flatnonzero(col >= 0) for col in table[cur].T]
+            parent = np.concatenate(ok)
+            bit = np.repeat(np.arange(len(ALPHABET)), [len(o) for o in ok])
+            step = 2 * cur[parent] + bit
+            links.append((parent, step))
+            codes = (codes[parent] << np.uint64(1)) | bit.astype(np.uint64)
+            cur = table.reshape(-1)[step]
         steps = np.empty((len(cur), len(links)), dtype=np.int64)
         path = np.arange(len(cur), dtype=np.int64)
         for j in range(len(links) - 1, -1, -1):
@@ -796,9 +781,9 @@ class _CylinderScheme:
 
 
 def _scheme(lmap, horseshoe, depth):
-    key = (lmap.alpha, lmap.beta, int(depth), horseshoe.structure)
-    scheme = _scheme_cache.get(key)
+    key = (lmap.alpha, lmap.beta, int(depth))
+    scheme = horseshoe.schemes.get(key)
     if scheme is None:
         scheme = _CylinderScheme(lmap, horseshoe, depth)
-        _remember(_scheme_cache, key, scheme)
+        _remember(horseshoe.schemes, key, scheme)
     return scheme

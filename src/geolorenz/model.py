@@ -37,7 +37,7 @@ class LorenzMap1D:
         beta = float(beta)
         if not 0.0 < alpha <= 1.0:
             raise PreconditionError("alpha must lie in (0, 1], got %r" % alpha)
-        if beta <= 0.0:
+        if not beta > 0.0:
             raise PreconditionError("beta must be positive, got %r" % beta)
         self.alpha = alpha
         self.beta = beta
@@ -135,7 +135,7 @@ class SkewProductReturnMap:
             raise PreconditionError("base must be a LorenzMap1D")
         if not 0.0 < rho < 1.0:
             raise PreconditionError("rho must lie in (0, 1), got %r" % rho)
-        if c_H <= 0.0:
+        if not c_H > 0.0:
             raise PreconditionError("c_H must be positive, got %r" % c_H)
         self.base = base
         self.rho = rho
@@ -181,9 +181,9 @@ class RoofFunction:
         c0 = float(c0)
         c1 = float(c1)
         eta0 = float(eta0)
-        if c0 <= 0.0:
+        if not c0 > 0.0:
             raise PreconditionError("c0 must be positive, got %r" % c0)
-        if c1 < 0.0:
+        if not c1 >= 0.0:
             raise PreconditionError("c1 must be nonnegative, got %r" % c1)
         if not 0.0 < eta0 < 1.0:
             raise PreconditionError("eta0 must lie in (0, 1), got %r" % eta0)
@@ -205,13 +205,13 @@ class RoofFunction:
         at one point (see `dwell_array`); DomainError at x = 0."""
         if x == 0.0:
             raise DomainError("dwell undefined at x = 0")
-        if b <= 0.0:
+        if not b > 0.0:
             raise PreconditionError("dwell radius must be positive, got %r" % b)
         return float(dwell_array(self, x, b))
 
     def scaled(self, k):
         """Roof multiplied by constant k > 0 (time-rescaled flow)."""
-        if k <= 0.0:
+        if not k > 0.0:
             raise PreconditionError("scale factor must be positive")
         return RoofFunction(self.c0 * k, self.c1 * k, self.eta0)
 

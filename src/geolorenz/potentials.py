@@ -149,7 +149,7 @@ class SectionGridPotential:
         if self.xs.size < 2 or self.ys.size < 2:
             raise PreconditionError("grid axes need at least two points each")
         self.lipschitz = float(lipschitz)
-        if self.lipschitz < 0:
+        if not self.lipschitz >= 0.0:
             raise PreconditionError("Lipschitz constant must be nonnegative")
         # for `value`: the cell widths and the four corner samples of cell
         # (i, j), flattened to row i*(ny - 1) + j, so one `take` reads them.
@@ -282,7 +282,7 @@ class SingularBumpPotential:
     def __init__(self, level, eta):
         self.level = float(level)
         self.eta = float(eta)
-        if self.level <= 0.0:
+        if not self.level > 0.0:
             raise PreconditionError("bump level must be positive")
         if not 0.0 < self.eta < 0.5:
             raise PreconditionError(

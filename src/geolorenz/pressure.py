@@ -25,7 +25,7 @@ keeps its result, the validated `MarkovMeasure` on the winning sub-SFT
 with every array read-only, in the horseshoe's `equilibria` dict, keyed
 on the bytes of lw + 0.0 (so -0.0 and +0.0 are one key, and t = 0 is one
 state for every potential). The memo holds at most
-EQUILIBRIUM_MEMO_LIMIT + 1 entries: it is emptied when it grows past the
+`symbolic.CACHE_LIMIT` + 1 entries: it is emptied when it grows past the
 limit, and it is freed with its horseshoe when the per-model store
 evicts the model. Equal keys mean equal inputs to the same
 deterministic solve, so a hit is bit for bit the cold result and nothing
@@ -45,11 +45,9 @@ from .measures import (MarkovMeasure, SingularDeltaMeasure, entropy_map,
 # unused here, kept since benchmarks/test_benchmark.py checks that the
 # tracer wraps this binding
 from .measures import suspend
-from .symbolic import ALPHABET, build_horseshoe
+from .symbolic import ALPHABET, _remember, build_horseshoe
 
 MAX_TRANSFER_DEPTH = 14
-# solved equilibrium states kept per horseshoe (see equilibrium_measure)
-EQUILIBRIUM_MEMO_LIMIT = 64
 # Perron steps per Collatz-Wielandt check (see _weighted_power)
 CERTIFY_EVERY = 16
 
@@ -144,15 +142,16 @@ def pressure_separated(lmap, potential, n, eps, pitch_divisor=6):
                              "separated_points": int(keep.sum())}, slack)
 
 
-def _predecessors(succ, n):
+def _predecessors(table, n):
     """(2, n) table of the at most two predecessors of each vertex, -1 if none.
 
-    An edge u -> v of a shift-compatible graph has u = a + W and v = W + s,
-    so v has at most the two predecessors L + W and R + W.
+    `table` is a (vertices, 2) successor table. An edge u -> v of a
+    shift-compatible graph has u = a + W and v = W + s, so v has at most
+    the two predecessors L + W and R + W.
     """
-    rows = [np.nonzero(succ[s] >= 0)[0] for s in ALPHABET]
-    src = np.concatenate(rows)
-    dst = np.concatenate([succ[s][r] for s, r in zip(ALPHABET, rows)])
+    # the L edges by source, then the R edges
+    bit, src = np.nonzero(table.T >= 0)
+    dst = table[src, bit]
     order = np.argsort(dst, kind="stable")
     src, dst = src[order], dst[order]
     count = np.bincount(dst, minlength=n)
@@ -167,10 +166,12 @@ def _predecessors(succ, n):
     return prev
 
 
-def _weighted_power(succ, log_weights, left=False, tol=1e-12,
+def _weighted_power(table, log_weights, left=False, tol=1e-12,
                     max_iter=20000):
     """Perron root of M[u][v] = A(u,v) * e^(lw[v]) and its vectors.
 
+    A is given by `table`, a (vertices, 2) successor table with -1 for no
+    edge (see `SFTHorseshoe.next`).
     Returns (log lambda, h, g, iterations, converged): log of the Perron
     root of M, the right vector h and, with `left`, the left vector g
     (None otherwise), each sup-normalized. Weights enter max-shifted, so
@@ -229,12 +230,14 @@ def _weighted_power(succ, log_weights, left=False, tol=1e-12,
     w = np.exp(lw - c)
     # one row per symbol slot: the right side gathers the successors with
     # their weights, the left side the predecessors with its own weight;
-    # an absent edge reads entry 0 with coefficient 0
-    nxt = np.stack([succ[s] for s in ALPHABET])
+    # an absent edge reads entry 0 with coefficient 0. The rows are made
+    # C-ordered: np.where on the transposed view would give F-ordered
+    # tables, and every step gathers with them
+    nxt = np.ascontiguousarray(table.T)
     idx = [np.where(nxt >= 0, nxt, 0)]
     coef = [np.where(nxt >= 0, w[nxt], 0.0)]
     if left:
-        prev = _predecessors(succ, n)
+        prev = _predecessors(table, n)
         idx.append(np.where(prev >= 0, prev + n, 0))
         coef.append(np.where(prev >= 0, w, 0.0))
     sides = 2 if left else 1
@@ -319,13 +322,13 @@ def pressure_transfer(lmap, potential, depth=12):
     sft = build_horseshoe(lmap, depth, 0.0)
     mids = sft.midpoints
     lw = np.asarray(potential.value(mids, np.zeros_like(mids)), dtype=float)
-    value, _, _, iterations, converged = _weighted_power(sft.succ, lw)
+    value, _, _, iterations, converged = _weighted_power(sft.next, lw)
     params = {"depth": depth, "words": sft.n_vertices,
               "iterations": iterations}
     if not converged:
         # reducible (or periodic) word graph: score each strongly
         # connected component that carries a cycle and keep the best
-        value = max((_weighted_power(sub.succ, lw[comp])[0]
+        value = max((_weighted_power(sub.next, lw[comp])[0]
                      for comp, sub in sft.cyclic_components()),
                     default=-math.inf)
         params["fallback"] = "per-component"
@@ -457,7 +460,7 @@ def equilibrium_measure(lmap, horseshoe, potential, t=1.0, label=None):
     under the bytes of lw + 0.0, lw = t*phi(midpoints), since it depends
     on nothing else: a hit is bit for bit the cold result, so results do
     not depend on call history. The memo keeps converged solves only, at
-    most `EQUILIBRIUM_MEMO_LIMIT` + 1 (it is emptied past the limit), and
+    most `symbolic.CACHE_LIMIT` + 1 (it is emptied past the limit), and
     is freed with its horseshoe. It keeps the `MarkovMeasure` validated
     once, with read-only arrays and its entropy computed; every call
     returns a shallow copy carrying the caller's map and label, so a label
@@ -468,13 +471,10 @@ def equilibrium_measure(lmap, horseshoe, potential, t=1.0, label=None):
     lw = float(t) * np.asarray(potential.value(mids, np.zeros_like(mids)),
                                dtype=float) + 0.0
     key = lw.tobytes()
-    memo = horseshoe.equilibria
-    solved = memo.get(key)
+    solved = horseshoe.equilibria.get(key)
     if solved is None:
         solved = _solve_equilibrium(lmap, horseshoe, lw)
-        if len(memo) > EQUILIBRIUM_MEMO_LIMIT:
-            memo.clear()
-        memo[key] = solved
+        _remember(horseshoe.equilibria, key, solved)
     measure = copy.copy(solved)
     measure.lmap = lmap
     measure.label = label
@@ -490,7 +490,7 @@ def _solve_equilibrium(lmap, horseshoe, lw):
     best = None
     for comp, sub in horseshoe.cyclic_components():
         val, h, g, iterations, converged = _weighted_power(
-            sub.succ, lw[comp], left=True)
+            sub.next, lw[comp], left=True)
         if not converged:
             raise PreconditionError(
                 "Perron iteration on a %d-vertex component did not converge "
@@ -502,11 +502,7 @@ def _solve_equilibrium(lmap, horseshoe, lw):
     _, comp, sub, h, g = best
 
     w = np.exp(lw[comp] - np.max(lw[comp]))
-    probs = np.zeros((len(comp), len(ALPHABET)))
-    for k, s in enumerate(ALPHABET):
-        idx = sub.succ[s]
-        ok = idx >= 0
-        probs[ok, k] = w[idx[ok]] * h[idx[ok]]
+    probs = np.where(sub.next >= 0, (w * h)[sub.next], 0.0)
     probs /= probs.sum(axis=1)[:, None]
     pi = g * h
     pi /= pi.sum()

@@ -22,8 +22,6 @@ member the floats of its one-measure call bit for bit.
 
 import math
 
-import numpy as np
-
 from .catalog import (DEFAULT_RECIPE, GAP_CORE_RECIPE, build_catalog)
 from .errors import (BracketFailureError, EtaTooLargeError, NoWitnessError,
                      PreconditionError)
@@ -59,7 +57,7 @@ class TargetRequest:
     def __init__(self, lmap, potential, target, tolerance, level="map",
                  roof=None, depth=12, gap_schedule=DEFAULT_GAP_SCHEDULE,
                  catalog=None):
-        if tolerance <= 0.0:
+        if not tolerance > 0.0:
             raise PreconditionError("tolerance must be positive")
         if level not in ("map", "flow"):
             raise PreconditionError("level must be 'map' or 'flow'")
@@ -220,27 +218,10 @@ def verify_gap(lmap, roof, bump, catalog, slack=1e-2, depth=12):
     pool = list(catalog)
     if not any(isinstance(m, SingularDeltaMeasure) for m in pool):
         pool.append(SingularDeltaMeasure())
-    rows = []
-    delta_pressure = None
     all_stats = suspend_many(pool, roof, bump, depth)
-    fractions = ball_fractions(all_stats, 2.0 * bump.eta)
-    for m, stats, bf in zip(pool, all_stats, fractions):
-        if isinstance(m, SingularDeltaMeasure):
-            h_map = 0.0
-            delta_pressure = stats.pressure()
-        else:
-            h_map = entropy_map(m)
-        rows.append({
-            "measure_id": m.id,
-            "entropy_map": h_map,
-            "mean_roof": stats.mean_roof,
-            "h_flow": stats.h_flow,
-            "integral": stats.potential_integral,
-            "pressure": stats.pressure(),
-            "ball_fraction": bf,
-            "hypothesis_flag": bool(bf < HYPOTHESIS_THRESHOLD),
-        })
-    rows.sort(key=lambda r: r["measure_id"])
+    rows = stats_rows(all_stats, ball_fractions(all_stats, 2.0 * bump.eta))
+    # every Dirac carries the same conventions, and the pool has one
+    delta_pressure = next(s.pressure() for s in all_stats if s.singular)
     satisfying = [r["pressure"] for r in rows if r["hypothesis_flag"]]
     sup_satisfying = max(satisfying) if satisfying else None
     certified = (sup_satisfying is not None
@@ -248,6 +229,21 @@ def verify_gap(lmap, roof, bump, catalog, slack=1e-2, depth=12):
                  and delta_pressure == L)
     return GapReport(L, bump.eta, slack, rows, sup_satisfying,
                      delta_pressure, certified)
+
+
+def stats_rows(stats, fractions):
+    """One table row per FlowMeasureStats, sorted by measure id: its flow
+    statistics, its ball fraction bf and the hypothesis flag bf < 1/4.
+    Used by `verify_gap` and the `measure-stats` command."""
+    rows = [{"measure_id": s.measure.id,
+             "entropy_map": 0.0 if s.singular else entropy_map(s.measure),
+             "mean_roof": s.mean_roof, "h_flow": s.h_flow,
+             "integral": s.potential_integral, "pressure": s.pressure(),
+             "ball_fraction": bf,
+             "hypothesis_flag": bool(bf < HYPOTHESIS_THRESHOLD)}
+            for s, bf in zip(stats, fractions)]
+    rows.sort(key=lambda r: r["measure_id"])
+    return rows
 
 
 def _smallest_feasible_theta(feasible, steps=64, iters=48):

@@ -58,6 +58,19 @@ _DECODE_BLOCK = 1 << 16
 # nonempty cylinders at depth <= MAX_DEPTH are wider than beta**-24 ~ 3e-6
 EMPTY_WIDTH = 1e-12
 
+# keys kept by each memo of a shared object: a horseshoe's equilibrium
+# states and cylinder schemes, and the keyed integrals of `measures` on
+# each periodic orbit record and each scheme
+CACHE_LIMIT = 64
+
+
+def _remember(cache, key, value):
+    """cache[key] = value, emptying the cache once it holds more than
+    CACHE_LIMIT keys."""
+    if len(cache) > CACHE_LIMIT:
+        cache.clear()
+    cache[key] = value
+
 
 def check_word(word):
     if not word:
@@ -344,8 +357,8 @@ class PeriodicOrbitRecord:
     Records live in the model's store, so every atom on one orbit shares
     one. A record caches model-only work: its orbit points, read-only,
     and in `averages` the orbit average of each keyed integrand of
-    `measures.integrate_many` by its key (at most `measures.CACHE_LIMIT`
-    + 1 keys, emptied past that).
+    `measures.integrate_many` by its key (at most CACHE_LIMIT + 1 keys,
+    emptied past that).
     """
 
     def __init__(self, word, point, multiplier):
@@ -540,48 +553,39 @@ class SFTHorseshoe:
     vertices are admissible depth-m words, held as their uint64 codes
     (`codes`, see `encode_words`); an edge u -> v exists iff v is the
     shift successor u[1:] + s and the joined word u + s is admissible.
-    Successors are stored as two index arrays (one per appended symbol),
-    -1 meaning no edge; adjacency_matrix() materializes the 0/1 matrix.
-    The words are decoded to strings on the first use of `vertices`
-    (graph work, cylinder schemes and their cache keys need none). The
-    arrays are read-only, since horseshoes are shared through the
-    per-model store. `equilibria` is the memo of solved equilibrium states
-    that `pressure.equilibrium_measure` keeps on the horseshoe, keyed on
-    the bytes of their log-weight vector, so it lives and dies with it.
+    The edges are one (vertices, 2) int64 table `next`: next[u, k] is the
+    successor of u on ALPHABET[k], -1 meaning no edge, so next.reshape(-1)
+    is indexed by the flat steps 2*u + k of the transition tables;
+    adjacency_matrix() materializes the 0/1 matrix. The words are decoded
+    to strings on the first use of `vertices` (graph work and cylinder
+    schemes need none). The arrays are read-only, since horseshoes are
+    shared through the per-model store. Two memos live and die with the
+    horseshoe, each at most CACHE_LIMIT + 1 keys (see `_remember`):
+    `equilibria`, the solved equilibrium states of
+    `pressure.equilibrium_measure` by the bytes of their log-weight
+    vector, and `schemes`, the cylinder schemes of `measures` by
+    (alpha, beta, depth).
     """
 
-    def __init__(self, depth, codes, succ_by_symbol, x_gap, cyl_lo, cyl_hi):
+    def __init__(self, depth, codes, table, x_gap, cyl_lo, cyl_hi):
         self.depth = depth
         self.codes = np.asarray(codes, dtype=np.uint64)
-        self.succ = {s: np.asarray(a, dtype=np.int64) for s, a in succ_by_symbol.items()}
+        self.next = np.asarray(table, dtype=np.int64)
         self.x_gap = float(x_gap)
         self.cyl_lo = np.asarray(cyl_lo, dtype=float)
         self.cyl_hi = np.asarray(cyl_hi, dtype=float)
-        for arr in (self.codes, *self.succ.values(), self.cyl_lo, self.cyl_hi):
+        for arr in (self.codes, self.next, self.cyl_lo, self.cyl_hi):
             arr.flags.writeable = False
         self._vertices = None
-        self._structure = None
         self._cyclic = None
         self.equilibria = {}
+        self.schemes = {}
 
     @property
     def vertices(self):
         if self._vertices is None:
             self._vertices = tuple(decode_words(self.codes, self.depth))
         return self._vertices
-
-    @property
-    def structure(self):
-        """(depth, vertex codes, successor arrays), the arrays as bytes.
-
-        Horseshoes of equal word structure have equal structures, so it
-        keys caches (see `measures._scheme`); it is built on first use
-        and kept, so a lookup hashes bytes whose hashes are stored.
-        """
-        if self._structure is None:
-            self._structure = (self.depth, self.codes.tobytes(),
-                               *(self.succ[s].tobytes() for s in ALPHABET))
-        return self._structure
 
     @property
     def n_vertices(self):
@@ -592,14 +596,13 @@ class SFTHorseshoe:
         return 0.5 * (self.cyl_lo + self.cyl_hi)
 
     def edge_count(self):
-        return int(sum(int(np.sum(a >= 0)) for a in self.succ.values()))
+        return int(np.count_nonzero(self.next >= 0))
 
     def adjacency_matrix(self):
         n = self.n_vertices
         adj = np.zeros((n, n), dtype=np.int8)
-        for arr in self.succ.values():
-            src = np.nonzero(arr >= 0)[0]
-            adj[src, arr[src]] = 1
+        src, bit = np.nonzero(self.next >= 0)
+        adj[src, self.next[src, bit]] = 1
         return adj
 
     def adjacency_density(self):
@@ -622,8 +625,7 @@ class SFTHorseshoe:
             cyclic = []
             for comp in strongly_connected_components(self):
                 i = comp[0]
-                if len(comp) == 1 and all(self.succ[s][i] != i
-                                          for s in ALPHABET):
+                if len(comp) == 1 and not (self.next[i] == i).any():
                     continue
                 sub = (self if len(comp) == self.n_vertices
                        else restrict_horseshoe(self, comp))
@@ -648,15 +650,15 @@ class SFTHorseshoe:
             if len(w) != depth:
                 raise PreconditionError(
                     "vertex %r is not a depth-%d word" % (w, depth))
-        succ = {s: np.full(n, -1, dtype=np.int64) for s in ALPHABET}
+        table = np.full((n, len(ALPHABET)), -1, dtype=np.int64)
         for i, j in zip(*np.nonzero(adjacency)):
             u, v = vertices[i], vertices[j]
             if v[:-1] != u[1:]:
                 raise PreconditionError(
                     "edge %r -> %r is not shift-compatible" % (u, v))
-            succ[v[-1]][i] = j
+            table[i, ALPHABET.index(v[-1])] = j
         lo, hi = pullback(lmap, symbol_matrix(vertices))
-        return cls(depth, encode_words(vertices), succ, x_gap, lo, hi)
+        return cls(depth, encode_words(vertices), table, x_gap, lo, hi)
 
 
 def build_horseshoe(lmap, depth, x_gap):
@@ -694,14 +696,12 @@ def build_horseshoe(lmap, depth, x_gap):
     # the edge u -> v on symbol s exists iff the joined word u + s is a
     # nonempty (m+1)-cylinder and v = (u + s)[1:] is a kept vertex; both
     # are code lookups, since (u + s)[1:] is code(u + s) & (2^m - 1)
-    mask = np.uint64((1 << depth) - 1)
-    succ = {}
-    for bit, s in enumerate(ALPHABET):
-        joined = (verts.codes << np.uint64(1)) | np.uint64(bit)
-        target = verts.find(joined & mask)
-        target[levels[depth + 1].find(joined) < 0] = -1
-        succ[s] = target
-    horseshoe = SFTHorseshoe(depth, verts.codes, succ, x_gap, verts.lo, verts.hi)
+    joined = ((verts.codes[:, None] << np.uint64(1))
+              | np.arange(len(ALPHABET), dtype=np.uint64))
+    table = verts.find(joined & np.uint64((1 << depth) - 1))
+    table[levels[depth + 1].find(joined) < 0] = -1
+    horseshoe = SFTHorseshoe(depth, verts.codes, table, x_gap, verts.lo,
+                             verts.hi)
     if horseshoe.edge_count() == 0:
         raise EmptyHorseshoeError(
             "x_gap = %g leaves vertices but no transitions at depth %d"
@@ -739,8 +739,8 @@ def _distinct(values, slot):
 def strongly_connected_components(graph):
     """Strongly connected components of a successor graph.
 
-    `graph` needs `n_vertices` and `succ`, one successor array per symbol
-    with -1 for no edge; in-degrees are arbitrary. Forward-backward
+    `graph` needs `n_vertices` and `next`, a (vertices, 2) successor
+    table with -1 for no edge; in-degrees are arbitrary. Forward-backward
     decomposition on arrays, over one graph holding the edges u -> v and,
     shifted by n, their reversals v + n -> u + n, stored once per call
     sorted by source. Its in-degree at v counts v's live in-edges and at
@@ -759,10 +759,10 @@ def strongly_connected_components(graph):
     n = graph.n_vertices
     if not n:
         return []
-    succ = np.stack([graph.succ[s] for s in ALPHABET], axis=1)
-    has = succ >= 0
+    table = graph.next
+    has = table >= 0
     # the edges u -> v by source u, row by row, then reversed by source v
-    dst = succ[has]
+    dst = table[has]
     out_degree = has.sum(axis=1)
     in_degree = np.bincount(dst, minlength=n)
     src = np.repeat(np.arange(n), out_degree)[np.argsort(dst, kind="stable")]
@@ -818,7 +818,6 @@ def restrict_horseshoe(horseshoe, indices):
     # maps a missing successor (-1) to -1
     remap = np.full(horseshoe.n_vertices + 1, -1, dtype=np.int64)
     remap[indices] = np.arange(len(indices), dtype=np.int64)
-    succ = {s: remap[horseshoe.succ[s][indices]] for s in ALPHABET}
-    return SFTHorseshoe(horseshoe.depth, horseshoe.codes[indices], succ,
-                        horseshoe.x_gap,
+    return SFTHorseshoe(horseshoe.depth, horseshoe.codes[indices],
+                        remap[horseshoe.next[indices]], horseshoe.x_gap,
                         horseshoe.cyl_lo[indices], horseshoe.cyl_hi[indices])

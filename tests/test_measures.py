@@ -32,8 +32,6 @@ from geolorenz import (
     integrate_map,
     measure_distance,
     measure_from_payload,
-    restrict_horseshoe,
-    strongly_connected_components,
     suspend,
 )
 from geolorenz.symbolic import decode_words
@@ -112,7 +110,7 @@ def test_markov_validation_errors(lmap, horseshoe12, parry):
 def test_markov_off_adjacency_support_rejected(lmap, horseshoe12, parry):
     probs = parry.probs.copy()
     # force mass onto a missing edge
-    dead = np.nonzero(horseshoe12.succ["L"] < 0)[0]
+    dead = np.nonzero(horseshoe12.next[:, 0] < 0)[0]
     if dead.size:
         i = int(dead[0])
         probs[i] = [0.5, 0.5]
@@ -248,7 +246,6 @@ def test_model_only_caches_give_the_cold_floats(lmap, roof,
     from geolorenz.catalog import DEFAULT_RECIPE, build_catalog
     from geolorenz.spectrum import spectrum_scan
 
-    monkeypatch.setattr(measures, "_scheme_cache", {})
     phi = SectionGridPotential.seeded(4)
 
     def results(catalog):
@@ -271,7 +268,6 @@ def test_model_only_caches_give_the_cold_floats(lmap, roof,
     assert results(catalog()) == cold
     # cold again, then warm for half of the catalog only
     fresh_model_cache.clear()
-    measures._scheme_cache.clear()
     members = catalog()
     results(members[::2])
     assert results(members) == cold
@@ -308,8 +304,8 @@ def test_birkhoff_sampling_oracle(lmap, parry, coord):
         lo, hi = spans[w]
         total += coord.value(0.5 * (lo + hi))
         p_l = parry.probs[i, 0]
-        s = "L" if rng.random() < p_l else "R"
-        i = int(parry.horseshoe.succ[s][i])
+        k = 0 if rng.random() < p_l else 1
+        i = int(parry.horseshoe.next[i, k])
         assert i >= 0
     birkhoff = total / n_steps
     integral, _ = integrate_map(coord, parry)
@@ -385,6 +381,11 @@ def test_payload_round_trip(lmap, parry, atom):
         assert clone.id == m.id
         if not isinstance(m, SingularDeltaMeasure):
             assert measure_distance(m, clone) <= 1e-12
+    # an equilibrium state loads onto the component its horseshoe stores,
+    # so clones share one horseshoe and its cylinder schemes
+    first, second = (measure_from_payload(lmap, parry.to_payload())
+                     for _ in range(2))
+    assert first.horseshoe is second.horseshoe
 
 
 @pytest.mark.parametrize("case", ["symbol", "length", "duplicate",
@@ -433,11 +434,32 @@ def test_equilibrium_is_stationary_markov(tilted):
     hs = tilted.horseshoe
     pi = tilted.stationary
     flow = np.zeros_like(pi)
-    for k, s in enumerate("LR"):
-        arr = hs.succ[s]
+    for k in range(2):
+        arr = hs.next[:, k]
         ok = arr >= 0
         np.add.at(flow, arr[ok], pi[ok] * tilted.probs[ok, k])
     assert np.max(np.abs(flow - pi)) < 1e-10
+
+
+@pytest.mark.parametrize("alpha, beta", [(1.0, 1.7), (1.0, 1.95),
+                                         (0.8, 1.99)])
+def test_equilibrium_probs_follow_the_successor_table(alpha, beta, coord):
+    # probs shares the (vertices, 2) layout of the horseshoe's table: an
+    # equilibrium state charges exactly the edges the table has
+    from geolorenz.catalog import (DEFAULT_RECIPE, GAP_CORE_RECIPE,
+                                   GAP_DEMONSTRATOR_RECIPE, build_catalog)
+
+    lm = LorenzMap1D(alpha, beta)
+    states = [m for recipe in (DEFAULT_RECIPE, GAP_CORE_RECIPE,
+                               GAP_DEMONSTRATOR_RECIPE)
+              for m in build_catalog(lm, coord, recipe)
+              if isinstance(m, MarkovMeasure)]
+    assert len(states) == 5
+    for mu in states:
+        table = mu.horseshoe.next
+        assert mu.probs.shape == table.shape
+        assert (mu.probs[table < 0] == 0.0).all()
+        assert (mu.probs[table >= 0] > 0.0).all()
 
 
 # ---------------------------------------------------------------------------
@@ -508,22 +530,24 @@ def _counting_scheme(monkeypatch):
             super().__init__(*args)
 
     monkeypatch.setattr(measures, "_CylinderScheme", Counting)
-    monkeypatch.setattr(measures, "_scheme_cache", {})
     return builds
 
 
-def test_scheme_cache_shared_by_equal_structures(monkeypatch, lmap,
-                                                 horseshoe6):
+def test_realization_builds_one_scheme_per_depth(monkeypatch, lmap, coord,
+                                                 fresh_model_cache):
+    # the catalog integrates at depth 12, the bisection at 16 and the
+    # replay at 20; every equilibrium state of the family lives on the
+    # one restricted component its horseshoe stores, so each depth is
+    # built once and every later lookup finds it on that horseshoe
+    from geolorenz.spectrum import TargetRequest, realize_intermediate
+
     builds = _counting_scheme(monkeypatch)
-    big = max(strongly_connected_components(horseshoe6), key=len)
-    first = restrict_horseshoe(horseshoe6, big)
-    second = restrict_horseshoe(horseshoe6, big)
-    assert first is not second
-    scheme = measures._scheme(lmap, first, 10)
-    assert measures._scheme(lmap, second, 10) is scheme
-    assert len(builds) == 1
-    measures._scheme(lmap, second, 11)
-    assert len(builds) == 2
+    nu = realize_intermediate(TargetRequest(lmap, coord, 0.3, 1e-3))
+    depths = [args[2] for args in builds]
+    assert sorted(depths) == [12, 16, 20]
+    assert measures._scheme(lmap, nu.horseshoe, 20) is \
+        nu.horseshoe.schemes[(lmap.alpha, lmap.beta, 20)]
+    assert len(builds) == 3
 
 
 def test_scheme_cache_keys_on_the_map(monkeypatch, lmap):
@@ -555,7 +579,7 @@ def _reference_scheme_paths(horseshoe, depth):
     for _ in range(depth - horseshoe.depth):
         pieces = []
         for s_idx, s in enumerate(("L", "R")):
-            nxt = horseshoe.succ[s][cur]
+            nxt = horseshoe.next[cur, s_idx]
             ok = np.nonzero(nxt >= 0)[0]
             pieces.append((s_idx, s, ok, nxt[ok]))
         new_words = []

@@ -6,13 +6,19 @@ import numpy as np
 import pytest
 
 from geolorenz import (
+    CoordinatePotential,
     DomainError,
     LorenzMap1D,
     PreconditionError,
     RoofFunction,
+    SectionGridPotential,
+    SingularBumpPotential,
+    SingularDeltaMeasure,
     SkewProductReturnMap,
+    TargetRequest,
     validate_model,
 )
+from geolorenz.measures import ball_fractions, suspend_many
 
 SQRT2 = math.sqrt(2.0)
 
@@ -278,3 +284,38 @@ def test_roof_scaled(roof):
         assert double(x) == pytest.approx(2.0 * roof(x), rel=1e-15)
         assert double.dwell(x, 0.1) == pytest.approx(
             2.0 * roof.dwell(x, 0.1), rel=1e-15)
+
+
+
+def _all_singular_stats(b):
+    # only the Dirac: no dwell integral is taken, so only the top-level
+    # check of ball_fractions can see b
+    stats = suspend_many([SingularDeltaMeasure()], RoofFunction(),
+                         CoordinatePotential())
+    return ball_fractions(stats, b)
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("make", [
+    lambda: LorenzMap1D(1.0, NAN),
+    lambda: RoofFunction(NAN, 1.0, 0.5),
+    lambda: RoofFunction(1.0, NAN, 0.5),
+    lambda: RoofFunction().dwell(0.5, NAN),
+    lambda: RoofFunction().scaled(NAN),
+    lambda: SkewProductReturnMap(LorenzMap1D(), 0.3, NAN),
+    lambda: SingularBumpPotential(NAN, 0.1),
+    lambda: SectionGridPotential([-1.0, 1.0], [-1.0, 1.0], np.zeros((2, 2)),
+                                 NAN),
+    lambda: TargetRequest(LorenzMap1D(), CoordinatePotential(), 0.3, NAN),
+    lambda: _all_singular_stats(NAN),
+    lambda: _all_singular_stats(-1.0),
+], ids=["beta", "c0", "c1", "dwell_radius", "roof_scale", "c_H",
+        "bump_level", "grid_lipschitz", "tolerance", "ball_radius_nan",
+        "ball_radius_negative"])
+def test_nan_and_negative_parameters_are_rejected(make):
+    # a NaN passes every `x <= 0.0` guard, so each guard is written as
+    # `not x > 0.0` (or `not x >= 0.0`), which NaN fails
+    with pytest.raises(PreconditionError):
+        make()

@@ -424,8 +424,8 @@ def test_equilibrium_rejects_unconverged_left_vector(monkeypatch, lmap):
                                rtol=0.0, atol=1e-12)
     real = pressure._weighted_power
     lw = pot.value(hs.midpoints)
-    assert real(hs.succ, lw, max_iter=1)[4]
-    assert not real(hs.succ, lw, left=True, max_iter=1)[4]
+    assert real(hs.next, lw, max_iter=1)[4]
+    assert not real(hs.next, lw, left=True, max_iter=1)[4]
     monkeypatch.setattr(pressure, "_weighted_power",
                         functools.partial(real, max_iter=1))
     with pytest.raises(PreconditionError, match="in 1 iterations"):
@@ -438,10 +438,10 @@ def test_shifted_power_on_period_three_cycle():
     # matrix has period 3, so only a shifted iteration converges; after
     # max-normalization lambda is e^(-11/3), and a fixed shift of 1 took
     # 677 iterations here
-    succ = {"L": np.array([-1, 2, 0]), "R": np.array([1, -1, -1])}
+    table = np.array([[-1, 1], [2, -1], [0, -1]])
     lw = np.array([0.0, -5.0, 3.0])
     value, h, g, iterations, converged = pressure._weighted_power(
-        succ, lw, left=True)
+        table, lw, left=True)
     assert converged
     assert iterations <= 100
     assert value == pytest.approx(-2.0 / 3.0, rel=0.0, abs=1e-12)
@@ -458,7 +458,7 @@ def test_perron_root_at_strong_negative_tilt(lmap, horseshoe12, coord):
     # dense spectral radius of the whole weighted matrix, in few iterations
     t = -6.0
     lw = t * coord.value(horseshoe12.midpoints)
-    solves = [pressure._weighted_power(sub.succ, lw[comp], left=True)
+    solves = [pressure._weighted_power(sub.next, lw[comp], left=True)
               for comp, sub in horseshoe12.cyclic_components()]
     assert all(s[4] for s in solves)
     assert max(s[3] for s in solves) <= 150
@@ -586,7 +586,7 @@ def test_unconverged_solve_is_not_memoized(monkeypatch, fresh_model_cache,
 
 def test_memo_is_bounded_and_evicted_with_its_model(fresh_model_cache,
                                                     lmap, coord):
-    limit = pressure.EQUILIBRIUM_MEMO_LIMIT
+    limit = symbolic.CACHE_LIMIT
     hs = build_horseshoe(lmap, 4, 0.002)
     sizes = []
     for k in range(limit + 6):
@@ -609,7 +609,7 @@ def test_memo_is_bounded_and_evicted_with_its_model(fresh_model_cache,
 # ---------------------------------------------------------------------------
 # the Perron step against the loop it replaced
 
-def _reference_weighted_power(succ, log_weights, shift=False, left=False,
+def _reference_weighted_power(table, log_weights, shift=False, left=False,
                               tol=1e-12, max_iter=20000):
     """The power loop as first written, with ndarray reductions on the
     (sides,) brackets, a check on every step and the absolute stop
@@ -618,11 +618,11 @@ def _reference_weighted_power(succ, log_weights, shift=False, left=False,
     n = lw.size
     c = float(np.max(lw)) if n else 0.0
     w = np.exp(lw - c)
-    nxt = np.stack([succ[s] for s in symbolic.ALPHABET])
+    nxt = table.T
     idx = [np.where(nxt >= 0, nxt, 0)]
     coef = [np.where(nxt >= 0, w[nxt], 0.0)]
     if left:
-        prev = pressure._predecessors(succ, n)
+        prev = pressure._predecessors(table, n)
         idx.append(np.where(prev >= 0, prev + n, 0))
         coef.append(np.where(prev >= 0, w, 0.0))
     idx = np.concatenate(idx, axis=1)
@@ -663,43 +663,43 @@ def _reference_weighted_power(succ, log_weights, shift=False, left=False,
 
 
 def _oracle_cases():
-    """(succ, log weights, keyword arguments) of the solves to compare."""
+    """(table, log weights, keyword arguments) of the solves to compare."""
     coord = CoordinatePotential()
     cases = []
     # transfer solves: one side, on the full shift of each model
     for alpha, beta in ((1.0, 1.7), (1.0, 1.95), (0.8, 1.99)):
         sft = build_horseshoe(LorenzMap1D(alpha, beta), 10, 0.0)
-        cases.append((sft.succ, coord.value(sft.midpoints), {}))
+        cases.append((sft.next, coord.value(sft.midpoints), {}))
     # equilibrium components: both sides
     hs = build_horseshoe(LorenzMap1D(1.0, 1.7), 12, 0.002)
     for t in (-6.0, -3.7, 0.0, 1.0, 2.0):
         lw = t * coord.value(hs.midpoints) + 0.0
         for comp, sub in hs.cyclic_components():
-            cases.append((sub.succ, lw[comp], {"left": True}))
+            cases.append((sub.next, lw[comp], {"left": True}))
     # the 2-cycle LR -> RL -> LR (eigenvalues +lambda and -lambda)
-    two = {"L": np.array([1, -1]), "R": np.array([-1, 0])}
+    two = np.array([[1, -1], [-1, 0]])
     cases.append((two, np.array([0.3, -0.8]), {"left": True}))
     # a run stopped by max_iter, unconverged, on a component where the
     # solve would converge
     comp, sub = hs.cyclic_components()[0]
     lw = coord.value(hs.midpoints)[comp]
-    cases.append((sub.succ, lw, {"max_iter": 3}))
-    cases.append((sub.succ, lw, {"left": True, "max_iter": 5}))
+    cases.append((sub.next, lw, {"max_iter": 3}))
+    cases.append((sub.next, lw, {"left": True, "max_iter": 5}))
     # no edges: the bracket of the first step is [0, 0]
-    none = {"L": np.array([-1, -1]), "R": np.array([-1, -1])}
+    none = np.full((2, 2), -1)
     cases.append((none, np.zeros(2), {}))
     cases.append((none, np.zeros(2), {"left": True}))
     return cases
 
 
-def _dense_log_root(succ, lw):
+def _dense_log_root(table, lw):
     """log of numpy's dense spectral radius of M[u][v] = A(u,v) e^(lw[v])."""
     n = lw.size
     c = float(np.max(lw))
     mat = np.zeros((n, n))
-    for arr in succ.values():
-        src = np.nonzero(arr >= 0)[0]
-        mat[src, arr[src]] = np.exp(lw[arr[src]] - c)
+    src, bit = np.nonzero(table >= 0)
+    dst = table[src, bit]
+    mat[src, dst] = np.exp(lw[dst] - c)
     rho = float(np.max(np.abs(np.linalg.eigvals(mat))))
     return math.log(rho) + c if rho > 0.0 else -math.inf
 
@@ -711,9 +711,9 @@ def test_weighted_power_matches_reference_loop(monkeypatch):
     # numpy's dense root the block loop is within 1.3e-13 on these cases
     # (4.6e-13 at block length 1), the reference within 4.4e-12
     unconverged = early = 0
-    for succ, lw, kwargs in _oracle_cases():
-        want = _reference_weighted_power(succ, lw, shift=True, **kwargs)
-        got = pressure._weighted_power(succ, lw, **kwargs)
+    for table, lw, kwargs in _oracle_cases():
+        want = _reference_weighted_power(table, lw, shift=True, **kwargs)
+        got = pressure._weighted_power(table, lw, **kwargs)
         assert got[4] == want[4]
         if not want[4]:
             # stopped by max_iter, exactly
@@ -729,11 +729,11 @@ def test_weighted_power_matches_reference_loop(monkeypatch):
         np.testing.assert_allclose(got[1], want[1], rtol=1e-9, atol=0.0)
         if want[2] is not None:
             np.testing.assert_allclose(got[2], want[2], rtol=1e-9, atol=0.0)
-        root = _dense_log_root(succ, lw)
+        root = _dense_log_root(table, lw)
         assert abs(got[0] - root) <= 1e-12
         with monkeypatch.context() as patch:
             patch.setattr(pressure, "CERTIFY_EVERY", 1)
-            one = pressure._weighted_power(succ, lw, **kwargs)
+            one = pressure._weighted_power(table, lw, **kwargs)
         assert one[4] and abs(one[0] - root) <= 1e-12
     assert unconverged == 2 and early == 2
     # the whole pruned horseshoe has words with no successor and words with
@@ -741,10 +741,10 @@ def test_weighted_power_matches_reference_loop(monkeypatch):
     # and the solve stops at its first certified step, not at max_iter
     hs = build_horseshoe(LorenzMap1D(1.0, 1.7), 12, 0.002)
     lw = CoordinatePotential().value(hs.midpoints)
-    assert ((hs.succ["L"] < 0) & (hs.succ["R"] < 0)).any()
+    assert (hs.next < 0).all(axis=1).any()
     for left in (False, True):
         _, _, _, iterations, converged = pressure._weighted_power(
-            hs.succ, lw, left=left)
+            hs.next, lw, left=left)
         assert not converged and iterations == 1
 
 
@@ -771,18 +771,18 @@ def test_perron_root_relative_at_strong_tilt(fresh_model_cache, x_gap):
     phi = pot.value(hs.midpoints, np.zeros_like(hs.midpoints))
     for t in (-48.0, -96.0, -192.0, -384.0):
         lw = t * phi
-        solves = [pressure._weighted_power(sub.succ, lw[comp], left=True)
+        solves = [pressure._weighted_power(sub.next, lw[comp], left=True)
                   for comp, sub in hs.cyclic_components()]
         assert all(s[4] for s in solves)
         best = max(s[0] for s in solves)
-        assert abs(best - _dense_log_root(hs.succ, lw)) <= 1e-12
+        assert abs(best - _dense_log_root(hs.next, lw)) <= 1e-12
         equilibrium_measure(lm, hs, pot, t=t)
 
 
 def test_perron_root_of_two_cycle_at_tiny_lambda(lmap):
     # LR -> RL -> LR with log weights 0 and -700: lambda^2 = e^-700. The
     # absolute stop reported -28.77, converged
-    two = {"L": np.array([1, -1]), "R": np.array([-1, 0])}
+    two = np.array([[1, -1], [-1, 0]])
     value, _, _, _, converged = pressure._weighted_power(
         two, np.array([0.0, -700.0]), left=True)
     assert converged
@@ -807,7 +807,7 @@ def test_perron_solve_stops_on_a_closed_zero_set():
     # vertex 1 in h underflows after some 450 steps and, having no edge
     # out of the zero set, stays zero: the solve stops there, unconverged,
     # instead of running all max_iter steps
-    graph = {"L": np.array([0, 1]), "R": np.array([1, -1])}
+    graph = np.array([[0, 1], [1, -1]])
     value, h, _, iterations, converged = pressure._weighted_power(
         graph, np.array([0.0, -10.0]))
     assert not converged

@@ -393,7 +393,6 @@ def test_spectrum_scan_evaluates_each_integrand_once_per_catalog(
     # roof's integrals are model-only work: cold orbit records (a fresh
     # model store) and cold schemes compute them once, and a later scan
     # under an equal roof reads them back
-    monkeypatch.setattr(measures, "_scheme_cache", {})
     phi = SectionGridPotential.seeded(2)
     catalog = build_catalog(lmap, phi, DEFAULT_RECIPE)
     markov = [m for m in catalog if isinstance(m, MarkovMeasure)]

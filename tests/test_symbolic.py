@@ -386,8 +386,8 @@ def test_sft_edges_follow_the_string_rule(alpha, beta):
         joined = scalar_levels(lm, depth + 1)[depth + 1]
         vertices = set(sft.vertices)
         for i, w in enumerate(sft.vertices):
-            for s in "LR":
-                j = int(sft.succ[s][i])
+            for k, s in enumerate("LR"):
+                j = int(sft.next[i, k])
                 if w + s in joined and w[1:] + s in vertices:
                     assert j >= 0 and sft.vertices[j] == w[1:] + s
                 else:
@@ -454,11 +454,11 @@ def test_restrict_horseshoe_succ_matches_dict_remap(horseshoe12):
     for comp in strongly_connected_components(horseshoe12):
         sub = restrict_horseshoe(horseshoe12, comp)
         remap = {int(old): new for new, old in enumerate(sorted(comp))}
-        for s in "LR":
+        for k in range(2):
             want = np.array([remap.get(int(j), -1)
-                             for j in horseshoe12.succ[s][np.sort(comp)]],
+                             for j in horseshoe12.next[np.sort(comp), k]],
                             dtype=np.int64)
-            assert sub.succ[s].tobytes() == want.tobytes()
+            assert sub.next[:, k].tobytes() == want.tobytes()
 
 
 def kosaraju(graph):
@@ -467,7 +467,7 @@ def kosaraju(graph):
     Same contract: index arrays, each ascending, ordered by smallest index.
     """
     n = graph.n_vertices
-    succs = [graph.succ[s] for s in "LR"]
+    succs = graph.next.T
     order = []
     seen = [False] * n
     for start in range(n):
@@ -522,10 +522,10 @@ def assert_same_components(graph):
 
 def graph_of(n, edges):
     """Successor graph with edges (u, v, symbol) as the SCC functions read it."""
-    succ = {s: np.full(n, -1, dtype=np.int64) for s in "LR"}
+    table = np.full((n, 2), -1, dtype=np.int64)
     for u, v, s in edges:
-        succ[s][u] = v
-    return types.SimpleNamespace(n_vertices=n, succ=succ)
+        table[u, "LR".index(s)] = v
+    return types.SimpleNamespace(n_vertices=n, next=table)
 
 
 @pytest.mark.parametrize("alpha, beta", [(1.0, 1.7), (1.0, 1.95),
@@ -582,23 +582,20 @@ def test_scc_on_long_cycle_chain_and_high_in_degree():
         edges = [(u, int(targets[u, k]), s) for u in range(n)
                  for k, s in enumerate("LR") if rng.random() < 0.8]
         graph = graph_of(n, edges)
-        assert max(np.bincount(np.concatenate(
-            [graph.succ[s][graph.succ[s] >= 0] for s in "LR"]))) > 2
+        assert max(np.bincount(graph.next[graph.next >= 0])) > 2
         assert_same_components(graph)
 
 
 def test_scc_on_masked_shadow_graph(horseshoe12):
     # the shadow MarkovMeasure builds for a support smaller than the
-    # adjacency: the horseshoe's successor arrays with some edges cut
+    # adjacency: the horseshoe's successor table with some edges cut
     rng = np.random.default_rng(7)
     for cut in (0.05, 0.3):
-        masked = {}
-        for s in "LR":
-            arr = horseshoe12.succ[s].copy()
-            arr[rng.random(arr.size) < cut] = -1
-            masked[s] = arr
+        masked = horseshoe12.next.copy()
+        for k in range(2):
+            masked[rng.random(len(masked)) < cut, k] = -1
         shadow = types.SimpleNamespace(n_vertices=horseshoe12.n_vertices,
-                                       succ=masked)
+                                       next=masked)
         assert len(assert_same_components(shadow)) > 1
 
 
@@ -721,7 +718,7 @@ def test_enumerate_periodic_serves_shorter_requests(monkeypatch,
 def test_cached_horseshoe_is_read_only(fresh_model_cache, lmap):
     hs = build_horseshoe(lmap, 8, 0.002)
     assert build_horseshoe(lmap, 8, 0.002) is hs
-    for arr in (hs.codes, hs.succ["L"], hs.succ["R"], hs.cyl_lo, hs.cyl_hi):
+    for arr in (hs.codes, hs.next, hs.cyl_lo, hs.cyl_hi):
         with pytest.raises(ValueError):
             arr[0] = arr[1]
     # vertex strings are made on first use only

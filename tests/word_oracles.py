@@ -77,8 +77,7 @@ def itinerary_of(lmap, x, n):
 
 def successors(horseshoe, i):
     """The (symbol, vertex) edges out of vertex i of a horseshoe."""
-    return [(s, int(horseshoe.succ[s][i])) for s in "LR"
-            if horseshoe.succ[s][i] >= 0]
+    return [(s, int(j)) for s, j in zip("LR", horseshoe.next[i]) if j >= 0]
 
 
 def least_rotation(word):
