@@ -18,7 +18,9 @@ Words are held as integer codes: each level of `cylinder_levels` is a
 significant) with endpoint arrays, and horseshoe edges are found by
 searching those codes. Words are strings over 'L' and 'R' only at the
 edges: user-supplied words, the kneading pair, periodic orbit records,
-`admissible_words`, `SFTHorseshoe.vertices`, measure ids and payloads.
+`SFTHorseshoe.vertices`, measure ids and payloads. `admissible_words`
+is a `Words` view over one level's codes: its `len()` and `in` read the
+codes alone, and a word is decoded to a string only when it is read.
 Two admissibility notions coexist and differ:
 
 * A finite word is admissible, i.e. realized by some orbit as an
@@ -32,8 +34,11 @@ Two admissibility notions coexist and differ:
 """
 
 import collections
+import collections.abc
 import functools
 import math
+import numbers
+import operator
 
 import mpmath as mp
 import numpy as np
@@ -200,13 +205,26 @@ def _inverse_step(lmap, right, ends):
     `right` selects the R branch (True) or the L branch, for all columns
     of `ends` at once or per column. Clamp to the branch range, which
     encodes intersection with the branch domain, then apply the branch
-    inverse. Both inverses are increasing, so lo <= hi is kept.
+    inverse. Both inverses are increasing, so lo <= hi is kept. Returns
+    a new array; `ends` is not written.
+
+    With s = +1 on R and -1 on L, both branch ranges clamp u = s * x to
+    [-1, beta - 1], and the branch inverse of an endpoint x is
+    s * ((1 + u) / beta)**(1/alpha), computed in place on u. This has the
+    bits of the two-branch formula, since x * -1 = -x,
+    1 - beta = -(beta - 1), 1 + (-x) = 1 - x and y**1.0 = y hold exactly
+    in IEEE arithmetic.
     """
     beta = lmap.beta
-    t = np.clip(ends, np.where(right, -1.0, 1.0 - beta),
-                np.where(right, beta - 1.0, 1.0))
-    ends = (np.where(right, 1.0 + t, 1.0 - t) / beta) ** (1.0 / lmap.alpha)
-    return np.where(right, ends, -ends)
+    sign = np.where(right, 1.0, -1.0)
+    u = ends * sign
+    np.clip(u, -1.0, beta - 1.0, out=u)
+    u += 1.0
+    u /= beta
+    if lmap.alpha != 1.0:
+        u **= 1.0 / lmap.alpha
+    u *= sign
+    return u
 
 
 def pullback(lmap, symbols):
@@ -298,22 +316,29 @@ def _model_store(lmap):
 
 
 def _extend_levels(lmap, levels, depth):
-    """`levels` continued to the given depth (a new list)."""
+    """`levels` continued to the given depth (a new list).
+
+    Each new level is written in place into one codes array and one
+    (2, words) endpoint array, whose rows are its lo and hi; the next
+    level pulls those rows back with no restacking.
+    """
     levels = list(levels)
     level = levels[-1]
+    ends = np.vstack([level.lo, level.hi])
     for d in range(len(levels) - 1, depth):
         # the word s + w has code s << d | code(w); the L half then the
         # R half keeps the codes sorted
-        prev = np.vstack([level.lo, level.hi])
-        codes = []
-        ends = []
-        for bit, s in enumerate(ALPHABET):
-            pulled = _inverse_step(lmap, s == "R", prev)
-            live = pulled[1] - pulled[0] > EMPTY_WIDTH
-            codes.append(level.codes[live] | np.uint64(bit << d))
-            ends.append(pulled[:, live])
-        ends = np.hstack(ends)
-        level = CylinderLevel(d + 1, np.concatenate(codes), ends[0], ends[1])
+        pulled = [_inverse_step(lmap, s == "R", ends) for s in ALPHABET]
+        live = [p[1] - p[0] > EMPTY_WIDTH for p in pulled]
+        cut = np.cumsum([0] + [np.count_nonzero(m) for m in live])
+        codes = np.empty(cut[-1], dtype=np.uint64)
+        ends = np.empty((2, cut[-1]))
+        for bit in range(len(ALPHABET)):
+            part = slice(cut[bit], cut[bit + 1])
+            np.compress(live[bit], level.codes, out=codes[part])
+            codes[part] |= np.uint64(bit << d)
+            np.compress(live[bit], pulled[bit], axis=1, out=ends[:, part])
+        level = CylinderLevel(d + 1, codes, ends[0], ends[1])
         levels.append(level)
     return levels
 
@@ -327,11 +352,13 @@ def cylinder_levels(lmap, depth):
     16 most recently used models: a request no deeper than the deepest
     list built so far is a prefix of it, and a deeper one continues it
     from its last level, so no level is enumerated twice. The same depth
-    returns the same list object.
+    returns the same list object. Raises PreconditionError unless the
+    depth is an integer in [0, MAX_DEPTH].
     """
-    if depth > MAX_DEPTH:
+    if not (isinstance(depth, numbers.Integral) and 0 <= depth <= MAX_DEPTH):
         raise PreconditionError(
-            "enumeration depth %d exceeds maximum %d" % (depth, MAX_DEPTH))
+            "enumeration depth %r is not an integer in [0, %d]"
+            % (depth, MAX_DEPTH))
     depth = int(depth)
     lists = _model_store(lmap).levels
     levels = lists.get(depth)
@@ -346,9 +373,57 @@ def cylinder_levels(lmap, depth):
     return levels
 
 
+class Words(collections.abc.Sequence):
+    """The words of strictly increasing length-`depth` codes, decoded on
+    access.
+
+    A read-only sequence, in code (= lexicographic) order. `len()` and
+    `in` read the codes alone, with no decoding. An index or a slice
+    decodes only the words it selects, and iteration decodes
+    `_DECODE_BLOCK` words at a time; nothing decoded is kept. Like
+    `range`, a view never compares equal to a list.
+    """
+
+    __slots__ = ("codes", "depth")
+
+    def __init__(self, codes, depth):
+        self.codes = codes
+        self.depth = depth
+
+    def __len__(self):
+        return len(self.codes)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return decode_words(self.codes[index], self.depth)
+        return decode_words(self.codes[[operator.index(index)]],
+                            self.depth)[0]
+
+    def __iter__(self):
+        for start in range(0, len(self.codes), _DECODE_BLOCK):
+            yield from decode_words(self.codes[start:start + _DECODE_BLOCK],
+                                    self.depth)
+
+    def __contains__(self, word):
+        """One code search; False for anything but a length-`depth`
+        string over L and R."""
+        if (not isinstance(word, str) or len(word) != self.depth
+                or word.strip("LR")):
+            return False
+        code = encode_words([word])
+        pos = np.searchsorted(self.codes, code)[0]
+        return bool(pos < len(self.codes) and self.codes[pos] == code[0])
+
+    def __repr__(self):
+        return "Words(depth=%d, count=%d)" % (self.depth, len(self))
+
+
 def admissible_words(lmap, depth):
-    """Sorted list of admissible words of exactly the given length."""
-    return decode_words(cylinder_levels(lmap, depth)[depth].codes, depth)
+    """The admissible words of exactly the given length, in lexicographic
+    order, as a `Words` view over the codes of their cylinder level:
+    `len()` is the lap count at no decoding cost, and a word becomes a
+    string only when it is read."""
+    return Words(cylinder_levels(lmap, depth)[depth].codes, depth)
 
 
 class PeriodicOrbitRecord:

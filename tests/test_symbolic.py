@@ -374,8 +374,57 @@ def test_level_codes_increase_and_decode_to_admissible_words(alpha, beta):
         assert all(a < b for a, b in zip(codes, codes[1:]))
         decoded = [format(c, "0%db" % d).replace("0", "L").replace("1", "R")
                    for c in codes]
-        assert decoded == admissible_words(lm, d)
+        assert decoded == list(admissible_words(lm, d))
         assert len(levels[d]) == len(decoded)
+
+
+@pytest.mark.parametrize("alpha, beta", [(1.0, 1.7), (0.8, 1.99)])
+def test_admissible_words_view_matches_format_oracle(alpha, beta,
+                                                     monkeypatch):
+    lm = LorenzMap1D(alpha, beta)
+    level = cylinder_levels(lm, 19)[19]
+
+    def no_decoding(codes, depth):
+        raise AssertionError("a word count decoded its words")
+
+    with monkeypatch.context() as m:
+        m.setattr(symbolic, "decode_words", no_decoding)
+        words = admissible_words(lm, 19)
+        assert len(words) == len(level)
+        assert "L" * 19 not in words
+
+    depth = 10
+    codes = cylinder_levels(lm, depth)[depth].codes
+
+    def oracle(c):
+        return format(int(c), "0%db" % depth).replace("0", "L").replace(
+            "1", "R")
+
+    want = [oracle(c) for c in codes]
+    words = admissible_words(lm, depth)
+    # iteration across decode blocks
+    monkeypatch.setattr(symbolic, "_DECODE_BLOCK", 7)
+    assert len(want) > 2 * 7
+    assert list(words) == want
+    # indices, negative and out of range
+    n = len(want)
+    for i in (0, 6, 7, n - 1, -1, -7, -n):
+        assert words[i] == want[i]
+    for i in (n, -n - 1):
+        with pytest.raises(IndexError):
+            words[i]
+    # slices, with steps
+    for sl in (slice(None), slice(3, 40, 5), slice(None, None, -3),
+               slice(-10, None, 2), slice(n, None)):
+        assert words[sl] == want[sl]
+    # membership: admitted, inadmissible, wrong length, not over L/R
+    absent = np.setdiff1d(np.arange(1 << depth, dtype=np.uint64), codes)
+    assert absent.size
+    assert all(w in words for w in want[::17])
+    assert not any(oracle(c) in words for c in absent)
+    for other in (want[0][:-1], want[0] + "L", want[0].lower(),
+                  "X" * depth, list(want[0]), None, 7):
+        assert other not in words
 
 
 @pytest.mark.parametrize("alpha, beta", [(1.0, 1.95), (0.8, 1.99)])
@@ -402,9 +451,11 @@ def test_decode_spans_several_blocks():
         for c in level.codes]
 
 
-def test_cylinder_levels_depth_cap(lmap):
-    with pytest.raises(PreconditionError):
-        cylinder_levels(lmap, symbolic.MAX_DEPTH + 1)
+@pytest.mark.parametrize("depth", [-1, -3, 2.5, symbolic.MAX_DEPTH + 1])
+def test_cylinder_levels_depth_cap(lmap, depth):
+    for enumerate_words in (cylinder_levels, admissible_words):
+        with pytest.raises(PreconditionError, match=str(depth)):
+            enumerate_words(lmap, depth)
 
 
 def test_cylinder_levels_continue_the_deepest_list(fresh_model_cache):
