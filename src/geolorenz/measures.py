@@ -17,6 +17,7 @@ averaged by per-period blocks, as `np.mean` averages one orbit, not by
 
 import hashlib
 import math
+import numbers
 import types
 
 import numpy as np
@@ -25,9 +26,9 @@ from .errors import DepthTooShallowError, PreconditionError
 from .model import abs_range, dwell_array, roof_array
 from .potentials import midpoint_error_many, passage_error_many
 from .symbolic import (ALPHABET, EMPTY_WIDTH, MAX_DEPTH, CylinderLevel,
-                       _remember, build_horseshoe, check_word, code_symbols,
-                       cylinder_levels, encode_words, find_periodic_point,
-                       pullback, restrict_horseshoe,
+                       _inverse_step, _remember, build_horseshoe, check_word,
+                       code_symbols, cylinder_levels, encode_words,
+                       find_periodic_point, pullback, restrict_horseshoe,
                        strongly_connected_components)
 
 DEFAULT_DEPTH = 12
@@ -327,8 +328,13 @@ def _integrate_each(integrands, measures, depth):
     """[(values, bounds)] of each integrand over a list of measures (see
     `integrate_many`, also for what is cached), sorting the measures into
     atoms and cylinder schemes, and computing their cylinder masses, once
-    for all integrands.
+    for all integrands. Raises PreconditionError unless the depth is an
+    integer in [0, MAX_DEPTH], whatever the measures.
     """
+    if not (isinstance(depth, numbers.Integral) and 0 <= depth <= MAX_DEPTH):
+        raise PreconditionError(
+            "integration depth %r is not an integer in [0, %d]"
+            % (depth, MAX_DEPTH))
     index = {}     # id -> position of each distinct atomic or Markov measure
     atoms = []     # (position, atom) of each distinct atom
     schemes = {}   # id(scheme) -> (scheme, [(position, cylinder masses)])
@@ -705,22 +711,31 @@ def _monotone_range(value_fn, lo, hi):
 # horseshoe (`SFTHorseshoe.schemes`) under (alpha, beta, depth): every
 # measure on one horseshoe object, such as the restricted component that
 # each equilibrium state of a bisection shares, reads one build, and the
-# scheme is freed with its horseshoe. Schemes hold no strings.
+# scheme is freed with its horseshoe. Schemes hold no strings and no
+# per-path step table: the paths form a tree of extensions, and both the
+# masses and the cylinders are computed along it.
 
 
 class _CylinderScheme:
     """Depth-D refinement of a horseshoe's word structure.
 
-    Extends every vertex word by all SFT-compatible tails to length D and
-    records, per path, the starting vertex (`start`), the steps it takes
-    as flat indices 2*vertex + symbol into a (vertices, 2) transition
-    table (`steps`), the uint64 code of its depth-D word (`codes`), and
-    the cylinder interval of that word, so that the mass vector of any
-    Markov measure on the horseshoe is one gather and one product. Each
-    extension records the parent of every new path; the steps are read
-    back along those links once, not copied at every extension. The
-    intervals come from one array pullback of the (paths, D) symbol
-    matrix of the codes.
+    Extends every vertex word by all SFT-compatible tails to length D,
+    one symbol per extension. Each extension keeps its links (`links`):
+    for every new path, its parent among the previous extension's paths
+    and its step, the flat index 2*vertex + symbol into a (vertices, 2)
+    transition table. Per path the scheme records the starting vertex
+    (`start`), the uint64 code of its depth-D word (`codes`) and the
+    cylinder interval of that word (`lo`, `hi`, `mid`). The mass vector
+    of a Markov measure is multiplied along the links, one gather and
+    one product per extension (see `masses`).
+
+    A path's last m symbols are the word of its last vertex, so its
+    cylinder is that vertex's cylinder pulled back through the path's
+    first D - m symbols. The vertex cylinders are pulled back once per
+    scheme under the scheme's own map: a horseshoe's stored cylinders
+    belong to the map it was built for, and its schemes may be for
+    several. Each float is one that the pullback of the whole word
+    computes, in the same order.
 
     `integrals` caches the read-only (values, bounds) arrays of each
     keyed integrand by its key (see `integrate_many` and `_remember`).
@@ -735,6 +750,7 @@ class _CylinderScheme:
                 "scheme depth %d exceeds maximum %d" % (depth, MAX_DEPTH))
         table = horseshoe.next
         cur = np.arange(horseshoe.n_vertices, dtype=np.int64)
+        start = cur
         codes = horseshoe.codes
         links = []     # per extension: (parent path, step) of each new path
         for _ in range(depth - m):
@@ -744,27 +760,30 @@ class _CylinderScheme:
             bit = np.repeat(np.arange(len(ALPHABET)), [len(o) for o in ok])
             step = 2 * cur[parent] + bit
             links.append((parent, step))
+            start = start[parent]
             codes = (codes[parent] << np.uint64(1)) | bit.astype(np.uint64)
             cur = table.reshape(-1)[step]
-        steps = np.empty((len(cur), len(links)), dtype=np.int64)
-        path = np.arange(len(cur), dtype=np.int64)
-        for j in range(len(links) - 1, -1, -1):
-            parent, step = links[j]
-            steps[:, j] = step[path]
-            path = parent[path]
-        self.start = path
-        self.steps = steps
+        self.links = links
+        self.start = start
         self.codes = codes
         self.depth = depth
-        symbols = code_symbols(codes, depth)
-        lo, hi = pullback(lmap, symbols)
+        lo, hi = pullback(lmap, code_symbols(horseshoe.codes, m))
+        ends = np.stack((lo[cur], hi[cur]))
+        # the first D - m symbols, last one first: bits m to D - 1
+        head = codes >> np.uint64(m)
+        for _ in range(depth - m):
+            ends = _inverse_step(lmap, (head & np.uint64(1)).astype(bool),
+                                 ends)
+            head >>= np.uint64(1)
+        lo, hi = ends
         # fictitious refinement: the SFT allows a tail the kneading data
         # forbids; such a path falls back to its deepest live prefix
-        dead = np.nonzero(hi - lo <= EMPTY_WIDTH)[0]
+        dead = np.flatnonzero(hi - lo <= EMPTY_WIDTH)
         for length in range(depth - 1, 0, -1):
             if not dead.size:
                 break
-            a, b = pullback(lmap, symbols[dead, :length])
+            a, b = pullback(lmap, code_symbols(
+                codes[dead] >> np.uint64(depth - length), length))
             lo[dead] = a
             hi[dead] = b
             dead = dead[b - a <= EMPTY_WIDTH]
@@ -774,10 +793,17 @@ class _CylinderScheme:
         self.integrals = {}
 
     def masses(self, stationary, probs):
+        """stationary[start] times the product of each path's step
+        probabilities, multiplied left to right as `np.prod` would."""
+        p = probs.reshape(-1)
         mass = stationary[self.start]
-        if self.steps.shape[1]:
-            mass = mass * np.prod(probs.reshape(-1).take(self.steps), axis=1)
-        return mass
+        if not self.links:
+            return mass
+        (_, step), *rest = self.links
+        q = p.take(step)
+        for parent, step in rest:
+            q = q.take(parent) * p.take(step)
+        return mass * q
 
 
 def _scheme(lmap, horseshoe, depth):

@@ -141,10 +141,12 @@ def kneading(lmap, depth=64):
     """Kneading pair of the map to the given depth.
 
     The one-sided limits are iterated as the actual points 1 and -1 in
-    arbitrary precision; no floating epsilon offset is involved.
+    arbitrary precision; no floating epsilon offset is involved. Raises
+    PreconditionError unless the depth is an integer >= 1.
     """
-    if depth < 1:
-        raise PreconditionError("kneading depth must be >= 1")
+    if not (isinstance(depth, numbers.Integral) and depth >= 1):
+        raise PreconditionError(
+            "kneading depth %r is not an integer >= 1" % (depth,))
     return _kneading_cached(lmap.alpha, lmap.beta, int(depth))
 
 
@@ -747,9 +749,15 @@ def build_horseshoe(lmap, depth, x_gap):
     word, the full shift of `pressure_transfer`. The horseshoe does not
     depend on any potential: it is kept in the model's store under
     (depth, x_gap), and the same arguments return the same object.
+    Raises PreconditionError unless the depth is an integer in
+    [1, MAX_DEPTH - 1]: the edges read the depth + 1 cylinders, so 23 is
+    the deepest horseshoe.
     """
-    if depth < 1:
-        raise PreconditionError("horseshoe depth must be >= 1")
+    if not (isinstance(depth, numbers.Integral)
+            and 1 <= depth <= MAX_DEPTH - 1):
+        raise PreconditionError(
+            "horseshoe depth %r is not an integer in [1, %d]"
+            % (depth, MAX_DEPTH - 1))
     if not 0.0 <= x_gap < 1.0:
         raise PreconditionError("x_gap must lie in [0, 1), got %r" % x_gap)
     horseshoes = _model_store(lmap).horseshoes

@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 import subprocess
 import sys
 import types
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 import word_oracles
-from geolorenz import measures
+from geolorenz import measures, symbolic
 from geolorenz import (
     AtomicMeasure,
     ConstantPotential,
@@ -194,6 +195,27 @@ def test_integrate_tol_guard(parry):
     assert integrate_map(pot, parry, depth=12, tol=bound) == (value, bound)
     with pytest.raises(DepthTooShallowError):
         integrate_map(pot, parry, depth=12, tol=0.5 * bound)
+
+
+@pytest.mark.parametrize("depth", [-3, 2.5, 16.0, measures.MAX_DEPTH + 1])
+def test_integration_depth_contract(coord, roof, parry, atom, depth):
+    # one check before any measure is sorted: atoms once ignored the
+    # depth, a float depth failed inside range() and a deep one only once
+    # a scheme was built
+    match = "integration depth %s is not" % re.escape(repr(depth))
+    for measure in (atom, parry, convex_combine([(0.5, atom), (0.5, parry)])):
+        with pytest.raises(PreconditionError, match=match):
+            integrate_map(coord, measure, depth)
+    with pytest.raises(PreconditionError, match=match):
+        suspend(SingularDeltaMeasure(), roof, coord, depth)
+
+
+def test_integration_at_depth_zero_is_an_honest_bound(coord, parry, atom):
+    # depth 0 charges the one cylinder [-1, 1] at its midpoint
+    value, bound = integrate_map(coord, parry, 0)
+    fine, fine_bound = integrate_map(coord, parry, 12)
+    assert bound > 0.0 and abs(value - fine) <= bound + fine_bound
+    assert integrate_map(coord, atom, 0) == integrate_map(coord, atom, 12)
 
 
 @pytest.mark.parametrize("depth", [6, 12])
@@ -598,6 +620,19 @@ def _reference_scheme_paths(horseshoe, depth):
     return words, start, steps_v, steps_s
 
 
+def _read_back(links, n_paths):
+    """(start, steps): each path's starting vertex and its (paths,
+    extensions) table of steps, read back from the last extension's
+    (parent, step) links to the first."""
+    steps = np.empty((n_paths, len(links)), dtype=np.int64)
+    path = np.arange(n_paths, dtype=np.int64)
+    for j in range(len(links) - 1, -1, -1):
+        parent, step = links[j]
+        steps[:, j] = step[path]
+        path = parent[path]
+    return path, steps
+
+
 @pytest.mark.parametrize("alpha, beta, x_gap, t, depths", [
     # the replay scheme of a realization at beta = 1.7
     (1.0, 1.7, 0.05, -1.5, (12, 13, 20)),
@@ -614,11 +649,113 @@ def test_scheme_paths_match_string_construction(alpha, beta, x_gap, t,
             mu.horseshoe, depth)
         assert decode_words(scheme.codes, depth) == words
         assert np.array_equal(scheme.start, start)
-        assert np.array_equal(scheme.steps, 2 * steps_v + steps_s)
+        assert np.array_equal(_read_back(scheme.links, len(words))[1],
+                              2 * steps_v + steps_s)
         want = mu.stationary[start]
         if steps_v.shape[1]:
             want = want * np.prod(mu.probs[steps_v, steps_s], axis=1)
         assert np.array_equal(scheme.masses(mu.stationary, mu.probs), want)
+
+
+def _full_pullback_scheme(lmap, horseshoe, depth):
+    """A scheme built the first array way: a (paths, depth - m) step
+    table read back along the extension links, every path's whole word
+    pulled back from [-1, 1], and the masses as one product per row.
+    `dead` counts the paths whose word cylinder is empty."""
+    m = horseshoe.depth
+    table = horseshoe.next
+    cur = np.arange(horseshoe.n_vertices, dtype=np.int64)
+    codes = horseshoe.codes
+    links = []
+    for _ in range(depth - m):
+        ok = [np.flatnonzero(col >= 0) for col in table[cur].T]
+        parent = np.concatenate(ok)
+        bit = np.repeat(np.arange(2), [len(o) for o in ok])
+        step = 2 * cur[parent] + bit
+        links.append((parent, step))
+        codes = (codes[parent] << np.uint64(1)) | bit.astype(np.uint64)
+        cur = table.reshape(-1)[step]
+    start, steps = _read_back(links, len(cur))
+    symbols = symbolic.code_symbols(codes, depth)
+    lo, hi = symbolic.pullback(lmap, symbols)
+    dead = np.nonzero(hi - lo <= symbolic.EMPTY_WIDTH)[0]
+    n_dead = dead.size
+    for length in range(depth - 1, 0, -1):
+        if not dead.size:
+            break
+        a, b = symbolic.pullback(lmap, symbols[dead, :length])
+        lo[dead] = a
+        hi[dead] = b
+        dead = dead[b - a <= symbolic.EMPTY_WIDTH]
+
+    def masses(stationary, probs):
+        mass = stationary[start]
+        if steps.shape[1]:
+            mass = mass * np.prod(probs.reshape(-1).take(steps), axis=1)
+        return mass
+
+    return types.SimpleNamespace(codes=codes, start=start, lo=lo, hi=hi,
+                                 mid=0.5 * (lo + hi), masses=masses,
+                                 dead=n_dead)
+
+
+def _assert_scheme_matches_full_pullback(lm, horseshoe, depths, stationary,
+                                        probs):
+    """Every array of the scheme and its masses, bit for bit; returns the
+    number of dead paths seen."""
+    dead = 0
+    for depth in depths:
+        scheme = measures._CylinderScheme(lm, horseshoe, depth)
+        ref = _full_pullback_scheme(lm, horseshoe, depth)
+        for name in ("codes", "start", "lo", "hi", "mid"):
+            assert np.array_equal(getattr(scheme, name),
+                                  getattr(ref, name)), (depth, name)
+        assert np.array_equal(scheme.masses(stationary, probs),
+                              ref.masses(stationary, probs)), depth
+        dead += ref.dead
+    return dead
+
+
+@pytest.mark.parametrize("alpha, beta, x_gap, m, t", [
+    (1.0, 1.7, 0.05, 12, -1.5),
+    (1.0, 1.95, 0.002, 10, 2.0),
+    (0.8, 1.99, 0.002, 10, 2.0),
+])
+def test_scheme_matches_full_pullback(alpha, beta, x_gap, m, t):
+    # each path's cylinder is its last vertex's pulled back through its
+    # first depth - m symbols, and its mass is multiplied along the
+    # links: the floats of the whole-word pullback and the row product
+    lm = LorenzMap1D(alpha, beta)
+    mu = equilibrium_measure(lm, build_horseshoe(lm, m, x_gap),
+                             CoordinatePotential(), t=t)
+    _assert_scheme_matches_full_pullback(lm, mu.horseshoe, range(m, m + 9),
+                                         mu.stationary, mu.probs)
+
+
+def test_scheme_dead_rows_match_full_pullback(lmap):
+    # the whole depth-6 horseshoe allows tails the kneading data forbids:
+    # those paths fall back to their deepest live prefix. Some of its
+    # vertices have no successor, so no Markov measure lives on all of
+    # it: the masses are taken of plain positive weights on its edges
+    hs = build_horseshoe(lmap, 6, 0.002)
+    rng = np.random.default_rng(5)
+    probs = np.where(hs.next >= 0, rng.uniform(0.1, 1.0, hs.next.shape), 0.0)
+    stationary = rng.uniform(0.1, 1.0, hs.n_vertices)
+    assert _assert_scheme_matches_full_pullback(lmap, hs, (10,), stationary,
+                                                probs) > 0
+
+
+def test_scheme_under_a_second_map_matches_full_pullback(lmap, coord):
+    # the horseshoe's stored cylinders belong to the map it was built
+    # for; a scheme under another map pulls its vertices back anew
+    words = ("LR", "RL", "RR")
+    adj = [[0, 1, 1], [1, 0, 0], [0, 1, 1]]
+    hs = SFTHorseshoe.from_adjacency(2, words, adj, lmap)
+    other = LorenzMap1D(0.8, 1.99)
+    mu = equilibrium_measure(other, hs, coord, t=1.0)
+    assert mu.horseshoe is hs
+    _assert_scheme_matches_full_pullback(other, hs, range(2, 11),
+                                         mu.stationary, mu.probs)
 
 
 _THREADS_PROBE = """

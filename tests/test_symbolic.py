@@ -8,6 +8,7 @@ scratch and compared.
 
 import itertools
 import math
+import re
 import types
 from fractions import Fraction
 
@@ -456,6 +457,30 @@ def test_cylinder_levels_depth_cap(lmap, depth):
     for enumerate_words in (cylinder_levels, admissible_words):
         with pytest.raises(PreconditionError, match=str(depth)):
             enumerate_words(lmap, depth)
+
+
+@pytest.mark.parametrize("depth", [0, -1, 2.5, 3.0])
+def test_kneading_depth_must_be_a_positive_integer(lmap, depth):
+    # a fractional depth used to be truncated to a shorter pair
+    with pytest.raises(PreconditionError,
+                       match="kneading depth %s is not" % re.escape(repr(depth))):
+        kneading(lmap, depth)
+
+
+@pytest.mark.parametrize("depth", [0, 24, 6.0])
+def test_horseshoe_depth_names_the_value_passed(lmap, depth):
+    # the edges read the depth + 1 cylinders; the message names the
+    # horseshoe depth, not that one
+    with pytest.raises(PreconditionError,
+                       match=r"horseshoe depth %s is not an integer in \[1, 23\]"
+                       % re.escape(repr(depth))):
+        build_horseshoe(lmap, depth, 0.01)
+
+
+def test_deepest_horseshoe_builds(fresh_model_cache):
+    # 23 is the deepest horseshoe; the slowest-growing admissible model
+    # keeps its depth-24 level small
+    assert build_horseshoe(LorenzMap1D(1.0, 1.45), 23, 0.0).depth == 23
 
 
 def test_cylinder_levels_continue_the_deepest_list(fresh_model_cache):
