@@ -17,7 +17,6 @@ averaged by per-period blocks, as `np.mean` averages one orbit, not by
 
 import hashlib
 import math
-import numbers
 import types
 
 import numpy as np
@@ -26,10 +25,10 @@ from .errors import DepthTooShallowError, PreconditionError
 from .model import abs_range, dwell_array, roof_array
 from .potentials import midpoint_error_many, passage_error_many
 from .symbolic import (ALPHABET, EMPTY_WIDTH, MAX_DEPTH, CylinderLevel,
-                       _inverse_step, _remember, build_horseshoe, check_word,
-                       code_symbols, cylinder_levels, encode_words,
-                       find_periodic_point, pullback, restrict_horseshoe,
-                       strongly_connected_components)
+                       _inverse_step, _remember, build_horseshoe, check_depth,
+                       check_word, code_symbols, cylinder_levels,
+                       encode_words, find_periodic_point, pullback,
+                       restrict_horseshoe, strongly_connected_components)
 
 DEFAULT_DEPTH = 12
 
@@ -56,7 +55,9 @@ class AtomicMeasure:
         return self._points
 
     def cylinder_masses(self, depth):
-        """(codes, masses) of the depth-`depth` cylinders (see `_summed`)."""
+        """(codes, masses) of the depth-`depth` cylinders (see `_summed`),
+        for an integer depth in [0, MAX_DEPTH]."""
+        check_depth(depth, "cylinder")
         word = self.orbit.word
         p = len(word)
         ext = word * (depth // p + 2)
@@ -169,7 +170,9 @@ class MarkovMeasure:
         return mat
 
     def cylinder_masses(self, depth):
-        """(codes, masses) of the depth-`depth` cylinders (see `_summed`)."""
+        """(codes, masses) of the depth-`depth` cylinders (see `_summed`),
+        for an integer depth in [0, MAX_DEPTH]."""
+        check_depth(depth, "cylinder")
         m = self.horseshoe.depth
         if depth >= m:
             scheme = _scheme(self.lmap, self.horseshoe, depth)
@@ -227,7 +230,9 @@ class ConvexMeasure:
         return "ConvexMeasure(%d components)" % len(self.components)
 
     def cylinder_masses(self, depth):
-        """(codes, masses) of the depth-`depth` cylinders (see `_summed`)."""
+        """(codes, masses) of the depth-`depth` cylinders (see `_summed`),
+        for an integer depth in [0, MAX_DEPTH]."""
+        check_depth(depth, "cylinder")
         parts = [comp.cylinder_masses(depth) for _, comp in self.components]
         return _summed(np.concatenate([codes for codes, _ in parts]),
                        np.concatenate([w * masses for (w, _), (_, masses)
@@ -331,10 +336,7 @@ def _integrate_each(integrands, measures, depth):
     for all integrands. Raises PreconditionError unless the depth is an
     integer in [0, MAX_DEPTH], whatever the measures.
     """
-    if not (isinstance(depth, numbers.Integral) and 0 <= depth <= MAX_DEPTH):
-        raise PreconditionError(
-            "integration depth %r is not an integer in [0, %d]"
-            % (depth, MAX_DEPTH))
+    check_depth(depth, "integration")
     index = {}     # id -> position of each distinct atomic or Markov measure
     atoms = []     # (position, atom) of each distinct atom
     schemes = {}   # id(scheme) -> (scheme, [(position, cylinder masses)])
@@ -574,9 +576,11 @@ def ball_fractions(stats, b):
 
 def measure_distance(a, b, depth=DEFAULT_DEPTH):
     """L1 distance between depth-`depth` cylinder mass vectors, summed in
-    code order over the union of the charged cylinders."""
+    code order over the union of the charged cylinders. Raises
+    PreconditionError unless the depth is an integer in [0, MAX_DEPTH]."""
     _reject_delta(a, "cylinder distance")
     _reject_delta(b, "cylinder distance")
+    check_depth(depth, "distance")
     (codes_a, masses_a), (codes_b, masses_b) = (a.cylinder_masses(depth),
                                                 b.cylinder_masses(depth))
     keys = np.union1d(codes_a, codes_b)

@@ -179,7 +179,19 @@ def _weighted_power(table, log_weights, left=False, tol=1e-12,
     finite. Both sides start at all ones and advance together: the rows
     of the stacked vector [h, g] gather their at most two successors
     (right side) or predecessors (left side) with one `take` into a
-    (2, sides*n) table, scaled by the edge weights in place.
+    (2, entries) table, scaled by the edge weights in place.
+
+    The right side holds one entry per class of vertices with equal rows
+    of `table`: (Mh)(u) = sum of w(v)*h(v) over the successors v of u
+    depends on u's row alone, so from all ones such vertices hold equal
+    entries at every step, and h is expanded from its classes on return.
+    On horseshoes the classes number a half to two thirds of the
+    vertices. The left side keeps one entry per vertex: vertices with
+    equal predecessor pairs still differ in their own weight w(v). The
+    sides then differ in length, so the per-side tops, bracket ends,
+    shifts and scales are taken with `reduceat` and expanded with
+    `repeat`; each entry is still divided or multiplied by the same
+    scalar as in a loop over vertices, so every float is the same.
 
     Every solve iterates M + s*I, with one shift per side: s is half the
     side's latest estimate of lambda (1 until it has one). The
@@ -228,48 +240,57 @@ def _weighted_power(table, log_weights, left=False, tol=1e-12,
     n = lw.size
     c = float(np.max(lw)) if n else 0.0
     w = np.exp(lw - c)
-    # one row per symbol slot: the right side gathers the successors with
-    # their weights, the left side the predecessors with its own weight;
-    # an absent edge reads entry 0 with coefficient 0. The rows are made
-    # C-ordered: np.where on the transposed view would give F-ordered
-    # tables, and every step gathers with them
-    nxt = np.ascontiguousarray(table.T)
-    idx = [np.where(nxt >= 0, nxt, 0)]
+    # the classes of equal successor rows: rep holds one vertex of each,
+    # cls the class of each vertex
+    _, rep, cls = np.unique((table[:, 0] + 1) * (n + 1) + table[:, 1],
+                            return_index=True, return_inverse=True)
+    m = rep.size
+    # one row per symbol slot: the right side gathers the classes of the
+    # successors with their weights, the left side the predecessors with
+    # its own weight; an absent edge reads entry 0 with coefficient 0.
+    # The rows are made C-ordered: np.where on a transposed view would
+    # give F-ordered tables, and every step gathers with them
+    nxt = np.ascontiguousarray(table[rep].T)
+    idx = [np.where(nxt >= 0, cls[nxt], 0)]
     coef = [np.where(nxt >= 0, w[nxt], 0.0)]
+    sizes = [m]
     if left:
         prev = _predecessors(table, n)
-        idx.append(np.where(prev >= 0, prev + n, 0))
+        idx.append(np.where(prev >= 0, prev + m, 0))
         coef.append(np.where(prev >= 0, w, 0.0))
-    sides = 2 if left else 1
+        sizes.append(n)
+    # each side is a run of the stacked vector, starting at `starts`
+    starts = np.cumsum([0] + sizes[:-1])
+    entries = sum(sizes)
     # plain steps gather a third row, each entry itself, for s*v
-    idx = np.vstack([np.concatenate(idx, axis=1), np.arange(sides * n)])
+    idx = np.vstack([np.concatenate(idx, axis=1), np.arange(entries)])
     coef = np.concatenate(coef, axis=1)
     # a side with a zero row of M next to a nonzero one (see above)
-    live = coef.any(axis=0).reshape(sides, n)
-    stuck = bool((live.any(axis=1) & ~live.all(axis=1)).any())
-    step = np.empty((3, sides, n))
-    v = np.ones((sides, n))
-    s = np.ones((sides, 1))
-    est = np.zeros(sides)
+    live = coef.any(axis=0)
+    stuck = bool((np.logical_or.reduceat(live, starts)
+                  & ~np.logical_and.reduceat(live, starts)).any())
+    step = np.empty((3, entries))
+    v = np.ones(entries)
+    s = np.ones(len(sizes))
+    est = np.zeros(len(sizes))
     converged = False
     iterations = 0
     last_zeros = None
-    maximum, minimum = np.maximum.reduce, np.minimum.reduce
+    maximum, minimum = np.maximum.reduceat, np.minimum.reduceat
     while iterations < max_iter:
         # the certified step
         iterations += 1
-        v /= maximum(v, axis=1, keepdims=True)
-        flat = v.reshape(-1)
-        gathered = flat.take(idx[:2])
+        v /= maximum(v, starts).repeat(sizes)
+        gathered = v.take(idx[:2])
         gathered *= coef
         gathered[0] += gathered[1]
-        mv = gathered[0].reshape(sides, n)
+        mv = gathered[0]
         run = 0
         # v >= 0 always, so its least entry decides positivity (a NaN
         # fails the test)
-        if minimum(flat) > 0.0:
+        if np.minimum.reduce(v) > 0.0:
             quot = mv / v
-            lo, hi = minimum(quot, axis=1), maximum(quot, axis=1)
+            lo, hi = minimum(quot, starts), maximum(quot, starts)
             est = 0.5 * (lo + hi)
             if (hi - lo <= tol * hi).all():
                 converged = True
@@ -279,32 +300,31 @@ def _weighted_power(table, log_weights, left=False, tol=1e-12,
             run = min(CERTIFY_EVERY - 1, max_iter - iterations)
             last_zeros = None
         else:
-            zeros = flat == 0.0
+            zeros = v == 0.0
             if zeros.any() and np.array_equal(zeros, last_zeros):
                 break
             last_zeros = zeros
-            est = maximum(mv, axis=1)
-        s = np.where(est[:, None] > 0.0, 0.5 * est[:, None], s)
-        scale = est[:, None] + s
-        v = (mv + s * v) / scale
-        np.divide(coef.reshape(2, sides, n), scale, out=step[:2])
-        step[2] = s / scale
-        table = step.reshape(3, -1)
-        flat = v.reshape(-1)
+            est = maximum(mv, starts)
+        s = np.where(est > 0.0, 0.5 * est, s)
+        scale = est + s
+        each_s, each_scale = s.repeat(sizes), scale.repeat(sizes)
+        v = (mv + each_s * v) / each_scale
+        np.divide(coef, each_scale, out=step[:2])
+        np.divide(each_s, each_scale, out=step[2])
         for _ in range(run):
-            gathered = flat.take(idx)
-            gathered *= table
-            flat = gathered[0]
-            flat += gathered[1]
-            flat += gathered[2]
-        v = flat.reshape(sides, n)
+            gathered = v.take(idx)
+            gathered *= step
+            v = gathered[0]
+            v += gathered[1]
+            v += gathered[2]
         iterations += run
-    v = v / maximum(v, axis=1, keepdims=True)
-    g = v[1] if left else None
+    v = v / maximum(v, starts).repeat(sizes)
+    h = v[:m].take(cls)
+    g = v[m:] if left else None
     lam = float(est[0])
     if not lam > 0.0:
-        return -math.inf, v[0], g, iterations, converged
-    return math.log(lam) + c, v[0], g, iterations, converged
+        return -math.inf, h, g, iterations, converged
+    return math.log(lam) + c, h, g, iterations, converged
 
 
 def pressure_transfer(lmap, potential, depth=12):

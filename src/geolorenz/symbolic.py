@@ -87,6 +87,15 @@ def check_word(word):
             raise PreconditionError("bad symbol %r in word %r" % (ch, word))
 
 
+def check_depth(depth, what="enumeration"):
+    """`depth` as an int, if it is an integer in [0, MAX_DEPTH]; else a
+    PreconditionError naming the value, as the depth of `what`."""
+    if not (isinstance(depth, numbers.Integral) and 0 <= depth <= MAX_DEPTH):
+        raise PreconditionError("%s depth %r is not an integer in [0, %d]"
+                                % (what, depth, MAX_DEPTH))
+    return int(depth)
+
+
 class KneadingPair:
     """Itineraries k_minus of f(0-) = 1 and k_plus of f(0+) = -1.
 
@@ -201,14 +210,15 @@ def decode_words(codes, depth):
     return words
 
 
-def _inverse_step(lmap, right, ends):
+def _inverse_step(lmap, right, ends, out=None):
     """Pull cylinder endpoints back through one branch.
 
     `right` selects the R branch (True) or the L branch, for all columns
     of `ends` at once or per column. Clamp to the branch range, which
     encodes intersection with the branch domain, then apply the branch
     inverse. Both inverses are increasing, so lo <= hi is kept. Returns
-    a new array; `ends` is not written.
+    `out`, an array of the shape of `ends` that may be any view, or a
+    new array without it; `ends` is not written.
 
     With s = +1 on R and -1 on L, both branch ranges clamp u = s * x to
     [-1, beta - 1], and the branch inverse of an endpoint x is
@@ -219,7 +229,7 @@ def _inverse_step(lmap, right, ends):
     """
     beta = lmap.beta
     sign = np.where(right, 1.0, -1.0)
-    u = ends * sign
+    u = np.multiply(ends, sign, out=out)
     np.clip(u, -1.0, beta - 1.0, out=u)
     u += 1.0
     u /= beta
@@ -250,9 +260,11 @@ class CylinderLevel:
     """The nonempty cylinders of one word length, as sorted parallel arrays.
 
     `codes` holds the words as uint64 codes (see `encode_words`), strictly
-    increasing; `lo` and `hi` hold the closed cylinder endpoints. `len()`
-    is the word count. The arrays are read-only, since cached levels are
-    shared.
+    increasing; `lo` and `hi` hold the closed cylinder endpoints. Code
+    order is spatial order: both branches are increasing and the L
+    branch lies left of the R branch, so `lo` and `hi` are nondecreasing.
+    `len()` is the word count. The arrays are read-only, since cached
+    levels are shared.
     """
 
     def __init__(self, depth, codes, lo, hi):
@@ -320,26 +332,39 @@ def _model_store(lmap):
 def _extend_levels(lmap, levels, depth):
     """`levels` continued to the given depth (a new list).
 
-    Each new level is written in place into one codes array and one
-    (2, words) endpoint array, whose rows are its lo and hi; the next
-    level pulls those rows back with no restacking.
+    A level's lo and hi rows are nondecreasing (see `CylinderLevel`), so
+    the cylinders that pull back through a branch form one run: through
+    L those meeting its range [1 - beta, 1], from the first hi >= 1 - beta
+    to the end; through R those meeting [-1, beta - 1], from the start to
+    the last lo <= beta - 1. A cylinder outside a run clamps both of its
+    ends to the same value, a pulled width of exactly 0, so it is empty
+    there. Each run is pulled back straight into the new level's
+    (2, words) endpoint array, whose rows are its lo and hi, and the next
+    level pulls those rows back with no restacking. One mask then drops
+    the pulled cylinders of width <= EMPTY_WIDTH, when there are any.
     """
     levels = list(levels)
     level = levels[-1]
     ends = np.vstack([level.lo, level.hi])
+    # the L range starts at 1 - beta = -(beta - 1), the R range ends at
+    # beta - 1, the clip bounds of `_inverse_step`
+    edge = lmap.beta - 1.0
     for d in range(len(levels) - 1, depth):
-        # the word s + w has code s << d | code(w); the L half then the
-        # R half keeps the codes sorted
-        pulled = [_inverse_step(lmap, s == "R", ends) for s in ALPHABET]
-        live = [p[1] - p[0] > EMPTY_WIDTH for p in pulled]
-        cut = np.cumsum([0] + [np.count_nonzero(m) for m in live])
-        codes = np.empty(cut[-1], dtype=np.uint64)
-        ends = np.empty((2, cut[-1]))
-        for bit in range(len(ALPHABET)):
-            part = slice(cut[bit], cut[bit + 1])
-            np.compress(live[bit], level.codes, out=codes[part])
-            codes[part] |= np.uint64(bit << d)
-            np.compress(live[bit], pulled[bit], axis=1, out=ends[:, part])
+        first = int(np.searchsorted(level.hi, -edge))
+        stop = int(np.searchsorted(level.lo, edge, side="right"))
+        # the word s + w has code s << d | code(w); the L run then the
+        # R run keeps the codes sorted
+        cut = len(level) - first
+        codes = np.empty(cut + stop, dtype=np.uint64)
+        pulled = np.empty((2, cut + stop))
+        codes[:cut] = level.codes[first:]
+        np.bitwise_or(level.codes[:stop], np.uint64(1 << d), out=codes[cut:])
+        _inverse_step(lmap, False, ends[:, first:], out=pulled[:, :cut])
+        _inverse_step(lmap, True, ends[:, :stop], out=pulled[:, cut:])
+        live = pulled[1] - pulled[0] > EMPTY_WIDTH
+        if not live.all():
+            codes, pulled = codes[live], pulled[:, live]
+        ends = pulled
         level = CylinderLevel(d + 1, codes, ends[0], ends[1])
         levels.append(level)
     return levels
@@ -350,18 +375,17 @@ def cylinder_levels(lmap, depth):
 
     Returns a list indexed by word length; entry d is the `CylinderLevel`
     of the depth-d words, built from entry d - 1 with one vectorized
-    `_inverse_step` per symbol. Cached per model (alpha, beta), for the
-    16 most recently used models: a request no deeper than the deepest
-    list built so far is a prefix of it, and a deeper one continues it
-    from its last level, so no level is enumerated twice. The same depth
-    returns the same list object. Raises PreconditionError unless the
-    depth is an integer in [0, MAX_DEPTH].
+    `_inverse_step` per symbol over the run of cylinders that meet the
+    symbol's branch range; the cylinders outside the run pull back to a
+    single point, so they are empty (see `_extend_levels`). Cached per
+    model (alpha, beta), for the 16 most recently used models: a request
+    no deeper than the deepest list built so far is a prefix of it, and a
+    deeper one continues it from its last level, so no level is
+    enumerated twice. The same depth returns the same list object.
+    Raises PreconditionError unless the depth is an integer in
+    [0, MAX_DEPTH].
     """
-    if not (isinstance(depth, numbers.Integral) and 0 <= depth <= MAX_DEPTH):
-        raise PreconditionError(
-            "enumeration depth %r is not an integer in [0, %d]"
-            % (depth, MAX_DEPTH))
-    depth = int(depth)
+    depth = check_depth(depth)
     lists = _model_store(lmap).levels
     levels = lists.get(depth)
     if levels is None:

@@ -197,15 +197,27 @@ def test_integrate_tol_guard(parry):
         integrate_map(pot, parry, depth=12, tol=0.5 * bound)
 
 
-@pytest.mark.parametrize("depth", [-3, 2.5, 16.0, measures.MAX_DEPTH + 1])
+@pytest.mark.parametrize("depth", [-3, 2.5, 13.0, 16.0,
+                                   measures.MAX_DEPTH + 1])
 def test_integration_depth_contract(coord, roof, parry, atom, depth):
     # one check before any measure is sorted: atoms once ignored the
     # depth, a float depth failed inside range() and a deep one only once
-    # a scheme was built
+    # a scheme was built. Cylinder masses and distances share the check:
+    # at depth -3 the distance of the mutually singular parry and atom
+    # read 2e-15, and at 25 two atoms were at distance 2.0
     match = "integration depth %s is not" % re.escape(repr(depth))
-    for measure in (atom, parry, convex_combine([(0.5, atom), (0.5, parry)])):
+    value = re.escape(repr(depth))
+    mixture = convex_combine([(0.5, atom), (0.5, parry)])
+    for measure in (atom, parry, mixture):
         with pytest.raises(PreconditionError, match=match):
             integrate_map(coord, measure, depth)
+        with pytest.raises(PreconditionError,
+                           match="cylinder depth %s is not" % value):
+            measure.cylinder_masses(depth)
+        for other in (atom, parry, mixture):
+            with pytest.raises(PreconditionError,
+                               match="distance depth %s is not" % value):
+                measure_distance(measure, other, depth)
     with pytest.raises(PreconditionError, match=match):
         suspend(SingularDeltaMeasure(), roof, coord, depth)
 
@@ -216,6 +228,11 @@ def test_integration_at_depth_zero_is_an_honest_bound(coord, parry, atom):
     fine, fine_bound = integrate_map(coord, parry, 12)
     assert bound > 0.0 and abs(value - fine) <= bound + fine_bound
     assert integrate_map(coord, atom, 0) == integrate_map(coord, atom, 12)
+    # every probability measure puts mass 1 on that cylinder
+    mixture = convex_combine([(0.5, atom), (0.5, parry)])
+    for a in (atom, parry, mixture):
+        for b in (atom, parry, mixture):
+            assert measure_distance(a, b, 0) == pytest.approx(0.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("depth", [6, 12])

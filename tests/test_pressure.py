@@ -813,3 +813,164 @@ def test_perron_solve_stops_on_a_closed_zero_set():
     assert not converged
     assert iterations < 1000
     assert h.tolist() == [1.0, 0.0] and value == 0.0
+
+
+# ---------------------------------------------------------------------------
+# the right side on successor classes against the vertex loop
+
+def _vertex_weighted_power(table, log_weights, left=False, tol=1e-12,
+                           max_iter=20000):
+    """`pressure._weighted_power` as it was before the right side was
+    iterated on classes: one entry per vertex on both sides."""
+    lw = np.asarray(log_weights, dtype=float)
+    n = lw.size
+    c = float(np.max(lw)) if n else 0.0
+    w = np.exp(lw - c)
+    # one row per symbol slot: the right side gathers the successors with
+    # their weights, the left side the predecessors with its own weight;
+    # an absent edge reads entry 0 with coefficient 0. The rows are made
+    # C-ordered: np.where on the transposed view would give F-ordered
+    # tables, and every step gathers with them
+    nxt = np.ascontiguousarray(table.T)
+    idx = [np.where(nxt >= 0, nxt, 0)]
+    coef = [np.where(nxt >= 0, w[nxt], 0.0)]
+    if left:
+        prev = pressure._predecessors(table, n)
+        idx.append(np.where(prev >= 0, prev + n, 0))
+        coef.append(np.where(prev >= 0, w, 0.0))
+    sides = 2 if left else 1
+    # plain steps gather a third row, each entry itself, for s*v
+    idx = np.vstack([np.concatenate(idx, axis=1), np.arange(sides * n)])
+    coef = np.concatenate(coef, axis=1)
+    # a side with a zero row of M next to a nonzero one, which cannot
+    # converge
+    live = coef.any(axis=0).reshape(sides, n)
+    stuck = bool((live.any(axis=1) & ~live.all(axis=1)).any())
+    step = np.empty((3, sides, n))
+    v = np.ones((sides, n))
+    s = np.ones((sides, 1))
+    est = np.zeros(sides)
+    converged = False
+    iterations = 0
+    last_zeros = None
+    maximum, minimum = np.maximum.reduce, np.minimum.reduce
+    while iterations < max_iter:
+        # the certified step
+        iterations += 1
+        v /= maximum(v, axis=1, keepdims=True)
+        flat = v.reshape(-1)
+        gathered = flat.take(idx[:2])
+        gathered *= coef
+        gathered[0] += gathered[1]
+        mv = gathered[0].reshape(sides, n)
+        run = 0
+        # v >= 0 always, so its least entry decides positivity (a NaN
+        # fails the test)
+        if minimum(flat) > 0.0:
+            quot = mv / v
+            lo, hi = minimum(quot, axis=1), maximum(quot, axis=1)
+            est = 0.5 * (lo + hi)
+            if (hi - lo <= tol * hi).all():
+                converged = True
+                break
+            if stuck:
+                break
+            run = min(pressure.CERTIFY_EVERY - 1, max_iter - iterations)
+            last_zeros = None
+        else:
+            zeros = flat == 0.0
+            if zeros.any() and np.array_equal(zeros, last_zeros):
+                break
+            last_zeros = zeros
+            est = maximum(mv, axis=1)
+        s = np.where(est[:, None] > 0.0, 0.5 * est[:, None], s)
+        scale = est[:, None] + s
+        v = (mv + s * v) / scale
+        np.divide(coef.reshape(2, sides, n), scale, out=step[:2])
+        step[2] = s / scale
+        table = step.reshape(3, -1)
+        flat = v.reshape(-1)
+        for _ in range(run):
+            gathered = flat.take(idx)
+            gathered *= table
+            flat = gathered[0]
+            flat += gathered[1]
+            flat += gathered[2]
+        v = flat.reshape(sides, n)
+        iterations += run
+    v = v / maximum(v, axis=1, keepdims=True)
+    g = v[1] if left else None
+    lam = float(est[0])
+    if not lam > 0.0:
+        return -math.inf, v[0], g, iterations, converged
+    return math.log(lam) + c, v[0], g, iterations, converged
+
+
+def _class_cases():
+    """(name, table, log weights, keyword arguments) of the solves that
+    compare the class iteration with the vertex iteration."""
+    coord = CoordinatePotential()
+    cases = []
+    for alpha, beta in ((1.0, 1.7), (1.0, 1.95), (0.8, 1.99)):
+        for depth in (12, 14):
+            sft = build_horseshoe(LorenzMap1D(alpha, beta), depth, 0.0)
+            cases.append(("transfer", sft.next, coord.value(sft.midpoints),
+                          {}))
+    lm = LorenzMap1D(1.0, 1.7)
+    hs = build_horseshoe(lm, 12, 0.002)
+    for t in (-6.0, -3.7, 0.0, 1.0):
+        lw = t * coord.value(hs.midpoints) + 0.0
+        for comp, sub in hs.cyclic_components():
+            cases.append(("component", sub.next, lw[comp], {"left": True}))
+    grid = build_horseshoe(lm, 10, 0.002)
+    lw = -384.0 * SectionGridPotential.seeded(7).value(
+        grid.midpoints, np.zeros_like(grid.midpoints))
+    for comp, sub in grid.cyclic_components():
+        cases.append(("strong tilt", sub.next, lw[comp], {"left": True}))
+    two = np.array([[1, -1], [-1, 0]])
+    cases.append(("tiny root", two, np.array([0.0, -700.0]), {"left": True}))
+    cases.append(("underflow", two, np.array([-5.0, -1400.0]),
+                  {"left": True}))
+    none = np.full((3, 2), -1)
+    cases.append(("edgeless", none, np.zeros(3), {}))
+    cases.append(("edgeless", none, np.zeros(3), {"left": True}))
+    lw = coord.value(hs.midpoints)
+    cases.append(("stuck", hs.next, lw, {}))
+    cases.append(("stuck", hs.next, lw, {"left": True}))
+    cases.append(("zero set", np.array([[0, 1], [1, -1]]),
+                  np.array([0.0, -10.0]), {}))
+    comp, sub = hs.cyclic_components()[0]
+    cases.append(("max_iter", sub.next, lw[comp], {"max_iter": 21}))
+    cases.append(("max_iter", sub.next, lw[comp],
+                  {"left": True, "max_iter": 37}))
+    return cases
+
+
+def test_class_iteration_matches_vertex_iteration():
+    # the right side iterates one entry per class of equal successor rows;
+    # vertices of one class hold equal entries at every step of the
+    # vertex loop, so every output is the same, bit for bit
+    seen = set()
+    for name, table, lw, kwargs in _class_cases():
+        got = pressure._weighted_power(table, lw, **kwargs)
+        want = _vertex_weighted_power(table, lw, **kwargs)
+        assert got[0] == want[0], name
+        assert got[1].tobytes() == want[1].tobytes(), name
+        if kwargs.get("left"):
+            assert got[2].tobytes() == want[2].tobytes(), name
+        else:
+            assert got[2] is None and want[2] is None
+        assert got[3:] == want[3:], name
+        _, cls = np.unique(table, axis=0, return_inverse=True)
+        cls = cls.reshape(-1)
+        assert (got[1] == got[1][np.unique(cls, return_index=True)[1]]
+                [cls]).all(), name
+        # the classes are fewer than the vertices on horseshoes
+        if name == "transfer":
+            assert len(np.unique(cls)) < 0.7 * len(cls)
+        seen.add((name, got[4]))
+    assert seen >= {("transfer", True), ("component", True),
+                    ("strong tilt", True), ("tiny root", True),
+                    ("underflow", False), ("edgeless", True),
+                    ("stuck", False), ("zero set", False),
+                    ("max_iter", False)}

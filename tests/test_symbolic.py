@@ -507,6 +507,98 @@ def test_cylinder_levels_continue_the_deepest_list(fresh_model_cache):
     assert all(a is b for a, b in zip(warm[12], warm[19]))
 
 
+# ---------------------------------------------------------------------------
+# the level extension by branch runs against the loop it replaced
+
+def _reference_extend_levels(lmap, levels, depth):
+    """Levels extended with two full-width pullbacks and four compresses
+    per level, as first written."""
+    levels = list(levels)
+    level = levels[-1]
+    ends = np.vstack([level.lo, level.hi])
+    for d in range(len(levels) - 1, depth):
+        # the word s + w has code s << d | code(w); the L half then the
+        # R half keeps the codes sorted
+        pulled = [symbolic._inverse_step(lmap, s == "R", ends)
+                  for s in symbolic.ALPHABET]
+        live = [p[1] - p[0] > symbolic.EMPTY_WIDTH for p in pulled]
+        cut = np.cumsum([0] + [np.count_nonzero(m) for m in live])
+        codes = np.empty(cut[-1], dtype=np.uint64)
+        ends = np.empty((2, cut[-1]))
+        for bit in range(len(symbolic.ALPHABET)):
+            part = slice(cut[bit], cut[bit + 1])
+            np.compress(live[bit], level.codes, out=codes[part])
+            codes[part] |= np.uint64(bit << d)
+            np.compress(live[bit], pulled[bit], axis=1, out=ends[:, part])
+        level = symbolic.CylinderLevel(d + 1, codes, ends[0], ends[1])
+        levels.append(level)
+    return levels
+
+
+def assert_same_levels(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.depth == b.depth
+        for attr in ("codes", "lo", "hi"):
+            assert np.array_equal(getattr(a, attr), getattr(b, attr))
+            assert getattr(a, attr).tobytes() == getattr(b, attr).tobytes()
+
+
+@pytest.mark.parametrize("alpha, beta", [
+    (1.0, 1.45), (1.0, 1.5602), (1.0, 1.7), (1.0, 1.82), (1.0, 1.945),
+    (1.0, 1.999), (0.8, 1.99), (0.9, 1.8), (0.75, 1.95)])
+def test_level_runs_match_reference_extension(alpha, beta):
+    lm = LorenzMap1D(alpha, beta)
+    root = symbolic._ModelStore().levels[0]
+    got = symbolic._extend_levels(lm, root, 20)
+    # code order is spatial order, which the runs rest on
+    for level in got:
+        assert (np.diff(level.lo) >= 0.0).all()
+        assert (np.diff(level.hi) >= 0.0).all()
+    assert_same_levels(got, _reference_extend_levels(lm, root, 20))
+
+
+def test_level_runs_drop_thin_and_touching_cylinders():
+    # at beta = 1.7 the L range is [1 - beta, 1] and the R range
+    # [-1, beta - 1]. Rows: one outside the L range, one touching it at
+    # hi = 1 - beta exactly, one meeting it in 5e-13, one inside both,
+    # one meeting the R range in 5e-13 and one outside the R range
+    lm = LorenzMap1D(1.0, 1.7)
+    edge = lm.beta - 1.0
+    lo = np.array([-1.0, -0.8, -0.8, -edge + 5e-13, edge - 5e-13, 0.8])
+    hi = np.array([-0.8, -edge, -edge + 5e-13, 0.5, 0.75, 1.0])
+    depth = 3
+    level = symbolic.CylinderLevel(depth, np.arange(6, dtype=np.uint64),
+                                   lo, hi)
+    levels = [None] * depth + [level]
+    got = symbolic._extend_levels(lm, levels, depth + 1)
+    want = _reference_extend_levels(lm, levels, depth + 1)
+    assert_same_levels(got[depth:], want[depth:])
+    # the runs hold 5 rows through L and 5 through R; the new level keeps
+    # fewer, so the compaction ran
+    through_l = np.count_nonzero(hi >= -edge)
+    through_r = np.count_nonzero(lo <= edge)
+    assert (through_l, through_r) == (5, 5)
+    assert len(got[-1]) == through_l + through_r - 3
+
+
+def test_inverse_step_writes_only_out():
+    lm = LorenzMap1D(0.8, 1.99)
+    ends = np.vstack([np.linspace(-1.0, 0.9, 7), np.linspace(-0.9, 1.0, 7)])
+    before = ends.tobytes()
+    for right in (False, True, np.arange(7) % 2 == 1):
+        # the whole array and non-contiguous column slices
+        for cols in (slice(None), slice(1, 6), slice(0, 7, 2)):
+            src = ends[:, cols]
+            branch = right if np.ndim(right) == 0 else right[cols]
+            fresh = symbolic._inverse_step(lm, branch, src)
+            out = np.full((2, 9), np.nan)[:, 1:1 + src.shape[1]]
+            got = symbolic._inverse_step(lm, branch, src, out=out)
+            assert got is out
+            assert np.array_equal(out, fresh)
+            assert ends.tobytes() == before
+
+
 def test_cylinder_levels_cache_holds_sixteen_models(fresh_model_cache):
     # levels, horseshoes and periodic orbits share one entry per model,
     # so the 17th model evicts all three of the least recently used one
