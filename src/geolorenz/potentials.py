@@ -144,6 +144,14 @@ class SectionGridPotential:
             raise PreconditionError(
                 "grid values must have shape (len(xs), len(ys)), got %r"
                 % (self.values.shape,))
+        for name, arr in (("xs", self.xs), ("ys", self.ys),
+                          ("values", self.values)):
+            bad = np.argwhere(~np.isfinite(arr))
+            if bad.size:
+                where = tuple(bad[0].tolist())
+                raise PreconditionError(
+                    "grid %s must be finite, got %r at index %s"
+                    % (name, float(arr[where]), where))
         if np.any(np.diff(self.xs) <= 0) or np.any(np.diff(self.ys) <= 0):
             raise PreconditionError("grid axes must be strictly increasing")
         if self.xs.size < 2 or self.ys.size < 2:

@@ -10,14 +10,23 @@ reported slack is surfaced, never hidden.
 All Perron eigendata come from one power solver, `_weighted_power`. The
 transfer estimator asks it for the right side only; an equilibrium state
 asks for the right vector h and the left vector g in the same loop, and
-its stationary vector is g*h. Every solve iterates M + s*I with s half
-the current estimate of the Perron root lambda, so periodic components
-converge at a rate that does not depend on how small the max-normalized
-weights make lambda. The loop runs in blocks of CERTIFY_EVERY steps: one
-certified step reads the Collatz-Wielandt bracket from M's own quotients
-and stops when it is within 1e-12 relative to its top, then plain steps
-of (M + s*I)/scale take no reduction at all. A bracket that holds
-relative to lambda keeps log lambda at the dense root for any tilt.
+its stationary vector is g*h. The right side holds one entry per class
+of vertices with equal successor pairs, and the left side one per class
+with equal predecessor pairs, iterating g/w for the weights w. Every
+solve iterates M + s*I with s half the current estimate of the Perron
+root lambda, so periodic components converge at a rate that does not
+depend on how small the max-normalized weights make lambda. Only
+certified steps read the Collatz-Wielandt bracket from M's own
+quotients, and the loop stops at one whose bracket is within 1e-12
+relative to its top; runs of plain steps of (M + s*I)/scale between
+them take no reduction at all. Each run ends where the contraction of
+the bracket measured over the last two certified steps says it will
+close, within CERTIFY_EVERY steps. Plain steps never widen the bracket,
+so the schedule can cost steps but never stop a solve early, and a
+bracket that holds relative to lambda keeps log lambda at the dense root
+for any tilt. What a solve needs of the graph alone, its classes and
+gather tables, is a `_PerronPlan`, built on the first solve of a
+successor table and kept on its `SFTHorseshoe`.
 
 Equilibrium states are memoized. A solve depends on the horseshoe and
 the log weights lw = t*phi(midpoints) alone, so `equilibrium_measure`
@@ -36,6 +45,7 @@ nothing is validated twice and no label leaks.
 
 import copy
 import math
+import numbers
 
 import numpy as np
 
@@ -45,11 +55,12 @@ from .measures import (MarkovMeasure, SingularDeltaMeasure, entropy_map,
 # unused here, kept since benchmarks/test_benchmark.py checks that the
 # tracer wraps this binding
 from .measures import suspend
-from .symbolic import ALPHABET, _remember, build_horseshoe
+from .symbolic import ALPHABET, SFTHorseshoe, _remember, build_horseshoe
 
 MAX_TRANSFER_DEPTH = 14
-# Perron steps per Collatz-Wielandt check (see _weighted_power)
-CERTIFY_EVERY = 16
+# the most Perron steps from one Collatz-Wielandt check to the next (see
+# _weighted_power)
+CERTIFY_EVERY = 32
 
 
 class PressureEstimate:
@@ -166,32 +177,146 @@ def _predecessors(table, n):
     return prev
 
 
-def _weighted_power(table, log_weights, left=False, tol=1e-12,
+def _classes(pairs, n):
+    """(rep, cls) of the columns of `pairs`, a (2, n) table of vertices
+    with -1 for none: rep holds one column of each class of equal
+    columns, cls the class of each column."""
+    _, rep, cls = np.unique((pairs[0] + 1) * (n + 1) + pairs[1],
+                            return_index=True, return_inverse=True)
+    return rep, cls
+
+
+class _PerronPlan:
+    """The part of a Perron solve that does not depend on the weights.
+
+    Built from a (vertices, 2) successor table. `layout(left)` returns,
+    for the stacked vector of the right side's classes followed, with
+    `left`, by the left side's (see `_weighted_power`):
+
+    - `gather`, the (2, entries) table of the offsets of each entry's at
+      most two neighbours' classes in the stacked vector, 0 for an absent
+      edge;
+    - `source`, the (2, entries) table of the vertex whose weight is the
+      coefficient of each neighbour, n for an absent edge, so that one
+      `take` from the weights with a sentinel slot w[n] = 0 gives every
+      coefficient;
+    - `starts` and `sizes`, the offset and the length of each side.
+
+    Building a layout sets the class maps: `succ`, the class of each
+    vertex among the classes of equal successor pairs, and with `left`
+    `pred`, its class among the classes of equal predecessor pairs, and
+    `has_pred`, whether it has a predecessor. Each layout is built on the
+    first solve that asks for it. The arrays that only a solve's set-up
+    and return read are int32; every array is read-only. The plan of an
+    `SFTHorseshoe` lives on it (`SFTHorseshoe.perron`) and is freed with
+    it.
+    """
+
+    def __init__(self, table):
+        self.table = np.asarray(table, dtype=np.int64)
+        self.succ = self.pred = self.has_pred = None
+        self._layouts = {}
+
+    def layout(self, left):
+        got = self._layouts.get(left)
+        if got is None:
+            got = self._layouts[left] = self._build(left)
+        return got
+
+    def _build(self, left):
+        n = len(self.table)
+        # each entry gathers the neighbours of one vertex of its class:
+        # its successors on the right side, its predecessors on the left
+        rep, succ = _classes(self.table.T, n)
+        sides = [(self.table[rep].T, succ)]
+        self.succ = _frozen(succ.astype(np.int32))
+        if left:
+            prev = _predecessors(self.table, n)
+            rep, pred = _classes(prev, n)
+            sides.append((prev[:, rep], pred))
+            self.pred = _frozen(pred.astype(np.int32))
+            self.has_pred = _frozen((prev >= 0).any(axis=0))
+        sizes = [nbr.shape[1] for nbr, _ in sides]
+        starts = np.cumsum([0] + sizes[:-1])
+        gather = np.concatenate([np.where(nbr >= 0, cls[nbr] + start, 0)
+                                 for (nbr, cls), start in zip(sides, starts)],
+                                axis=1)
+        source = np.concatenate([np.where(nbr >= 0, nbr, n)
+                                 for nbr, _ in sides], axis=1)
+        return (_frozen(gather), _frozen(source.astype(np.int32)),
+                _frozen(starts), sizes)
+
+
+def _frozen(arr):
+    arr.flags.writeable = False
+    return arr
+
+
+def _perron_plan(graph):
+    """The plan of an `SFTHorseshoe`, built on its first solve and kept on
+    it; a raw (vertices, 2) successor table gets a plan of its own."""
+    if not isinstance(graph, SFTHorseshoe):
+        return _PerronPlan(graph)
+    if graph.perron is None:
+        graph.perron = _PerronPlan(graph.next)
+    return graph.perron
+
+
+def _plain_run(widths, last, since, tol):
+    """Plain steps before the next certified step.
+
+    `widths` are the relative widths (hi - lo)/hi of the brackets at this
+    certified step, 0 for a side that has closed, and `last` those of the
+    certified step `since` steps before (None if there was none). A side
+    whose width fell from r0 to r contracts by (r/r0)^(1/since) per step,
+    so it reaches tol after since*log(tol/r)/log(r/r0) more steps; the
+    next certified step goes where the slowest side gets there, at most
+    CERTIFY_EVERY steps on, and a full block when no side's contraction
+    has been measured.
+    """
+    if last is None:
+        return CERTIFY_EVERY - 1
+    steps = 1
+    for r, r0 in zip(widths, last):
+        if r == 0.0:
+            continue
+        if not r < r0:
+            return CERTIFY_EVERY - 1
+        steps = max(steps, math.ceil(since * math.log(tol / r)
+                                     / math.log(r / r0)))
+    return min(steps, CERTIFY_EVERY) - 1
+
+
+def _weighted_power(graph, log_weights, left=False, tol=1e-12,
                     max_iter=20000):
     """Perron root of M[u][v] = A(u,v) * e^(lw[v]) and its vectors.
 
-    A is given by `table`, a (vertices, 2) successor table with -1 for no
-    edge (see `SFTHorseshoe.next`).
+    A is given by `graph`, an `SFTHorseshoe` or a (vertices, 2) successor
+    table with -1 for no edge (see `SFTHorseshoe.next`); the weight-free
+    part of the solve is its `_PerronPlan`, which a horseshoe keeps.
     Returns (log lambda, h, g, iterations, converged): log of the Perron
     root of M, the right vector h and, with `left`, the left vector g
     (None otherwise), each sup-normalized. Weights enter max-shifted, so
     every entry of M is at most 1 and arbitrarily large log weights stay
-    finite. Both sides start at all ones and advance together: the rows
-    of the stacked vector [h, g] gather their at most two successors
-    (right side) or predecessors (left side) with one `take` into a
-    (2, entries) table, scaled by the edge weights in place.
+    finite.
 
-    The right side holds one entry per class of vertices with equal rows
-    of `table`: (Mh)(u) = sum of w(v)*h(v) over the successors v of u
-    depends on u's row alone, so from all ones such vertices hold equal
-    entries at every step, and h is expanded from its classes on return.
-    On horseshoes the classes number a half to two thirds of the
-    vertices. The left side keeps one entry per vertex: vertices with
-    equal predecessor pairs still differ in their own weight w(v). The
-    sides then differ in length, so the per-side tops, bracket ends,
-    shifts and scales are taken with `reduceat` and expanded with
-    `repeat`; each entry is still divided or multiplied by the same
-    scalar as in a loop over vertices, so every float is the same.
+    Both sides start at all ones and advance together, on classes of
+    vertices. (Mh)(u) = sum of w(v)*h(v) over the successors v of u
+    depends on u's successor pair alone, so the right side holds one
+    entry per class of equal successor pairs. The left side iterates G =
+    g/w: (gM)(v) = w(v) * sum of w(u)*G(u) over the predecessors u of v,
+    so G advances by the matrix D*A (D the diagonal of w), and its new
+    entry at v depends on v's predecessor pair alone; it holds one entry
+    per class of equal predecessor pairs. D*A and M = A*D have the same
+    nonzero spectrum, and where w > 0 (gM)(v)/g(v) = (G D A)(v)/G(v), so
+    G's bracket is g's. From all ones, vertices of one class hold equal
+    entries at every step, and h = H[succ], g = w * G[pred] are expanded
+    on return. On horseshoes either side has a half to two thirds as
+    many classes as vertices. The rows of the stacked vector gather their
+    at most two neighbours with one `take` into a (2, entries) table,
+    scaled by the edge weights in place; the per-side tops and bracket
+    ends are taken with `reduceat`, and shifts and scales expanded with
+    `repeat`.
 
     Every solve iterates M + s*I, with one shift per side: s is half the
     side's latest estimate of lambda (1 until it has one). The
@@ -200,88 +325,88 @@ def _weighted_power(table, log_weights, left=False, tol=1e-12,
     lambda + s (1/3 at period 2) whatever the scale of the weights, so the
     loop converges on periodic components too.
 
-    The loop runs in blocks of CERTIFY_EVERY steps. A block starts with a
-    certified step: it sup-normalizes v, takes one step Mv with the
-    unscaled weights, and reads the Collatz-Wielandt bracket
-    [min (Mv)/v, max (Mv)/v] of each side from M's own quotients, before
-    s*v is added. The loop stops when every side's bracket is within
-    `tol` relative to its top, hi - lo <= tol*hi, which holds however
-    small lambda is. Otherwise the step sets s = lambda_hat/2 for the
-    midpoint lambda_hat of the bracket and scale = lambda_hat + s, and
-    the rest of the block is plain steps v <- (M + s*I) v / scale: one
-    `take` of three rows (the two neighbours and the entry itself), one
-    multiply by the table of the weights and of s, divided by scale once
-    per block, and two adds, with no reduction. This is sound because:
+    Certified steps alternate with runs of plain steps. A certified step
+    sup-normalizes v, takes one step Mv with the unscaled weights, and
+    reads the Collatz-Wielandt bracket [min (Mv)/v, max (Mv)/v] of each
+    side from M's own quotients, before s*v is added. The loop stops only
+    there, when every side's bracket is within `tol` relative to its top,
+    hi - lo <= tol*hi, which holds however small lambda is. Otherwise the
+    step sets s = lambda_hat/2 for the midpoint lambda_hat of the bracket
+    and scale = lambda_hat + s, and plain steps v <- (M + s*I) v / scale
+    follow: one `take` of the two neighbours into a buffer, one multiply
+    by the weights divided by scale once per run, one add, and v scaled
+    by s/scale and the sum added in place, with no reduction and no
+    allocation. The run ends where the bracket should close
+    (`_plain_run`): from two certified steps, the contraction of the
+    relative width per step predicts the step at which it reaches tol.
+    This is sound because:
 
     - plain steps never widen the bracket: B = M + s*I >= 0 commutes with
       M, so max (MBx)/(Bx) <= max (Mx)/x and min (MBx)/(Bx) >= min (Mx)/x
-      for positive x. Skipping checks can delay the stop by at most a
-      block; it can never stop early;
-    - a plain step multiplies each entry of a positive v by a factor in
+      for positive x. A prediction that comes too soon costs one more
+      certified step, one that comes too late costs the steps past the
+      closing; neither can stop a solve early;
+    - runs hold at most CERTIFY_EVERY - 1 = 31 plain steps. Each
+      multiplies every entry of a positive v by a factor in
       [s/scale, (hi + s)/scale] = [1/3, 5/3] (hi <= 2*lambda_hat), so a
-      block's growth lies in [3^-15, (5/3)^15] and cannot under- or
-      overflow for any tilt. A v with a zero entry (an underflowed
-      weight) has no bracket and no such bound: it is certified at every
-      step and never reports convergence;
+      run's growth lies in [3^-31, (5/3)^31], about [1.6e-15, 7.6e6],
+      for any tilt: from the sup-normalized v of its certified step
+      nothing can overflow, and an entry above 1e-292 stays normal. A v
+      with a zero entry (an underflowed weight) has no bracket and no
+      such bound: it is certified at every step and never reports
+      convergence;
     - two cases can never converge, and return unconverged early. With
       s > 0 the support of v shrinks only by underflow, so a zero set of
       v that survives a whole step is closed under the edges and stays
       zero: the solve stops at the certified step that sees it again. A
       side of M with a zero row (no edge, or only weights that underflowed
-      after max-normalization) next to a nonzero row holds its bracket's
-      lower end at 0 while v > 0, and that entry of v decays to 0: the
-      solve stops at its first certified step. Converged solves meet
-      neither case, so their floats do not depend on these stops;
+      after max-normalization) next to a nonzero row cannot close its
+      bracket: the solve stops at its first certified step. On the left
+      side the zero rows are those of the vertices with a predecessor and
+      w(v) = 0, read per vertex; when every vertex is such, M = 0, and the
+      left side gathers nothing, as g*M = 0 for every g. Converged solves
+      meet neither case, so their floats do not depend on these stops;
     - the first step of a solve is certified, so a graph with no edges
       (Mv = 0, the bracket [0, 0]) returns -inf, converged, at
       iteration 1, and a run stops at exactly `max_iter` steps.
     """
+    plan = _perron_plan(graph)
     lw = np.asarray(log_weights, dtype=float)
     n = lw.size
     c = float(np.max(lw)) if n else 0.0
-    w = np.exp(lw - c)
-    # the classes of equal successor rows: rep holds one vertex of each,
-    # cls the class of each vertex
-    _, rep, cls = np.unique((table[:, 0] + 1) * (n + 1) + table[:, 1],
-                            return_index=True, return_inverse=True)
-    m = rep.size
-    # one row per symbol slot: the right side gathers the classes of the
-    # successors with their weights, the left side the predecessors with
-    # its own weight; an absent edge reads entry 0 with coefficient 0.
-    # The rows are made C-ordered: np.where on a transposed view would
-    # give F-ordered tables, and every step gathers with them
-    nxt = np.ascontiguousarray(table[rep].T)
-    idx = [np.where(nxt >= 0, cls[nxt], 0)]
-    coef = [np.where(nxt >= 0, w[nxt], 0.0)]
-    sizes = [m]
-    if left:
-        prev = _predecessors(table, n)
-        idx.append(np.where(prev >= 0, prev + m, 0))
-        coef.append(np.where(prev >= 0, w, 0.0))
-        sizes.append(n)
-    # each side is a run of the stacked vector, starting at `starts`
-    starts = np.cumsum([0] + sizes[:-1])
-    entries = sum(sizes)
-    # plain steps gather a third row, each entry itself, for s*v
-    idx = np.vstack([np.concatenate(idx, axis=1), np.arange(entries)])
-    coef = np.concatenate(coef, axis=1)
+    # the weights and, for absent edges, the sentinel w[n] = 0
+    w = np.zeros(n + 1)
+    np.exp(lw - c, out=w[:n])
+    gather, source, starts, sizes = plan.layout(left)
+    coef = w.take(source)
+    m = sizes[0]
     # a side with a zero row of M next to a nonzero one (see above)
-    live = coef.any(axis=0)
-    stuck = bool((np.logical_or.reduceat(live, starts)
-                  & ~np.logical_and.reduceat(live, starts)).any())
-    step = np.empty((3, entries))
-    v = np.ones(entries)
+    live = coef[:, :m].any(axis=0)
+    stuck = bool(live.any() and not live.all())
+    if left:
+        live = plan.has_pred & (w[:n] > 0.0)
+        stuck = stuck or bool(live.any() and not live.all())
+        if not live.any():
+            # M = 0, though D*A may not be: g*M = 0 for every g
+            coef[:, m:] = 0.0
+    # every step works in these buffers and v, and allocates nothing
+    gathered, step = np.empty(coef.shape), np.empty(coef.shape)
+    diag = np.empty(coef.shape[1])
+    v = np.ones(coef.shape[1])
     s = np.ones(len(sizes))
     est = np.zeros(len(sizes))
     converged = False
     iterations = 0
-    last_zeros = None
+    last_zeros = last = None
+    last_at = 0
     maximum, minimum = np.maximum.reduceat, np.minimum.reduceat
     while iterations < max_iter:
         # the certified step
         iterations += 1
         v /= maximum(v, starts).repeat(sizes)
-        gathered = v.take(idx[:2])
+        # mode="clip" lets take write into `out` unbuffered; every offset
+        # is in range
+        v.take(gather, out=gathered, mode="clip")
         gathered *= coef
         gathered[0] += gathered[1]
         mv = gathered[0]
@@ -292,39 +417,75 @@ def _weighted_power(table, log_weights, left=False, tol=1e-12,
             quot = mv / v
             lo, hi = minimum(quot, starts), maximum(quot, starts)
             est = 0.5 * (lo + hi)
-            if (hi - lo <= tol * hi).all():
-                converged = True
-                break
             if stuck:
                 break
-            run = min(CERTIFY_EVERY - 1, max_iter - iterations)
+            gap = hi - lo
+            if (gap <= tol * hi).all():
+                converged = True
+                break
+            # an open side has hi > lo >= 0
+            widths = [a / b if a > tol * b else 0.0
+                      for a, b in zip(gap.tolist(), hi.tolist())]
+            run = min(_plain_run(widths, last, iterations - last_at, tol),
+                      max_iter - iterations)
+            last, last_at = widths, iterations
             last_zeros = None
         else:
             zeros = v == 0.0
             if zeros.any() and np.array_equal(zeros, last_zeros):
                 break
             last_zeros = zeros
+            last = None
             est = maximum(mv, starts)
         s = np.where(est > 0.0, 0.5 * est, s)
         scale = est + s
         each_s, each_scale = s.repeat(sizes), scale.repeat(sizes)
-        v = (mv + each_s * v) / each_scale
-        np.divide(coef, each_scale, out=step[:2])
-        np.divide(each_s, each_scale, out=step[2])
+        v *= each_s
+        v += mv
+        v /= each_scale
+        np.divide(coef, each_scale, out=step)
+        np.divide(each_s, each_scale, out=diag)
         for _ in range(run):
-            gathered = v.take(idx)
+            v.take(gather, out=gathered, mode="clip")
             gathered *= step
-            v = gathered[0]
-            v += gathered[1]
-            v += gathered[2]
+            gathered[0] += gathered[1]
+            v *= diag
+            v += gathered[0]
         iterations += run
     v = v / maximum(v, starts).repeat(sizes)
-    h = v[:m].take(cls)
-    g = v[m:] if left else None
+    h = v[:m].take(plan.succ)
+    g = None
+    if left:
+        g = w[:n] * v[m:].take(plan.pred)
+        g /= np.maximum.reduce(g)
     lam = float(est[0])
     if not lam > 0.0:
         return -math.inf, h, g, iterations, converged
     return math.log(lam) + c, h, g, iterations, converged
+
+
+def _finite(lw, what):
+    """lw, if every entry is finite; else a PreconditionError naming
+    `what` and the first vertex where it is not."""
+    if not np.isfinite(lw).all():
+        k = int(np.flatnonzero(~np.isfinite(lw))[0])
+        raise PreconditionError(
+            "%s is %r at vertex %d of %d; log weights must be finite"
+            % (what, float(lw[k]), k, lw.size))
+    return lw
+
+
+def _solve_components(horseshoe, lw, left=False):
+    """(indices, sub-SFT, log lambda, h, g) of the solve on each cyclic
+    component; a solve that does not converge raises PreconditionError."""
+    for comp, sub in horseshoe.cyclic_components():
+        val, h, g, iterations, converged = _weighted_power(
+            sub, lw[comp], left=left)
+        if not converged:
+            raise PreconditionError(
+                "Perron iteration on a %d-vertex component did not converge "
+                "in %d iterations" % (len(comp), iterations))
+        yield comp, sub, val, h, g
 
 
 def pressure_transfer(lmap, potential, depth=12):
@@ -333,23 +494,27 @@ def pressure_transfer(lmap, potential, depth=12):
     One `_weighted_power` solve brackets the Perron root within 1e-12
     relative to its top. A word graph on which that bracket does not
     close (a reducible graph) is scored per strongly connected
-    component that carries a cycle, and the best root is kept.
+    component that carries a cycle, and the best root is kept; a
+    component whose solve does not converge raises PreconditionError, as
+    does a depth that is not an integer in [1, MAX_TRANSFER_DEPTH] and a
+    potential that is not finite at some word's midpoint.
     """
-    if not 1 <= depth <= MAX_TRANSFER_DEPTH:
+    if not (isinstance(depth, numbers.Integral)
+            and 1 <= depth <= MAX_TRANSFER_DEPTH):
         raise PreconditionError(
-            "transfer depth must lie in [1, %d], got %r"
-            % (MAX_TRANSFER_DEPTH, depth))
+            "transfer depth %r is not an integer in [1, %d]"
+            % (depth, MAX_TRANSFER_DEPTH))
     sft = build_horseshoe(lmap, depth, 0.0)
     mids = sft.midpoints
-    lw = np.asarray(potential.value(mids, np.zeros_like(mids)), dtype=float)
-    value, _, _, iterations, converged = _weighted_power(sft.next, lw)
+    lw = _finite(np.asarray(potential.value(mids, np.zeros_like(mids)),
+                            dtype=float), "potential %r" % (potential,))
+    value, _, _, iterations, converged = _weighted_power(sft, lw)
     params = {"depth": depth, "words": sft.n_vertices,
               "iterations": iterations}
     if not converged:
         # reducible (or periodic) word graph: score each strongly
         # connected component that carries a cycle and keep the best
-        value = max((_weighted_power(sub.next, lw[comp])[0]
-                     for comp, sub in sft.cyclic_components()),
+        value = max((val for _, _, val, _, _ in _solve_components(sft, lw)),
                     default=-math.inf)
         params["fallback"] = "per-component"
     w_max = float(np.max(sft.cyl_hi - sft.cyl_lo))
@@ -470,11 +635,13 @@ def equilibrium_measure(lmap, horseshoe, potential, t=1.0, label=None):
     connected component with the largest Perron root, so the result is
     ergodic. A weight that underflows after max-normalization can leave
     no certifiable bracket; that solve does not converge and raises. The
-    decomposition into cyclic
-    components does not depend on t: it is computed once per horseshoe
-    object (`SFTHorseshoe.cyclic_components`), and every measure built on
-    the same horseshoe shares the same restricted sub-SFT. A Perron solve
-    that does not converge on either side raises PreconditionError.
+    decomposition into cyclic components and each component's
+    `_PerronPlan` do not depend on t: they are built once per horseshoe
+    object (`SFTHorseshoe.cyclic_components`, `SFTHorseshoe.perron`), and
+    every measure built on the same horseshoe shares the same restricted
+    sub-SFT. A Perron solve that does not converge on either side raises
+    PreconditionError, and so does a t*phi that is not finite at some
+    vertex, before any memo lookup or solve.
 
     The solve is memoized on the horseshoe (`SFTHorseshoe.equilibria`)
     under the bytes of lw + 0.0, lw = t*phi(midpoints), since it depends
@@ -487,10 +654,12 @@ def equilibrium_measure(lmap, horseshoe, potential, t=1.0, label=None):
     set on one result never reaches another.
     """
     mids = horseshoe.midpoints
-    # + 0.0 turns -0.0 into +0.0, so 0*phi is one key for every potential
-    lw = float(t) * np.asarray(potential.value(mids, np.zeros_like(mids)),
-                               dtype=float) + 0.0
-    key = lw.tobytes()
+    phi = np.asarray(potential.value(mids, np.zeros_like(mids)), dtype=float)
+    # + 0.0 turns -0.0 into +0.0, so 0*phi is one key for every potential;
+    # a product that is not finite is reported below, not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        lw = float(t) * phi + 0.0
+    key = _finite(lw, "t*phi at t = %r" % (t,)).tobytes()
     solved = horseshoe.equilibria.get(key)
     if solved is None:
         solved = _solve_equilibrium(lmap, horseshoe, lw)
@@ -508,13 +677,7 @@ def _solve_equilibrium(lmap, horseshoe, lw):
     from the memo entry that holds it.
     """
     best = None
-    for comp, sub in horseshoe.cyclic_components():
-        val, h, g, iterations, converged = _weighted_power(
-            sub.next, lw[comp], left=True)
-        if not converged:
-            raise PreconditionError(
-                "Perron iteration on a %d-vertex component did not converge "
-                "in %d iterations" % (len(comp), iterations))
+    for comp, sub, val, h, g in _solve_components(horseshoe, lw, left=True):
         if best is None or val > best[0] + 1e-15:
             best = (val, comp, sub, h, g)
     if best is None:

@@ -665,7 +665,9 @@ class SFTHorseshoe:
     `equilibria`, the solved equilibrium states of
     `pressure.equilibrium_measure` by the bytes of their log-weight
     vector, and `schemes`, the cylinder schemes of `measures` by
-    (alpha, beta, depth).
+    (alpha, beta, depth). So does `perron`, the read-only
+    `pressure._PerronPlan` of `next` (its class maps and gather tables),
+    built by the first Perron solve on the horseshoe and None before it.
     """
 
     def __init__(self, depth, codes, table, x_gap, cyl_lo, cyl_hi):
@@ -681,6 +683,7 @@ class SFTHorseshoe:
         self._cyclic = None
         self.equilibria = {}
         self.schemes = {}
+        self.perron = None
 
     @property
     def vertices(self):
@@ -799,7 +802,8 @@ def build_horseshoe(lmap, depth, x_gap):
     if not keep.any():
         raise EmptyHorseshoeError(
             "x_gap = %g excludes every depth-%d cylinder" % (x_gap, depth))
-    verts = level.subset(keep)
+    # a gap that keeps every word (x_gap = 0 does) shares the level's arrays
+    verts = level if keep.all() else level.subset(keep)
     # the edge u -> v on symbol s exists iff the joined word u + s is a
     # nonempty (m+1)-cylinder and v = (u + s)[1:] is a kept vertex; both
     # are code lookups, since (u + s)[1:] is code(u + s) & (2^m - 1)

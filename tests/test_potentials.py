@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -232,6 +233,31 @@ def test_parse_potential_specs_round_trip(tmp_path):
     path.write_text(json.dumps(grid.to_payload()))
     loaded = parse_potential_spec("grid:%s" % path)
     assert np.array_equal(loaded.values, grid.values)
+
+
+@pytest.mark.parametrize("field, index", [
+    ("xs", (3,)), ("ys", (0,)), ("values", (2, 3))])
+def test_grid_payload_rejects_non_finite_samples(tmp_path, field, index):
+    # json writes and reads NaN: such a grid used to load, and the transfer
+    # pressure of a NaN sample came out as -inf after 1.2 s
+    payload = SectionGridPotential.seeded(5).to_payload()
+    if field == "values":
+        payload["values"][index[0]][index[1]] = float("nan")
+    else:
+        payload[field][index[0]] = float("nan")
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(PreconditionError,
+                       match=r"grid %s must be finite, got nan at index %s"
+                       % (field, re.escape(repr(index)))):
+        parse_potential_spec("grid:%s" % path)
+    # an infinite sample likewise
+    grid = SectionGridPotential.seeded(5)
+    values = np.array(grid.values)
+    values[1, 1] = -math.inf
+    with pytest.raises(PreconditionError,
+                       match=r"grid values must be finite, got -inf"):
+        SectionGridPotential(grid.xs, grid.ys, values, grid.lipschitz)
 
 
 @pytest.mark.parametrize("bad", [

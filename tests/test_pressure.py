@@ -3,6 +3,7 @@
 import functools
 import gc
 import math
+import re
 import weakref
 
 import numpy as np
@@ -178,10 +179,13 @@ def test_separated_scan_keeps_exact_ties():
 
 
 def test_transfer_depth_guard(lmap):
-    with pytest.raises(PreconditionError):
-        pressure_transfer(lmap, ConstantPotential(0.0), depth=0)
-    with pytest.raises(PreconditionError):
-        pressure_transfer(lmap, ConstantPotential(0.0), depth=99)
+    # 12.5 used to reach build_horseshoe and be reported as a horseshoe
+    # depth in [1, 23]
+    for depth in (0, 15, 99, 12.5, 12.0, "12"):
+        with pytest.raises(PreconditionError,
+                           match=r"^transfer depth %s is not an integer in "
+                           r"\[1, 14\]$" % re.escape(repr(depth))):
+            pressure_transfer(lmap, ConstantPotential(0.0), depth=depth)
 
 
 def test_variational_inequality_on_catalog(lmap, grid_pot):
@@ -708,8 +712,8 @@ def test_weighted_power_matches_reference_loop(monkeypatch):
     # the reference iterates M + s*I too, checked on every step, with its
     # absolute stop. Measured worst differences: 4.4e-12 in log lambda
     # (the reference's own error) and 3.4e-12 relative in h and g. Against
-    # numpy's dense root the block loop is within 1.3e-13 on these cases
-    # (4.6e-13 at block length 1), the reference within 4.4e-12
+    # numpy's dense root the solver is within 3.6e-13 on these cases
+    # (4.5e-13 at block length 1), the reference within 4.4e-12
     unconverged = early = 0
     for table, lw, kwargs in _oracle_cases():
         want = _reference_weighted_power(table, lw, shift=True, **kwargs)
@@ -934,6 +938,10 @@ def _class_cases():
     none = np.full((3, 2), -1)
     cases.append(("edgeless", none, np.zeros(3), {}))
     cases.append(("edgeless", none, np.zeros(3), {"left": True}))
+    # one edge, into a weight that underflows: M = 0, though D*A is not
+    zero = np.array([[1, -1], [-1, -1]])
+    cases.append(("zero matrix", zero, np.array([0.0, -1000.0]),
+                  {"left": True}))
     lw = coord.value(hs.midpoints)
     cases.append(("stuck", hs.next, lw, {}))
     cases.append(("stuck", hs.next, lw, {"left": True}))
@@ -946,21 +954,37 @@ def _class_cases():
     return cases
 
 
+def _predecessor_classes(table):
+    """The class of each vertex among the classes of vertices with the
+    same set of predecessors, from a loop over the edges."""
+    preds = [[] for _ in range(len(table))]
+    for u, row in enumerate(np.asarray(table).tolist()):
+        for v in row:
+            if v >= 0:
+                preds[v].append(u)
+    keys = {}
+    return np.array([keys.setdefault(tuple(sorted(p)), len(keys))
+                     for p in preds])
+
+
+def _constant_on(values, cls):
+    """Whether values are equal within each class, up to a few ulps."""
+    first = np.unique(cls, return_index=True)[1]
+    return np.allclose(values, values[first][cls], rtol=1e-14, atol=0.0)
+
+
 def test_class_iteration_matches_vertex_iteration():
-    # the right side iterates one entry per class of equal successor rows;
-    # vertices of one class hold equal entries at every step of the
-    # vertex loop, so every output is the same, bit for bit
+    # the right side iterates one entry per class of equal successor rows,
+    # the left side g/w one entry per class of equal predecessor pairs, and
+    # certified steps go where the bracket should close. The vertex loop,
+    # with both sides on vertices and a certified step every CERTIFY_EVERY
+    # steps, is the oracle: every solve stops the same way, and converged
+    # ones agree to the solver's tolerance
     seen = set()
     for name, table, lw, kwargs in _class_cases():
         got = pressure._weighted_power(table, lw, **kwargs)
         want = _vertex_weighted_power(table, lw, **kwargs)
-        assert got[0] == want[0], name
-        assert got[1].tobytes() == want[1].tobytes(), name
-        if kwargs.get("left"):
-            assert got[2].tobytes() == want[2].tobytes(), name
-        else:
-            assert got[2] is None and want[2] is None
-        assert got[3:] == want[3:], name
+        assert got[4] == want[4], name
         _, cls = np.unique(table, axis=0, return_inverse=True)
         cls = cls.reshape(-1)
         assert (got[1] == got[1][np.unique(cls, return_index=True)[1]]
@@ -969,8 +993,156 @@ def test_class_iteration_matches_vertex_iteration():
         if name == "transfer":
             assert len(np.unique(cls)) < 0.7 * len(cls)
         seen.add((name, got[4]))
+        if "max_iter" in kwargs:
+            assert got[3] == want[3] == kwargs["max_iter"], name
+        if name == "stuck":
+            assert got[3] == want[3] == 1
+        if not got[4]:
+            continue
+        if want[0] == -math.inf:
+            # M = 0: the first bracket is [0, 0], and no vector is an
+            # eigenvector of a positive root
+            assert got[0] == -math.inf and got[3] == 1, name
+            continue
+        assert abs(got[0] - want[0]) <= 1e-12, name
+        if lw.size <= 2000:
+            assert abs(got[0] - _dense_log_root(table, lw)) <= 1e-12, name
+        np.testing.assert_allclose(got[1], want[1], rtol=1e-9, atol=0.0,
+                                   err_msg=name)
+        if not kwargs.get("left"):
+            assert got[2] is None and want[2] is None
+            continue
+        np.testing.assert_allclose(got[2], want[2], rtol=1e-9, atol=0.0,
+                                   err_msg=name)
+        w = np.exp(lw - lw.max())
+        assert _constant_on(got[2] / w, _predecessor_classes(table)), name
     assert seen >= {("transfer", True), ("component", True),
                     ("strong tilt", True), ("tiny root", True),
                     ("underflow", False), ("edgeless", True),
-                    ("stuck", False), ("zero set", False),
-                    ("max_iter", False)}
+                    ("zero matrix", True), ("stuck", False),
+                    ("zero set", False), ("max_iter", False)}
+
+
+def _products(table, lw, h, g):
+    """(Mh, gM) for M[u][v] = A(u,v) e^(lw[v] - max lw): from the dense
+    matrix up to 2,000 vertices, from its edge list past that."""
+    n = lw.size
+    w = np.exp(lw - lw.max())
+    src, bit = np.nonzero(np.asarray(table) >= 0)
+    dst = np.asarray(table)[src, bit]
+    if n <= 2000:
+        mat = np.zeros((n, n))
+        mat[src, dst] = w[dst]
+        return mat @ h, None if g is None else g @ mat
+    mh = np.bincount(src, weights=w[dst] * h[dst], minlength=n)
+    gm = None if g is None else np.bincount(dst, weights=g[src] * w[dst],
+                                            minlength=n)
+    return mh, gm
+
+
+def test_converged_solves_close_their_brackets_on_m():
+    # the stop rule read back from M itself, for every schedule: the h and
+    # g of each converged solve close their Collatz-Wielandt brackets
+    # (Mh)/h and (gM)/g within 1e-12 relative, computed here from M, up to
+    # the rounding of the products and of the final normalization. So no
+    # certified step is skipped past and no solve stops early. Measured
+    # worst: 9.2e-13 on h and 2.4e-14 on g
+    checked = 0
+    for name, table, lw, kwargs in _class_cases():
+        value, h, g, _, converged = pressure._weighted_power(
+            table, lw, **kwargs)
+        if not converged or value == -math.inf:
+            continue
+        for vec, prod in zip((h, g), _products(table, lw, h, g)):
+            if vec is None:
+                continue
+            quot = prod / vec
+            assert quot.max() - quot.min() <= 1.001e-12 * quot.max(), name
+            checked += 1
+    assert checked == 18
+
+
+def test_equilibrium_family_builds_its_plan_once(monkeypatch,
+                                                 fresh_model_cache,
+                                                 lmap, coord):
+    # the classes and gather tables depend on the graph alone: five t
+    # values on one horseshoe build the plan of each of its cyclic
+    # components once, on the first solve, and keep it on the sub-SFT
+    hs = build_horseshoe(lmap, 8, 0.002)
+    built = []
+    real = pressure._PerronPlan.__init__
+
+    def counting(self, table):
+        built.append(self)
+        real(self, table)
+
+    monkeypatch.setattr(pressure._PerronPlan, "__init__", counting)
+    family = [equilibrium_measure(lmap, hs, coord, t=t)
+              for t in (-2.0, 0.0, 0.5, 0.75, 2.0)]
+    subs = [sub for _, sub in hs.cyclic_components()]
+    assert len(subs) == 2 and hs.perron is None
+    assert [sub.perron for sub in subs] == built
+    sub = family[0].horseshoe
+    assert sub in subs
+    gather, source, starts, sizes = sub.perron.layout(True)
+    for arr in (gather, source, starts, sub.perron.succ, sub.perron.pred):
+        assert not arr.flags.writeable
+    # both sides on classes: fewer entries than vertices on each side
+    assert len(sizes) == 2 and max(sizes) < sub.n_vertices
+    # a raw successor table gets a plan of its own, and the same solve
+    lw = coord.value(sub.midpoints)
+    raw = pressure._weighted_power(sub.next, lw, left=True)
+    kept = pressure._weighted_power(sub, lw, left=True)
+    assert len(built) == 3
+    assert raw[0] == kept[0] and raw[3:] == kept[3:]
+    assert raw[1].tobytes() == kept[1].tobytes()
+    assert raw[2].tobytes() == kept[2].tobytes()
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf])
+def test_equilibrium_rejects_non_finite_log_weights(monkeypatch,
+                                                    fresh_model_cache,
+                                                    lmap, coord, t):
+    # checked once, before the memo and the solve: a NaN tilt ran all
+    # 20,000 steps and an infinite one stopped after one, both reported
+    # as unconverged Perron iterations
+    hs = build_horseshoe(lmap, 6, 0.002)
+    calls = _count_solves(monkeypatch)
+    with pytest.raises(PreconditionError,
+                       match=r"t\*phi at t = %r is -?%r at vertex 0 of"
+                       % (t, t)):
+        equilibrium_measure(lmap, hs, coord, t=t)
+    assert not calls and not hs.equilibria
+
+
+def test_transfer_rejects_non_finite_potential(monkeypatch, lmap):
+    calls = _count_solves(monkeypatch)
+    lw = CoordinatePotential().value(build_horseshoe(lmap, 6, 0.0).midpoints)
+    lw[17] = math.nan
+    with pytest.raises(PreconditionError,
+                       match="potential .* is nan at vertex 17 of"):
+        pressure_transfer(lmap, _LogWeights(lw), depth=6)
+    assert not calls
+
+
+def test_transfer_fallback_rejects_unconverged_component(monkeypatch, lmap):
+    # the graph of test_transfer_fallback_scores_cyclic_components, whose
+    # whole-graph bracket never closes: a component solve that does not
+    # converge raises, instead of its last midpoint becoming the pressure
+    words = ("LL", "LR", "RL", "RR")
+    adj = [[0, 1, 0, 0], [0, 0, 1, 1], [0, 1, 0, 0], [0, 0, 0, 1]]
+    hs = SFTHorseshoe.from_adjacency(2, words, adj, lmap)
+    pot = _VertexWeights(hs, [1.0, 2.0, 2.0, 1.0])
+    pot.lipschitz_bound = lambda: 0.0
+    monkeypatch.setattr(pressure, "build_horseshoe",
+                        lambda lm, depth, x_gap: hs)
+    real = pressure._weighted_power
+
+    def stalled(*args, **kwargs):
+        value, h, g, _, _ = real(*args, **kwargs)
+        return value, h, g, 20000, False
+
+    monkeypatch.setattr(pressure, "_weighted_power", stalled)
+    with pytest.raises(PreconditionError,
+                       match="2-vertex component did not converge in 20000"):
+        pressure_transfer(lmap, pot, depth=2)
