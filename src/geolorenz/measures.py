@@ -24,10 +24,10 @@ import numpy as np
 from .errors import DepthTooShallowError, PreconditionError
 from .model import abs_range, dwell_array, roof_array
 from .potentials import midpoint_error_many, passage_error_many
-from .symbolic import (ALPHABET, EMPTY_WIDTH, MAX_DEPTH, CylinderLevel,
-                       _inverse_step, _remember, build_horseshoe, check_depth,
-                       check_word, code_symbols, cylinder_levels,
-                       encode_words, find_periodic_point, pullback,
+from .symbolic import (ALPHABET, EMPTY_WIDTH, MAX_DEPTH, _inverse_step,
+                       _remember, build_horseshoe, check_depth, check_word,
+                       code_symbols, cylinder_levels, encode_words,
+                       find_codes, find_periodic_point, pullback,
                        restrict_horseshoe, strongly_connected_components)
 
 DEFAULT_DEPTH = 12
@@ -612,9 +612,7 @@ def measure_from_payload(lmap, payload):
                 raise PreconditionError(
                     "serialized vertex %r appears twice" % w)
             seen.add(w)
-        # the vertices are nonempty cylinders of one length, codes sorted
-        picked = CylinderLevel(full.depth, full.codes, full.cyl_lo,
-                               full.cyl_hi).find(encode_words(wanted))
+        picked = find_codes(full.codes, encode_words(wanted))
         if (picked < 0).any():
             raise PreconditionError(
                 "serialized horseshoe vertex %r does not exist at depth %d, "

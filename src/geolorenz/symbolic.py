@@ -15,9 +15,10 @@ so they are read-only.
 
 Words are held as integer codes: each level of `cylinder_levels` is a
 `CylinderLevel` of sorted uint64 codes (L = 0, R = 1, first symbol most
-significant) with endpoint arrays, and horseshoe edges are found by
-searching those codes. Words are strings over 'L' and 'R' only at the
-edges: user-supplied words, the kneading pair, periodic orbit records,
+significant) with one array of the breakpoints that partition [-1, 1],
+and horseshoe edges are found by searching those codes (`find_codes`).
+Words are strings over 'L' and 'R' only at the edges: user-supplied
+words, the kneading pair, periodic orbit records,
 `SFTHorseshoe.vertices`, measure ids and payloads. `admissible_words`
 is a `Words` view over one level's codes: its `len()` and `in` read the
 codes alone, and a word is decoded to a string only when it is read.
@@ -59,8 +60,12 @@ SINGULAR_TOL = 1e-14
 # words decoded to strings per numpy block in decode_words
 _DECODE_BLOCK = 1 << 16
 
-# width below which a pulled-back cylinder is considered empty; true
-# nonempty cylinders at depth <= MAX_DEPTH are wider than beta**-24 ~ 3e-6
+# width at or below which a cylinder at a clamped run end is empty (see
+# `_extend_levels`); such cylinders pull back to width 0 or a few ulps
+# (1.1e-16 at beta = 1.9275619754829254). It is no floor on the width of
+# real cylinders: at alpha = 0.8, beta = 1.99 the thinnest depth-14
+# cylinder is 2.9e-8 wide, the thinnest depth-22 one 1.1e-12, and 464
+# depth-23 ones are 5.4e-13 to 9.8e-13 wide, all inside their runs
 EMPTY_WIDTH = 1e-12
 
 # keys kept by each memo of a shared object: a horseshoe's equilibrium
@@ -256,39 +261,46 @@ def pullback(lmap, symbols):
     return ends[0], ends[1]
 
 
+def find_codes(sorted_codes, codes):
+    """Positions of `codes` (any shape) in the strictly increasing uint64
+    array `sorted_codes`, -1 where absent."""
+    codes = np.asarray(codes, dtype=np.uint64)
+    pos = np.minimum(np.searchsorted(sorted_codes, codes),
+                     len(sorted_codes) - 1)
+    return np.where(sorted_codes[pos] == codes, pos, -1)
+
+
 class CylinderLevel:
-    """The nonempty cylinders of one word length, as sorted parallel arrays.
+    """The nonempty cylinders of one word length, as one partition.
 
     `codes` holds the words as uint64 codes (see `encode_words`), strictly
-    increasing; `lo` and `hi` hold the closed cylinder endpoints. Code
-    order is spatial order: both branches are increasing and the L
-    branch lies left of the R branch, so `lo` and `hi` are nondecreasing.
-    `len()` is the word count. The arrays are read-only, since cached
-    levels are shared.
+    increasing. `edges`, one entry longer, holds the breakpoints: the
+    cylinder of codes[i] is [edges[i], edges[i + 1]], so neighbouring
+    cylinders share their common endpoint, and `lo` and `hi` are the
+    views edges[:-1] and edges[1:]. Code order is spatial order: both
+    branches are increasing and the L branch lies left of the R branch,
+    so `edges` is nondecreasing. At every level edges[0] = -1.0 and
+    edges[-1] = 1.0 (`_extend_levels` keeps the clamped ends), and at
+    depth >= 1 exactly one slot is 0, the junction of the last L
+    cylinder and the first R one; it holds +0.0. `len()` is the word
+    count. The arrays are read-only, since cached levels are shared.
     """
 
-    def __init__(self, depth, codes, lo, hi):
+    def __init__(self, depth, codes, edges):
         self.depth = depth
         self.codes = codes
-        self.lo = lo
-        self.hi = hi
-        for arr in (codes, lo, hi):
+        self.edges = edges
+        for arr in (codes, edges):
             arr.flags.writeable = False
+        self.lo = edges[:-1]
+        self.hi = edges[1:]
 
     def __len__(self):
         return len(self.codes)
 
     def find(self, codes):
         """Positions of the given codes in this level, -1 where absent."""
-        codes = np.asarray(codes, dtype=np.uint64)
-        pos = np.minimum(np.searchsorted(self.codes, codes),
-                         len(self.codes) - 1)
-        return np.where(self.codes[pos] == codes, pos, -1)
-
-    def subset(self, keep):
-        """The level restricted to a boolean mask of its words."""
-        return CylinderLevel(self.depth, self.codes[keep], self.lo[keep],
-                             self.hi[keep])
+        return find_codes(self.codes, codes)
 
 
 class _ModelStore:
@@ -303,7 +315,7 @@ class _ModelStore:
 
     def __init__(self):
         root = CylinderLevel(0, np.zeros(1, dtype=np.uint64),
-                             np.array([-1.0]), np.array([1.0]))
+                             np.array([-1.0, 1.0]))
         self.levels = {0: [root]}
         self.horseshoes = {}
         self.orbits = []
@@ -332,20 +344,31 @@ def _model_store(lmap):
 def _extend_levels(lmap, levels, depth):
     """`levels` continued to the given depth (a new list).
 
-    A level's lo and hi rows are nondecreasing (see `CylinderLevel`), so
-    the cylinders that pull back through a branch form one run: through
-    L those meeting its range [1 - beta, 1], from the first hi >= 1 - beta
+    A level's edges are nondecreasing (see `CylinderLevel`), so the
+    cylinders that pull back through a branch form one run: through L
+    those meeting its range [1 - beta, 1], from the first hi >= 1 - beta
     to the end; through R those meeting [-1, beta - 1], from the start to
     the last lo <= beta - 1. A cylinder outside a run clamps both of its
-    ends to the same value, a pulled width of exactly 0, so it is empty
-    there. Each run is pulled back straight into the new level's
-    (2, words) endpoint array, whose rows are its lo and hi, and the next
-    level pulls those rows back with no restacking. One mask then drops
-    the pulled cylinders of width <= EMPTY_WIDTH, when there are any.
+    ends to the same value, so it is empty there. The L run's breakpoints
+    edges[first:], then the R run's edges[:stop + 1], are pulled back
+    straight into the new level's edges array. The two pulls share one
+    slot, the junction at x = 0: L pulls edges[-1] = 1 to -0.0, and R,
+    written last, pulls edges[0] = -1 to +0.0, which the slot keeps.
+    Nothing reads the sign of that zero: `abs_range` and the bounds
+    compare and subtract, midpoints add it to a nonzero endpoint, and
+    `_inverse_step` adds 1.0 to it after the clip.
+
+    Inside a run both ends of a cylinder lie in the branch range, where
+    the inverse is strictly increasing, so only the two cylinders with a
+    clamped end can be empty: the first of the L run, whose lo clamps to
+    -1, and the last of the R run, whose hi clamps to 1. Only those two
+    are tested against EMPTY_WIDTH. An empty one loses its code and its
+    inner edge, so its neighbour takes over the clamped end and the new
+    level still partitions [-1, 1]. Cylinders inside a run are kept
+    however thin they are.
     """
     levels = list(levels)
     level = levels[-1]
-    ends = np.vstack([level.lo, level.hi])
     # the L range starts at 1 - beta = -(beta - 1), the R range ends at
     # beta - 1, the clip bounds of `_inverse_step`
     edge = lmap.beta - 1.0
@@ -356,16 +379,18 @@ def _extend_levels(lmap, levels, depth):
         # R run keeps the codes sorted
         cut = len(level) - first
         codes = np.empty(cut + stop, dtype=np.uint64)
-        pulled = np.empty((2, cut + stop))
+        edges = np.empty(cut + stop + 1)
         codes[:cut] = level.codes[first:]
         np.bitwise_or(level.codes[:stop], np.uint64(1 << d), out=codes[cut:])
-        _inverse_step(lmap, False, ends[:, first:], out=pulled[:, :cut])
-        _inverse_step(lmap, True, ends[:, :stop], out=pulled[:, cut:])
-        live = pulled[1] - pulled[0] > EMPTY_WIDTH
-        if not live.all():
-            codes, pulled = codes[live], pulled[:, live]
-        ends = pulled
-        level = CylinderLevel(d + 1, codes, ends[0], ends[1])
+        _inverse_step(lmap, False, level.edges[first:], out=edges[:cut + 1])
+        _inverse_step(lmap, True, level.edges[:stop + 1], out=edges[cut:])
+        if edges[1] - edges[0] <= EMPTY_WIDTH:
+            edges[1] = edges[0]
+            codes, edges = codes[1:], edges[1:]
+        if edges[-1] - edges[-2] <= EMPTY_WIDTH:
+            edges[-2] = edges[-1]
+            codes, edges = codes[:-1], edges[:-1]
+        level = CylinderLevel(d + 1, codes, edges)
         levels.append(level)
     return levels
 
@@ -374,12 +399,14 @@ def cylinder_levels(lmap, depth):
     """All nonempty cylinders up to the given depth.
 
     Returns a list indexed by word length; entry d is the `CylinderLevel`
-    of the depth-d words, built from entry d - 1 with one vectorized
-    `_inverse_step` per symbol over the run of cylinders that meet the
-    symbol's branch range; the cylinders outside the run pull back to a
-    single point, so they are empty (see `_extend_levels`). Cached per
-    model (alpha, beta), for the 16 most recently used models: a request
-    no deeper than the deepest list built so far is a prefix of it, and a
+    of the depth-d words, one partition of [-1, 1] by breakpoints. It is
+    built from entry d - 1 with one vectorized `_inverse_step` per symbol
+    over the breakpoints of the run of cylinders that meet the symbol's
+    branch range; the cylinders outside the run pull back to a single
+    point, so they are empty, and of the run only the cylinder at its
+    clamped end can be (see `_extend_levels`). Cached per model
+    (alpha, beta), for the 16 most recently used models: a request no
+    deeper than the deepest list built so far is a prefix of it, and a
     deeper one continues it from its last level, so no level is
     enumerated twice. The same depth returns the same list object.
     Raises PreconditionError unless the depth is an integer in
@@ -436,9 +463,7 @@ class Words(collections.abc.Sequence):
         if (not isinstance(word, str) or len(word) != self.depth
                 or word.strip("LR")):
             return False
-        code = encode_words([word])
-        pos = np.searchsorted(self.codes, code)[0]
-        return bool(pos < len(self.codes) and self.codes[pos] == code[0])
+        return bool(find_codes(self.codes, encode_words([word]))[0] >= 0)
 
     def __repr__(self):
         return "Words(depth=%d, count=%d)" % (self.depth, len(self))
@@ -624,12 +649,13 @@ def enumerate_periodic(lmap, n_max):
     representative word (the least rotation). Cached per model with the
     cylinder levels: a smaller n_max is served as the period <= n_max
     prefix of the longest list built, and a larger one locates only the
-    new periods, all in one `_periodic_points` call.
+    new periods, all in one `_periodic_points` call. Raises
+    PreconditionError unless n_max is an integer in [1, 16].
     """
-    if n_max < 1:
-        raise PreconditionError("n_max must be >= 1")
-    if n_max > 16:
-        raise PreconditionError("n_max > 16 exceeds the configured bound")
+    if not (isinstance(n_max, numbers.Integral) and 1 <= n_max <= 16):
+        raise PreconditionError("n_max %r is not an integer in [1, 16]"
+                                % (n_max,))
+    n_max = int(n_max)
     store = _model_store(lmap)
     if n_max > store.n_max:
         kp = kneading(lmap, max(64, 4 * n_max))
@@ -803,16 +829,18 @@ def build_horseshoe(lmap, depth, x_gap):
         raise EmptyHorseshoeError(
             "x_gap = %g excludes every depth-%d cylinder" % (x_gap, depth))
     # a gap that keeps every word (x_gap = 0 does) shares the level's arrays
-    verts = level if keep.all() else level.subset(keep)
+    if keep.all():
+        keep = slice(None)
+    codes = level.codes[keep]
     # the edge u -> v on symbol s exists iff the joined word u + s is a
     # nonempty (m+1)-cylinder and v = (u + s)[1:] is a kept vertex; both
     # are code lookups, since (u + s)[1:] is code(u + s) & (2^m - 1)
-    joined = ((verts.codes[:, None] << np.uint64(1))
+    joined = ((codes[:, None] << np.uint64(1))
               | np.arange(len(ALPHABET), dtype=np.uint64))
-    table = verts.find(joined & np.uint64((1 << depth) - 1))
+    table = find_codes(codes, joined & np.uint64((1 << depth) - 1))
     table[levels[depth + 1].find(joined) < 0] = -1
-    horseshoe = SFTHorseshoe(depth, verts.codes, table, x_gap, verts.lo,
-                             verts.hi)
+    horseshoe = SFTHorseshoe(depth, codes, table, x_gap, level.lo[keep],
+                             level.hi[keep])
     if horseshoe.edge_count() == 0:
         raise EmptyHorseshoeError(
             "x_gap = %g leaves vertices but no transitions at depth %d"

@@ -498,7 +498,7 @@ def test_cylinder_levels_continue_the_deepest_list(fresh_model_cache):
         assert len(warm[depth]) == len(cold[depth]) == depth + 1
         for got, want in zip(warm[depth], cold[depth]):
             assert got.depth == want.depth
-            for attr in ("codes", "lo", "hi"):
+            for attr in ("codes", "edges"):
                 assert (getattr(got, attr).tobytes()
                         == getattr(want, attr).tobytes())
         assert cylinder_levels(lm, depth) is warm[depth]
@@ -512,10 +512,13 @@ def test_cylinder_levels_continue_the_deepest_list(fresh_model_cache):
 
 def _reference_extend_levels(lmap, levels, depth):
     """Levels extended with two full-width pullbacks and four compresses
-    per level, as first written."""
-    levels = list(levels)
+    per level, as first written: every cylinder keeps its own lo and hi,
+    and one mask drops every pulled cylinder of width <= EMPTY_WIDTH.
+    Returns the new levels only, as namespaces of (depth, codes, lo, hi).
+    """
     level = levels[-1]
     ends = np.vstack([level.lo, level.hi])
+    out = []
     for d in range(len(levels) - 1, depth):
         # the word s + w has code s << d | code(w); the L half then the
         # R half keeps the codes sorted
@@ -530,18 +533,29 @@ def _reference_extend_levels(lmap, levels, depth):
             np.compress(live[bit], level.codes, out=codes[part])
             codes[part] |= np.uint64(bit << d)
             np.compress(live[bit], pulled[bit], axis=1, out=ends[:, part])
-        level = symbolic.CylinderLevel(d + 1, codes, ends[0], ends[1])
-        levels.append(level)
-    return levels
+        level = types.SimpleNamespace(depth=d + 1, codes=codes, lo=ends[0],
+                                      hi=ends[1])
+        out.append(level)
+    return out
 
 
-def assert_same_levels(got, want):
-    assert len(got) == len(want)
-    for a, b in zip(got, want):
-        assert a.depth == b.depth
-        for attr in ("codes", "lo", "hi"):
-            assert np.array_equal(getattr(a, attr), getattr(b, attr))
-            assert getattr(a, attr).tobytes() == getattr(b, attr).tobytes()
+def assert_partition(level):
+    """One breakpoint array partitions [-1, 1] into cylinders of positive
+    width in code (= spatial) order; lo and hi are views of it."""
+    edges = level.edges
+    assert len(edges) == len(level) + 1
+    assert edges[0] == -1.0 and edges[-1] == 1.0
+    assert (np.diff(edges) > 0.0).all()
+    assert level.lo.tobytes() == edges[:-1].tobytes()
+    assert level.hi.tobytes() == edges[1:].tobytes()
+    assert np.shares_memory(level.lo, edges)
+    assert np.shares_memory(level.hi, edges)
+
+
+def junction_of(level):
+    """Index of the last L cylinder, whose hi is the slot at x = 0."""
+    return int(np.searchsorted(level.codes,
+                               np.uint64(1 << (level.depth - 1)))) - 1
 
 
 @pytest.mark.parametrize("alpha, beta", [
@@ -551,35 +565,82 @@ def test_level_runs_match_reference_extension(alpha, beta):
     lm = LorenzMap1D(alpha, beta)
     root = symbolic._ModelStore().levels[0]
     got = symbolic._extend_levels(lm, root, 20)
-    # code order is spatial order, which the runs rest on
-    for level in got:
-        assert (np.diff(level.lo) >= 0.0).all()
-        assert (np.diff(level.hi) >= 0.0).all()
-    assert_same_levels(got, _reference_extend_levels(lm, root, 20))
+    want = _reference_extend_levels(lm, root, 20)
+    assert len(got) == 21
+    assert_partition(got[0])
+    for level, ref in zip(got[1:], want):
+        assert level.depth == ref.depth
+        assert_partition(level)
+        assert level.codes.tobytes() == ref.codes.tobytes()
+        assert level.lo.tobytes() == ref.lo.tobytes()
+        # the one slot the two pulls share: the reference's last L hi is
+        # the L pull of 1, -0.0; the level keeps the R pull of -1, +0.0
+        j = junction_of(level)
+        assert ref.hi[j] == 0.0 and np.signbit(ref.hi[j])
+        assert level.hi[j] == 0.0 and not np.signbit(level.hi[j])
+        hi = ref.hi.copy()
+        hi[j] = 0.0
+        assert level.hi.tobytes() == hi.tobytes()
+
+
+@pytest.mark.parametrize("beta, depth, drops", [
+    ((1.0 + 5.0 ** 0.5) / 2.0, 24, 44), (1.9275619754829254, 20, 32)])
+def test_level_runs_drop_empty_run_ends_at_sliver_models(beta, depth, drops):
+    # at these models the first L cylinder and the last R cylinder of a
+    # run are empty at every depth from 3 (golden ratio) or 5 on: width 0
+    # or 1.1e-16 after the pullback. The reference drops them and leaves
+    # the neighbour its rounded end; the runs give it the clamped end
+    lm = LorenzMap1D(1.0, beta)
+    root = symbolic._ModelStore().levels[0]
+    got = symbolic._extend_levels(lm, root, depth)
+    want = _reference_extend_levels(lm, root, depth)
+    edge = beta - 1.0
+    dropped = 0
+    for prev, level, ref in zip(got, got[1:], want):
+        assert_partition(level)
+        assert level.codes.tobytes() == ref.codes.tobytes()
+        for mine, theirs in ((level.lo, ref.lo), (level.hi, ref.hi)):
+            assert np.abs(mine - theirs).max() <= 2 * symbolic.EMPTY_WIDTH
+        runs = (len(prev) - int(np.searchsorted(prev.hi, -edge))
+                + int(np.searchsorted(prev.lo, edge, side="right")))
+        dropped += runs - len(level)
+    assert dropped == drops
 
 
 def test_level_runs_drop_thin_and_touching_cylinders():
     # at beta = 1.7 the L range is [1 - beta, 1] and the R range
-    # [-1, beta - 1]. Rows: one outside the L range, one touching it at
-    # hi = 1 - beta exactly, one meeting it in 5e-13, one inside both,
-    # one meeting the R range in 5e-13 and one outside the R range
+    # [-1, beta - 1]. Cylinder 0 lies outside the L range, 1 touches it at
+    # 1 - beta exactly, 3 is 5e-13 wide inside both runs, and 6 meets the
+    # R range in 5e-13; the L run is 1-6 and the R run 0-6
     lm = LorenzMap1D(1.0, 1.7)
     edge = lm.beta - 1.0
-    lo = np.array([-1.0, -0.8, -0.8, -edge + 5e-13, edge - 5e-13, 0.8])
-    hi = np.array([-0.8, -edge, -edge + 5e-13, 0.5, 0.75, 1.0])
+    thin = 5e-13
+    edges = np.array([-1.0, -0.8, -edge, 0.2, 0.2 + thin, 0.6, edge - thin,
+                      1.0])
     depth = 3
-    level = symbolic.CylinderLevel(depth, np.arange(6, dtype=np.uint64),
-                                   lo, hi)
-    levels = [None] * depth + [level]
-    got = symbolic._extend_levels(lm, levels, depth + 1)
-    want = _reference_extend_levels(lm, levels, depth + 1)
-    assert_same_levels(got[depth:], want[depth:])
-    # the runs hold 5 rows through L and 5 through R; the new level keeps
-    # fewer, so the compaction ran
-    through_l = np.count_nonzero(hi >= -edge)
-    through_r = np.count_nonzero(lo <= edge)
-    assert (through_l, through_r) == (5, 5)
-    assert len(got[-1]) == through_l + through_r - 3
+    level = symbolic.CylinderLevel(depth, np.arange(7, dtype=np.uint64),
+                                   edges)
+    new = symbolic._extend_levels(lm, [None] * depth + [level],
+                                  depth + 1)[-1]
+    # 1 (width 0) and 6 (width 5e-13 / beta) go at the clamped run ends,
+    # each handing its clamped end to its neighbour; 3 stays in both runs
+    assert new.codes.tolist() == [2, 3, 4, 5, 6] + [8 + c for c in range(6)]
+    want = np.concatenate([
+        [-1.0], symbolic._inverse_step(lm, False, edges[3:7]), [0.0],
+        symbolic._inverse_step(lm, True, edges[1:6]), [1.0]])
+    assert new.edges.tobytes() == want.tobytes()
+    widths = np.diff(new.edges)
+    assert (widths > 0.0).all()
+    assert (widths[[1, 8]] <= symbolic.EMPTY_WIDTH).all()
+    # the first L cylinder meeting the L range in 5e-13 goes too
+    edges = np.array([-1.0, -edge + thin, 0.5, 1.0])
+    level = symbolic.CylinderLevel(depth, np.arange(3, dtype=np.uint64),
+                                   edges)
+    new = symbolic._extend_levels(lm, [None] * depth + [level],
+                                  depth + 1)[-1]
+    assert new.codes.tolist() == [1, 2, 8, 9, 10]
+    assert_partition(new)
+    assert new.edges[1] == symbolic._inverse_step(lm, False, edges[2:3])[0]
 
 
 def test_inverse_step_writes_only_out():
@@ -881,6 +942,18 @@ def test_enumerate_periodic_serves_shorter_requests(monkeypatch,
     # a located word is not searched again
     assert find_periodic_point(lmap, cold[-1].word) is cold[-1]
     assert len(calls) == 3
+
+
+@pytest.mark.parametrize("n_max", [2.5, 8.0, "3", 0, 17])
+def test_enumerate_periodic_rejects_a_bad_n_max(fresh_model_cache, lmap,
+                                                 n_max):
+    # 2.5, 8.0 and "3" used to raise TypeError from range() or <
+    enumerate_periodic(lmap, 4)
+    with pytest.raises(PreconditionError,
+                       match=r"n_max %s is not an integer in \[1, 16\]"
+                       % re.escape(repr(n_max))):
+        enumerate_periodic(lmap, n_max)
+    assert symbolic._model_store(lmap).n_max == 4
 
 
 def test_cached_horseshoe_is_read_only(fresh_model_cache, lmap):
