@@ -34,7 +34,7 @@ from .pressure import (h_top_estimate, pressure_separated,
                        pressure_transfer)
 from .report import Emitter
 from .repro import run_suite
-from .spectrum import (TargetRequest, build_gap_potential,
+from .spectrum import (REPLAY_DEPTH, TargetRequest, build_gap_potential,
                        realize_intermediate, spectrum_scan, stats_rows,
                        verify_gap)
 from .symbolic import build_horseshoe, enumerate_periodic, \
@@ -193,9 +193,8 @@ def _cmd_realize(args, config, emitter):
     nu = realize_intermediate(req)
     from .pressure import pressure_measure
 
-    replay_depth = 20 if args.level == "map" else 18
     achieved = pressure_measure(nu, potential, level=args.level, roof=roof,
-                                depth=replay_depth)
+                                depth=REPLAY_DEPTH[args.level])
     emitter.emit_json("realize", {
         "potential": args.potential, "level": args.level,
         "target": args.target, "tolerance": args.tol,

@@ -25,10 +25,10 @@ from .errors import DepthTooShallowError, PreconditionError
 from .model import abs_range, dwell_array, roof_array
 from .potentials import midpoint_error_many, passage_error_many
 from .symbolic import (ALPHABET, EMPTY_WIDTH, MAX_DEPTH, _inverse_step,
-                       _remember, build_horseshoe, check_depth, check_word,
-                       code_symbols, cylinder_levels, encode_words,
-                       find_codes, find_periodic_point, pullback,
-                       restrict_horseshoe, strongly_connected_components)
+                       _remember, build_horseshoe, check_depth, check_model,
+                       check_word, cylinder_levels, encode_words, find_codes,
+                       find_periodic_point, restrict_horseshoe,
+                       strongly_connected_components)
 
 DEFAULT_DEPTH = 12
 
@@ -80,12 +80,14 @@ class MarkovMeasure:
     construction. When the support is the whole adjacency, as
     for every equilibrium state, irreducibility is read from the
     horseshoe's stored decomposition (`SFTHorseshoe.cyclic_components`).
+    The map must be of the horseshoe's model (`symbolic.check_model`).
     The entropy is computed once, after validation (`entropy`).
     """
 
     variant = "markov"
 
     def __init__(self, lmap, horseshoe, probs, stationary, label=None):
+        check_model(lmap, horseshoe)
         self.lmap = lmap
         self.horseshoe = horseshoe
         probs = np.asarray(probs, dtype=float)
@@ -340,7 +342,6 @@ def _integrate_each(integrands, measures, depth):
     index = {}     # id -> position of each distinct atomic or Markov measure
     atoms = []     # (position, atom) of each distinct atom
     schemes = {}   # id(scheme) -> (scheme, [(position, cylinder masses)])
-    shallow = []
     mixed = False
     for measure in measures:
         if isinstance(measure, ConvexMeasure):
@@ -362,7 +363,8 @@ def _integrate_each(integrands, measures, depth):
                 schemes.setdefault(id(scheme), (scheme, []))[1].append(
                     (i, scheme.masses(leaf.stationary, leaf.probs)))
             else:
-                shallow.append((i, leaf))
+                mass, cylinders = _shallow_cylinders(leaf, depth)
+                schemes[id(cylinders)] = (cylinders, [(i, mass)])
     # the results of distinct plain measures are, in order, theirs
     plain = not mixed and len(index) == len(measures)
     out = []
@@ -402,8 +404,6 @@ def _integrate_each(integrands, measures, depth):
             for i, mass in block:
                 value[i] = float(np.add.reduce(mass * vals))
                 bound[i] = float(np.add.reduce(mass * errs))
-        for i, leaf in shallow:
-            value[i], bound[i] = _integrate_shallow(integrand, leaf, depth)
         if plain:
             out.append((value, bound))
         else:
@@ -443,23 +443,19 @@ def _mix(result, index, measure):
     return total
 
 
-def _integrate_shallow(potential, measure, depth):
-    """A Markov measure at a depth below its horseshoe's, cylinder by
-    cylinder in code (= word) order."""
+def _shallow_cylinders(measure, depth):
+    """(masses, cylinders) of a Markov measure at a depth below its
+    horseshoe's: its cylinder masses in code (= word) order, and those
+    cylinders from the model's level, integrated as a scheme's paths."""
     level = cylinder_levels(measure.lmap, depth)[depth]
     codes, masses = measure.cylinder_masses(depth)
     pos = level.find(codes)
     if (pos < 0).any():
         raise PreconditionError(
             "measure charges an empty depth-%d cylinder" % depth)
-    value = 0.0
-    bound = 0.0
-    for mass, lo, hi in zip(masses.tolist(), level.lo[pos].tolist(),
-                            level.hi[pos].tolist()):
-        mid = 0.5 * (lo + hi)
-        value += mass * float(potential.value(mid, 0.0))
-        bound += mass * float(potential.midpoint_error(lo, hi))
-    return value, bound
+    lo, hi = level.lo[pos], level.hi[pos]
+    return masses, types.SimpleNamespace(lo=lo, hi=hi, mid=0.5 * (lo + hi),
+                                         integrals={})
 
 
 def _summed(codes, masses):
@@ -709,8 +705,8 @@ def _monotone_range(value_fn, lo, hi):
 # ---------------------------------------------------------------------------
 # path expansion: depth-D cylinder masses of a Markov measure, vectorized
 #
-# A scheme depends only on the map and the horseshoe, so it is kept on the
-# horseshoe (`SFTHorseshoe.schemes`) under (alpha, beta, depth): every
+# A scheme depends only on the horseshoe, which belongs to one model, so it
+# is kept on the horseshoe (`SFTHorseshoe.schemes`) under its depth: every
 # measure on one horseshoe object, such as the restricted component that
 # each equilibrium state of a bisection shares, reads one build, and the
 # scheme is freed with its horseshoe. Schemes hold no strings and no
@@ -732,12 +728,12 @@ class _CylinderScheme:
     one product per extension (see `masses`).
 
     A path's last m symbols are the word of its last vertex, so its
-    cylinder is that vertex's cylinder pulled back through the path's
-    first D - m symbols. The vertex cylinders are pulled back once per
-    scheme under the scheme's own map: a horseshoe's stored cylinders
-    belong to the map it was built for, and its schemes may be for
-    several. Each float is one that the pullback of the whole word
-    computes, in the same order.
+    cylinder is that vertex's stored cylinder pulled back through the
+    path's first D - m symbols (`lmap` is of the horseshoe's model). A
+    path at most EMPTY_WIDTH wide, which may be a tail the SFT allows and
+    the kneading data forbids, takes the cylinder of its longest prefix
+    in the model's levels, its own word first: a real thin cylinder keeps
+    its own interval. Only then are the levels extended to depth D.
 
     `integrals` caches the read-only (values, bounds) arrays of each
     keyed integrand by its key (see `integrate_many` and `_remember`).
@@ -745,11 +741,9 @@ class _CylinderScheme:
 
     def __init__(self, lmap, horseshoe, depth):
         m = horseshoe.depth
+        check_depth(depth, "scheme")
         if depth < m:
             raise PreconditionError("scheme depth below horseshoe depth")
-        if depth > MAX_DEPTH:
-            raise PreconditionError(
-                "scheme depth %d exceeds maximum %d" % (depth, MAX_DEPTH))
         table = horseshoe.next
         cur = np.arange(horseshoe.n_vertices, dtype=np.int64)
         start = cur
@@ -769,8 +763,7 @@ class _CylinderScheme:
         self.start = start
         self.codes = codes
         self.depth = depth
-        lo, hi = pullback(lmap, code_symbols(horseshoe.codes, m))
-        ends = np.stack((lo[cur], hi[cur]))
+        ends = np.stack((horseshoe.cyl_lo[cur], horseshoe.cyl_hi[cur]))
         # the first D - m symbols, last one first: bits m to D - 1
         head = codes >> np.uint64(m)
         for _ in range(depth - m):
@@ -778,17 +771,17 @@ class _CylinderScheme:
                                  ends)
             head >>= np.uint64(1)
         lo, hi = ends
-        # fictitious refinement: the SFT allows a tail the kneading data
-        # forbids; such a path falls back to its deepest live prefix
-        dead = np.flatnonzero(hi - lo <= EMPTY_WIDTH)
-        for length in range(depth - 1, 0, -1):
-            if not dead.size:
-                break
-            a, b = pullback(lmap, code_symbols(
-                codes[dead] >> np.uint64(depth - length), length))
-            lo[dead] = a
-            hi[dead] = b
-            dead = dead[b - a <= EMPTY_WIDTH]
+        thin = np.flatnonzero(hi - lo <= EMPTY_WIDTH)
+        length = depth
+        # level 1 holds both symbols, so every path stops by then
+        while thin.size:
+            level = cylinder_levels(lmap, depth)[length]
+            pos = level.find(codes[thin] >> np.uint64(depth - length))
+            hit = pos >= 0
+            lo[thin[hit]] = level.lo[pos[hit]]
+            hi[thin[hit]] = level.hi[pos[hit]]
+            thin = thin[~hit]
+            length -= 1
         self.lo = lo
         self.hi = hi
         self.mid = 0.5 * (lo + hi)
@@ -809,9 +802,9 @@ class _CylinderScheme:
 
 
 def _scheme(lmap, horseshoe, depth):
-    key = (lmap.alpha, lmap.beta, int(depth))
-    scheme = horseshoe.schemes.get(key)
+    depth = int(depth)
+    scheme = horseshoe.schemes.get(depth)
     if scheme is None:
         scheme = _CylinderScheme(lmap, horseshoe, depth)
-        _remember(horseshoe.schemes, key, scheme)
+        _remember(horseshoe.schemes, depth, scheme)
     return scheme

@@ -55,7 +55,8 @@ from .measures import (MarkovMeasure, SingularDeltaMeasure, entropy_map,
 # unused here, kept since benchmarks/test_benchmark.py checks that the
 # tracer wraps this binding
 from .measures import suspend
-from .symbolic import ALPHABET, SFTHorseshoe, _remember, build_horseshoe
+from .symbolic import (ALPHABET, SFTHorseshoe, _remember, build_horseshoe,
+                       check_model)
 
 MAX_TRANSFER_DEPTH = 14
 # the most Perron steps from one Collatz-Wielandt check to the next (see
@@ -640,8 +641,8 @@ def equilibrium_measure(lmap, horseshoe, potential, t=1.0, label=None):
     object (`SFTHorseshoe.cyclic_components`, `SFTHorseshoe.perron`), and
     every measure built on the same horseshoe shares the same restricted
     sub-SFT. A Perron solve that does not converge on either side raises
-    PreconditionError, and so does a t*phi that is not finite at some
-    vertex, before any memo lookup or solve.
+    PreconditionError, and so do a map of another model (`check_model`)
+    and a t*phi not finite at some vertex, before any memo lookup or solve.
 
     The solve is memoized on the horseshoe (`SFTHorseshoe.equilibria`)
     under the bytes of lw + 0.0, lw = t*phi(midpoints), since it depends
@@ -653,6 +654,7 @@ def equilibrium_measure(lmap, horseshoe, potential, t=1.0, label=None):
     returns a shallow copy carrying the caller's map and label, so a label
     set on one result never reaches another.
     """
+    check_model(lmap, horseshoe)
     mids = horseshoe.midpoints
     phi = np.asarray(potential.value(mids, np.zeros_like(mids)), dtype=float)
     # + 0.0 turns -0.0 into +0.0, so 0*phi is one key for every potential;

@@ -25,7 +25,7 @@ from .potentials import ConstantPotential, CoordinatePotential, \
     SectionGridPotential
 from .pressure import (catalog_pressures, estimate_P_bounds, h_top_estimate,
                        pressure_measure, pressure_separated, pressure_transfer)
-from .spectrum import (TargetRequest, build_gap_potential,
+from .spectrum import (REPLAY_DEPTH, TargetRequest, build_gap_potential,
                        realize_intermediate, spectrum_scan, verify_gap)
 from .symbolic import cylinder_levels
 
@@ -152,9 +152,8 @@ def run_intermediate(config, jobs=1):
             req = TargetRequest(lmap, phi, target, tol, level=level,
                                 roof=roof_arg, catalog=catalog)
             nu = realize_intermediate(req)
-            replay_depth = 20 if level == "map" else 18
             replay = pressure_measure(nu, phi, level=level, roof=roof_arg,
-                                      depth=replay_depth)
+                                      depth=REPLAY_DEPTH[level])
             err = abs(replay - target)
             worst[level] = max(worst[level], err)
             rows.append({"level": level, "k": k, "target": target,

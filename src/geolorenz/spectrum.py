@@ -44,6 +44,9 @@ DEFAULT_GAP_SCHEDULE = (0.05, 0.02, 0.008, 0.002)
 # against the increasing branch only
 T_LO = -6.0
 T_HI = 1.0
+# `realize_intermediate`'s family depth, and its replay depth by level
+EVAL_DEPTH = 16
+REPLAY_DEPTH = {"map": 20, "flow": 18}
 
 
 class TargetRequest:
@@ -434,10 +437,6 @@ def realize_intermediate(req):
             "target %.6g is not interior to the catalog bounds "
             "(%.6g, %.6g) with margin >= tolerance" %
             (req.target, p_inf, p_top))
-    if req.level == "map":
-        eval_depth, replay_depth = 16, 20
-    else:
-        eval_depth, replay_depth = 16, 18
 
     def family_value(horseshoe, t, depth):
         eq = equilibrium_measure(req.lmap, horseshoe, req.potential, t=t)
@@ -449,8 +448,8 @@ def realize_intermediate(req):
         horseshoe = build_horseshoe(req.lmap, req.depth, x_gap)
         lo_t, hi_t = T_LO, T_HI
         try:
-            eq_lo, v_lo = family_value(horseshoe, lo_t, eval_depth)
-            eq_hi, v_hi = family_value(horseshoe, hi_t, eval_depth)
+            eq_lo, v_lo = family_value(horseshoe, lo_t, EVAL_DEPTH)
+            eq_hi, v_hi = family_value(horseshoe, hi_t, EVAL_DEPTH)
         except PreconditionError:
             continue
         achieved[0] = min(achieved[0], v_lo, v_hi)
@@ -461,7 +460,7 @@ def realize_intermediate(req):
         f_lo = v_lo - req.target
         for _ in range(60):
             mid_t = 0.5 * (lo_t + hi_t)
-            eq_m, v_m = family_value(horseshoe, mid_t, eval_depth)
+            eq_m, v_m = family_value(horseshoe, mid_t, EVAL_DEPTH)
             resid = abs(v_m - req.target)
             if best is None or resid < best[0]:
                 best = (resid, eq_m, mid_t)
@@ -476,7 +475,7 @@ def realize_intermediate(req):
             continue
         _, nu, t_star = best
         replay = pressure_measure(nu, req.potential, level=req.level,
-                                  roof=req.roof, depth=replay_depth)
+                                  roof=req.roof, depth=REPLAY_DEPTH[req.level])
         achieved[0] = min(achieved[0], replay)
         achieved[1] = max(achieved[1], replay)
         if abs(replay - req.target) <= req.tolerance:

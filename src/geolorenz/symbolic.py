@@ -244,23 +244,6 @@ def _inverse_step(lmap, right, ends, out=None):
     return u
 
 
-def pullback(lmap, symbols):
-    """Cylinder endpoints of many words at once.
-
-    `symbols` is a (words, length) matrix of ALPHABET indices (see
-    `symbol_matrix`). Each row pulls [-1, 1] back through its branch
-    chain, last symbol first, one `_inverse_step` per symbol.
-    Returns the closed cylinder endpoints as two arrays.
-    """
-    symbols = np.asarray(symbols)
-    ends = np.empty((2, symbols.shape[0]))
-    ends[0] = -1.0
-    ends[1] = 1.0
-    for j in range(symbols.shape[1] - 1, -1, -1):
-        ends = _inverse_step(lmap, symbols[:, j] == 1, ends)
-    return ends[0], ends[1]
-
-
 def find_codes(sorted_codes, codes):
     """Positions of `codes` (any shape) in the strictly increasing uint64
     array `sorted_codes`, -1 where absent."""
@@ -677,9 +660,12 @@ def enumerate_periodic(lmap, n_max):
 class SFTHorseshoe:
     """Subshift of finite type over depth-m cylinder words away from x = 0.
 
-    vertices are admissible depth-m words, held as their uint64 codes
-    (`codes`, see `encode_words`); an edge u -> v exists iff v is the
-    shift successor u[1:] + s and the joined word u + s is admissible.
+    `model` is the (alpha, beta) it was built for, and `cyl_lo`, `cyl_hi`
+    are its vertices' cylinders in that model's level (see
+    `check_model`). vertices are admissible depth-m words, held as
+    their uint64 codes (`codes`, see `encode_words`); an edge u -> v
+    exists iff v is the shift successor u[1:] + s and the joined word
+    u + s is admissible.
     The edges are one (vertices, 2) int64 table `next`: next[u, k] is the
     successor of u on ALPHABET[k], -1 meaning no edge, so next.reshape(-1)
     is indexed by the flat steps 2*u + k of the transition tables;
@@ -690,14 +676,15 @@ class SFTHorseshoe:
     horseshoe, each at most CACHE_LIMIT + 1 keys (see `_remember`):
     `equilibria`, the solved equilibrium states of
     `pressure.equilibrium_measure` by the bytes of their log-weight
-    vector, and `schemes`, the cylinder schemes of `measures` by
-    (alpha, beta, depth). So does `perron`, the read-only
-    `pressure._PerronPlan` of `next` (its class maps and gather tables),
-    built by the first Perron solve on the horseshoe and None before it.
+    vector, and `schemes`, the cylinder schemes of `measures` by depth.
+    So does `perron`, the read-only `pressure._PerronPlan` of `next` (its
+    class maps and gather tables), built by the first Perron solve on the
+    horseshoe and None before it.
     """
 
-    def __init__(self, depth, codes, table, x_gap, cyl_lo, cyl_hi):
+    def __init__(self, depth, codes, table, x_gap, cyl_lo, cyl_hi, model):
         self.depth = depth
+        self.model = model
         self.codes = np.asarray(codes, dtype=np.uint64)
         self.next = np.asarray(table, dtype=np.int64)
         self.x_gap = float(x_gap)
@@ -767,9 +754,11 @@ class SFTHorseshoe:
     def from_adjacency(cls, depth, vertices, adjacency, lmap, x_gap=0.0):
         """Build from an explicit 0/1 adjacency matrix.
 
-        Each allowed edge u -> v must be shift-compatible (v == u[1:] + s);
-        cylinders come from the ambient map. Intended for hand-built
-        subshifts such as the full 2-shift or the golden-mean shift.
+        Each allowed edge u -> v must be shift-compatible (v == u[1:] + s).
+        Vertex cylinders are read from the map's level, and a vertex with
+        none raises InadmissibleWordError naming it. Intended for
+        hand-built subshifts such as the full 2-shift or the golden-mean
+        shift.
         """
         adjacency = np.asarray(adjacency)
         n = len(vertices)
@@ -787,8 +776,23 @@ class SFTHorseshoe:
                 raise PreconditionError(
                     "edge %r -> %r is not shift-compatible" % (u, v))
             table[i, ALPHABET.index(v[-1])] = j
-        lo, hi = pullback(lmap, symbol_matrix(vertices))
-        return cls(depth, encode_words(vertices), table, x_gap, lo, hi)
+        codes = encode_words(vertices)
+        level = cylinder_levels(lmap, depth)[depth]
+        pos = level.find(codes)
+        if (pos < 0).any():
+            raise InadmissibleWordError("vertex %r has an empty cylinder"
+                                        % vertices[int(np.argmax(pos < 0))])
+        return cls(depth, codes, table, x_gap, level.lo[pos], level.hi[pos],
+                   (lmap.alpha, lmap.beta))
+
+
+def check_model(lmap, horseshoe):
+    """PreconditionError unless the horseshoe was built for the map's model:
+    its cylinders and everything read from them belong to that model."""
+    model = (lmap.alpha, lmap.beta)
+    if model != horseshoe.model:
+        raise PreconditionError("horseshoe of model %r used with a map of "
+                                "model %r" % (horseshoe.model, model))
 
 
 def build_horseshoe(lmap, depth, x_gap):
@@ -840,7 +844,7 @@ def build_horseshoe(lmap, depth, x_gap):
     table = find_codes(codes, joined & np.uint64((1 << depth) - 1))
     table[levels[depth + 1].find(joined) < 0] = -1
     horseshoe = SFTHorseshoe(depth, codes, table, x_gap, level.lo[keep],
-                             level.hi[keep])
+                             level.hi[keep], (lmap.alpha, lmap.beta))
     if horseshoe.edge_count() == 0:
         raise EmptyHorseshoeError(
             "x_gap = %g leaves vertices but no transitions at depth %d"
@@ -959,4 +963,5 @@ def restrict_horseshoe(horseshoe, indices):
     remap[indices] = np.arange(len(indices), dtype=np.int64)
     return SFTHorseshoe(horseshoe.depth, horseshoe.codes[indices],
                         remap[horseshoe.next[indices]], horseshoe.x_gap,
-                        horseshoe.cyl_lo[indices], horseshoe.cyl_hi[indices])
+                        horseshoe.cyl_lo[indices], horseshoe.cyl_hi[indices],
+                        horseshoe.model)

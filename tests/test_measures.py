@@ -17,6 +17,7 @@ from geolorenz import (
     ConstantPotential,
     CoordinatePotential,
     DepthTooShallowError,
+    InadmissibleWordError,
     LorenzMap1D,
     MarkovMeasure,
     PreconditionError,
@@ -528,18 +529,22 @@ def _scalar_scheme_interval(lmap, word):
 
 def test_shallow_integral_matches_scalar_prefix_cylinders(lmap, parry, coord):
     # below the horseshoe depth the integral charges each vertex prefix
-    # with its stationary mass, evaluated on the prefix cylinder
+    # with its stationary mass, evaluated on the prefix cylinder; the
+    # terms are summed as the scheme path sums them
     depth = 6
     assert depth < parry.horseshoe.depth
     masses = {}
     for w, pi in zip(parry.horseshoe.vertices, parry.stationary):
         masses[w[:depth]] = masses.get(w[:depth], 0.0) + float(pi)
-    value = bound = 0.0
+    values = []
+    bounds = []
     for w in sorted(masses):
         lo, hi = _scalar_pullback(lmap, w)
-        value += masses[w] * float(coord.value(0.5 * (lo + hi), 0.0))
-        bound += masses[w] * float(coord.midpoint_error(lo, hi))
-    assert integrate_map(coord, parry, depth=depth) == (value, bound)
+        values.append(masses[w] * float(coord.value(0.5 * (lo + hi), 0.0)))
+        bounds.append(masses[w] * float(coord.midpoint_error(lo, hi)))
+    assert integrate_map(coord, parry, depth=depth) == (
+        float(np.add.reduce(np.array(values))),
+        float(np.add.reduce(np.array(bounds))))
 
 
 @pytest.mark.parametrize("alpha, beta, rtol", [
@@ -585,24 +590,61 @@ def test_realization_builds_one_scheme_per_depth(monkeypatch, lmap, coord,
     depths = [args[2] for args in builds]
     assert sorted(depths) == [12, 16, 20]
     assert measures._scheme(lmap, nu.horseshoe, 20) is \
-        nu.horseshoe.schemes[(lmap.alpha, lmap.beta, 20)]
+        nu.horseshoe.schemes[20]
     assert len(builds) == 3
 
 
-def test_scheme_cache_keys_on_the_map(monkeypatch, lmap):
-    # one vertex structure under two maps must give two schemes
-    builds = _counting_scheme(monkeypatch)
+def test_thin_paths_take_their_own_level_cylinders(monkeypatch, lmap,
+                                                   coord):
+    # with every path at most EMPTY_WIDTH wide, each is looked up in the
+    # level of its depth; all of them are real cylinders, so each keeps
+    # its own interval instead of a prefix's
+    monkeypatch.setattr(measures, "EMPTY_WIDTH", 1e-3)
+    mu = equilibrium_measure(lmap, build_horseshoe(lmap, 12, 0.05), coord,
+                             t=-1.5)
+    scheme = measures._CylinderScheme(lmap, mu.horseshoe, 16)
+    assert len(scheme.codes) == 3006
+    level = symbolic.cylinder_levels(lmap, 16)[16]
+    pos = level.find(scheme.codes)
+    assert (pos >= 0).all()
+    assert (level.hi[pos] - level.lo[pos] <= 1e-3).all()
+    assert scheme.lo.tobytes() == level.lo[pos].tobytes()
+    assert scheme.hi.tobytes() == level.hi[pos].tobytes()
+
+
+@pytest.mark.parametrize("alpha, beta", [(1.0, 1.95), (0.8, 1.7)])
+def test_a_map_of_another_model_is_rejected(lmap, horseshoe12, coord, parry,
+                                            alpha, beta):
+    # a horseshoe's cylinders, and so its weights and schemes, belong to
+    # the model it was built for
+    other = LorenzMap1D(alpha, beta)
+    assert horseshoe12.model == (lmap.alpha, lmap.beta)
+    with pytest.raises(PreconditionError, match="model"):
+        MarkovMeasure(other, parry.horseshoe, parry.probs, parry.stationary)
+    # the memo holds this weight vector, and the check comes before it
+    equilibrium_measure(lmap, horseshoe12, coord, t=1.0)
+    with pytest.raises(PreconditionError, match="model"):
+        equilibrium_measure(other, horseshoe12, coord, t=1.0)
+    sub = parry.horseshoe
+    assert sub.model == horseshoe12.model
+    with pytest.raises(PreconditionError, match="model"):
+        equilibrium_measure(other, sub, coord, t=0.0)
+
+
+def test_from_adjacency_reads_vertex_cylinders_from_the_level(lmap):
+    # "LLLL" has no cylinder at beta = 1.7: after LL the orbit lies in
+    # [1 - 1.7 * 0.7, 1], and after LLL in [1 - 1.7 * 0.19, 1], right of 0
+    with pytest.raises(InadmissibleWordError, match="'LLLL'"):
+        SFTHorseshoe.from_adjacency(4, ["LRLR", "LLLL"], [[0, 0], [0, 1]],
+                                    lmap)
     words = ("LR", "RL", "RR")
-    adj = [[0, 1, 1], [1, 0, 0], [0, 1, 1]]
-    hs = SFTHorseshoe.from_adjacency(2, words, adj, lmap)
-    other = LorenzMap1D(1.0, 1.95)
-    a = measures._scheme(lmap, hs, 6)
-    b = measures._scheme(other, hs, 6)
-    assert len(builds) == 2
-    assert not np.array_equal(a.lo, b.lo)
-    ref = np.array([_scalar_scheme_interval(other, w)
-                    for w in decode_words(b.codes, b.depth)])
-    assert np.array_equal(b.lo, ref[:, 0])
+    hs = SFTHorseshoe.from_adjacency(2, words, [[0, 1, 1], [1, 0, 0],
+                                                [0, 1, 1]], lmap)
+    assert hs.model == (lmap.alpha, lmap.beta)
+    level = symbolic.cylinder_levels(lmap, 2)[2]
+    pos = level.find(hs.codes)
+    assert hs.cyl_lo.tobytes() == level.lo[pos].tobytes()
+    assert hs.cyl_hi.tobytes() == level.hi[pos].tobytes()
 
 
 def _reference_scheme_paths(horseshoe, depth):
@@ -674,6 +716,15 @@ def test_scheme_paths_match_string_construction(alpha, beta, x_gap, t,
         assert np.array_equal(scheme.masses(mu.stationary, mu.probs), want)
 
 
+def _pullback(lmap, symbols):
+    """Cylinder endpoints of each row of a (words, length) symbol matrix:
+    [-1, 1] pulled back through the row's branches, last symbol first."""
+    ends = np.array([[-1.0], [1.0]]).repeat(symbols.shape[0], axis=1)
+    for j in range(symbols.shape[1] - 1, -1, -1):
+        ends = symbolic._inverse_step(lmap, symbols[:, j] == 1, ends)
+    return ends[0], ends[1]
+
+
 def _full_pullback_scheme(lmap, horseshoe, depth):
     """A scheme built the first array way: a (paths, depth - m) step
     table read back along the extension links, every path's whole word
@@ -694,13 +745,13 @@ def _full_pullback_scheme(lmap, horseshoe, depth):
         cur = table.reshape(-1)[step]
     start, steps = _read_back(links, len(cur))
     symbols = symbolic.code_symbols(codes, depth)
-    lo, hi = symbolic.pullback(lmap, symbols)
+    lo, hi = _pullback(lmap, symbols)
     dead = np.nonzero(hi - lo <= symbolic.EMPTY_WIDTH)[0]
     n_dead = dead.size
     for length in range(depth - 1, 0, -1):
         if not dead.size:
             break
-        a, b = symbolic.pullback(lmap, symbols[dead, :length])
+        a, b = _pullback(lmap, symbols[dead, :length])
         lo[dead] = a
         hi[dead] = b
         dead = dead[b - a <= symbolic.EMPTY_WIDTH]
@@ -760,19 +811,6 @@ def test_scheme_dead_rows_match_full_pullback(lmap):
     stationary = rng.uniform(0.1, 1.0, hs.n_vertices)
     assert _assert_scheme_matches_full_pullback(lmap, hs, (10,), stationary,
                                                 probs) > 0
-
-
-def test_scheme_under_a_second_map_matches_full_pullback(lmap, coord):
-    # the horseshoe's stored cylinders belong to the map it was built
-    # for; a scheme under another map pulls its vertices back anew
-    words = ("LR", "RL", "RR")
-    adj = [[0, 1, 1], [1, 0, 0], [0, 1, 1]]
-    hs = SFTHorseshoe.from_adjacency(2, words, adj, lmap)
-    other = LorenzMap1D(0.8, 1.99)
-    mu = equilibrium_measure(other, hs, coord, t=1.0)
-    assert mu.horseshoe is hs
-    _assert_scheme_matches_full_pullback(other, hs, range(2, 11),
-                                         mu.stationary, mu.probs)
 
 
 _THREADS_PROBE = """
