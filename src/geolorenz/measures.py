@@ -390,10 +390,9 @@ def _integrate_each(integrands, measures, depth):
         for scheme, block in schemes.values():
             vals_errs = None if key is None else scheme.integrals.get(key)
             if vals_errs is None:
-                vals_errs = (
-                    np.asarray(integrand.value(scheme.mid,
-                                               np.zeros(scheme.mid.shape))),
-                    midpoint_error_many(integrand, scheme.lo, scheme.hi))
+                vals_errs = (np.asarray(integrand.value(scheme.mid)),
+                             midpoint_error_many(integrand, scheme.lo,
+                                                 scheme.hi))
                 if key is not None:
                     for arr in vals_errs:
                         arr.flags.writeable = False
@@ -420,7 +419,7 @@ def _orbit_averages(integrand, atoms):
     pts = [atoms[k][1].points() for block in blocks.values() for k in block]
     # a lone orbit is read in place: a one-measure call copies nothing
     pts = pts[0] if len(pts) == 1 else np.concatenate(pts)
-    vals = np.asarray(integrand.value(pts, np.zeros(pts.shape)), dtype=float)
+    vals = np.asarray(integrand.value(pts), dtype=float)
     out = [0.0] * len(atoms)
     start = 0
     for p, block in blocks.items():
@@ -649,7 +648,7 @@ class _RoofIntegrand:
         self.roof = roof
         self.key = ("roof", np.array([roof.c0, roof.c1, roof.eta0]).tobytes())
 
-    def value(self, x, y=0.0):
+    def value(self, x):
         out = roof_array(self.roof, x)
         return out if np.ndim(x) else float(out)
 
@@ -669,7 +668,7 @@ class _DwellIntegrand:
         self.key = ("dwell", np.array([roof.c0, roof.c1, roof.eta0,
                                        self.b]).tobytes())
 
-    def value(self, x, y=0.0):
+    def value(self, x):
         out = dwell_array(self.roof, x, self.b)
         return out if np.ndim(x) else float(out)
 
@@ -684,7 +683,7 @@ class _PassageIntegrand:
         self.potential = potential
         self.roof = roof
 
-    def value(self, x, y=0.0):
+    def value(self, x):
         return self.potential.passage_integral(x, self.roof)
 
     def midpoint_error(self, lo, hi):

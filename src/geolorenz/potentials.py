@@ -1,16 +1,18 @@
 """Observables on the cross-section and their per-passage weights.
 
-A potential is a bounded continuous function on the section, evaluated as
-phi(x, y). Measure integrals sample it at cylinder midpoints, so every
-variant also reports a rigorous bound on how far it can move across a
-cylinder (`midpoint_error`). Flow-level quantities never simulate the
+A potential is a bounded continuous function of x on the section,
+evaluated as phi(x). It does not depend on the fiber coordinate y, so its
+integrals against measures of the quotient map f are exactly those of the
+2-D return map. Measure integrals sample it at cylinder midpoints, so
+every variant also reports a rigorous bound on how far it can move across
+a cylinder (`midpoint_error`). Flow-level quantities never simulate the
 flow: each variant supplies the closed-form integral of the potential
 over one passage of the suspension (`passage_integral`), which for a
-plain section observable is just phi(x, 0) * r(x) and for the singular
-bump is the exact dwell-model integral.
+plain section observable is just phi(x) * r(x) and for the singular bump
+is the exact dwell-model integral.
 
-Every method is array-native: `value(x, y)` and `passage_integral(x,
-roof)` take arrays of points, and the bounds `midpoint_error(lo, hi)`,
+Every method is array-native: `value(x)` and `passage_integral(x, roof)`
+take arrays of points, and the bounds `midpoint_error(lo, hi)`,
 `abs_bound(lo, hi)` and `passage_error(lo, hi, roof)` take arrays of
 cylinder endpoints and return one bound per cylinder. Scalar inputs
 return Python floats. There is one formula per bound, so the array
@@ -19,10 +21,11 @@ result equals the elementwise scalar results bit for bit.
 The mini-language used by configuration files and the command line:
 
     const:c        constant potential c
-    coord:x        phi(x, y) = x
+    coord:x        phi(x) = x
     bump:L,eta     singular bump of level L, inner radius eta
-    grid:seed:N    seeded trigonometric sample on a grid (deterministic)
-    grid:<path>    bilinear interpolation of a saved grid file
+    grid:seed:N    seeded cosine series sampled on an x grid (deterministic)
+    grid:<path>    linear interpolation of a saved grid file
+                   {"xs": [...], "values": [...], "lipschitz": L}
 """
 
 import json
@@ -56,6 +59,16 @@ def _roof_range(roof, lo, hi):
     return roof_array(roof, d1), r_max
 
 
+def _plain_passage_integral(self, x, roof):
+    """phi(x) * r(x), the passage integral of a section observable with no
+    singular part. The constant, coordinate and grid potentials each bind
+    it in their own class body, where the benchmark tracer
+    (`benchmarks/tracer.py`) finds and wraps every traced method."""
+    xs = _as_array(x)
+    out = self.value(xs) * roof_array(roof, xs)
+    return _scalar_or_array(out, x)
+
+
 class ConstantPotential:
     """phi == c. The degenerate baseline every estimator must shift exactly."""
 
@@ -65,7 +78,7 @@ class ConstantPotential:
     def __repr__(self):
         return "ConstantPotential(%r)" % self.c
 
-    def value(self, x, y=0.0):
+    def value(self, x):
         out = np.full(np.shape(x), self.c)
         return _scalar_or_array(out, x)
 
@@ -81,10 +94,7 @@ class ConstantPotential:
     def value_at_sigma(self):
         return self.c
 
-    def passage_integral(self, x, roof):
-        xs = _as_array(x)
-        out = self.c * roof_array(roof, xs)
-        return _scalar_or_array(out, x)
+    passage_integral = _plain_passage_integral
 
     def passage_error(self, lo, hi, roof):
         r_min, r_max = _roof_range(roof, lo, hi)
@@ -92,9 +102,9 @@ class ConstantPotential:
 
 
 class CoordinatePotential:
-    """phi(x, y) = x, the standard non-constant test observable."""
+    """phi(x) = x, the standard non-constant test observable."""
 
-    def value(self, x, y=0.0):
+    def value(self, x):
         out = _as_array(x).copy()
         return _scalar_or_array(out, x)
 
@@ -113,10 +123,7 @@ class CoordinatePotential:
     def value_at_sigma(self):
         return 0.0
 
-    def passage_integral(self, x, roof):
-        xs = _as_array(x)
-        out = xs * roof_array(roof, xs)
-        return _scalar_or_array(out, x)
+    passage_integral = _plain_passage_integral
 
     def passage_error(self, lo, hi, roof):
         r_min, r_max = _roof_range(roof, lo, hi)
@@ -126,73 +133,57 @@ class CoordinatePotential:
 
 
 class SectionGridPotential:
-    """Bilinear interpolation of samples on an (x, y) grid.
+    """Linear interpolation of samples on one x axis, constant beyond its
+    ends.
 
-    Carries a declared Lipschitz constant (in each coordinate) used for
-    the rigorous midpoint bounds; linear interpolation of samples of an
-    M-Lipschitz function never exceeds slope M along a grid axis, so the
-    declared constant is honest for the interpolant as well.
+    Carries a declared Lipschitz constant used for the rigorous midpoint
+    bounds; linear interpolation of samples of an M-Lipschitz function
+    never exceeds slope M, so the declared constant is honest for the
+    interpolant as well.
     """
 
-    def __init__(self, xs, ys, values, lipschitz):
+    def __init__(self, xs, values, lipschitz):
         self.xs = np.array(xs, dtype=float)
-        self.ys = np.array(ys, dtype=float)
         self.values = np.array(values, dtype=float)
-        if self.xs.ndim != 1 or self.ys.ndim != 1:
-            raise PreconditionError("grid axes must be one-dimensional")
-        if self.values.shape != (self.xs.size, self.ys.size):
+        if self.xs.ndim != 1:
+            raise PreconditionError("grid axis must be one-dimensional")
+        if self.values.shape != self.xs.shape:
             raise PreconditionError(
-                "grid values must have shape (len(xs), len(ys)), got %r"
-                % (self.values.shape,))
-        for name, arr in (("xs", self.xs), ("ys", self.ys),
-                          ("values", self.values)):
+                "grid values must have shape (len(xs),) = %r, got %r"
+                % (self.xs.shape, self.values.shape))
+        for name, arr in (("xs", self.xs), ("values", self.values)):
             bad = np.argwhere(~np.isfinite(arr))
             if bad.size:
                 where = tuple(bad[0].tolist())
                 raise PreconditionError(
                     "grid %s must be finite, got %r at index %s"
                     % (name, float(arr[where]), where))
-        if np.any(np.diff(self.xs) <= 0) or np.any(np.diff(self.ys) <= 0):
-            raise PreconditionError("grid axes must be strictly increasing")
-        if self.xs.size < 2 or self.ys.size < 2:
-            raise PreconditionError("grid axes need at least two points each")
+        if np.any(np.diff(self.xs) <= 0):
+            raise PreconditionError("grid axis must be strictly increasing")
+        if self.xs.size < 2:
+            raise PreconditionError("grid axis needs at least two points")
         self.lipschitz = float(lipschitz)
         if not self.lipschitz >= 0.0:
             raise PreconditionError("Lipschitz constant must be nonnegative")
-        # for `value`: the cell widths and the four corner samples of cell
-        # (i, j), flattened to row i*(ny - 1) + j, so one `take` reads them.
-        # The grid is frozen, so they cannot go stale
-        for arr in (self.xs, self.ys, self.values):
+        # the grid is frozen, so the cell widths and the sup cannot go stale
+        for arr in (self.xs, self.values):
             arr.flags.writeable = False
         self._dx = np.diff(self.xs)
-        self._dy = np.diff(self.ys)
-        v = self.values
-        self._corners = np.stack([v[:-1, :-1], v[1:, :-1], v[:-1, 1:],
-                                  v[1:, 1:]], axis=-1).reshape(-1, 4)
-        self._sup = np.max(np.abs(v))
+        self._sup = np.max(np.abs(self.values))
 
     def __repr__(self):
-        return "SectionGridPotential(%dx%d, lipschitz=%.4g)" % (
-            self.xs.size, self.ys.size, self.lipschitz)
+        return "SectionGridPotential(%d points, lipschitz=%.4g)" % (
+            self.xs.size, self.lipschitz)
 
-    def value(self, x, y=0.0):
+    def value(self, x):
         # minimum(maximum()) is np.clip's arithmetic without its wrapper
         xa = np.minimum(np.maximum(_as_array(x), self.xs[0]), self.xs[-1])
-        ya = np.minimum(np.maximum(_as_array(y), self.ys[0]), self.ys[-1])
-        if xa.shape != ya.shape:
-            xa, ya = np.broadcast_arrays(xa, ya)
         # the cell of a clipped point: the count of interior breakpoints at
         # or below it, which puts the last breakpoint in the last cell
         i = self.xs[1:-1].searchsorted(xa, side="right")
-        j = self.ys[1:-1].searchsorted(ya, side="right")
         tx = (xa - self.xs.take(i)) / self._dx.take(i)
-        ty = (ya - self.ys.take(j)) / self._dy.take(j)
-        v = self._corners.take(i * self._dy.size + j, axis=0)
-        sx = 1 - tx
-        sy = 1 - ty
-        out = (sx * sy * v[..., 0] + tx * sy * v[..., 1]
-               + sx * ty * v[..., 2] + tx * ty * v[..., 3])
-        return _scalar_or_array(out, out)
+        out = (1 - tx) * self.values.take(i) + tx * self.values.take(i + 1)
+        return _scalar_or_array(out, x)
 
     def midpoint_error(self, lo, hi):
         out = self.lipschitz * 0.5 * (_as_array(hi) - _as_array(lo))
@@ -207,12 +198,9 @@ class SectionGridPotential:
         return self.lipschitz
 
     def value_at_sigma(self):
-        return float(self.value(0.0, 0.0))
+        return self.value(0.0)
 
-    def passage_integral(self, x, roof):
-        xs = _as_array(x)
-        out = self.value(xs, np.zeros_like(xs)) * roof_array(roof, xs)
-        return _scalar_or_array(out, x)
+    passage_integral = _plain_passage_integral
 
     def passage_error(self, lo, hi, roof):
         r_min, r_max = _roof_range(roof, lo, hi)
@@ -222,19 +210,21 @@ class SectionGridPotential:
         return _scalar_or_array(out, lo)
 
     @classmethod
-    def seeded(cls, seed, amplitude=0.3, lipschitz=1.0, n_modes=4,
-               nx=241, ny=9):
+    def seeded(cls, seed, amplitude=0.3, lipschitz=1.0, n_modes=4, nx=241):
         """Deterministic pseudo-random potential with certified bounds.
 
-        A short cosine series in x with a mild y modulation, rescaled so
-        that both the sup-norm and the Lipschitz constant stay within the
-        requested budgets. Same seed, same function, bit for bit.
+        A short cosine series in x with a gain 1 + ymod/4, ymod drawn from
+        the seed, rescaled so that both the sup-norm and the Lipschitz
+        constant stay within the requested budgets. Same seed, same
+        function, bit for bit; the gain and its draw are part of what a
+        seed names, so neither can go without changing every seed's
+        samples.
         """
         rng = np.random.default_rng(int(seed))
         amps = rng.normal(size=n_modes)
         phases = rng.uniform(0.0, 2.0 * np.pi, size=n_modes)
         ymod = rng.uniform(0.3, 0.8)
-        # sup and slope bounds of the unscaled series, y factor included
+        # sup and slope bounds of the unscaled series, gain included
         yfac = 1.0 + 0.25 * ymod
         sup_raw = float(np.sum(np.abs(amps))) * yfac
         ks = np.arange(1, n_modes + 1)
@@ -242,27 +232,32 @@ class SectionGridPotential:
         scale = min(amplitude / sup_raw, lipschitz / lip_raw)
 
         xs = np.linspace(-1.0, 1.0, nx)
-        ys = np.linspace(-1.0, 1.0, ny)
         gx = ((ks[None, :] * np.pi / 2.0) * (xs[:, None] + 1.0)
               + phases[None, :])
         series = np.cos(gx) @ amps
-        vals = (scale * series)[:, None] * (1.0 + 0.25 * ymod
-                                            * np.cos(np.pi * ys)[None, :])
-        return cls(xs, ys, vals, scale * lip_raw)
+        return cls(xs, scale * series * yfac, scale * lip_raw)
 
     def to_payload(self):
         return {
             "xs": [float(v) for v in self.xs],
-            "ys": [float(v) for v in self.ys],
-            "values": [[float(v) for v in row] for row in self.values],
+            "values": [float(v) for v in self.values],
             "lipschitz": self.lipschitz,
         }
 
     @classmethod
     def from_payload(cls, payload):
+        """The grid of {"xs": [...], "values": [...], "lipschitz": L}, one
+        sample per x. ConfigError if a key is missing or a y axis ("ys")
+        is present; the constructor's PreconditionError if the samples do
+        not make a grid."""
         try:
-            return cls(payload["xs"], payload["ys"], payload["values"],
-                       payload["lipschitz"])
+            if "ys" in payload:
+                raise ConfigError(
+                    "grid potential payload has a y axis; a potential is a "
+                    "function of x alone, written {\"xs\": [...], "
+                    "\"values\": [...], \"lipschitz\": L} with one value "
+                    "per x")
+            return cls(payload["xs"], payload["values"], payload["lipschitz"])
         except (KeyError, TypeError) as exc:
             raise ConfigError("malformed grid potential payload: %s" % exc)
 
@@ -305,7 +300,7 @@ class SingularBumpPotential:
                        np.where(a >= 2.0 * self.eta, 0.0, ramp))
         return out
 
-    def value(self, x, y=0.0):
+    def value(self, x):
         a = np.abs(_as_array(x))
         return _scalar_or_array(self._profile(a), x)
 

@@ -45,7 +45,6 @@ nothing is validated twice and no label leaks.
 
 import copy
 import math
-import numbers
 
 import numpy as np
 
@@ -56,7 +55,7 @@ from .measures import (MarkovMeasure, SingularDeltaMeasure, entropy_map,
 # tracer wraps this binding
 from .measures import suspend
 from .symbolic import (ALPHABET, SFTHorseshoe, _remember, build_horseshoe,
-                       check_model)
+                       check_depth, check_model)
 
 MAX_TRANSFER_DEPTH = 14
 # the most Perron steps from one Collatz-Wielandt check to the next (see
@@ -122,7 +121,7 @@ def pressure_separated(lmap, potential, n, eps, pitch_divisor=6):
     traj = traj.compress(alive, axis=1)
     m = traj.shape[1]
     # C order: the sum over axis 0 adds the rows in orbit order, from 0.0
-    phi = np.ascontiguousarray(potential.value(traj, 0.0),
+    phi = np.ascontiguousarray(potential.value(traj),
                                dtype=float).sum(axis=0, initial=0.0)
 
     step = np.zeros(m - 1)
@@ -500,15 +499,10 @@ def pressure_transfer(lmap, potential, depth=12):
     does a depth that is not an integer in [1, MAX_TRANSFER_DEPTH] and a
     potential that is not finite at some word's midpoint.
     """
-    if not (isinstance(depth, numbers.Integral)
-            and 1 <= depth <= MAX_TRANSFER_DEPTH):
-        raise PreconditionError(
-            "transfer depth %r is not an integer in [1, %d]"
-            % (depth, MAX_TRANSFER_DEPTH))
+    depth = check_depth(depth, "transfer", 1, MAX_TRANSFER_DEPTH)
     sft = build_horseshoe(lmap, depth, 0.0)
-    mids = sft.midpoints
-    lw = _finite(np.asarray(potential.value(mids, np.zeros_like(mids)),
-                            dtype=float), "potential %r" % (potential,))
+    lw = _finite(np.asarray(potential.value(sft.midpoints), dtype=float),
+                 "potential %r" % (potential,))
     value, _, _, iterations, converged = _weighted_power(sft, lw)
     params = {"depth": depth, "words": sft.n_vertices,
               "iterations": iterations}
@@ -655,8 +649,7 @@ def equilibrium_measure(lmap, horseshoe, potential, t=1.0, label=None):
     set on one result never reaches another.
     """
     check_model(lmap, horseshoe)
-    mids = horseshoe.midpoints
-    phi = np.asarray(potential.value(mids, np.zeros_like(mids)), dtype=float)
+    phi = np.asarray(potential.value(horseshoe.midpoints), dtype=float)
     # + 0.0 turns -0.0 into +0.0, so 0*phi is one key for every potential;
     # a product that is not finite is reported below, not warned about
     with np.errstate(over="ignore", invalid="ignore"):

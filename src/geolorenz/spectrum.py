@@ -471,8 +471,6 @@ def realize_intermediate(req):
             else:
                 lo_t = mid_t
                 f_lo = v_m - req.target
-        if best is None:
-            continue
         _, nu, t_star = best
         replay = pressure_measure(nu, req.potential, level=req.level,
                                   roof=req.roof, depth=REPLAY_DEPTH[req.level])
@@ -481,9 +479,17 @@ def realize_intermediate(req):
         if abs(replay - req.target) <= req.tolerance:
             nu.label = "realized:g%g:t%.9g" % (x_gap, t_star)
             return nu
+    if achieved[0] > achieved[1]:
+        side = "no family could be evaluated"
+    elif req.target < achieved[0]:
+        side = "the target lies below that range"
+    elif req.target > achieved[1]:
+        side = "the target lies above that range"
+    else:
+        side = ("the target lies inside that range, but no bisection "
+                "replayed within tolerance")
     raise BracketFailureError(
         "equilibrium families achieved pressure range (%.6g, %.6g) and "
-        "never certified target %.6g within tolerance %g; target may be "
-        "too close to the catalog top" %
-        (achieved[0], achieved[1], req.target, req.tolerance),
+        "never certified target %.6g within tolerance %g; %s" %
+        (achieved[0], achieved[1], req.target, req.tolerance, side),
         achieved_range=tuple(achieved))

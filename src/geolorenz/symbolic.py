@@ -92,12 +92,12 @@ def check_word(word):
             raise PreconditionError("bad symbol %r in word %r" % (ch, word))
 
 
-def check_depth(depth, what="enumeration"):
-    """`depth` as an int, if it is an integer in [0, MAX_DEPTH]; else a
+def check_depth(depth, what="enumeration", low=0, high=MAX_DEPTH):
+    """`depth` as an int, if it is an integer in [low, high]; else a
     PreconditionError naming the value, as the depth of `what`."""
-    if not (isinstance(depth, numbers.Integral) and 0 <= depth <= MAX_DEPTH):
-        raise PreconditionError("%s depth %r is not an integer in [0, %d]"
-                                % (what, depth, MAX_DEPTH))
+    if not (isinstance(depth, numbers.Integral) and low <= depth <= high):
+        raise PreconditionError("%s depth %r is not an integer in [%d, %d]"
+                                % (what, depth, low, high))
     return int(depth)
 
 
@@ -758,8 +758,10 @@ class SFTHorseshoe:
         Vertex cylinders are read from the map's level, and a vertex with
         none raises InadmissibleWordError naming it. Intended for
         hand-built subshifts such as the full 2-shift or the golden-mean
-        shift.
+        shift. Raises PreconditionError unless the depth is an integer in
+        [1, MAX_DEPTH], the depths whose cylinders the levels hold.
         """
+        depth = check_depth(depth, "horseshoe", 1)
         adjacency = np.asarray(adjacency)
         n = len(vertices)
         if adjacency.shape != (n, n):
@@ -810,15 +812,11 @@ def build_horseshoe(lmap, depth, x_gap):
     [1, MAX_DEPTH - 1]: the edges read the depth + 1 cylinders, so 23 is
     the deepest horseshoe.
     """
-    if not (isinstance(depth, numbers.Integral)
-            and 1 <= depth <= MAX_DEPTH - 1):
-        raise PreconditionError(
-            "horseshoe depth %r is not an integer in [1, %d]"
-            % (depth, MAX_DEPTH - 1))
+    depth = check_depth(depth, "horseshoe", 1, MAX_DEPTH - 1)
     if not 0.0 <= x_gap < 1.0:
         raise PreconditionError("x_gap must lie in [0, 1), got %r" % x_gap)
     horseshoes = _model_store(lmap).horseshoes
-    key = (int(depth), float(x_gap))
+    key = (depth, float(x_gap))
     horseshoe = horseshoes.get(key)
     if horseshoe is not None:
         return horseshoe

@@ -194,8 +194,8 @@ def test_criterion_5_closed_forms(lmap, coord):
         def __init__(self, base, c):
             self.base, self.c = base, c
 
-        def value(self, x, y=0.0):
-            return self.base.value(x, y) + self.c
+        def value(self, x):
+            return self.base.value(x) + self.c
 
         def midpoint_error(self, lo, hi):
             return self.base.midpoint_error(lo, hi)
@@ -236,7 +236,7 @@ def test_criterion_6_small_scale_oracle(lmap):
                 x = 0.5 * (lo + hi)
                 s = 0.0
                 for _ in range(depth):
-                    s += float(pot.value(x, 0.0))
+                    s += float(pot.value(x))
                     x = lmap(x)
                 total += math.exp(s)
             brute = math.log(total) / depth

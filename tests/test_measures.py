@@ -461,11 +461,19 @@ def test_from_adjacency_rejects_bad_vertex_words(lmap):
         SFTHorseshoe.from_adjacency(1, ["L", "LR"], adj, lmap)
     with pytest.raises(PreconditionError, match="'LR' -> 'LR' is not shift"):
         SFTHorseshoe.from_adjacency(2, ["LR", "RL"], [[1, 1], [1, 0]], lmap)
-    # a word code holds 64 symbols; a longer vertex must not wrap around
-    u = "R" + "LR" * 32
-    with pytest.raises(PreconditionError, match="at most 64 symbols"):
-        SFTHorseshoe.from_adjacency(65, [u, u[1:] + "L"], [[0, 1], [0, 0]],
-                                    lmap)
+
+
+@pytest.mark.parametrize("depth", [0, 25, 26, 65, 2.0])
+def test_from_adjacency_names_the_horseshoe_depth(lmap, depth):
+    # the levels hold cylinders up to MAX_DEPTH, so a deeper horseshoe is
+    # rejected under its own depth before its words are encoded or looked
+    # up, which would name an enumeration depth or the word code length
+    n = int(depth) or 1
+    u = ("L" * 64 + "R")[-n:]
+    with pytest.raises(PreconditionError,
+                       match=r"^horseshoe depth %s is not an integer in "
+                       r"\[1, 24\]$" % re.escape(repr(depth))):
+        SFTHorseshoe.from_adjacency(depth, [u], [[0]], lmap)
 
 
 def test_equilibrium_is_stationary_markov(tilted):
@@ -540,7 +548,7 @@ def test_shallow_integral_matches_scalar_prefix_cylinders(lmap, parry, coord):
     bounds = []
     for w in sorted(masses):
         lo, hi = _scalar_pullback(lmap, w)
-        values.append(masses[w] * float(coord.value(0.5 * (lo + hi), 0.0)))
+        values.append(masses[w] * float(coord.value(0.5 * (lo + hi))))
         bounds.append(masses[w] * float(coord.midpoint_error(lo, hi)))
     assert integrate_map(coord, parry, depth=depth) == (
         float(np.add.reduce(np.array(values))),

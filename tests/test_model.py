@@ -306,8 +306,7 @@ NAN = float("nan")
     lambda: RoofFunction().scaled(NAN),
     lambda: SkewProductReturnMap(LorenzMap1D(), 0.3, NAN),
     lambda: SingularBumpPotential(NAN, 0.1),
-    lambda: SectionGridPotential([-1.0, 1.0], [-1.0, 1.0], np.zeros((2, 2)),
-                                 NAN),
+    lambda: SectionGridPotential([-1.0, 1.0], [0.0, 0.0], NAN),
     lambda: TargetRequest(LorenzMap1D(), CoordinatePotential(), 0.3, NAN),
     lambda: _all_singular_stats(NAN),
     lambda: _all_singular_stats(-1.0),

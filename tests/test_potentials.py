@@ -47,7 +47,7 @@ def test_bump_profile_shape():
     assert bump.value(0.2 * (1 - 1e-12)) == pytest.approx(0.0, abs=1e-9)
     # 0 <= phi <= L everywhere
     xs = np.linspace(-1.0, 1.0, 10001)
-    vals = bump.value(xs, np.zeros_like(xs))
+    vals = bump.value(xs)
     assert np.all(vals >= 0.0) and np.all(vals <= 2.0)
 
 
@@ -158,66 +158,84 @@ def test_seeded_grid_is_deterministic_and_bounded():
 
 
 def test_grid_validation():
-    with pytest.raises(PreconditionError):
-        SectionGridPotential([0.0, 1.0], [0.0], [[1.0], [2.0], [3.0]], 1.0)
-    with pytest.raises(PreconditionError):
-        SectionGridPotential([1.0, 0.0], [0.0, 1.0],
-                             [[1.0, 1.0], [2.0, 2.0]], 1.0)
-    with pytest.raises(PreconditionError):
-        SectionGridPotential([0.0, 1.0], [0.0, 1.0],
-                             [[1.0, 1.0], [2.0, 2.0]], -1.0)
+    # one sample per point of one x axis
+    with pytest.raises(PreconditionError, match=r"shape \(len\(xs\),\)"):
+        SectionGridPotential([0.0, 1.0], [1.0, 2.0, 3.0], 1.0)
+    with pytest.raises(PreconditionError, match=r"shape \(len\(xs\),\)"):
+        SectionGridPotential([0.0, 1.0], [[1.0, 1.0], [2.0, 2.0]], 1.0)
+    with pytest.raises(PreconditionError, match="one-dimensional"):
+        SectionGridPotential([[0.0, 1.0]], [[1.0, 2.0]], 1.0)
+    with pytest.raises(PreconditionError, match="strictly increasing"):
+        SectionGridPotential([1.0, 0.0], [1.0, 2.0], 1.0)
+    with pytest.raises(PreconditionError, match="nonnegative"):
+        SectionGridPotential([0.0, 1.0], [1.0, 2.0], -1.0)
     # a one-point axis has no cell to interpolate in
     with pytest.raises(PreconditionError, match="two points"):
-        SectionGridPotential([0.0, 1.0], [0.5], [[1.0], [2.0]], 1.0)
+        SectionGridPotential([0.5], [1.0], 1.0)
 
 
-def _grid_value_oracle(grid, x, y=0.0):
-    """`SectionGridPotential.value` as four 2-D fancy indexings, verbatim."""
-    xa = np.minimum(np.maximum(np.asarray(x, dtype=float), grid.xs[0]),
-                    grid.xs[-1])
-    ya = np.minimum(np.maximum(np.asarray(y, dtype=float), grid.ys[0]),
-                    grid.ys[-1])
-    xa, ya = np.broadcast_arrays(xa, ya)
-    i = np.minimum(np.maximum(grid.xs.searchsorted(xa, side="right") - 1,
-                              0), grid.xs.size - 2)
-    j = np.minimum(np.maximum(grid.ys.searchsorted(ya, side="right") - 1,
-                              0), grid.ys.size - 2)
-    tx = (xa - grid.xs[i]) / (grid.xs[i + 1] - grid.xs[i])
-    ty = (ya - grid.ys[j]) / (grid.ys[j + 1] - grid.ys[j])
-    v00 = grid.values[i, j]
-    v10 = grid.values[i + 1, j]
-    v01 = grid.values[i, j + 1]
-    v11 = grid.values[i + 1, j + 1]
-    out = ((1 - tx) * (1 - ty) * v00 + tx * (1 - ty) * v10
-           + (1 - tx) * ty * v01 + tx * ty * v11)
-    return float(out) if np.ndim(out) == 0 else out
-
-
-def test_grid_value_matches_fancy_index_oracle():
+def test_grid_value_matches_np_interp():
+    # np.interp shares no code with `value`; it also holds the end samples
+    # beyond the axis, and rounds its own weights, so the two agree to a
+    # few units in the last place of the largest sample
     rng = np.random.default_rng(5)
     grids = [SectionGridPotential.seeded(3)]
-    for nx, ny in ((2, 2), (3, 7), (17, 2), (40, 9)):
+    for nx in rng.integers(2, 60, 200):
         xs = np.sort(rng.uniform(-1.0, 1.0, nx))
-        ys = np.sort(rng.uniform(-1.5, 1.5, ny))
-        grids.append(SectionGridPotential(xs, ys, rng.normal(size=(nx, ny)),
-                                          1.0))
+        grids.append(SectionGridPotential(xs, rng.normal(size=nx), 1.0))
     for grid in grids:
         # inside and off the grid, breakpoints and the ends included
         x = np.concatenate([rng.uniform(-1.3, 1.3, 200), grid.xs])
-        y = rng.uniform(-2.0, 2.0, x.size)
-        y[:grid.ys.size] = grid.ys
-        cases = [(x, y), (x, 0.0), (x, np.zeros_like(x)), (0.25, y),
-                 (x[:200].reshape(10, -1), y[:200].reshape(10, -1)),
-                 (x[:, None], grid.ys[None, :])]
-        cases += [(float(a), float(b)) for a, b in zip(x[::23], y[::23])]
-        for xa, ya in cases:
-            got = grid.value(xa, ya)
-            want = _grid_value_oracle(grid, xa, ya)
-            assert type(got) is type(want)
-            assert np.shape(got) == np.shape(want)
-            # bit for bit, as hex strings
-            assert [v.hex() for v in np.ravel(got).tolist()] == \
-                [v.hex() for v in np.ravel(want).tolist()]
+        tol = 4 * 2.0 ** -52 * np.max(np.abs(grid.values))
+        got = grid.value(x)
+        assert isinstance(got, np.ndarray) and got.shape == x.shape
+        assert np.max(np.abs(got - np.interp(x, grid.xs, grid.values))) <= tol
+        # a breakpoint reads its sample exactly
+        assert np.array_equal(got[200:], grid.values)
+        # a block of points keeps its shape, and a scalar gives a float
+        assert np.array_equal(grid.value(x[:200].reshape(10, -1)),
+                              got[:200].reshape(10, -1))
+        for a, want in zip(x[::23].tolist(), got[::23].tolist()):
+            assert type(grid.value(a)) is float
+            assert grid.value(a) == want
+
+
+# float.hex of SectionGridPotential.seeded(seed).value(x): a seed names
+# one function for good, so a grid:seed:N spec keeps its numbers
+SEEDED_VALUES = {
+    0: ["-0x1.14afc0a4f2e39p-3", "0x1.15e9cb349f49ap-3",
+        "-0x1.5c8921bd31141p-5", "-0x1.2811187a8c62ep-4",
+        "0x1.474502ddb21d5p-4", "0x1.38502bc238e0dp-4",
+        "0x1.38502bc238e0dp-4"],
+    7: ["-0x1.d7662094b8cefp-5", "0x1.6a10a3cac9911p-7",
+        "-0x1.3c8a8a041bf61p-4", "-0x1.4c73bdc69cc92p-3",
+        "0x1.2ada2f8903832p-6", "0x1.9b67323999039p-7",
+        "0x1.9b67323999039p-7"],
+    11: ["0x1.3411db85c46bfp-3", "0x1.ca31f16a52809p-5",
+         "-0x1.4b7c91d56c28bp-4", "-0x1.97f59efd6e403p-6",
+         "-0x1.88ceb44f4e508p-6", "-0x1.3802f875008b2p-6",
+         "-0x1.3802f875008b2p-6"],
+}
+SEEDED_POINTS = (-1.0, -0.6180339887, 0.0, 0.123456789, 0.99, 1.0, 1.5)
+# (sup of the samples, declared Lipschitz constant) at the same time
+SEEDED_BOUNDS = {
+    0: ("0x1.4d1e33701647ep-3", "0x1.0000000000000p+0"),
+    7: ("0x1.6fa859239c1bap-3", "0x1.0000000000000p+0"),
+    11: ("0x1.3d198c53ff843p-3", "0x1.fffffffffffffp-1"),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(SEEDED_VALUES))
+def test_seeded_grid_values_are_pinned(seed):
+    grid = SectionGridPotential.seeded(seed)
+    got = [grid.value(x).hex() for x in SEEDED_POINTS]
+    assert got == SEEDED_VALUES[seed]
+    assert grid.value(np.array(SEEDED_POINTS)).tolist() == \
+        [float.fromhex(v) for v in SEEDED_VALUES[seed]]
+    assert grid.value_at_sigma().hex() == SEEDED_VALUES[seed][2]
+    sup, lip = SEEDED_BOUNDS[seed]
+    assert grid.abs_bound(-1.0, 1.0).hex() == sup
+    assert grid.lipschitz.hex() == lip
 
 
 def test_parse_potential_specs_round_trip(tmp_path):
@@ -229,22 +247,38 @@ def test_parse_potential_specs_round_trip(tmp_path):
     assert bump.level == 2.23 and bump.eta == 0.1
     grid = parse_potential_spec("grid:seed:5")
     assert isinstance(grid, SectionGridPotential)
+    payload = grid.to_payload()
+    assert sorted(payload) == ["lipschitz", "values", "xs"]
     path = tmp_path / "pot.json"
-    path.write_text(json.dumps(grid.to_payload()))
+    path.write_text(json.dumps(payload))
     loaded = parse_potential_spec("grid:%s" % path)
+    assert np.array_equal(loaded.xs, grid.xs)
     assert np.array_equal(loaded.values, grid.values)
+    assert loaded.lipschitz == grid.lipschitz
+
+
+def test_two_axis_grid_payload_is_a_config_error(tmp_path):
+    # the former (x, y) form: a potential is a function of x alone, and
+    # the error names the one-axis form
+    payload = {"xs": [-1.0, 0.0, 1.0], "ys": [-1.0, 1.0],
+               "values": [[0.1, 0.2], [0.0, 0.1], [-0.1, 0.3]],
+               "lipschitz": 1.0}
+    path = tmp_path / "two_axis.json"
+    path.write_text(json.dumps(payload))
+    one_axis = re.escape('{"xs": [...], "values": [...], "lipschitz": L}')
+    with pytest.raises(ConfigError, match="y axis.*" + one_axis):
+        parse_potential_spec("grid:%s" % path)
+    with pytest.raises(ConfigError, match="y axis"):
+        SectionGridPotential.from_payload(payload)
 
 
 @pytest.mark.parametrize("field, index", [
-    ("xs", (3,)), ("ys", (0,)), ("values", (2, 3))])
+    ("xs", (3,)), ("values", (0,)), ("values", (2,))])
 def test_grid_payload_rejects_non_finite_samples(tmp_path, field, index):
     # json writes and reads NaN: such a grid used to load, and the transfer
     # pressure of a NaN sample came out as -inf after 1.2 s
     payload = SectionGridPotential.seeded(5).to_payload()
-    if field == "values":
-        payload["values"][index[0]][index[1]] = float("nan")
-    else:
-        payload[field][index[0]] = float("nan")
+    payload[field][index[0]] = float("nan")
     path = tmp_path / "nan.json"
     path.write_text(json.dumps(payload))
     with pytest.raises(PreconditionError,
@@ -254,10 +288,10 @@ def test_grid_payload_rejects_non_finite_samples(tmp_path, field, index):
     # an infinite sample likewise
     grid = SectionGridPotential.seeded(5)
     values = np.array(grid.values)
-    values[1, 1] = -math.inf
+    values[1] = -math.inf
     with pytest.raises(PreconditionError,
                        match=r"grid values must be finite, got -inf"):
-        SectionGridPotential(grid.xs, grid.ys, values, grid.lipschitz)
+        SectionGridPotential(grid.xs, values, grid.lipschitz)
 
 
 @pytest.mark.parametrize("bad", [

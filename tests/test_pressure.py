@@ -39,8 +39,8 @@ class Shifted:
         self.base = base
         self.c = c
 
-    def value(self, x, y=0.0):
-        return self.base.value(x, y) + self.c
+    def value(self, x):
+        return self.base.value(x) + self.c
 
     def midpoint_error(self, lo, hi):
         return self.base.midpoint_error(lo, hi)
@@ -139,7 +139,7 @@ def _separated_oracle(lmap, potential, n, eps, pitch_divisor=6):
     traj = traj[:, alive]
     phi = np.zeros(traj.shape[1])
     for j in range(n):
-        phi += np.asarray(potential.value(traj[j], np.zeros_like(traj[j])))
+        phi += np.asarray(potential.value(traj[j]))
     kept = [0]
     last = traj[:, 0]
     for i in range(1, traj.shape[1]):
@@ -409,7 +409,7 @@ class _VertexWeights:
         self.table = dict(zip(horseshoe.midpoints.tolist(),
                               np.log(weights).tolist()))
 
-    def value(self, x, y=0.0):
+    def value(self, x):
         return np.array([self.table[m] for m in np.asarray(x).tolist()])
 
 
@@ -758,7 +758,7 @@ class _LogWeights:
     def __init__(self, log_weights):
         self.log_weights = np.asarray(log_weights, dtype=float)
 
-    def value(self, x, y=0.0):
+    def value(self, x):
         return self.log_weights
 
 
@@ -772,7 +772,7 @@ def test_perron_root_relative_at_strong_tilt(fresh_model_cache, x_gap):
     pot = SectionGridPotential.seeded(7)
     lm = LorenzMap1D(1.0, 1.7)
     hs = build_horseshoe(lm, 10, x_gap)
-    phi = pot.value(hs.midpoints, np.zeros_like(hs.midpoints))
+    phi = pot.value(hs.midpoints)
     for t in (-48.0, -96.0, -192.0, -384.0):
         lw = t * phi
         solves = [pressure._weighted_power(sub.next, lw[comp], left=True)
@@ -927,8 +927,7 @@ def _class_cases():
         for comp, sub in hs.cyclic_components():
             cases.append(("component", sub.next, lw[comp], {"left": True}))
     grid = build_horseshoe(lm, 10, 0.002)
-    lw = -384.0 * SectionGridPotential.seeded(7).value(
-        grid.midpoints, np.zeros_like(grid.midpoints))
+    lw = -384.0 * SectionGridPotential.seeded(7).value(grid.midpoints)
     for comp, sub in grid.cyclic_components():
         cases.append(("strong tilt", sub.next, lw[comp], {"left": True}))
     two = np.array([[1, -1], [-1, 0]])

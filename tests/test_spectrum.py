@@ -41,7 +41,8 @@ from geolorenz import (
     verify_gap,
 )
 from geolorenz.catalog import (DEFAULT_RECIPE, GAP_CORE_RECIPE,
-                               GAP_DEMONSTRATOR_RECIPE)
+                               GAP_DEMONSTRATOR_RECIPE, CatalogRecipe)
+from geolorenz.pressure import catalog_pressures
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -53,8 +54,8 @@ class Shifted:
     def __init__(self, base, c):
         self.base, self.c = base, c
 
-    def value(self, x, y=0.0):
-        return self.base.value(x, y) + self.c
+    def value(self, x):
+        return self.base.value(x) + self.c
 
     def midpoint_error(self, lo, hi):
         return self.base.midpoint_error(lo, hi)
@@ -149,10 +150,41 @@ def test_realize_bracket_failure_reports_range(lmap, coord):
     catalog = build_catalog(lmap, coord)
     req = TargetRequest(lmap, coord, 0.3, 1e-3, catalog=catalog,
                         gap_schedule=(0.2,), depth=10)
-    with pytest.raises(BracketFailureError) as err:
+    with pytest.raises(BracketFailureError,
+                       match="target lies above that range") as err:
         realize_intermediate(req)
     lo, hi = err.value.achieved_range
     assert lo <= hi < 0.3
+
+
+def test_realize_bracket_failure_target_below_range(lmap):
+    # at 90% of its catalog interval (0.50338 at beta = 1.7) the families
+    # of grid:seed:0 over t in [T_LO, T_HI] stay above the target, so the
+    # failure is on the low side, not near the catalog top
+    phi = SectionGridPotential.seeded(0)
+    catalog = build_catalog(lmap, phi)
+    _, values = catalog_pressures(catalog, phi, level="map")
+    target = min(values) + 0.9 * (max(values) - min(values))
+    req = TargetRequest(lmap, phi, target, 1e-3, catalog=catalog)
+    with pytest.raises(BracketFailureError,
+                       match="target lies below that range") as err:
+        realize_intermediate(req)
+    lo, hi = err.value.achieved_range
+    assert target < lo <= hi
+
+
+def test_realize_bracket_failure_when_no_family_evaluates(lmap):
+    # at amplitude 300 the weights at t = T_LO span e^3600 and underflow,
+    # so every family's Perron solve fails and no pressure is achieved
+    phi = SectionGridPotential([-1.0, 1.0], [-300.0, 300.0], 300.0)
+    catalog = build_catalog(lmap, phi, CatalogRecipe(periods=(1, 2, 3)))
+    _, values = catalog_pressures(catalog, phi, level="map")
+    req = TargetRequest(lmap, phi, 0.5 * (min(values) + max(values)), 1e-3,
+                        catalog=catalog)
+    with pytest.raises(BracketFailureError,
+                       match="no family could be evaluated") as err:
+        realize_intermediate(req)
+    assert err.value.achieved_range == (math.inf, -math.inf)
 
 
 def test_build_gap_potential_guards(lmap):
@@ -309,7 +341,7 @@ def _member_integral(integrand, m, depth=12):
     mixture's weighted sum from 0.0 in component order."""
     if isinstance(m, AtomicMeasure):
         pts = m.points()
-        return float(np.mean(integrand.value(pts, np.zeros_like(pts))))
+        return float(np.mean(integrand.value(pts)))
     if isinstance(m, ConvexMeasure):
         value = 0.0
         for w, comp in m.components:
@@ -317,8 +349,8 @@ def _member_integral(integrand, m, depth=12):
         return value
     scheme = measures._scheme(m.lmap, m.horseshoe, depth)
     mass = scheme.masses(m.stationary, m.probs)
-    return float(np.add.reduce(mass * np.asarray(integrand.value(
-        scheme.mid, np.zeros_like(scheme.mid)))))
+    return float(np.add.reduce(mass * np.asarray(
+        integrand.value(scheme.mid))))
 
 
 def _member_flow(m, phi, roof, b):

@@ -452,6 +452,14 @@ def test_decode_spans_several_blocks():
         for c in level.codes]
 
 
+def test_word_codes_hold_at_most_64_symbols():
+    # a longer word must not wrap around
+    u = "R" + "LR" * 32
+    with pytest.raises(PreconditionError, match="at most 64 symbols"):
+        symbolic.encode_words([u])
+    assert symbolic.encode_words([u[1:]]).tolist() == [int("01" * 32, 2)]
+
+
 @pytest.mark.parametrize("depth", [-1, -3, 2.5, symbolic.MAX_DEPTH + 1])
 def test_cylinder_levels_depth_cap(lmap, depth):
     for enumerate_words in (cylinder_levels, admissible_words):
