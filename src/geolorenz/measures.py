@@ -319,9 +319,10 @@ def integrate_many(integrand, measures, depth=DEFAULT_DEPTH):
     An integrand with a `key` depends on the model and that key alone:
     the roof integrand (key: the roof's c0, c1 and eta0) and the dwell
     integrand (the same plus the radius b). Its results are cached where
-    the points live, both shared through the per-model stores: each
-    atom's average on its `PeriodicOrbitRecord`, and each scheme's
-    (values, bounds) arrays, read-only, on the `_CylinderScheme`. Each
+    the points live, both in the model's store, which lives as long as
+    some map of the model: each atom's average on its
+    `PeriodicOrbitRecord`, and each scheme's (values, bounds) arrays,
+    read-only, on the `_CylinderScheme`. Each
     cache holds at most `symbolic.CACHE_LIMIT` + 1 keys and is emptied
     past that.
     Potentials carry no key and are never cached. A hit returns the cold

@@ -30,17 +30,37 @@ class LorenzMap1D:
     beta : float > 0
         Slope scale. The expansion axiom needs alpha*beta > sqrt(2),
         the range axiom needs beta < 2; the validator checks both.
+
+    A map is a value: `alpha` and `beta` are read-only, and a pickled map
+    is rebuilt from them alone. `store` is the model's symbolic store
+    (`symbolic.model_store`), taken when the map is built and shared by
+    every live map of the same (alpha, beta); the last of them frees it.
     """
 
     def __init__(self, alpha=1.0, beta=1.7):
+        # symbolic imports this module, so it is imported here
+        from .symbolic import model_store
+
         alpha = float(alpha)
         beta = float(beta)
         if not 0.0 < alpha <= 1.0:
             raise PreconditionError("alpha must lie in (0, 1], got %r" % alpha)
         if not beta > 0.0:
             raise PreconditionError("beta must be positive, got %r" % beta)
-        self.alpha = alpha
-        self.beta = beta
+        self._alpha = alpha
+        self._beta = beta
+        self.store = model_store(alpha, beta)
+
+    @property
+    def alpha(self):
+        return self._alpha
+
+    @property
+    def beta(self):
+        return self._beta
+
+    def __reduce__(self):
+        return (LorenzMap1D, (self._alpha, self._beta))
 
     def __call__(self, x):
         return evaluate_base(self, x)

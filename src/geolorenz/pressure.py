@@ -35,8 +35,8 @@ with every array read-only, in the horseshoe's `equilibria` dict, keyed
 on the bytes of lw + 0.0 (so -0.0 and +0.0 are one key, and t = 0 is one
 state for every potential). The memo holds at most
 `symbolic.CACHE_LIMIT` + 1 entries: it is emptied when it grows past the
-limit, and it is freed with its horseshoe when the per-model store
-evicts the model. Equal keys mean equal inputs to the same
+limit, and it is freed with its horseshoe when the last map of the model
+frees the model's store. Equal keys mean equal inputs to the same
 deterministic solve, so a hit is bit for bit the cold result and nothing
 depends on call history; only converged solves are kept. Every call
 hands out a shallow copy of the kept measure with its own label, so
@@ -646,7 +646,9 @@ def equilibrium_measure(lmap, horseshoe, potential, t=1.0, label=None):
     is freed with its horseshoe. It keeps the `MarkovMeasure` validated
     once, with read-only arrays and its entropy computed; every call
     returns a shallow copy carrying the caller's map and label, so a label
-    set on one result never reaches another.
+    set on one result never reaches another. The kept measure refers to
+    neither the map nor this horseshoe (see `_solve_equilibrium`), so the
+    memo goes with the horseshoe by reference counts.
     """
     check_model(lmap, horseshoe)
     phi = np.asarray(potential.value(horseshoe.midpoints), dtype=float)
@@ -661,6 +663,8 @@ def equilibrium_measure(lmap, horseshoe, potential, t=1.0, label=None):
         _remember(horseshoe.equilibria, key, solved)
     measure = copy.copy(solved)
     measure.lmap = lmap
+    if solved.horseshoe is None:
+        measure.horseshoe = horseshoe
     measure.label = label
     return measure
 
@@ -669,7 +673,11 @@ def _solve_equilibrium(lmap, horseshoe, lw):
     """The validated `MarkovMeasure` of the log weights lw.
 
     Its arrays are read-only: they are shared by every copy handed out
-    from the memo entry that holds it.
+    from the memo entry that holds it. Once validated it keeps no map,
+    and None for its horseshoe where the winner is the whole horseshoe:
+    each copy takes its caller's map and the memo's horseshoe back, and
+    either one kept here would be a reference cycle through the memo,
+    which would keep the model's store alive after its last map.
     """
     best = None
     for comp, sub, val, h, g in _solve_components(horseshoe, lw, left=True):
@@ -687,4 +695,7 @@ def _solve_equilibrium(lmap, horseshoe, lw):
     measure = MarkovMeasure(lmap, sub, probs, pi)
     for arr in (measure.probs, measure.stationary):
         arr.flags.writeable = False
+    measure.lmap = None
+    if sub is horseshoe:
+        measure.horseshoe = None
     return measure

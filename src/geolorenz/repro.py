@@ -80,9 +80,8 @@ def _lap_oracle(lmap, lengths):
     return math.log(c_hi / c_lo), c_lo, c_hi
 
 
-def run_entropy(config, jobs=1):
+def run_entropy(config, lmap, jobs=1):
     spec = load_expectations("entropy")
-    lmap = config.make_model().base
     zero = ConstantPotential(0.0)
     oracle, c_lo, c_hi = _lap_oracle(lmap, spec["lap_lengths"])
     transfer = pressure_transfer(lmap, zero, depth=spec["transfer_depth"])
@@ -104,10 +103,9 @@ def run_entropy(config, jobs=1):
 
 
 def _variational_seed(args):
-    alpha, beta, depth, seed = args
-    from .model import LorenzMap1D
-
-    lmap = LorenzMap1D(alpha, beta)
+    # a map pickles as its (alpha, beta), so a worker process builds its
+    # own store, and in process every seed shares the run's store
+    lmap, depth, seed = args
     phi = SectionGridPotential.seeded(seed)
     transfer = pressure_transfer(lmap, phi, depth=depth)
     catalog = build_catalog(lmap, phi, DEFAULT_RECIPE)
@@ -118,12 +116,11 @@ def _variational_seed(args):
             "catalog_sup": max(values), "equilibrium": equilibrium}
 
 
-def run_variational(config, jobs=1):
+def run_variational(config, lmap, jobs=1):
     spec = load_expectations("variational")
-    lmap = config.make_model().base
     rows = pmap(_variational_seed,
-                [(lmap.alpha, lmap.beta, spec["transfer_depth"], s)
-                 for s in spec["seeds"]], jobs)
+                [(lmap, spec["transfer_depth"], s) for s in spec["seeds"]],
+                jobs)
     worst_sup = max(r["catalog_sup"] - r["transfer"] for r in rows)
     worst_eq = max(r["transfer"] - r["equilibrium"] for r in rows)
     actuals = {"catalog_sup_minus_transfer": worst_sup,
@@ -133,9 +130,8 @@ def run_variational(config, jobs=1):
     return payload, checks
 
 
-def run_intermediate(config, jobs=1):
+def run_intermediate(config, lmap, jobs=1):
     spec = load_expectations("intermediate")
-    lmap = config.make_model().base
     roof = config.make_roof()
     phi = CoordinatePotential()
     catalog = build_catalog(lmap, phi, DEFAULT_RECIPE)
@@ -166,9 +162,8 @@ def run_intermediate(config, jobs=1):
     return payload, checks
 
 
-def run_gap(config, jobs=1):
+def run_gap(config, lmap, jobs=1):
     spec = load_expectations("gap")
-    lmap = config.make_model().base
     roof = config.make_roof()
     h_est = h_top_estimate(lmap)
     bump = build_gap_potential(h_est, spec["margin"], spec["eta"],
@@ -204,9 +199,12 @@ _RUNNERS = {"entropy": run_entropy, "variational": run_variational,
 def run_suite(suite, config, jobs=1):
     """Run one suite or `all`; returns (payloads, checks, all_passed, errors).
 
-    A suite that raises `PreconditionError` contributes no payload and
-    no checks; it is listed in `errors` as {"suite", "message"} and the
-    remaining suites still run. `all_passed` is False when any suite
+    The model's map is made once and handed to every suite, so the suites
+    of one run share the model's store (see `symbolic.model_store`); a
+    model the map rejects raises `PreconditionError` before any suite
+    runs. A suite that raises `PreconditionError` contributes no payload
+    and no checks; it is listed in `errors` as {"suite", "message"} and
+    the remaining suites still run. `all_passed` is False when any suite
     failed that way.
     """
     if suite == "all":
@@ -217,12 +215,13 @@ def run_suite(suite, config, jobs=1):
         raise PreconditionError(
             "unknown suite %r; choose from %s or 'all'"
             % (suite, ", ".join(SUITE_NAMES)))
+    lmap = config.make_model().base
     payloads = {}
     all_checks = []
     errors = []
     for name in names:
         try:
-            payload, checks = _RUNNERS[name](config, jobs=jobs)
+            payload, checks = _RUNNERS[name](config, lmap, jobs=jobs)
         except PreconditionError as exc:
             errors.append({"suite": name, "message": str(exc)})
             continue

@@ -7,11 +7,13 @@ by inverse-branch contraction, and subshift-of-finite-type horseshoes
 whose cylinders keep a prescribed distance from x = 0.
 
 Everything here that depends on the model (alpha, beta) alone is built
-once per model and kept in one store per model, for the 16 most recently
-used models: the cylinder levels, the horseshoes by (depth, x_gap) with
-their stored SCC decompositions, and the periodic orbits. Catalogs for
-different potentials and every realization request share these objects,
-so they are read-only.
+once per model and kept in the model's store: the cylinder levels, the
+horseshoes by (depth, x_gap) with their stored SCC decompositions, and
+the periodic orbits. Each `LorenzMap1D` takes its model's store when it
+is built, every live map of one model shares it, and the last of them
+frees it, so a sweep over many models holds only the models it still
+has maps of. Catalogs for different potentials and every realization
+request share these objects, so they are read-only.
 
 Words are held as integer codes: each level of `cylinder_levels` is a
 `CylinderLevel` of sorted uint64 codes (L = 0, R = 1, first symbol most
@@ -34,19 +36,19 @@ Two admissibility notions coexist and differ:
   cylinder but no period-2 point realizes it.
 """
 
-import collections
 import collections.abc
 import functools
 import math
 import numbers
 import operator
+import weakref
 
 import mpmath as mp
 import numpy as np
 
 from .errors import (DomainError, EmptyHorseshoeError, InadmissibleWordError,
                      PreconditionError)
-from .model import LorenzMap1D, abs_range
+from .model import abs_range
 
 ALPHABET = ("L", "R")
 
@@ -287,7 +289,10 @@ class CylinderLevel:
 
 
 class _ModelStore:
-    """The model-only symbolic objects of one model (alpha, beta).
+    """The model-only symbolic objects of one model (alpha, beta), held by
+    the model's live maps (`LorenzMap1D.store`) and freed with the last.
+    Nothing in the store refers to a map or holds a reference cycle, so
+    it goes by reference counts as soon as the last map does.
 
     `levels`: each depth handed out -> its list of cylinder levels, all
     prefixes of the deepest one, so each level is built once.
@@ -306,21 +311,19 @@ class _ModelStore:
         self.points = {}
 
 
-# per model (alpha, beta), least recently used first: the model's store.
-# Evicting a model drops all of its symbolic objects together.
-_MODELS = collections.OrderedDict()
-_MODEL_LIMIT = 16
+# per model (alpha, beta): the store that the live maps of that model
+# hold. The last map to go frees it, and with it all of the model's
+# symbolic objects.
+_MODELS = weakref.WeakValueDictionary()
 
 
-def _model_store(lmap):
-    """The store of the map's model, marked most recently used."""
-    key = (lmap.alpha, lmap.beta)
-    store = _MODELS.pop(key, None)
+def model_store(alpha, beta):
+    """The store of the model (alpha, beta) that its live maps share, or a
+    new one if no live map holds one. `LorenzMap1D` takes it when built."""
+    key = (alpha, beta)
+    store = _MODELS.get(key)
     if store is None:
-        store = _ModelStore()
-    _MODELS[key] = store
-    if len(_MODELS) > _MODEL_LIMIT:
-        _MODELS.popitem(last=False)
+        store = _MODELS[key] = _ModelStore()
     return store
 
 
@@ -387,24 +390,24 @@ def cylinder_levels(lmap, depth):
     over the breakpoints of the run of cylinders that meet the symbol's
     branch range; the cylinders outside the run pull back to a single
     point, so they are empty, and of the run only the cylinder at its
-    clamped end can be (see `_extend_levels`). Cached per model
-    (alpha, beta), for the 16 most recently used models: a request no
+    clamped end can be (see `_extend_levels`). Cached in the model's
+    store, which lives as long as some map of the model: a request no
     deeper than the deepest list built so far is a prefix of it, and a
     deeper one continues it from its last level, so no level is
-    enumerated twice. The same depth returns the same list object.
+    enumerated twice while the model has a map. The same depth returns
+    the same list object.
     Raises PreconditionError unless the depth is an integer in
     [0, MAX_DEPTH].
     """
     depth = check_depth(depth)
-    lists = _model_store(lmap).levels
+    lists = lmap.store.levels
     levels = lists.get(depth)
     if levels is None:
         deepest = lists[max(lists)]
         if depth < len(deepest):
             levels = deepest[:depth + 1]
         else:
-            levels = _extend_levels(LorenzMap1D(lmap.alpha, lmap.beta),
-                                    deepest, depth)
+            levels = _extend_levels(lmap, deepest, depth)
         lists[depth] = levels
     return levels
 
@@ -596,7 +599,7 @@ def find_periodic_point(lmap, word):
     check_word(word)
     if not is_primitive(word):
         raise PreconditionError("word %r is not primitive" % word)
-    points = _model_store(lmap).points
+    points = lmap.store.points
     record = points.get(word)
     if record is None:
         kp = kneading(lmap, max(64, 4 * len(word)))
@@ -639,7 +642,7 @@ def enumerate_periodic(lmap, n_max):
         raise PreconditionError("n_max %r is not an integer in [1, 16]"
                                 % (n_max,))
     n_max = int(n_max)
-    store = _model_store(lmap)
+    store = lmap.store
     if n_max > store.n_max:
         kp = kneading(lmap, max(64, 4 * n_max))
         words = []
@@ -736,7 +739,9 @@ class SFTHorseshoe:
         on first use and stored on this horseshoe, so it is shared by
         every later caller and freed with the object; a horseshoe from
         `build_horseshoe` lives in its model's store, so every catalog
-        and realization request on that model decomposes it once.
+        and realization request on that model decomposes it once. The
+        stored list holds None for this horseshoe itself, so the
+        horseshoe is no reference cycle and goes with its last reference.
         """
         if self._cyclic is None:
             cyclic = []
@@ -744,11 +749,12 @@ class SFTHorseshoe:
                 i = comp[0]
                 if len(comp) == 1 and not (self.next[i] == i).any():
                     continue
-                sub = (self if len(comp) == self.n_vertices
+                sub = (None if len(comp) == self.n_vertices
                        else restrict_horseshoe(self, comp))
                 cyclic.append((comp, sub))
             self._cyclic = cyclic
-        return self._cyclic
+        return [(comp, self if sub is None else sub)
+                for comp, sub in self._cyclic]
 
     @classmethod
     def from_adjacency(cls, depth, vertices, adjacency, lmap, x_gap=0.0):
@@ -815,7 +821,7 @@ def build_horseshoe(lmap, depth, x_gap):
     depth = check_depth(depth, "horseshoe", 1, MAX_DEPTH - 1)
     if not 0.0 <= x_gap < 1.0:
         raise PreconditionError("x_gap must lie in [0, 1), got %r" % x_gap)
-    horseshoes = _model_store(lmap).horseshoes
+    horseshoes = lmap.store.horseshoes
     key = (depth, float(x_gap))
     horseshoe = horseshoes.get(key)
     if horseshoe is not None:

@@ -1,6 +1,6 @@
 """Shared fixtures: the canonical constant-slope model and its companions."""
 
-import collections
+import weakref
 
 import pytest
 
@@ -46,12 +46,23 @@ def horseshoe6(lmap):
 
 
 @pytest.fixture
-def fresh_model_cache(monkeypatch):
-    """An empty per-model store of `symbolic` for the test, restored after.
+def fresh_model_cache(monkeypatch, lmap):
+    """An empty registry of model stores in `symbolic` for the test, in
+    which the session map `lmap` holds a new, empty store; both are
+    restored after.
 
     Tests that count symbolic work (SCC runs, enumerations, builds) use it,
-    so objects an earlier test left in the store do not hide that work.
+    so objects an earlier test left in a store do not hide that work. The
+    fixture's value, `renew(lm)`, gives a map a new, empty store, which
+    later maps of its model share: a cold rebuild for that model.
     """
-    store = collections.OrderedDict()
-    monkeypatch.setattr(symbolic, "_MODELS", store)
-    return store
+    monkeypatch.setattr(symbolic, "_MODELS", weakref.WeakValueDictionary())
+
+    def renew(lm):
+        symbolic._MODELS.pop((lm.alpha, lm.beta), None)
+        monkeypatch.setattr(lm, "store",
+                            symbolic.model_store(lm.alpha, lm.beta))
+        return lm.store
+
+    renew(lmap)
+    return renew

@@ -307,7 +307,7 @@ def test_model_only_caches_give_the_cold_floats(lmap, roof,
     assert records and all(len(r.averages) == 3 for r in records)
     assert results(catalog()) == cold
     # cold again, then warm for half of the catalog only
-    fresh_model_cache.clear()
+    fresh_model_cache(lmap)
     members = catalog()
     results(members[::2])
     assert results(members) == cold

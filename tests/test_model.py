@@ -1,6 +1,7 @@
 """Base map, skew product, roof function, and the model validator."""
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from geolorenz import (
     SingularDeltaMeasure,
     SkewProductReturnMap,
     TargetRequest,
+    cylinder_levels,
     validate_model,
 )
 from geolorenz.measures import ball_fractions, suspend_many
@@ -58,6 +60,30 @@ def test_parameter_guards():
         LorenzMap1D(alpha=0.0, beta=1.7)
     with pytest.raises(PreconditionError):
         LorenzMap1D(alpha=1.0, beta=-1.0)
+
+
+def test_a_map_is_a_value():
+    # the store is bound at construction, so a map whose beta changed
+    # would read the old model's levels
+    lm = LorenzMap1D(alpha=0.9, beta=1.8)
+    for name in ("alpha", "beta"):
+        with pytest.raises(AttributeError):
+            setattr(lm, name, 1.95)
+    assert (lm.alpha, lm.beta) == (0.9, 1.8)
+
+
+def test_a_pickled_map_shares_the_registered_store():
+    lm = LorenzMap1D(alpha=0.9, beta=1.8)
+    levels = cylinder_levels(lm, 14)
+    data = pickle.dumps(lm)
+    # the map travels as its (alpha, beta); the depth-14 level alone
+    # holds thousands of words
+    assert len(data) < 200 < len(levels[14])
+    twin = pickle.loads(data)
+    assert twin is not lm
+    assert (twin.alpha, twin.beta) == (0.9, 1.8)
+    assert twin.store is lm.store
+    assert cylinder_levels(twin, 14) is levels
 
 
 def test_derivative_and_min_slope(lmap):

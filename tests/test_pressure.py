@@ -20,7 +20,9 @@ from geolorenz import (
     SingularDeltaMeasure,
     build_catalog,
     build_horseshoe,
+    cylinder_levels,
     entropy_map,
+    enumerate_periodic,
     equilibrium_measure,
     estimate_P_bounds,
     h_top_estimate,
@@ -527,8 +529,9 @@ def test_memo_hit_equals_cold_solve(fresh_model_cache, lmap, coord):
         assert warm.horseshoe is first.horseshoe
         assert warm.probs.tobytes() == first.probs.tobytes()
         assert warm.stationary.tobytes() == first.stationary.tobytes()
-    # and equal to a solve on a horseshoe whose memo has never seen t
-    fresh_model_cache.clear()
+    # and equal to a solve on a horseshoe whose memo has never seen t,
+    # built from a fresh store
+    fresh_model_cache(lmap)
     other = build_horseshoe(lmap, 8, 0.002)
     assert other is not hs and not other.equilibria
     again = equilibrium_measure(lmap, other, coord, t=0.7)
@@ -588,8 +591,7 @@ def test_unconverged_solve_is_not_memoized(monkeypatch, fresh_model_cache,
     assert len(hs.equilibria) == 1
 
 
-def test_memo_is_bounded_and_evicted_with_its_model(fresh_model_cache,
-                                                    lmap, coord):
+def test_memo_is_bounded(fresh_model_cache, lmap, coord):
     limit = symbolic.CACHE_LIMIT
     hs = build_horseshoe(lmap, 4, 0.002)
     sizes = []
@@ -598,16 +600,29 @@ def test_memo_is_bounded_and_evicted_with_its_model(fresh_model_cache,
         sizes.append(len(hs.equilibria))
     assert max(sizes) == limit + 1
     assert sizes[-1] < limit
-    # sixteen newer models evict this model's store, and the horseshoe
-    # goes with it, memo and all
-    gone = weakref.ref(hs)
-    del hs
-    for k in range(16):
-        symbolic.cylinder_levels(LorenzMap1D(1.0, 1.51 + 0.02 * k), 4)
-    assert (lmap.alpha, lmap.beta) not in fresh_model_cache
+
+
+def test_last_map_frees_its_model_without_the_cycle_collector(coord):
+    # the store holds no map and no horseshoe holds itself, so dropping
+    # the last map and every result that holds one frees the model's
+    # levels, orbits, horseshoes, schemes and memo by reference counts
     gc.collect()
-    assert gone() is None
-    assert not build_horseshoe(lmap, 4, 0.002).equilibria
+    gc.disable()
+    try:
+        lm = LorenzMap1D(1.0, 1.66)
+        hs = build_horseshoe(lm, 6, 0.0)
+        assert [sub for _, sub in hs.cyclic_components()] == [hs]
+        eq = equilibrium_measure(lm, hs, coord, t=0.5)
+        assert eq.horseshoe is hs and len(hs.equilibria) == 1
+        integrate_map(coord, eq, depth=9)
+        assert 9 in hs.schemes
+        refs = [weakref.ref(obj) for obj in (
+            lm.store, cylinder_levels(lm, 9)[9], hs,
+            enumerate_periodic(lm, 5)[-1], hs.schemes[9])]
+        del lm, hs, eq
+        assert [r() for r in refs] == [None] * len(refs)
+    finally:
+        gc.enable()
 
 
 # ---------------------------------------------------------------------------

@@ -497,9 +497,9 @@ def test_cylinder_levels_continue_the_deepest_list(fresh_model_cache):
     lm = LorenzMap1D(1.0, 1.7)
     cold = {}
     for depth in (12, 19, 15):
-        fresh_model_cache.clear()
+        fresh_model_cache(lm)
         cold[depth] = cylinder_levels(lm, depth)
-    fresh_model_cache.clear()
+    fresh_model_cache(lm)
     warm = {}
     for depth in (12, 19, 15):
         warm[depth] = cylinder_levels(lm, depth)
@@ -668,23 +668,34 @@ def test_inverse_step_writes_only_out():
             assert ends.tobytes() == before
 
 
-def test_cylinder_levels_cache_holds_sixteen_models(fresh_model_cache):
-    # levels, horseshoes and periodic orbits share one entry per model,
-    # so the 17th model evicts all three of the least recently used one
-    models = [LorenzMap1D(1.0, 1.5 + 0.02 * k) for k in range(17)]
-    first = cylinder_levels(models[0], 4)
-    second = cylinder_levels(models[1], 4)
-    horseshoe = build_horseshoe(models[1], 6, 0.01)
-    orbits = enumerate_periodic(models[1], 4)
-    assert cylinder_levels(models[0], 4) is first  # now most recent
-    for lm in models[2:]:
-        cylinder_levels(lm, 4)
-    assert len(fresh_model_cache) == 16
-    assert cylinder_levels(models[0], 4) is first
-    assert (models[1].alpha, models[1].beta) not in fresh_model_cache
-    assert cylinder_levels(models[1], 4) is not second  # evicted
-    assert build_horseshoe(models[1], 6, 0.01) is not horseshoe
-    assert enumerate_periodic(models[1], 4)[0] is not orbits[0]
+def test_live_maps_of_one_model_share_its_store(fresh_model_cache):
+    # levels, horseshoes and periodic orbits live in one store per model,
+    # which every live map of that (alpha, beta) holds
+    one = LorenzMap1D(1.0, 1.62)
+    two = LorenzMap1D(1.0, 1.62)
+    assert one.store is two.store
+    assert LorenzMap1D(1.0, 1.64).store is not one.store
+    assert cylinder_levels(one, 6) is cylinder_levels(two, 6)
+    assert build_horseshoe(one, 6, 0.01) is build_horseshoe(two, 6, 0.01)
+    assert enumerate_periodic(one, 4)[-1] is enumerate_periodic(two, 4)[-1]
+
+
+def test_a_live_map_keeps_its_store_while_other_models_pass():
+    # a map kept alive keeps its model's objects however many other
+    # models are built and dropped meanwhile
+    kept = LorenzMap1D(1.0, 1.62)
+    levels = cylinder_levels(kept, 6)
+    horseshoe = build_horseshoe(kept, 6, 0.01)
+    orbits = enumerate_periodic(kept, 4)
+    for k in range(20):
+        lm = LorenzMap1D(1.0, 1.501 + 0.02 * k)
+        cylinder_levels(lm, 6)
+        build_horseshoe(lm, 6, 0.01)
+        enumerate_periodic(lm, 4)
+    del lm
+    assert cylinder_levels(kept, 6) is levels
+    assert build_horseshoe(kept, 6, 0.01) is horseshoe
+    assert enumerate_periodic(kept, 4)[-1] is orbits[-1]
 
 
 def test_restrict_horseshoe_succ_matches_dict_remap(horseshoe12):
@@ -941,8 +952,8 @@ def test_enumerate_periodic_serves_shorter_requests(monkeypatch,
     assert len(calls) == 2
     assert {len(w) for w in calls[1]} == {9, 10}
     assert ten[:len(eight)] == eight
-    # equal to a cold build
-    fresh_model_cache.clear()
+    # equal to a build from a fresh store
+    fresh_model_cache(lmap)
     cold = enumerate_periodic(lmap, 10)
     assert [(r.word, r.point, r.multiplier) for r in cold] == \
         [(r.word, r.point, r.multiplier) for r in ten]
@@ -961,7 +972,7 @@ def test_enumerate_periodic_rejects_a_bad_n_max(fresh_model_cache, lmap,
                        match=r"n_max %s is not an integer in \[1, 16\]"
                        % re.escape(repr(n_max))):
         enumerate_periodic(lmap, n_max)
-    assert symbolic._model_store(lmap).n_max == 4
+    assert lmap.store.n_max == 4
 
 
 def test_cached_horseshoe_is_read_only(fresh_model_cache, lmap):
