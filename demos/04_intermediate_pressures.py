@@ -43,8 +43,9 @@ def main():
     sweep(lmap, pot, catalog, "flow", 1e-2, roof=roof)
 
     print("each row is an equilibrium measure on some pruned horseshoe,")
-    print("found by bisecting the potential weight until the pressure of")
-    print("the associated equilibrium state lands on the target.")
+    print("found by refining the potential weight t (one bisection step,")
+    print("then Illinois regula falsi) until the pressure of the")
+    print("associated equilibrium state lands on the target.")
 
 
 if __name__ == "__main__":

@@ -708,7 +708,7 @@ def _monotone_range(value_fn, lo, hi):
 # A scheme depends only on the horseshoe, which belongs to one model, so it
 # is kept on the horseshoe (`SFTHorseshoe.schemes`) under its depth: every
 # measure on one horseshoe object, such as the restricted component that
-# each equilibrium state of a bisection shares, reads one build, and the
+# each equilibrium state of a realization shares, reads one build, and the
 # scheme is freed with its horseshoe. Schemes hold no strings and no
 # per-path step table: the paths form a tree of extensions, and both the
 # masses and the cylinders are computed along it.

@@ -2,11 +2,12 @@
 
 Two constructions drive this module. The generic one realizes any
 prescribed pressure value strictly between the catalog bounds by an
-ergodic Markov measure on a horseshoe, found by bisecting the
-equilibrium family t -> mu_t of t*phi. The dense one builds a singular
-bump potential whose pressure spectrum has a certified gap: the Dirac
-measure at the singularity sits at level L while every measure
-satisfying the small-ball hypothesis stays below L/2.
+ergodic Markov measure on a horseshoe, found by a bracketing secant
+(Illinois regula falsi) in t on the equilibrium family t -> mu_t of
+t*phi. The dense one builds a singular bump potential whose pressure
+spectrum has a certified gap: the Dirac measure at the singularity sits
+at level L while every measure satisfying the small-ball hypothesis
+stays below L/2.
 
 reduce_to_essential_case is the supporting convex-combination driver:
 given a measure in the admissible set {mu : integral <= P <= pressure},
@@ -35,13 +36,13 @@ from .model import RoofFunction
 from .potentials import SingularBumpPotential
 from .pressure import (catalog_pressures, equilibrium_measure,
                        pressure_measure)
-from .symbolic import build_horseshoe
+from .symbolic import MAX_DEPTH, build_horseshoe, check_depth
 
 HYPOTHESIS_THRESHOLD = 0.25
 DEFAULT_GAP_SCHEDULE = (0.05, 0.02, 0.008, 0.002)
 # family parameter range; the pressure of mu_t along phi increases up to
-# t=1 (where it attains the equilibrium maximum), so bisection brackets
-# against the increasing branch only
+# t=1 (where it attains the equilibrium maximum), so the refinement in t
+# brackets against the increasing branch only
 T_LO = -6.0
 T_HI = 1.0
 # `realize_intermediate`'s family depth, and its replay depth by level
@@ -53,15 +54,19 @@ class TargetRequest:
     """A realization request: hit `target` with an ergodic measure.
 
     Search bounds: one horseshoe depth plus a schedule of shrinking
-    x_gap values; the equilibrium family on each horseshoe is bisected
-    until its pressure range brackets the target.
+    x_gap values; on each horseshoe whose equilibrium family brackets
+    the target, the family is refined in t until it hits the target.
+    The inputs are checked here: a finite positive tolerance, a
+    horseshoe depth as `build_horseshoe` takes it, and x_gap values in
+    [0, 1).
     """
 
     def __init__(self, lmap, potential, target, tolerance, level="map",
                  roof=None, depth=12, gap_schedule=DEFAULT_GAP_SCHEDULE,
                  catalog=None):
-        if not tolerance > 0.0:
-            raise PreconditionError("tolerance must be positive")
+        if not (tolerance > 0.0 and math.isfinite(tolerance)):
+            raise PreconditionError(
+                "tolerance must be finite and positive, got %r" % (tolerance,))
         if level not in ("map", "flow"):
             raise PreconditionError("level must be 'map' or 'flow'")
         if level == "flow" and roof is None:
@@ -70,14 +75,19 @@ class TargetRequest:
             raise PreconditionError("target must be finite")
         if not gap_schedule:
             raise PreconditionError("gap schedule must be nonempty")
+        gap_schedule = tuple(float(g) for g in gap_schedule)
+        for x_gap in gap_schedule:
+            if not 0.0 <= x_gap < 1.0:
+                raise PreconditionError(
+                    "gap schedule entry %r is not in [0, 1)" % (x_gap,))
         self.lmap = lmap
         self.potential = potential
         self.target = float(target)
         self.tolerance = float(tolerance)
         self.level = level
         self.roof = roof
-        self.depth = int(depth)
-        self.gap_schedule = tuple(float(g) for g in gap_schedule)
+        self.depth = check_depth(depth, "horseshoe", 1, MAX_DEPTH - 1)
+        self.gap_schedule = gap_schedule
         self.catalog = catalog
 
 
@@ -420,11 +430,19 @@ def realize_intermediate(req):
     Interiority is enforced against the catalog bounds with margin >=
     tolerance. On each horseshoe of the schedule the equilibrium-family
     pressure t -> P(mu_t) is evaluated at the bracket ends; when the
-    target is straddled, bisection refines t until the evaluator lands
-    within 0.3 * tolerance, and an independent deeper integrator then
-    replays the postcondition. Exhausting the schedule without a
-    certified bracket raises BracketFailureError carrying the range the
-    families achieved.
+    target is straddled, t is refined until the evaluator lands within
+    0.3 * tolerance, and an independent deeper integrator then replays
+    the postcondition. The refinement opens with the midpoint of
+    [T_LO, T_HI], which every request on a horseshoe shares through the
+    equilibrium memo, and then takes regula falsi steps with the
+    Illinois modification (Dowell and Jarratt, BIT 11, 1971): the next t
+    is the secant root of the two bracket ends, an end kept twice in a
+    row has its residual halved, and a secant point not strictly inside
+    the bracket falls back to the midpoint. The t sequence depends only
+    on the request and the family values, so results do not depend on
+    call history. The label names the exact t of the measure. Exhausting
+    the schedule without a certified bracket raises BracketFailureError
+    carrying the range the families achieved.
     """
     catalog = req.catalog
     if catalog is None:
@@ -457,27 +475,39 @@ def realize_intermediate(req):
         if not min(v_lo, v_hi) <= req.target <= max(v_lo, v_hi):
             continue
         best = None
-        f_lo = v_lo - req.target
+        f_lo, f_hi = float(v_lo - req.target), float(v_hi - req.target)
+        kept = None
+        t = 0.5 * (lo_t + hi_t)
         for _ in range(60):
-            mid_t = 0.5 * (lo_t + hi_t)
-            eq_m, v_m = family_value(horseshoe, mid_t, EVAL_DEPTH)
-            resid = abs(v_m - req.target)
-            if best is None or resid < best[0]:
-                best = (resid, eq_m, mid_t)
-            if resid <= 0.3 * req.tolerance:
+            eq_t, v_t = family_value(horseshoe, t, EVAL_DEPTH)
+            f_t = float(v_t - req.target)
+            if best is None or abs(f_t) < best[0]:
+                best = (abs(f_t), eq_t, t)
+            if abs(f_t) <= 0.3 * req.tolerance:
                 break
-            if (v_m - req.target) * f_lo <= 0.0:
-                hi_t = mid_t
+            # Illinois: an end kept twice in a row has its residual halved
+            if f_t * f_lo <= 0.0:
+                hi_t, f_hi = t, f_t
+                if kept == "lo":
+                    f_lo *= 0.5
+                kept = "lo"
             else:
-                lo_t = mid_t
-                f_lo = v_m - req.target
+                lo_t, f_lo = t, f_t
+                if kept == "hi":
+                    f_hi *= 0.5
+                kept = "hi"
+            t = 0.5 * (lo_t + hi_t)
+            if f_hi != f_lo:
+                secant = (lo_t * f_hi - hi_t * f_lo) / (f_hi - f_lo)
+                if lo_t < secant < hi_t:
+                    t = secant
         _, nu, t_star = best
         replay = pressure_measure(nu, req.potential, level=req.level,
                                   roof=req.roof, depth=REPLAY_DEPTH[req.level])
         achieved[0] = min(achieved[0], replay)
         achieved[1] = max(achieved[1], replay)
         if abs(replay - req.target) <= req.tolerance:
-            nu.label = "realized:g%g:t%.9g" % (x_gap, t_star)
+            nu.label = "realized:g%g:t%r" % (x_gap, t_star)
             return nu
     if achieved[0] > achieved[1]:
         side = "no family could be evaluated"
@@ -486,7 +516,7 @@ def realize_intermediate(req):
     elif req.target > achieved[1]:
         side = "the target lies above that range"
     else:
-        side = ("the target lies inside that range, but no bisection "
+        side = ("the target lies inside that range, but no refinement "
                 "replayed within tolerance")
     raise BracketFailureError(
         "equilibrium families achieved pressure range (%.6g, %.6g) and "

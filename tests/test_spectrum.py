@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from geolorenz import measures
+from geolorenz import measures, spectrum
 from geolorenz import (
     AtomicMeasure,
     BracketFailureError,
@@ -25,6 +25,7 @@ from geolorenz import (
     SingularDeltaMeasure,
     TargetRequest,
     build_catalog,
+    build_horseshoe,
     build_gap_potential,
     convex_combine,
     entropy_map,
@@ -185,6 +186,134 @@ def test_realize_bracket_failure_when_no_family_evaluates(lmap):
                        match="no family could be evaluated") as err:
         realize_intermediate(req)
     assert err.value.achieved_range == (math.inf, -math.inf)
+
+
+def test_target_request_rejects_fractional_depth(lmap, coord):
+    # a horseshoe depth, as build_horseshoe takes it: never truncated
+    with pytest.raises(PreconditionError, match="horseshoe depth 12.5"):
+        TargetRequest(lmap, coord, 0.1, 1e-3, depth=12.5)
+
+
+def test_target_request_rejects_infinite_tolerance(lmap, coord):
+    with pytest.raises(PreconditionError, match="finite and positive"):
+        TargetRequest(lmap, coord, 0.1, math.inf)
+
+
+@pytest.mark.parametrize("x_gap", [1.0, -0.01, math.nan])
+def test_target_request_rejects_gap_outside_unit_interval(lmap, coord, x_gap):
+    # checked when the request is built, before any catalog pressure
+    with pytest.raises(PreconditionError, match="not in \\[0, 1\\)"):
+        TargetRequest(lmap, coord, 0.1, 1e-3, gap_schedule=(0.05, x_gap))
+
+
+def _bisection_evaluations(req, horseshoe):
+    """Interior family evaluations that plain bisection of [T_LO, T_HI]
+    makes on `horseshoe` before it lands within 0.3 * tolerance: the
+    oracle the secant refinement of `realize_intermediate` must beat."""
+    def value(t):
+        eq = equilibrium_measure(req.lmap, horseshoe, req.potential, t=t)
+        return pressure_measure(eq, req.potential, level=req.level,
+                                roof=req.roof, depth=spectrum.EVAL_DEPTH)
+
+    lo_t, hi_t = spectrum.T_LO, spectrum.T_HI
+    f_lo = value(lo_t) - req.target
+    for count in range(1, 61):
+        mid_t = 0.5 * (lo_t + hi_t)
+        f_m = value(mid_t) - req.target
+        if abs(f_m) <= 0.3 * req.tolerance:
+            return count
+        if f_m * f_lo <= 0.0:
+            hi_t = mid_t
+        else:
+            lo_t, f_lo = mid_t, f_m
+    return 60
+
+
+def _recording_family(monkeypatch):
+    """Wrap `spectrum`'s family evaluations; returns the list of
+    (t, pressure at EVAL_DEPTH) pairs in the order they are made."""
+    calls = []
+
+    def recorded_equilibrium(*args, **kwargs):
+        calls.append([kwargs["t"], None])
+        return equilibrium_measure(*args, **kwargs)
+
+    def recorded_pressure(measure, potential, **kwargs):
+        value = pressure_measure(measure, potential, **kwargs)
+        if kwargs["depth"] == spectrum.EVAL_DEPTH:
+            calls[-1][1] = value
+        return value
+
+    monkeypatch.setattr(spectrum, "equilibrium_measure",
+                        recorded_equilibrium)
+    monkeypatch.setattr(spectrum, "pressure_measure", recorded_pressure)
+    return calls
+
+
+@pytest.mark.parametrize("level", ["map", "flow"])
+def test_realize_refinement_beats_bisection(monkeypatch, lmap, coord, roof,
+                                            level):
+    roof = roof if level == "flow" else None
+    tol = {"map": 1e-3, "flow": 1e-2}[level]
+    catalog = build_catalog(lmap, coord)
+    _, values = catalog_pressures(catalog, coord, level=level, roof=roof)
+    p_inf, p_top = min(values), max(values)
+    calls = _recording_family(monkeypatch)
+    totals = [0, 0]
+    for fraction in (0.1, 0.3, 0.5, 0.7, 0.9):
+        req = TargetRequest(lmap, coord, p_inf + fraction * (p_top - p_inf),
+                            tol, level=level, roof=roof, catalog=catalog)
+        del calls[:]
+        nu = realize_intermediate(req)
+        interior = [(t, v) for t, v in calls
+                    if t not in (spectrum.T_LO, spectrum.T_HI)]
+        # every interior t lies strictly inside the bracket current at
+        # its step; a horseshoe's end evaluations open a new bracket
+        for t, v in calls:
+            if t == spectrum.T_LO:
+                lo_t, hi_t, f_lo = t, spectrum.T_HI, v - req.target
+            elif t != spectrum.T_HI:
+                assert lo_t < t < hi_t
+                if (v - req.target) * f_lo <= 0.0:
+                    hi_t = t
+                else:
+                    lo_t, f_lo = t, v - req.target
+        x_gap = float(nu.label.split(":")[1][1:])
+        oracle = _bisection_evaluations(
+            req, build_horseshoe(lmap, req.depth, x_gap))
+        assert len(interior) <= oracle
+        totals[0] += len(interior)
+        totals[1] += oracle
+    assert totals[0] <= 0.7 * totals[1]
+
+
+def test_realize_label_names_the_exact_t(lmap, coord):
+    catalog = build_catalog(lmap, coord)
+    req = TargetRequest(lmap, coord, 0.1, 1e-3, catalog=catalog)
+    nu = realize_intermediate(req)
+    _, gap, t = nu.label.split(":")
+    assert gap.startswith("g") and t.startswith("t")
+    eq = equilibrium_measure(
+        lmap, build_horseshoe(lmap, req.depth, float(gap[1:])), coord,
+        t=float(t[1:]))
+    assert eq.probs.tobytes() == nu.probs.tobytes()
+    assert eq.stationary.tobytes() == nu.stationary.tobytes()
+
+
+def test_realize_does_not_depend_on_call_history(fresh_model_cache, lmap,
+                                                 coord):
+    catalog = build_catalog(lmap, coord)
+
+    def realize(target):
+        nu = realize_intermediate(
+            TargetRequest(lmap, coord, target, 1e-3, catalog=catalog))
+        return nu.label, nu.probs.tobytes(), nu.stationary.tobytes()
+
+    cold = realize(0.1)
+    fresh_model_cache(lmap)
+    for target in (-0.2, 0.3, 0.05):
+        realize(target)
+    assert realize(0.1) == cold
 
 
 def test_build_gap_potential_guards(lmap):

@@ -10,7 +10,10 @@ either side, and the side that runs first alternates from pair to pair.
 The output file holds every run's result line (the last line run.py
 prints) and its provenance, and for each end-to-end metric of
 BENCHMARK.json each side's median and quartiles and the number of pairs
-in which the change reads better (ties count for neither side).
+in which the change reads better (ties count for neither side). After
+the pairs of a workload, each side runs once more with `--trace 1`; the
+file keeps that run's result line, the per-layer metrics, and its
+provenance under the workload's "layers".
 """
 
 import argparse
@@ -42,12 +45,12 @@ def export(rev, dest):
         raise SystemExit("git archive %s failed" % rev)
 
 
-def run_once(root, workload, seed, seconds):
+def run_once(root, workload, seed, seconds, trace=0):
     """One benchmark run in `root`: its result line and provenance."""
     proc = subprocess.run(
         [sys.executable, os.path.join("benchmarks", "run.py"),
          "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds)],
+         "--seconds", str(seconds), "--trace", str(trace)],
         cwd=root, capture_output=True, text=True)
     if proc.returncode:
         raise SystemExit("run.py failed in %s:\n%s" % (root, proc.stderr))
@@ -110,7 +113,7 @@ def main(argv=None):
         metrics = json.load(fh)["end_to_end"]
     report = {
         "command": "python3 benchmarks/run.py --workload W --seed %d "
-                   "--seconds %g" % (args.seed, args.seconds),
+                   "--seconds %g --trace {0,1}" % (args.seed, args.seconds),
         "base": {"rev": _git("rev-parse", args.base)},
         "change": {"rev": _git("rev-parse", "HEAD"),
                    "uncommitted_changes": bool(_git("status", "--porcelain"))},
@@ -133,8 +136,12 @@ def main(argv=None):
                 pairs.append(pair)
                 print("%s pair %d/%d done" % (workload, k + 1, count),
                       file=sys.stderr, flush=True)
+            layers = {side: run_once(roots[side], workload, args.seed,
+                                     args.seconds, trace=1)
+                      for side in ("base", "change")}
             report["workloads"][workload] = {
-                "pairs": pairs, "summary": summarize(pairs, metrics)}
+                "pairs": pairs, "summary": summarize(pairs, metrics),
+                "layers": layers}
     finally:
         shutil.rmtree(base_root, ignore_errors=True)
     with open(args.out, "w") as fh:
