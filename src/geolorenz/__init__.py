@@ -36,6 +36,6 @@ from .spectrum import (GapReport, PressureSpectrumReport, TargetRequest,
 from .symbolic import (KneadingPair, PeriodicOrbitRecord, SFTHorseshoe,
                        admissible_words, build_horseshoe, cylinder_levels,
                        enumerate_periodic, find_periodic_point, kneading,
-                       restrict_horseshoe, strongly_connected_components)
+                       lap_count, restrict_horseshoe, strongly_connected_components)
 
 __version__ = "0.1.0"

@@ -206,8 +206,9 @@ class _PerronPlan:
     vertex among the classes of equal successor pairs, and with `left`
     `pred`, its class among the classes of equal predecessor pairs, and
     `has_pred`, whether it has a predecessor. Each layout is built on the
-    first solve that asks for it. The arrays that only a solve's set-up
-    and return read are int32; every array is read-only. The plan of an
+    first solve that asks for it. `gather` and `source` are C-contiguous.
+    The arrays that only a solve's set-up and return read are int32;
+    every array is read-only. The plan of an
     `SFTHorseshoe` lives on it (`SFTHorseshoe.perron`) and is freed with
     it.
     """
@@ -243,7 +244,11 @@ class _PerronPlan:
                                 axis=1)
         source = np.concatenate([np.where(nbr >= 0, nbr, n)
                                  for nbr, _ in sides], axis=1)
-        return (_frozen(gather), _frozen(source.astype(np.int32)),
+        # the neighbour tables come transposed, so the concatenations are
+        # column-major; a `take` through a C-contiguous table runs over
+        # one row at a time
+        return (_frozen(np.ascontiguousarray(gather)),
+                _frozen(np.ascontiguousarray(source, dtype=np.int32)),
                 _frozen(starts), sizes)
 
 

@@ -27,7 +27,7 @@ from .pressure import (catalog_pressures, estimate_P_bounds, h_top_estimate,
                        pressure_measure, pressure_separated, pressure_transfer)
 from .spectrum import (REPLAY_DEPTH, TargetRequest, build_gap_potential,
                        realize_intermediate, spectrum_scan, verify_gap)
-from .symbolic import cylinder_levels
+from .symbolic import lap_count
 
 SUITE_NAMES = ("entropy", "variational", "intermediate", "gap")
 
@@ -75,8 +75,8 @@ def _lap_oracle(lmap, lengths):
     import math
 
     n_lo, n_hi = lengths
-    c_lo = len(cylinder_levels(lmap, n_lo)[n_lo])
-    c_hi = len(cylinder_levels(lmap, n_hi)[n_hi])
+    c_lo = lap_count(lmap, n_lo)
+    c_hi = lap_count(lmap, n_hi)
     return math.log(c_hi / c_lo), c_lo, c_hi
 
 

@@ -22,8 +22,10 @@ and horseshoe edges are found by searching those codes (`find_codes`).
 Words are strings over 'L' and 'R' only at the edges: user-supplied
 words, the kneading pair, periodic orbit records,
 `SFTHorseshoe.vertices`, measure ids and payloads. `admissible_words`
-is a `Words` view over one level's codes: its `len()` and `in` read the
-codes alone, and a word is decoded to a string only when it is read.
+is a `Words` view over (map, depth): its `len()` is `lap_count`, which
+counts level d from level d - 1 without building level d, its codes are
+built on first read, `in` reads the codes alone, and a word is decoded
+to a string only when it is read.
 Two admissibility notions coexist and differ:
 
 * A finite word is admissible, i.e. realized by some orbit as an
@@ -327,40 +329,61 @@ def model_store(alpha, beta):
     return store
 
 
-def _extend_levels(lmap, levels, depth):
-    """`levels` continued to the given depth (a new list).
+def _runs(lmap, level):
+    """How level d + 1 is built from `level`, the level d: (first, stop,
+    lo, hi).
 
     A level's edges are nondecreasing (see `CylinderLevel`), so the
     cylinders that pull back through a branch form one run: through L
     those meeting its range [1 - beta, 1], from the first hi >= 1 - beta
     to the end; through R those meeting [-1, beta - 1], from the start to
     the last lo <= beta - 1. A cylinder outside a run clamps both of its
-    ends to the same value, so it is empty there. The L run's breakpoints
-    edges[first:], then the R run's edges[:stop + 1], are pulled back
-    straight into the new level's edges array. The two pulls share one
-    slot, the junction at x = 0: L pulls edges[-1] = 1 to -0.0, and R,
-    written last, pulls edges[0] = -1 to +0.0, which the slot keeps.
-    Nothing reads the sign of that zero: `abs_range` and the bounds
-    compare and subtract, midpoints add it to a nonzero endpoint, and
-    `_inverse_step` adds 1.0 to it after the clip.
+    ends to the same value, so it is empty there. `first` starts the L
+    run and `stop` ends the R run, so the runs hold
+    len(level) - first + stop cylinders, the L run's first.
 
     Inside a run both ends of a cylinder lie in the branch range, where
     the inverse is strictly increasing, so only the two cylinders with a
     clamped end can be empty: the first of the L run, whose lo clamps to
     -1, and the last of the R run, whose hi clamps to 1. Only those two
-    are tested against EMPTY_WIDTH. An empty one loses its code and its
-    inner edge, so its neighbour takes over the clamped end and the new
-    level still partitions [-1, 1]. Cylinders inside a run are kept
-    however thin they are.
+    are tested against EMPTY_WIDTH, each by pulling back its own two
+    breakpoints. Cylinders inside a run are kept however thin they are.
+    The kept cylinders are entries lo to hi - 1 of the runs, so level
+    d + 1 holds hi - lo words.
     """
-    levels = list(levels)
-    level = levels[-1]
     # the L range starts at 1 - beta = -(beta - 1), the R range ends at
     # beta - 1, the clip bounds of `_inverse_step`
     edge = lmap.beta - 1.0
+    first = int(np.searchsorted(level.hi, -edge))
+    stop = int(np.searchsorted(level.lo, edge, side="right"))
+    # the two clamped cylinders, pulled back as `_extend_levels` pulls
+    # their breakpoints; each pull is elementwise, so these are its bits
+    head = _inverse_step(lmap, False, level.edges[first:first + 2])
+    tail = _inverse_step(lmap, True, level.edges[stop - 1:stop + 1])
+    lo = int(head[1] - head[0] <= EMPTY_WIDTH)
+    hi = len(level) - first + stop - int(tail[1] - tail[0] <= EMPTY_WIDTH)
+    return first, stop, lo, hi
+
+
+def _extend_levels(lmap, levels, depth):
+    """`levels` continued to the given depth (a new list).
+
+    Each level is built from the last by its two runs (`_runs`): the L
+    run's breakpoints edges[first:], then the R run's edges[:stop + 1],
+    are pulled back straight into the new level's edges array. The two
+    pulls share one slot, the junction at x = 0: L pulls edges[-1] = 1 to
+    -0.0, and R, written last, pulls edges[0] = -1 to +0.0, which the
+    slot keeps. Nothing reads the sign of that zero: `abs_range` and the
+    bounds compare and subtract, midpoints add it to a nonzero endpoint,
+    and `_inverse_step` adds 1.0 to it after the clip. An empty run end
+    loses its code and its inner edge, so its neighbour takes over the
+    clamped end and the new level still partitions [-1, 1]. `lap_count`
+    counts a level by the same `_runs` without building it.
+    """
+    levels = list(levels)
+    level = levels[-1]
     for d in range(len(levels) - 1, depth):
-        first = int(np.searchsorted(level.hi, -edge))
-        stop = int(np.searchsorted(level.lo, edge, side="right"))
+        first, stop, lo, hi = _runs(lmap, level)
         # the word s + w has code s << d | code(w); the L run then the
         # R run keeps the codes sorted
         cut = len(level) - first
@@ -370,13 +393,10 @@ def _extend_levels(lmap, levels, depth):
         np.bitwise_or(level.codes[:stop], np.uint64(1 << d), out=codes[cut:])
         _inverse_step(lmap, False, level.edges[first:], out=edges[:cut + 1])
         _inverse_step(lmap, True, level.edges[:stop + 1], out=edges[cut:])
-        if edges[1] - edges[0] <= EMPTY_WIDTH:
-            edges[1] = edges[0]
-            codes, edges = codes[1:], edges[1:]
-        if edges[-1] - edges[-2] <= EMPTY_WIDTH:
-            edges[-2] = edges[-1]
-            codes, edges = codes[:-1], edges[:-1]
-        level = CylinderLevel(d + 1, codes, edges)
+        # a dropped run end hands its clamped end to its neighbour
+        edges[lo] = edges[0]
+        edges[hi] = edges[-1]
+        level = CylinderLevel(d + 1, codes[lo:hi], edges[lo:hi + 1])
         levels.append(level)
     return levels
 
@@ -390,11 +410,12 @@ def cylinder_levels(lmap, depth):
     over the breakpoints of the run of cylinders that meet the symbol's
     branch range; the cylinders outside the run pull back to a single
     point, so they are empty, and of the run only the cylinder at its
-    clamped end can be (see `_extend_levels`). Cached in the model's
-    store, which lives as long as some map of the model: a request no
-    deeper than the deepest list built so far is a prefix of it, and a
-    deeper one continues it from its last level, so no level is
-    enumerated twice while the model has a map. The same depth returns
+    clamped end can be (see `_runs`). A caller that needs only the size
+    of entry d calls `lap_count`, which stops at entry d - 1. Cached in
+    the model's store, which lives as long as some map of the model: a
+    request no deeper than the deepest list built so far is a prefix of
+    it, and a deeper one continues it from its last level, so no level
+    is enumerated twice while the model has a map. The same depth returns
     the same list object.
     Raises PreconditionError unless the depth is an integer in
     [0, MAX_DEPTH].
@@ -412,25 +433,57 @@ def cylinder_levels(lmap, depth):
     return levels
 
 
-class Words(collections.abc.Sequence):
-    """The words of strictly increasing length-`depth` codes, decoded on
-    access.
+def lap_count(lmap, depth):
+    """The lap number of f^depth: the count of nonempty depth-`depth`
+    cylinders, i.e. len(cylinder_levels(lmap, depth)[depth]).
 
-    A read-only sequence, in code (= lexicographic) order. `len()` and
-    `in` read the codes alone, with no decoding. An index or a slice
-    decodes only the words it selects, and iteration decodes
-    `_DECODE_BLOCK` words at a time; nothing decoded is kept. Like
-    `range`, a view never compares equal to a list.
+    Read off the level when the model's store holds it. Otherwise the
+    levels are built only to depth - 1, and level `depth` is counted
+    from that level's two runs less its dropped run ends (`_runs`, the
+    rule by which `_extend_levels` builds it), so the deepest level,
+    about beta times the size of the one before, is never built.
+    Raises PreconditionError unless the depth is an integer in
+    [0, MAX_DEPTH].
+    """
+    depth = check_depth(depth)
+    lists = lmap.store.levels
+    deepest = lists[max(lists)]
+    if depth < len(deepest):
+        return len(deepest[depth])
+    first, stop, lo, hi = _runs(lmap, cylinder_levels(lmap, depth - 1)[-1])
+    return hi - lo
+
+
+class Words(collections.abc.Sequence):
+    """The admissible words of one map and length, decoded on access.
+
+    A read-only sequence, in code (= lexicographic) order. `len()` is
+    `lap_count`, which counts depth d from level d - 1, so a count
+    builds neither the level nor its codes. The codes are built on
+    first read: `in` searches them with no decoding, an index or a
+    slice decodes only the words it selects, and iteration decodes
+    `_DECODE_BLOCK` words at a time; nothing decoded is kept. A view
+    holds its map, and so its model's store with every level built so
+    far. Like `range`, a view never compares equal to a list.
     """
 
-    __slots__ = ("codes", "depth")
+    __slots__ = ("lmap", "depth", "_codes")
 
-    def __init__(self, codes, depth):
-        self.codes = codes
-        self.depth = depth
+    def __init__(self, lmap, depth):
+        self.lmap = lmap
+        self.depth = check_depth(depth)
+        self._codes = None
+
+    @property
+    def codes(self):
+        """The level's strictly increasing codes, built on first read."""
+        if self._codes is None:
+            level = cylinder_levels(self.lmap, self.depth)[self.depth]
+            self._codes = level.codes
+        return self._codes
 
     def __len__(self):
-        return len(self.codes)
+        return lap_count(self.lmap, self.depth)
 
     def __getitem__(self, index):
         if isinstance(index, slice):
@@ -439,8 +492,9 @@ class Words(collections.abc.Sequence):
                             self.depth)[0]
 
     def __iter__(self):
-        for start in range(0, len(self.codes), _DECODE_BLOCK):
-            yield from decode_words(self.codes[start:start + _DECODE_BLOCK],
+        codes = self.codes
+        for start in range(0, len(codes), _DECODE_BLOCK):
+            yield from decode_words(codes[start:start + _DECODE_BLOCK],
                                     self.depth)
 
     def __contains__(self, word):
@@ -457,10 +511,12 @@ class Words(collections.abc.Sequence):
 
 def admissible_words(lmap, depth):
     """The admissible words of exactly the given length, in lexicographic
-    order, as a `Words` view over the codes of their cylinder level:
-    `len()` is the lap count at no decoding cost, and a word becomes a
-    string only when it is read."""
-    return Words(cylinder_levels(lmap, depth)[depth].codes, depth)
+    order, as a `Words` view over (map, depth): `len()` is the lap count
+    (`lap_count`, from level depth - 1), and the level's codes are built
+    on the first read, a word becoming a string only when it is read.
+    Raises PreconditionError, before any level is built, unless the
+    depth is an integer in [0, MAX_DEPTH]."""
+    return Words(lmap, depth)
 
 
 class PeriodicOrbitRecord:

@@ -1076,6 +1076,16 @@ def test_converged_solves_close_their_brackets_on_m():
     assert checked == 18
 
 
+def test_perron_layouts_are_c_contiguous(lmap):
+    # each solve step takes through `gather` and each set-up through
+    # `source`; both are read one row at a time
+    plan = pressure._PerronPlan(build_horseshoe(lmap, 10, 0.0).next)
+    for left in (False, True):
+        gather, source, _, sizes = plan.layout(left)
+        assert gather.shape == source.shape == (2, sum(sizes))
+        assert gather.flags.c_contiguous and source.flags.c_contiguous
+
+
 def test_equilibrium_family_builds_its_plan_once(monkeypatch,
                                                  fresh_model_cache,
                                                  lmap, coord):

@@ -428,6 +428,68 @@ def test_admissible_words_view_matches_format_oracle(alpha, beta,
         assert other not in words
 
 
+# the centres of the eight sweep benchmark bands, then the two hard models
+LAP_MODELS = [(1.0, 1.45), (1.0, 1.52), (1.0, 1.60), (1.0, 1.68),
+              (1.0, 1.76), (1.0, 1.86), (1.0, 1.945), (0.8, 1.985),
+              (0.8, 1.99), (0.9, 1.8)]
+
+
+@pytest.mark.parametrize("alpha, beta, deepest, dropping", [
+    *((a, b, 20, False) for a, b in LAP_MODELS),
+    # both run ends are dropped at most depths of these two
+    (1.0, (1 + math.sqrt(5)) / 2, 24, True),
+    (1.0, 1.9275619754829254, 20, True)])
+def test_lap_count_equals_the_level_it_does_not_build(fresh_model_cache,
+                                                      alpha, beta, deepest,
+                                                      dropping):
+    lm = LorenzMap1D(alpha, beta)
+    fresh_model_cache(lm)
+    assert symbolic.lap_count(lm, 0) == len(cylinder_levels(lm, 0)[0]) == 1
+    dropped = 0
+    for d in range(1, deepest + 1):
+        parent = cylinder_levels(lm, d - 1)[-1]
+        # the store holds the levels to d - 1 only, and a count builds
+        # no deeper
+        count = symbolic.lap_count(lm, d)
+        assert max(lm.store.levels) == d - 1
+        level = cylinder_levels(lm, d)[d]
+        assert count == len(level)
+        # once the store holds the level, the count is read off it
+        assert symbolic.lap_count(lm, d) == len(level)
+        first, stop, _, _ = symbolic._runs(lm, parent)
+        dropped += len(parent) - first + stop - count
+    assert bool(dropped) == dropping
+
+
+def test_lap_count_of_a_view_leaves_its_level_unbuilt(fresh_model_cache):
+    lm = LorenzMap1D(0.8, 1.985)
+    fresh_model_cache(lm)
+    words = admissible_words(lm, 19)
+    assert max(lm.store.levels) == 0
+    count = len(words)
+    assert max(lm.store.levels) == 18
+    assert repr(words) == "Words(depth=19, count=%d)" % count
+    assert max(lm.store.levels) == 18
+    # the first read builds the codes
+    assert "L" * 19 not in words
+    assert max(lm.store.levels) == 19
+    assert len(words) == count == len(cylinder_levels(lm, 19)[19])
+
+
+@pytest.mark.parametrize("depth", [-3, 2.5, symbolic.MAX_DEPTH + 1, "3"])
+def test_lap_count_rejects_a_bad_depth_before_building(fresh_model_cache,
+                                                       depth):
+    lm = LorenzMap1D(1.0, 1.95)
+    fresh_model_cache(lm)
+    with pytest.raises(PreconditionError) as want:
+        cylinder_levels(lm, depth)
+    for count in (symbolic.lap_count, admissible_words):
+        with pytest.raises(PreconditionError) as got:
+            count(lm, depth)
+        assert str(got.value) == str(want.value)
+    assert list(lm.store.levels) == [0]
+
+
 @pytest.mark.parametrize("alpha, beta", [(1.0, 1.95), (0.8, 1.99)])
 def test_sft_edges_follow_the_string_rule(alpha, beta):
     lm = LorenzMap1D(alpha, beta)

@@ -89,12 +89,20 @@ def summarize(pairs, metrics):
     return summary
 
 
-def parse_pairs(items):
+def parse_pairs(items, workloads):
+    """The pair count of each workload named in `items`, each a
+    WORKLOAD=COUNT naming one of `workloads` at most once."""
     pairs = {}
     for item in items:
         workload, _, count = item.partition("=")
         if not count.isdigit() or int(count) < 1:
             raise SystemExit("--pairs takes WORKLOAD=COUNT, got %r" % item)
+        if workload not in workloads:
+            raise SystemExit("--pairs names %r, not a workload of "
+                             "BENCHMARK.json (%s)"
+                             % (workload, ", ".join(workloads)))
+        if workload in pairs:
+            raise SystemExit("--pairs names %r twice" % workload)
         pairs[workload] = int(count)
     return pairs
 
@@ -108,9 +116,12 @@ def main(argv=None):
                         metavar="WORKLOAD=COUNT")
     parser.add_argument("--out", required=True)
     args = parser.parse_args(argv)
-    counts = parse_pairs(args.pairs)
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
-        metrics = json.load(fh)["end_to_end"]
+        benchmark = json.load(fh)
+    metrics = benchmark["end_to_end"]
+    # before anything runs, so a bad name costs no pairs
+    counts = parse_pairs(args.pairs,
+                         [w["name"] for w in benchmark["workloads"]])
     report = {
         "command": "python3 benchmarks/run.py --workload W --seed %d "
                    "--seconds %g --trace {0,1}" % (args.seed, args.seconds),
