@@ -69,8 +69,10 @@ def _lap_oracle(lmap, lengths):
     """Entropy from the growth of admissible word counts.
 
     Independent of the transfer machinery: the count of length-n
-    admissible words is the lap number of f^n, and the ratio of
-    consecutive counts estimates e^h.
+    admissible words is the lap number of f^n, counted exactly from the
+    kneading pair (`lap_count`, the Milnor-Thurston recurrence) without
+    building a cylinder level, and the ratio of consecutive counts
+    estimates e^h.
     """
     import math
 

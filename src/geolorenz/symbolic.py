@@ -23,9 +23,9 @@ Words are strings over 'L' and 'R' only at the edges: user-supplied
 words, the kneading pair, periodic orbit records,
 `SFTHorseshoe.vertices`, measure ids and payloads. `admissible_words`
 is a `Words` view over (map, depth): its `len()` is `lap_count`, which
-counts level d from level d - 1 without building level d, its codes are
-built on first read, `in` reads the codes alone, and a word is decoded
-to a string only when it is read.
+counts level d from the kneading pair by the Milnor-Thurston recurrence
+and builds no level, its codes are built on first read, `in` reads the
+codes alone, and a word is decoded to a string only when it is read.
 Two admissibility notions coexist and differ:
 
 * A finite word is admissible, i.e. realized by some orbit as an
@@ -377,8 +377,7 @@ def _extend_levels(lmap, levels, depth):
     bounds compare and subtract, midpoints add it to a nonzero endpoint,
     and `_inverse_step` adds 1.0 to it after the clip. An empty run end
     loses its code and its inner edge, so its neighbour takes over the
-    clamped end and the new level still partitions [-1, 1]. `lap_count`
-    counts a level by the same `_runs` without building it.
+    clamped end and the new level still partitions [-1, 1].
     """
     levels = list(levels)
     level = levels[-1]
@@ -411,7 +410,7 @@ def cylinder_levels(lmap, depth):
     branch range; the cylinders outside the run pull back to a single
     point, so they are empty, and of the run only the cylinder at its
     clamped end can be (see `_runs`). A caller that needs only the size
-    of entry d calls `lap_count`, which stops at entry d - 1. Cached in
+    of entry d calls `lap_count`, which builds no level. Cached in
     the model's store, which lives as long as some map of the model: a
     request no deeper than the deepest list built so far is a prefix of
     it, and a deeper one continues it from its last level, so no level
@@ -437,29 +436,44 @@ def lap_count(lmap, depth):
     """The lap number of f^depth: the count of nonempty depth-`depth`
     cylinders, i.e. len(cylinder_levels(lmap, depth)[depth]).
 
-    Read off the level when the model's store holds it. Otherwise the
-    levels are built only to depth - 1, and level `depth` is counted
-    from that level's two runs less its dropped run ends (`_runs`, the
-    rule by which `_extend_levels` builds it), so the deepest level,
-    about beta times the size of the one before, is never built.
+    Counted from the kneading pair alone; no cylinder level is built.
+    Let a_j and b_j be the digits (R = 1, L = 0) of `k_minus` and
+    `k_plus`, and K their length if the pair is truncated, else infinite.
+    Then for every n >= 0
+
+        lap(n) = [n <= K]
+                 + sum_{j=1}^{min(n, K)} (a_{j-1} - b_{j-1}) lap(n - j),
+
+    i.e. sum_n lap(n) t^n = (1 - t^(K+1)) / ((1 - t) D_K(t)) with the
+    kneading determinant D_K(t) = 1 - sum_{j=1}^{K} (a_{j-1} - b_{j-1}) t^j
+    (J. Milnor and W. Thurston, "On iterated maps of the interval", 1988).
+    The lap numbers grow at the exponential rate h_top (M. Misiurewicz
+    and W. Szlenk, "Entropy of piecewise monotone mappings", Studia Math.
+    67, 1980). The sum is exact in Python integers, O(depth^2) operations
+    on the default depth-64 pair, which reaches past MAX_DEPTH.
     Raises PreconditionError unless the depth is an integer in
     [0, MAX_DEPTH].
     """
     depth = check_depth(depth)
-    lists = lmap.store.levels
-    deepest = lists[max(lists)]
-    if depth < len(deepest):
-        return len(deepest[depth])
-    first, stop, lo, hi = _runs(lmap, cylinder_levels(lmap, depth - 1)[-1])
-    return hi - lo
+    kp = kneading(lmap)
+    # K = len(steps) if the pair is truncated; an untruncated pair is
+    # longer than any depth, so K acts as infinite
+    steps = [int(a == "R") - int(b == "R")
+             for a, b in zip(kp.k_minus, kp.k_plus)]
+    laps = []
+    for n in range(depth + 1):
+        # steps[j - 1] meets lap(n - j) for j = 1 to min(n, K)
+        laps.append(int(n <= len(steps) or not kp.truncated) + sum(
+            c * lap for c, lap in zip(steps, reversed(laps))))
+    return laps[depth]
 
 
 class Words(collections.abc.Sequence):
     """The admissible words of one map and length, decoded on access.
 
     A read-only sequence, in code (= lexicographic) order. `len()` is
-    `lap_count`, which counts depth d from level d - 1, so a count
-    builds neither the level nor its codes. The codes are built on
+    `lap_count`, which counts from the kneading pair, so a count builds
+    no level and no codes. The codes are built on
     first read: `in` searches them with no decoding, an index or a
     slice decodes only the words it selects, and iteration decodes
     `_DECODE_BLOCK` words at a time; nothing decoded is kept. A view
@@ -512,7 +526,7 @@ class Words(collections.abc.Sequence):
 def admissible_words(lmap, depth):
     """The admissible words of exactly the given length, in lexicographic
     order, as a `Words` view over (map, depth): `len()` is the lap count
-    (`lap_count`, from level depth - 1), and the level's codes are built
+    (`lap_count`, from the kneading pair), and the level's codes are built
     on the first read, a word becoming a string only when it is read.
     Raises PreconditionError, before any level is built, unless the
     depth is an integer in [0, MAX_DEPTH]."""

@@ -125,7 +125,11 @@ def test_admissibility_equals_nonemptiness_other_beta():
     assert_admissible_iff_in_levels(LorenzMap1D(alpha=1.0, beta=1.9), 10)
 
 
-def test_lap_counts_match_exact_preimage_tree(lmap):
+def test_lap_counts_match_exact_preimage_tree(fresh_model_cache, lmap):
+    # the counts first, on a fresh store: they read no level
+    for n in range(1, 15):
+        assert symbolic.lap_count(lmap, n) == exact_lap_count(n)
+    assert list(lmap.store.levels) == [0]
     for n in (13, 14):
         assert len(cylinder_levels(lmap, n)[n]) == exact_lap_count(n)
 
@@ -434,9 +438,17 @@ LAP_MODELS = [(1.0, 1.45), (1.0, 1.52), (1.0, 1.60), (1.0, 1.68),
               (0.8, 1.99), (0.9, 1.8)]
 
 
+# three alphas, each with five betas the validator admits (alpha * beta
+# above sqrt(2), beta below 2)
+LAP_GRID = [(0.8, b) for b in (1.78, 1.83, 1.88, 1.93, 1.98)] + \
+           [(0.9, b) for b in (1.58, 1.68, 1.78, 1.88, 1.98)] + \
+           [(1.0, b) for b in (1.42, 1.56, 1.70, 1.84, 1.98)]
+
+
 @pytest.mark.parametrize("alpha, beta, deepest, dropping", [
-    *((a, b, 20, False) for a, b in LAP_MODELS),
-    # both run ends are dropped at most depths of these two
+    *((a, b, 20, False) for a, b in LAP_MODELS + LAP_GRID),
+    # finite kneading (K = 2 and K = 4): both run ends are dropped at
+    # most depths of these two
     (1.0, (1 + math.sqrt(5)) / 2, 24, True),
     (1.0, 1.9275619754829254, 20, True)])
 def test_lap_count_equals_the_level_it_does_not_build(fresh_model_cache,
@@ -444,18 +456,14 @@ def test_lap_count_equals_the_level_it_does_not_build(fresh_model_cache,
                                                       dropping):
     lm = LorenzMap1D(alpha, beta)
     fresh_model_cache(lm)
-    assert symbolic.lap_count(lm, 0) == len(cylinder_levels(lm, 0)[0]) == 1
+    # the counts come from the kneading pair alone, on a fresh store, so
+    # they share no work with the levels built after them
+    counts = [symbolic.lap_count(lm, d) for d in range(deepest + 1)]
+    assert list(lm.store.levels) == [0]
+    levels = cylinder_levels(lm, deepest)
+    assert counts == [len(level) for level in levels]
     dropped = 0
-    for d in range(1, deepest + 1):
-        parent = cylinder_levels(lm, d - 1)[-1]
-        # the store holds the levels to d - 1 only, and a count builds
-        # no deeper
-        count = symbolic.lap_count(lm, d)
-        assert max(lm.store.levels) == d - 1
-        level = cylinder_levels(lm, d)[d]
-        assert count == len(level)
-        # once the store holds the level, the count is read off it
-        assert symbolic.lap_count(lm, d) == len(level)
+    for parent, count in zip(levels, counts[1:]):
         first, stop, _, _ = symbolic._runs(lm, parent)
         dropped += len(parent) - first + stop - count
     assert bool(dropped) == dropping
@@ -465,15 +473,20 @@ def test_lap_count_of_a_view_leaves_its_level_unbuilt(fresh_model_cache):
     lm = LorenzMap1D(0.8, 1.985)
     fresh_model_cache(lm)
     words = admissible_words(lm, 19)
-    assert max(lm.store.levels) == 0
+    assert list(lm.store.levels) == [0]
     count = len(words)
-    assert max(lm.store.levels) == 18
     assert repr(words) == "Words(depth=19, count=%d)" % count
-    assert max(lm.store.levels) == 18
+    assert list(lm.store.levels) == [0]
     # the first read builds the codes
     assert "L" * 19 not in words
     assert max(lm.store.levels) == 19
     assert len(words) == count == len(cylinder_levels(lm, 19)[19])
+    # nor is the deepest level built to be counted
+    lm = LorenzMap1D(0.8, 1.99)
+    fresh_model_cache(lm)
+    count = len(admissible_words(lm, symbolic.MAX_DEPTH))
+    assert list(lm.store.levels) == [0]
+    assert 1.9 < count / symbolic.lap_count(lm, symbolic.MAX_DEPTH - 1) < 2
 
 
 @pytest.mark.parametrize("depth", [-3, 2.5, symbolic.MAX_DEPTH + 1, "3"])
