@@ -25,9 +25,9 @@ from .errors import DepthTooShallowError, PreconditionError
 from .model import abs_range, dwell_array, roof_array
 from .potentials import midpoint_error_many, passage_error_many
 from .symbolic import (ALPHABET, EMPTY_WIDTH, MAX_DEPTH, _inverse_step,
-                       _remember, build_horseshoe, check_depth, check_model,
-                       check_word, cylinder_levels, encode_words, find_codes,
-                       find_periodic_point, restrict_horseshoe,
+                       _recall, _remember, build_horseshoe, check_depth,
+                       check_model, check_word, cylinder_levels, encode_words,
+                       find_codes, find_periodic_point, restrict_horseshoe,
                        strongly_connected_components)
 
 DEFAULT_DEPTH = 12
@@ -323,8 +323,8 @@ def integrate_many(integrand, measures, depth=DEFAULT_DEPTH):
     some map of the model: each atom's average on its
     `PeriodicOrbitRecord`, and each scheme's (values, bounds) arrays,
     read-only, on the `_CylinderScheme`. Each
-    cache holds at most `symbolic.CACHE_LIMIT` + 1 keys and is emptied
-    past that.
+    cache holds at most `symbolic.CACHE_LIMIT` keys and evicts the least
+    recently used one to take a new key.
     Potentials carry no key and are never cached. A hit returns the cold
     floats, since each average and each array entry depends on its own
     points only.
@@ -377,7 +377,7 @@ def _integrate_each(integrands, measures, depth):
         if key is not None:
             todo = []
             for i, atom in atoms:
-                cached = atom.orbit.averages.get(key)
+                cached = _recall(atom.orbit.averages, key)
                 if cached is None:
                     todo.append((i, atom))
                 else:
@@ -389,7 +389,7 @@ def _integrate_each(integrands, measures, depth):
                 if key is not None:
                     _remember(atom.orbit.averages, key, average)
         for scheme, block in schemes.values():
-            vals_errs = None if key is None else scheme.integrals.get(key)
+            vals_errs = None if key is None else _recall(scheme.integrals, key)
             if vals_errs is None:
                 vals_errs = (np.asarray(integrand.value(scheme.mid)),
                              midpoint_error_many(integrand, scheme.lo,
@@ -803,7 +803,7 @@ class _CylinderScheme:
 
 def _scheme(lmap, horseshoe, depth):
     depth = int(depth)
-    scheme = horseshoe.schemes.get(depth)
+    scheme = _recall(horseshoe.schemes, depth)
     if scheme is None:
         scheme = _CylinderScheme(lmap, horseshoe, depth)
         _remember(horseshoe.schemes, depth, scheme)

@@ -34,13 +34,15 @@ keeps its result, the validated `MarkovMeasure` on the winning sub-SFT
 with every array read-only, in the horseshoe's `equilibria` dict, keyed
 on the bytes of lw + 0.0 (so -0.0 and +0.0 are one key, and t = 0 is one
 state for every potential). The memo holds at most
-`symbolic.CACHE_LIMIT` + 1 entries: it is emptied when it grows past the
-limit, and it is freed with its horseshoe when the last map of the model
-frees the model's store. Equal keys mean equal inputs to the same
-deterministic solve, so a hit is bit for bit the cold result and nothing
-depends on call history; only converged solves are kept. Every call
-hands out a shallow copy of the kept measure with its own label, so
-nothing is validated twice and no label leaks.
+`symbolic.CACHE_LIMIT` entries: a new entry at the limit evicts the
+least recently used one, so the states every realization on a horseshoe
+shares stay while single-use states go, and the memo is freed with its
+horseshoe when the last map of the model frees the model's store. Equal
+keys mean equal inputs to the same deterministic solve, so a hit is bit
+for bit the cold result and nothing depends on call history; only
+converged solves are kept. Every call hands out a shallow copy of the
+kept measure with its own label, so nothing is validated twice and no
+label leaks.
 """
 
 import copy
@@ -54,8 +56,8 @@ from .measures import (MarkovMeasure, SingularDeltaMeasure, entropy_map,
 # unused here, kept since benchmarks/test_benchmark.py checks that the
 # tracer wraps this binding
 from .measures import suspend
-from .symbolic import (ALPHABET, SFTHorseshoe, _remember, build_horseshoe,
-                       check_depth, check_model)
+from .symbolic import (ALPHABET, SFTHorseshoe, _recall, _remember,
+                       build_horseshoe, check_depth, check_model)
 
 MAX_TRANSFER_DEPTH = 14
 # the most Perron steps from one Collatz-Wielandt check to the next (see
@@ -647,13 +649,14 @@ def equilibrium_measure(lmap, horseshoe, potential, t=1.0, label=None):
     under the bytes of lw + 0.0, lw = t*phi(midpoints), since it depends
     on nothing else: a hit is bit for bit the cold result, so results do
     not depend on call history. The memo keeps converged solves only, at
-    most `symbolic.CACHE_LIMIT` + 1 (it is emptied past the limit), and
-    is freed with its horseshoe. It keeps the `MarkovMeasure` validated
-    once, with read-only arrays and its entropy computed; every call
-    returns a shallow copy carrying the caller's map and label, so a label
-    set on one result never reaches another. The kept measure refers to
-    neither the map nor this horseshoe (see `_solve_equilibrium`), so the
-    memo goes with the horseshoe by reference counts.
+    most `symbolic.CACHE_LIMIT` (a new one at the limit evicts the least
+    recently used), and is freed with its horseshoe. It keeps the
+    `MarkovMeasure` validated once, with read-only arrays and its entropy
+    computed; every call returns a shallow copy carrying the caller's map
+    and label, so a label set on one result never reaches another. The
+    kept measure refers to neither the map nor this horseshoe (see
+    `_solve_equilibrium`), so the memo goes with the horseshoe by
+    reference counts.
     """
     check_model(lmap, horseshoe)
     phi = np.asarray(potential.value(horseshoe.midpoints), dtype=float)
@@ -662,7 +665,7 @@ def equilibrium_measure(lmap, horseshoe, potential, t=1.0, label=None):
     with np.errstate(over="ignore", invalid="ignore"):
         lw = float(t) * phi + 0.0
     key = _finite(lw, "t*phi at t = %r" % (t,)).tobytes()
-    solved = horseshoe.equilibria.get(key)
+    solved = _recall(horseshoe.equilibria, key)
     if solved is None:
         solved = _solve_equilibrium(lmap, horseshoe, lw)
         _remember(horseshoe.equilibria, key, solved)

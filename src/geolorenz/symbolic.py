@@ -74,15 +74,30 @@ EMPTY_WIDTH = 1e-12
 
 # keys kept by each memo of a shared object: a horseshoe's equilibrium
 # states and cylinder schemes, and the keyed integrals of `measures` on
-# each periodic orbit record and each scheme
-CACHE_LIMIT = 64
+# each periodic orbit record and each scheme. Each realization request
+# on a horseshoe recalls the 3 states all of them share (at T_LO, T_HI
+# and the opening midpoint) before it solves its own, 2 to 6 for
+# `coord:x` at beta = 1.7, so with 16 keys those 3 stay while the
+# single-use states of a survey over many potentials are evicted
+CACHE_LIMIT = 16
+
+
+def _recall(cache, key):
+    """cache[key], moved to the most recently used end of the memo, or
+    None on a miss (see `_remember`)."""
+    value = cache.pop(key, None)
+    if value is not None:
+        cache[key] = value
+    return value
 
 
 def _remember(cache, key, value):
-    """cache[key] = value, emptying the cache once it holds more than
-    CACHE_LIMIT keys."""
-    if len(cache) > CACHE_LIMIT:
-        cache.clear()
+    """cache[key] = value, first evicting the least recently used key
+    once the memo holds CACHE_LIMIT keys. A memo is a plain dict, whose
+    order is insertion order, and `_recall` moves a hit to its end, so
+    its first key is the least recently used."""
+    if len(cache) >= CACHE_LIMIT:
+        del cache[next(iter(cache))]
     cache[key] = value
 
 
@@ -239,7 +254,9 @@ def _inverse_step(lmap, right, ends, out=None):
     beta = lmap.beta
     sign = np.where(right, 1.0, -1.0)
     u = np.multiply(ends, sign, out=out)
-    np.clip(u, -1.0, beta - 1.0, out=u)
+    # maximum then minimum is np.clip's arithmetic without its wrapper
+    np.maximum(u, -1.0, out=u)
+    np.minimum(u, beta - 1.0, out=u)
     u += 1.0
     u /= beta
     if lmap.alpha != 1.0:
@@ -539,8 +556,8 @@ class PeriodicOrbitRecord:
     Records live in the model's store, so every atom on one orbit shares
     one. A record caches model-only work: its orbit points, read-only,
     and in `averages` the orbit average of each keyed integrand of
-    `measures.integrate_many` by its key (at most CACHE_LIMIT + 1 keys,
-    emptied past that).
+    `measures.integrate_many` by its key (at most CACHE_LIMIT keys, the
+    least recently used evicted first; see `_remember`).
     """
 
     def __init__(self, word, point, multiplier):
@@ -746,7 +763,8 @@ class SFTHorseshoe:
     to strings on the first use of `vertices` (graph work and cylinder
     schemes need none). The arrays are read-only, since horseshoes are
     shared through the per-model store. Two memos live and die with the
-    horseshoe, each at most CACHE_LIMIT + 1 keys (see `_remember`):
+    horseshoe, each at most CACHE_LIMIT keys, the least recently used
+    evicted first (see `_remember`):
     `equilibria`, the solved equilibrium states of
     `pressure.equilibrium_measure` by the bytes of their log-weight
     vector, and `schemes`, the cylinder schemes of `measures` by depth.

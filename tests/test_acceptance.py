@@ -42,8 +42,11 @@ from geolorenz import (
     suspend,
     verify_gap,
 )
+from geolorenz import symbolic
 from geolorenz.catalog import GAP_CORE_RECIPE, GAP_DEMONSTRATOR_RECIPE
 from geolorenz.cli import run
+from geolorenz.config import default_config
+from geolorenz.repro import run_suite
 from geolorenz.symbolic import admissible_words, cylinder_levels
 
 LOG_BETA = math.log(1.7)
@@ -318,3 +321,19 @@ def test_criterion_8_repro_determinism(tmp_path):
     print("criterion 8: %d payload files byte-identical across runs and "
           "--jobs 1 vs 8; %d checks pass; elapsed=%.1fs"
           % (len(names), len(summary["checks"]), elapsed))
+
+
+def test_criterion_8_payloads_do_not_depend_on_eviction(monkeypatch,
+                                                        fresh_model_cache,
+                                                        lmap):
+    # each run starts from an empty model store; a memo of one key evicts
+    # on nearly every insert, so every state, scheme and integral a suite
+    # asks for again is recomputed, and must come out bit for bit
+    def payloads():
+        fresh_model_cache(lmap)
+        return json.dumps(run_suite("all", default_config())[0],
+                          sort_keys=True)
+
+    default = payloads()
+    monkeypatch.setattr(symbolic, "CACHE_LIMIT", 1)
+    assert payloads() == default

@@ -592,14 +592,54 @@ def test_unconverged_solve_is_not_memoized(monkeypatch, fresh_model_cache,
 
 
 def test_memo_is_bounded(fresh_model_cache, lmap, coord):
+    # the memo holds at most CACHE_LIMIT keys: an insert at the limit
+    # evicts exactly the least recently used key, and a hit makes its key
+    # the most recently used, so a key recalled just before that insert
+    # survives it
     limit = symbolic.CACHE_LIMIT
     hs = build_horseshoe(lmap, 4, 0.002)
     sizes = []
-    for k in range(limit + 6):
+    for k in range(limit):
         equilibrium_measure(lmap, hs, coord, t=0.01 * k)
         sizes.append(len(hs.equilibria))
-    assert max(sizes) == limit + 1
-    assert sizes[-1] < limit
+    keys = list(hs.equilibria)
+    assert len(keys) == limit
+    equilibrium_measure(lmap, hs, coord, t=0.0)
+    assert list(hs.equilibria) == keys[1:] + keys[:1]
+    for k in range(limit, limit + 6):
+        before = list(hs.equilibria)
+        equilibrium_measure(lmap, hs, coord, t=0.01 * k)
+        after = list(hs.equilibria)
+        sizes.append(len(after))
+        assert after[:-1] == before[1:] and after[-1] not in before
+        if k == limit:
+            assert keys[0] in after and keys[1] not in after
+    assert max(sizes) == limit
+
+
+def test_realize_solves_no_state_twice(monkeypatch, fresh_model_cache, lmap,
+                                       coord):
+    # eight requests on one catalog insert more states than the memo
+    # holds, yet the states every request shares (T_LO, T_HI and the
+    # opening midpoint) are recalled first by each request and so stay
+    from geolorenz.spectrum import TargetRequest, realize_intermediate
+
+    solved = []
+    real = pressure._solve_equilibrium
+
+    def counted(lm, horseshoe, lw):
+        solved.append((id(horseshoe), lw.tobytes()))
+        return real(lm, horseshoe, lw)
+
+    monkeypatch.setattr(pressure, "_solve_equilibrium", counted)
+    catalog = build_catalog(lmap, coord)
+    p_inf, p_top = estimate_P_bounds(catalog, coord)
+    for fraction in np.linspace(0.1, 0.9, 8):
+        realize_intermediate(TargetRequest(
+            lmap, coord, p_inf + fraction * (p_top - p_inf), 1e-3,
+            catalog=catalog))
+    assert len(solved) > symbolic.CACHE_LIMIT
+    assert len(set(solved)) == len(solved)
 
 
 def test_last_map_frees_its_model_without_the_cycle_collector(coord):

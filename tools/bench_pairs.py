@@ -9,8 +9,13 @@ pair runs `benchmarks/run.py --workload W --seed N --seconds S` once on
 either side, and the side that runs first alternates from pair to pair.
 The output file holds every run's result line (the last line run.py
 prints) and its provenance, and for each end-to-end metric of
-BENCHMARK.json each side's median and quartiles and the number of pairs
-in which the change reads better (ties count for neither side). After
+BENCHMARK.json each side's median and quartiles, the number of pairs
+in which the change reads better (ties count for neither side), and two
+verdicts: `gain`, when the change reads better in at least nine tenths
+of the pairs and its median is better than the base's by more than the
+base's interquartile range, and `within_bound`, when the change's median
+is worse than the base's by no more than the metric's bound times the
+base median. After
 the pairs of a workload, each side runs once more with `--trace 1`; the
 file keeps that run's result line, the per-layer metrics, and its
 provenance under the workload's "layers".
@@ -82,10 +87,18 @@ def summarize(pairs, metrics):
                          for p in pairs] for side in ("base", "change"))
         sign = -1.0 if metric["better"] == "lower" else 1.0
         wins = sum(sign * (c - b) > 0.0 for b, c in zip(base, change))
-        summary[name] = {"unit": metric["unit"], "better": metric["better"],
-                         "bound": metric["bound"], "base": spread(base),
-                         "change": spread(change), "change_wins": wins,
-                         "pairs": len(pairs)}
+        base_spread, change_spread = spread(base), spread(change)
+        # the change's median minus the base's, positive when better
+        better_by = sign * (change_spread["median"] - base_spread["median"])
+        summary[name] = {
+            "unit": metric["unit"], "better": metric["better"],
+            "bound": metric["bound"], "base": base_spread,
+            "change": change_spread, "change_wins": wins,
+            "pairs": len(pairs),
+            "gain": (wins >= 0.9 * len(pairs) and better_by
+                     > base_spread["q3"] - base_spread["q1"]),
+            "within_bound": (-better_by
+                             <= metric["bound"] * base_spread["median"])}
     return summary
 
 
