@@ -224,13 +224,19 @@ def _load_catalog_file(path, lmap):
             doc = json.load(fh)
     except (OSError, ValueError) as exc:
         raise ConfigError("cannot read catalog file %s: %s" % (path, exc))
-    if not isinstance(doc, dict) or "measures" not in doc:
+    if not isinstance(doc, dict) or not isinstance(doc.get("measures"), list):
         raise ConfigError(
             "catalog file %s must be {\"measures\": [...]}" % path)
     measures = []
     core = []
-    for payload in doc["measures"]:
-        m = measure_from_payload(lmap, payload)
+    # a malformed entry is a config error; a well-formed one outside its
+    # contract (an inadmissible word) stays a PreconditionError
+    for index, payload in enumerate(doc["measures"]):
+        try:
+            m = measure_from_payload(lmap, payload)
+        except (LookupError, TypeError, ValueError) as exc:
+            raise ConfigError("catalog file %s: malformed entry %d: %s: %s"
+                              % (path, index, type(exc).__name__, exc))
         measures.append(m)
         if not payload.get("demonstrator", False):
             core.append(m)

@@ -24,13 +24,20 @@ import numpy as np
 from .errors import DepthTooShallowError, PreconditionError
 from .model import abs_range, dwell_array, roof_array
 from .potentials import midpoint_error_many, passage_error_many
-from .symbolic import (ALPHABET, EMPTY_WIDTH, MAX_DEPTH, _inverse_step,
-                       _recall, _remember, build_horseshoe, check_depth,
-                       check_model, check_word, cylinder_levels, encode_words,
-                       find_codes, find_periodic_point, restrict_horseshoe,
+from .symbolic import (ALPHABET, MAX_DEPTH, _inverse_step, _recall, _remember,
+                       build_horseshoe, check_depth, check_model, check_word,
+                       cylinder_levels, encode_words, find_codes,
+                       find_periodic_point, restrict_horseshoe,
                        strongly_connected_components)
 
 DEFAULT_DEPTH = 12
+
+# width at or below which a `_CylinderScheme` path is looked up in the
+# model's levels. A path the kneading pair forbids pulls back to width 0
+# or a few ulps (1.1e-16 at beta = 1.9275619754829254); real cylinders,
+# kept however thin, can be as narrow (5.4e-13 at depth 23, alpha = 0.8,
+# beta = 1.99), and the lookup keeps their own intervals
+EMPTY_WIDTH = 1e-12
 
 
 class AtomicMeasure:
@@ -587,7 +594,10 @@ def measure_distance(a, b, depth=DEFAULT_DEPTH):
 
 
 def measure_from_payload(lmap, payload):
-    """Rebuild a measure from its serialized form (see each to_payload)."""
+    """Rebuild a measure from its serialized form (see each to_payload).
+    TypeError unless the payload, or a component's, is a dict."""
+    if not isinstance(payload, dict):
+        raise TypeError("a measure payload is an object, got %r" % (payload,))
     variant = payload.get("variant")
     label = payload.get("label")
     if variant == "atomic":

@@ -247,9 +247,9 @@ class SectionGridPotential:
     @classmethod
     def from_payload(cls, payload):
         """The grid of {"xs": [...], "values": [...], "lipschitz": L}, one
-        sample per x. ConfigError if a key is missing or a y axis ("ys")
-        is present; the constructor's PreconditionError if the samples do
-        not make a grid."""
+        sample per x. ConfigError if a key is missing, a value is not a
+        number, or a y axis ("ys") is present; the constructor's
+        PreconditionError if the samples do not make a grid."""
         try:
             if "ys" in payload:
                 raise ConfigError(
@@ -258,7 +258,7 @@ class SectionGridPotential:
                     "\"values\": [...], \"lipschitz\": L} with one value "
                     "per x")
             return cls(payload["xs"], payload["values"], payload["lipschitz"])
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError("malformed grid potential payload: %s" % exc)
 
 
@@ -391,8 +391,11 @@ def parse_potential_spec(spec, base_dir=None):
             seed_text = rest[len("seed:"):]
             try:
                 seed = int(seed_text)
+                if seed < 0:
+                    raise ValueError(seed)
             except ValueError:
-                raise ConfigError("bad seed in potential spec %r" % spec)
+                raise ConfigError("bad seed in potential spec %r (needs an "
+                                  "integer >= 0)" % spec)
             return SectionGridPotential.seeded(seed)
         if not rest:
             raise ConfigError("grid potential needs a path or seed, got %r" % spec)

@@ -259,39 +259,16 @@ def stats_rows(stats, fractions):
     return rows
 
 
-def _smallest_feasible_theta(feasible, steps=64, iters=48):
-    """Smallest theta in (0,1) passing `feasible`, located by bisection.
-
-    Scans a coarse ascending grid for the first feasible point, then
-    bisects the bracket around the feasibility boundary, returning the
-    feasible upper end.
-    """
-    prev = 0.0
-    first = None
-    for k in range(1, steps):
-        theta = k / steps
-        if feasible(theta):
-            first = theta
-            break
-        prev = theta
-    if first is None:
-        return None
-    lo, hi = prev, first
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        if feasible(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
-
-
 def _mix_to_margin(mu, I_mu, P_mu, witnesses, P, q):
     """Mix a witness into mu until both strict margins reach q.
 
-    Integral and pressure are affine in the mixture weight, so the
-    feasibility predicate uses the component values directly; witnesses
-    are tried in the given order and the first feasible one wins.
+    Integral and pressure are affine in the mixture weight theta, so each
+    margin holds on a half-line theta * slope >= need, and the feasible
+    weights in (0, 1) are one interval whose lower end is solved for
+    directly. Where rounding puts that end outside, it is stepped up, by
+    one ulp and then by doubling gaps, until the float predicate accepts
+    it. Witnesses are tried in the given order and the first feasible one
+    wins.
     """
     for w, I_w, P_w in witnesses:
         def feasible(theta):
@@ -299,8 +276,20 @@ def _mix_to_margin(mu, I_mu, P_mu, witnesses, P, q):
             P_nu = theta * P_w + (1.0 - theta) * P_mu
             return (P - I_nu) >= q and (P_nu - P) >= q
 
-        theta = _smallest_feasible_theta(feasible)
-        if theta is not None:
+        lo, hi = 0.0, 1.0
+        for slope, need in ((I_mu - I_w, q - P + I_mu),
+                            (P_w - P_mu, P + q - P_mu)):
+            if slope > 0.0:
+                lo = max(lo, need / slope)
+            elif slope < 0.0:
+                hi = min(hi, need / slope)
+            elif need > 0.0:
+                hi = 0.0
+        theta, gap = lo, 0.0
+        while theta < hi and not (theta > 0.0 and feasible(theta)):
+            gap = max(2.0 * gap, math.ulp(theta))
+            theta = lo + gap
+        if theta < hi:
             return convex_combine([(theta, w), (1.0 - theta, mu)])
     return None
 
@@ -313,7 +302,7 @@ def reduce_to_essential_case(mu, potential, P, catalog, tol=1e-2, depth=12):
     pressure(nu) >= P + q for q = tol/4; inputs already in that position
     are returned unchanged. Four regimes arise from which of the two
     inequalities are tight; each mixes in catalog witnesses with the
-    weight found by bisection to the smallest feasible value. When both
+    smallest feasible weight, solved for in closed form. When both
     are tight, an exact intermediate mixture with integral P and
     positive entropy is built first (low/high integral witnesses, with
     an entropy repair mix when both carry zero entropy), then

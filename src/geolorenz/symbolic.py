@@ -21,11 +21,12 @@ significant) with one array of the breakpoints that partition [-1, 1],
 and horseshoe edges are found by searching those codes (`find_codes`).
 Words are strings over 'L' and 'R' only at the edges: user-supplied
 words, the kneading pair, periodic orbit records,
-`SFTHorseshoe.vertices`, measure ids and payloads. `admissible_words`
-is a `Words` view over (map, depth): its `len()` is `lap_count`, which
-counts level d from the kneading pair by the Milnor-Thurston recurrence
-and builds no level, its codes are built on first read, `in` reads the
-codes alone, and a word is decoded to a string only when it is read.
+`SFTHorseshoe.vertices`, measure ids and payloads. The kneading pair
+alone decides which cylinders are empty (`_extend_levels`), and
+`lap_count` counts level d from it by the Milnor-Thurston recurrence.
+`admissible_words` is a `Words` view over (map, depth): its `len()` is
+`lap_count`, its codes are built on first read, `in` reads the codes
+alone, and a word is decoded to a string only when it is read.
 Two admissibility notions coexist and differ:
 
 * A finite word is admissible, i.e. realized by some orbit as an
@@ -63,14 +64,6 @@ SINGULAR_TOL = 1e-14
 
 # words decoded to strings per numpy block in decode_words
 _DECODE_BLOCK = 1 << 16
-
-# width at or below which a cylinder at a clamped run end is empty (see
-# `_extend_levels`); such cylinders pull back to width 0 or a few ulps
-# (1.1e-16 at beta = 1.9275619754829254). It is no floor on the width of
-# real cylinders: at alpha = 0.8, beta = 1.99 the thinnest depth-14
-# cylinder is 2.9e-8 wide, the thinnest depth-22 one 1.1e-12, and 464
-# depth-23 ones are 5.4e-13 to 9.8e-13 wide, all inside their runs
-EMPTY_WIDTH = 1e-12
 
 # keys kept by each memo of a shared object: a horseshoe's equilibrium
 # states and cylinder schemes, and the keyed integrals of `measures` on
@@ -126,6 +119,8 @@ class KneadingPair:
     truncated is True when a critical orbit came within SINGULAR_TOL of 0
     before reaching the requested depth; the words then end early and
     admissibility tests against them are only valid to the shorter depth.
+    A word that ended within d symbols makes one run end of level d + 1
+    empty (`_extend_levels`); no width test overrules it.
     """
 
     def __init__(self, k_minus, k_plus, truncated=False):
@@ -287,7 +282,9 @@ class CylinderLevel:
     edges[-1] = 1.0 (`_extend_levels` keeps the clamped ends), and at
     depth >= 1 exactly one slot is 0, the junction of the last L
     cylinder and the first R one; it holds +0.0. `len()` is the word
-    count. The arrays are read-only, since cached levels are shared.
+    count, `lap_count`: the kneading pair, not a width, decides which
+    cylinders are empty, so a kept one may be however thin. The arrays
+    are read-only, since cached levels are shared.
     """
 
     def __init__(self, depth, codes, edges):
@@ -346,60 +343,43 @@ def model_store(alpha, beta):
     return store
 
 
-def _runs(lmap, level):
-    """How level d + 1 is built from `level`, the level d: (first, stop,
-    lo, hi).
-
-    A level's edges are nondecreasing (see `CylinderLevel`), so the
-    cylinders that pull back through a branch form one run: through L
-    those meeting its range [1 - beta, 1], from the first hi >= 1 - beta
-    to the end; through R those meeting [-1, beta - 1], from the start to
-    the last lo <= beta - 1. A cylinder outside a run clamps both of its
-    ends to the same value, so it is empty there. `first` starts the L
-    run and `stop` ends the R run, so the runs hold
-    len(level) - first + stop cylinders, the L run's first.
-
-    Inside a run both ends of a cylinder lie in the branch range, where
-    the inverse is strictly increasing, so only the two cylinders with a
-    clamped end can be empty: the first of the L run, whose lo clamps to
-    -1, and the last of the R run, whose hi clamps to 1. Only those two
-    are tested against EMPTY_WIDTH, each by pulling back its own two
-    breakpoints. Cylinders inside a run are kept however thin they are.
-    The kept cylinders are entries lo to hi - 1 of the runs, so level
-    d + 1 holds hi - lo words.
-    """
-    # the L range starts at 1 - beta = -(beta - 1), the R range ends at
-    # beta - 1, the clip bounds of `_inverse_step`
-    edge = lmap.beta - 1.0
-    first = int(np.searchsorted(level.hi, -edge))
-    stop = int(np.searchsorted(level.lo, edge, side="right"))
-    # the two clamped cylinders, pulled back as `_extend_levels` pulls
-    # their breakpoints; each pull is elementwise, so these are its bits
-    head = _inverse_step(lmap, False, level.edges[first:first + 2])
-    tail = _inverse_step(lmap, True, level.edges[stop - 1:stop + 1])
-    lo = int(head[1] - head[0] <= EMPTY_WIDTH)
-    hi = len(level) - first + stop - int(tail[1] - tail[0] <= EMPTY_WIDTH)
-    return first, stop, lo, hi
-
-
 def _extend_levels(lmap, levels, depth):
     """`levels` continued to the given depth (a new list).
 
-    Each level is built from the last by its two runs (`_runs`): the L
+    A level's edges are nondecreasing (see `CylinderLevel`), so the
+    cylinders of level d that pull back through a branch form one run:
+    through L those meeting its range [1 - beta, 1], from the first
+    hi >= 1 - beta to the end; through R those meeting [-1, beta - 1],
+    from the start to the last lo <= beta - 1. A cylinder outside a run
+    clamps both of its ends to the same value, so it is empty. The L
     run's breakpoints edges[first:], then the R run's edges[:stop + 1],
     are pulled back straight into the new level's edges array. The two
     pulls share one slot, the junction at x = 0: L pulls edges[-1] = 1 to
     -0.0, and R, written last, pulls edges[0] = -1 to +0.0, which the
     slot keeps. Nothing reads the sign of that zero: `abs_range` and the
     bounds compare and subtract, midpoints add it to a nonzero endpoint,
-    and `_inverse_step` adds 1.0 to it after the clip. An empty run end
-    loses its code and its inner edge, so its neighbour takes over the
-    clamped end and the new level still partitions [-1, 1].
+    and `_inverse_step` adds 1.0 to it after the clip.
+
+    Inside a run the inverse is strictly increasing, so only the two
+    cylinders with a clamped end can be empty: the L run's first, which
+    holds 1 - beta = f(-1), and the R run's last, which holds
+    beta - 1 = f(1). The kneading pair decides. If `k_plus`, the
+    itinerary of -1, ended within d symbols, 1 - beta is a breakpoint of
+    level d; its float edge is the nearer end of the L run's first
+    cylinder, which is empty if that is its hi. `k_minus` decides the R
+    run's last cylinder alike at beta - 1. An unended word of the default
+    depth-64 pair is longer than MAX_DEPTH. A dropped run end hands its
+    clamped end to its neighbour, so the level still partitions [-1, 1].
     """
     levels = list(levels)
     level = levels[-1]
+    kp = kneading(lmap)
+    # the L range starts at 1 - beta = -(beta - 1), the R range ends at
+    # beta - 1, the clip bounds of `_inverse_step`
+    edge = lmap.beta - 1.0
     for d in range(len(levels) - 1, depth):
-        first, stop, lo, hi = _runs(lmap, level)
+        first = int(np.searchsorted(level.hi, -edge))
+        stop = int(np.searchsorted(level.lo, edge, side="right"))
         # the word s + w has code s << d | code(w); the L run then the
         # R run keeps the codes sorted
         cut = len(level) - first
@@ -409,6 +389,11 @@ def _extend_levels(lmap, levels, depth):
         np.bitwise_or(level.codes[:stop], np.uint64(1 << d), out=codes[cut:])
         _inverse_step(lmap, False, level.edges[first:], out=edges[:cut + 1])
         _inverse_step(lmap, True, level.edges[:stop + 1], out=edges[cut:])
+        lo = int(len(kp.k_plus) <= d
+                 and level.lo[first] + level.hi[first] <= -2.0 * edge)
+        hi = cut + stop - int(len(kp.k_minus) <= d
+                              and level.lo[stop - 1] + level.hi[stop - 1]
+                              >= 2.0 * edge)
         # a dropped run end hands its clamped end to its neighbour
         edges[lo] = edges[0]
         edges[hi] = edges[-1]
@@ -426,9 +411,10 @@ def cylinder_levels(lmap, depth):
     over the breakpoints of the run of cylinders that meet the symbol's
     branch range; the cylinders outside the run pull back to a single
     point, so they are empty, and of the run only the cylinder at its
-    clamped end can be (see `_runs`). A caller that needs only the size
-    of entry d calls `lap_count`, which builds no level. Cached in
-    the model's store, which lives as long as some map of the model: a
+    clamped end can be, as the kneading pair decides (see
+    `_extend_levels`). A caller that needs only the size of entry d calls
+    `lap_count`, which counts from the same pair and builds no level.
+    Cached in the model's store, which lives as long as some map of the model: a
     request no deeper than the deepest list built so far is a prefix of
     it, and a deeper one continues it from its last level, so no level
     is enumerated twice while the model has a map. The same depth returns

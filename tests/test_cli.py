@@ -133,6 +133,55 @@ def test_bad_potential_spec_exits_4(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def _grid_file(tmp_path, lipschitz):
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps({"xs": [-1.0, 0.0, 1.0],
+                                "values": [0.0, 0.1, 0.0],
+                                "lipschitz": lipschitz}))
+    return ["pressure", "--potential", "grid:%s" % path]
+
+
+def _catalog_file(tmp_path, entry):
+    path = tmp_path / "cat.json"
+    path.write_text(json.dumps({"measures": [{"variant": "delta_sigma"},
+                                             entry]}))
+    return ["gap-demo", "--catalog", str(path)]
+
+
+@pytest.mark.parametrize("argv", [
+    lambda tmp: ["pressure", "--potential", "grid:seed:-1"],
+    lambda tmp: _grid_file(tmp, "abc"),
+    lambda tmp: _catalog_file(tmp, {"variant": "atomic"}),
+    lambda tmp: _catalog_file(tmp, ["x"]),
+    lambda tmp: _catalog_file(tmp, {"variant": "atomic", "word": 5}),
+    lambda tmp: _catalog_file(tmp, {"variant": "markov", "depth": 8,
+                                    "x_gap": 0.0, "probs": [],
+                                    "stationary": []}),
+    lambda tmp: _catalog_file(tmp, {"variant": "markov", "depth": 2,
+                                    "x_gap": 0.0, "vertices": ["LR"],
+                                    "probs": [], "stationary": []}),
+    lambda tmp: _catalog_file(tmp, {"variant": "convex", "components": [
+        {"weight": 1.0, "measure": ["x"]}]})],
+    ids=["negative-seed", "lipschitz-not-a-number", "atomic-without-word",
+         "entry-not-an-object", "word-not-a-string",
+         "markov-without-vertices", "markov-rows-missing",
+         "component-not-an-object"])
+def test_malformed_outside_input_exits_4(tmp_path, capsys, argv):
+    out = str(tmp_path / "r")
+    assert run(["--out", out] + argv(tmp_path)) == 4
+    err = capsys.readouterr().err
+    assert "config error:" in err
+    if "catalog" in err:
+        # the malformed entry is named by its index
+        assert "entry 1" in err
+
+
+def test_inadmissible_catalog_word_stays_a_precondition(tmp_path, capsys):
+    argv = _catalog_file(tmp_path, {"variant": "atomic", "word": "RR"})
+    assert run(["--out", str(tmp_path / "r")] + argv) == 3
+    assert "config error" not in capsys.readouterr().err
+
+
 def test_measure_stats_table_schema_and_determinism(tmp_path):
     outs = []
     for tag, jobs in (("a", "1"), ("b", "1"), ("c", "2")):

@@ -754,7 +754,7 @@ def _full_pullback_scheme(lmap, horseshoe, depth):
     start, steps = _read_back(links, len(cur))
     symbols = symbolic.code_symbols(codes, depth)
     lo, hi = _pullback(lmap, symbols)
-    dead = np.nonzero(hi - lo <= symbolic.EMPTY_WIDTH)[0]
+    dead = np.nonzero(hi - lo <= measures.EMPTY_WIDTH)[0]
     n_dead = dead.size
     for length in range(depth - 1, 0, -1):
         if not dead.size:
@@ -762,7 +762,7 @@ def _full_pullback_scheme(lmap, horseshoe, depth):
         a, b = _pullback(lmap, symbols[dead, :length])
         lo[dead] = a
         hi[dead] = b
-        dead = dead[b - a <= symbolic.EMPTY_WIDTH]
+        dead = dead[b - a <= measures.EMPTY_WIDTH]
 
     def masses(stationary, probs):
         mass = stationary[start]

@@ -461,6 +461,24 @@ def test_reduce_no_witness_above(lmap, coord):
         reduce_to_essential_case(mu, coord, I, atoms, tol=1e-2)
 
 
+def test_mix_weight_found_in_a_window_between_grid_points(lmap):
+    # every theta in [0.0015, 0.00965] meets both margins, a window that
+    # holds no multiple of 1/64; the weight is its lower end
+    mu, w = [AtomicMeasure(lmap, find_periodic_point(lmap, word))
+             for word in ("LR", "LRR")]
+    nu = spectrum._mix_to_margin(mu, 0.0, 0.1, [(w, 10.0, 1.1)], 0.099,
+                                 0.0025)
+    assert nu is not None
+    (theta, first), (rest, second) = nu.components
+    assert first is w and second is mu
+    assert theta == pytest.approx(0.0015, rel=1e-12)
+    assert 0.099 - (theta * 10.0 + rest * 0.0) >= 0.0025
+    assert (theta * 1.1 + rest * 0.1) - 0.099 >= 0.0025
+    # at q = 0.01 the margins need theta <= 0.0089 and theta >= 0.009
+    assert spectrum._mix_to_margin(mu, 0.0, 0.1, [(w, 10.0, 1.1)], 0.099,
+                                   0.01) is None
+
+
 # ---------------------------------------------------------------------------
 # catalog passes against the per-member formulas they replaced
 

@@ -47,41 +47,41 @@ def spans_of(level):
                     zip(level.lo.tolist(), level.hi.tolist())))
 
 
-def exact_step(x):
+def exact_step(x, beta=BETA):
     # f(x) = beta*x - sign(x) at alpha = 1, exact in rationals
     assert x != 0
-    return BETA * x - (1 if x > 0 else -1)
+    return beta * x - (1 if x > 0 else -1)
 
 
-def exact_itinerary(x, n):
+def exact_itinerary(x, n, beta=BETA):
     out = []
     for _ in range(n):
         assert x != 0
         out.append("R" if x > 0 else "L")
-        x = exact_step(x)
+        x = exact_step(x, beta)
     return "".join(out)
 
 
-def exact_lap_count(n):
-    """Number of monotone laps of f^n, via the exact preimage tree of 0.
+def exact_edges(n, beta=BETA):
+    """The breakpoints of f^n at alpha = 1, -1 and 1 included, sorted, by
+    the exact preimage tree of 0; `beta` is taken exactly as a Fraction.
 
-    Interior breakpoints of f^n are the preimages of 0 up to order n-1;
-    the lap count is their number plus one.
+    Interior breakpoints of f^n are the preimages of 0 up to order n-1.
     """
+    b = Fraction(beta)
     level = {Fraction(0)}
-    breaks = set(level)
+    breaks = set(level) if n else set()
     for _ in range(n - 1):
-        nxt = set()
-        for t in level:
-            right = (t + 1) / BETA
-            if 0 < right <= 1:
-                nxt.add(right)
-            left = (t - 1) / BETA
-            if -1 <= left < 0:
-                nxt.add(left)
-        breaks |= nxt
-        level = nxt
-    return len(breaks) + 1
+        level = {x for t in level for x in ((t + 1) / b, (t - 1) / b)
+                 if -1 < x < 1 and x != 0}
+        breaks |= level
+    return [Fraction(-1)] + sorted(breaks) + [Fraction(1)]
+
+
+def exact_lap_count(n):
+    """Number of monotone laps of f^n: one per interval between
+    neighbouring breakpoints."""
+    return len(exact_edges(n)) - 1
 
 
 def all_words(length):
@@ -445,12 +445,27 @@ LAP_GRID = [(0.8, b) for b in (1.78, 1.83, 1.88, 1.93, 1.98)] + \
            [(1.0, b) for b in (1.42, 1.56, 1.70, 1.84, 1.98)]
 
 
+# the two sliver models: finite kneading, K = 2 and K = 4
+GOLDEN = (1 + math.sqrt(5)) / 2
+SLIVER = 1.9275619754829254
+
+# models whose critical orbits pass 0 by more than SINGULAR_TOL, so their
+# kneading pairs never end, yet their run ends hold real cylinders
+# narrower than 1e-12 from depth 3 (or 5) on
+NEAR_SLIVERS = [(1.0, GOLDEN + 1e-13), (1.0, SLIVER + 1e-13),
+                (0.9, 1.5951873284904379)]
+
+
 @pytest.mark.parametrize("alpha, beta, deepest, dropping", [
-    *((a, b, 20, False) for a, b in LAP_MODELS + LAP_GRID),
-    # finite kneading (K = 2 and K = 4): both run ends are dropped at
-    # most depths of these two
-    (1.0, (1 + math.sqrt(5)) / 2, 24, True),
-    (1.0, 1.9275619754829254, 20, True)])
+    *((a, b, 20, False) for a, b in LAP_MODELS + LAP_GRID + NEAR_SLIVERS),
+    # finite kneading: both run ends are dropped at most depths of these
+    # two
+    (1.0, GOLDEN, 24, True),
+    (1.0, SLIVER, 20, True),
+    # finite kneading one ulp below them, where the float breakpoint at
+    # 1 - beta lies left of it, so the runs hold no empty end to drop
+    (1.0, math.nextafter(GOLDEN, 0.0), 24, False),
+    (1.0, math.nextafter(SLIVER, 0.0), 20, False)])
 def test_lap_count_equals_the_level_it_does_not_build(fresh_model_cache,
                                                       alpha, beta, deepest,
                                                       dropping):
@@ -462,11 +477,17 @@ def test_lap_count_equals_the_level_it_does_not_build(fresh_model_cache,
     assert list(lm.store.levels) == [0]
     levels = cylinder_levels(lm, deepest)
     assert counts == [len(level) for level in levels]
+    edge = beta - 1.0
     dropped = 0
     for parent, count in zip(levels, counts[1:]):
-        first, stop, _, _ = symbolic._runs(lm, parent)
+        first = int(np.searchsorted(parent.hi, -edge))
+        stop = int(np.searchsorted(parent.lo, edge, side="right"))
         dropped += len(parent) - first + stop - count
     assert bool(dropped) == dropping
+    # a view's len() is the count of the words it yields
+    for d in range(13):
+        words = admissible_words(lm, d)
+        assert len(words) == sum(1 for _ in words)
 
 
 def test_lap_count_of_a_view_leaves_its_level_unbuilt(fresh_model_cache):
@@ -593,11 +614,18 @@ def test_cylinder_levels_continue_the_deepest_list(fresh_model_cache):
 # ---------------------------------------------------------------------------
 # the level extension by branch runs against the loop it replaced
 
+# the width at or below which the reference drops a pulled cylinder: the
+# float emptiness rule the levels used before the kneading pair decided
+REFERENCE_WIDTH = 1e-12
+
+
 def _reference_extend_levels(lmap, levels, depth):
     """Levels extended with two full-width pullbacks and four compresses
     per level, as first written: every cylinder keeps its own lo and hi,
-    and one mask drops every pulled cylinder of width <= EMPTY_WIDTH.
+    and one mask drops every pulled cylinder of width <= REFERENCE_WIDTH.
     Returns the new levels only, as namespaces of (depth, codes, lo, hi).
+    It reads no kneading pair, so it shares no code with the rule the
+    levels follow; away from the slivers the two agree bit for bit.
     """
     level = levels[-1]
     ends = np.vstack([level.lo, level.hi])
@@ -607,7 +635,7 @@ def _reference_extend_levels(lmap, levels, depth):
         # R half keeps the codes sorted
         pulled = [symbolic._inverse_step(lmap, s == "R", ends)
                   for s in symbolic.ALPHABET]
-        live = [p[1] - p[0] > symbolic.EMPTY_WIDTH for p in pulled]
+        live = [p[1] - p[0] > REFERENCE_WIDTH for p in pulled]
         cut = np.cumsum([0] + [np.count_nonzero(m) for m in live])
         codes = np.empty(cut[-1], dtype=np.uint64)
         ends = np.empty((2, cut[-1]))
@@ -683,47 +711,33 @@ def test_level_runs_drop_empty_run_ends_at_sliver_models(beta, depth, drops):
         assert_partition(level)
         assert level.codes.tobytes() == ref.codes.tobytes()
         for mine, theirs in ((level.lo, ref.lo), (level.hi, ref.hi)):
-            assert np.abs(mine - theirs).max() <= 2 * symbolic.EMPTY_WIDTH
+            assert np.abs(mine - theirs).max() <= 2 * REFERENCE_WIDTH
         runs = (len(prev) - int(np.searchsorted(prev.hi, -edge))
                 + int(np.searchsorted(prev.lo, edge, side="right")))
         dropped += runs - len(level)
     assert dropped == drops
 
 
-def test_level_runs_drop_thin_and_touching_cylinders():
-    # at beta = 1.7 the L range is [1 - beta, 1] and the R range
-    # [-1, beta - 1]. Cylinder 0 lies outside the L range, 1 touches it at
-    # 1 - beta exactly, 3 is 5e-13 wide inside both runs, and 6 meets the
-    # R range in 5e-13; the L run is 1-6 and the R run 0-6
-    lm = LorenzMap1D(1.0, 1.7)
-    edge = lm.beta - 1.0
-    thin = 5e-13
-    edges = np.array([-1.0, -0.8, -edge, 0.2, 0.2 + thin, 0.6, edge - thin,
-                      1.0])
-    depth = 3
-    level = symbolic.CylinderLevel(depth, np.arange(7, dtype=np.uint64),
-                                   edges)
-    new = symbolic._extend_levels(lm, [None] * depth + [level],
-                                  depth + 1)[-1]
-    # 1 (width 0) and 6 (width 5e-13 / beta) go at the clamped run ends,
-    # each handing its clamped end to its neighbour; 3 stays in both runs
-    assert new.codes.tolist() == [2, 3, 4, 5, 6] + [8 + c for c in range(6)]
-    want = np.concatenate([
-        [-1.0], symbolic._inverse_step(lm, False, edges[3:7]), [0.0],
-        symbolic._inverse_step(lm, True, edges[1:6]), [1.0]])
-    assert new.edges.tobytes() == want.tobytes()
-    widths = np.diff(new.edges)
-    assert (widths > 0.0).all()
-    assert (widths[[1, 8]] <= symbolic.EMPTY_WIDTH).all()
-    # the first L cylinder meeting the L range in 5e-13 goes too
-    edges = np.array([-1.0, -edge + thin, 0.5, 1.0])
-    level = symbolic.CylinderLevel(depth, np.arange(3, dtype=np.uint64),
-                                   edges)
-    new = symbolic._extend_levels(lm, [None] * depth + [level],
-                                  depth + 1)[-1]
-    assert new.codes.tolist() == [1, 2, 8, 9, 10]
-    assert_partition(new)
-    assert new.edges[1] == symbolic._inverse_step(lm, False, edges[2:3])[0]
+@pytest.mark.parametrize("beta", [1.7, GOLDEN + 1e-13, SLIVER + 1e-13])
+def test_level_run_ends_match_exact_rational_levels(beta):
+    # the kneading pairs of these models never end, so the levels keep
+    # every run end, however thin: at the two near-sliver models the end
+    # cylinders shrink below 1e-12 from depth 3 (or 5) on. Each exact
+    # cylinder, an interval between neighbouring exact breakpoints, is
+    # named by the exact itinerary of its midpoint; nothing is rounded,
+    # so no width decides emptiness
+    lm = LorenzMap1D(1.0, beta)
+    levels = symbolic._extend_levels(lm, symbolic._ModelStore().levels[0],
+                                     12)
+    thinnest = math.inf
+    for n, level in enumerate(levels):
+        edges = exact_edges(n, beta)
+        words = [exact_itinerary((lo + hi) / 2, n, Fraction(beta))
+                 for lo, hi in zip(edges, edges[1:])]
+        assert symbolic.decode_words(level.codes, n) == words
+        assert np.abs(level.edges - [float(e) for e in edges]).max() < 1e-15
+        thinnest = min(thinnest, *(level.hi - level.lo))
+    assert (thinnest < REFERENCE_WIDTH) == (beta != 1.7)
 
 
 def test_inverse_step_writes_only_out():
