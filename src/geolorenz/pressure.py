@@ -98,6 +98,9 @@ def pressure_separated(lmap, potential, n, eps, pitch_divisor=6):
     measured against the last kept one a block at a time up to the first
     separated one. Python iterations count the stretches of dropped
     points, not the m grid points; the 4 M guard bounds m, not n x m.
+    The (n, m) orbit matrix is compressed only when some grid orbit hits
+    |x| <= 1e-12, and each point's Birkhoff sum adds the potential's
+    values one orbit row at a time, in orbit order from 0.0.
     """
     if n < 1:
         raise PreconditionError("n must be at least 1")
@@ -120,14 +123,14 @@ def pressure_separated(lmap, potential, n, eps, pitch_divisor=6):
     for j in range(1, n):
         traj[j] = lmap.step_array(traj[j - 1])
         alive &= np.abs(traj[j]) > 1e-12
-    traj = traj.compress(alive, axis=1)
+    if not alive.all():
+        traj = traj.compress(alive, axis=1)
     m = traj.shape[1]
-    # C order: the sum over axis 0 adds the rows in orbit order, from 0.0
-    phi = np.ascontiguousarray(potential.value(traj),
-                               dtype=float).sum(axis=0, initial=0.0)
-
-    step = np.zeros(m - 1)
+    # phi: each point's Birkhoff sum; step: the sup distance of its orbit
+    # to its left neighbour's
+    phi, step = np.zeros(m), np.zeros(m - 1)
     for row in traj:
+        phi += potential.value(row)
         np.maximum(step, np.abs(row[1:] - row[:-1]), out=step)
     # the points not separated from their left neighbour, then m
     breaks = np.append(np.flatnonzero(~(step >= eps)) + 1, m)

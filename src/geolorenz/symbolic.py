@@ -3,8 +3,10 @@
 Itineraries over the alphabet {L, R} (L means x < 0, R means x > 0),
 kneading sequences of the two one-sided limits at the singular point,
 cylinder levels, admissibility of periodic words, periodic orbit location
-by inverse-branch contraction, and subshift-of-finite-type horseshoes
-whose cylinders keep a prescribed distance from x = 0.
+by inverse-branch contraction (one search per word for its point, then
+one backward pass of inverse branches for the rest of its orbit), and
+subshift-of-finite-type horseshoes whose cylinders keep a prescribed
+distance from x = 0.
 
 Everything here that depends on the model (alpha, beta) alone is built
 once per model and kept in the model's store: the cylinder levels, the
@@ -139,19 +141,21 @@ class KneadingPair:
 
 def _mp_itinerary(alpha, beta, x0, depth, dps):
     with mp.workdps(dps):
-        a = mp.mpf(alpha)
-        b = mp.mpf(beta)
-        x = mp.mpf(x0)
+        a, b, x = mp.mpf(alpha), mp.mpf(beta), mp.mpf(x0)
+        # converted once, not at every comparison and step
+        tol, one = mp.mpf(SINGULAR_TOL), mp.mpf(1)
         word = []
         for _ in range(depth):
-            if abs(x) < SINGULAR_TOL:
+            if abs(x) < tol:
                 return "".join(word), True
+            # y**1 is y exactly in mpmath, so alpha = 1 skips the power
+            y = abs(x) if alpha == 1.0 else abs(x) ** a
             if x > 0:
                 word.append("R")
-                x = -1 + b * x ** a
+                x = b * y - one
             else:
                 word.append("L")
-                x = 1 - b * (-x) ** a
+                x = one - b * y
         return "".join(word), False
 
 
@@ -582,61 +586,68 @@ def is_primitive(word):
 def _periodic_points(lmap, words):
     """Periodic points and multipliers of primitive words, all at once.
 
-    The point of a word is the unique fixed point of its composed inverse
-    branches; each inverse contracts by at least 1/min_slope, so plain
-    iteration from 0 converges geometrically. Every rotation of every
-    word iterates together, one `_inverse_step` per symbol, each from its
-    own last symbol backwards, and a row is frozen after the first pass
-    through its word that moves it by less than 1e-15 (or after its pass
-    limit). Rotation j of a word gives the orbit point f^j(x), so the
-    multiplier, the product of |f'| along the orbit, is read at points
-    located by contraction: the expanding forward map would multiply a
-    last-bit error in x by up to the multiplier itself. Words may differ
-    in length. Returns (points, multipliers) as arrays; raises
-    PreconditionError if some f(f^j(x)) misses f^(j+1)(x) by over 1e-10.
+    The point x_0 of a word w of period p is the unique fixed point of
+    its composed inverse branches g_{w[0]} o ... o g_{w[p-1]}; each
+    inverse contracts by at least 1/min_slope, so plain iteration from 0
+    converges geometrically. One row per word iterates, one
+    `_inverse_step` per symbol from the word's last symbol backwards, and
+    a row is frozen after the first pass through its word that moves it
+    by less than 1e-15 (or after its pass limit). One backward pass then
+    locates the rest of the orbit by contraction too: x_j =
+    g_{w[j]}(x_{j+1}) for j = p - 1 down to 1, with x_p = x_0. The
+    multiplier, the product of |f'| along the orbit, is read at these
+    points: the expanding forward map would multiply a last-bit error in
+    x_0 by up to the multiplier itself. Words may differ in length.
+    Returns (x_0, multipliers) as arrays. Raises DomainError if some
+    x_j lies within SINGULAR_TOL of 0, and PreconditionError if some
+    f(x_j) misses x_{j+1} by over 1e-10: each edge but x_0 -> x_1 is one
+    inverse step, which misses only where it clamped, and that edge
+    tests that x_0 closed up.
     """
     periods = np.array([len(w) for w in words])
     # padded to one width; no word is read past its own length
     width = int(periods.max())
-    symbols = symbol_matrix([w.ljust(width, "L") for w in words])
-    # one row per rotation: row first[k] + j is word k rotated by j
-    first = np.concatenate([[0], np.cumsum(periods)[:-1]])
-    word_of = np.repeat(np.arange(len(words)), periods)
-    period = periods[word_of]
-    step = np.arange(len(word_of)) - first[word_of]
-    row_symbols = np.stack([symbols[word_of, (i + step) % period]
-                            for i in range(width)], axis=1)
-    x = np.zeros(len(word_of))
+    symbols = symbol_matrix([w.ljust(width, "L") for w in words]) == 1
+    x = np.zeros(len(words))
     start = x.copy()       # each row's point at the start of its pass
-    pos = period - 1       # the next symbol of each row
+    pos = periods - 1      # the next symbol of each row
     # contraction per pass is min_slope**-p; bound the passes accordingly
-    passes = np.maximum(60, 200 // period + 10)
-    live = np.arange(len(word_of))
+    passes = np.maximum(60, 200 // periods + 10)
+    live = np.arange(len(words))
     while live.size:
-        x[live] = _inverse_step(lmap, row_symbols[live, pos[live]] == 1,
-                                x[live])
+        x[live] = _inverse_step(lmap, symbols[live, pos[live]], x[live])
         pos[live] -= 1
         ended = live[pos[live] < 0]
         passes[ended] -= 1
         done = ended[(np.abs(x[ended] - start[ended]) < 1e-15)
                      | (passes[ended] == 0)]
         start[ended] = x[ended]
-        pos[ended] = period[ended] - 1
+        pos[ended] = periods[ended] - 1
         pos[done] = -1  # frozen: no next symbol
         live = live[pos[live] >= 0]
-    if (x == 0.0).any():
+    # orbit[k, j] is x_j of word k; every column starts at x_0, so
+    # orbit[k, p] = x_0 closes the orbit
+    orbit = np.repeat(x[:, None], width + 1, axis=1)
+    for j in range(width - 1, 0, -1):
+        rows = np.flatnonzero(periods > j)
+        orbit[rows, j] = _inverse_step(lmap, symbols[rows, j],
+                                       orbit[rows, j + 1])
+    # the orbits one after another: points[i] is x_col[i] of word row[i]
+    row, col = np.nonzero(np.arange(width) < periods[:, None])
+    points = orbit[row, col]
+    singular = np.abs(points) < SINGULAR_TOL
+    if singular.any():
         raise DomainError("periodic orbit of %r hits the singularity"
-                          % words[word_of[np.argmax(x == 0.0)]])
-    successor = first[word_of] + (step + 1) % period
-    defect = np.abs(lmap.step_array(x) - x[successor])
+                          % words[row[np.argmax(singular)]])
+    defect = np.abs(lmap.step_array(points) - orbit[row, col + 1])
     if defect.max() > 1e-10:
         k = int(np.argmax(defect))
         raise PreconditionError(
             "periodic-point iteration failed to close up on %r (defect %.3e); "
             "this indicates an internal inconsistency"
-            % (words[word_of[k]], defect[k]))
-    slope = lmap.alpha * lmap.beta * np.abs(x) ** (lmap.alpha - 1.0)
-    return x[first], np.multiply.reduceat(slope, first)
+            % (words[row[k]], defect[k]))
+    slope = lmap.alpha * lmap.beta * np.abs(points) ** (lmap.alpha - 1.0)
+    return x, np.multiply.reduceat(slope, np.cumsum(periods) - periods)
 
 
 def _periodic_admissible(symbols, kp):

@@ -32,6 +32,7 @@ from geolorenz import (
     pressure_transfer,
 )
 from geolorenz.catalog import CatalogRecipe
+from geolorenz.potentials import parse_potential_spec
 
 
 class Shifted:
@@ -178,6 +179,81 @@ def test_separated_scan_keeps_exact_ties():
     assert (est.value, est.params["separated_points"]) == _separated_oracle(
         lm, coord, 2, 1.5, pitch_divisor=11)
     assert est.params["separated_points"] == 4
+
+
+def reference_separated(lmap, potential, n, eps, pitch_divisor=6):
+    """`pressure_separated` as it was when every scan compressed its
+    orbit matrix and summed the potential over one (n, m) matrix; kept
+    verbatim as the oracle of the row-by-row sums."""
+    if n < 1:
+        raise PreconditionError("n must be at least 1")
+    if eps <= 0.0:
+        raise PreconditionError("eps must be positive")
+    if pitch_divisor < 4:
+        raise PreconditionError("pitch divisor below 4 violates the pitch bound")
+    pitch = eps / pitch_divisor
+    count = int(math.floor(2.0 / pitch)) + 1
+    if count > 4_000_000:
+        raise PreconditionError(
+            "grid too coarse to honor pitch <= eps/%d within the memory "
+            "budget (%d points needed)" % (pitch_divisor, count))
+    xs = np.linspace(-1.0, 1.0, count)
+    xs = xs[np.abs(xs) > 1e-12]
+
+    traj = np.empty((n, xs.size))
+    traj[0] = xs
+    alive = np.ones(xs.size, dtype=bool)
+    for j in range(1, n):
+        traj[j] = lmap.step_array(traj[j - 1])
+        alive &= np.abs(traj[j]) > 1e-12
+    traj = traj.compress(alive, axis=1)
+    m = traj.shape[1]
+    # C order: the sum over axis 0 adds the rows in orbit order, from 0.0
+    phi = np.ascontiguousarray(potential.value(traj),
+                               dtype=float).sum(axis=0, initial=0.0)
+
+    step = np.zeros(m - 1)
+    for row in traj:
+        np.maximum(step, np.abs(row[1:] - row[:-1]), out=step)
+    # the points not separated from their left neighbour, then m
+    breaks = np.append(np.flatnonzero(~(step >= eps)) + 1, m)
+    keep = np.zeros(m, dtype=bool)
+    start = 0
+    while start < m:
+        # keep `start` and its run; point `stop` is too close to stop - 1
+        stop = int(breaks[np.searchsorted(breaks, start + 1)])
+        keep[start:stop] = True
+        start, width = stop + 1, 16
+        while start < m:
+            gap = traj[:, start:start + width] - traj[:, stop - 1, None]
+            far = np.abs(gap).max(axis=0) >= eps
+            if far.any():
+                start += int(far.argmax())
+                break
+            start, width = start + width, 2 * width
+    weights = phi[keep]
+    mshift = float(np.max(weights))
+    value = (math.log(float(np.sum(np.exp(weights - mshift)))) + mshift) / n
+
+    slack = math.log(4.0) / n + potential.lipschitz_bound() * eps
+    return pressure.PressureEstimate(value, "separated",
+                                     {"n": n, "eps": eps, "pitch": pitch,
+                                      "separated_points": int(keep.sum())},
+                                     slack)
+
+
+# beta = 1.5 maps the grid points +-2/3 to 0, so two orbits die on every
+# grid there and the scan still compresses its orbit matrix
+@pytest.mark.parametrize("alpha, beta", [(1.0, 1.5), (1.0, 1.945),
+                                         (0.8, 1.985)])
+def test_separated_scan_matches_matrix_sum_reference(alpha, beta):
+    lm = LorenzMap1D(alpha, beta)
+    for spec in ("const:0.3", "coord:x", "grid:seed:7"):
+        pot = parse_potential_spec(spec)
+        for n, eps in ((18, 1e-3), (2, 1e-4), (2, 1e-3), (8, 1e-2)):
+            got = pressure_separated(lm, pot, n, eps)
+            want = reference_separated(lm, pot, n, eps)
+            assert got.as_dict() == want.as_dict(), (spec, n, eps)
 
 
 def test_transfer_depth_guard(lmap):

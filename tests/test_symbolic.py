@@ -18,6 +18,7 @@ import pytest
 
 from geolorenz import (
     ConstantPotential,
+    DomainError,
     EmptyHorseshoeError,
     InadmissibleWordError,
     LorenzMap1D,
@@ -1019,6 +1020,139 @@ def test_periodic_multipliers_match_high_precision(fresh_model_cache):
     want = [mp_multiplier(0.8, 1.99, r.word) for r in records]
     np.testing.assert_allclose([r.multiplier for r in records], want,
                                rtol=1e-13, atol=0.0)
+
+
+def reference_periodic_points(lmap, words):
+    """`_periodic_points` as it was when every rotation of every word was
+    its own row, each iterated from 0 to its own freeze; kept verbatim as
+    the oracle of the one-row-per-word search."""
+    periods = np.array([len(w) for w in words])
+    # padded to one width; no word is read past its own length
+    width = int(periods.max())
+    symbols = symbolic.symbol_matrix([w.ljust(width, "L") for w in words])
+    # one row per rotation: row first[k] + j is word k rotated by j
+    first = np.concatenate([[0], np.cumsum(periods)[:-1]])
+    word_of = np.repeat(np.arange(len(words)), periods)
+    period = periods[word_of]
+    step = np.arange(len(word_of)) - first[word_of]
+    row_symbols = np.stack([symbols[word_of, (i + step) % period]
+                            for i in range(width)], axis=1)
+    x = np.zeros(len(word_of))
+    start = x.copy()       # each row's point at the start of its pass
+    pos = period - 1       # the next symbol of each row
+    # contraction per pass is min_slope**-p; bound the passes accordingly
+    passes = np.maximum(60, 200 // period + 10)
+    live = np.arange(len(word_of))
+    while live.size:
+        x[live] = symbolic._inverse_step(
+            lmap, row_symbols[live, pos[live]] == 1, x[live])
+        pos[live] -= 1
+        ended = live[pos[live] < 0]
+        passes[ended] -= 1
+        done = ended[(np.abs(x[ended] - start[ended]) < 1e-15)
+                     | (passes[ended] == 0)]
+        start[ended] = x[ended]
+        pos[ended] = period[ended] - 1
+        pos[done] = -1  # frozen: no next symbol
+        live = live[pos[live] >= 0]
+    if (x == 0.0).any():
+        raise DomainError("periodic orbit of %r hits the singularity"
+                          % words[word_of[np.argmax(x == 0.0)]])
+    successor = first[word_of] + (step + 1) % period
+    defect = np.abs(lmap.step_array(x) - x[successor])
+    if defect.max() > 1e-10:
+        k = int(np.argmax(defect))
+        raise PreconditionError(
+            "periodic-point iteration failed to close up on %r (defect %.3e); "
+            "this indicates an internal inconsistency"
+            % (words[word_of[k]], defect[k]))
+    slope = lmap.alpha * lmap.beta * np.abs(x) ** (lmap.alpha - 1.0)
+    return x[first], np.multiply.reduceat(slope, first)
+
+
+def admissible_necklaces(lm, n_max, kp):
+    """The least rotations of the primitive periodically admissible words
+    of length <= n_max, by period then word, from the string oracle."""
+    words = []
+    for p in range(1, n_max + 1):
+        necklaces = {least_rotation("".join(t))
+                     for t in itertools.product("LR", repeat=p)}
+        words += sorted(w for w in necklaces if symbolic.is_primitive(w)
+                        and periodic_word_admissible(w, kp))
+    return words
+
+
+@pytest.mark.parametrize("alpha, beta", LAP_MODELS + LAP_GRID
+                         + [(1.0, GOLDEN), (1.0, SLIVER)])
+def test_periodic_points_match_every_rotation_reference(fresh_model_cache,
+                                                        alpha, beta):
+    # one row per word iterates as each word's rotation 0 did, so the
+    # points are its bits; the other orbit points come from one backward
+    # pass instead of their own searches, so a multiplier of alpha != 1
+    # may move in its last bits (at alpha = 1 every |f'| is alpha * beta)
+    lm = LorenzMap1D(alpha, beta)
+    kp = kneading(lm, 280)
+    words = admissible_necklaces(lm, 10, kp)
+    words += [w for w in ("LRRLLRLRRRLL", "LRR" * 23 + "L")
+              if periodic_word_admissible(w, kp)]
+    try:
+        want = reference_periodic_points(lm, words)
+    except DomainError:
+        # the two sliver models: an orbit through the singularity
+        with pytest.raises(DomainError):
+            enumerate_periodic(lm, 10)
+        return
+    got = symbolic._periodic_points(lm, words)
+    assert np.array_equal(got[0], want[0])
+    if alpha == 1.0:
+        assert np.array_equal(got[1], want[1])
+    else:
+        # both searches place each orbit point within about an ulp of 1,
+        # and |f'| ~ |x|^(alpha - 1) turns an absolute error d in x into
+        # a relative one of (1 - alpha) d / |x|; with one rounding per
+        # factor that bounds each product's relative difference. A flat
+        # 1e-15 fails on LLRLLRLRR at (0.9, 1.58), 1.3e-15 apart
+        eps = np.finfo(float).eps
+        bound = [sum((1.0 - alpha) * 2.0 * eps / abs(q) + eps
+                     for q in lm.iterate(x, len(w)))
+                 for w, x in zip(words, got[0])]
+        assert (np.abs(got[1] - want[1]) <= np.multiply(bound, want[1])).all()
+    records = enumerate_periodic(lm, 10)
+    assert [r.word for r in records] == words[:len(records)]
+    assert np.array_equal([r.point for r in records],
+                          want[0][:len(records)])
+
+
+def reference_mp_itinerary(alpha, beta, x0, depth, dps):
+    """`_mp_itinerary` as it was when each step converted its constants
+    and took the power at alpha = 1 too; kept verbatim as its oracle."""
+    with mpmath.workdps(dps):
+        a = mpmath.mpf(alpha)
+        b = mpmath.mpf(beta)
+        x = mpmath.mpf(x0)
+        word = []
+        for _ in range(depth):
+            if abs(x) < symbolic.SINGULAR_TOL:
+                return "".join(word), True
+            if x > 0:
+                word.append("R")
+                x = -1 + b * x ** a
+            else:
+                word.append("L")
+                x = 1 - b * (-x) ** a
+        return "".join(word), False
+
+
+@pytest.mark.parametrize("alpha, beta", LAP_MODELS + LAP_GRID + NEAR_SLIVERS
+                         + [(1.0, GOLDEN), (1.0, SLIVER)])
+def test_itineraries_match_the_converting_reference(alpha, beta):
+    # the depths of enumerate_periodic(10) and of a 70-letter word; the
+    # slivers end their words within 4 symbols, the near slivers never
+    for depth in (64, 280):
+        dps = 30 + math.ceil(depth * math.log10(beta))
+        for x0 in (1.0, -1.0):
+            assert (symbolic._mp_itinerary(alpha, beta, x0, depth, dps)
+                    == reference_mp_itinerary(alpha, beta, x0, depth, dps))
 
 
 def test_enumerate_periodic_serves_shorter_requests(monkeypatch,
