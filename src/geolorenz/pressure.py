@@ -126,9 +126,10 @@ def pressure_separated(lmap, potential, n, eps, pitch_divisor=6):
     if not alive.all():
         traj = traj.compress(alive, axis=1)
     m = traj.shape[1]
-    # phi: each point's Birkhoff sum; step: the sup distance of its orbit
-    # to its left neighbour's
-    phi, step = np.zeros(m), np.zeros(m - 1)
+    # each point's Birkhoff sum, from 0.0 in orbit order, and the sup
+    # distance of its orbit to its left neighbour's
+    phi = np.zeros(m)
+    step = np.zeros(m - 1)
     for row in traj:
         phi += potential.value(row)
         np.maximum(step, np.abs(row[1:] - row[:-1]), out=step)

@@ -141,7 +141,9 @@ class KneadingPair:
 
 def _mp_itinerary(alpha, beta, x0, depth, dps):
     with mp.workdps(dps):
-        a, b, x = mp.mpf(alpha), mp.mpf(beta), mp.mpf(x0)
+        a = mp.mpf(alpha)
+        b = mp.mpf(beta)
+        x = mp.mpf(x0)
         # converted once, not at every comparison and step
         tol, one = mp.mpf(SINGULAR_TOL), mp.mpf(1)
         word = []
