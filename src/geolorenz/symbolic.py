@@ -119,10 +119,11 @@ class KneadingPair:
     """Itineraries k_minus of f(0-) = 1 and k_plus of f(0+) = -1.
 
     truncated is True when a critical orbit came within SINGULAR_TOL of 0
-    before reaching the requested depth; the words then end early and
-    admissibility tests against them are only valid to the shorter depth.
-    A word that ended within d symbols makes one run end of level d + 1
-    empty (`_extend_levels`); no width test overrules it.
+    before reaching the requested depth; the words then end early. A
+    word that ended within d symbols makes one run end of level d + 1
+    empty (`_extend_levels`); no width test overrules it. Periodic words
+    are compared with the one-sided itineraries that an ended pair
+    continues into (`_periodic_admissible`).
     """
 
     def __init__(self, k_minus, k_plus, truncated=False):
@@ -659,11 +660,26 @@ def _periodic_admissible(symbols, kp):
     if it begins with R and >= k_plus if it begins with L, in lexicographic
     order with L < R: the first differing symbol decides, and a tie passes.
     All rotations of all rows are compared at once, as one uint8 array.
+
+    A truncated pair is compared through the one-sided itineraries it
+    stands for. When the orbit of f(0+) = -1 reaches 0 after its K
+    symbols, the orbit of f(0+ + e) = -1 + beta e^alpha passes 0 on the
+    right, since both branches are increasing, and returns near -1; so
+    the itinerary of f(0+) is (k_plus + "R")^inf, and that of f(0-) is
+    (k_minus + "L")^inf alike. Both repeat with period K + 1, so reading
+    them to 64 symbols, or to p + K + 1 if that is longer, decides every
+    rotation of w^inf: two periodic sequences that agree so far agree
+    everywhere (Fine and Wilf).
     """
     p = symbols.shape[1]
+    k_plus, k_minus = kp.k_plus, kp.k_minus
     depth = kp.depth
+    if kp.truncated:
+        depth = max(64, p + max(len(k_plus), len(k_minus)) + 1)
+        k_plus = (k_plus + "R") * depth
+        k_minus = (k_minus + "L") * depth
     # row 0 bounds the rotations that begin with L, row 1 those with R
-    bounds = symbol_matrix([kp.k_plus[:depth], kp.k_minus[:depth]])
+    bounds = symbol_matrix([k_plus[:depth], k_minus[:depth]])
     # rotation r of w^inf, read to the kneading depth
     ext = symbols[:, (np.arange(p)[:, None] + np.arange(depth)) % p]
     lead = ext[:, :, 0]
@@ -944,19 +960,22 @@ def build_horseshoe(lmap, depth, x_gap):
     return horseshoe
 
 
-def _neighbours(adjacency, frontier):
-    """The targets of the edges out of `frontier`, with repeats.
+def _neighbours(adjacency, dead, frontier):
+    """The live targets of the edges out of `frontier`, with repeats, as
+    np.intp indices.
 
     `adjacency` is (count, first, targets): the targets of vertex u are
     targets[first[u]:first[u] + count[u]], so a round gathers only the
-    edges of its frontier.
+    edges of its frontier. A target is live unless `dead` marks it.
     """
     count, first, targets = adjacency
     size = count[frontier]
-    end = np.cumsum(size)
+    end = np.cumsum(size, dtype=np.int32)
     # entry k of frontier vertex f's run sits at first[f] + k
     pos = np.repeat(first[frontier] - (end - size), size)
-    return targets[pos + np.arange(pos.size)]
+    pos += np.arange(pos.size, dtype=np.int32)
+    hit = targets[pos].astype(np.intp)
+    return hit[~dead[hit]]
 
 
 def _distinct(values, slot):
@@ -965,9 +984,90 @@ def _distinct(values, slot):
     `slot` is scratch space with an entry for every value; the last write
     to a slot wins, so each value keeps one entry, without a sort.
     """
-    rank = np.arange(values.size)
+    rank = np.arange(values.size, dtype=slot.dtype)
     slot[values] = rank
     return values[slot[values] == rank]
+
+
+def _component(adjacency, dead, slot, pivot):
+    """The component of the live vertex `pivot`: the vertices that one
+    breadth-first search from `pivot` and `pivot` + n reaches in both
+    halves of the graph (see `strongly_connected_components`). A search
+    marks what it visits `dead` and unmarks what it reached in one half
+    only, so the component is left dead in both.
+    """
+    n = dead.size // 2
+    frontier = np.array([pivot, pivot + n])
+    visited = []
+    while frontier.size:
+        dead[frontier] = True
+        visited.append(frontier)
+        frontier = _distinct(_neighbours(adjacency, dead, frontier), slot)
+    visited = np.concatenate(visited)
+    half = visited % n
+    both = dead[half] & dead[half + n]
+    dead[visited[~both]] = False
+    return visited[both & (visited < n)]
+
+
+def _adjacency(table):
+    """The graph of `strongly_connected_components` on a (n, 2) successor
+    table, as the int32 arrays (count, first, targets) that `_neighbours`
+    reads: the edges u -> v sorted by source u, then their reversals
+    v + n -> u + n sorted by source v. The edge lists and the sort order
+    it is built from go with the call."""
+    n = len(table)
+    has = table >= 0
+    # the edges u -> v by source u, row by row
+    dst = table[has].astype(np.int32)
+    edges = dst.size
+    # count[u] is u's out-degree and count[v + n] v's in-degree
+    count = np.empty(2 * n, dtype=np.int32)
+    count[:n] = has.sum(axis=1)
+    count[n:] = np.bincount(dst, minlength=n)
+    targets = np.empty(2 * edges, dtype=np.int32)
+    targets[:edges] = dst
+    # each edge's source u + n, in the stable order of its target v
+    targets[edges:] = np.repeat(np.arange(n, 2 * n, dtype=np.int32),
+                                count[:n])[np.argsort(dst, kind="stable")]
+    first = np.cumsum(count, dtype=np.int32)
+    first -= count
+    return count, first, targets
+
+
+def _roots(adjacency):
+    """The smallest vertex of each vertex's component, by the rounds of
+    `strongly_connected_components` on the graph of `_adjacency`."""
+    count = adjacency[0]
+    n = count.size // 2
+    # the live in-degrees of the first half, then the live out-degrees
+    degree = np.concatenate([count[n:], count[:n]])
+    slot = np.empty(2 * n, dtype=np.int32)
+    # dead in both halves: vertices trimmed or in a component found; a
+    # search marks what it visits here too and unmarks it afterwards
+    dead = np.zeros(2 * n, dtype=bool)
+    # a pivot is the smallest live vertex, and components die whole
+    root = np.arange(n, dtype=np.int32)
+    pivot = 0
+    live = n
+    dying = np.flatnonzero((degree[:n] == 0) | (degree[n:] == 0))
+    while True:
+        while dying.size:
+            dead[dying] = True
+            dead[dying + n] = True
+            live -= dying.size
+            if not live:
+                return root
+            hit = _neighbours(adjacency, dead,
+                              np.concatenate([dying, dying + n]))
+            # an int32 step: a Python int takes numpy's slow path here
+            np.subtract.at(degree, hit, np.int32(1))
+            hit %= n
+            dying = _distinct(hit[(degree[hit] == 0) | (degree[hit + n] == 0)],
+                              slot)
+        pivot += int(np.argmin(dead[pivot:n]))
+        dying = _component(adjacency, dead, slot, pivot)
+        root[dying] = pivot
 
 
 def strongly_connected_components(graph):
@@ -987,60 +1087,25 @@ def strongly_connected_components(graph):
     component, which dies in turn. Each round works on the edges of its
     own frontier only.
 
-    Returns a list of index arrays, one per component, each ascending,
-    in a deterministic order (by smallest contained vertex index).
+    The arrays kept through the rounds (counts, edge offsets, targets,
+    degrees, scratch slots and roots) are int32: a horseshoe, or a
+    subgraph of one, has n <= 2^MAX_DEPTH vertices and at most 2n edges,
+    so the 2n vertices and 4n edge entries of the graph stay below 2^31.
+    A round's own index arrays are np.intp, which numpy indexes with no
+    conversion. The build's edge lists and sort order are freed once the
+    adjacency holds them, and the graph before the output is built. At
+    alpha = 0.8, beta = 1.9884, depth 14, x_gap 0.002 (16,160 vertices,
+    32,192 edges) a call allocates at most about 110 bytes per vertex
+    (tracemalloc), where int64 arrays took 242.
+
+    Returns a list of index arrays, one per component, each ascending
+    and of dtype np.intp, in a deterministic order (by smallest contained
+    vertex index).
     """
-    n = graph.n_vertices
-    if not n:
+    if not graph.n_vertices:
         return []
-    table = graph.next
-    has = table >= 0
-    # the edges u -> v by source u, row by row, then reversed by source v
-    dst = table[has]
-    out_degree = has.sum(axis=1)
-    in_degree = np.bincount(dst, minlength=n)
-    src = np.repeat(np.arange(n), out_degree)[np.argsort(dst, kind="stable")]
-    count = np.concatenate([out_degree, in_degree])
-    adjacency = (count, np.cumsum(count) - count, np.concatenate([dst, src + n]))
-    degree = np.concatenate([in_degree, out_degree])
-    slot = np.empty(2 * n, dtype=np.int64)
-    # dead in both halves: vertices trimmed or in a component found; a
-    # search marks what it visits here too and unmarks it afterwards
-    dead = np.zeros(2 * n, dtype=bool)
-    # the smallest vertex of each vertex's component: a pivot is the
-    # smallest live vertex, and components die whole
-    root = np.arange(n)
-    pivot = 0
-    live = n
-    dying = np.flatnonzero((degree[:n] == 0) | (degree[n:] == 0))
-    while True:
-        while dying.size:
-            dead[dying] = True
-            dead[dying + n] = True
-            live -= dying.size
-            if not live:
-                break
-            hit = _neighbours(adjacency, np.concatenate([dying, dying + n]))
-            np.subtract.at(degree, hit, 1)
-            hit = hit[~dead[hit]] % n
-            dying = _distinct(hit[(degree[hit] == 0) | (degree[hit + n] == 0)],
-                              slot)
-        if not live:
-            break
-        pivot += int(np.argmin(dead[pivot:n]))
-        frontier = np.array([pivot, pivot + n])
-        visited = []
-        while frontier.size:
-            dead[frontier] = True
-            visited.append(frontier)
-            hit = _neighbours(adjacency, frontier)
-            frontier = _distinct(hit[~dead[hit]], slot)
-        visited = np.concatenate(visited)
-        half = visited % n
-        both = dead[half] & dead[half + n]
-        dead[visited[~both]] = False
-        dying = visited[both & (visited < n)]
-        root[dying] = pivot
+    root = _roots(_adjacency(graph.next))
+    # argsort returns np.intp, the dtype of every component
     order = np.argsort(root, kind="stable")
     return np.split(order, np.flatnonzero(np.diff(root[order])) + 1)
 

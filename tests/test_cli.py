@@ -99,6 +99,19 @@ def test_orbits_table(tmp_path):
     assert all(float(r["multiplier"]) > math.sqrt(2.0) for r in rows)
 
 
+@pytest.mark.parametrize("beta", ["1.618033988749895",
+                                  "1.9275619754829254"])
+def test_orbits_at_sliver_models(tmp_path, beta):
+    # finite kneading: the pair ends at 0 after 2 or 4 symbols, and the
+    # fixed-point words are inadmissible, not an internal fault (exit 3)
+    cfg = tmp_path / "sliver.cfg"
+    cfg.write_text("model.beta = %s\n" % beta)
+    out = str(tmp_path / "r")
+    assert run(["--config", str(cfg), "--out", out, "orbits",
+                "--max-period", "2"]) == 0
+    assert [r["word"] for r in read_json(out, "orbits")["orbits"]] == ["LR"]
+
+
 def test_horseshoe_summary(tmp_path):
     out = str(tmp_path / "r")
     assert run(["--out", out, "horseshoe", "--depth", "10",

@@ -9,6 +9,7 @@ scratch and compared.
 import itertools
 import math
 import re
+import tracemalloc
 import types
 from fractions import Fraction
 
@@ -937,6 +938,34 @@ def test_scc_on_masked_shadow_graph(horseshoe12):
         assert len(assert_same_components(shadow)) > 1
 
 
+@pytest.mark.parametrize("alpha, beta", [(1.0, 1.945), (0.8, 1.985)])
+def test_scc_matches_kosaraju_at_sweep_size(alpha, beta):
+    # the depth-14 horseshoes of the two hardest sweep models, 12,000 to
+    # 16,000 vertices
+    lm = LorenzMap1D(alpha, beta)
+    for x_gap in (0.002, 0.0):
+        graph = build_horseshoe(lm, 14, x_gap)
+        assert graph.n_vertices > 10000
+        for comp in assert_same_components(graph):
+            assert comp.dtype == np.intp
+            assert (np.diff(comp) > 0).all()
+
+
+def test_scc_working_set_per_vertex():
+    # 16,160 vertices and 32,192 edges; the int64 arrays that held each
+    # count, offset and edge twice peaked at 242 bytes per vertex here
+    graph = build_horseshoe(LorenzMap1D(0.8, 1.9884), 14, 0.002)
+    want = [c.tolist() for c in strongly_connected_components(graph)]
+    tracemalloc.start()
+    try:
+        got = strongly_connected_components(graph)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [c.tolist() for c in got] == want
+    assert peak / graph.n_vertices <= 242 / 2
+
+
 def scalar_periodic(lm, words):
     """(point, multiplier) of each word by scalar inverse-branch iteration.
 
@@ -1252,3 +1281,53 @@ def test_long_primitive_words_against_the_oracle(fresh_model_cache, lmap):
     assert rec.multiplier == pytest.approx(1.7 ** 70, rel=1e-12)
     with pytest.raises(InadmissibleWordError):
         find_periodic_point(lmap, bad)
+
+
+def contraction_orbit(beta, word):
+    """The orbit x_0, ..., x_(p-1) of word^inf at alpha = 1, located in
+    40-digit arithmetic by unclipped inverse-branch contraction; it reads
+    no kneading pair.
+
+    At alpha = 1 the inverse branches (x + 1) / beta (R) and
+    (x - 1) / beta (L) are affine and defined on the whole line, so
+    their composition contracts to one fixed point whether or not the
+    word is realized. The word is realized iff every x_j lies in
+    [-1, 1] on the side of 0 that w[j] names.
+    """
+    with mpmath.workdps(40):
+        b = mpmath.mpf(beta)
+        x = mpmath.mpf(0)
+        for _ in range(int(45 / (len(word) * math.log10(beta))) + 2):
+            for s in reversed(word):
+                x = (x + 1) / b if s == "R" else (x - 1) / b
+        # x_j = g_{w[j]}(x_{j+1}) for j = p - 1 down to 1, with x_p = x_0
+        back = [x]
+        for s in reversed(word[1:]):
+            back.append((back[-1] + 1) / b if s == "R" else (back[-1] - 1) / b)
+        return [x] + back[:0:-1]
+
+
+@pytest.mark.parametrize("beta, n_max", [(GOLDEN, 2), (SLIVER, 4),
+                                         (1.7, 8), (1.945, 8)])
+def test_periodic_words_match_contraction_oracle(fresh_model_cache, beta,
+                                                 n_max):
+    # the slivers' kneading pairs end after K = 2 and K = 4 symbols, and
+    # their critical orbits LLR and LLLLR run through 0 (DomainError), so
+    # n_max stops below them; 'L' and 'R' used to be admitted there
+    lm = LorenzMap1D(1.0, beta)
+    want, points = [], []
+    for p in range(1, n_max + 1):
+        for w in sorted({least_rotation("".join(t))
+                         for t in itertools.product("LR", repeat=p)}):
+            if not symbolic.is_primitive(w):
+                continue
+            orbit = contraction_orbit(beta, w)
+            if all(-1 <= x <= 1 and x != 0 and (x > 0) == (s == "R")
+                   for x, s in zip(orbit, w)):
+                want.append(w)
+                points.append(float(orbit[0]))
+    assert want
+    records = enumerate_periodic(lm, n_max)
+    assert [r.word for r in records] == want
+    np.testing.assert_allclose([r.point for r in records], points,
+                               rtol=0.0, atol=1e-13)
