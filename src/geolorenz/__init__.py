@@ -13,10 +13,9 @@ gap with the Dirac measure at the singularity isolated on top.
 from .catalog import (CatalogRecipe, DEFAULT_RECIPE, GAP_CORE_RECIPE,
                       GAP_DEMONSTRATOR_RECIPE, HorseshoeSpec, build_catalog)
 from .config import RunConfig, default_config, load_config, parse_config_text
-from .errors import (BracketFailureError, ConfigError, DepthTooShallowError,
-                     DomainError, EmptyHorseshoeError, EtaTooLargeError,
-                     GeolorenzError, InadmissibleWordError, NoWitnessError,
-                     PreconditionError)
+from .errors import (BracketFailureError, ConfigError, DomainError,
+                     EmptyHorseshoeError, EtaTooLargeError, GeolorenzError,
+                     InadmissibleWordError, NoWitnessError, PreconditionError)
 from .measures import (AtomicMeasure, ConvexMeasure, FlowMeasureStats,
                        MarkovMeasure, SingularDeltaMeasure, convex_combine,
                        entropy_map, integrate_many, integrate_map,

@@ -22,13 +22,15 @@ Keys, types and defaults:
   output.dir             str     reports
   output.format          enum    both        (both | json | csv)
 
-A horseshoe spec is depth:x_gap:t1,t2,...; several specs are separated
-by semicolons. catalog.periods and catalog.extra_words may be empty.
+The catalog.* defaults are read from `catalog.DEFAULT_RECIPE`, so a run
+from the default config and `repro` build the same catalog. A horseshoe
+spec is depth:x_gap:t1,t2,...; several specs are separated by
+semicolons. catalog.periods and catalog.extra_words may be empty.
 """
 
 import hashlib
 
-from .catalog import CatalogRecipe, HorseshoeSpec
+from .catalog import DEFAULT_RECIPE, CatalogRecipe, HorseshoeSpec
 from .errors import ConfigError, PreconditionError
 from .model import LorenzMap1D, RoofFunction, SkewProductReturnMap
 
@@ -105,11 +107,10 @@ _SCHEMA = {
     "roof.c0": (_parse_float, 1.0),
     "roof.c1": (_parse_float, 1.0),
     "roof.eta0": (_parse_float, 0.5),
-    "catalog.periods": (_parse_ints, (2, 3, 4, 5, 6, 7, 8)),
-    "catalog.extra_words": (_parse_words, ("LRRLLRLRRRLL",)),
-    "catalog.horseshoes": (_parse_horseshoes,
-                           (HorseshoeSpec(12, 0.002, (0.0, 1.0)),)),
-    "catalog.include_delta": (_parse_bool, True),
+    "catalog.periods": (_parse_ints, DEFAULT_RECIPE.periods),
+    "catalog.extra_words": (_parse_words, DEFAULT_RECIPE.extra_words),
+    "catalog.horseshoes": (_parse_horseshoes, DEFAULT_RECIPE.horseshoes),
+    "catalog.include_delta": (_parse_bool, DEFAULT_RECIPE.include_delta),
     "output.dir": (str, "reports"),
     "output.format": (_parse_format, "both"),
 }

@@ -24,10 +24,6 @@ class EmptyHorseshoeError(PreconditionError):
     """x_gap pruned every vertex."""
 
 
-class DepthTooShallowError(PreconditionError):
-    """Requested integration accuracy unreachable at this cylinder depth."""
-
-
 class NoWitnessError(PreconditionError):
     """Catalog lacks a measure on the side the case reduction needs."""
 

@@ -21,7 +21,7 @@ import types
 
 import numpy as np
 
-from .errors import DepthTooShallowError, PreconditionError
+from .errors import PreconditionError
 from .model import abs_range, dwell_array, roof_array
 from .potentials import midpoint_error_many, passage_error_many
 from .symbolic import (ALPHABET, MAX_DEPTH, _inverse_step, _recall, _remember,
@@ -171,13 +171,6 @@ class MarkovMeasure:
         return "MarkovMeasure(%s, %d vertices)" % (self.id,
                                                    self.horseshoe.n_vertices)
 
-    def transition_matrix(self):
-        n = self.horseshoe.n_vertices
-        mat = np.zeros((n, n))
-        src, bit = np.nonzero(self.horseshoe.next >= 0)
-        mat[src, self.horseshoe.next[src, bit]] = self.probs[src, bit]
-        return mat
-
     def cylinder_masses(self, depth):
         """(codes, masses) of the depth-`depth` cylinders (see `_summed`),
         for an integer depth in [0, MAX_DEPTH]."""
@@ -291,23 +284,17 @@ def entropy_map(measure):
     raise PreconditionError("unknown measure variant %r" % (measure,))
 
 
-def integrate_map(potential, measure, depth=DEFAULT_DEPTH, tol=None):
+def integrate_map(potential, measure, depth=DEFAULT_DEPTH):
     """Section integral of the potential with a rigorous error bound.
 
     Returns (value, bound), the one-element call of `integrate_many`.
     Atomic orbits are averaged exactly (bound 0). Markov measures are
     integrated over depth-`depth` cylinder words at cylinder midpoints;
     the bound sums each word's mass against the potential's modulus of
-    continuity on that cylinder. When `tol` is given and the bound
-    exceeds it, DepthTooShallowError is raised.
+    continuity on that cylinder.
     """
     (values, bounds), = _integrate_each([potential], [measure], depth)
-    value, bound = values[0], bounds[0]
-    if tol is not None and bound > tol:
-        raise DepthTooShallowError(
-            "integration error bound %.3g exceeds tolerance %.3g at depth %d"
-            % (bound, tol, depth))
-    return value, bound
+    return values[0], bounds[0]
 
 
 def integrate_many(integrand, measures, depth=DEFAULT_DEPTH):
@@ -533,8 +520,8 @@ def suspend_many(measures, roof, potential, depth=DEFAULT_DEPTH):
     measures = list(measures)
     section = [m for m in measures if not isinstance(m, SingularDeltaMeasure)]
     (roofs, _), (passages, _) = _integrate_each(
-        [_RoofIntegrand(roof), _PassageIntegrand(potential, roof)], section,
-        depth)
+        [_RoofIntegrand("roof", roof_array, roof),
+         _PassageIntegrand(potential, roof)], section, depth)
     flows = iter(zip(roofs, passages))
     out = []
     for m in measures:
@@ -569,8 +556,9 @@ def ball_fractions(stats, b):
         if s.roof is not roof or s.depth != depth:
             raise PreconditionError(
                 "batched ball fractions need one roof and one depth")
-    (dwells, _), = _integrate_each([_DwellIntegrand(roof, b)],
-                                   [s.measure for s in section], depth)
+    (dwells, _), = _integrate_each(
+        [_RoofIntegrand("dwell", dwell_array, roof, b)],
+        [s.measure for s in section], depth)
     dwells = iter(dwells)
     return [1.0 if s.singular
             else float(min(max(next(dwells) / s.mean_roof, 0.0), 1.0))
@@ -650,37 +638,24 @@ def measure_from_payload(lmap, payload):
 # array-native like them
 
 class _RoofIntegrand:
-    """r(x) as an integrand; exact range bounds from monotonicity in |x|.
+    """A function of the roof model monotone in |x|, as an integrand: r(x)
+    (name "roof", fn `roof_array`) or d_b(x), the time within radius b
+    (name "dwell", fn `dwell_array`, args (b,)). Exact range bounds from
+    monotonicity.
 
-    Keyed by the bytes of the roof's (c0, c1, eta0): see `integrate_many`.
+    Values are fn(roof, x, *args). Keyed by the name and the bytes of
+    (c0, c1, eta0, *args): see `integrate_many`.
     """
 
-    def __init__(self, roof):
+    def __init__(self, name, fn, roof, *args):
+        self.fn = fn
         self.roof = roof
-        self.key = ("roof", np.array([roof.c0, roof.c1, roof.eta0]).tobytes())
+        self.args = tuple(float(a) for a in args)
+        self.key = (name, np.array([roof.c0, roof.c1, roof.eta0,
+                                    *self.args]).tobytes())
 
     def value(self, x):
-        out = roof_array(self.roof, x)
-        return out if np.ndim(x) else float(out)
-
-    def midpoint_error(self, lo, hi):
-        return _monotone_range(self.value, lo, hi)
-
-
-class _DwellIntegrand:
-    """d_b(x): time within radius b, monotone nonincreasing in |x|.
-
-    Keyed by the bytes of (c0, c1, eta0, b): see `integrate_many`.
-    """
-
-    def __init__(self, roof, b):
-        self.roof = roof
-        self.b = float(b)
-        self.key = ("dwell", np.array([roof.c0, roof.c1, roof.eta0,
-                                       self.b]).tobytes())
-
-    def value(self, x):
-        out = dwell_array(self.roof, x, self.b)
+        out = self.fn(self.roof, x, *self.args)
         return out if np.ndim(x) else float(out)
 
     def midpoint_error(self, lo, hi):

@@ -68,14 +68,9 @@ class LorenzMap1D:
     def __repr__(self):
         return "LorenzMap1D(alpha=%r, beta=%r)" % (self.alpha, self.beta)
 
-    def deriv(self, x):
-        """|f'(x)| = alpha*beta*|x|**(alpha-1); minimum alpha*beta at |x|=1."""
-        if x == 0.0:
-            raise DomainError("derivative undefined at x = 0")
-        return self.alpha * self.beta * abs(x) ** (self.alpha - 1.0)
-
     def min_slope(self):
-        """Infimum of f' over the domain (attained at |x| = 1)."""
+        """Infimum of f'(x) = alpha*beta*|x|**(alpha-1) over the domain,
+        attained at |x| = 1."""
         return self.alpha * self.beta
 
     def step_array(self, xs):

@@ -210,16 +210,17 @@ class SectionGridPotential:
         return _scalar_or_array(out, lo)
 
     @classmethod
-    def seeded(cls, seed, amplitude=0.3, lipschitz=1.0, n_modes=4, nx=241):
+    def seeded(cls, seed):
         """Deterministic pseudo-random potential with certified bounds.
 
-        A short cosine series in x with a gain 1 + ymod/4, ymod drawn from
-        the seed, rescaled so that both the sup-norm and the Lipschitz
-        constant stay within the requested budgets. Same seed, same
-        function, bit for bit; the gain and its draw are part of what a
-        seed names, so neither can go without changing every seed's
-        samples.
+        A four-mode cosine series in x with a gain 1 + ymod/4, ymod drawn
+        from the seed, rescaled so that its sup-norm stays within 0.3 and
+        its Lipschitz constant within 1, and sampled at 241 points of
+        [-1, 1]. Same seed, same function, bit for bit; the gain and its
+        draw are part of what a seed names, so neither can go without
+        changing every seed's samples.
         """
+        amplitude, lipschitz, n_modes, nx = 0.3, 1.0, 4, 241
         rng = np.random.default_rng(int(seed))
         amps = rng.normal(size=n_modes)
         phases = rng.uniform(0.0, 2.0 * np.pi, size=n_modes)

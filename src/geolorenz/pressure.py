@@ -590,11 +590,11 @@ def _find_lmap(catalog):
 
 
 def estimate_P_bounds(catalog, potential, level="map", roof=None,
-                      depth=12, slack=0.02):
+                      depth=12):
     """(inf, sup) of pressure over the catalog.
 
     The sup is additionally compared with the transfer estimate at map
-    level; a shortfall beyond `slack` flags catalog insufficiency in the
+    level; a shortfall beyond 0.02 flags catalog insufficiency in the
     result (it is not an error). The singular Dirac measure only enters
     at flow level, where its conventions are defined.
     """
@@ -608,21 +608,22 @@ def estimate_P_bounds(catalog, potential, level="map", roof=None,
         lmap = _find_lmap(pool)
         if lmap is not None:
             transfer_value = pressure_transfer(lmap, potential, depth).value
-            flagged = (transfer_value - p_top) > slack
+            flagged = (transfer_value - p_top) > 0.02
     return PressureBounds(p_inf, p_top, transfer_value, flagged)
 
 
-def h_top_estimate(lmap, depth=12):
+def h_top_estimate(lmap):
     """Topological entropy of the base map.
 
     Constant-slope maps have entropy log(beta) in closed form; any other
-    exponent falls back to the transfer estimate at zero potential.
+    exponent falls back to the depth-12 transfer estimate at zero
+    potential.
     """
     if lmap.alpha == 1.0:
         return math.log(lmap.beta)
     from .potentials import ConstantPotential
 
-    return pressure_transfer(lmap, ConstantPotential(0.0), depth).value
+    return pressure_transfer(lmap, ConstantPotential(0.0), 12).value
 
 
 def equilibrium_measure(lmap, horseshoe, potential, t=1.0, label=None):

@@ -765,6 +765,8 @@ def enumerate_periodic(lmap, n_max):
 class SFTHorseshoe:
     """Subshift of finite type over depth-m cylinder words away from x = 0.
 
+    Built by `build_horseshoe`, or by `restrict_horseshoe` from one. The
+    constructor takes the arrays as given and checks none of them.
     `model` is the (alpha, beta) it was built for, and `cyl_lo`, `cyl_hi`
     are its vertices' cylinders in that model's level (see
     `check_model`). vertices are admissible depth-m words, held as
@@ -828,10 +830,6 @@ class SFTHorseshoe:
         adj[src, self.next[src, bit]] = 1
         return adj
 
-    def adjacency_density(self):
-        n = self.n_vertices
-        return self.edge_count() / float(n * n) if n else 0.0
-
     def cyclic_components(self):
         """Strongly connected components that carry a cycle.
 
@@ -859,47 +857,12 @@ class SFTHorseshoe:
         return [(comp, self if sub is None else sub)
                 for comp, sub in self._cyclic]
 
-    @classmethod
-    def from_adjacency(cls, depth, vertices, adjacency, lmap, x_gap=0.0):
-        """Build from an explicit 0/1 adjacency matrix.
-
-        Each allowed edge u -> v must be shift-compatible (v == u[1:] + s).
-        Vertex cylinders are read from the map's level, and a vertex with
-        none raises InadmissibleWordError naming it. Intended for
-        hand-built subshifts such as the full 2-shift or the golden-mean
-        shift. Raises PreconditionError unless the depth is an integer in
-        [1, MAX_DEPTH], the depths whose cylinders the levels hold.
-        """
-        depth = check_depth(depth, "horseshoe", 1)
-        adjacency = np.asarray(adjacency)
-        n = len(vertices)
-        if adjacency.shape != (n, n):
-            raise PreconditionError("adjacency shape mismatch")
-        for w in vertices:
-            check_word(w)
-            if len(w) != depth:
-                raise PreconditionError(
-                    "vertex %r is not a depth-%d word" % (w, depth))
-        table = np.full((n, len(ALPHABET)), -1, dtype=np.int64)
-        for i, j in zip(*np.nonzero(adjacency)):
-            u, v = vertices[i], vertices[j]
-            if v[:-1] != u[1:]:
-                raise PreconditionError(
-                    "edge %r -> %r is not shift-compatible" % (u, v))
-            table[i, ALPHABET.index(v[-1])] = j
-        codes = encode_words(vertices)
-        level = cylinder_levels(lmap, depth)[depth]
-        pos = level.find(codes)
-        if (pos < 0).any():
-            raise InadmissibleWordError("vertex %r has an empty cylinder"
-                                        % vertices[int(np.argmax(pos < 0))])
-        return cls(depth, codes, table, x_gap, level.lo[pos], level.hi[pos],
-                   (lmap.alpha, lmap.beta))
-
 
 def check_model(lmap, horseshoe):
     """PreconditionError unless the horseshoe was built for the map's model:
-    its cylinders and everything read from them belong to that model."""
+    its cylinders and everything read from them belong to that model.
+    Every horseshoe carries its model from `build_horseshoe`, and a
+    restriction inherits it."""
     model = (lmap.alpha, lmap.beta)
     if model != horseshoe.model:
         raise PreconditionError("horseshoe of model %r used with a map of "

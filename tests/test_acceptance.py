@@ -19,7 +19,6 @@ from geolorenz import (
     MarkovMeasure,
     NoWitnessError,
     RoofFunction,
-    SFTHorseshoe,
     SectionGridPotential,
     SingularDeltaMeasure,
     TargetRequest,
@@ -48,6 +47,7 @@ from geolorenz.cli import run
 from geolorenz.config import default_config
 from geolorenz.repro import run_suite
 from geolorenz.symbolic import admissible_words, cylinder_levels
+from word_oracles import horseshoe_from_adjacency
 
 LOG_BETA = math.log(1.7)
 
@@ -181,8 +181,7 @@ def test_criterion_5_closed_forms(lmap, coord):
     assert abs(entropy_map(bern) - math.log(2.0)) <= 1e-12
 
     # golden-mean Parry measure has entropy log((1+sqrt 5)/2)
-    golden = SFTHorseshoe.from_adjacency(1, ["L", "R"], [[1, 1], [1, 0]],
-                                         lmap)
+    golden = horseshoe_from_adjacency(1, ["L", "R"], [[1, 1], [1, 0]], lmap)
     parry = equilibrium_measure(lmap, golden, ConstantPotential(0.0), t=0.0)
     golden_h = math.log((1.0 + math.sqrt(5.0)) / 2.0)
     assert abs(entropy_map(parry) - golden_h) <= 1e-10

@@ -1,4 +1,5 @@
-"""The verdicts `tools/bench_pairs.py` writes for each end-to-end metric."""
+"""The verdicts `tools/bench_pairs.py` writes for each end-to-end metric,
+and the per-layer medians of its traced runs."""
 
 import importlib.util
 import os
@@ -40,3 +41,14 @@ def _verdicts(base, change):
 ])
 def test_gain_and_bound_verdicts(base, change, verdicts):
     assert _verdicts(base, change) == verdicts
+
+
+def test_layer_medians_of_the_traced_runs():
+    runs = [{"result": {"metrics": {
+        "symbolic.kneading.time_s": {"value": t, "unit": "s"},
+        "symbolic.kneading.calls": {"value": c, "unit": "count"}}},
+        "provenance": {"trace": 1}}
+        for t, c in ((0.030, 8), (0.011, 8), (0.014, 9))]
+    assert bench_pairs.TRACED_RUNS == 3
+    assert bench_pairs.layer_medians(runs) == {
+        "symbolic.kneading.time_s": 0.014, "symbolic.kneading.calls": 8}

@@ -7,7 +7,7 @@ import os
 
 import pytest
 
-from geolorenz import ConfigError
+from geolorenz import DEFAULT_RECIPE, ConfigError
 from geolorenz.cli import run
 from geolorenz.config import default_config, load_config, parse_config_text
 
@@ -81,6 +81,21 @@ def test_config_round_trip(tmp_path):
     assert clone.digest() == cfg.digest()
     assert clone["model.beta"] == 1.64
     assert clone["catalog.periods"] == (2, 4)
+
+
+def test_default_config_builds_the_default_recipe():
+    # the CLI reads the config and `repro` reads DEFAULT_RECIPE; the two
+    # catalogs must not drift apart
+    got = default_config().make_recipe()
+    for field in ("periods", "extra_words", "include_delta"):
+        assert getattr(got, field) == getattr(DEFAULT_RECIPE, field)
+    assert len(got.horseshoes) == len(DEFAULT_RECIPE.horseshoes)
+    for mine, theirs in zip(got.horseshoes, DEFAULT_RECIPE.horseshoes):
+        for field in ("depth", "x_gap", "t_values"):
+            assert getattr(mine, field) == getattr(theirs, field)
+    # the canonical echo, and so every default run's config digest
+    assert default_config().digest() == (
+        "bd2d14a20bbb1abc547dfd5c1e07c5eb70bf7465e2fcd8460b6792dc572beee9")
 
 
 def test_config_comments_and_blanks(tmp_path):

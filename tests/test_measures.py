@@ -11,19 +11,17 @@ import numpy as np
 import pytest
 
 import word_oracles
+from word_oracles import horseshoe_from_adjacency
 from geolorenz import measures, symbolic
 from geolorenz import (
     AtomicMeasure,
     ConstantPotential,
     CoordinatePotential,
-    DepthTooShallowError,
-    InadmissibleWordError,
     LorenzMap1D,
     MarkovMeasure,
     PreconditionError,
     RoofFunction,
     SectionGridPotential,
-    SFTHorseshoe,
     SingularDeltaMeasure,
     build_horseshoe,
     convex_combine,
@@ -36,6 +34,7 @@ from geolorenz import (
     measure_from_payload,
     suspend,
 )
+from geolorenz.model import dwell_array, roof_array
 from geolorenz.symbolic import decode_words
 
 
@@ -124,7 +123,7 @@ def test_markov_reducible_support_rejected(lmap):
     # full 2-shift on length-2 words; LL and RR carry self-loops
     words = ("LL", "LR", "RL", "RR")
     adj = [[1, 1, 0, 0], [0, 0, 1, 1], [1, 1, 0, 0], [0, 0, 1, 1]]
-    hs = SFTHorseshoe.from_adjacency(2, words, adj, lmap)
+    hs = horseshoe_from_adjacency(2, words, adj, lmap)
     # a proper support with two absorbing self-loops is reducible
     probs = [[1.0, 0.0], [0.0, 1.0], [1.0, 0.0], [0.0, 1.0]]
     with pytest.raises(PreconditionError, match="not irreducible"):
@@ -134,13 +133,13 @@ def test_markov_reducible_support_rejected(lmap):
     MarkovMeasure(lmap, hs, probs, [0.25] * 4)
     # full support on a reducible adjacency: RR absorbs everything
     adj = [[0, 1, 0, 0], [0, 0, 1, 1], [0, 1, 0, 0], [0, 0, 0, 1]]
-    hs = SFTHorseshoe.from_adjacency(2, words, adj, lmap)
+    hs = horseshoe_from_adjacency(2, words, adj, lmap)
     probs = [[0.0, 1.0], [0.5, 0.5], [0.0, 1.0], [0.0, 1.0]]
     with pytest.raises(PreconditionError, match="not irreducible"):
         MarkovMeasure(lmap, hs, probs, [0.0, 0.0, 0.0, 1.0])
     # full support, one cycle {LR, RL}, but LL only feeds into it
     adj = [[0, 1, 0], [0, 0, 1], [0, 1, 0]]
-    hs = SFTHorseshoe.from_adjacency(2, words[:3], adj, lmap)
+    hs = horseshoe_from_adjacency(2, words[:3], adj, lmap)
     probs = [[0.0, 1.0], [1.0, 0.0], [0.0, 1.0]]
     with pytest.raises(PreconditionError, match="not irreducible"):
         MarkovMeasure(lmap, hs, probs, [0.0, 0.5, 0.5])
@@ -184,18 +183,6 @@ def test_error_bound_honesty_over_seeded_potentials(parry):
         v8, b8 = integrate_map(pot, parry, depth=8)
         v12, _ = integrate_map(pot, parry, depth=12)
         assert abs(v8 - v12) <= b8, "seed %d" % seed
-
-
-def test_integrate_tol_guard(parry):
-    pot = SectionGridPotential.seeded(3)
-    with pytest.raises(DepthTooShallowError):
-        integrate_map(pot, parry, depth=6, tol=1e-12)
-    # at the scheme depth too, where the bound is a mass-weighted sum
-    value, bound = integrate_map(pot, parry, depth=12)
-    assert bound > 0.0
-    assert integrate_map(pot, parry, depth=12, tol=bound) == (value, bound)
-    with pytest.raises(DepthTooShallowError):
-        integrate_map(pot, parry, depth=12, tol=0.5 * bound)
 
 
 @pytest.mark.parametrize("depth", [-3, 2.5, 13.0, 16.0,
@@ -315,12 +302,15 @@ def test_model_only_caches_give_the_cold_floats(lmap, roof,
     # without a key, which is never cached: a key missing a parameter of
     # the roof or the radius would read another integral's entries
     section = [m for m in members if not isinstance(m, SingularDeltaMeasure)]
-    for integrand in (measures._RoofIntegrand(roof),
-                      measures._RoofIntegrand(RoofFunction(1.0, 1.0, 0.25)),
-                      measures._DwellIntegrand(roof, 0.05),
-                      measures._DwellIntegrand(roof, 0.2),
-                      measures._DwellIntegrand(RoofFunction(1.0, 1.0, 0.25),
-                                               0.2)):
+    other = RoofFunction(1.0, 1.0, 0.25)
+    for integrand in (measures._RoofIntegrand("roof", roof_array, roof),
+                      measures._RoofIntegrand("roof", roof_array, other),
+                      measures._RoofIntegrand("dwell", dwell_array, roof,
+                                              0.05),
+                      measures._RoofIntegrand("dwell", dwell_array, roof,
+                                              0.2),
+                      measures._RoofIntegrand("dwell", dwell_array, other,
+                                              0.2)):
         keyless = types.SimpleNamespace(
             value=integrand.value, midpoint_error=integrand.midpoint_error)
         assert measures.integrate_many(integrand, section) == \
@@ -451,29 +441,6 @@ def test_payload_without_vertices_is_rejected(lmap, parry):
     payload = dict(parry.to_payload(), vertices=[], probs=[], stationary=[])
     with pytest.raises(PreconditionError):
         measure_from_payload(lmap, payload)
-
-
-def test_from_adjacency_rejects_bad_vertex_words(lmap):
-    adj = [[1, 1], [1, 1]]
-    with pytest.raises(PreconditionError, match="bad symbol 'X'"):
-        SFTHorseshoe.from_adjacency(1, ["L", "X"], adj, lmap)
-    with pytest.raises(PreconditionError, match="'LR' is not a depth-1"):
-        SFTHorseshoe.from_adjacency(1, ["L", "LR"], adj, lmap)
-    with pytest.raises(PreconditionError, match="'LR' -> 'LR' is not shift"):
-        SFTHorseshoe.from_adjacency(2, ["LR", "RL"], [[1, 1], [1, 0]], lmap)
-
-
-@pytest.mark.parametrize("depth", [0, 25, 26, 65, 2.0])
-def test_from_adjacency_names_the_horseshoe_depth(lmap, depth):
-    # the levels hold cylinders up to MAX_DEPTH, so a deeper horseshoe is
-    # rejected under its own depth before its words are encoded or looked
-    # up, which would name an enumeration depth or the word code length
-    n = int(depth) or 1
-    u = ("L" * 64 + "R")[-n:]
-    with pytest.raises(PreconditionError,
-                       match=r"^horseshoe depth %s is not an integer in "
-                       r"\[1, 24\]$" % re.escape(repr(depth))):
-        SFTHorseshoe.from_adjacency(depth, [u], [[0]], lmap)
 
 
 def test_equilibrium_is_stationary_markov(tilted):
@@ -637,22 +604,6 @@ def test_a_map_of_another_model_is_rejected(lmap, horseshoe12, coord, parry,
     assert sub.model == horseshoe12.model
     with pytest.raises(PreconditionError, match="model"):
         equilibrium_measure(other, sub, coord, t=0.0)
-
-
-def test_from_adjacency_reads_vertex_cylinders_from_the_level(lmap):
-    # "LLLL" has no cylinder at beta = 1.7: after LL the orbit lies in
-    # [1 - 1.7 * 0.7, 1], and after LLL in [1 - 1.7 * 0.19, 1], right of 0
-    with pytest.raises(InadmissibleWordError, match="'LLLL'"):
-        SFTHorseshoe.from_adjacency(4, ["LRLR", "LLLL"], [[0, 0], [0, 1]],
-                                    lmap)
-    words = ("LR", "RL", "RR")
-    hs = SFTHorseshoe.from_adjacency(2, words, [[0, 1, 1], [1, 0, 0],
-                                                [0, 1, 1]], lmap)
-    assert hs.model == (lmap.alpha, lmap.beta)
-    level = symbolic.cylinder_levels(lmap, 2)[2]
-    pos = level.find(hs.codes)
-    assert hs.cyl_lo.tobytes() == level.lo[pos].tobytes()
-    assert hs.cyl_hi.tobytes() == level.hi[pos].tobytes()
 
 
 def _reference_scheme_paths(horseshoe, depth):

@@ -87,13 +87,15 @@ def test_a_pickled_map_shares_the_registered_store():
 
 
 def test_derivative_and_min_slope(lmap):
-    assert lmap.deriv(0.25) == pytest.approx(1.7, abs=1e-15)
     assert lmap.min_slope() == pytest.approx(1.7, abs=1e-15)
     assert lmap.min_slope() > SQRT2
     lm = LorenzMap1D(alpha=0.9, beta=1.8)
-    # minimal stretching sits at |x| = 1 when alpha < 1
+    # minimal stretching sits at |x| = 1 when alpha < 1: the slope
+    # alpha * beta * |x|**(alpha - 1) grows as |x| falls to 0, as the
+    # secant of the R branch on [0.01, 0.02] shows
     assert lm.min_slope() == pytest.approx(0.9 * 1.8, rel=1e-14)
-    assert lm.deriv(0.01) > lm.min_slope()
+    secant = (lm(0.02) - lm(0.01)) / 0.01
+    assert secant > 0.9 * 1.8 * 0.02 ** -0.1 > lm.min_slope()
 
 
 def test_branch_monotonicity_sampled(lmap):

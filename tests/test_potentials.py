@@ -18,8 +18,8 @@ from geolorenz import (
     SingularBumpPotential,
     parse_potential_spec,
 )
-from geolorenz.measures import (_DwellIntegrand, _PassageIntegrand,
-                                _RoofIntegrand)
+from geolorenz.measures import _PassageIntegrand, _RoofIntegrand
+from geolorenz.model import dwell_array, roof_array
 
 
 def test_constant_and_coordinate_values():
@@ -123,10 +123,12 @@ def _protocol_cases():
                   (name + ".abs_bound", pot.abs_bound),
                   (name + ".passage_error",
                    lambda lo, hi, pot=pot: pot.passage_error(lo, hi, roof))]
-    for integrand in (_RoofIntegrand(roof), _DwellIntegrand(roof, 0.2),
-                      _PassageIntegrand(SingularBumpPotential(2.0, 0.1),
-                                        roof)):
-        name = type(integrand).__name__
+    for name, integrand in (
+            ("_RoofIntegrand", _RoofIntegrand("roof", roof_array, roof)),
+            ("_RoofIntegrand(dwell)",
+             _RoofIntegrand("dwell", dwell_array, roof, 0.2)),
+            ("_PassageIntegrand",
+             _PassageIntegrand(SingularBumpPotential(2.0, 0.1), roof))):
         cases += [(name + ".value",
                    lambda lo, hi, f=integrand: f.value(hi)),
                   (name + ".midpoint_error", integrand.midpoint_error)]

@@ -15,7 +15,6 @@ from geolorenz import (
     CoordinatePotential,
     LorenzMap1D,
     PreconditionError,
-    SFTHorseshoe,
     SectionGridPotential,
     SingularDeltaMeasure,
     build_catalog,
@@ -33,6 +32,7 @@ from geolorenz import (
 )
 from geolorenz.catalog import CatalogRecipe
 from geolorenz.potentials import parse_potential_spec
+from word_oracles import horseshoe_from_adjacency
 
 
 class Shifted:
@@ -122,11 +122,13 @@ def test_separated_estimator_parameters(lmap):
 
 
 def _separated_oracle(lmap, potential, n, eps, pitch_divisor=6):
-    """(value, separated points) of the greedy scan as one loop per point.
+    """`pressure_separated(...).as_dict()` by the greedy scan as one loop
+    per point.
 
     This is the scalar estimator that the run/block scan of
     `pressure_separated` replaced: grid, orbits and potential sums as
     there, then one sup-norm distance to the last kept orbit per point.
+    The estimate reports its pitch and its slack log(4)/n + Lip * eps.
     """
     pitch = eps / pitch_divisor
     xs = np.linspace(-1.0, 1.0, int(math.floor(2.0 / pitch)) + 1)
@@ -143,20 +145,28 @@ def _separated_oracle(lmap, potential, n, eps, pitch_divisor=6):
     phi = np.zeros(traj.shape[1])
     for j in range(n):
         phi += np.asarray(potential.value(traj[j]))
+    # the orbits as rows of Python floats; a point is kept as soon as one
+    # of its orbit's coordinates is eps away from the last kept orbit's
+    orbits = traj.T.tolist()
     kept = [0]
-    last = traj[:, 0]
-    for i in range(1, traj.shape[1]):
-        col = traj[:, i]
-        if np.max(np.abs(col - last)) >= eps:
+    last = orbits[0]
+    for i in range(1, len(orbits)):
+        orbit = orbits[i]
+        if any(abs(a - b) >= eps for a, b in zip(orbit, last)):
             kept.append(i)
-            last = col
+            last = orbit
     weights = phi[kept]
     mshift = float(np.max(weights))
     value = (math.log(float(np.sum(np.exp(weights - mshift)))) + mshift) / n
-    return value, len(kept)
+    return {"value": value, "method": "separated",
+            "params": {"n": n, "eps": eps, "pitch": pitch,
+                       "separated_points": len(kept)},
+            "slack": math.log(4.0) / n + potential.lipschitz_bound() * eps}
 
 
-@pytest.mark.parametrize("alpha, beta", [(1.0, 1.45), (1.0, 1.7),
+# beta = 1.5 maps the grid points +-2/3 to 0, so two orbits die on every
+# grid there and the scan compresses its orbit matrix
+@pytest.mark.parametrize("alpha, beta", [(1.0, 1.45), (1.0, 1.5), (1.0, 1.7),
                                          (1.0, 1.945), (0.8, 1.985)])
 def test_separated_scan_matches_greedy_loop(alpha, beta, grid_pot):
     # many dropped points at divisor 6 but at (18, 1e-3), where none
@@ -165,9 +175,20 @@ def test_separated_scan_matches_greedy_loop(alpha, beta, grid_pot):
     for n, eps, divisor in ((1, 0.1, 6), (2, 1e-3, 6), (5, 0.05, 6),
                             (18, 1e-3, 6), (1, 0.05, 24)):
         est = pressure_separated(lm, grid_pot, n, eps, divisor)
-        value, points = _separated_oracle(lm, grid_pot, n, eps, divisor)
-        assert est.params["separated_points"] == points
-        assert est.value == value
+        assert est.as_dict() == _separated_oracle(lm, grid_pot, n, eps,
+                                                  divisor)
+
+
+@pytest.mark.parametrize("spec", ["const:0.3", "coord:x", "grid:seed:7"])
+def test_separated_scan_matches_greedy_loop_per_potential(spec):
+    # the kept set does not depend on the potential, so one model covers
+    # the Birkhoff sums of each potential kind; at this one, coord:x at
+    # (8, 1e-2) reads the last bit of the sums' order
+    lm = LorenzMap1D(1.0, 1.5)
+    pot = parse_potential_spec(spec)
+    for n, eps in ((18, 1e-3), (8, 1e-2)):
+        assert (pressure_separated(lm, pot, n, eps).as_dict()
+                == _separated_oracle(lm, pot, n, eps)), (n, eps)
 
 
 def test_separated_scan_keeps_exact_ties():
@@ -176,84 +197,9 @@ def test_separated_scan_keeps_exact_ties():
     lm = LorenzMap1D(1.0, 1.75)
     coord = CoordinatePotential()
     est = pressure_separated(lm, coord, 2, 1.5, pitch_divisor=11)
-    assert (est.value, est.params["separated_points"]) == _separated_oracle(
-        lm, coord, 2, 1.5, pitch_divisor=11)
+    assert est.as_dict() == _separated_oracle(lm, coord, 2, 1.5,
+                                              pitch_divisor=11)
     assert est.params["separated_points"] == 4
-
-
-def reference_separated(lmap, potential, n, eps, pitch_divisor=6):
-    """`pressure_separated` as it was when every scan compressed its
-    orbit matrix and summed the potential over one (n, m) matrix; kept
-    verbatim as the oracle of the row-by-row sums."""
-    if n < 1:
-        raise PreconditionError("n must be at least 1")
-    if eps <= 0.0:
-        raise PreconditionError("eps must be positive")
-    if pitch_divisor < 4:
-        raise PreconditionError("pitch divisor below 4 violates the pitch bound")
-    pitch = eps / pitch_divisor
-    count = int(math.floor(2.0 / pitch)) + 1
-    if count > 4_000_000:
-        raise PreconditionError(
-            "grid too coarse to honor pitch <= eps/%d within the memory "
-            "budget (%d points needed)" % (pitch_divisor, count))
-    xs = np.linspace(-1.0, 1.0, count)
-    xs = xs[np.abs(xs) > 1e-12]
-
-    traj = np.empty((n, xs.size))
-    traj[0] = xs
-    alive = np.ones(xs.size, dtype=bool)
-    for j in range(1, n):
-        traj[j] = lmap.step_array(traj[j - 1])
-        alive &= np.abs(traj[j]) > 1e-12
-    traj = traj.compress(alive, axis=1)
-    m = traj.shape[1]
-    # C order: the sum over axis 0 adds the rows in orbit order, from 0.0
-    phi = np.ascontiguousarray(potential.value(traj),
-                               dtype=float).sum(axis=0, initial=0.0)
-
-    step = np.zeros(m - 1)
-    for row in traj:
-        np.maximum(step, np.abs(row[1:] - row[:-1]), out=step)
-    # the points not separated from their left neighbour, then m
-    breaks = np.append(np.flatnonzero(~(step >= eps)) + 1, m)
-    keep = np.zeros(m, dtype=bool)
-    start = 0
-    while start < m:
-        # keep `start` and its run; point `stop` is too close to stop - 1
-        stop = int(breaks[np.searchsorted(breaks, start + 1)])
-        keep[start:stop] = True
-        start, width = stop + 1, 16
-        while start < m:
-            gap = traj[:, start:start + width] - traj[:, stop - 1, None]
-            far = np.abs(gap).max(axis=0) >= eps
-            if far.any():
-                start += int(far.argmax())
-                break
-            start, width = start + width, 2 * width
-    weights = phi[keep]
-    mshift = float(np.max(weights))
-    value = (math.log(float(np.sum(np.exp(weights - mshift)))) + mshift) / n
-
-    slack = math.log(4.0) / n + potential.lipschitz_bound() * eps
-    return pressure.PressureEstimate(value, "separated",
-                                     {"n": n, "eps": eps, "pitch": pitch,
-                                      "separated_points": int(keep.sum())},
-                                     slack)
-
-
-# beta = 1.5 maps the grid points +-2/3 to 0, so two orbits die on every
-# grid there and the scan still compresses its orbit matrix
-@pytest.mark.parametrize("alpha, beta", [(1.0, 1.5), (1.0, 1.945),
-                                         (0.8, 1.985)])
-def test_separated_scan_matches_matrix_sum_reference(alpha, beta):
-    lm = LorenzMap1D(alpha, beta)
-    for spec in ("const:0.3", "coord:x", "grid:seed:7"):
-        pot = parse_potential_spec(spec)
-        for n, eps in ((18, 1e-3), (2, 1e-4), (2, 1e-3), (8, 1e-2)):
-            got = pressure_separated(lm, pot, n, eps)
-            want = reference_separated(lm, pot, n, eps)
-            assert got.as_dict() == want.as_dict(), (spec, n, eps)
 
 
 def test_transfer_depth_guard(lmap):
@@ -391,7 +337,7 @@ def test_transfer_fallback_scores_cyclic_components(monkeypatch, lmap):
     # never closes, and the per-component fallback must find lambda = 2
     words = ("LL", "LR", "RL", "RR")
     adj = [[0, 1, 0, 0], [0, 0, 1, 1], [0, 1, 0, 0], [0, 0, 0, 1]]
-    hs = SFTHorseshoe.from_adjacency(2, words, adj, lmap)
+    hs = horseshoe_from_adjacency(2, words, adj, lmap)
     pot = _VertexWeights(hs, [1.0, 2.0, 2.0, 1.0])
     pot.lipschitz_bound = lambda: 0.0
     monkeypatch.setattr(pressure, "build_horseshoe",
@@ -406,7 +352,7 @@ def test_equilibrium_scores_self_loop_singleton(lmap, coord):
     # at t = 1 the coordinate potential favours the self-loop at RR
     words = ("LL", "LR", "RL", "RR")
     adj = [[0, 1, 0, 0], [0, 0, 1, 1], [0, 1, 0, 0], [0, 0, 0, 1]]
-    hs = SFTHorseshoe.from_adjacency(2, words, adj, lmap)
+    hs = horseshoe_from_adjacency(2, words, adj, lmap)
     assert [len(c) for c, _ in hs.cyclic_components()] == [2, 1]
     eq = equilibrium_measure(lmap, hs, coord, t=1.0)
     assert eq.horseshoe.vertices == ("RR",)
@@ -434,6 +380,15 @@ def _weighted(graph, potential, t):
     return graph.adjacency_matrix() * np.exp(t * phi)[None, :]
 
 
+def transition_matrix(measure):
+    """Dense P[u][v]: a Markov measure's probability of the edge u -> v."""
+    hs = measure.horseshoe
+    mat = np.zeros((hs.n_vertices, hs.n_vertices))
+    src, bit = np.nonzero(hs.next >= 0)
+    mat[src, hs.next[src, bit]] = measure.probs[src, bit]
+    return mat
+
+
 def _check_against_dense_eigendata(lmap, hs, potential, t):
     # an oracle sharing no code with the power solver: numpy's dense
     # eigendecomposition of the weighted matrix and of the transition matrix
@@ -451,10 +406,10 @@ def _check_against_dense_eigendata(lmap, hs, potential, t):
     lam = vals[k].real
     h = np.abs(vecs[:, k].real)
     assert lam == pytest.approx(rho, rel=1e-12)
-    np.testing.assert_allclose(eq.transition_matrix(),
+    np.testing.assert_allclose(transition_matrix(eq),
                                mat * h[None, :] / (lam * h[:, None]),
                                rtol=0.0, atol=1e-10)
-    vals, vecs = np.linalg.eig(eq.transition_matrix().T)
+    vals, vecs = np.linalg.eig(transition_matrix(eq).T)
     k = int(np.argmin(np.abs(vals - 1.0)))
     pi = np.abs(vecs[:, k].real)
     np.testing.assert_allclose(eq.stationary, pi / pi.sum(),
@@ -475,7 +430,7 @@ def test_equilibrium_on_period_two_component_matches_dense(lmap, coord):
     # +lambda and -lambda, so only the shifted iteration converges
     words = ("LL", "LR", "RL", "RR")
     adj = [[0, 1, 0, 0], [0, 0, 1, 1], [0, 1, 0, 0], [0, 0, 0, 1]]
-    hs = SFTHorseshoe.from_adjacency(2, words, adj, lmap)
+    hs = horseshoe_from_adjacency(2, words, adj, lmap)
     eq = _check_against_dense_eigendata(lmap, hs, coord, -2.0)
     assert eq.horseshoe.vertices == ("LR", "RL")
 
@@ -497,11 +452,11 @@ def test_equilibrium_rejects_unconverged_left_vector(monkeypatch, lmap):
     # step, the left vector is (1, 3, 3, 3) and does not
     words = ("LL", "LR", "RL", "RR")
     adj = [[1, 1, 0, 0], [0, 0, 1, 1], [1, 1, 0, 0], [0, 0, 1, 1]]
-    hs = SFTHorseshoe.from_adjacency(2, words, adj, lmap)
+    hs = horseshoe_from_adjacency(2, words, adj, lmap)
     pot = _VertexWeights(hs, [1.0, 3.0, 2.0, 2.0])
     eq = equilibrium_measure(lmap, hs, pot, t=1.0)
     # the stalled solve below runs on a copy with an empty memo
-    hs = SFTHorseshoe.from_adjacency(2, words, adj, lmap)
+    hs = horseshoe_from_adjacency(2, words, adj, lmap)
     np.testing.assert_allclose(eq.stationary, [0.1, 0.3, 0.3, 0.3],
                                rtol=0.0, atol=1e-12)
     real = pressure._weighted_power
@@ -827,16 +782,24 @@ def _oracle_cases():
     return cases
 
 
+# (table, lw) bytes -> `_dense_log_root`: the reference-loop and the
+# class-iteration tests compare the same four component solves
+_DENSE_ROOTS = {}
+
+
 def _dense_log_root(table, lw):
     """log of numpy's dense spectral radius of M[u][v] = A(u,v) e^(lw[v])."""
-    n = lw.size
-    c = float(np.max(lw))
-    mat = np.zeros((n, n))
-    src, bit = np.nonzero(table >= 0)
-    dst = table[src, bit]
-    mat[src, dst] = np.exp(lw[dst] - c)
-    rho = float(np.max(np.abs(np.linalg.eigvals(mat))))
-    return math.log(rho) + c if rho > 0.0 else -math.inf
+    key = (table.shape, table.dtype.str, table.tobytes(), lw.tobytes())
+    if key not in _DENSE_ROOTS:
+        n = lw.size
+        c = float(np.max(lw))
+        mat = np.zeros((n, n))
+        src, bit = np.nonzero(table >= 0)
+        dst = table[src, bit]
+        mat[src, dst] = np.exp(lw[dst] - c)
+        rho = float(np.max(np.abs(np.linalg.eigvals(mat))))
+        _DENSE_ROOTS[key] = math.log(rho) + c if rho > 0.0 else -math.inf
+    return _DENSE_ROOTS[key]
 
 
 def test_weighted_power_matches_reference_loop(monkeypatch):
@@ -931,7 +894,7 @@ def test_perron_root_of_two_cycle_at_tiny_lambda(lmap):
                                                               left=True)
     assert not converged
     assert iterations <= 3 * pressure.CERTIFY_EVERY + 1
-    hs = SFTHorseshoe.from_adjacency(2, ("LR", "RL"), [[0, 1], [1, 0]], lmap)
+    hs = horseshoe_from_adjacency(2, ("LR", "RL"), [[0, 1], [1, 0]], lmap)
     with pytest.raises(PreconditionError, match="did not converge"):
         equilibrium_measure(lmap, hs, _LogWeights(lw), t=1.0)
 
@@ -1271,7 +1234,7 @@ def test_transfer_fallback_rejects_unconverged_component(monkeypatch, lmap):
     # converge raises, instead of its last midpoint becoming the pressure
     words = ("LL", "LR", "RL", "RR")
     adj = [[0, 1, 0, 0], [0, 0, 1, 1], [0, 1, 0, 0], [0, 0, 0, 1]]
-    hs = SFTHorseshoe.from_adjacency(2, words, adj, lmap)
+    hs = horseshoe_from_adjacency(2, words, adj, lmap)
     pot = _VertexWeights(hs, [1.0, 2.0, 2.0, 1.0])
     pot.lipschitz_bound = lambda: 0.0
     monkeypatch.setattr(pressure, "build_horseshoe",

@@ -20,7 +20,6 @@ from geolorenz import (
     PreconditionError,
     RoofFunction,
     SectionGridPotential,
-    SFTHorseshoe,
     SingularBumpPotential,
     SingularDeltaMeasure,
     TargetRequest,
@@ -43,7 +42,9 @@ from geolorenz import (
 )
 from geolorenz.catalog import (DEFAULT_RECIPE, GAP_CORE_RECIPE,
                                GAP_DEMONSTRATOR_RECIPE, CatalogRecipe)
+from geolorenz.model import dwell_array, roof_array
 from geolorenz.pressure import catalog_pressures
+from word_oracles import horseshoe_from_adjacency
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -71,8 +72,7 @@ class Shifted:
 @pytest.fixture(scope="module")
 def golden_sft(lmap):
     # hand-built golden-mean shift: forbid the RR transition
-    return SFTHorseshoe.from_adjacency(
-        1, ["L", "R"], [[1, 1], [1, 0]], lmap)
+    return horseshoe_from_adjacency(1, ["L", "R"], [[1, 1], [1, 0]], lmap)
 
 
 def golden_chain(lmap, golden_sft, p):
@@ -505,9 +505,11 @@ def _member_flow(m, phi, roof, b):
     if isinstance(m, SingularDeltaMeasure):
         return math.inf, 0.0, phi.value_at_sigma(), \
             0.0 + phi.value_at_sigma(), 1.0
-    mean_roof = _member_integral(measures._RoofIntegrand(roof), m)
+    mean_roof = _member_integral(
+        measures._RoofIntegrand("roof", roof_array, roof), m)
     passage = _member_integral(measures._PassageIntegrand(phi, roof), m)
-    dwell = _member_integral(measures._DwellIntegrand(roof, b), m)
+    dwell = _member_integral(
+        measures._RoofIntegrand("dwell", dwell_array, roof, b), m)
     h_flow = entropy_map(m) / mean_roof
     integral = passage / mean_roof
     bf = float(min(max(dwell / mean_roof, 0.0), 1.0))

@@ -310,7 +310,7 @@ def test_full_shift_vertex_count_matches_admissible(lmap):
     for depth in (4, 8):
         sft = build_horseshoe(lmap, depth, 0.0)
         assert sft.n_vertices == len(cylinder_levels(lmap, depth)[depth])
-        assert 0.0 < sft.adjacency_density() <= 1.0
+        assert 0 < sft.edge_count() <= sft.n_vertices ** 2
 
 
 def test_matched_depth_entropy_bound(lmap):
@@ -731,11 +731,16 @@ def test_level_run_ends_match_exact_rational_levels(beta):
     lm = LorenzMap1D(1.0, beta)
     levels = symbolic._extend_levels(lm, symbolic._ModelStore().levels[0],
                                      12)
+    # the breakpoints of f^n are among those of f^12, so every cylinder
+    # of f^n starts where one of f^12 does, which lies inside it: the
+    # n-symbol prefix of that one's word names it
+    finest = exact_edges(12, beta)
+    words_from = {lo: exact_itinerary((lo + hi) / 2, 12, Fraction(beta))
+                  for lo, hi in zip(finest, finest[1:])}
     thinnest = math.inf
     for n, level in enumerate(levels):
         edges = exact_edges(n, beta)
-        words = [exact_itinerary((lo + hi) / 2, n, Fraction(beta))
-                 for lo, hi in zip(edges, edges[1:])]
+        words = [words_from[lo][:n] for lo in edges[:-1]]
         assert symbolic.decode_words(level.codes, n) == words
         assert np.abs(level.edges - [float(e) for e in edges]).max() < 1e-15
         thinnest = min(thinnest, *(level.hi - level.lo))
@@ -985,7 +990,7 @@ def scalar_periodic(lm, words):
                 break
         mult = 1.0
         for q in lm.iterate(x, p):
-            mult *= lm.deriv(q)
+            mult *= lm.alpha * lm.beta * abs(q) ** (lm.alpha - 1.0)
         out.append((x, mult))
     return out
 

@@ -5,10 +5,37 @@ string versions the tests compare it against: kneading comparisons,
 finite and periodic admissibility, itineraries, least rotations,
 successor lists, and cylinder masses as dicts keyed by word. Only the
 Markov masses read word codes, to decode the paths of a cylinder scheme.
+Hand-built horseshoes, such as the full 2-shift or the golden-mean
+shift, come from `horseshoe_from_adjacency`.
 """
 
-from geolorenz import AtomicMeasure, ConvexMeasure, MarkovMeasure, measures
-from geolorenz.symbolic import SINGULAR_TOL, check_word, decode_words
+import numpy as np
+
+from geolorenz import (AtomicMeasure, ConvexMeasure, MarkovMeasure,
+                       SFTHorseshoe, cylinder_levels, measures)
+from geolorenz.symbolic import (SINGULAR_TOL, check_word, decode_words,
+                                encode_words)
+
+
+def horseshoe_from_adjacency(depth, vertices, adjacency, lmap, x_gap=0.0):
+    """The SFTHorseshoe on the given depth-`depth` vertex words whose
+    edges are the nonzero entries of a 0/1 matrix.
+
+    Each edge u -> v must be shift-compatible (v == u[1:] + s), and each
+    vertex's cylinder is read from the map's level, so it must be
+    nonempty.
+    """
+    table = np.full((len(vertices), 2), -1, dtype=np.int64)
+    for i, j in zip(*np.nonzero(adjacency)):
+        u, v = vertices[i], vertices[j]
+        assert len(u) == depth and v[:-1] == u[1:], (u, v)
+        table[i, "LR".index(v[-1])] = j
+    codes = encode_words(vertices)
+    level = cylinder_levels(lmap, depth)[depth]
+    pos = level.find(codes)
+    assert (pos >= 0).all(), "a vertex has an empty cylinder"
+    return SFTHorseshoe(depth, codes, table, x_gap, level.lo[pos],
+                        level.hi[pos], (lmap.alpha, lmap.beta))
 
 
 def word_le(a, b):

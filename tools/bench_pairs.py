@@ -16,9 +16,11 @@ of the pairs and its median is better than the base's by more than the
 base's interquartile range, and `within_bound`, when the change's median
 is worse than the base's by no more than the metric's bound times the
 base median. After
-the pairs of a workload, each side runs once more with `--trace 1`; the
-file keeps that run's result line, the per-layer metrics, and its
-provenance under the workload's "layers".
+the pairs of a workload, each side runs TRACED_RUNS more times with
+`--trace 1`, the sides alternating as in the pairs. Under the
+workload's "layers", each side keeps every traced run's result line
+and provenance ("runs") and each per-layer metric's median over them
+("median").
 """
 
 import argparse
@@ -32,6 +34,10 @@ import sys
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+# traced runs per side after a workload's pairs: one traced run's layer
+# times vary by 20 to 30% from run to run
+TRACED_RUNS = 3
 
 
 def _git(*args):
@@ -102,6 +108,14 @@ def summarize(pairs, metrics):
     return summary
 
 
+def layer_medians(runs):
+    """Each per-layer metric's median over the traced runs of one side."""
+    names = runs[0]["result"]["metrics"]
+    return {name: statistics.median(r["result"]["metrics"][name]["value"]
+                                    for r in runs)
+            for name in names}
+
+
 def parse_pairs(items, workloads):
     """The pair count of each workload named in `items`, each a
     WORKLOAD=COUNT naming one of `workloads` at most once."""
@@ -160,9 +174,15 @@ def main(argv=None):
                 pairs.append(pair)
                 print("%s pair %d/%d done" % (workload, k + 1, count),
                       file=sys.stderr, flush=True)
-            layers = {side: run_once(roots[side], workload, args.seed,
-                                     args.seconds, trace=1)
-                      for side in ("base", "change")}
+            traced = {"base": [], "change": []}
+            for k in range(TRACED_RUNS):
+                order = ("base", "change") if k % 2 == 0 else ("change", "base")
+                for side in order:
+                    traced[side].append(run_once(roots[side], workload,
+                                                 args.seed, args.seconds,
+                                                 trace=1))
+            layers = {side: {"runs": runs, "median": layer_medians(runs)}
+                      for side, runs in traced.items()}
             report["workloads"][workload] = {
                 "pairs": pairs, "summary": summarize(pairs, metrics),
                 "layers": layers}
