@@ -22,22 +22,27 @@ Three recipes ship:
   appear in gap reports as flagged rows, excluded from certification.
 """
 
+import math
+
 from .errors import PreconditionError
 from .measures import AtomicMeasure, SingularDeltaMeasure
-from .symbolic import build_horseshoe, enumerate_periodic, find_periodic_point
+from .symbolic import (MAX_DEPTH, build_horseshoe, check_depth,
+                       enumerate_periodic, find_periodic_point)
 
 
 class HorseshoeSpec:
     """One horseshoe equilibrium family: depth, x_gap, and the t values."""
 
     def __init__(self, depth, x_gap, t_values):
-        self.depth = int(depth)
+        self.depth = check_depth(depth, "horseshoe", 1, MAX_DEPTH - 1)
         self.x_gap = float(x_gap)
         self.t_values = tuple(float(t) for t in t_values)
-        if self.depth < 1:
-            raise PreconditionError("horseshoe depth must be >= 1")
-        if self.x_gap < 0.0:
-            raise PreconditionError("x_gap must be >= 0")
+        if not 0.0 <= self.x_gap < 1.0:
+            raise PreconditionError("x_gap must lie in [0, 1), got %r"
+                                    % self.x_gap)
+        if not all(math.isfinite(t) for t in self.t_values):
+            raise PreconditionError("t values must be finite, got %r"
+                                    % (self.t_values,))
 
     def __repr__(self):
         return "HorseshoeSpec(%d, %g, %r)" % (self.depth, self.x_gap,

@@ -11,8 +11,7 @@ their payloads are written, repro_summary lists the failure under
 "errors", and the exit code is 3.
 
 The output directory resolves as --out, then $GEOLORENZ_OUT, then the
-configured output.dir. --jobs N runs the independent tasks of `repro`
-(its variational seeds) across N processes; payloads are invariant to N.
+configured output.dir.
 """
 
 import argparse
@@ -51,8 +50,6 @@ def _build_parser():
                     "Lorenz semiflow model")
     parser.add_argument("--config", help="config file path")
     parser.add_argument("--out", help="output directory override")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="parallel workers for repro's independent tasks")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("validate", help="check the model axioms")
@@ -278,8 +275,7 @@ def _cmd_gap_demo(args, config, emitter):
 
 
 def _cmd_repro(args, config, emitter):
-    payloads, checks, passed, errors = run_suite(args.suite, config,
-                                                 jobs=args.jobs)
+    payloads, checks, passed, errors = run_suite(args.suite, config)
     for name in sorted(payloads):
         emitter.emit_json(name, payloads[name])
     summary = {"suite": args.suite, "passed": passed, "checks": checks}

@@ -26,6 +26,8 @@ The catalog.* defaults are read from `catalog.DEFAULT_RECIPE`, so a run
 from the default config and `repro` build the same catalog. A horseshoe
 spec is depth:x_gap:t1,t2,...; several specs are separated by
 semicolons. catalog.periods and catalog.extra_words may be empty.
+Periods lie in [1, 16]; a horseshoe's depth in [1, 23], its x_gap in
+[0, 1) and its t values are finite.
 """
 
 import hashlib
@@ -33,6 +35,7 @@ import hashlib
 from .catalog import DEFAULT_RECIPE, CatalogRecipe, HorseshoeSpec
 from .errors import ConfigError, PreconditionError
 from .model import LorenzMap1D, RoofFunction, SkewProductReturnMap
+from .symbolic import MAX_PERIOD
 
 
 def _parse_float(text):
@@ -55,8 +58,9 @@ def _parse_ints(text):
     out = []
     for part in text.split(","):
         n = int(part)
-        if n < 1:
-            raise ValueError("periods must be >= 1, got %d" % n)
+        if not 1 <= n <= MAX_PERIOD:
+            raise ValueError("periods must lie in [1, %d], got %d"
+                             % (MAX_PERIOD, n))
         out.append(n)
     return tuple(out)
 

@@ -51,8 +51,8 @@ import math
 import numpy as np
 
 from .errors import PreconditionError
-from .measures import (MarkovMeasure, SingularDeltaMeasure, entropy_map,
-                       integrate_many, suspend_many)
+from .measures import (DEFAULT_DEPTH, MarkovMeasure, SingularDeltaMeasure,
+                       entropy_map, integrate_many, suspend_many)
 # unused here, kept since benchmarks/test_benchmark.py checks that the
 # tracer wraps this binding
 from .measures import suspend
@@ -88,8 +88,13 @@ def pressure_separated(lmap, potential, n, eps, pitch_divisor=6):
 
     The grid pitch is eps / pitch_divisor (divisor 6 keeps the greedy
     set dense enough that the estimate sits within a few percent of the
-    true growth rate for the models in range). Lower bound by
-    construction; converges as n grows and eps shrinks.
+    true growth rate for the models in range). It is not a lower bound:
+    the grid of m points saturates, and once every grid point stays
+    separated the value at zero potential is log(m)/n whatever the
+    entropy. At beta = 1.45, n = 18, eps = 1e-3 it keeps all 12,000
+    points and returns log(12000)/18 = 0.52181, 0.150 above h_top =
+    log 1.45 = 0.37156; its slack, log(4)/n + Lip * eps = 0.0770, is no
+    bound either.
 
     The greedy keeps a point when its length-n orbit is eps-separated (sup
     norm) from that of the last point kept. A kept point is kept with the
@@ -535,7 +540,8 @@ def pressure_measure(measure, potential, level="map", roof=None,
     return catalog_pressures([measure], potential, level, roof, depth)[1][0]
 
 
-def catalog_pressures(catalog, potential, level="map", roof=None, depth=12):
+def catalog_pressures(catalog, potential, level="map", roof=None,
+                      depth=DEFAULT_DEPTH):
     """(members, pressures): the pressure of each catalog member in one pass.
 
     The singular Dirac only has flow-level conventions, so it is skipped
@@ -589,8 +595,7 @@ def _find_lmap(catalog):
     return None
 
 
-def estimate_P_bounds(catalog, potential, level="map", roof=None,
-                      depth=12):
+def estimate_P_bounds(catalog, potential, level="map", roof=None):
     """(inf, sup) of pressure over the catalog.
 
     The sup is additionally compared with the transfer estimate at map
@@ -599,7 +604,7 @@ def estimate_P_bounds(catalog, potential, level="map", roof=None,
     at flow level, where its conventions are defined.
     """
     pool, values = catalog_pressures(catalog, potential, level=level,
-                                     roof=roof, depth=depth)
+                                     roof=roof)
     p_inf = min(values)
     p_top = max(values)
     transfer_value = None
@@ -607,7 +612,8 @@ def estimate_P_bounds(catalog, potential, level="map", roof=None,
     if level == "map":
         lmap = _find_lmap(pool)
         if lmap is not None:
-            transfer_value = pressure_transfer(lmap, potential, depth).value
+            transfer_value = pressure_transfer(lmap, potential,
+                                               DEFAULT_DEPTH).value
             flagged = (transfer_value - p_top) > 0.02
     return PressureBounds(p_inf, p_top, transfer_value, flagged)
 

@@ -20,7 +20,6 @@ from .catalog import (DEFAULT_RECIPE, GAP_CORE_RECIPE,
                       GAP_DEMONSTRATOR_RECIPE, build_catalog)
 from .errors import PreconditionError
 from .measures import SingularDeltaMeasure
-from .parallel import pmap
 from .potentials import ConstantPotential, CoordinatePotential, \
     SectionGridPotential
 from .pressure import (catalog_pressures, estimate_P_bounds, h_top_estimate,
@@ -82,7 +81,7 @@ def _lap_oracle(lmap, lengths):
     return math.log(c_hi / c_lo), c_lo, c_hi
 
 
-def run_entropy(config, lmap, jobs=1):
+def run_entropy(config, lmap):
     spec = load_expectations("entropy")
     zero = ConstantPotential(0.0)
     oracle, c_lo, c_hi = _lap_oracle(lmap, spec["lap_lengths"])
@@ -104,10 +103,7 @@ def run_entropy(config, lmap, jobs=1):
     return payload, checks
 
 
-def _variational_seed(args):
-    # a map pickles as its (alpha, beta), so a worker process builds its
-    # own store, and in process every seed shares the run's store
-    lmap, depth, seed = args
+def _variational_seed(lmap, depth, seed):
     phi = SectionGridPotential.seeded(seed)
     transfer = pressure_transfer(lmap, phi, depth=depth)
     catalog = build_catalog(lmap, phi, DEFAULT_RECIPE)
@@ -118,11 +114,10 @@ def _variational_seed(args):
             "catalog_sup": max(values), "equilibrium": equilibrium}
 
 
-def run_variational(config, lmap, jobs=1):
+def run_variational(config, lmap):
     spec = load_expectations("variational")
-    rows = pmap(_variational_seed,
-                [(lmap, spec["transfer_depth"], s) for s in spec["seeds"]],
-                jobs)
+    rows = [_variational_seed(lmap, spec["transfer_depth"], s)
+            for s in spec["seeds"]]
     worst_sup = max(r["catalog_sup"] - r["transfer"] for r in rows)
     worst_eq = max(r["transfer"] - r["equilibrium"] for r in rows)
     actuals = {"catalog_sup_minus_transfer": worst_sup,
@@ -132,7 +127,7 @@ def run_variational(config, lmap, jobs=1):
     return payload, checks
 
 
-def run_intermediate(config, lmap, jobs=1):
+def run_intermediate(config, lmap):
     spec = load_expectations("intermediate")
     roof = config.make_roof()
     phi = CoordinatePotential()
@@ -164,7 +159,7 @@ def run_intermediate(config, lmap, jobs=1):
     return payload, checks
 
 
-def run_gap(config, lmap, jobs=1):
+def run_gap(config, lmap):
     spec = load_expectations("gap")
     roof = config.make_roof()
     h_est = h_top_estimate(lmap)
@@ -198,7 +193,7 @@ _RUNNERS = {"entropy": run_entropy, "variational": run_variational,
             "intermediate": run_intermediate, "gap": run_gap}
 
 
-def run_suite(suite, config, jobs=1):
+def run_suite(suite, config):
     """Run one suite or `all`; returns (payloads, checks, all_passed, errors).
 
     The model's map is made once and handed to every suite, so the suites
@@ -223,7 +218,7 @@ def run_suite(suite, config, jobs=1):
     errors = []
     for name in names:
         try:
-            payload, checks = _RUNNERS[name](config, lmap, jobs=jobs)
+            payload, checks = _RUNNERS[name](config, lmap)
         except PreconditionError as exc:
             errors.append({"suite": name, "message": str(exc)})
             continue

@@ -155,7 +155,7 @@ class PressureSpectrumReport:
                 "gap_size": self.gap_size}
 
 
-def spectrum_scan(potential, catalog, level="map", roof=None, depth=12):
+def spectrum_scan(potential, catalog, level="map", roof=None):
     """Evaluate the catalog's pressures and locate the largest gap.
 
     The singular Dirac only has flow-level conventions, so it is skipped
@@ -167,7 +167,7 @@ def spectrum_scan(potential, catalog, level="map", roof=None, depth=12):
     if not catalog:
         raise PreconditionError("catalog must be nonempty")
     pool, values = catalog_pressures(catalog, potential, level=level,
-                                     roof=roof, depth=depth)
+                                     roof=roof)
     entries = [(m.id, float(v)) for m, v in zip(pool, values)]
     entries.sort(key=lambda e: (e[1], e[0]))
     gap_interval = (entries[0][1], entries[0][1])
@@ -180,7 +180,7 @@ def spectrum_scan(potential, catalog, level="map", roof=None, depth=12):
 
 
 def build_gap_potential(h_top_est, margin, eta, lmap=None, roof=None,
-                        catalog=None, depth=12):
+                        catalog=None):
     """Singular bump at level L = 4 * h_top_est * (1 + margin).
 
     The small-ball hypothesis is checked for every certification-
@@ -207,7 +207,7 @@ def build_gap_potential(h_top_est, margin, eta, lmap=None, roof=None,
     if roof is None:
         roof = RoofFunction(1.0, 1.0, 0.5)
     pool = [m for m in catalog if not isinstance(m, SingularDeltaMeasure)]
-    stats = suspend_many(pool, roof, bump, depth)
+    stats = suspend_many(pool, roof, bump)
     for m, bf in zip(pool, ball_fractions(stats, 2.0 * eta)):
         if bf >= HYPOTHESIS_THRESHOLD:
             raise EtaTooLargeError(
@@ -217,7 +217,7 @@ def build_gap_potential(h_top_est, margin, eta, lmap=None, roof=None,
     return bump
 
 
-def verify_gap(lmap, roof, bump, catalog, slack=1e-2, depth=12):
+def verify_gap(lmap, roof, bump, catalog, slack=1e-2):
     """Tabulate the gap construction's inequality chain per measure.
 
     Each measure gets flow-level statistics, its ball fraction at radius
@@ -231,7 +231,7 @@ def verify_gap(lmap, roof, bump, catalog, slack=1e-2, depth=12):
     pool = list(catalog)
     if not any(isinstance(m, SingularDeltaMeasure) for m in pool):
         pool.append(SingularDeltaMeasure())
-    all_stats = suspend_many(pool, roof, bump, depth)
+    all_stats = suspend_many(pool, roof, bump)
     rows = stats_rows(all_stats, ball_fractions(all_stats, 2.0 * bump.eta))
     # every Dirac carries the same conventions, and the pool has one
     delta_pressure = next(s.pressure() for s in all_stats if s.singular)
@@ -294,7 +294,7 @@ def _mix_to_margin(mu, I_mu, P_mu, witnesses, P, q):
     return None
 
 
-def reduce_to_essential_case(mu, potential, P, catalog, tol=1e-2, depth=12):
+def reduce_to_essential_case(mu, potential, P, catalog, tol=1e-2):
     """Move mu into strict essential-case position around P.
 
     Input contract: integral(mu) <= P <= pressure(mu) (the admissible
@@ -311,7 +311,7 @@ def reduce_to_essential_case(mu, potential, P, catalog, tol=1e-2, depth=12):
     if tol <= 0.0:
         raise PreconditionError("tol must be positive")
     q = tol / 4.0
-    I_mu, _ = integrate_map(potential, mu, depth)
+    I_mu, _ = integrate_map(potential, mu)
     P_mu = entropy_map(mu) + I_mu
     if I_mu > P + 1e-9 or P_mu < P - 1e-9:
         raise PreconditionError(
@@ -325,7 +325,7 @@ def reduce_to_essential_case(mu, potential, P, catalog, tol=1e-2, depth=12):
     members = [m for m in catalog if not isinstance(m, SingularDeltaMeasure)]
     if not members:
         raise NoWitnessError("catalog has no section-level measures")
-    integrals, _ = integrate_many(potential, members, depth)
+    integrals, _ = integrate_many(potential, members)
     pool = [(m, I_m, entropy_map(m) + I_m)
             for m, I_m in zip(members, integrals)]
 

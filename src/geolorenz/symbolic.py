@@ -61,6 +61,9 @@ ALPHABET = ("L", "R")
 # beta^depth so this bounds both memory and runtime
 MAX_DEPTH = 24
 
+# longest period `enumerate_periodic` lists
+MAX_PERIOD = 16
+
 # orbit points closer to 0 than this are treated as hitting the singularity
 SINGULAR_TOL = 1e-14
 
@@ -738,11 +741,11 @@ def enumerate_periodic(lmap, n_max):
     cylinder levels: a smaller n_max is served as the period <= n_max
     prefix of the longest list built, and a larger one locates only the
     new periods, all in one `_periodic_points` call. Raises
-    PreconditionError unless n_max is an integer in [1, 16].
+    PreconditionError unless n_max is an integer in [1, MAX_PERIOD].
     """
-    if not (isinstance(n_max, numbers.Integral) and 1 <= n_max <= 16):
-        raise PreconditionError("n_max %r is not an integer in [1, 16]"
-                                % (n_max,))
+    if not (isinstance(n_max, numbers.Integral) and 1 <= n_max <= MAX_PERIOD):
+        raise PreconditionError("n_max %r is not an integer in [1, %d]"
+                                % (n_max, MAX_PERIOD))
     n_max = int(n_max)
     store = lmap.store
     if n_max > store.n_max:
