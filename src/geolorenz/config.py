@@ -27,19 +27,20 @@ from the default config and `repro` build the same catalog. A horseshoe
 spec is depth:x_gap:t1,t2,...; several specs are separated by
 semicolons. catalog.periods and catalog.extra_words may be empty.
 Periods lie in [1, 16]; a horseshoe's depth in [1, 23], its x_gap in
-[0, 1) and its t values are finite.
+[0, 1) and its t values are finite; an extra word has at most 96
+symbols. Each model.* and roof.* value lies in the domain its
+constructor checks, NaN in none: alpha in (0, 1], beta > 0, rho in
+(0, 1), c_h > 0, c0 > 0, c1 >= 0 and eta0 in (0, 1).
 """
 
+import functools
 import hashlib
 
 from .catalog import DEFAULT_RECIPE, CatalogRecipe, HorseshoeSpec
 from .errors import ConfigError, PreconditionError
-from .model import LorenzMap1D, RoofFunction, SkewProductReturnMap
-from .symbolic import MAX_PERIOD
-
-
-def _parse_float(text):
-    return float(text)
+from .model import (LorenzMap1D, RoofFunction, SkewProductReturnMap,
+                    check_parameter)
+from .symbolic import MAX_PERIOD, MAX_WORD
 
 
 def _parse_bool(text):
@@ -75,6 +76,9 @@ def _parse_words(text):
         if not w or any(ch not in "LR" for ch in w):
             raise ValueError("words must be nonempty strings over {L, R}, "
                              "got %r" % part)
+        if len(w) > MAX_WORD:
+            raise ValueError("words must have at most %d symbols, got %d"
+                             % (MAX_WORD, len(w)))
         out.append(w)
     return tuple(out)
 
@@ -104,13 +108,13 @@ def _parse_format(text):
 
 
 _SCHEMA = {
-    "model.alpha": (_parse_float, 1.0),
-    "model.beta": (_parse_float, 1.7),
-    "model.rho": (_parse_float, 0.3),
-    "model.c_h": (_parse_float, 0.5),
-    "roof.c0": (_parse_float, 1.0),
-    "roof.c1": (_parse_float, 1.0),
-    "roof.eta0": (_parse_float, 0.5),
+    "model.alpha": (functools.partial(check_parameter, "alpha"), 1.0),
+    "model.beta": (functools.partial(check_parameter, "beta"), 1.7),
+    "model.rho": (functools.partial(check_parameter, "rho"), 0.3),
+    "model.c_h": (functools.partial(check_parameter, "c_H"), 0.5),
+    "roof.c0": (functools.partial(check_parameter, "c0"), 1.0),
+    "roof.c1": (functools.partial(check_parameter, "c1"), 1.0),
+    "roof.eta0": (functools.partial(check_parameter, "eta0"), 0.5),
     "catalog.periods": (_parse_ints, DEFAULT_RECIPE.periods),
     "catalog.extra_words": (_parse_words, DEFAULT_RECIPE.extra_words),
     "catalog.horseshoes": (_parse_horseshoes, DEFAULT_RECIPE.horseshoes),

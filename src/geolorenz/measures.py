@@ -696,7 +696,9 @@ def _monotone_range(value_fn, lo, hi):
 # each equilibrium state of a realization shares, reads one build, and the
 # scheme is freed with its horseshoe. Schemes hold no strings and no
 # per-path step table: the paths form a tree of extensions, and both the
-# masses and the cylinders are computed along it.
+# masses and the cylinders are computed along it. A scheme keeps about 49
+# bytes per path at depth 20 (beta = 1.7): the int32 links of every
+# extension, the int32 start, the uint64 code and the float64 lo and hi.
 
 
 class _CylinderScheme:
@@ -706,19 +708,21 @@ class _CylinderScheme:
     one symbol per extension. Each extension keeps its links (`links`):
     for every new path, its parent among the previous extension's paths
     and its step, the flat index 2*vertex + symbol into a (vertices, 2)
-    transition table. Per path the scheme records the starting vertex
-    (`start`), the uint64 code of its depth-D word (`codes`) and the
-    cylinder interval of that word (`lo`, `hi`, `mid`). The mass vector
-    of a Markov measure is multiplied along the links, one gather and
-    one product per extension (see `masses`).
+    transition table, both int32. Per path the scheme records the
+    starting vertex (`start`, int32), the uint64 code of its depth-D word
+    (`codes`) and the cylinder interval of that word (`lo`, `hi`); the
+    midpoint `mid` is derived from them on each read, not stored. The
+    mass vector of a Markov measure is multiplied along the links, one
+    gather and one product per extension (see `masses`).
 
     A path's last m symbols are the word of its last vertex, so its
-    cylinder is that vertex's stored cylinder pulled back through the
-    path's first D - m symbols (`lmap` is of the horseshoe's model). A
-    path at most EMPTY_WIDTH wide, which may be a tail the SFT allows and
-    the kneading data forbids, takes the cylinder of its longest prefix
-    in the model's levels, its own word first: a real thin cylinder keeps
-    its own interval. Only then are the levels extended to depth D.
+    cylinder is that vertex's stored cylinder pulled back, in place,
+    through the path's first D - m symbols (`lmap` is of the horseshoe's
+    model). A path at most EMPTY_WIDTH wide, which may be a tail the SFT
+    allows and the kneading data forbids, takes the cylinder of its
+    longest prefix in the model's levels, its own word first: a real thin
+    cylinder keeps its own interval. Only then are the levels extended to
+    depth D.
 
     `integrals` caches the read-only (values, bounds) arrays of each
     keyed integrand by its key (see `integrate_many` and `_remember`).
@@ -729,32 +733,38 @@ class _CylinderScheme:
         check_depth(depth, "scheme")
         if depth < m:
             raise PreconditionError("scheme depth below horseshoe depth")
-        table = horseshoe.next
-        cur = np.arange(horseshoe.n_vertices, dtype=np.int64)
+        # a path count is below 2**31 and a step below 2**(MAX_DEPTH + 1)
+        table = horseshoe.next.astype(np.int32)
+        live = (table >= 0).T
+        cur = np.arange(horseshoe.n_vertices, dtype=np.int32)
         start = cur
         codes = horseshoe.codes
         links = []     # per extension: (parent path, step) of each new path
         for _ in range(depth - m):
             # the L extensions of all paths, in path order, then the R ones
-            ok = [np.flatnonzero(col >= 0) for col in table[cur].T]
-            parent = np.concatenate(ok)
-            bit = np.repeat(np.arange(len(ALPHABET)), [len(o) for o in ok])
-            step = 2 * cur[parent] + bit
+            parent = np.flatnonzero(live[:, cur]).astype(np.int32)
+            split = np.searchsorted(parent, len(cur))
+            parent[split:] -= len(cur)
+            step = cur[parent]
+            step *= 2
+            step[split:] += 1
             links.append((parent, step))
             start = start[parent]
-            codes = (codes[parent] << np.uint64(1)) | bit.astype(np.uint64)
+            codes = codes[parent]
+            codes <<= np.uint64(1)
+            codes[split:] |= np.uint64(1)
             cur = table.reshape(-1)[step]
         self.links = links
         self.start = start
         self.codes = codes
         self.depth = depth
-        ends = np.stack((horseshoe.cyl_lo[cur], horseshoe.cyl_hi[cur]))
+        ends = np.stack((horseshoe.cyl_lo, horseshoe.cyl_hi)).take(cur, axis=1)
+        right = np.empty(len(codes), dtype=bool)
         # the first D - m symbols, last one first: bits m to D - 1
-        head = codes >> np.uint64(m)
-        for _ in range(depth - m):
-            ends = _inverse_step(lmap, (head & np.uint64(1)).astype(bool),
-                                 ends)
-            head >>= np.uint64(1)
+        for bit in range(m, depth):
+            np.bitwise_and(codes, np.uint64(1 << bit), out=right,
+                           casting="unsafe")
+            _inverse_step(lmap, right, ends, out=ends)
         lo, hi = ends
         thin = np.flatnonzero(hi - lo <= EMPTY_WIDTH)
         length = depth
@@ -769,21 +779,27 @@ class _CylinderScheme:
             length -= 1
         self.lo = lo
         self.hi = hi
-        self.mid = 0.5 * (lo + hi)
         self.integrals = {}
+
+    @property
+    def mid(self):
+        """Each path's cylinder midpoint, 0.5 * (lo + hi)."""
+        return 0.5 * (self.lo + self.hi)
 
     def masses(self, stationary, probs):
         """stationary[start] times the product of each path's step
         probabilities, multiplied left to right as `np.prod` would."""
         p = probs.reshape(-1)
-        mass = stationary[self.start]
         if not self.links:
-            return mass
+            return stationary[self.start]
         (_, step), *rest = self.links
         q = p.take(step)
         for parent, step in rest:
-            q = q.take(parent) * p.take(step)
-        return mass * q
+            q = q.take(parent)
+            q *= p.take(step)
+        # one product either way round: stationary[start] * q
+        q *= stationary[self.start]
+        return q
 
 
 def _scheme(lmap, horseshoe, depth):

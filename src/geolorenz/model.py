@@ -11,6 +11,28 @@ from .errors import DomainError, PreconditionError
 
 SQRT2 = math.sqrt(2.0)
 
+# the domain of each constructor parameter of the model, as (test,
+# phrase); NaN fails every test
+_DOMAINS = {
+    "alpha": (lambda v: 0.0 < v <= 1.0, "lie in (0, 1]"),
+    "beta": (lambda v: v > 0.0, "be positive"),
+    "rho": (lambda v: 0.0 < v < 1.0, "lie in (0, 1)"),
+    "c_H": (lambda v: v > 0.0, "be positive"),
+    "c0": (lambda v: v > 0.0, "be positive"),
+    "c1": (lambda v: v >= 0.0, "be nonnegative"),
+    "eta0": (lambda v: 0.0 < v < 1.0, "lie in (0, 1)"),
+}
+
+
+def check_parameter(name, value):
+    """`value` as a float, if it lies in the domain of the model parameter
+    `name` (a key of `_DOMAINS`); else a PreconditionError naming it."""
+    value = float(value)
+    test, phrase = _DOMAINS[name]
+    if not test(value):
+        raise PreconditionError("%s must %s, got %r" % (name, phrase, value))
+    return value
+
 
 class LorenzMap1D:
     """Quotient map f on [-1, 1] minus the origin.
@@ -41,12 +63,8 @@ class LorenzMap1D:
         # symbolic imports this module, so it is imported here
         from .symbolic import model_store
 
-        alpha = float(alpha)
-        beta = float(beta)
-        if not 0.0 < alpha <= 1.0:
-            raise PreconditionError("alpha must lie in (0, 1], got %r" % alpha)
-        if not beta > 0.0:
-            raise PreconditionError("beta must be positive, got %r" % beta)
+        alpha = check_parameter("alpha", alpha)
+        beta = check_parameter("beta", beta)
         self._alpha = alpha
         self._beta = beta
         self.store = model_store(alpha, beta)
@@ -144,17 +162,11 @@ class SkewProductReturnMap:
     """
 
     def __init__(self, base, rho=0.3, c_H=0.5):
-        rho = float(rho)
-        c_H = float(c_H)
         if not isinstance(base, LorenzMap1D):
             raise PreconditionError("base must be a LorenzMap1D")
-        if not 0.0 < rho < 1.0:
-            raise PreconditionError("rho must lie in (0, 1), got %r" % rho)
-        if not c_H > 0.0:
-            raise PreconditionError("c_H must be positive, got %r" % c_H)
         self.base = base
-        self.rho = rho
-        self.c_H = c_H
+        self.rho = check_parameter("rho", rho)
+        self.c_H = check_parameter("c_H", c_H)
 
     def __repr__(self):
         return "SkewProductReturnMap(%r, rho=%r, c_H=%r)" % (
@@ -193,18 +205,9 @@ class RoofFunction:
     """
 
     def __init__(self, c0=1.0, c1=1.0, eta0=0.5):
-        c0 = float(c0)
-        c1 = float(c1)
-        eta0 = float(eta0)
-        if not c0 > 0.0:
-            raise PreconditionError("c0 must be positive, got %r" % c0)
-        if not c1 >= 0.0:
-            raise PreconditionError("c1 must be nonnegative, got %r" % c1)
-        if not 0.0 < eta0 < 1.0:
-            raise PreconditionError("eta0 must lie in (0, 1), got %r" % eta0)
-        self.c0 = c0
-        self.c1 = c1
-        self.eta0 = eta0
+        self.c0 = check_parameter("c0", c0)
+        self.c1 = check_parameter("c1", c1)
+        self.eta0 = check_parameter("eta0", eta0)
 
     def __repr__(self):
         return "RoofFunction(c0=%r, c1=%r, eta0=%r)" % (self.c0, self.c1, self.eta0)

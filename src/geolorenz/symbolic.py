@@ -64,6 +64,9 @@ MAX_DEPTH = 24
 # longest period `enumerate_periodic` lists
 MAX_PERIOD = 16
 
+# longest symbol word `check_word` accepts, and a config's extra words
+MAX_WORD = MAX_DEPTH * 4
+
 # orbit points closer to 0 than this are treated as hitting the singularity
 SINGULAR_TOL = 1e-14
 
@@ -102,7 +105,7 @@ def _remember(cache, key, value):
 def check_word(word):
     if not word:
         raise PreconditionError("empty symbol word")
-    if len(word) > MAX_DEPTH * 4:
+    if len(word) > MAX_WORD:
         raise PreconditionError("word length %d exceeds configured maximum" % len(word))
     for ch in word:
         if ch not in ("L", "R"):
@@ -246,8 +249,9 @@ def _inverse_step(lmap, right, ends, out=None):
     of `ends` at once or per column. Clamp to the branch range, which
     encodes intersection with the branch domain, then apply the branch
     inverse. Both inverses are increasing, so lo <= hi is kept. Returns
-    `out`, an array of the shape of `ends` that may be any view, or a
-    new array without it; `ends` is not written.
+    `out`, an array of the shape of `ends` that may be any view, `ends`
+    itself included (each entry is read before it is written), or a new
+    array without it; `ends` is written only when `out` is it.
 
     With s = +1 on R and -1 on L, both branch ranges clamp u = s * x to
     [-1, beta - 1], and the branch inverse of an endpoint x is

@@ -56,6 +56,11 @@ def test_validate_axiom_failure_exits_2(tmp_path):
     ("catalog.horseshoes = 12:nan:0\n", "x_gap"),
     ("catalog.horseshoes = 12:0.002:inf\n", "finite"),
     ("catalog.periods = 17\n", "periods"),
+    ("catalog.extra_words = LR,%s\n" % ("LR" * 50), "at most 96 symbols"),
+    ("model.beta = nan\n", "beta must be positive"),
+    ("roof.c0 = nan\n", "c0 must be positive"),
+    ("model.alpha = 1.5\n", "alpha must lie in (0, 1]"),
+    ("roof.eta0 = 1.0\n", "eta0 must lie in (0, 1)"),
 ])
 def test_config_errors_exit_4(tmp_path, capsys, text, fragment):
     cfg = tmp_path / "bad.cfg"

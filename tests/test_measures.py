@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import types
 
 import numpy as np
@@ -770,6 +771,45 @@ def test_scheme_dead_rows_match_full_pullback(lmap):
     stationary = rng.uniform(0.1, 1.0, hs.n_vertices)
     assert _assert_scheme_matches_full_pullback(lmap, hs, (10,), stationary,
                                                 probs) > 0
+
+
+
+def _kept_bytes(scheme):
+    """Bytes of every array a scheme keeps: its links and each array
+    attribute (start, codes, lo, hi)."""
+    arrays = [a for pair in scheme.links for a in pair]
+    arrays += [v for v in vars(scheme).values() if isinstance(v, np.ndarray)]
+    return sum(a.nbytes for a in arrays)
+
+
+@pytest.mark.parametrize("alpha, beta", [(1.0, 1.7), (0.8, 1.99)])
+def test_scheme_bytes_per_path(alpha, beta):
+    # int32 links and start, the uint64 code, lo and hi, and no stored
+    # midpoint: 48.7 and 45.2 bytes per path here, against 81.4 and 74.4
+    # with int64 links and start and a stored midpoint
+    lm = LorenzMap1D(alpha, beta)
+    scheme = measures._CylinderScheme(lm, build_horseshoe(lm, 12, 0.05), 20)
+    assert _kept_bytes(scheme) / len(scheme.codes) <= 52
+    assert scheme.mid.tobytes() == (0.5 * (scheme.lo + scheme.hi)).tobytes()
+
+
+def test_scheme_build_working_set_per_path(lmap):
+    # 39,558 paths at depth 20; a build that took the L/R split from two
+    # index lists, the bits from an int64 repeat and a new array per
+    # pullback step peaked at 131 bytes per path, and this one at 63.
+    # The levels are warm, as they are for every build after a model's
+    # first
+    hs = build_horseshoe(lmap, 12, 0.05)
+    want = measures._CylinderScheme(lmap, hs, 20)
+    tracemalloc.start()
+    try:
+        got = measures._CylinderScheme(lmap, hs, 20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    for name in ("codes", "start", "lo", "hi"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+    assert peak / len(got.codes) <= 90
 
 
 _THREADS_PROBE = """
