@@ -74,6 +74,9 @@ class ConstantPotential:
 
     def __init__(self, c=0.0):
         self.c = float(c)
+        if not math.isfinite(self.c):
+            raise PreconditionError("constant potential must be finite, "
+                                    "got %r" % c)
 
     def __repr__(self):
         return "ConstantPotential(%r)" % self.c
@@ -286,8 +289,9 @@ class SingularBumpPotential:
     def __init__(self, level, eta):
         self.level = float(level)
         self.eta = float(eta)
-        if not self.level > 0.0:
-            raise PreconditionError("bump level must be positive")
+        if not 0.0 < self.level < math.inf:
+            raise PreconditionError("bump level must be positive and "
+                                    "finite, got %r" % level)
         if not 0.0 < self.eta < 0.5:
             raise PreconditionError(
                 "bump inner radius must lie in (0, 0.5), got %r" % eta)
@@ -369,7 +373,7 @@ def parse_potential_spec(spec, base_dir=None):
             raise ConfigError("const potential needs a value, e.g. const:0.5")
         try:
             return ConstantPotential(float(rest))
-        except ValueError:
+        except (ValueError, PreconditionError):
             raise ConfigError("bad constant in potential spec %r" % spec)
     if head == "coord":
         if rest not in ("", "x"):

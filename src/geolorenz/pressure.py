@@ -56,8 +56,8 @@ from .measures import (DEFAULT_DEPTH, MarkovMeasure, SingularDeltaMeasure,
 # unused here, kept since benchmarks/test_benchmark.py checks that the
 # tracer wraps this binding
 from .measures import suspend
-from .symbolic import (ALPHABET, SFTHorseshoe, _recall, _remember,
-                       build_horseshoe, check_depth, check_model)
+from .symbolic import (ALPHABET, SFTHorseshoe, _predecessors, _recall,
+                       _remember, build_horseshoe, check_depth, check_model)
 
 MAX_TRANSFER_DEPTH = 14
 # the most Perron steps from one Collatz-Wielandt check to the next (see
@@ -109,8 +109,9 @@ def pressure_separated(lmap, potential, n, eps, pitch_divisor=6):
     """
     if n < 1:
         raise PreconditionError("n must be at least 1")
-    if eps <= 0.0:
-        raise PreconditionError("eps must be positive")
+    if not 0.0 < eps < math.inf:
+        raise PreconditionError("eps must be positive and finite, got %r"
+                                % eps)
     if pitch_divisor < 4:
         raise PreconditionError("pitch divisor below 4 violates the pitch bound")
     pitch = eps / pitch_divisor
@@ -164,35 +165,12 @@ def pressure_separated(lmap, potential, n, eps, pitch_divisor=6):
                              "separated_points": int(keep.sum())}, slack)
 
 
-def _predecessors(table, n):
-    """(2, n) table of the at most two predecessors of each vertex, -1 if none.
-
-    `table` is a (vertices, 2) successor table. An edge u -> v of a
-    shift-compatible graph has u = a + W and v = W + s, so v has at most
-    the two predecessors L + W and R + W.
-    """
-    # the L edges by source, then the R edges
-    bit, src = np.nonzero(table.T >= 0)
-    dst = table[src, bit]
-    order = np.argsort(dst, kind="stable")
-    src, dst = src[order], dst[order]
-    count = np.bincount(dst, minlength=n)
-    if n and count.max() > len(ALPHABET):
-        raise PreconditionError("graph is not shift-compatible: a vertex "
-                                "has more than two predecessors")
-    first = np.searchsorted(dst, np.arange(n))
-    prev = np.full((len(ALPHABET), n), -1, dtype=np.int64)
-    for k in range(len(ALPHABET)):
-        has = count > k
-        prev[k, has] = src[first[has] + k]
-    return prev
-
-
 def _classes(pairs, n):
     """(rep, cls) of the columns of `pairs`, a (2, n) table of vertices
     with -1 for none: rep holds one column of each class of equal
     columns, cls the class of each column."""
-    _, rep, cls = np.unique((pairs[0] + 1) * (n + 1) + pairs[1],
+    # int64 keys: (n + 1)^2 passes 2^31 at n = 46,340
+    _, rep, cls = np.unique((pairs[0] + np.int64(1)) * (n + 1) + pairs[1],
                             return_index=True, return_inverse=True)
     return rep, cls
 
@@ -200,7 +178,10 @@ def _classes(pairs, n):
 class _PerronPlan:
     """The part of a Perron solve that does not depend on the weights.
 
-    Built from a (vertices, 2) successor table. `layout(left)` returns,
+    Built from a (vertices, 2) successor table; the left side reads the
+    table's predecessors from `symbolic._predecessors`, and raises
+    PreconditionError when a vertex has more than two, as no
+    shift-compatible graph does. `layout(left)` returns,
     for the stacked vector of the right side's classes followed, with
     `left`, by the left side's (see `_weighted_power`):
 
@@ -243,7 +224,11 @@ class _PerronPlan:
         sides = [(self.table[rep].T, succ)]
         self.succ = _frozen(succ.astype(np.int32))
         if left:
-            prev = _predecessors(self.table, n)
+            prev = _predecessors(self.table)
+            if len(prev) > len(ALPHABET):
+                raise PreconditionError("graph is not shift-compatible: a "
+                                        "vertex has more than two "
+                                        "predecessors")
             rep, pred = _classes(prev, n)
             sides.append((prev[:, rep], pred))
             self.pred = _frozen(pred.astype(np.int32))

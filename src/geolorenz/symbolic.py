@@ -746,6 +746,12 @@ def enumerate_periodic(lmap, n_max):
     prefix of the longest list built, and a larger one locates only the
     new periods, all in one `_periodic_points` call. Raises
     PreconditionError unless n_max is an integer in [1, MAX_PERIOD].
+
+    At finite kneading the critical orbits close up through 0, reading
+    "R" + k_plus from 0+ and "L" + k_minus from 0-; f is undefined at 0,
+    so those loops are left out (`find_periodic_point` raises DomainError
+    on them). Near such a model (beta = phi + 1e-13) the pair never ends,
+    and the orbits closest to 0 still raise DomainError.
     """
     if not (isinstance(n_max, numbers.Integral) and 1 <= n_max <= MAX_PERIOD):
         raise PreconditionError("n_max %r is not an integer in [1, %d]"
@@ -754,11 +760,17 @@ def enumerate_periodic(lmap, n_max):
     store = lmap.store
     if n_max > store.n_max:
         kp = kneading(lmap, max(64, 4 * n_max))
+        # a word that did not end is longer than MAX_PERIOD, and no
+        # necklace matches its loop
+        loops = {min(w[i:] + w[:i] for i in range(len(w)))
+                 for w in ("R" + kp.k_plus, "L" + kp.k_minus)
+                 if kp.truncated}
         words = []
         for p in range(store.n_max + 1, n_max + 1):
             codes = _necklace_codes(p)
             keep = _periodic_admissible(code_symbols(codes, p), kp)
-            words += decode_words(codes[keep], p)
+            words += [w for w in decode_words(codes[keep], p)
+                      if w not in loops]
         if words:
             points, mults = _periodic_points(lmap, words)
             for word, x, mult in zip(words, points.tolist(), mults.tolist()):
@@ -930,21 +942,37 @@ def build_horseshoe(lmap, depth, x_gap):
     return horseshoe
 
 
-def _neighbours(adjacency, dead, frontier):
-    """The live targets of the edges out of `frontier`, with repeats, as
-    np.intp indices.
+def _predecessors(table):
+    """(k, n) int32 table of the predecessors of each vertex, -1 if none.
 
-    `adjacency` is (count, first, targets): the targets of vertex u are
-    targets[first[u]:first[u] + count[u]], so a round gathers only the
-    edges of its frontier. A target is live unless `dead` marks it.
+    `table` is a (n, 2) successor table with -1 for no edge, of any
+    in-degree. Column v lists the sources of v's edges on L, then those
+    on R, each ascending; k is the largest in-degree, at least 2. A
+    shift-compatible graph has k = 2: an edge u -> v has u = a + W and
+    v = W + s, so v has at most the predecessors L + W and R + W.
     """
-    count, first, targets = adjacency
-    size = count[frontier]
-    end = np.cumsum(size, dtype=np.int32)
-    # entry k of frontier vertex f's run sits at first[f] + k
-    pos = np.repeat(first[frontier] - (end - size), size)
-    pos += np.arange(pos.size, dtype=np.int32)
-    hit = targets[pos].astype(np.intp)
+    n = len(table)
+    # flat entry k*n + u is u's edge on ALPHABET[k], so a stable sort lists
+    # each vertex's sources in that order, after the absent edges
+    dst = table.T.astype(np.int32, order="C").ravel()
+    order = np.argsort(dst, kind="stable")
+    # count[v] is v's in-degree and first[v] its first edge's place
+    count = np.bincount(dst + 1, minlength=n + 1)
+    first = np.cumsum(count[:-1])
+    count = count[1:]
+    prev = np.full((max(len(ALPHABET), count.max(initial=0)), n), -1,
+                   dtype=np.int32)
+    for rank, row in enumerate(prev):
+        has = count > rank
+        row[has] = order[first[has] + rank] % n
+    return prev
+
+
+def _live(graph, dead, frontier):
+    """The live targets of the edges out of `frontier`, with repeats, as
+    np.intp indices; `dead` marks the rest, and the slot 2n of every
+    absent edge."""
+    hit = graph.take(frontier, axis=0).ravel().astype(np.intp)
     return hit[~dead[hit]]
 
 
@@ -959,20 +987,20 @@ def _distinct(values, slot):
     return values[slot[values] == rank]
 
 
-def _component(adjacency, dead, slot, pivot):
+def _component(graph, dead, slot, pivot):
     """The component of the live vertex `pivot`: the vertices that one
     breadth-first search from `pivot` and `pivot` + n reaches in both
     halves of the graph (see `strongly_connected_components`). A search
     marks what it visits `dead` and unmarks what it reached in one half
     only, so the component is left dead in both.
     """
-    n = dead.size // 2
+    n = len(graph) // 2
     frontier = np.array([pivot, pivot + n])
     visited = []
     while frontier.size:
         dead[frontier] = True
         visited.append(frontier)
-        frontier = _distinct(_neighbours(adjacency, dead, frontier), slot)
+        frontier = _distinct(_live(graph, dead, frontier), slot)
     visited = np.concatenate(visited)
     half = visited % n
     both = dead[half] & dead[half + n]
@@ -980,47 +1008,23 @@ def _component(adjacency, dead, slot, pivot):
     return visited[both & (visited < n)]
 
 
-def _adjacency(table):
-    """The graph of `strongly_connected_components` on a (n, 2) successor
-    table, as the int32 arrays (count, first, targets) that `_neighbours`
-    reads: the edges u -> v sorted by source u, then their reversals
-    v + n -> u + n sorted by source v. The edge lists and the sort order
-    it is built from go with the call."""
-    n = len(table)
-    has = table >= 0
-    # the edges u -> v by source u, row by row
-    dst = table[has].astype(np.int32)
-    edges = dst.size
-    # count[u] is u's out-degree and count[v + n] v's in-degree
-    count = np.empty(2 * n, dtype=np.int32)
-    count[:n] = has.sum(axis=1)
-    count[n:] = np.bincount(dst, minlength=n)
-    targets = np.empty(2 * edges, dtype=np.int32)
-    targets[:edges] = dst
-    # each edge's source u + n, in the stable order of its target v
-    targets[edges:] = np.repeat(np.arange(n, 2 * n, dtype=np.int32),
-                                count[:n])[np.argsort(dst, kind="stable")]
-    first = np.cumsum(count, dtype=np.int32)
-    first -= count
-    return count, first, targets
-
-
-def _roots(adjacency):
+def _roots(graph):
     """The smallest vertex of each vertex's component, by the rounds of
-    `strongly_connected_components` on the graph of `_adjacency`."""
-    count = adjacency[0]
-    n = count.size // 2
-    # the live in-degrees of the first half, then the live out-degrees
-    degree = np.concatenate([count[n:], count[:n]])
+    `strongly_connected_components` on its (2n, k) table."""
+    n = len(graph) // 2
+    # the live in-degrees of the first half, then the live out-degrees;
+    # the last entry counts the absent edges and is never read
+    degree = np.bincount(graph.ravel(), minlength=2 * n + 1).astype(np.int32)
     slot = np.empty(2 * n, dtype=np.int32)
     # dead in both halves: vertices trimmed or in a component found; a
     # search marks what it visits here too and unmarks it afterwards
-    dead = np.zeros(2 * n, dtype=bool)
+    dead = np.zeros(2 * n + 1, dtype=bool)
+    dead[2 * n] = True
     # a pivot is the smallest live vertex, and components die whole
     root = np.arange(n, dtype=np.int32)
     pivot = 0
     live = n
-    dying = np.flatnonzero((degree[:n] == 0) | (degree[n:] == 0))
+    dying = np.flatnonzero((degree[:n] == 0) | (degree[n:-1] == 0))
     while True:
         while dying.size:
             dead[dying] = True
@@ -1028,15 +1032,14 @@ def _roots(adjacency):
             live -= dying.size
             if not live:
                 return root
-            hit = _neighbours(adjacency, dead,
-                              np.concatenate([dying, dying + n]))
+            hit = _live(graph, dead, np.concatenate([dying, dying + n]))
             # an int32 step: a Python int takes numpy's slow path here
             np.subtract.at(degree, hit, np.int32(1))
             hit %= n
             dying = _distinct(hit[(degree[hit] == 0) | (degree[hit + n] == 0)],
                               slot)
         pivot += int(np.argmin(dead[pivot:n]))
-        dying = _component(adjacency, dead, slot, pivot)
+        dying = _component(graph, dead, slot, pivot)
         root[dying] = pivot
 
 
@@ -1046,35 +1049,40 @@ def strongly_connected_components(graph):
     `graph` needs `n_vertices` and `next`, a (vertices, 2) successor
     table with -1 for no edge; in-degrees are arbitrary. Forward-backward
     decomposition on arrays, over one graph holding the edges u -> v and,
-    shifted by n, their reversals v + n -> u + n, stored once per call
-    sorted by source. Its in-degree at v counts v's live in-edges and at
-    v + n its live out-edges. Vertices die in rounds: each round lowers
-    those counts along the edges of the vertices that died last, and
-    every live vertex left without a live in-edge or out-edge lies on no
-    cycle, so it is a component of its own and dies next. When none is
-    left, the vertices both reachable from and reaching the smallest live
-    vertex (one breadth-first search from it in both halves) form its
-    component, which dies in turn. Each round works on the edges of its
-    own frontier only.
+    shifted by n, their reversals v + n -> u + n: one (2n, k) table whose
+    row u < n is next[u] and row v + n the column of `_predecessors` at
+    v plus n, with absent edges pointing at a slot 2n that is dead from
+    the start. Its in-degree at v counts v's live in-edges and at v + n
+    its live out-edges. Vertices die in rounds: each round lowers those
+    counts along the edges of the vertices that died last, and every live
+    vertex left without a live in-edge or out-edge lies on no cycle, so
+    it is a component of its own and dies next. When none is left, the
+    vertices both reachable from and reaching the smallest live vertex
+    (one breadth-first search from it in both halves) form its
+    component, which dies in turn. Each round gathers the rows of its own
+    frontier only.
 
-    The arrays kept through the rounds (counts, edge offsets, targets,
-    degrees, scratch slots and roots) are int32: a horseshoe, or a
-    subgraph of one, has n <= 2^MAX_DEPTH vertices and at most 2n edges,
-    so the 2n vertices and 4n edge entries of the graph stay below 2^31.
-    A round's own index arrays are np.intp, which numpy indexes with no
-    conversion. The build's edge lists and sort order are freed once the
-    adjacency holds them, and the graph before the output is built. At
-    alpha = 0.8, beta = 1.9884, depth 14, x_gap 0.002 (16,160 vertices,
-    32,192 edges) a call allocates at most about 110 bytes per vertex
-    (tracemalloc), where int64 arrays took 242.
+    The arrays kept through the rounds (the table, degrees, scratch slots
+    and roots) are int32: a horseshoe, or a subgraph of one, has
+    n <= 2^MAX_DEPTH vertices, so the 2n + 1 slots stay below 2^31. A
+    round's own index arrays are np.intp, which numpy indexes with no
+    conversion. At alpha = 0.8, beta = 1.9884, depth 14, x_gap 0.002
+    (16,160 vertices, 32,192 edges) a call allocates at most about 90
+    bytes per vertex (tracemalloc), where int64 arrays took 242.
 
     Returns a list of index arrays, one per component, each ascending
     and of dtype np.intp, in a deterministic order (by smallest contained
     vertex index).
     """
-    if not graph.n_vertices:
+    n = graph.n_vertices
+    if not n:
         return []
-    root = _roots(_adjacency(graph.next))
+    prev = _predecessors(graph.next)
+    table = np.full((2 * n, len(prev)), 2 * n, dtype=np.int32)
+    table[:n, :2] = np.where(graph.next < 0, 2 * n, graph.next)
+    table[n:] = np.where(prev < 0, 2 * n, prev + n).T
+    del prev
+    root = _roots(table)
     # argsort returns np.intp, the dtype of every component
     order = np.argsort(root, kind="stable")
     return np.split(order, np.flatnonzero(np.diff(root[order])) + 1)

@@ -167,6 +167,14 @@ def test_pressure_separated_command(tmp_path):
     assert est["value"] == pytest.approx(math.log(1.7), rel=0.05)
 
 
+@pytest.mark.parametrize("eps", ["nan", "inf"])
+def test_pressure_separated_non_finite_eps_exits_3(tmp_path, capsys, eps):
+    out = str(tmp_path / "r")
+    assert run(["--out", out, "pressure", "--method", "separated",
+                "--potential", "const:0", "--eps", eps]) == 3
+    assert "eps must be positive and finite" in capsys.readouterr().err
+
+
 def test_bad_potential_spec_exits_4(tmp_path, capsys):
     out = str(tmp_path / "r")
     assert run(["--out", out, "pressure", "--potential", "wavelet:3"]) == 4
@@ -201,11 +209,15 @@ def _catalog_file(tmp_path, entry):
                                     "x_gap": 0.0, "vertices": ["LR"],
                                     "probs": [], "stationary": []}),
     lambda tmp: _catalog_file(tmp, {"variant": "convex", "components": [
-        {"weight": 1.0, "measure": ["x"]}]})],
+        {"weight": 1.0, "measure": ["x"]}]}),
+    lambda tmp: ["spectrum", "--potential", "const:nan"],
+    lambda tmp: ["spectrum", "--potential", "const:inf"],
+    lambda tmp: ["spectrum", "--potential", "bump:inf,0.1"]],
     ids=["negative-seed", "lipschitz-not-a-number", "atomic-without-word",
          "entry-not-an-object", "word-not-a-string",
          "markov-without-vertices", "markov-rows-missing",
-         "component-not-an-object"])
+         "component-not-an-object", "const-nan", "const-inf",
+         "bump-level-inf"])
 def test_malformed_outside_input_exits_4(tmp_path, capsys, argv):
     out = str(tmp_path / "r")
     assert run(["--out", out] + argv(tmp_path)) == 4

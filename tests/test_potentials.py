@@ -56,6 +56,15 @@ def test_bump_guards():
         SingularBumpPotential(0.0, 0.1)
     with pytest.raises(PreconditionError):
         SingularBumpPotential(1.0, 0.6)
+    for level in (math.inf, math.nan):
+        with pytest.raises(PreconditionError, match="positive and finite"):
+            SingularBumpPotential(level, 0.1)
+
+
+@pytest.mark.parametrize("c", [math.nan, math.inf, -math.inf])
+def test_constant_potential_rejects_non_finite(c):
+    with pytest.raises(PreconditionError, match="must be finite"):
+        ConstantPotential(c)
 
 
 def test_bump_passage_integral_against_quadrature():
@@ -299,7 +308,8 @@ def test_grid_payload_rejects_non_finite_samples(tmp_path, field, index):
 @pytest.mark.parametrize("bad", [
     "", "const", "const:x", "coord:y", "bump:1.0", "bump:a,b",
     "bump:1.0,0.9", "grid:", "grid:seed:abc", "grid:/nonexistent.json",
-    "mystery:1",
+    "mystery:1", "const:nan", "const:inf", "const:-inf", "bump:inf,0.1",
+    "bump:nan,0.1", "bump:1.0,nan",
 ])
 def test_parse_potential_spec_rejects(bad):
     with pytest.raises(ConfigError):

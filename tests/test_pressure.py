@@ -121,6 +121,12 @@ def test_separated_estimator_parameters(lmap):
                            pitch_divisor=2)
 
 
+@pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf, -1e-3])
+def test_separated_estimator_rejects_non_finite_eps(lmap, eps):
+    with pytest.raises(PreconditionError, match="positive and finite"):
+        pressure_separated(lmap, ConstantPotential(0.0), 10, eps)
+
+
 def _separated_oracle(lmap, potential, n, eps, pitch_divisor=6):
     """`pressure_separated(...).as_dict()` by the greedy scan as one loop
     per point.
@@ -696,6 +702,16 @@ def test_last_map_frees_its_model_without_the_cycle_collector(coord):
         gc.enable()
 
 
+def test_left_solve_rejects_in_degree_above_two():
+    # vertex 0 has the three predecessors 0, 1 and 2, which no
+    # shift-compatible graph allows; the right side needs no predecessors
+    table = np.array([[0, 1], [0, 2], [0, 1]])
+    lw = np.zeros(3)
+    assert pressure._weighted_power(table, lw)[4]
+    with pytest.raises(PreconditionError, match="not shift-compatible"):
+        pressure._weighted_power(table, lw, left=True)
+
+
 # ---------------------------------------------------------------------------
 # the Perron step against the loop it replaced
 
@@ -712,7 +728,7 @@ def _reference_weighted_power(table, log_weights, shift=False, left=False,
     idx = [np.where(nxt >= 0, nxt, 0)]
     coef = [np.where(nxt >= 0, w[nxt], 0.0)]
     if left:
-        prev = pressure._predecessors(table, n)
+        prev = symbolic._predecessors(table)
         idx.append(np.where(prev >= 0, prev + n, 0))
         coef.append(np.where(prev >= 0, w, 0.0))
     idx = np.concatenate(idx, axis=1)
@@ -933,7 +949,7 @@ def _vertex_weighted_power(table, log_weights, left=False, tol=1e-12,
     idx = [np.where(nxt >= 0, nxt, 0)]
     coef = [np.where(nxt >= 0, w[nxt], 0.0)]
     if left:
-        prev = pressure._predecessors(table, n)
+        prev = symbolic._predecessors(table)
         idx.append(np.where(prev >= 0, prev + n, 0))
         coef.append(np.where(prev >= 0, w, 0.0))
     sides = 2 if left else 1
