@@ -25,7 +25,7 @@ from .model import (LorenzMap1D, ModelValidationReport, RoofFunction,
 from .potentials import (ConstantPotential, CoordinatePotential,
                          SectionGridPotential, SingularBumpPotential,
                          parse_potential_spec)
-from .pressure import (PressureBounds, PressureEstimate, catalog_pressures,
+from .pressure import (PressureEstimate, catalog_pressures,
                        equilibrium_measure, estimate_P_bounds, h_top_estimate,
                        pressure_measure, pressure_separated,
                        pressure_transfer)

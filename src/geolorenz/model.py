@@ -293,6 +293,9 @@ class ModelValidationReport:
 # x-derivative of H is unbounded as x -> 0, so the axiom is checked on
 # sampled points bounded away from the singular line (see report detail)
 _DERIV_X_FLOOR = 1e-2
+# the largest sign grid `validate_model` builds: 2 x 100,000 points on
+# the base and 100,000 x 21 fiber values
+MAX_GRID_DENSITY = 100_000
 
 
 def validate_model(skew, grid_density=1000):
@@ -300,9 +303,14 @@ def validate_model(skew, grid_density=1000):
     on grids as confirmation. Failures are report rows, never exceptions.
     The fiber grids are broadcast calls of `skew.fiber`: one on the
     grid_density x 21 sign grid, four on the 50 x 21 derivative grid.
+    A grid_density outside [100, MAX_GRID_DENSITY] raises
+    PreconditionError before any grid is built.
     """
     if grid_density < 100:
         raise PreconditionError("grid_density must be >= 100, got %r" % grid_density)
+    if grid_density > MAX_GRID_DENSITY:
+        raise PreconditionError("grid_density must be <= %d, got %r"
+                                % (MAX_GRID_DENSITY, grid_density))
     lmap = skew.base
     alpha, beta, rho, c_H = lmap.alpha, lmap.beta, skew.rho, skew.c_H
     rep = ModelValidationReport(

@@ -3,9 +3,14 @@
 The separated-set estimator follows the growth-rate definition directly
 and anchors fidelity; the transfer-operator estimator is the precision
 workhorse (leading eigenvalue of the potential-weighted adjacency on
-cylinder words); the catalog supremum realizes the variational principle
-over whatever measures the caller supplies. Disagreement beyond the
-reported slack is surfaced, never hidden.
+cylinder words, one Perron solve per word graph); the catalog bounds are
+the min and max of the pressures of whatever measures the caller
+supplies, which by the variational principle lie in the range of
+pressures of ergodic measures, and make no solve of their own. The
+repro suites cross-check the estimators (the entropy suite the transfer
+root against lap counts, the variational suite the catalog sup and the
+equilibrium pressure against the transfer root), and a solve that does
+not converge raises instead of answering.
 
 All Perron eigendata come from one power solver, `_weighted_power`. The
 transfer estimator asks it for the right side only; an equilibrium state
@@ -60,6 +65,9 @@ from .symbolic import (ALPHABET, SFTHorseshoe, _predecessors, _recall,
                        _remember, build_horseshoe, check_depth, check_model)
 
 MAX_TRANSFER_DEPTH = 14
+# `pressure_separated`'s (n, m) orbit matrix: at most the n = 18 rows of
+# its default by the 4 M points of its largest grid
+MAX_ORBIT_ENTRIES = 18 * 4_000_000
 # the most Perron steps from one Collatz-Wielandt check to the next (see
 # _weighted_power)
 CERTIFY_EVERY = 32
@@ -102,7 +110,8 @@ def pressure_separated(lmap, potential, n, eps, pitch_divisor=6):
     built row by row in one length-m buffer); past the run, points are
     measured against the last kept one a block at a time up to the first
     separated one. Python iterations count the stretches of dropped
-    points, not the m grid points; the 4 M guard bounds m, not n x m.
+    points, not the m grid points. The 4 M guard bounds m, and a second
+    one bounds n x m by MAX_ORBIT_ENTRIES, before anything is allocated.
     The (n, m) orbit matrix is compressed only when some grid orbit hits
     |x| <= 1e-12, and each point's Birkhoff sum adds the potential's
     values one orbit row at a time, in orbit order from 0.0.
@@ -120,6 +129,10 @@ def pressure_separated(lmap, potential, n, eps, pitch_divisor=6):
         raise PreconditionError(
             "grid too coarse to honor pitch <= eps/%d within the memory "
             "budget (%d points needed)" % (pitch_divisor, count))
+    if n * count > MAX_ORBIT_ENTRIES:
+        raise PreconditionError(
+            "an orbit matrix of n = %d rows by %d grid points exceeds the "
+            "memory budget of %d entries" % (n, count, MAX_ORBIT_ENTRIES))
     xs = np.linspace(-1.0, 1.0, count)
     xs = xs[np.abs(xs) > 1e-12]
 
@@ -476,46 +489,32 @@ def _finite(lw, what):
     return lw
 
 
-def _solve_components(horseshoe, lw, left=False):
-    """(indices, sub-SFT, log lambda, h, g) of the solve on each cyclic
-    component; a solve that does not converge raises PreconditionError."""
-    for comp, sub in horseshoe.cyclic_components():
-        val, h, g, iterations, converged = _weighted_power(
-            sub, lw[comp], left=left)
-        if not converged:
-            raise PreconditionError(
-                "Perron iteration on a %d-vertex component did not converge "
-                "in %d iterations" % (len(comp), iterations))
-        yield comp, sub, val, h, g
-
-
 def pressure_transfer(lmap, potential, depth=12):
     """Log leading eigenvalue of the weighted full shift (x_gap = 0).
 
-    One `_weighted_power` solve brackets the Perron root within 1e-12
-    relative to its top. A word graph on which that bracket does not
-    close (a reducible graph) is scored per strongly connected
-    component that carries a cycle, and the best root is kept; a
-    component whose solve does not converge raises PreconditionError, as
-    does a depth that is not an integer in [1, MAX_TRANSFER_DEPTH] and a
-    potential that is not finite at some word's midpoint.
+    One `_weighted_power` solve on the depth-`depth` word graph brackets
+    the Perron root within 1e-12 relative to its top. Its shift by half
+    the root makes periodic graphs converge too. A solve that does not
+    converge (steep weights, or a reducible graph whose components have
+    different roots) raises PreconditionError naming the graph size and
+    the iteration count; no other solve stands in for it. So do a depth
+    that is not an integer in [1, MAX_TRANSFER_DEPTH] and a potential that
+    is not finite at some word's midpoint.
     """
     depth = check_depth(depth, "transfer", 1, MAX_TRANSFER_DEPTH)
     sft = build_horseshoe(lmap, depth, 0.0)
     lw = _finite(np.asarray(potential.value(sft.midpoints), dtype=float),
                  "potential %r" % (potential,))
     value, _, _, iterations, converged = _weighted_power(sft, lw)
-    params = {"depth": depth, "words": sft.n_vertices,
-              "iterations": iterations}
     if not converged:
-        # reducible (or periodic) word graph: score each strongly
-        # connected component that carries a cycle and keep the best
-        value = max((val for _, _, val, _, _ in _solve_components(sft, lw)),
-                    default=-math.inf)
-        params["fallback"] = "per-component"
+        raise PreconditionError(
+            "Perron iteration on the %d-word transfer graph did not "
+            "converge in %d iterations" % (sft.n_vertices, iterations))
     w_max = float(np.max(sft.cyl_hi - sft.cyl_lo))
     slack = 1.28 * (2.0 ** (-depth / 2.0)) + potential.lipschitz_bound() * w_max
-    return PressureEstimate(value, "transfer", params, slack)
+    return PressureEstimate(value, "transfer",
+                            {"depth": depth, "words": sft.n_vertices,
+                             "iterations": iterations}, slack)
 
 
 def pressure_measure(measure, potential, level="map", roof=None,
@@ -551,56 +550,15 @@ def catalog_pressures(catalog, potential, level="map", roof=None,
     raise PreconditionError("level must be 'map' or 'flow', got %r" % level)
 
 
-class PressureBounds:
-    """Catalog (min, max) of measure pressures, with a transfer cross-check."""
-
-    def __init__(self, p_inf, p_top, transfer_value, shortfall_flagged):
-        self.p_inf = p_inf
-        self.p_top = p_top
-        self.transfer_value = transfer_value
-        self.shortfall_flagged = shortfall_flagged
-
-    def __iter__(self):
-        return iter((self.p_inf, self.p_top))
-
-    def __repr__(self):
-        return "PressureBounds(%.9g, %.9g, flagged=%r)" % (
-            self.p_inf, self.p_top, self.shortfall_flagged)
-
-
-def _find_lmap(catalog):
-    for m in catalog:
-        lm = getattr(m, "lmap", None)
-        if lm is not None:
-            return lm
-        if hasattr(m, "components"):
-            lm = _find_lmap([c for _, c in m.components])
-            if lm is not None:
-                return lm
-    return None
-
-
 def estimate_P_bounds(catalog, potential, level="map", roof=None):
-    """(inf, sup) of pressure over the catalog.
-
-    The sup is additionally compared with the transfer estimate at map
-    level; a shortfall beyond 0.02 flags catalog insufficiency in the
-    result (it is not an error). The singular Dirac measure only enters
-    at flow level, where its conventions are defined.
+    """(inf, sup) of pressure over the catalog: the min and max of
+    `catalog_pressures`. The singular Dirac measure only enters at flow
+    level, where its conventions are defined. How far the sup falls short
+    of the transfer root is a cross-check of the repro suites, not of
+    this call.
     """
-    pool, values = catalog_pressures(catalog, potential, level=level,
-                                     roof=roof)
-    p_inf = min(values)
-    p_top = max(values)
-    transfer_value = None
-    flagged = False
-    if level == "map":
-        lmap = _find_lmap(pool)
-        if lmap is not None:
-            transfer_value = pressure_transfer(lmap, potential,
-                                               DEFAULT_DEPTH).value
-            flagged = (transfer_value - p_top) > 0.02
-    return PressureBounds(p_inf, p_top, transfer_value, flagged)
+    _, values = catalog_pressures(catalog, potential, level=level, roof=roof)
+    return min(values), max(values)
 
 
 def h_top_estimate(lmap):
@@ -684,7 +642,13 @@ def _solve_equilibrium(lmap, horseshoe, lw):
     which would keep the model's store alive after its last map.
     """
     best = None
-    for comp, sub, val, h, g in _solve_components(horseshoe, lw, left=True):
+    for comp, sub in horseshoe.cyclic_components():
+        val, h, g, iterations, converged = _weighted_power(
+            sub, lw[comp], left=True)
+        if not converged:
+            raise PreconditionError(
+                "Perron iteration on a %d-vertex component did not converge "
+                "in %d iterations" % (len(comp), iterations))
         if best is None or val > best[0] + 1e-15:
             best = (val, comp, sub, h, g)
     if best is None:

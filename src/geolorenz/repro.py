@@ -17,7 +17,8 @@ import json
 from importlib import resources
 
 from .catalog import (DEFAULT_RECIPE, GAP_CORE_RECIPE,
-                      GAP_DEMONSTRATOR_RECIPE, build_catalog)
+                      GAP_DEMONSTRATOR_RECIPE, build_catalog,
+                      equilibrium_label)
 from .errors import PreconditionError
 from .measures import SingularDeltaMeasure
 from .potentials import ConstantPotential, CoordinatePotential, \
@@ -108,8 +109,9 @@ def _variational_seed(lmap, depth, seed):
     transfer = pressure_transfer(lmap, phi, depth=depth)
     catalog = build_catalog(lmap, phi, DEFAULT_RECIPE)
     pool, values = catalog_pressures(catalog, phi, level="map")
-    equilibrium = next((v for m, v in zip(pool, values)
-                        if m.id == "markov:d12:g0.002:t1"), None)
+    label = equilibrium_label(DEFAULT_RECIPE.horseshoes[0], 1.0)
+    equilibrium = next((v for m, v in zip(pool, values) if m.id == label),
+                       None)
     return {"seed": seed, "transfer": transfer.value,
             "catalog_sup": max(values), "equilibrium": equilibrium}
 

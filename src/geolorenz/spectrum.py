@@ -35,7 +35,7 @@ from .measures import suspend
 from .model import RoofFunction
 from .potentials import SingularBumpPotential
 from .pressure import (catalog_pressures, equilibrium_measure,
-                       pressure_measure)
+                       estimate_P_bounds, pressure_measure)
 from .symbolic import MAX_DEPTH, build_horseshoe, check_depth
 
 HYPOTHESIS_THRESHOLD = 0.25
@@ -436,9 +436,8 @@ def realize_intermediate(req):
     catalog = req.catalog
     if catalog is None:
         catalog = build_catalog(req.lmap, req.potential, DEFAULT_RECIPE)
-    _, values = catalog_pressures(catalog, req.potential, level=req.level,
-                                  roof=req.roof)
-    p_inf, p_top = min(values), max(values)
+    p_inf, p_top = estimate_P_bounds(catalog, req.potential, level=req.level,
+                                     roof=req.roof)
     if not (p_inf + req.tolerance <= req.target <= p_top - req.tolerance):
         raise PreconditionError(
             "target %.6g is not interior to the catalog bounds "

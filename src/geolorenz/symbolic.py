@@ -704,6 +704,11 @@ def find_periodic_point(lmap, word):
     One word of `_periodic_points`; the record is kept in the model's
     store, so each word is located and tested once per model (it was
     admitted at a kneading depth at least as deep as this call's).
+
+    Admission does not promise a point. At a finite-kneading model an
+    admitted long word whose orbit shadows a critical loop through 0
+    comes within SINGULAR_TOL of 0 and raises DomainError: at beta =
+    (1 + sqrt 5)/2, "LRR" * 23 + "L" does.
     """
     check_word(word)
     if not is_primitive(word):

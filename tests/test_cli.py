@@ -5,6 +5,7 @@ import json
 import math
 import os
 import re
+import tracemalloc
 
 import pytest
 
@@ -173,6 +174,29 @@ def test_pressure_separated_non_finite_eps_exits_3(tmp_path, capsys, eps):
     assert run(["--out", out, "pressure", "--method", "separated",
                 "--potential", "const:0", "--eps", eps]) == 3
     assert "eps must be positive and finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, fragment", [
+    (["validate", "--grid-density", "100001"],
+     "grid_density must be <= 100000, got 100001"),
+    (["pressure", "--method", "separated", "--potential", "const:0",
+      "--n", "6000001", "--eps", "1"],
+     "n = 6000001 rows by 13 grid points exceeds the memory budget"),
+])
+def test_unbounded_inputs_exit_3_before_allocating(tmp_path, capsys, argv,
+                                                   fragment):
+    # 100,001 x 21 fiber values would take 16.8 MB, and a 6,000,001 x 13
+    # orbit matrix 624 MB: each is refused before any array is built
+    out = str(tmp_path / "r")
+    tracemalloc.start()
+    try:
+        code = run(["--out", out] + argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    assert fragment in capsys.readouterr().err
+    assert peak < 2 ** 20
 
 
 def test_bad_potential_spec_exits_4(tmp_path, capsys):

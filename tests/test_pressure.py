@@ -19,6 +19,7 @@ from geolorenz import (
     SingularDeltaMeasure,
     build_catalog,
     build_horseshoe,
+    catalog_pressures,
     cylinder_levels,
     entropy_map,
     enumerate_periodic,
@@ -268,15 +269,23 @@ def test_parry_entropy_matches_dense_eigenvalue(lmap):
 
 def test_estimate_bounds_orders_and_flags(lmap, coord):
     catalog = build_catalog(lmap, coord)
-    bounds = estimate_P_bounds(catalog, coord)
-    p_inf, p_top = bounds
+    p_inf, p_top = estimate_P_bounds(catalog, coord)
     assert p_inf < p_top
-    assert not bounds.shortfall_flagged
-    assert bounds.transfer_value is not None
-    # a catalog of a single zero-entropy orbit cannot reach the transfer
-    # value, which must be flagged rather than silently accepted
-    thin = build_catalog(lmap, coord, CatalogRecipe(periods=(2,)))
-    assert estimate_P_bounds(thin, coord).shortfall_flagged
+
+
+@pytest.mark.parametrize("level", ["map", "flow"])
+def test_estimate_bounds_are_the_catalog_extremes(monkeypatch, lmap, coord,
+                                                  roof, level):
+    # the plain (min, max) of the catalog pass, with no Perron solve of
+    # its own: the catalog's equilibria are solved before counting starts
+    roof = roof if level == "flow" else None
+    catalog = build_catalog(lmap, coord)
+    _, values = catalog_pressures(catalog, coord, level=level, roof=roof)
+    calls = _count_solves(monkeypatch)
+    bounds = estimate_P_bounds(catalog, coord, level=level, roof=roof)
+    assert not calls
+    assert type(bounds) is tuple
+    assert bounds == (min(values), max(values))
 
 
 def test_estimate_bounds_level_guard(lmap, coord):
@@ -334,23 +343,6 @@ def test_catalogs_share_the_model_horseshoes(monkeypatch, fresh_model_cache,
         is markov[0][0].horseshoe
     atomic = [(a, b) for a, b in zip(first, second) if a.variant == "atomic"]
     assert all(a.orbit is b.orbit for a, b in atomic)
-
-
-def test_transfer_fallback_scores_cyclic_components(monkeypatch, lmap):
-    # on the hand-built graph of test_equilibrium_scores_self_loop_singleton
-    # the 2-cycle {LR, RL} with weights 2, 2 beats the self-loop at RR
-    # with weight 1, whose quotient stays at 1: the whole graph's bracket
-    # never closes, and the per-component fallback must find lambda = 2
-    words = ("LL", "LR", "RL", "RR")
-    adj = [[0, 1, 0, 0], [0, 0, 1, 1], [0, 1, 0, 0], [0, 0, 0, 1]]
-    hs = horseshoe_from_adjacency(2, words, adj, lmap)
-    pot = _VertexWeights(hs, [1.0, 2.0, 2.0, 1.0])
-    pot.lipschitz_bound = lambda: 0.0
-    monkeypatch.setattr(pressure, "build_horseshoe",
-                        lambda lm, depth, x_gap: hs)
-    estimate = pressure_transfer(lmap, pot, depth=2)
-    assert estimate.params["fallback"] == "per-component"
-    assert estimate.value == pytest.approx(math.log(2.0), rel=0.0, abs=1e-12)
 
 
 def test_equilibrium_scores_self_loop_singleton(lmap, coord):
@@ -1244,10 +1236,11 @@ def test_transfer_rejects_non_finite_potential(monkeypatch, lmap):
     assert not calls
 
 
-def test_transfer_fallback_rejects_unconverged_component(monkeypatch, lmap):
-    # the graph of test_transfer_fallback_scores_cyclic_components, whose
-    # whole-graph bracket never closes: a component solve that does not
-    # converge raises, instead of its last midpoint becoming the pressure
+def test_unconverged_transfer_raises_after_one_solve(monkeypatch, lmap):
+    # components: {LL} acyclic, {LR, RL} a 2-cycle with weights 2, 2 and
+    # {RR} a self-loop with weight 1, whose quotient stays at 1: the whole
+    # graph's bracket never closes. The one solve raises; no strongly
+    # connected decomposition stands in for it
     words = ("LL", "LR", "RL", "RR")
     adj = [[0, 1, 0, 0], [0, 0, 1, 1], [0, 1, 0, 0], [0, 0, 0, 1]]
     hs = horseshoe_from_adjacency(2, words, adj, lmap)
@@ -1255,13 +1248,15 @@ def test_transfer_fallback_rejects_unconverged_component(monkeypatch, lmap):
     pot.lipschitz_bound = lambda: 0.0
     monkeypatch.setattr(pressure, "build_horseshoe",
                         lambda lm, depth, x_gap: hs)
-    real = pressure._weighted_power
-
-    def stalled(*args, **kwargs):
-        value, h, g, _, _ = real(*args, **kwargs)
-        return value, h, g, 20000, False
-
-    monkeypatch.setattr(pressure, "_weighted_power", stalled)
+    *_, iterations, converged = pressure._weighted_power(
+        hs, pot.value(hs.midpoints))
+    assert not converged
+    calls = _count_solves(monkeypatch)
+    sccs = _count_scc_runs(monkeypatch)
     with pytest.raises(PreconditionError,
-                       match="2-vertex component did not converge in 20000"):
+                       match="Perron iteration on the 4-word transfer graph "
+                             "did not converge in %d iterations"
+                             % iterations):
         pressure_transfer(lmap, pot, depth=2)
+    assert len(calls) == 1
+    assert not sccs

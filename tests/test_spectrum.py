@@ -549,9 +549,8 @@ def test_catalog_passes_equal_per_member_formulas(alpha, beta, roof):
                         or not isinstance(m, SingularDeltaMeasure)}
             scan = spectrum_scan(phi, catalog, level=level, roof=use_roof)
             assert dict(scan.entries) == expected, (spec, level)
-            bounds = estimate_P_bounds(catalog, phi, level=level,
-                                       roof=use_roof)
-            assert (bounds.p_inf, bounds.p_top) == (
+            assert estimate_P_bounds(catalog, phi, level=level,
+                                     roof=use_roof) == (
                 min(expected.values()), max(expected.values()))
             for m in catalog:
                 if m.id in expected:

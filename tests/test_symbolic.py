@@ -1178,15 +1178,14 @@ def test_periodic_points_match_every_rotation_reference(fresh_model_cache,
     kp = kneading(lm, 280)
     loops = SLIVER_LOOPS.get(beta)
     if loops:
-        # the two sliver models: the string oracle reads their ended pairs
-        # as if they went on (it admits 'L' and 'R'), so the words are
-        # enumerate_periodic's own, which the contraction oracle checks;
-        # the critical orbits close up through the singularity, so no
-        # periodic orbit realizes their loops
+        # the two sliver models: the critical orbits close up through the
+        # singularity, so no periodic orbit realizes their loops, which
+        # the string oracle admits
         for w in loops:
             with pytest.raises(DomainError):
                 find_periodic_point(lm, w)
-        words = [r.word for r in enumerate_periodic(lm, 10)]
+        words = [w for w in admissible_necklaces(lm, 10, kp)
+                 if w not in loops]
     else:
         words = admissible_necklaces(lm, 10, kp)
         words += [w for w in ("LRRLLRLRRRLL", "LRR" * 23 + "L")
@@ -1315,8 +1314,11 @@ def assert_periodic_admissibility_matches_oracle(kp, p_max):
 
 
 @pytest.mark.parametrize("alpha, beta", [(1.0, 1.7), (1.0, 1.95),
-                                         (0.8, 1.99)])
+                                         (0.8, 1.99), (1.0, GOLDEN),
+                                         (1.0, SLIVER)])
 def test_periodic_admissibility_matches_string_oracle(alpha, beta):
+    # at the two slivers the kneading pair ends, and both sides continue
+    # it as the one-sided itineraries it stands for
     assert_periodic_admissibility_matches_oracle(
         kneading(LorenzMap1D(alpha, beta), 64), 16)
 

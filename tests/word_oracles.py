@@ -75,18 +75,29 @@ def periodic_word_admissible(word, kp):
 
     Checks every cyclic shift of the periodic extension against k_plus and
     k_minus over the full kneading depth. Ties at full depth pass.
+
+    A truncated pair (a critical orbit that reached 0) goes on as the
+    itineraries it stands for, k_plus as (k_plus + "R") repeated and
+    k_minus as (k_minus + "L") repeated. The extensions then have periods
+    len(k_plus) + 1 and len(k_minus) + 1, so p times their product is a
+    period of every sequence compared, and reading that far decides the
+    comparison for good.
     """
     check_word(word)
     p = len(word)
-    depth = kp.depth
+    k_plus, k_minus, depth = kp.k_plus, kp.k_minus, kp.depth
+    if kp.truncated:
+        depth = p * (len(k_plus) + 1) * (len(k_minus) + 1)
+        k_plus = ((k_plus + "R") * depth)[:depth]
+        k_minus = ((k_minus + "L") * depth)[:depth]
     reps = depth // p + 2
     for j in range(p):
         ext = ((word[j:] + word[:j]) * reps)[:depth]
         if ext[0] == "R":
-            if not word_le(ext, kp.k_minus):
+            if not word_le(ext, k_minus):
                 return False
         else:
-            if not word_le(kp.k_plus, ext):
+            if not word_le(k_plus, ext):
                 return False
     return True
 
