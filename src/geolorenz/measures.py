@@ -12,7 +12,10 @@ each integrand is evaluated once for the orbit points of all atoms and
 once per shared cylinder scheme, and each member gets the floats of its
 one-element call (`integrate_map`, `suspend`) bit for bit. Orbits are
 averaged by per-period blocks, as `np.mean` averages one orbit, not by
-`np.add.reduceat`, whose segment sums round differently.
+`np.add.reduceat`, whose segment sums round differently. The integral
+of a keyed integrand (every potential of `potentials`, and the roof,
+dwell and passage integrands) is computed once per measure and depth
+and then read back from a memo.
 """
 
 import hashlib
@@ -88,7 +91,11 @@ class MarkovMeasure:
     for every equilibrium state, irreducibility is read from the
     horseshoe's stored decomposition (`SFTHorseshoe.cyclic_components`).
     The map must be of the horseshoe's model (`symbolic.check_model`).
-    The entropy is computed once, after validation (`entropy`).
+    The measure keeps read-only copies of `probs` and `stationary`, so a
+    caller who writes to its own arrays afterwards changes nothing here.
+    The entropy is computed once, after validation (`entropy`), and
+    `integrals` memoizes the (value, bound) of each keyed integrand by
+    (key, depth) (see `integrate_many`); shallow copies share it.
     """
 
     variant = "markov"
@@ -97,7 +104,7 @@ class MarkovMeasure:
         check_model(lmap, horseshoe)
         self.lmap = lmap
         self.horseshoe = horseshoe
-        probs = np.asarray(probs, dtype=float)
+        probs = np.array(probs, dtype=float)
         stationary = np.asarray(stationary, dtype=float)
         n = horseshoe.n_vertices
         if probs.shape != (n, len(ALPHABET)):
@@ -128,7 +135,10 @@ class MarkovMeasure:
             raise PreconditionError("transition support graph is not irreducible")
         self.probs = probs
         self.stationary = np.maximum(stationary, 0.0)
+        for arr in (self.probs, self.stationary):
+            arr.flags.writeable = False
         self.label = label
+        self.integrals = {}
         with np.errstate(divide="ignore", invalid="ignore"):
             plogp = np.where(probs > 0.0,
                              probs * np.log(np.where(probs > 0.0, probs, 1.0)),
@@ -139,9 +149,8 @@ class MarkovMeasure:
         # symbol by symbol, each in vertex order
         table = self.horseshoe.next.T
         ok = table >= 0
-        out = np.zeros_like(pi)
-        np.add.at(out, table[ok], (probs.T * pi)[ok])
-        return out
+        return np.bincount(table[ok], weights=(probs.T * pi)[ok],
+                           minlength=len(pi))
 
     def _support_irreducible(self, probs):
         hs = self.horseshoe
@@ -311,17 +320,21 @@ def integrate_many(integrand, measures, depth=DEFAULT_DEPTH):
     component order; the singular Dirac is rejected.
 
     An integrand with a `key` depends on the model and that key alone:
-    the roof integrand (key: the roof's c0, c1 and eta0) and the dwell
-    integrand (the same plus the radius b). Its results are cached where
-    the points live, both in the model's store, which lives as long as
-    some map of the model: each atom's average on its
-    `PeriodicOrbitRecord`, and each scheme's (values, bounds) arrays,
-    read-only, on the `_CylinderScheme`. Each
-    cache holds at most `symbolic.CACHE_LIMIT` keys and evicts the least
-    recently used one to take a new key.
-    Potentials carry no key and are never cached. A hit returns the cold
-    floats, since each average and each array entry depends on its own
-    points only.
+    every potential of `potentials` (its class and parameters), the
+    passage integrand of a keyed potential (that key and the roof's c0,
+    c1 and eta0), the roof integrand (the roof's c0, c1 and eta0) and the
+    dwell integrand (the same plus the radius b). Its results are cached
+    as floats: each atom's average on its `PeriodicOrbitRecord`, in the
+    model's store, which lives as long as some map of the model, and each
+    Markov measure's (value, bound) on the measure (`MarkovMeasure.
+    integrals`) by (key, depth). The roof and dwell integrands, which
+    depend on the model alone, also keep their (values, bounds) arrays,
+    read-only, on each `_CylinderScheme`; no other integrand's arrays are
+    kept. Each cache holds at most `symbolic.CACHE_LIMIT` keys and
+    evicts the least recently used one to take a new key. An integrand
+    without a key, such as a potential class of the caller's, is never
+    cached. A hit returns the cold floats, since each average and each
+    integral depends on its own points and masses only.
     """
     return _integrate_each([integrand], list(measures), depth)[0]
 
@@ -329,14 +342,17 @@ def integrate_many(integrand, measures, depth=DEFAULT_DEPTH):
 def _integrate_each(integrands, measures, depth):
     """[(values, bounds)] of each integrand over a list of measures (see
     `integrate_many`, also for what is cached), sorting the measures into
-    atoms and cylinder schemes, and computing their cylinder masses, once
-    for all integrands. Raises PreconditionError unless the depth is an
-    integer in [0, MAX_DEPTH], whatever the measures.
+    atoms and cylinder schemes. The cylinder masses of each Markov measure
+    that misses some integrand's memo are computed once for all
+    integrands, before any integrand is evaluated. Raises
+    PreconditionError unless the depth is an integer in [0, MAX_DEPTH],
+    whatever the measures.
     """
     check_depth(depth, "integration")
+    keys = [getattr(integrand, "key", None) for integrand in integrands]
     index = {}     # id -> position of each distinct atomic or Markov measure
     atoms = []     # (position, atom) of each distinct atom
-    schemes = {}   # id(scheme) -> (scheme, [(position, cylinder masses)])
+    markov = []    # (position, measure) of each distinct Markov measure
     mixed = False
     for measure in measures:
         if isinstance(measure, ConvexMeasure):
@@ -350,23 +366,38 @@ def _integrate_each(integrands, measures, depth):
             i = index[id(leaf)] = len(index)
             if isinstance(leaf, AtomicMeasure):
                 atoms.append((i, leaf))
-            elif not isinstance(leaf, MarkovMeasure):
+            elif isinstance(leaf, MarkovMeasure):
+                markov.append((i, leaf))
+            else:
                 _reject_delta(leaf, "section integration")
                 raise PreconditionError("unknown measure variant %r" % (leaf,))
-            elif depth >= leaf.horseshoe.depth:
-                scheme = _scheme(leaf.lmap, leaf.horseshoe, depth)
-                schemes.setdefault(id(scheme), (scheme, []))[1].append(
-                    (i, scheme.masses(leaf.stationary, leaf.probs)))
+    values = [[0.0] * len(index) for _ in integrands]
+    bounds = [[0.0] * len(index) for _ in integrands]   # atoms are exact
+    # id(scheme) -> (scheme, [(position, measure, masses, integrands missed)])
+    schemes = {}
+    for i, leaf in markov:
+        missed = set()
+        for k, key in enumerate(keys):
+            cached = None if key is None else _recall(leaf.integrals,
+                                                      (key, depth))
+            if cached is None:
+                missed.add(k)
             else:
-                mass, cylinders = _shallow_cylinders(leaf, depth)
-                schemes[id(cylinders)] = (cylinders, [(i, mass)])
+                values[k][i], bounds[k][i] = cached
+        if not missed:
+            continue
+        if depth >= leaf.horseshoe.depth:
+            scheme = _scheme(leaf.lmap, leaf.horseshoe, depth)
+            mass = scheme.masses(leaf.stationary, leaf.probs)
+        else:
+            mass, scheme = _shallow_cylinders(leaf, depth)
+        schemes.setdefault(id(scheme), (scheme, []))[1].append(
+            (i, leaf, mass, missed))
     # the results of distinct plain measures are, in order, theirs
     plain = not mixed and len(index) == len(measures)
     out = []
-    for integrand in integrands:
-        key = getattr(integrand, "key", None)
-        value = [0.0] * len(index)
-        bound = [0.0] * len(index)     # atoms are exact
+    for k, (integrand, key) in enumerate(zip(integrands, keys)):
+        value, bound = values[k], bounds[k]
         todo = atoms
         if key is not None:
             todo = []
@@ -383,27 +414,40 @@ def _integrate_each(integrands, measures, depth):
                 if key is not None:
                     _remember(atom.orbit.averages, key, average)
         for scheme, block in schemes.values():
-            vals_errs = None if key is None else _recall(scheme.integrals, key)
-            if vals_errs is None:
-                vals_errs = (np.asarray(integrand.value(scheme.mid)),
-                             midpoint_error_many(integrand, scheme.lo,
-                                                 scheme.hi))
-                if key is not None:
-                    for arr in vals_errs:
-                        arr.flags.writeable = False
-                    _remember(scheme.integrals, key, vals_errs)
-            vals, errs = vals_errs
+            block = [entry for entry in block if k in entry[3]]
+            if not block:
+                continue
+            vals, errs = _scheme_integrals(integrand, key, scheme)
             # np.add.reduce sums pairwise in a fixed order; a BLAS dot
             # splits long vectors by thread count, and its last bits with them
-            for i, mass in block:
+            for i, leaf, mass, _ in block:
                 value[i] = float(np.add.reduce(mass * vals))
                 bound[i] = float(np.add.reduce(mass * errs))
+                if key is not None:
+                    _remember(leaf.integrals, (key, depth),
+                              (value[i], bound[i]))
         if plain:
             out.append((value, bound))
         else:
             out.append(([_mix(value, index, m) for m in measures],
                         [_mix(bound, index, m) for m in measures]))
     return out
+
+
+def _scheme_integrals(integrand, key, scheme):
+    """(values, bounds) of the integrand at the scheme's paths: their
+    midpoints and their cylinders. Those of a model-only integrand (roof
+    or dwell) are kept read-only in `scheme.integrals` by key."""
+    model_only = isinstance(integrand, _RoofIntegrand)
+    vals_errs = _recall(scheme.integrals, key) if model_only else None
+    if vals_errs is None:
+        vals_errs = (np.asarray(integrand.value(scheme.mid)),
+                     midpoint_error_many(integrand, scheme.lo, scheme.hi))
+        if model_only:
+            for arr in vals_errs:
+                arr.flags.writeable = False
+            _remember(scheme.integrals, key, vals_errs)
+    return vals_errs
 
 
 def _orbit_averages(integrand, atoms):
@@ -663,11 +707,23 @@ class _RoofIntegrand:
 
 
 class _PassageIntegrand:
-    """Per-passage integral of a potential: the flow weight over one return."""
+    """Per-passage integral of a potential: the flow weight over one return.
+
+    Keyed by the potential's key and the bytes of the roof's (c0, c1,
+    eta0), or not at all if the potential has no key (see
+    `integrate_many`)."""
 
     def __init__(self, potential, roof):
         self.potential = potential
         self.roof = roof
+
+    @property
+    def key(self):
+        key = getattr(self.potential, "key", None)
+        if key is None:
+            return None
+        roof = self.roof
+        return (key, np.array([roof.c0, roof.c1, roof.eta0]).tobytes())
 
     def value(self, x):
         return self.potential.passage_integral(x, self.roof)
@@ -724,8 +780,11 @@ class _CylinderScheme:
     cylinder keeps its own interval. Only then are the levels extended to
     depth D.
 
-    `integrals` caches the read-only (values, bounds) arrays of each
-    keyed integrand by its key (see `integrate_many` and `_remember`).
+    `integrals` caches the read-only (values, bounds) arrays of the
+    model-only integrands, roof and dwell, by their key (see
+    `integrate_many` and `_remember`). Potential and passage integrands
+    keep no arrays here: their integrals are memoized as floats on each
+    measure, which holds the scheme's peak memory to the roof's arrays.
     """
 
     def __init__(self, lmap, horseshoe, depth):

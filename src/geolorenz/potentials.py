@@ -18,6 +18,13 @@ cylinder endpoints and return one bound per cylinder. Scalar inputs
 return Python floats. There is one formula per bound, so the array
 result equals the elementwise scalar results bit for bit.
 
+Every variant also carries a `key`, its value identity: its class and
+the bytes of the parameters that `value` and the bounds read, derived
+from them on each read (a grid's once, from its frozen samples) so that
+it cannot go stale. Equal keys mean equal floats, so
+`measures.integrate_many` caches the integrals of a keyed potential; a
+potential without a `key` is integrated afresh every time.
+
 The mini-language used by configuration files and the command line:
 
     const:c        constant potential c
@@ -81,6 +88,10 @@ class ConstantPotential:
     def __repr__(self):
         return "ConstantPotential(%r)" % self.c
 
+    @property
+    def key(self):
+        return (type(self), np.float64(self.c).tobytes())
+
     def value(self, x):
         out = np.full(np.shape(x), self.c)
         return _scalar_or_array(out, x)
@@ -113,6 +124,10 @@ class CoordinatePotential:
 
     def __repr__(self):
         return "CoordinatePotential()"
+
+    @property
+    def key(self):
+        return (type(self),)
 
     def midpoint_error(self, lo, hi):
         return _scalar_or_array(0.5 * (_as_array(hi) - _as_array(lo)), lo)
@@ -168,11 +183,14 @@ class SectionGridPotential:
         self.lipschitz = float(lipschitz)
         if not self.lipschitz >= 0.0:
             raise PreconditionError("Lipschitz constant must be nonnegative")
-        # the grid is frozen, so the cell widths and the sup cannot go stale
+        # the grid is frozen, so the cell widths, the sup and the key cannot
+        # go stale; one key object serves every memo entry of the grid
         for arr in (self.xs, self.values):
             arr.flags.writeable = False
         self._dx = np.diff(self.xs)
         self._sup = np.max(np.abs(self.values))
+        self.key = (type(self), self.xs.tobytes(), self.values.tobytes(),
+                    np.float64(self.lipschitz).tobytes())
 
     def __repr__(self):
         return "SectionGridPotential(%d points, lipschitz=%.4g)" % (
@@ -238,7 +256,9 @@ class SectionGridPotential:
         xs = np.linspace(-1.0, 1.0, nx)
         gx = ((ks[None, :] * np.pi / 2.0) * (xs[:, None] + 1.0)
               + phases[None, :])
-        series = np.cos(gx) @ amps
+        # einsum, not a BLAS matmul, so that the samples do not depend on
+        # the BLAS kernel or its thread count
+        series = np.einsum("ij,j->i", np.cos(gx), amps)
         return cls(xs, scale * series * yfac, scale * lip_raw)
 
     def to_payload(self):
@@ -298,6 +318,10 @@ class SingularBumpPotential:
 
     def __repr__(self):
         return "SingularBumpPotential(level=%r, eta=%r)" % (self.level, self.eta)
+
+    @property
+    def key(self):
+        return (type(self), np.array([self.level, self.eta]).tobytes())
 
     def _profile(self, a):
         ramp = self.level * np.log(2.0 * self.eta / np.maximum(a, 1e-300)) / LOG2

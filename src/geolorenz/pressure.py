@@ -607,7 +607,8 @@ def equilibrium_measure(lmap, horseshoe, potential, t=1.0, label=None):
     recently used), and is freed with its horseshoe. It keeps the
     `MarkovMeasure` validated once, with read-only arrays and its entropy
     computed; every call returns a shallow copy carrying the caller's map
-    and label, so a label set on one result never reaches another. The
+    and label, so a label set on one result never reaches another, while
+    the integrals memoized on one (`MarkovMeasure.integrals`) serve all. The
     kept measure refers to neither the map nor this horseshoe (see
     `_solve_equilibrium`), so the memo goes with the horseshoe by
     reference counts.
@@ -634,12 +635,13 @@ def equilibrium_measure(lmap, horseshoe, potential, t=1.0, label=None):
 def _solve_equilibrium(lmap, horseshoe, lw):
     """The validated `MarkovMeasure` of the log weights lw.
 
-    Its arrays are read-only: they are shared by every copy handed out
-    from the memo entry that holds it. Once validated it keeps no map,
-    and None for its horseshoe where the winner is the whole horseshoe:
-    each copy takes its caller's map and the memo's horseshoe back, and
-    either one kept here would be a reference cycle through the memo,
-    which would keep the model's store alive after its last map.
+    Its arrays, read-only as every `MarkovMeasure`'s, and its integral
+    memo are shared by every copy handed out from the memo entry that
+    holds it. Once validated it keeps no map, and None for its horseshoe
+    where the winner is the whole horseshoe: each copy takes its caller's
+    map and the memo's horseshoe back, and either one kept here would be
+    a reference cycle through the memo, which would keep the model's
+    store alive after its last map.
     """
     best = None
     for comp, sub in horseshoe.cyclic_components():
@@ -661,8 +663,6 @@ def _solve_equilibrium(lmap, horseshoe, lw):
     pi = g * h
     pi /= pi.sum()
     measure = MarkovMeasure(lmap, sub, probs, pi)
-    for arr in (measure.probs, measure.stationary):
-        arr.flags.writeable = False
     measure.lmap = None
     if sub is horseshoe:
         measure.horseshoe = None

@@ -74,12 +74,14 @@ SINGULAR_TOL = 1e-14
 _DECODE_BLOCK = 1 << 16
 
 # keys kept by each memo of a shared object: a horseshoe's equilibrium
-# states and cylinder schemes, and the keyed integrals of `measures` on
-# each periodic orbit record and each scheme. Each realization request
-# on a horseshoe recalls the 3 states all of them share (at T_LO, T_HI
-# and the opening midpoint) before it solves its own, 2 to 6 for
-# `coord:x` at beta = 1.7, so with 16 keys those 3 stay while the
-# single-use states of a survey over many potentials are evicted
+# states and cylinder schemes, and the keyed integrals of `measures`: on
+# each periodic orbit record, on each Markov measure (shared by the
+# copies of one equilibrium state) and, for the roof and the dwell, on
+# each scheme. Each realization request on a horseshoe recalls the 3
+# states all of them share (at T_LO, T_HI and the opening midpoint)
+# before it solves its own, 2 to 6 for `coord:x` at beta = 1.7, so with
+# 16 keys those 3 stay while the single-use states of a survey over many
+# potentials are evicted
 CACHE_LIMIT = 16
 
 
@@ -554,10 +556,10 @@ class PeriodicOrbitRecord:
     """A located periodic point: primitive word, point, expansion multiplier.
 
     Records live in the model's store, so every atom on one orbit shares
-    one. A record caches model-only work: its orbit points, read-only,
-    and in `averages` the orbit average of each keyed integrand of
-    `measures.integrate_many` by its key (at most CACHE_LIMIT keys, the
-    least recently used evicted first; see `_remember`).
+    one. A record caches its orbit points, read-only, and in `averages`
+    the orbit average of each keyed integrand of `measures.integrate_many`
+    by its key, potentials included (at most CACHE_LIMIT keys, the least
+    recently used evicted first; see `_remember`).
     """
 
     def __init__(self, word, point, multiplier):

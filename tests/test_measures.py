@@ -268,9 +268,10 @@ def test_batched_suspension_equals_one_measure_calls(lmap, parry, atom,
 def test_model_only_caches_give_the_cold_floats(lmap, roof,
                                                 fresh_model_cache,
                                                 monkeypatch):
-    # suspension, ball fractions and flow scans read cached roof and dwell
-    # integrals (on the orbit records and the cylinder schemes) and must
-    # return what cold caches return, bit for bit, hits and misses mixed
+    # suspension, ball fractions and flow scans read cached roof, dwell
+    # and passage integrals (on the orbit records, the Markov measures and,
+    # for the roof and the dwell, the cylinder schemes) and must return
+    # what cold caches return, bit for bit, hits and misses mixed
     from geolorenz.catalog import DEFAULT_RECIPE, build_catalog
     from geolorenz.spectrum import spectrum_scan
 
@@ -292,7 +293,8 @@ def test_model_only_caches_give_the_cold_floats(lmap, roof,
 
     cold = results(catalog())
     records = [m.orbit for m in catalog() if isinstance(m, AtomicMeasure)]
-    assert records and all(len(r.averages) == 3 for r in records)
+    # the roof, the passage of phi and the dwell at each radius
+    assert records and all(len(r.averages) == 4 for r in records)
     assert results(catalog()) == cold
     # cold again, then warm for half of the catalog only
     fresh_model_cache(lmap)
@@ -304,7 +306,9 @@ def test_model_only_caches_give_the_cold_floats(lmap, roof,
     # the roof or the radius would read another integral's entries
     section = [m for m in members if not isinstance(m, SingularDeltaMeasure)]
     other = RoofFunction(1.0, 1.0, 0.25)
-    for integrand in (measures._RoofIntegrand("roof", roof_array, roof),
+    for integrand in (phi, measures._PassageIntegrand(phi, roof),
+                      measures._PassageIntegrand(phi, other),
+                      measures._RoofIntegrand("roof", roof_array, roof),
                       measures._RoofIntegrand("roof", roof_array, other),
                       measures._RoofIntegrand("dwell", dwell_array, roof,
                                               0.05),
@@ -316,6 +320,110 @@ def test_model_only_caches_give_the_cold_floats(lmap, roof,
             value=integrand.value, midpoint_error=integrand.midpoint_error)
         assert measures.integrate_many(integrand, section) == \
             measures.integrate_many(keyless, section)
+
+
+def _memo_members(lmap, phi):
+    """Two memo copies of one equilibrium state under different labels,
+    another state, an atom and a mixture of all three kinds, built on the
+    depth-12 horseshoe of the model's current store."""
+    hs = build_horseshoe(lmap, 12, 0.002)
+    a = equilibrium_measure(lmap, hs, phi, t=1.0, label="a")
+    b = equilibrium_measure(lmap, hs, phi, t=1.0, label="b")
+    c = equilibrium_measure(lmap, hs, phi, t=-2.0, label="c")
+    assert b is not a and b.integrals is a.integrals
+    atom = AtomicMeasure(lmap, find_periodic_point(lmap, "LLR"))
+    mix = convex_combine([(0.3, a), (0.5, c), (0.2, atom)])
+    return [a, atom, b, mix, c]
+
+
+def _memo_ops(roof, phi):
+    """Each integration entry point as a function of a batch, returning
+    float.hex strings; depth 8 is below the horseshoe's and reads the
+    model's levels."""
+    from geolorenz.pressure import catalog_pressures
+
+    def integrals(batch, depth):
+        values, bounds = measures.integrate_many(phi, batch, depth)
+        return values + bounds
+
+    def flow(batch):
+        stats = measures.suspend_many(batch, roof, phi)
+        return ([s.mean_roof for s in stats] + [s.pressure() for s in stats]
+                + measures.ball_fractions(stats, 0.2))
+
+    def pressures(batch, level):
+        return catalog_pressures(batch, phi, level, roof)[1]
+
+    calls = [(integrals, 8), (integrals, 12), (integrals, 14), (flow,),
+             (pressures, "map"), (pressures, "flow")]
+    return [lambda batch, fn=fn, args=args: [v.hex() for v in fn(batch, *args)]
+            for fn, *args in calls]
+
+
+@pytest.mark.parametrize("spec", ["grid:seed:7", "bump:1.0,0.1"])
+def test_memoized_integrals_give_the_cold_floats(lmap, roof, spec,
+                                                 fresh_model_cache):
+    # every keyed integral is memoized on the orbit records and the Markov
+    # measures; the warm floats, hits and misses mixed in one call, are
+    # those of each call alone on a fresh model store
+    from geolorenz import parse_potential_spec
+
+    phi = parse_potential_spec(spec)
+    ops = _memo_ops(roof, phi)
+    cold = []
+    for op in ops:
+        fresh_model_cache(lmap)
+        batch = _memo_members(lmap, phi)
+        assert not batch[0].integrals and not batch[1].orbit.averages
+        cold.append(op(batch))
+    fresh_model_cache(lmap)
+    members = _memo_members(lmap, phi)
+    for op in ops[::2]:
+        op(members[1::2])
+    warm = [op(members) for op in ops]
+    assert warm == cold
+    assert [op(members) for op in ops] == cold
+    assert members[0].integrals and members[1].orbit.averages
+
+
+def test_keyless_potential_is_integrated_uncached(lmap, roof,
+                                                  fresh_model_cache):
+    # a potential class without a key is integrated afresh every time, to
+    # the floats of the keyed potential, and adds nothing to any memo but
+    # the roof's and the dwell's
+    phi = SectionGridPotential.seeded(7)
+    methods = ("value", "midpoint_error", "abs_bound", "passage_integral",
+               "passage_error", "value_at_sigma")
+    keyless = types.SimpleNamespace(**{name: getattr(phi, name)
+                                       for name in methods})
+    members = _memo_members(lmap, phi)
+    plain = [op(members) for op in _memo_ops(roof, keyless)]
+    model_only = {measures._RoofIntegrand("roof", roof_array, roof).key,
+                  measures._RoofIntegrand("dwell", dwell_array, roof,
+                                          0.2).key}
+    assert set(members[1].orbit.averages) == model_only
+    assert set(members[0].integrals) == {(key, measures.DEFAULT_DEPTH)
+                                         for key in model_only}
+    assert [op(members) for op in _memo_ops(roof, keyless)] == plain
+    assert [op(members) for op in _memo_ops(roof, phi)] == plain
+
+
+def test_markov_measure_keeps_its_own_arrays(lmap, parry, coord):
+    # a caller's arrays are copied at validation: writing to them later
+    # changes neither the measure nor its integrals, memoized or not
+    probs = np.array(parry.probs)
+    stationary = np.array(parry.stationary)
+    m = MarkovMeasure(lmap, parry.horseshoe, probs, stationary)
+    assert not m.probs.flags.writeable and not m.stationary.flags.writeable
+    keyless = types.SimpleNamespace(value=coord.value,
+                                    midpoint_error=coord.midpoint_error)
+    before = [integrate_map(pot, m, 14) for pot in (coord, keyless)]
+    probs[:] = probs[:, ::-1]
+    stationary[:] = 1.0 / len(stationary)
+    assert [integrate_map(pot, m, 14) for pot in (coord, keyless)] == before
+    assert before[0] == before[1]
+    assert np.array_equal(m.probs, parry.probs)
+    assert np.array_equal(m.stationary, parry.stationary)
 
 
 def test_birkhoff_sampling_oracle(lmap, parry, coord):

@@ -268,6 +268,39 @@ def test_parse_potential_specs_round_trip(tmp_path):
     assert loaded.lipschitz == grid.lipschitz
 
 
+def test_keys_name_the_value_identity(tmp_path):
+    # equal parameters give equal keys, whatever the spec's spelling or
+    # source; a parameter apart gives another key, and so does a roof
+    # apart for the passage integrand. A grid file read back is the
+    # seeded grid it was written from
+    spec_pairs = [("grid:seed:3", "grid:seed:4"),
+                  ("const:0.3", "const:0.31"),
+                  ("bump:2.0,0.1", "bump:2.0,0.11"),
+                  ("bump:2.0,0.1", "bump:2.5,0.1"),
+                  ("const:0", "coord:x")]
+    for a, b in spec_pairs:
+        assert parse_potential_spec(a).key == parse_potential_spec(a).key
+        assert parse_potential_spec(a).key != parse_potential_spec(b).key
+    assert parse_potential_spec("const:0.3").key == \
+        ConstantPotential(0.3).key
+    grid = SectionGridPotential.seeded(3)
+    path = tmp_path / "pot.json"
+    path.write_text(json.dumps(grid.to_payload()))
+    assert parse_potential_spec("grid:%s" % path).key == grid.key
+    assert SectionGridPotential(grid.xs, grid.values, 2.0).key != grid.key
+    roof = RoofFunction(1.0, 1.0, 0.5)
+    for pot in (CoordinatePotential(), grid, SingularBumpPotential(2.0, 0.1)):
+        passage = _PassageIntegrand(pot, roof).key
+        assert passage == _PassageIntegrand(
+            pot, RoofFunction(1.0, 1.0, 0.5)).key
+        for other in (roof.scaled(2.0), RoofFunction(1.0, 2.0, 0.5),
+                      RoofFunction(1.0, 1.0, 0.25)):
+            assert _PassageIntegrand(pot, other).key != passage
+    # a potential without a key has an unkeyed passage
+    keyless = type("Keyless", (), {"value": CoordinatePotential.value})()
+    assert _PassageIntegrand(keyless, roof).key is None
+
+
 def test_two_axis_grid_payload_is_a_config_error(tmp_path):
     # the former (x, y) form: a potential is a function of x alone, and
     # the error names the one-axis form

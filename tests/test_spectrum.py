@@ -316,6 +316,38 @@ def test_realize_does_not_depend_on_call_history(fresh_model_cache, lmap,
     assert realize(0.1) == cold
 
 
+def test_realize_pass_computes_few_masses_twice(fresh_model_cache,
+                                                monkeypatch):
+    # the benchmark's realize pass at seed 11 integrates 32 distinct
+    # (scheme, measure) pairs. With the integrals memoized on each
+    # measure, masses are computed again only where a measure meets new
+    # integrands: the flow bounds and requests integrate the roof and the
+    # passage over measures that the map ones integrated the potential
+    # over. Without the memo the pass makes 67 calls
+    import importlib.util
+    import os
+
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
+        __file__))), "benchmarks", "workloads.py")
+    spec = importlib.util.spec_from_file_location("workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    import geolorenz
+
+    calls = collections.Counter()
+    masses = measures._CylinderScheme.masses
+
+    def counted(self, stationary, probs):
+        calls[id(self), stationary.tobytes(), probs.tobytes()] += 1
+        return masses(self, stationary, probs)
+
+    monkeypatch.setattr(measures._CylinderScheme, "masses", counted)
+    ops = workloads.run_realize(
+        geolorenz, workloads.make_inputs("realize", 11))
+    assert [op["ok"] for op in ops] == [True] * 6
+    assert len(calls) == 32 and sum(calls.values()) <= 37
+
+
 def test_build_gap_potential_guards(lmap):
     h = h_top_estimate(lmap)
     with pytest.raises(PreconditionError):
@@ -569,10 +601,11 @@ def test_catalog_passes_equal_per_member_formulas(alpha, beta, roof):
 def test_spectrum_scan_evaluates_each_integrand_once_per_catalog(
         lmap, roof, fresh_model_cache, monkeypatch):
     # per integrand: one value call for all the atoms together and one per
-    # distinct cylinder scheme, whose bound is also evaluated once. The
-    # roof's integrals are model-only work: cold orbit records (a fresh
-    # model store) and cold schemes compute them once, and a later scan
-    # under an equal roof reads them back
+    # distinct cylinder scheme, whose bound is also evaluated once. Every
+    # integrand here has a key: cold orbit records (a fresh model store)
+    # and cold measures compute its integrals once, and a later scan of
+    # the same potential, under an equal roof at flow level, reads them
+    # back
     phi = SectionGridPotential.seeded(2)
     catalog = build_catalog(lmap, phi, DEFAULT_RECIPE)
     markov = [m for m in catalog if isinstance(m, MarkovMeasure)]
@@ -604,18 +637,23 @@ def test_spectrum_scan_evaluates_each_integrand_once_per_catalog(
     spectrum_scan(phi, catalog, level="map")
     assert calls == {("SectionGridPotential", "value"): 1 + len(schemes),
                      ("SectionGridPotential", "midpoint_error"): len(schemes)}
-    # plus the Dirac's value at the singularity, its flow convention
-    passage = {("SectionGridPotential", "value"): 1,
-               ("_PassageIntegrand", "value"): 1 + len(schemes),
-               ("_PassageIntegrand", "midpoint_error"): len(schemes)}
-    first_roof = {("_RoofIntegrand", "value"): 1 + len(schemes),
-                  ("_RoofIntegrand", "midpoint_error"): len(schemes)}
-    for flow_roof, roof_calls in (
-            (roof, first_roof),
+    calls.clear()
+    spectrum_scan(phi, catalog, level="map")
+    assert calls == {}
+    # the Dirac's value at the singularity, its flow convention, is read
+    # on every scan
+    sigma = {("SectionGridPotential", "value"): 1}
+    # the passage and the roof under a roof not met before
+    new_roof = {("_PassageIntegrand", "value"): 1 + len(schemes),
+                ("_PassageIntegrand", "midpoint_error"): len(schemes),
+                ("_RoofIntegrand", "value"): 1 + len(schemes),
+                ("_RoofIntegrand", "midpoint_error"): len(schemes)}
+    for flow_roof, integrand_calls in (
+            (roof, new_roof),
             # equal to the first roof but a distinct object: a cache hit
             (RoofFunction(roof.c0, roof.c1, roof.eta0), {}),
-            (roof.scaled(2.0), first_roof),
-            (RoofFunction(roof.c0, roof.c1, 0.25), first_roof)):
+            (roof.scaled(2.0), new_roof),
+            (RoofFunction(roof.c0, roof.c1, 0.25), new_roof)):
         calls.clear()
         spectrum_scan(phi, catalog, level="flow", roof=flow_roof)
-        assert calls == {**passage, **roof_calls}
+        assert calls == {**sigma, **integrand_calls}
