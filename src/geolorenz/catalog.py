@@ -103,6 +103,12 @@ def build_catalog(lmap, potential, recipe=DEFAULT_RECIPE):
     build and decompose them once. Ordering is deterministic: atomics
     sorted by (period, word), then horseshoe families in recipe order,
     then the Dirac.
+
+    Every atom of the catalog gets the same `AtomicMeasure.batch`, the
+    tuple of the catalog's periodic orbit records: a keyed integral that
+    misses on one atom is computed for all of them in one evaluation, so
+    a caller who walks the catalog member by member, under a new
+    potential, evaluates it on the orbit points once.
     """
     from .pressure import equilibrium_measure
 
@@ -115,6 +121,9 @@ def build_catalog(lmap, potential, recipe=DEFAULT_RECIPE):
                 measures.append(AtomicMeasure(lmap, orbit))
     for word in recipe.extra_words:
         measures.append(AtomicMeasure(lmap, find_periodic_point(lmap, word)))
+    batch = tuple(m.orbit for m in measures)
+    for m in measures:
+        m.batch = batch
     for spec in recipe.horseshoes:
         horseshoe = build_horseshoe(lmap, spec.depth, spec.x_gap)
         for t in spec.t_values:

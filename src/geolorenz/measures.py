@@ -15,7 +15,9 @@ averaged by per-period blocks, as `np.mean` averages one orbit, not by
 `np.add.reduceat`, whose segment sums round differently. The integral
 of a keyed integrand (every potential of `potentials`, and the roof,
 dwell and passage integrands) is computed once per measure and depth
-and then read back from a memo.
+and then read back from a memo; a catalog's periodic orbits share one
+batch, so a keyed integral that misses on one of its atoms is computed
+for all of them at once.
 """
 
 import hashlib
@@ -44,7 +46,15 @@ EMPTY_WIDTH = 1e-12
 
 
 class AtomicMeasure:
-    """Uniform measure on a periodic orbit: zero entropy, exact averages."""
+    """Uniform measure on a periodic orbit: zero entropy, exact averages.
+
+    `batch` is the read-only tuple of `PeriodicOrbitRecord`s, of the
+    atom's model, that a keyed integral missing on this atom fills in
+    one evaluation (see `integrate_many`). `build_catalog` gives every
+    atom it builds the records of its catalog; any other atom batches
+    its own record alone. A batch holds store records only, never
+    measures, so it makes no reference cycle.
+    """
 
     variant = "atomic"
 
@@ -52,6 +62,7 @@ class AtomicMeasure:
         self.lmap = lmap
         self.orbit = orbit
         self.label = label
+        self.batch = (orbit,)
         self._points = orbit.orbit_points(lmap)
 
     @property
@@ -327,8 +338,13 @@ def integrate_many(integrand, measures, depth=DEFAULT_DEPTH):
     as floats: each atom's average on its `PeriodicOrbitRecord`, in the
     model's store, which lives as long as some map of the model, and each
     Markov measure's (value, bound) on the measure (`MarkovMeasure.
-    integrals`) by (key, depth). The roof and dwell integrands, which
-    depend on the model alone, also keep their (values, bounds) arrays,
+    integrals`) by (key, depth). A miss on an atom fills its whole
+    `AtomicMeasure.batch`: the integrand is evaluated once over the
+    orbit points of every record of the missing atoms' batches that
+    lacks the key, and each average is cached. So a catalog from
+    `build_catalog`, walked member by member, evaluates a new keyed
+    integrand on its orbit points once. The roof and dwell integrands,
+    which depend on the model alone, also keep their (values, bounds) arrays,
     read-only, on each `_CylinderScheme`; no other integrand's arrays are
     kept. Each cache holds at most `symbolic.CACHE_LIMIT` keys and
     evicts the least recently used one to take a new key. An integrand
@@ -342,9 +358,11 @@ def integrate_many(integrand, measures, depth=DEFAULT_DEPTH):
 def _integrate_each(integrands, measures, depth):
     """[(values, bounds)] of each integrand over a list of measures (see
     `integrate_many`, also for what is cached), sorting the measures into
-    atoms and cylinder schemes. The cylinder masses of each Markov measure
-    that misses some integrand's memo are computed once for all
-    integrands, before any integrand is evaluated. Raises
+    atoms and cylinder schemes. A keyed integrand that misses on some
+    atoms is evaluated once over their batches (`_fill_batches`). The
+    cylinder masses of each Markov measure that misses some integrand's
+    memo are computed once for all integrands, before any integrand is
+    evaluated. Raises
     PreconditionError unless the depth is an integer in [0, MAX_DEPTH],
     whatever the measures.
     """
@@ -398,21 +416,24 @@ def _integrate_each(integrands, measures, depth):
     out = []
     for k, (integrand, key) in enumerate(zip(integrands, keys)):
         value, bound = values[k], bounds[k]
-        todo = atoms
-        if key is not None:
-            todo = []
+        if key is None:
+            if atoms:
+                averages = _orbit_averages(
+                    integrand, [atom.points() for _, atom in atoms])
+                for (i, _), average in zip(atoms, averages):
+                    value[i] = average
+        else:
+            missed = []
             for i, atom in atoms:
                 cached = _recall(atom.orbit.averages, key)
                 if cached is None:
-                    todo.append((i, atom))
+                    missed.append((i, atom))
                 else:
                     value[i] = cached
-        if todo:
-            for (i, atom), average in zip(todo,
-                                          _orbit_averages(integrand, todo)):
-                value[i] = average
-                if key is not None:
-                    _remember(atom.orbit.averages, key, average)
+            if missed:
+                filled = _fill_batches(integrand, key, missed)
+                for i, atom in missed:
+                    value[i] = filled[id(atom.orbit)]
         for scheme, block in schemes.values():
             block = [entry for entry in block if k in entry[3]]
             if not block:
@@ -450,16 +471,35 @@ def _scheme_integrals(integrand, key, scheme):
     return vals_errs
 
 
-def _orbit_averages(integrand, atoms):
-    """The integrand's average over the orbit of each (position, atom)."""
-    blocks = {}    # period -> [k] of the atoms of that period
-    for k, (_, atom) in enumerate(atoms):
-        blocks.setdefault(atom.points().size, []).append(k)
-    pts = [atoms[k][1].points() for block in blocks.values() for k in block]
+def _fill_batches(integrand, key, atoms):
+    """{id(record): average} of the keyed integrand over the orbit of every
+    record that lacks the key in the batches of the (position, atom)
+    pairs, each atom's own record among them, each average cached on its
+    record. Each distinct batch is read once, and every orbit goes
+    through one evaluation."""
+    records = {}
+    batches = {id(atom.batch): (atom.batch, atom.lmap) for _, atom in atoms}
+    for batch, lmap in batches.values():
+        for record in batch:
+            if key not in record.averages:
+                records.setdefault(id(record), (record, lmap))
+    orbits = [record.orbit_points(lmap) for record, lmap in records.values()]
+    averages = _orbit_averages(integrand, orbits)
+    for (record, _), average in zip(records.values(), averages):
+        _remember(record.averages, key, average)
+    return dict(zip(records, averages))
+
+
+def _orbit_averages(integrand, orbits):
+    """The integrand's average over each orbit, an array of its points."""
+    blocks = {}    # period -> [k] of the orbits of that period
+    for k, points in enumerate(orbits):
+        blocks.setdefault(points.size, []).append(k)
+    pts = [orbits[k] for block in blocks.values() for k in block]
     # a lone orbit is read in place: a one-measure call copies nothing
     pts = pts[0] if len(pts) == 1 else np.concatenate(pts)
     vals = np.asarray(integrand.value(pts), dtype=float)
-    out = [0.0] * len(atoms)
+    out = [0.0] * len(orbits)
     start = 0
     for p, block in blocks.items():
         stop = start + len(block) * p

@@ -405,8 +405,12 @@ def _weighted_power(graph, log_weights, left=False, tol=1e-12,
             coef[:, m:] = 0.0
     # every step works in these buffers and v, and allocates nothing
     gathered, step = np.empty(coef.shape), np.empty(coef.shape)
+    # `gathered[0] += gathered[1]` would also copy the row onto itself
+    # through `gathered.__setitem__`; the two row views add in place
+    g0, g1 = gathered
     diag = np.empty(coef.shape[1])
     v = np.ones(coef.shape[1])
+    take = v.take
     s = np.ones(len(sizes))
     est = np.zeros(len(sizes))
     converged = False
@@ -420,10 +424,10 @@ def _weighted_power(graph, log_weights, left=False, tol=1e-12,
         v /= maximum(v, starts).repeat(sizes)
         # mode="clip" lets take write into `out` unbuffered; every offset
         # is in range
-        v.take(gather, out=gathered, mode="clip")
+        take(gather, out=gathered, mode="clip")
         gathered *= coef
-        gathered[0] += gathered[1]
-        mv = gathered[0]
+        g0 += g1
+        mv = g0
         run = 0
         # v >= 0 always, so its least entry decides positivity (a NaN
         # fails the test)
@@ -460,11 +464,11 @@ def _weighted_power(graph, log_weights, left=False, tol=1e-12,
         np.divide(coef, each_scale, out=step)
         np.divide(each_s, each_scale, out=diag)
         for _ in range(run):
-            v.take(gather, out=gathered, mode="clip")
+            take(gather, out=gathered, mode="clip")
             gathered *= step
-            gathered[0] += gathered[1]
+            g0 += g1
             v *= diag
-            v += gathered[0]
+            v += g0
         iterations += run
     v = v / maximum(v, starts).repeat(sizes)
     h = v[:m].take(plan.succ)

@@ -559,7 +559,11 @@ class PeriodicOrbitRecord:
     one. A record caches its orbit points, read-only, and in `averages`
     the orbit average of each keyed integrand of `measures.integrate_many`
     by its key, potentials included (at most CACHE_LIMIT keys, the least
-    recently used evicted first; see `_remember`).
+    recently used evicted first; see `_remember`). An average may be
+    filled before any atom of the record asks for it: a catalog's atoms
+    share one batch of records (`measures.AtomicMeasure.batch`), and a
+    miss on one of them fills every record of the batch. A record refers
+    to no measure, so a batch of records makes no reference cycle.
     """
 
     def __init__(self, word, point, multiplier):

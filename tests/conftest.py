@@ -1,6 +1,14 @@
 """Shared fixtures: the canonical constant-slope model and its companions."""
 
-import weakref
+import os
+
+# the dense test oracles run on one BLAS thread: the first multithreaded
+# OpenBLAS call of a process can cost about 1 s of thread start-up, more
+# than the oracle itself. Set before numpy is first imported, and only
+# when the caller has not chosen a count; the library makes no BLAS call
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+import weakref  # noqa: E402
 
 import pytest
 

@@ -408,6 +408,138 @@ def test_keyless_potential_is_integrated_uncached(lmap, roof,
     assert [op(members) for op in _memo_ops(roof, phi)] == plain
 
 
+@pytest.fixture
+def orbit_evaluations(monkeypatch):
+    """The (integrand class name, orbit count) of each `_orbit_averages`
+    call the test makes, in call order."""
+    calls = []
+    inner = measures._orbit_averages
+
+    def counted(integrand, orbits):
+        calls.append((type(integrand).__name__, len(orbits)))
+        return inner(integrand, orbits)
+
+    monkeypatch.setattr(measures, "_orbit_averages", counted)
+    return calls
+
+
+def _member_flows(catalog, roof, phi):
+    """float.hex of each member's `suspend` pressure, mean roof and ball
+    fraction at radius 0.2, one member per call."""
+    out = []
+    for m in catalog:
+        flow = suspend(m, roof, phi)
+        out.append([v.hex() for v in (flow.mean_roof, flow.pressure(),
+                                      flow.ball_fraction(0.2))])
+    return out
+
+
+def _lone_flows(lmap, catalog, roof, phi):
+    """`_member_flows` of the catalog's atoms, each rebuilt alone, so that
+    it batches its own record only."""
+    lone = [AtomicMeasure(lmap, m.orbit) for m in catalog
+            if isinstance(m, AtomicMeasure)]
+    assert all(m.batch == (m.orbit,) for m in lone)
+    return _member_flows(lone, roof, phi)
+
+
+def test_catalog_walk_evaluates_the_passage_once(lmap, roof,
+                                                 fresh_model_cache,
+                                                 orbit_evaluations):
+    # a catalog walked member by member under a new potential evaluates
+    # each keyed integrand once on the orbit points of all its atoms, to
+    # the floats of each atom integrated alone on cold records
+    from geolorenz.catalog import DEFAULT_RECIPE, build_catalog
+
+    phi = SectionGridPotential.seeded(3701)
+    catalog = build_catalog(lmap, phi, DEFAULT_RECIPE)
+    atoms = [m for m in catalog if isinstance(m, AtomicMeasure)]
+    assert all(m.batch is atoms[0].batch for m in atoms)
+    assert atoms[0].batch == tuple(m.orbit for m in atoms)
+    cold = _lone_flows(lmap, catalog, roof, phi)
+    # alone, each atom evaluates the roof, the passage and the dwell
+    assert orbit_evaluations == [(name, 1) for _ in atoms
+                                 for name in ("_RoofIntegrand",
+                                              "_PassageIntegrand",
+                                              "_RoofIntegrand")]
+    fresh_model_cache(lmap)
+    catalog = build_catalog(lmap, phi, DEFAULT_RECIPE)
+    del orbit_evaluations[:]
+    warm = _member_flows(catalog, roof, phi)
+    assert orbit_evaluations == [("_RoofIntegrand", len(atoms)),
+                                 ("_PassageIntegrand", len(atoms)),
+                                 ("_RoofIntegrand", len(atoms))]
+    assert warm[:len(atoms)] == cold
+    assert all(len(m.orbit.averages) == 3 for m in catalog
+               if isinstance(m, AtomicMeasure))
+
+
+def test_batch_skips_records_that_hold_the_key(lmap, roof, fresh_model_cache,
+                                                orbit_evaluations):
+    # records that a gap catalog filled first are left out of the default
+    # catalog's evaluation, and every float stays that of a cold record
+    from geolorenz.catalog import (DEFAULT_RECIPE, GAP_CORE_RECIPE,
+                                   build_catalog)
+
+    phi = SectionGridPotential.seeded(3702)
+    cold = _lone_flows(lmap, build_catalog(lmap, phi, DEFAULT_RECIPE), roof,
+                       phi)
+    fresh_model_cache(lmap)
+    core = [m for m in build_catalog(lmap, phi, GAP_CORE_RECIPE)
+            if isinstance(m, AtomicMeasure)]
+    _member_flows(core[:1], roof, phi)
+    catalog = build_catalog(lmap, phi, DEFAULT_RECIPE)
+    atoms = [m for m in catalog if isinstance(m, AtomicMeasure)]
+    assert {id(m.orbit) for m in core} < {id(m.orbit) for m in atoms}
+    del orbit_evaluations[:]
+    warm = _member_flows(atoms, roof, phi)
+    rest = len(atoms) - len(core)
+    assert orbit_evaluations == [("_RoofIntegrand", rest),
+                                 ("_PassageIntegrand", rest),
+                                 ("_RoofIntegrand", rest)]
+    assert warm == cold
+
+
+def test_lone_atom_fills_its_own_record(lmap, coord, fresh_model_cache):
+    # an atom built outside a catalog batches itself: its miss adds the
+    # key to its own record and to no other record of the store
+    from geolorenz.catalog import DEFAULT_RECIPE, build_catalog
+
+    catalog = build_catalog(lmap, coord, DEFAULT_RECIPE)
+    lone = AtomicMeasure(lmap, find_periodic_point(lmap, "LLR"))
+    assert lone.batch == (lone.orbit,)
+    integrate_map(coord, lone)
+    for m in catalog:
+        if isinstance(m, AtomicMeasure):
+            assert set(m.orbit.averages) == (
+                {coord.key} if m.orbit is lone.orbit else set())
+
+
+def test_keyless_potential_batches_nothing(lmap, roof, fresh_model_cache,
+                                           orbit_evaluations):
+    # an integrand without a key is evaluated on each member's own orbit
+    # and cached nowhere, however the atoms are batched
+    from geolorenz.catalog import DEFAULT_RECIPE, build_catalog
+
+    phi = SectionGridPotential.seeded(3703)
+    methods = ("value", "midpoint_error", "abs_bound", "passage_integral",
+               "passage_error", "value_at_sigma")
+    keyless = types.SimpleNamespace(**{name: getattr(phi, name)
+                                       for name in methods})
+    catalog = build_catalog(lmap, phi, DEFAULT_RECIPE)
+    atoms = [m for m in catalog if isinstance(m, AtomicMeasure)]
+    del orbit_evaluations[:]
+    flows = _member_flows(atoms, roof, keyless)
+    passages = [count for name, count in orbit_evaluations
+                if name == "_PassageIntegrand"]
+    assert passages == [1] * len(atoms)
+    model_only = {measures._RoofIntegrand("roof", roof_array, roof).key,
+                  measures._RoofIntegrand("dwell", dwell_array, roof,
+                                          0.2).key}
+    assert all(set(m.orbit.averages) == model_only for m in atoms)
+    assert flows == _member_flows(atoms, roof, phi)
+
+
 def test_markov_measure_keeps_its_own_arrays(lmap, parry, coord):
     # a caller's arrays are copied at validation: writing to them later
     # changes neither the measure nor its integrals, memoized or not
