@@ -15,11 +15,11 @@ from .catalog import (CatalogRecipe, DEFAULT_RECIPE, GAP_CORE_RECIPE,
 from .config import RunConfig, default_config, load_config, parse_config_text
 from .errors import (BracketFailureError, ConfigError, DomainError,
                      EmptyHorseshoeError, EtaTooLargeError, GeolorenzError,
-                     InadmissibleWordError, NoWitnessError, PreconditionError)
+                     InadmissibleWordError, PreconditionError)
 from .measures import (AtomicMeasure, ConvexMeasure, FlowMeasureStats,
                        MarkovMeasure, SingularDeltaMeasure, convex_combine,
                        entropy_map, integrate_many, integrate_map,
-                       measure_distance, measure_from_payload, suspend)
+                       measure_from_payload, suspend)
 from .model import (LorenzMap1D, ModelValidationReport, RoofFunction,
                     SkewProductReturnMap, evaluate_base, validate_model)
 from .potentials import (ConstantPotential, CoordinatePotential,
@@ -31,7 +31,7 @@ from .pressure import (PressureEstimate, catalog_pressures,
                        pressure_transfer)
 from .spectrum import (GapReport, PressureSpectrumReport, TargetRequest,
                        build_gap_potential, realize_intermediate,
-                       reduce_to_essential_case, spectrum_scan, verify_gap)
+                       spectrum_scan, verify_gap)
 from .symbolic import (KneadingPair, PeriodicOrbitRecord, SFTHorseshoe,
                        admissible_words, build_horseshoe, cylinder_levels,
                        enumerate_periodic, find_periodic_point, kneading,

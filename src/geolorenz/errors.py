@@ -24,10 +24,6 @@ class EmptyHorseshoeError(PreconditionError):
     """x_gap pruned every vertex."""
 
 
-class NoWitnessError(PreconditionError):
-    """Catalog lacks a measure on the side the case reduction needs."""
-
-
 class BracketFailureError(PreconditionError):
     """Equilibrium-family pressure range never bracketed the target."""
 

@@ -75,16 +75,6 @@ class AtomicMeasure:
     def points(self):
         return self._points
 
-    def cylinder_masses(self, depth):
-        """(codes, masses) of the depth-`depth` cylinders (see `_summed`),
-        for an integer depth in [0, MAX_DEPTH]."""
-        check_depth(depth, "cylinder")
-        word = self.orbit.word
-        p = len(word)
-        ext = word * (depth // p + 2)
-        return _summed(encode_words([ext[i:i + depth] for i in range(p)]),
-                       np.full(p, 1.0 / p))
-
     def to_payload(self):
         return {"variant": "atomic", "word": self.orbit.word,
                 "label": self.label}
@@ -191,18 +181,6 @@ class MarkovMeasure:
         return "MarkovMeasure(%s, %d vertices)" % (self.id,
                                                    self.horseshoe.n_vertices)
 
-    def cylinder_masses(self, depth):
-        """(codes, masses) of the depth-`depth` cylinders (see `_summed`),
-        for an integer depth in [0, MAX_DEPTH]."""
-        check_depth(depth, "cylinder")
-        m = self.horseshoe.depth
-        if depth >= m:
-            scheme = _scheme(self.lmap, self.horseshoe, depth)
-            return _summed(scheme.codes,
-                           scheme.masses(self.stationary, self.probs))
-        return _summed(self.horseshoe.codes >> np.uint64(m - depth),
-                       self.stationary)
-
     def to_payload(self):
         return {
             "variant": "markov",
@@ -250,15 +228,6 @@ class ConvexMeasure:
 
     def __repr__(self):
         return "ConvexMeasure(%d components)" % len(self.components)
-
-    def cylinder_masses(self, depth):
-        """(codes, masses) of the depth-`depth` cylinders (see `_summed`),
-        for an integer depth in [0, MAX_DEPTH]."""
-        check_depth(depth, "cylinder")
-        parts = [comp.cylinder_masses(depth) for _, comp in self.components]
-        return _summed(np.concatenate([codes for codes, _ in parts]),
-                       np.concatenate([w * masses for (w, _), (_, masses)
-                                       in zip(self.components, parts)]))
 
     def to_payload(self):
         return {"variant": "convex", "label": self.label,
@@ -523,10 +492,16 @@ def _mix(result, index, measure):
 
 def _shallow_cylinders(measure, depth):
     """(masses, cylinders) of a Markov measure at a depth below its
-    horseshoe's: its cylinder masses in code (= word) order, and those
-    cylinders from the model's level, integrated as a scheme's paths."""
+    horseshoe's: the stationary mass of the vertices in each depth-`depth`
+    cylinder, in code (= word) order, each sum from 0.0 in vertex order
+    (`np.add.at` is unbuffered), and those cylinders from the model's
+    level, integrated as a scheme's paths."""
+    shift = np.uint64(measure.horseshoe.depth - depth)
+    codes, inverse = np.unique(measure.horseshoe.codes >> shift,
+                               return_inverse=True)
+    masses = np.zeros(len(codes))
+    np.add.at(masses, inverse, measure.stationary)
     level = cylinder_levels(measure.lmap, depth)[depth]
-    codes, masses = measure.cylinder_masses(depth)
     pos = level.find(codes)
     if (pos < 0).any():
         raise PreconditionError(
@@ -534,15 +509,6 @@ def _shallow_cylinders(measure, depth):
     lo, hi = level.lo[pos], level.hi[pos]
     return masses, types.SimpleNamespace(lo=lo, hi=hi, mid=0.5 * (lo + hi),
                                          integrals={})
-
-
-def _summed(codes, masses):
-    """(distinct codes increasing, the masses summed per code), each sum
-    from 0.0 in input order (`np.add.at` is unbuffered)."""
-    keys, inverse = np.unique(codes, return_inverse=True)
-    total = np.zeros(len(keys))
-    np.add.at(total, inverse, masses)
-    return keys, total
 
 
 def convex_combine(components, label=None):
@@ -647,22 +613,6 @@ def ball_fractions(stats, b):
     return [1.0 if s.singular
             else float(min(max(next(dwells) / s.mean_roof, 0.0), 1.0))
             for s in stats]
-
-
-def measure_distance(a, b, depth=DEFAULT_DEPTH):
-    """L1 distance between depth-`depth` cylinder mass vectors, summed in
-    code order over the union of the charged cylinders. Raises
-    PreconditionError unless the depth is an integer in [0, MAX_DEPTH]."""
-    _reject_delta(a, "cylinder distance")
-    _reject_delta(b, "cylinder distance")
-    check_depth(depth, "distance")
-    (codes_a, masses_a), (codes_b, masses_b) = (a.cylinder_masses(depth),
-                                                b.cylinder_masses(depth))
-    keys = np.union1d(codes_a, codes_b)
-    diff = np.zeros(len(keys))
-    diff[np.searchsorted(keys, codes_a)] = masses_a
-    diff[np.searchsorted(keys, codes_b)] -= masses_b
-    return float(sum(np.abs(diff).tolist()))
 
 
 def measure_from_payload(lmap, payload):

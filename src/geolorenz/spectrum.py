@@ -9,25 +9,18 @@ spectrum has a certified gap: the Dirac measure at the singularity sits
 at level L while every measure satisfying the small-ball hypothesis
 stays below L/2.
 
-reduce_to_essential_case is the supporting convex-combination driver:
-given a measure in the admissible set {mu : integral <= P <= pressure},
-it returns one satisfying both inequalities strictly with a quantified
-margin, mixing in catalog witnesses as needed.
-
 Every catalog pass here (the scan, the catalog bounds of a realization,
-the hypothesis check and the gap table, the witness pool) evaluates each
-integrand once for the whole catalog, through `catalog_pressures`,
-`suspend_many`, `ball_fractions` and `integrate_many`, and gives each
-member the floats of its one-measure call bit for bit.
+the hypothesis check and the gap table) evaluates each integrand once for
+the whole catalog, through `catalog_pressures`, `suspend_many` and
+`ball_fractions`, and gives each member the floats of its one-measure
+call bit for bit.
 """
 
 import math
 
 from .catalog import (DEFAULT_RECIPE, GAP_CORE_RECIPE, build_catalog)
-from .errors import (BracketFailureError, EtaTooLargeError, NoWitnessError,
-                     PreconditionError)
-from .measures import (SingularDeltaMeasure, ball_fractions, convex_combine,
-                       entropy_map, integrate_many, integrate_map,
+from .errors import BracketFailureError, EtaTooLargeError, PreconditionError
+from .measures import (SingularDeltaMeasure, ball_fractions, entropy_map,
                        suspend_many)
 # unused here, kept since benchmarks/test_benchmark.py checks that the
 # tracer wraps this binding
@@ -257,160 +250,6 @@ def stats_rows(stats, fractions):
             for s, bf in zip(stats, fractions)]
     rows.sort(key=lambda r: r["measure_id"])
     return rows
-
-
-def _mix_to_margin(mu, I_mu, P_mu, witnesses, P, q):
-    """Mix a witness into mu until both strict margins reach q.
-
-    Integral and pressure are affine in the mixture weight theta, so each
-    margin holds on a half-line theta * slope >= need, and the feasible
-    weights in (0, 1) are one interval whose lower end is solved for
-    directly. Where rounding puts that end outside, it is stepped up, by
-    one ulp and then by doubling gaps, until the float predicate accepts
-    it. Witnesses are tried in the given order and the first feasible one
-    wins.
-    """
-    for w, I_w, P_w in witnesses:
-        def feasible(theta):
-            I_nu = theta * I_w + (1.0 - theta) * I_mu
-            P_nu = theta * P_w + (1.0 - theta) * P_mu
-            return (P - I_nu) >= q and (P_nu - P) >= q
-
-        lo, hi = 0.0, 1.0
-        for slope, need in ((I_mu - I_w, q - P + I_mu),
-                            (P_w - P_mu, P + q - P_mu)):
-            if slope > 0.0:
-                lo = max(lo, need / slope)
-            elif slope < 0.0:
-                hi = min(hi, need / slope)
-            elif need > 0.0:
-                hi = 0.0
-        theta, gap = lo, 0.0
-        while theta < hi and not (theta > 0.0 and feasible(theta)):
-            gap = max(2.0 * gap, math.ulp(theta))
-            theta = lo + gap
-        if theta < hi:
-            return convex_combine([(theta, w), (1.0 - theta, mu)])
-    return None
-
-
-def reduce_to_essential_case(mu, potential, P, catalog, tol=1e-2):
-    """Move mu into strict essential-case position around P.
-
-    Input contract: integral(mu) <= P <= pressure(mu) (the admissible
-    set membership). Output: a measure nu with integral(nu) <= P - q and
-    pressure(nu) >= P + q for q = tol/4; inputs already in that position
-    are returned unchanged. Four regimes arise from which of the two
-    inequalities are tight; each mixes in catalog witnesses with the
-    smallest feasible weight, solved for in closed form. When both
-    are tight, an exact intermediate mixture with integral P and
-    positive entropy is built first (low/high integral witnesses, with
-    an entropy repair mix when both carry zero entropy), then
-    strictified like the tight-integral regime.
-    """
-    if tol <= 0.0:
-        raise PreconditionError("tol must be positive")
-    q = tol / 4.0
-    I_mu, _ = integrate_map(potential, mu)
-    P_mu = entropy_map(mu) + I_mu
-    if I_mu > P + 1e-9 or P_mu < P - 1e-9:
-        raise PreconditionError(
-            "input measure is outside the admissible set: integral "
-            "%.6g <= P=%.6g <= pressure %.6g fails" % (I_mu, P, P_mu))
-    low_ok = (P - I_mu) >= q
-    high_ok = (P_mu - P) >= q
-    if low_ok and high_ok:
-        return mu
-
-    members = [m for m in catalog if not isinstance(m, SingularDeltaMeasure)]
-    if not members:
-        raise NoWitnessError("catalog has no section-level measures")
-    integrals, _ = integrate_many(potential, members)
-    pool = [(m, I_m, entropy_map(m) + I_m)
-            for m, I_m in zip(members, integrals)]
-
-    if low_ok and not high_ok:
-        # pressure needs lifting: witnesses with pressure above P
-        highs = sorted((t for t in pool if t[2] >= P + 2.0 * q),
-                       key=lambda t: t[2])
-        if not highs:
-            raise NoWitnessError(
-                "no catalog measure has pressure above the target %.6g; "
-                "cannot lift the pressure side" % P)
-        nu = _mix_to_margin(mu, I_mu, P_mu, highs, P, q)
-        if nu is None:
-            raise NoWitnessError(
-                "no pressure-above witness admits a mixture with both "
-                "margins >= tol/4")
-        return nu
-
-    lows = sorted((t for t in pool if t[2] <= P - 2.0 * q),
-                  key=lambda t: -t[2])
-    if not lows:
-        raise NoWitnessError(
-            "no catalog measure has pressure below the target %.6g; "
-            "cannot free the integral side" % P)
-
-    if not low_ok and high_ok:
-        nu = _mix_to_margin(mu, I_mu, P_mu, lows, P, q)
-        if nu is None:
-            raise NoWitnessError(
-                "no pressure-below witness admits a mixture with both "
-                "margins >= tol/4")
-        return nu
-
-    # both tight: build the exact intermediate mixture first
-    low_int = [t for t in pool if t[1] <= P - 2.0 * q]
-    high_int = [t for t in pool if t[1] >= P + 2.0 * q]
-    if not low_int:
-        raise NoWitnessError(
-            "no catalog measure has integral below %.6g" % (P - 2.0 * q))
-    if not high_int:
-        raise NoWitnessError(
-            "no catalog measure has integral above %.6g" % (P + 2.0 * q))
-    A, I_A, P_A = max(low_int, key=lambda t: t[2] - t[1])
-    B, I_B, P_B = max(high_int, key=lambda t: t[2] - t[1])
-    h_A = P_A - I_A
-    h_B = P_B - I_B
-    if max(h_A, h_B) < 4.0 * q:
-        repairs = sorted(pool, key=lambda t: -(t[2] - t[1]))
-        rep, I_r, P_r = repairs[0]
-        h_r = P_r - I_r
-        if h_r < 4.0 * q:
-            raise NoWitnessError(
-                "catalog lacks a positive-entropy witness; the "
-                "intermediate mixture cannot reach positive entropy")
-        # fold the entropy carrier into the low-integral side, keeping
-        # its integral at least q below P
-        if I_r <= I_A:
-            u = 0.5
-        else:
-            u = min(0.5, 0.9 * (P - q - I_A) / (I_r - I_A))
-        if u <= 0.0:
-            raise NoWitnessError(
-                "entropy repair would push the low-side integral past P")
-        A = convex_combine([(u, rep), (1.0 - u, A)])
-        I_A = u * I_r + (1.0 - u) * I_A
-        P_A = u * P_r + (1.0 - u) * P_A
-        h_A = P_A - I_A
-    s = (I_B - P) / (I_B - I_A)
-    if not 0.0 < s < 1.0:
-        raise NoWitnessError(
-            "integral witnesses do not straddle the target")
-    mu3 = convex_combine([(s, A), (1.0 - s, B)])
-    I_3 = s * I_A + (1.0 - s) * I_B
-    P_3 = s * P_A + (1.0 - s) * P_B
-    if P_3 - P < 2.0 * q:
-        raise NoWitnessError(
-            "intermediate mixture's entropy %.3g is too small to carry "
-            "the margin" % (P_3 - I_3))
-    nu = _mix_to_margin(mu3, I_3, P_3, lows, P, q)
-    if nu is None:
-        raise NoWitnessError(
-            "no pressure-below witness admits a mixture with both "
-            "margins >= tol/4")
-    return nu
-
 
 
 def realize_intermediate(req):

@@ -17,7 +17,6 @@ from geolorenz import (
     AtomicMeasure,
     ConstantPotential,
     MarkovMeasure,
-    NoWitnessError,
     RoofFunction,
     SectionGridPotential,
     SingularDeltaMeasure,
@@ -31,12 +30,10 @@ from geolorenz import (
     estimate_P_bounds,
     find_periodic_point,
     h_top_estimate,
-    integrate_map,
     pressure_measure,
     pressure_separated,
     pressure_transfer,
     realize_intermediate,
-    reduce_to_essential_case,
     spectrum_scan,
     suspend,
     verify_gap,
@@ -248,54 +245,6 @@ def test_criterion_6_small_scale_oracle(lmap):
                 "seed %d depth %d: |%.5f - %.5f| > slack %.5f" \
                 % (seed, depth, brute, est.value, est.slack)
     print("criterion 6: worst |brute-transfer|/slack = %.3f" % worst_ratio)
-
-
-def test_criterion_7_case_reduction(lmap, coord):
-    tol = 1e-2
-    q = tol / 4.0
-    catalog = build_catalog(lmap, coord)
-    parry = next(m for m in catalog if m.id == "markov:d12:g0.002:t0")
-
-    def point(mu):
-        I, _ = integrate_map(coord, mu, 12)
-        return I, entropy_map(mu) + I
-
-    def check(mu, P, expect_identity=False):
-        nu = reduce_to_essential_case(mu, coord, P, catalog, tol=tol)
-        I_nu, P_nu = point(nu)
-        assert I_nu <= P <= P_nu  # membership preserved
-        assert P - I_nu >= q - 1e-12
-        assert P_nu - P >= q - 1e-12
-        if expect_identity:
-            assert nu is mu
-        return nu
-
-    I_p, P_p = point(parry)
-    # both inequalities already strict: identity
-    check(parry, I_p + 0.25, expect_identity=True)
-    # pressure side tight: mix toward a higher-pressure witness
-    check(parry, P_p - q / 2.0)
-    # integral side tight: mix toward a lower-pressure witness
-    check(parry, I_p + q / 2.0)
-    # both tight (zero-entropy input sitting on its own pressure value)
-    atom = next(m for m in catalog if m.id.endswith(":LR"))
-    I_a, P_a = point(atom)
-    assert P_a == pytest.approx(I_a, abs=1e-15)
-    check(atom, I_a)
-
-    # both tight with a catalog whose straddling witnesses carry no
-    # entropy: the reduction must fold in an entropy carrier explicitly
-    atoms = [m for m in catalog if isinstance(m, AtomicMeasure)]
-    lean = atoms + [parry]
-    nu = reduce_to_essential_case(atom, coord, I_a, lean, tol=tol)
-    I_nu, P_nu = point(nu)
-    assert I_a - I_nu >= q - 1e-12 and P_nu - I_a >= q - 1e-12
-
-    # honest failure: no witness can lift the pressure side
-    zero_entropy = [m for m in atoms if m is not atom]
-    with pytest.raises(NoWitnessError):
-        reduce_to_essential_case(atom, coord, I_a, zero_entropy, tol=tol)
-    print("criterion 7: all four regimes hold margins >= %.4g" % q)
 
 
 def test_criterion_8_repro_determinism(tmp_path):

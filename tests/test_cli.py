@@ -288,6 +288,54 @@ def test_spectrum_command(tmp_path):
     assert payload["gap_size"] >= 0.0
 
 
+def test_spectrum_command_on_a_deeper_catalog_horseshoe(tmp_path):
+    # the catalog's depth-14 equilibrium states are integrated at the
+    # default depth 12, below their horseshoe's, over the model's depth-12
+    # cylinders; every float of the payload is pinned
+    cfg = tmp_path / "deep.cfg"
+    cfg.write_text("catalog.horseshoes = 14:0.002:0,1\n")
+    out = str(tmp_path / "r")
+    assert run(["--config", str(cfg), "--out", out, "spectrum",
+                "--potential", "coord:x"]) == 0
+    payload = read_json(out, "spectrum")
+    want = {
+        "atomic:LLR": "-0x1.e79e79e79e79dp-2",
+        "atomic:LLRLLRLR": "-0x1.6db6db6db6db7p-2",
+        "atomic:LLRLR": "-0x1.249249249248bp-2",
+        "atomic:LLRLRLR": "-0x1.a1f58d0fac68bp-3",
+        "atomic:LLRLLRR": "-0x1.a1f58d0fac676p-3",
+        "atomic:LLLRRLR": "-0x1.a1f58d0fac670p-3",
+        "atomic:LRRLLRLRRRLL": "-0x1.a800000000000p-49",
+        "atomic:LLRLLRRR": "-0x1.1000000000000p-50",
+        "atomic:LLLRRLRR": "-0x1.a800000000000p-51",
+        "atomic:LLRLRLRR": "-0x1.7000000000000p-51",
+        "atomic:LLRRLRLR": "-0x1.4000000000000p-52",
+        "atomic:LLRLRR": "-0x1.5555555555555p-54",
+        "atomic:LLRRLR": "0x1.5555555555555p-56",
+        "atomic:LR": "0x1.8000000000000p-52",
+        "atomic:LLRR": "0x1.a000000000000p-52",
+        "atomic:LLRLRRLR": "0x1.1800000000000p-51",
+        "atomic:LLLRRR": "0x1.7555555555555p-51",
+        "atomic:LLRRLRR": "0x1.a1f58d0fac678p-3",
+        "atomic:LLRLRRR": "0x1.a1f58d0fac67dp-3",
+        "atomic:LRLRLRR": "0x1.a1f58d0fac68fp-3",
+        "atomic:LRLRR": "0x1.249249249248fp-2",
+        "atomic:LRLRRLRR": "0x1.6db6db6db6dcep-2",
+        "atomic:LRR": "0x1.e79e79e79e7a3p-2",
+        "markov:d14:g0.002:t0": "0x1.0e03414b1fc1ap-1",
+        "markov:d14:g0.002:t1": "0x1.54e6c18c07410p-1",
+    }
+    assert [(e["measure_id"], e["pressure"].hex())
+            for e in payload["entries"]] == list(want.items())
+    assert [v.hex() for v in payload["gap_interval"]] == \
+        ["0x1.7555555555555p-51", "0x1.a1f58d0fac678p-3"]
+    assert {key: payload[key].hex()
+            for key in ("gap_size", "p_inf_est", "p_top_est")} == {
+        "gap_size": "0x1.a1f58d0fac661p-3",
+        "p_inf_est": "-0x1.e79e79e79e79dp-2",
+        "p_top_est": "0x1.54e6c18c07410p-1"}
+
+
 def test_realize_command_and_interiority_failure(tmp_path, capsys):
     out = str(tmp_path / "r")
     assert run(["--out", out, "realize", "--potential", "coord:x",

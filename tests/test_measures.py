@@ -1,4 +1,4 @@
-"""Measure representations, entropy, integration, suspension, distance."""
+"""Measure representations, entropy, integration, suspension, payloads."""
 
 import math
 import os
@@ -31,7 +31,6 @@ from geolorenz import (
     equilibrium_measure,
     find_periodic_point,
     integrate_map,
-    measure_distance,
     measure_from_payload,
     suspend,
 )
@@ -146,34 +145,22 @@ def test_markov_reducible_support_rejected(lmap):
         MarkovMeasure(lmap, hs, probs, [0.0, 0.5, 0.5])
 
 
-def test_cylinder_masses_are_probabilities(parry):
-    for depth in (6, 12, 14):
-        codes, masses = parry.cylinder_masses(depth)
-        assert np.all(np.diff(codes) > 0)
-        assert np.all(masses >= 0.0)
-        assert masses.sum() == pytest.approx(1.0, abs=1e-9)
-
-
-def test_cylinder_masses_and_distance_match_dict_oracle(lmap, parry, tilted):
-    # the (codes, masses) arrays against the word-keyed dicts, float for
-    # float: atoms, Markov measures above and below their horseshoe
-    # depth, and a three-part mixture
-    atoms = [AtomicMeasure(lmap, find_periodic_point(lmap, w))
-             for w in ("LR", "LRR", "LLRR", "LRLRR")]
-    mix = convex_combine([(0.2, parry), (0.5, tilted), (0.3, atoms[2])])
-    pool = [parry, tilted, *atoms, mix]
-    for depth in (2, 3, 6, 12, 14):
-        for m in pool:
-            codes, masses = m.cylinder_masses(depth)
+def test_shallow_cylinder_masses_match_dict_oracle(lmap, parry, tilted):
+    # below its horseshoe's depth a Markov measure is integrated over the
+    # model's cylinders, charged with its vertices' summed stationary
+    # masses: against the word-keyed dict, float for float, in word order
+    for depth in (0, 2, 3, 6, 11):
+        level = symbolic.cylinder_levels(lmap, depth)[depth]
+        for m in (parry, tilted):
+            masses, cylinders = measures._shallow_cylinders(m, depth)
             want = word_oracles.cylinder_masses(m, depth)
-            words = decode_words(codes, depth)
-            assert words == sorted(want)
+            words = sorted(want)
             assert [v.hex() for v in masses.tolist()] == \
                 [want[w].hex() for w in words]
-        for a in pool:
-            for b in pool:
-                assert measure_distance(a, b, depth).hex() == \
-                    word_oracles.measure_distance(a, b, depth).hex()
+            pos = level.find(symbolic.encode_words(words))
+            assert (pos >= 0).all()
+            assert np.array_equal(cylinders.lo, level.lo[pos])
+            assert np.array_equal(cylinders.hi, level.hi[pos])
 
 
 def test_error_bound_honesty_over_seeded_potentials(parry):
@@ -191,22 +178,12 @@ def test_error_bound_honesty_over_seeded_potentials(parry):
 def test_integration_depth_contract(coord, roof, parry, atom, depth):
     # one check before any measure is sorted: atoms once ignored the
     # depth, a float depth failed inside range() and a deep one only once
-    # a scheme was built. Cylinder masses and distances share the check:
-    # at depth -3 the distance of the mutually singular parry and atom
-    # read 2e-15, and at 25 two atoms were at distance 2.0
+    # a scheme was built
     match = "integration depth %s is not" % re.escape(repr(depth))
-    value = re.escape(repr(depth))
     mixture = convex_combine([(0.5, atom), (0.5, parry)])
     for measure in (atom, parry, mixture):
         with pytest.raises(PreconditionError, match=match):
             integrate_map(coord, measure, depth)
-        with pytest.raises(PreconditionError,
-                           match="cylinder depth %s is not" % value):
-            measure.cylinder_masses(depth)
-        for other in (atom, parry, mixture):
-            with pytest.raises(PreconditionError,
-                               match="distance depth %s is not" % value):
-                measure_distance(measure, other, depth)
     with pytest.raises(PreconditionError, match=match):
         suspend(SingularDeltaMeasure(), roof, coord, depth)
 
@@ -217,11 +194,6 @@ def test_integration_at_depth_zero_is_an_honest_bound(coord, parry, atom):
     fine, fine_bound = integrate_map(coord, parry, 12)
     assert bound > 0.0 and abs(value - fine) <= bound + fine_bound
     assert integrate_map(coord, atom, 0) == integrate_map(coord, atom, 12)
-    # every probability measure puts mass 1 on that cylinder
-    mixture = convex_combine([(0.5, atom), (0.5, parry)])
-    for a in (atom, parry, mixture):
-        for b in (atom, parry, mixture):
-            assert measure_distance(a, b, 0) == pytest.approx(0.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("depth", [6, 12])
@@ -618,40 +590,19 @@ def test_singular_delta_conventions(roof, coord):
     assert stats.ball_fraction(0.123) == 1.0
     assert stats.potential_integral == coord.value_at_sigma() == 0.0
     for op in (lambda: entropy_map(delta),
-               lambda: integrate_map(coord, delta),
-               lambda: measure_distance(delta, delta)):
+               lambda: integrate_map(coord, delta)):
         with pytest.raises(PreconditionError):
             op()
 
 
-def test_measure_distance_is_a_metric(lmap, parry, tilted, atom):
-    pool = [parry, tilted, atom,
-            AtomicMeasure(lmap, find_periodic_point(lmap, "LR")),
-            convex_combine([(0.5, parry), (0.5, atom)])]
-    for a in pool:
-        assert measure_distance(a, a) == 0.0
-        for b in pool:
-            dab = measure_distance(a, b)
-            dba = measure_distance(b, a)
-            assert dab == pytest.approx(dba, abs=1e-14)
-            assert 0.0 <= dab <= 2.0 + 1e-12
-            for c in pool:
-                assert dab <= (measure_distance(a, c)
-                               + measure_distance(c, b) + 1e-12)
-
-
-def test_distance_separates_distinct_measures(parry, tilted, atom):
-    assert measure_distance(parry, tilted) > 1e-4
-    assert measure_distance(parry, atom) > 0.1
-
-
-def test_payload_round_trip(lmap, parry, atom):
+def test_payload_round_trip(lmap, parry, atom, coord):
     mix = convex_combine([(0.25, atom), (0.75, parry)], label="mix")
     for m in (atom, parry, mix, SingularDeltaMeasure()):
         clone = measure_from_payload(lmap, m.to_payload())
         assert clone.id == m.id
+        assert clone.to_payload() == m.to_payload()
         if not isinstance(m, SingularDeltaMeasure):
-            assert measure_distance(m, clone) <= 1e-12
+            assert integrate_map(coord, clone) == integrate_map(coord, m)
     # an equilibrium state loads onto the component its horseshoe stores,
     # so clones share one horseshoe and its cylinder schemes
     first, second = (measure_from_payload(lmap, parry.to_payload())

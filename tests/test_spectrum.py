@@ -1,4 +1,4 @@
-"""Spectrum reports, gap certification, case reduction, realization."""
+"""Spectrum reports, gap certification, realization."""
 
 import collections
 import math
@@ -16,7 +16,6 @@ from geolorenz import (
     EtaTooLargeError,
     LorenzMap1D,
     MarkovMeasure,
-    NoWitnessError,
     PreconditionError,
     RoofFunction,
     SectionGridPotential,
@@ -32,11 +31,9 @@ from geolorenz import (
     estimate_P_bounds,
     find_periodic_point,
     h_top_estimate,
-    integrate_map,
     parse_potential_spec,
     pressure_measure,
     realize_intermediate,
-    reduce_to_essential_case,
     spectrum_scan,
     verify_gap,
 )
@@ -447,68 +444,6 @@ def test_spectrum_argmax_invariant_under_shift(lmap, coord):
     assert neighbors(base) == neighbors(shifted)
     assert shifted.gap_interval[0] - base.gap_interval[0] == pytest.approx(
         0.4, abs=1e-10)
-
-
-def _margins(mu, potential, P):
-    I, _ = integrate_map(potential, mu, 12)
-    h = entropy_map(mu)
-    return P - I, (h + I) - P
-
-
-def test_reduce_identity_when_already_strict(lmap, coord):
-    catalog = build_catalog(lmap, coord)
-    parry = next(m for m in catalog if m.id == "markov:d12:g0.002:t0")
-    I, _ = integrate_map(coord, parry, 12)
-    P = I + 0.25  # comfortably interior
-    out = reduce_to_essential_case(parry, coord, P, catalog)
-    assert out is parry
-
-
-def test_reduce_rejects_nonmember(lmap, coord):
-    catalog = build_catalog(lmap, coord)
-    parry = next(m for m in catalog if m.id == "markov:d12:g0.002:t0")
-    I, _ = integrate_map(coord, parry, 12)
-    with pytest.raises(PreconditionError):
-        reduce_to_essential_case(parry, coord, I - 0.5, catalog)
-
-
-def test_reduce_tight_pressure_side(lmap, coord):
-    catalog = build_catalog(lmap, coord)
-    parry = next(m for m in catalog if m.id == "markov:d12:g0.002:t0")
-    low, high = _margins(parry, coord, 0.0)
-    P = entropy_map(parry) + integrate_map(coord, parry, 12)[0] - 1e-4
-    nu = reduce_to_essential_case(parry, coord, P, catalog, tol=1e-2)
-    low, high = _margins(nu, coord, P)
-    assert low >= 1e-2 / 4.0 - 1e-12
-    assert high >= 1e-2 / 4.0 - 1e-12
-
-
-def test_reduce_no_witness_above(lmap, coord):
-    # a catalog with no high-pressure member cannot lift the pressure side
-    atoms = [AtomicMeasure(lmap, find_periodic_point(lmap, w))
-             for w in ("LR", "LRR")]
-    mu = atoms[0]
-    I, _ = integrate_map(coord, mu, 12)
-    with pytest.raises(NoWitnessError):
-        reduce_to_essential_case(mu, coord, I, atoms, tol=1e-2)
-
-
-def test_mix_weight_found_in_a_window_between_grid_points(lmap):
-    # every theta in [0.0015, 0.00965] meets both margins, a window that
-    # holds no multiple of 1/64; the weight is its lower end
-    mu, w = [AtomicMeasure(lmap, find_periodic_point(lmap, word))
-             for word in ("LR", "LRR")]
-    nu = spectrum._mix_to_margin(mu, 0.0, 0.1, [(w, 10.0, 1.1)], 0.099,
-                                 0.0025)
-    assert nu is not None
-    (theta, first), (rest, second) = nu.components
-    assert first is w and second is mu
-    assert theta == pytest.approx(0.0015, rel=1e-12)
-    assert 0.099 - (theta * 10.0 + rest * 0.0) >= 0.0025
-    assert (theta * 1.1 + rest * 0.1) - 0.099 >= 0.0025
-    # at q = 0.01 the margins need theta <= 0.0089 and theta >= 0.009
-    assert spectrum._mix_to_margin(mu, 0.0, 0.1, [(w, 10.0, 1.1)], 0.099,
-                                   0.01) is None
 
 
 # ---------------------------------------------------------------------------

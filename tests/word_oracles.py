@@ -3,18 +3,15 @@
 The library handles words as integer codes only. These are the plain
 string versions the tests compare it against: kneading comparisons,
 finite and periodic admissibility, itineraries, least rotations,
-successor lists, and cylinder masses as dicts keyed by word. Only the
-Markov masses read word codes, to decode the paths of a cylinder scheme.
-Hand-built horseshoes, such as the full 2-shift or the golden-mean
-shift, come from `horseshoe_from_adjacency`.
+successor lists, and a Markov measure's shallow cylinder masses as a
+dict keyed by word. Hand-built horseshoes, such as the full 2-shift or
+the golden-mean shift, come from `horseshoe_from_adjacency`.
 """
 
 import numpy as np
 
-from geolorenz import (AtomicMeasure, ConvexMeasure, MarkovMeasure,
-                       SFTHorseshoe, cylinder_levels, measures)
-from geolorenz.symbolic import (SINGULAR_TOL, check_word, decode_words,
-                                encode_words)
+from geolorenz import SFTHorseshoe, cylinder_levels
+from geolorenz.symbolic import SINGULAR_TOL, check_word, encode_words
 
 
 def horseshoe_from_adjacency(depth, vertices, adjacency, lmap, x_gap=0.0):
@@ -123,36 +120,11 @@ def least_rotation(word):
 
 
 def cylinder_masses(measure, depth):
-    """Depth-`depth` cylinder masses as a dict from word to mass, each
-    summed from 0.0 in the order the words are met."""
+    """Depth-`depth` cylinder masses of a Markov measure, at a depth at or
+    below its horseshoe's, as a dict from word to mass: each vertex's
+    stationary mass goes to its word's depth-`depth` prefix, summed from
+    0.0 in vertex order."""
     out = {}
-    if isinstance(measure, AtomicMeasure):
-        word = measure.orbit.word
-        p = len(word)
-        ext = word * (depth // p + 2)
-        for i in range(p):
-            w = ext[i:i + depth]
-            out[w] = out.get(w, 0.0) + 1.0 / p
-    elif (isinstance(measure, MarkovMeasure)
-          and depth >= measure.horseshoe.depth):
-        scheme = measures._scheme(measure.lmap, measure.horseshoe, depth)
-        mass = scheme.masses(measure.stationary, measure.probs)
-        for w, mu in zip(decode_words(scheme.codes, depth), mass):
-            out[w] = out.get(w, 0.0) + float(mu)
-    elif isinstance(measure, MarkovMeasure):
-        for w, pi in zip(measure.horseshoe.vertices, measure.stationary):
-            out[w[:depth]] = out.get(w[:depth], 0.0) + float(pi)
-    else:
-        assert isinstance(measure, ConvexMeasure)
-        for weight, comp in measure.components:
-            for w, mu in cylinder_masses(comp, depth).items():
-                out[w] = out.get(w, 0.0) + weight * mu
+    for w, pi in zip(measure.horseshoe.vertices, measure.stationary):
+        out[w[:depth]] = out.get(w[:depth], 0.0) + float(pi)
     return out
-
-
-def measure_distance(a, b, depth):
-    """L1 distance of the two mass dicts, summed in sorted word order."""
-    ma = cylinder_masses(a, depth)
-    mb = cylinder_masses(b, depth)
-    keys = sorted(set(ma) | set(mb))
-    return float(sum(abs(ma.get(k, 0.0) - mb.get(k, 0.0)) for k in keys))
