@@ -10,30 +10,28 @@ spectral gap. Two deliberately near-singular interlopers are included
 to show the hypothesis check catching them.
 """
 
-from geolorenz import (LorenzMap1D, RoofFunction, SingularDeltaMeasure,
-                       build_catalog, build_gap_potential, h_top_estimate,
-                       spectrum_scan, verify_gap)
-from geolorenz.catalog import GAP_CORE_RECIPE, GAP_DEMONSTRATOR_RECIPE
+from geolorenz import (LorenzMap1D, RoofFunction, build_catalog,
+                       gap_construction)
+from geolorenz.catalog import GAP_DEMONSTRATOR_RECIPE
 
 
 def main():
     lmap = LorenzMap1D(alpha=1.0, beta=1.7)
     roof = RoofFunction(c0=1.0, c1=1.0, eta0=0.5)
 
-    h = h_top_estimate(lmap)
-    bump = build_gap_potential(h, margin=0.05, eta=0.1, lmap=lmap, roof=roof)
-    L = bump.value_at_sigma()
+    # bump, default core and demonstrator population plus the Dirac,
+    # certification and flow-level scan, in one call
+    _, bump, report, scan = gap_construction(lmap, roof, margin=0.05,
+                                             eta=0.1)
     print("bump height L = 4.2 * h_top = %.6f, support |x| < %.2f"
-          % (L, 2 * bump.eta))
+          % (report.L, 2 * bump.eta))
 
-    core = build_catalog(lmap, bump, GAP_CORE_RECIPE)
-    demos = build_catalog(lmap, bump, GAP_DEMONSTRATOR_RECIPE)
-    population = core + demos + [SingularDeltaMeasure()]
-    demo_ids = {m.id for m in demos}
+    demo_ids = {m.id for m in
+                build_catalog(lmap, bump, GAP_DEMONSTRATOR_RECIPE)}
     print("population: %d core members, %d near-singular demonstrators, "
-          "plus the singular Dirac measure\n" % (len(core), len(demos)))
+          "plus the singular Dirac measure\n"
+          % (len(report.rows) - len(demo_ids) - 1, len(demo_ids)))
 
-    report = verify_gap(lmap, roof, bump, population, slack=1e-2)
     print("%-26s %-10s %-10s %-12s %s"
           % ("measure", "pressure", "ball_frac", "hypothesis", "role"))
     for row in report.rows:
@@ -53,7 +51,6 @@ def main():
     print("certified gap: %s, size %.6f"
           % (report.certified, report.gap_size))
 
-    scan = spectrum_scan(bump, population, level="flow", roof=roof)
     lo, hi = scan.gap_interval
     print("\nspectrum scan confirms: largest empty interval "
           "(%.4f, %.4f), above it only %s"

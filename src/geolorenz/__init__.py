@@ -30,8 +30,8 @@ from .pressure import (PressureEstimate, catalog_pressures,
                        pressure_measure, pressure_separated,
                        pressure_transfer)
 from .spectrum import (GapReport, PressureSpectrumReport, TargetRequest,
-                       build_gap_potential, realize_intermediate,
-                       spectrum_scan, verify_gap)
+                       build_gap_potential, gap_construction,
+                       realize_intermediate, spectrum_scan, verify_gap)
 from .symbolic import (KneadingPair, PeriodicOrbitRecord, SFTHorseshoe,
                        admissible_words, build_horseshoe, cylinder_levels,
                        enumerate_periodic, find_periodic_point, kneading,

@@ -18,24 +18,20 @@ import argparse
 import os
 import sys
 
-from .catalog import (GAP_CORE_RECIPE, GAP_DEMONSTRATOR_RECIPE,
-                      build_catalog)
+from .catalog import build_catalog
 from .config import default_config, load_config
 from .errors import ConfigError, GeolorenzError
-from .measures import (SingularDeltaMeasure, ball_fractions,
-                       measure_from_payload, suspend_many)
+from .measures import ball_fractions, measure_from_payload, suspend_many
 # unused here, kept since benchmarks/test_benchmark.py checks that the
 # tracer wraps this binding
 from .measures import suspend
 from .model import validate_model
 from .potentials import parse_potential_spec
-from .pressure import (h_top_estimate, pressure_separated,
-                       pressure_transfer)
+from .pressure import pressure_separated, pressure_transfer
 from .report import Emitter
-from .repro import run_suite
-from .spectrum import (REPLAY_DEPTH, TargetRequest, build_gap_potential,
-                       realize_intermediate, spectrum_scan, stats_rows,
-                       verify_gap)
+from .repro import SUITE_NAMES, run_suite
+from .spectrum import (REPLAY_DEPTH, TargetRequest, gap_construction,
+                       realize_intermediate, spectrum_scan, stats_rows)
 from .symbolic import build_horseshoe, enumerate_periodic, \
     strongly_connected_components
 
@@ -93,9 +89,7 @@ def _build_parser():
     p.add_argument("--catalog", help="JSON file of measure payloads")
 
     p = sub.add_parser("repro", help="re-run committed expectation suites")
-    p.add_argument("--suite", default="all",
-                   choices=("entropy", "variational", "intermediate",
-                            "gap", "all"))
+    p.add_argument("--suite", default="all", choices=SUITE_NAMES + ("all",))
     return parser
 
 
@@ -242,22 +236,12 @@ def _load_catalog_file(path, lmap):
 
 def _cmd_gap_demo(args, config, emitter):
     lmap = config.make_model().base
-    roof = config.make_roof()
-    h_est = h_top_estimate(lmap)
+    measures = core = None  # gap_construction builds the default catalogs
     if args.catalog:
         measures, core = _load_catalog_file(args.catalog, lmap)
-    else:
-        core = None  # build_gap_potential derives the core population
-        measures = None
-    bump = build_gap_potential(h_est, args.margin, args.eta, lmap=lmap,
-                               roof=roof, catalog=core)
-    if measures is None:
-        measures = (build_catalog(lmap, bump, GAP_CORE_RECIPE)
-                    + build_catalog(lmap, bump, GAP_DEMONSTRATOR_RECIPE))
-    if not any(isinstance(m, SingularDeltaMeasure) for m in measures):
-        measures = measures + [SingularDeltaMeasure()]
-    report = verify_gap(lmap, roof, bump, measures)
-    scan = spectrum_scan(bump, measures, level="flow", roof=roof)
+    h_est, _, report, scan = gap_construction(
+        lmap, config.make_roof(), args.margin, args.eta, core=core,
+        measures=measures)
     emitter.emit_json("gap_report", {"h_top_est": h_est,
                                      **report.as_dict()})
     emitter.emit_csv("gap_report", TABLE_COLUMNS, report.rows)

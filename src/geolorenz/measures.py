@@ -14,10 +14,11 @@ one-element call (`integrate_map`, `suspend`) bit for bit. Orbits are
 averaged by per-period blocks, as `np.mean` averages one orbit, not by
 `np.add.reduceat`, whose segment sums round differently. The integral
 of a keyed integrand (every potential of `potentials`, and the roof,
-dwell and passage integrands) is computed once per measure and depth
-and then read back from a memo; a catalog's periodic orbits share one
-batch, so a keyed integral that misses on one of its atoms is computed
-for all of them at once.
+dwell and passage integrands, whose roof part is `RoofFunction.key`) is
+computed once per measure and depth and then read back from a memo; a
+catalog's periodic orbits share one batch, so a keyed integral that
+misses on one of its atoms is computed for all of them at once. The
+roof and dwell bounds are exact cylinder ranges (`model.monotone_ends`).
 """
 
 import hashlib
@@ -27,7 +28,7 @@ import types
 import numpy as np
 
 from .errors import PreconditionError
-from .model import abs_range, dwell_array, roof_array
+from .model import dwell_array, monotone_ends, roof_array
 from .potentials import midpoint_error_many, passage_error_many
 from .symbolic import (ALPHABET, MAX_DEPTH, _inverse_step, _recall, _remember,
                        build_horseshoe, check_depth, check_model, check_word,
@@ -672,36 +673,36 @@ def measure_from_payload(lmap, payload):
 # array-native like them
 
 class _RoofIntegrand:
-    """A function of the roof model monotone in |x|, as an integrand: r(x)
-    (name "roof", fn `roof_array`) or d_b(x), the time within radius b
-    (name "dwell", fn `dwell_array`, args (b,)). Exact range bounds from
-    monotonicity.
+    """A function of the roof model that does not increase with |x|, as an
+    integrand: r(x) (name "roof", fn `roof_array`) or d_b(x), the time
+    within radius b (name "dwell", fn `dwell_array`, args (b,)). Its range
+    over a cylinder is exact (`monotone_ends`), and unbounded at 0 only
+    when the roof diverges there (c1 > 0).
 
-    Values are fn(roof, x, *args). Keyed by the name and the bytes of
-    (c0, c1, eta0, *args): see `integrate_many`.
+    Values are fn(roof, x, *args). Keyed by the name, the roof's `key`
+    and the bytes of args: see `integrate_many`.
     """
 
     def __init__(self, name, fn, roof, *args):
         self.fn = fn
         self.roof = roof
         self.args = tuple(float(a) for a in args)
-        self.key = (name, np.array([roof.c0, roof.c1, roof.eta0,
-                                    *self.args]).tobytes())
+        self.key = (name, roof.key, np.array(self.args).tobytes())
 
     def value(self, x):
         out = self.fn(self.roof, x, *self.args)
         return out if np.ndim(x) else float(out)
 
     def midpoint_error(self, lo, hi):
-        return _monotone_range(self.value, lo, hi)
+        low, high = monotone_ends(self.value, lo, hi, self.roof.c1 > 0.0)
+        return high - low if np.ndim(lo) else float(high - low)
 
 
 class _PassageIntegrand:
     """Per-passage integral of a potential: the flow weight over one return.
 
-    Keyed by the potential's key and the bytes of the roof's (c0, c1,
-    eta0), or not at all if the potential has no key (see
-    `integrate_many`)."""
+    Keyed by the potential's key and the roof's, or not at all if the
+    potential has no key (see `integrate_many`)."""
 
     def __init__(self, potential, roof):
         self.potential = potential
@@ -712,25 +713,13 @@ class _PassageIntegrand:
         key = getattr(self.potential, "key", None)
         if key is None:
             return None
-        roof = self.roof
-        return (key, np.array([roof.c0, roof.c1, roof.eta0]).tobytes())
+        return (key, self.roof.key)
 
     def value(self, x):
         return self.potential.passage_integral(x, self.roof)
 
     def midpoint_error(self, lo, hi):
         return passage_error_many(self.potential, self.roof, lo, hi)
-
-
-def _monotone_range(value_fn, lo, hi):
-    """Exact range over each [lo, hi] of a function monotone in |x|.
-
-    The range is infinite where the interval reaches 0, since both
-    integrands diverge there.
-    """
-    d0, d1 = abs_range(lo, hi)
-    out = np.where(d0 <= 0.0, np.inf, np.abs(value_fn(d0) - value_fn(d1)))
-    return out if np.ndim(lo) else float(out)
 
 
 # ---------------------------------------------------------------------------

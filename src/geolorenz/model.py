@@ -212,6 +212,12 @@ class RoofFunction:
     def __repr__(self):
         return "RoofFunction(c0=%r, c1=%r, eta0=%r)" % (self.c0, self.c1, self.eta0)
 
+    @property
+    def key(self):
+        """The bytes of (c0, c1, eta0), derived on each read: the value
+        identity under which roof-model integrals are memoized."""
+        return np.array([self.c0, self.c1, self.eta0]).tobytes()
+
     def __call__(self, x):
         """r(x) at one point (see `roof_array`); DomainError at x = 0."""
         if x == 0.0:
@@ -258,6 +264,19 @@ def abs_range(lo, hi):
     nearest = np.where((lo <= 0.0) & (hi >= 0.0), 0.0,
                        np.minimum(np.abs(lo), np.abs(hi)))
     return nearest, np.maximum(np.abs(lo), np.abs(hi))
+
+
+def monotone_ends(fn, lo, hi, diverges=False):
+    """(min, max) over each closed interval [lo, hi] of a function of the
+    distance |x| that does not increase with it: fn at the farthest and at
+    the nearest distance (`abs_range`). The max is +inf on an interval
+    that reaches 0 only when the function `diverges` there, as the roof,
+    its dwell times and the bump's passage integral do when c1 > 0."""
+    near, far = abs_range(lo, hi)
+    top = fn(near)
+    if diverges:
+        top = np.where(near <= 0.0, np.inf, top)
+    return fn(far), top
 
 
 class ModelValidationReport:

@@ -16,7 +16,9 @@ take arrays of points, and the bounds `midpoint_error(lo, hi)`,
 `abs_bound(lo, hi)` and `passage_error(lo, hi, roof)` take arrays of
 cylinder endpoints and return one bound per cylinder. Scalar inputs
 return Python floats. There is one formula per bound, so the array
-result equals the elementwise scalar results bit for bit.
+result equals the elementwise scalar results bit for bit: the plain
+observables share one passage bound, and every range of a function of
+|x| over a cylinder (the roof's, the bump's) is `model.monotone_ends`.
 
 Every variant also carries a `key`, its value identity: its class and
 the bytes of the parameters that `value` and the bounds read, derived
@@ -35,13 +37,14 @@ The mini-language used by configuration files and the command line:
                    {"xs": [...], "values": [...], "lipschitz": L}
 """
 
+import functools
 import json
 import math
 
 import numpy as np
 
 from .errors import ConfigError, PreconditionError
-from .model import abs_range, roof_array
+from .model import abs_range, monotone_ends, roof_array
 
 LOG2 = math.log(2.0)
 
@@ -57,15 +60,6 @@ def _scalar_or_array(out, x):
     return out
 
 
-def _roof_range(roof, lo, hi):
-    """(min, max) of the roof over each closed interval [lo, hi]."""
-    d0, d1 = abs_range(lo, hi)
-    r_max = roof_array(roof, d0)
-    if roof.c1 > 0.0:
-        r_max = np.where(d0 <= 0.0, np.inf, r_max)
-    return roof_array(roof, d1), r_max
-
-
 def _plain_passage_integral(self, x, roof):
     """phi(x) * r(x), the passage integral of a section observable with no
     singular part. The constant, coordinate and grid potentials each bind
@@ -74,6 +68,23 @@ def _plain_passage_integral(self, x, roof):
     xs = _as_array(x)
     out = self.value(xs) * roof_array(roof, xs)
     return _scalar_or_array(out, x)
+
+
+def _plain_passage_error(self, lo, hi, roof):
+    """Bound on phi * r over each cylinder [lo, hi] for a section observable
+    with no singular part: sup |phi| times the roof's range plus the roof's
+    sup times L * width / 2. A zero factor is exact (0 * inf = 0). Bound in
+    each class body like `_plain_passage_integral`."""
+    r_min, r_max = monotone_ends(functools.partial(roof_array, roof), lo, hi,
+                                 diverges=roof.c1 > 0.0)
+    sup = self.abs_bound(lo, hi)
+    lip = self.lipschitz_bound()
+    width = _as_array(hi) - _as_array(lo)
+    with np.errstate(invalid="ignore"):
+        # every factor is >= 0, so a NaN can only be 0 * inf: fmax makes it 0
+        spread = np.fmax(sup * (r_max - r_min), 0.0)
+        drift = np.fmax(r_max * lip * 0.5 * width, 0.0)
+    return _scalar_or_array(spread + drift, lo)
 
 
 class ConstantPotential:
@@ -109,10 +120,7 @@ class ConstantPotential:
         return self.c
 
     passage_integral = _plain_passage_integral
-
-    def passage_error(self, lo, hi, roof):
-        r_min, r_max = _roof_range(roof, lo, hi)
-        return _scalar_or_array(abs(self.c) * (r_max - r_min), lo)
+    passage_error = _plain_passage_error
 
 
 class CoordinatePotential:
@@ -142,12 +150,7 @@ class CoordinatePotential:
         return 0.0
 
     passage_integral = _plain_passage_integral
-
-    def passage_error(self, lo, hi, roof):
-        r_min, r_max = _roof_range(roof, lo, hi)
-        width = _as_array(hi) - _as_array(lo)
-        out = self.abs_bound(lo, hi) * (r_max - r_min) + r_max * 0.5 * width
-        return _scalar_or_array(out, lo)
+    passage_error = _plain_passage_error
 
 
 class SectionGridPotential:
@@ -222,13 +225,7 @@ class SectionGridPotential:
         return self.value(0.0)
 
     passage_integral = _plain_passage_integral
-
-    def passage_error(self, lo, hi, roof):
-        r_min, r_max = _roof_range(roof, lo, hi)
-        width = _as_array(hi) - _as_array(lo)
-        out = (self.abs_bound(lo, hi) * (r_max - r_min)
-               + r_max * self.lipschitz * 0.5 * width)
-        return _scalar_or_array(out, lo)
+    passage_error = _plain_passage_error
 
     @classmethod
     def seeded(cls, seed):
@@ -334,9 +331,8 @@ class SingularBumpPotential:
         return _scalar_or_array(self._profile(a), x)
 
     def midpoint_error(self, lo, hi):
-        # profile is monotone in |x|, so the exact range is endpoint-to-endpoint
-        d0, d1 = abs_range(lo, hi)
-        return _scalar_or_array(self._profile(d0) - self._profile(d1), lo)
+        low, high = monotone_ends(self._profile, lo, hi)
+        return _scalar_or_array(high - low, lo)
 
     def abs_bound(self, lo, hi):
         return _scalar_or_array(self._profile(abs_range(lo, hi)[0]), lo)
@@ -369,11 +365,9 @@ class SingularBumpPotential:
 
     def passage_error(self, lo, hi, roof):
         self._check_roof(roof)
-        d0, d1 = abs_range(lo, hi)
-        out = self._passage(d0, roof) - self._passage(d1, roof)
-        if roof.c1 > 0.0:
-            out = np.where(d0 <= 0.0, np.inf, out)
-        return _scalar_or_array(out, lo)
+        low, high = monotone_ends(lambda a: self._passage(a, roof), lo, hi,
+                                  diverges=roof.c1 > 0.0)
+        return _scalar_or_array(high - low, lo)
 
 
 def midpoint_error_many(potential, lo, hi):

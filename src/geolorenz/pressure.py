@@ -522,7 +522,7 @@ def pressure_transfer(lmap, potential, depth=12):
 
 
 def pressure_measure(measure, potential, level="map", roof=None,
-                     depth=12):
+                     depth=DEFAULT_DEPTH):
     """h + integral at the requested level (Abramov quotients for flow):
     the one-element call of `catalog_pressures`."""
     return catalog_pressures([measure], potential, level, roof, depth)[1][0]

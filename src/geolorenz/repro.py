@@ -16,20 +16,15 @@ within tol of a derived bound), `exact` (bitwise equality), `true`
 import json
 from importlib import resources
 
-from .catalog import (DEFAULT_RECIPE, GAP_CORE_RECIPE,
-                      GAP_DEMONSTRATOR_RECIPE, build_catalog,
-                      equilibrium_label)
+from .catalog import DEFAULT_RECIPE, build_catalog, equilibrium_label
 from .errors import PreconditionError
-from .measures import SingularDeltaMeasure
 from .potentials import ConstantPotential, CoordinatePotential, \
     SectionGridPotential
-from .pressure import (catalog_pressures, estimate_P_bounds, h_top_estimate,
-                       pressure_measure, pressure_separated, pressure_transfer)
-from .spectrum import (REPLAY_DEPTH, TargetRequest, build_gap_potential,
-                       realize_intermediate, spectrum_scan, verify_gap)
+from .pressure import (catalog_pressures, estimate_P_bounds, pressure_measure,
+                       pressure_separated, pressure_transfer)
+from .spectrum import (REPLAY_DEPTH, TargetRequest, gap_construction,
+                       realize_intermediate)
 from .symbolic import lap_count
-
-SUITE_NAMES = ("entropy", "variational", "intermediate", "gap")
 
 
 def load_expectations(suite):
@@ -163,17 +158,10 @@ def run_intermediate(config, lmap):
 
 def run_gap(config, lmap):
     spec = load_expectations("gap")
-    roof = config.make_roof()
-    h_est = h_top_estimate(lmap)
-    bump = build_gap_potential(h_est, spec["margin"], spec["eta"],
-                               lmap=lmap, roof=roof)
+    h_est, bump, report, scan = gap_construction(
+        lmap, config.make_roof(), spec["margin"], spec["eta"],
+        slack=spec["report_slack"])
     L = bump.value_at_sigma()
-    catalog = (build_catalog(lmap, bump, GAP_CORE_RECIPE)
-               + build_catalog(lmap, bump, GAP_DEMONSTRATOR_RECIPE)
-               + [SingularDeltaMeasure()])
-    report = verify_gap(lmap, roof, bump, catalog,
-                        slack=spec["report_slack"])
-    scan = spectrum_scan(bump, catalog, level="flow", roof=roof)
     above = scan.measures_above_gap()
     flagged = [mid for mid in report.flagged_ids() if mid != "delta_sigma"]
     actuals = {
@@ -193,6 +181,7 @@ def run_gap(config, lmap):
 
 _RUNNERS = {"entropy": run_entropy, "variational": run_variational,
             "intermediate": run_intermediate, "gap": run_gap}
+SUITE_NAMES = tuple(_RUNNERS)
 
 
 def run_suite(suite, config):

@@ -7,7 +7,8 @@ ergodic Markov measure on a horseshoe, found by a bracketing secant
 t*phi. The dense one builds a singular bump potential whose pressure
 spectrum has a certified gap: the Dirac measure at the singularity sits
 at level L while every measure satisfying the small-ball hypothesis
-stays below L/2.
+stays below L/2. `gap_construction` is that construction end to end,
+the one the `gap-demo` command, the gap suite and the demo call.
 
 Every catalog pass here (the scan, the catalog bounds of a realization,
 the hypothesis check and the gap table) evaluates each integrand once for
@@ -18,7 +19,8 @@ call bit for bit.
 
 import math
 
-from .catalog import (DEFAULT_RECIPE, GAP_CORE_RECIPE, build_catalog)
+from .catalog import (DEFAULT_RECIPE, GAP_CORE_RECIPE,
+                      GAP_DEMONSTRATOR_RECIPE, build_catalog)
 from .errors import BracketFailureError, EtaTooLargeError, PreconditionError
 from .measures import (SingularDeltaMeasure, ball_fractions, entropy_map,
                        suspend_many)
@@ -28,7 +30,7 @@ from .measures import suspend
 from .model import RoofFunction
 from .potentials import SingularBumpPotential
 from .pressure import (catalog_pressures, equilibrium_measure,
-                       estimate_P_bounds, pressure_measure)
+                       estimate_P_bounds, h_top_estimate, pressure_measure)
 from .symbolic import MAX_DEPTH, build_horseshoe, check_depth
 
 HYPOTHESIS_THRESHOLD = 0.25
@@ -235,6 +237,26 @@ def verify_gap(lmap, roof, bump, catalog, slack=1e-2):
                  and delta_pressure == L)
     return GapReport(L, bump.eta, slack, rows, sup_satisfying,
                      delta_pressure, certified)
+
+
+def gap_construction(lmap, roof, margin, eta, slack=1e-2, core=None,
+                     measures=None):
+    """(h_top_est, bump, report, scan) of the dense-case construction:
+    `build_gap_potential` checked on `core` (GAP_CORE_RECIPE's catalog if
+    None), then `verify_gap` and the flow `spectrum_scan` of `measures`
+    (the core and GAP_DEMONSTRATOR_RECIPE catalogs under the bump if
+    None), with the Dirac appended if it has none."""
+    h_est = h_top_estimate(lmap)
+    bump = build_gap_potential(h_est, margin, eta, lmap=lmap, roof=roof,
+                               catalog=core)
+    if measures is None:
+        measures = (build_catalog(lmap, bump, GAP_CORE_RECIPE)
+                    + build_catalog(lmap, bump, GAP_DEMONSTRATOR_RECIPE))
+    if not any(isinstance(m, SingularDeltaMeasure) for m in measures):
+        measures = list(measures) + [SingularDeltaMeasure()]
+    report = verify_gap(lmap, roof, bump, measures, slack=slack)
+    scan = spectrum_scan(bump, measures, level="flow", roof=roof)
+    return h_est, bump, report, scan
 
 
 def stats_rows(stats, fractions):

@@ -24,7 +24,6 @@ from geolorenz import (
     build_catalog,
     build_gap_potential,
     build_horseshoe,
-    convex_combine,
     entropy_map,
     equilibrium_measure,
     estimate_P_bounds,

@@ -279,6 +279,21 @@ def test_measure_stats_table_schema_and_determinism(tmp_path):
         assert open(os.path.join(out, "measure_stats.json"), "rb").read() == ref_json
 
 
+def test_measure_stats_zero_potential_where_the_roof_diverges(tmp_path,
+                                                              capsys):
+    # the x_gap = 0 horseshoe has cylinders that reach x = 0, where the
+    # roof is unbounded; the zero potential's passage bound there is 0, so
+    # the pass warns of no 0 * inf (a RuntimeWarning fails this suite)
+    cfg = tmp_path / "gap0.cfg"
+    cfg.write_text("catalog.horseshoes = 12:0:0\n")
+    out = str(tmp_path / "r")
+    assert run(["--config", str(cfg), "--out", out, "measure-stats",
+                "--potential", "const:0"]) == 0
+    assert capsys.readouterr().err == ""
+    rows = read_json(out, "measure_stats")["rows"]
+    assert "markov:d12:g0:t0" in [r["measure_id"] for r in rows]
+    assert all(r["integral"] == 0.0 for r in rows)
+
 def test_spectrum_command(tmp_path):
     out = str(tmp_path / "r")
     assert run(["--out", out, "spectrum", "--potential", "coord:x"]) == 0

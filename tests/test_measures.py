@@ -27,7 +27,6 @@ from geolorenz import (
     build_horseshoe,
     convex_combine,
     entropy_map,
-    enumerate_periodic,
     equilibrium_measure,
     find_periodic_point,
     integrate_map,

@@ -116,6 +116,12 @@ PROTOCOL_INTERVALS = [
     (0.1, 0.2), (0.05, 0.1), (0.2, 0.5), (-0.5, -0.2), (-0.9, -0.6),
     (0.3, 0.9), (0.1, 0.1), (-0.2, -0.2), (0.15, 0.15), (0.7, 0.7),
 ]
+# zero where the roof diverges: the zero factor makes the passage bound 0
+ZERO_POTENTIALS = [
+    ("ConstantPotential(0)", ConstantPotential(0.0)),
+    ("SectionGridPotential(0)",
+     SectionGridPotential([-1.0, 1.0], [0.0, 0.0], 0.0)),
+]
 
 
 def _protocol_cases():
@@ -123,8 +129,7 @@ def _protocol_cases():
     pots = [ConstantPotential(0.75), CoordinatePotential(),
             SectionGridPotential.seeded(7), SingularBumpPotential(2.0, 0.1)]
     cases = []
-    for pot in pots:
-        name = type(pot).__name__
+    for name, pot in [(type(p).__name__, p) for p in pots] + ZERO_POTENTIALS:
         cases += [(name + ".value", lambda lo, hi, pot=pot: pot.value(lo)),
                   (name + ".passage_integral",
                    lambda lo, hi, pot=pot: pot.passage_integral(hi, roof)),
@@ -154,6 +159,34 @@ def test_array_call_equals_scalar_calls(name, method):
     assert isinstance(out, np.ndarray) and out.shape == lo.shape
     # bit for bit, infinities included
     assert out.tolist() == scalar
+
+
+@pytest.mark.parametrize("name, pot", ZERO_POTENTIALS,
+                         ids=[name for name, _ in ZERO_POTENTIALS])
+def test_zero_potential_passage_bound_is_exactly_zero(name, pot):
+    # the roof is unbounded on the cylinders that reach 0, and 0 * inf
+    # counts as 0, with no NaN and no RuntimeWarning
+    roof = RoofFunction(c0=1.0, c1=1.0, eta0=0.5)
+    lo, hi = np.array(PROTOCOL_INTERVALS).T
+    zeros = [0.0] * len(PROTOCOL_INTERVALS)
+    assert [pot.passage_error(a, b, roof)
+            for a, b in PROTOCOL_INTERVALS] == zeros
+    assert pot.passage_error(lo, hi, roof).tolist() == zeros
+
+
+def test_constant_roof_bounds_are_exact_on_cylinders_reaching_zero():
+    # with c1 = 0 the roof and every dwell time are constant, so their
+    # range is 0 even where |x| reaches 0; with c1 > 0 it is unbounded
+    reach = [(a, b) for a, b in PROTOCOL_INTERVALS if a <= 0.0 <= b]
+    lo, hi = np.array(reach).T
+    for c1, want in ((0.0, 0.0), (1.0, math.inf)):
+        roof = RoofFunction(1.0, c1, 0.5)
+        for integrand in (_RoofIntegrand("roof", roof_array, roof),
+                          _RoofIntegrand("dwell", dwell_array, roof, 0.2)):
+            assert [integrand.midpoint_error(a, b)
+                    for a, b in reach] == [want] * len(reach)
+            assert integrand.midpoint_error(lo, hi).tolist() == \
+                [want] * len(reach)
 
 
 def test_seeded_grid_is_deterministic_and_bounded():

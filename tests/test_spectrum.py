@@ -30,6 +30,7 @@ from geolorenz import (
     equilibrium_measure,
     estimate_P_bounds,
     find_periodic_point,
+    gap_construction,
     h_top_estimate,
     parse_potential_spec,
     pressure_measure,
@@ -409,6 +410,45 @@ def test_verify_gap_uncertified_when_level_too_low(lmap, roof):
     report = verify_gap(lmap, roof, bump, core)
     assert not report.certified
     assert report.delta_pressure == 0.5
+
+
+@pytest.mark.parametrize("population", ["default", "file", "file+dirac"])
+def test_gap_construction_is_the_explicit_sequence(lmap, roof, population):
+    # build_gap_potential -> catalogs -> verify_gap -> spectrum_scan, with
+    # a non-default slack; a given population keeps its own Dirac
+    slack = 0.5
+    h = h_top_estimate(lmap)
+    core = measures = None
+    if population != "default":
+        core = [AtomicMeasure(lmap, find_periodic_point(lmap, w))
+                for w in ("LR", "LRRLR")]
+        measures = core + [AtomicMeasure(lmap,
+                                         find_periodic_point(lmap, "LLLRRR"))]
+        if population == "file+dirac":
+            measures.insert(1, SingularDeltaMeasure())
+    h_est, bump, report, scan = gap_construction(
+        lmap, roof, 0.05, 0.1, slack=slack, core=core, measures=measures)
+
+    ref_bump = build_gap_potential(h, 0.05, 0.1, lmap=lmap, roof=roof,
+                                   catalog=core)
+    if measures is None:
+        pool = (build_catalog(lmap, ref_bump, GAP_CORE_RECIPE)
+                + build_catalog(lmap, ref_bump, GAP_DEMONSTRATOR_RECIPE)
+                + [SingularDeltaMeasure()])
+    elif population == "file":
+        pool = measures + [SingularDeltaMeasure()]
+    else:
+        pool = measures
+    ref_report = verify_gap(lmap, roof, ref_bump, pool, slack=slack)
+    ref_scan = spectrum_scan(ref_bump, pool, level="flow", roof=roof)
+    assert h_est == h and bump.key == ref_bump.key
+    assert report.as_dict() == ref_report.as_dict()
+    assert scan.as_dict() == ref_scan.as_dict()
+    assert report.slack == slack
+    assert report.certified
+    assert [r["measure_id"] for r in report.rows].count("delta_sigma") == 1
+    assert [mid for mid, _ in scan.entries].count("delta_sigma") == 1
+    assert scan.measures_above_gap() == ["delta_sigma"]
 
 
 def test_spectrum_scan_sorted_with_attained_gap(lmap, coord):
