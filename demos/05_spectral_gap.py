@@ -11,26 +11,35 @@ to show the hypothesis check catching them.
 """
 
 from geolorenz import (LorenzMap1D, RoofFunction, build_catalog,
-                       gap_construction)
-from geolorenz.catalog import GAP_DEMONSTRATOR_RECIPE
+                       build_gap_potential, gap_construction, h_top_estimate)
+from geolorenz.catalog import GAP_CORE_RECIPE, GAP_DEMONSTRATOR_RECIPE
+
+MARGIN = 0.05
+ETA = 0.1
 
 
 def main():
     lmap = LorenzMap1D(alpha=1.0, beta=1.7)
     roof = RoofFunction(c0=1.0, c1=1.0, eta0=0.5)
 
-    # bump, default core and demonstrator population plus the Dirac,
-    # certification and flow-level scan, in one call
-    _, bump, report, scan = gap_construction(lmap, roof, margin=0.05,
-                                             eta=0.1)
+    # the population is built once, under the bump the construction
+    # builds: the core members and the near-singular demonstrators
+    bump = build_gap_potential(h_top_estimate(lmap), MARGIN, ETA, lmap=lmap,
+                               roof=roof)
+    core = build_catalog(lmap, bump, GAP_CORE_RECIPE)
+    demonstrators = build_catalog(lmap, bump, GAP_DEMONSTRATOR_RECIPE)
+
+    # hypothesis check on the core, certification of the population plus
+    # the Dirac, and flow-level scan, in one call
+    _, bump, report, scan = gap_construction(
+        lmap, roof, MARGIN, ETA, core=core, measures=core + demonstrators)
     print("bump height L = 4.2 * h_top = %.6f, support |x| < %.2f"
           % (report.L, 2 * bump.eta))
 
-    demo_ids = {m.id for m in
-                build_catalog(lmap, bump, GAP_DEMONSTRATOR_RECIPE)}
+    demo_ids = {m.id for m in demonstrators}
     print("population: %d core members, %d near-singular demonstrators, "
           "plus the singular Dirac measure\n"
-          % (len(report.rows) - len(demo_ids) - 1, len(demo_ids)))
+          % (len(core), len(demo_ids)))
 
     print("%-26s %-10s %-10s %-12s %s"
           % ("measure", "pressure", "ball_frac", "hypothesis", "role"))

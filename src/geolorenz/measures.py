@@ -29,7 +29,8 @@ import numpy as np
 
 from .errors import PreconditionError
 from .model import dwell_array, monotone_ends, roof_array
-from .potentials import midpoint_error_many, passage_error_many
+from .potentials import (PLAIN_POTENTIALS, midpoint_error_many,
+                         passage_error_many)
 from .symbolic import (ALPHABET, MAX_DEPTH, _inverse_step, _recall, _remember,
                        build_horseshoe, check_depth, check_model, check_word,
                        cylinder_levels, encode_words, find_codes,
@@ -315,8 +316,14 @@ def integrate_many(integrand, measures, depth=DEFAULT_DEPTH):
     `build_catalog`, walked member by member, evaluates a new keyed
     integrand on its orbit points once. The roof and dwell integrands,
     which depend on the model alone, also keep their (values, bounds) arrays,
-    read-only, on each `_CylinderScheme`; no other integrand's arrays are
-    kept. Each cache holds at most `symbolic.CACHE_LIMIT` keys and
+    read-only, on each `_CylinderScheme`, and the roof's entry keeps the
+    roof's max on each cylinder too; no other integrand's arrays are
+    kept. The passage integrand of a constant, coordinate or grid
+    potential reads the roof's values and range from that entry, so a miss
+    on a Markov measure evaluates the potential alone and never the roof
+    once the scheme has the roof's entry. Integrand keys are taken once,
+    when the integrand is built. Each cache holds at most
+    `symbolic.CACHE_LIMIT` keys and
     evicts the least recently used one to take a new key. An integrand
     without a key, such as a potential class of the caller's, is never
     cached. A hit returns the cold floats, since each average and each
@@ -408,7 +415,7 @@ def _integrate_each(integrands, measures, depth):
             block = [entry for entry in block if k in entry[3]]
             if not block:
                 continue
-            vals, errs = _scheme_integrals(integrand, key, scheme)
+            vals, errs = _scheme_integrals(integrand, scheme)
             # np.add.reduce sums pairwise in a fixed order; a BLAS dot
             # splits long vectors by thread count, and its last bits with them
             for i, leaf, mass, _ in block:
@@ -425,20 +432,41 @@ def _integrate_each(integrands, measures, depth):
     return out
 
 
-def _scheme_integrals(integrand, key, scheme):
+def _scheme_integrals(integrand, scheme):
     """(values, bounds) of the integrand at the scheme's paths: their
     midpoints and their cylinders. Those of a model-only integrand (roof
-    or dwell) are kept read-only in `scheme.integrals` by key."""
-    model_only = isinstance(integrand, _RoofIntegrand)
-    vals_errs = _recall(scheme.integrals, key) if model_only else None
-    if vals_errs is None:
-        vals_errs = (np.asarray(integrand.value(scheme.mid)),
-                     midpoint_error_many(integrand, scheme.lo, scheme.hi))
-        if model_only:
-            for arr in vals_errs:
-                arr.flags.writeable = False
-            _remember(scheme.integrals, key, vals_errs)
-    return vals_errs
+    or dwell) are kept on the scheme (`_model_arrays`). The passage
+    integrand of a plain potential (`potentials.PLAIN_POTENTIALS`) takes
+    the roof's values and range from the roof's entry there, filling it
+    on a miss, and evaluates only the potential and its own bound terms."""
+    if isinstance(integrand, _RoofIntegrand):
+        return _model_arrays(integrand, scheme)[:2]
+    if isinstance(integrand, _PassageIntegrand) and integrand.plain:
+        r, *roof_range = _model_arrays(integrand.roof_part, scheme)
+        return (integrand.value(scheme.mid, r),
+                midpoint_error_many(integrand, scheme.lo, scheme.hi,
+                                    roof_range))
+    return (np.asarray(integrand.value(scheme.mid)),
+            midpoint_error_many(integrand, scheme.lo, scheme.hi))
+
+
+def _model_arrays(integrand, scheme):
+    """The read-only arrays of a model-only integrand at a scheme's paths,
+    kept in `scheme.integrals` by its key: its values at the midpoints and
+    its bounds, the width of its range on each cylinder; the roof's entry
+    also keeps the roof's max on each cylinder, so that (bounds, max) is
+    the roof's range that a plain passage bound reads."""
+    arrays = _recall(scheme.integrals, integrand.key)
+    if arrays is None:
+        with_max = integrand.name == "roof"
+        values = np.asarray(integrand.value(scheme.mid))
+        bounds = midpoint_error_many(integrand, scheme.lo, scheme.hi,
+                                     with_max)
+        arrays = (values,) + (bounds if with_max else (bounds,))
+        for arr in arrays:
+            arr.flags.writeable = False
+        _remember(scheme.integrals, integrand.key, arrays)
+    return arrays
 
 
 def _fill_batches(integrand, key, atoms):
@@ -570,9 +598,9 @@ def suspend_many(measures, roof, potential, depth=DEFAULT_DEPTH):
     """
     measures = list(measures)
     section = [m for m in measures if not isinstance(m, SingularDeltaMeasure)]
+    weight = _PassageIntegrand(potential, roof)
     (roofs, _), (passages, _) = _integrate_each(
-        [_RoofIntegrand("roof", roof_array, roof),
-         _PassageIntegrand(potential, roof)], section, depth)
+        [weight.roof_part, weight], section, depth)
     flows = iter(zip(roofs, passages))
     out = []
     for m in measures:
@@ -680,10 +708,11 @@ class _RoofIntegrand:
     when the roof diverges there (c1 > 0).
 
     Values are fn(roof, x, *args). Keyed by the name, the roof's `key`
-    and the bytes of args: see `integrate_many`.
+    and the bytes of args, taken once: see `integrate_many`.
     """
 
     def __init__(self, name, fn, roof, *args):
+        self.name = name
         self.fn = fn
         self.roof = roof
         self.args = tuple(float(a) for a in args)
@@ -693,33 +722,40 @@ class _RoofIntegrand:
         out = self.fn(self.roof, x, *self.args)
         return out if np.ndim(x) else float(out)
 
-    def midpoint_error(self, lo, hi):
+    def midpoint_error(self, lo, hi, with_max=False):
+        """The width high - low of the range over each cylinder [lo, hi]
+        (`monotone_ends`); with `with_max`, (width, high)."""
         low, high = monotone_ends(self.value, lo, hi, self.roof.c1 > 0.0)
-        return high - low if np.ndim(lo) else float(high - low)
+        width = high - low if np.ndim(lo) else float(high - low)
+        return (width, high) if with_max else width
 
 
 class _PassageIntegrand:
     """Per-passage integral of a potential: the flow weight over one return.
 
-    Keyed by the potential's key and the roof's, or not at all if the
-    potential has no key (see `integrate_many`)."""
+    Keyed by the potential's key and the roof's, taken once, or not at all
+    if the potential has no key (see `integrate_many`). `roof_part` is the
+    roof's integrand, whose entry on a cylinder scheme a plain potential's
+    passage reads (`_scheme_integrals`)."""
 
     def __init__(self, potential, roof):
         self.potential = potential
         self.roof = roof
+        self.roof_part = _RoofIntegrand("roof", roof_array, roof)
+        self.plain = type(potential) in PLAIN_POTENTIALS
+        key = getattr(potential, "key", None)
+        self.key = None if key is None else (key, roof.key)
 
-    @property
-    def key(self):
-        key = getattr(self.potential, "key", None)
-        if key is None:
-            return None
-        return (key, self.roof.key)
+    def value(self, x, *r):
+        """The passage integral at x; a plain potential may be given the
+        roof at x, r (see `_scheme_integrals`)."""
+        return self.potential.passage_integral(x, self.roof, *r)
 
-    def value(self, x):
-        return self.potential.passage_integral(x, self.roof)
-
-    def midpoint_error(self, lo, hi):
-        return passage_error_many(self.potential, self.roof, lo, hi)
+    def midpoint_error(self, lo, hi, *roof_range):
+        """The passage bound on each cylinder; a plain potential may be
+        given the roof's range on them (see `_scheme_integrals`)."""
+        return passage_error_many(self.potential, self.roof, lo, hi,
+                                  *roof_range)
 
 
 # ---------------------------------------------------------------------------
@@ -734,6 +770,8 @@ class _PassageIntegrand:
 # masses and the cylinders are computed along it. A scheme keeps about 49
 # bytes per path at depth 20 (beta = 1.7): the int32 links of every
 # extension, the int32 start, the uint64 code and the float64 lo and hi.
+# Its model-only entries add 8 bytes per path per array: 24 for a roof
+# (values, bounds and the roof's max) and 16 for a dwell radius.
 
 
 class _CylinderScheme:
@@ -760,10 +798,11 @@ class _CylinderScheme:
     depth D.
 
     `integrals` caches the read-only (values, bounds) arrays of the
-    model-only integrands, roof and dwell, by their key (see
-    `integrate_many` and `_remember`). Potential and passage integrands
-    keep no arrays here: their integrals are memoized as floats on each
-    measure, which holds the scheme's peak memory to the roof's arrays.
+    model-only integrands, roof and dwell, by their key, the roof's with
+    its max on each cylinder (see `_model_arrays`, `integrate_many` and
+    `_remember`). Potential and passage integrands keep no arrays here:
+    their integrals are memoized as floats on each measure, which holds
+    the scheme's peak memory to the roof's and the dwell's arrays.
     """
 
     def __init__(self, lmap, horseshoe, depth):

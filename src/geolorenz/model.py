@@ -202,21 +202,37 @@ class RoofFunction:
     c0 : float > 0, base return time
     c1 : float >= 0, dwell coefficient (c1 = 0 gives a constant roof)
     eta0 : float in (0, 1), calibration radius where the log term vanishes
+
+    A roof is a value: `c0`, `c1` and `eta0` are read-only, so its `key`
+    is taken once, when it is built.
     """
 
     def __init__(self, c0=1.0, c1=1.0, eta0=0.5):
-        self.c0 = check_parameter("c0", c0)
-        self.c1 = check_parameter("c1", c1)
-        self.eta0 = check_parameter("eta0", eta0)
+        self._c0 = check_parameter("c0", c0)
+        self._c1 = check_parameter("c1", c1)
+        self._eta0 = check_parameter("eta0", eta0)
+        self._key = np.array([self._c0, self._c1, self._eta0]).tobytes()
+
+    @property
+    def c0(self):
+        return self._c0
+
+    @property
+    def c1(self):
+        return self._c1
+
+    @property
+    def eta0(self):
+        return self._eta0
 
     def __repr__(self):
         return "RoofFunction(c0=%r, c1=%r, eta0=%r)" % (self.c0, self.c1, self.eta0)
 
     @property
     def key(self):
-        """The bytes of (c0, c1, eta0), derived on each read: the value
-        identity under which roof-model integrals are memoized."""
-        return np.array([self.c0, self.c1, self.eta0]).tobytes()
+        """The bytes of (c0, c1, eta0), taken when the roof is built: the
+        value identity under which roof-model integrals are memoized."""
+        return self._key
 
     def __call__(self, x):
         """r(x) at one point (see `roof_array`); DomainError at x = 0."""

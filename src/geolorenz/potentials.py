@@ -17,15 +17,20 @@ take arrays of points, and the bounds `midpoint_error(lo, hi)`,
 cylinder endpoints and return one bound per cylinder. Scalar inputs
 return Python floats. There is one formula per bound, so the array
 result equals the elementwise scalar results bit for bit: the plain
-observables share one passage bound, and every range of a function of
-|x| over a cylinder (the roof's, the bump's) is `model.monotone_ends`.
+observables (`PLAIN_POTENTIALS`) share one passage integral and one
+passage bound, and every range of a function of |x| over a cylinder
+(the roof's, the bump's) is `model.monotone_ends`. The plain passage
+methods also take the roof's values and range from a caller that holds
+them: a cylinder scheme keeps them for each roof, so a flow integral of
+a plain potential on a scheme evaluates the potential and not the roof.
 
 Every variant also carries a `key`, its value identity: its class and
 the bytes of the parameters that `value` and the bounds read, derived
 from them on each read (a grid's once, from its frozen samples) so that
 it cannot go stale. Equal keys mean equal floats, so
 `measures.integrate_many` caches the integrals of a keyed potential; a
-potential without a `key` is integrated afresh every time.
+potential without a `key` is integrated afresh every time. The roof's
+key is taken once, when it is built: its parameters are read-only.
 
 The mini-language used by configuration files and the command line:
 
@@ -60,29 +65,41 @@ def _scalar_or_array(out, x):
     return out
 
 
-def _plain_passage_integral(self, x, roof):
+def _plain_passage_integral(self, x, roof, r=None):
     """phi(x) * r(x), the passage integral of a section observable with no
-    singular part. The constant, coordinate and grid potentials each bind
-    it in their own class body, where the benchmark tracer
-    (`benchmarks/tracer.py`) finds and wraps every traced method."""
+    singular part. `r` is the roof at the points, r(x), from a caller
+    that holds it (a cylinder scheme keeps it at its midpoints, see
+    `measures._scheme_integrals`); without it the roof is evaluated here.
+    The constant, coordinate and grid potentials each bind it in their
+    own class body, where the benchmark tracer (`benchmarks/tracer.py`)
+    finds and wraps every traced method."""
     xs = _as_array(x)
-    out = self.value(xs) * roof_array(roof, xs)
+    if r is None:
+        r = roof_array(roof, xs)
+    out = self.value(xs) * r
     return _scalar_or_array(out, x)
 
 
-def _plain_passage_error(self, lo, hi, roof):
+def _plain_passage_error(self, lo, hi, roof, roof_range=None):
     """Bound on phi * r over each cylinder [lo, hi] for a section observable
     with no singular part: sup |phi| times the roof's range plus the roof's
-    sup times L * width / 2. A zero factor is exact (0 * inf = 0). Bound in
-    each class body like `_plain_passage_integral`."""
-    r_min, r_max = monotone_ends(functools.partial(roof_array, roof), lo, hi,
-                                 diverges=roof.c1 > 0.0)
+    sup times L * width / 2. A zero factor is exact (0 * inf = 0).
+    `roof_range` is the roof's range on each cylinder as its width and
+    its top, (r_max - r_min, r_max) of `model.monotone_ends`, from a
+    caller that holds it (a cylinder scheme, like `r`); without it, it is
+    computed here. Bound in each class body like
+    `_plain_passage_integral`."""
+    if roof_range is None:
+        r_min, r_max = monotone_ends(functools.partial(roof_array, roof),
+                                     lo, hi, diverges=roof.c1 > 0.0)
+        roof_range = (r_max - r_min, r_max)
+    r_width, r_max = roof_range
     sup = self.abs_bound(lo, hi)
     lip = self.lipschitz_bound()
     width = _as_array(hi) - _as_array(lo)
     with np.errstate(invalid="ignore"):
         # every factor is >= 0, so a NaN can only be 0 * inf: fmax makes it 0
-        spread = np.fmax(sup * (r_max - r_min), 0.0)
+        spread = np.fmax(sup * r_width, 0.0)
         drift = np.fmax(r_max * lip * 0.5 * width, 0.0)
     return _scalar_or_array(spread + drift, lo)
 
@@ -370,14 +387,24 @@ class SingularBumpPotential:
         return _scalar_or_array(high - low, lo)
 
 
-def midpoint_error_many(potential, lo, hi):
-    """Alias of `potential.midpoint_error` on endpoint arrays."""
-    return potential.midpoint_error(lo, hi)
+# the potentials whose passage integral is phi(x) * r(x)
+# (`_plain_passage_integral`): their passage methods take the roof's
+# values and range from a caller that holds them
+PLAIN_POTENTIALS = (ConstantPotential, CoordinatePotential,
+                    SectionGridPotential)
 
 
-def passage_error_many(potential, roof, lo, hi):
-    """Alias of `potential.passage_error` on endpoint arrays."""
-    return potential.passage_error(lo, hi, roof)
+def midpoint_error_many(potential, lo, hi, *args):
+    """Alias of `potential.midpoint_error` on endpoint arrays, with any
+    further arguments of the roof-model integrands (see
+    `measures._scheme_integrals`)."""
+    return potential.midpoint_error(lo, hi, *args)
+
+
+def passage_error_many(potential, roof, lo, hi, *roof_range):
+    """Alias of `potential.passage_error` on endpoint arrays; the roof's
+    range, if given, goes to a plain potential's (`_plain_passage_error`)."""
+    return potential.passage_error(lo, hi, roof, *roof_range)
 
 
 def parse_potential_spec(spec, base_dir=None):

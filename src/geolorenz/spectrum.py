@@ -223,9 +223,7 @@ def verify_gap(lmap, roof, bump, catalog, slack=1e-2):
     catalog does not already carry one.
     """
     L = bump.value_at_sigma()
-    pool = list(catalog)
-    if not any(isinstance(m, SingularDeltaMeasure) for m in pool):
-        pool.append(SingularDeltaMeasure())
+    pool = _with_dirac(catalog)
     all_stats = suspend_many(pool, roof, bump)
     rows = stats_rows(all_stats, ball_fractions(all_stats, 2.0 * bump.eta))
     # every Dirac carries the same conventions, and the pool has one
@@ -237,6 +235,15 @@ def verify_gap(lmap, roof, bump, catalog, slack=1e-2):
                  and delta_pressure == L)
     return GapReport(L, bump.eta, slack, rows, sup_satisfying,
                      delta_pressure, certified)
+
+
+def _with_dirac(measures):
+    """The gap population: the measures as a new list, with the singular
+    Dirac appended unless one is among them already."""
+    pool = list(measures)
+    if not any(isinstance(m, SingularDeltaMeasure) for m in pool):
+        pool.append(SingularDeltaMeasure())
+    return pool
 
 
 def gap_construction(lmap, roof, margin, eta, slack=1e-2, core=None,
@@ -252,8 +259,7 @@ def gap_construction(lmap, roof, margin, eta, slack=1e-2, core=None,
     if measures is None:
         measures = (build_catalog(lmap, bump, GAP_CORE_RECIPE)
                     + build_catalog(lmap, bump, GAP_DEMONSTRATOR_RECIPE))
-    if not any(isinstance(m, SingularDeltaMeasure) for m in measures):
-        measures = list(measures) + [SingularDeltaMeasure()]
+    measures = _with_dirac(measures)
     report = verify_gap(lmap, roof, bump, measures, slack=slack)
     scan = spectrum_scan(bump, measures, level="flow", roof=roof)
     return h_est, bump, report, scan

@@ -117,7 +117,9 @@ def check_word(word):
 def check_depth(depth, what="enumeration", low=0, high=MAX_DEPTH):
     """`depth` as an int, if it is an integer in [low, high]; else a
     PreconditionError naming the value, as the depth of `what`."""
-    if not (isinstance(depth, numbers.Integral) and low <= depth <= high):
+    # a plain int, the usual depth, skips the slower ABC check
+    if not ((type(depth) is int or isinstance(depth, numbers.Integral))
+            and low <= depth <= high):
         raise PreconditionError("%s depth %r is not an integer in [%d, %d]"
                                 % (what, depth, low, high))
     return int(depth)

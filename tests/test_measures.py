@@ -33,7 +33,7 @@ from geolorenz import (
     measure_from_payload,
     suspend,
 )
-from geolorenz.model import dwell_array, roof_array
+from geolorenz.model import dwell_array, monotone_ends, roof_array
 from geolorenz.symbolic import decode_words
 
 
@@ -291,6 +291,111 @@ def test_model_only_caches_give_the_cold_floats(lmap, roof,
             value=integrand.value, midpoint_error=integrand.midpoint_error)
         assert measures.integrate_many(integrand, section) == \
             measures.integrate_many(keyless, section)
+
+
+def _hexes(values):
+    return [v.hex() for v in np.asarray(values, dtype=float).tolist()]
+
+
+def _plain_potentials():
+    return [ConstantPotential(0.75), CoordinatePotential(),
+            SectionGridPotential.seeded(7)]
+
+
+@pytest.mark.parametrize("c1", [1.0, 0.0])
+@pytest.mark.parametrize("depth", [12, 14])
+def test_plain_passage_on_a_scheme_reads_the_roof_entry(lmap, c1, depth,
+                                                        fresh_model_cache):
+    # the passage of a plain potential on a scheme at or above the
+    # horseshoe's depth takes the roof's values and ends from the scheme's
+    # roof entry, and gets the floats of the potential's own passage
+    # methods, which evaluate the roof themselves; so does its integral
+    roof = RoofFunction(1.0, c1, 0.5)
+    hs = build_horseshoe(lmap, 12, 0.002)
+    mu = equilibrium_measure(lmap, hs, ConstantPotential(0.0), t=0.0)
+    scheme = measures._scheme(lmap, mu.horseshoe, depth)
+    mass = scheme.masses(mu.stationary, mu.probs)
+    for phi in _plain_potentials():
+        passage = measures._PassageIntegrand(phi, roof)
+        assert passage.plain
+        values = phi.passage_integral(scheme.mid, roof)
+        bounds = phi.passage_error(scheme.lo, scheme.hi, roof)
+        got = measures._scheme_integrals(passage, scheme)
+        assert [_hexes(a) for a in got] == [_hexes(values), _hexes(bounds)]
+        # the first passage filled the roof's entry, which the roof
+        # integrand reads
+        assert list(scheme.integrals) == [passage.roof_part.key]
+        (value,), (bound,) = measures.integrate_many(passage, [mu], depth)
+        assert _hexes([value, bound]) == _hexes(
+            [np.add.reduce(mass * values), np.add.reduce(mass * bounds)])
+    r, r_range, r_max = scheme.integrals[passage.roof_part.key]
+    r_min, top = monotone_ends(lambda x: roof_array(roof, x), scheme.lo,
+                               scheme.hi, diverges=c1 > 0.0)
+    assert [_hexes(a) for a in (r, r_range, r_max)] == [
+        _hexes(roof_array(roof, scheme.mid)), _hexes(top - r_min),
+        _hexes(top)]
+    assert not any(a.flags.writeable for a in (r, r_range, r_max))
+
+
+def test_catalog_walk_evaluates_the_roof_once_per_scheme(lmap, roof,
+                                                          fresh_model_cache,
+                                                          monkeypatch):
+    # walking one catalog under three potentials evaluates the roof at a
+    # scheme's paths (midpoints and the two ends of each cylinder) for the
+    # first potential only: every later passage and roof integral of a new
+    # measure reads the scheme's roof entry
+    from geolorenz import potentials
+    from geolorenz.catalog import DEFAULT_RECIPE, build_catalog
+
+    sizes = []
+
+    def counted(roof, x, *args):
+        sizes.append(np.size(x))
+        return roof_array(roof, x, *args)
+
+    monkeypatch.setattr(measures, "roof_array", counted)
+    monkeypatch.setattr(potentials, "roof_array", counted)
+    walks = []
+    for phi in _plain_potentials():
+        catalog = build_catalog(lmap, phi, DEFAULT_RECIPE)
+        del sizes[:]
+        for m in catalog:
+            suspend(m, roof, phi)
+        walks.append(list(sizes))
+    markov = [m for m in catalog if isinstance(m, MarkovMeasure)]
+    schemes = {id(s): s for s in (
+        measures._scheme(lmap, m.horseshoe, measures.DEFAULT_DEPTH)
+        for m in markov)}
+    paths = {len(s.lo) for s in schemes.values()}
+    # the atoms' one batch of orbit points has its own size
+    atoms = [m for m in catalog if isinstance(m, AtomicMeasure)]
+    assert sum(m.points().size for m in atoms) not in paths
+    assert len(markov) == 2 and len(schemes) == 1
+    on_schemes = [sum(1 for n in walk if n in paths) for walk in walks]
+    assert on_schemes == [3 * len(schemes), 0, 0]
+
+
+def test_a_second_roof_gets_its_own_scheme_entry(lmap, roof,
+                                                 fresh_model_cache):
+    # two roofs on one scheme keep one entry each, and the passage under
+    # each reads its own roof's arrays
+    hs = build_horseshoe(lmap, 12, 0.002)
+    mu = equilibrium_measure(lmap, hs, ConstantPotential(0.0), t=0.0)
+    scheme = measures._scheme(lmap, mu.horseshoe, 14)
+    mass = scheme.masses(mu.stationary, mu.probs)
+    phi = CoordinatePotential()
+    other = RoofFunction(2.0, 0.5, 0.25)
+    for r in (roof, other):
+        stats = suspend(mu, r, phi, depth=14)
+        passage = np.add.reduce(mass * phi.passage_integral(scheme.mid, r))
+        assert stats.potential_integral.hex() == (
+            float(passage) / stats.mean_roof).hex()
+    keys = [measures._RoofIntegrand("roof", roof_array, r).key
+            for r in (roof, other)]
+    assert list(scheme.integrals) == keys
+    for key, r in zip(keys, (roof, other)):
+        assert _hexes(scheme.integrals[key][0]) == _hexes(
+            roof_array(r, scheme.mid))
 
 
 def _memo_members(lmap, phi):

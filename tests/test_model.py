@@ -314,6 +314,41 @@ def test_roof_scaled(roof):
             2.0 * roof.dwell(x, 0.1), rel=1e-15)
 
 
+def test_a_roof_is_a_value():
+    # the key is taken once, when the roof is built, so a roof whose
+    # parameters changed would read the memo entries of the old ones
+    roof = RoofFunction(1.5, 0.75, 0.25)
+    for name in ("c0", "c1", "eta0"):
+        with pytest.raises(AttributeError):
+            setattr(roof, name, 0.5)
+    assert (roof.c0, roof.c1, roof.eta0) == (1.5, 0.75, 0.25)
+    assert roof.key == np.array([1.5, 0.75, 0.25]).tobytes()
+    assert roof.key is roof.key
+    double = roof.scaled(2.0)
+    assert double is not roof
+    assert double.key == np.array([3.0, 1.5, 0.25]).tobytes()
+    assert roof.key == np.array([1.5, 0.75, 0.25]).tobytes()
+
+
+def test_integrand_keys_are_taken_once(roof):
+    # the keys of the roof, dwell and passage integrands are the tuples
+    # that every memo entry is filed under, read without being rebuilt
+    from geolorenz.measures import _PassageIntegrand, _RoofIntegrand
+    from geolorenz.model import dwell_array, roof_array
+
+    params = np.array([roof.c0, roof.c1, roof.eta0]).tobytes()
+    grid = SectionGridPotential.seeded(7)
+    keyless = type("Keyless", (), {"value": CoordinatePotential.value})()
+    cases = [(_RoofIntegrand("roof", roof_array, roof),
+              ("roof", params, np.array([]).tobytes())),
+             (_RoofIntegrand("dwell", dwell_array, roof, 0.2),
+              ("dwell", params, np.array([0.2]).tobytes())),
+             (_PassageIntegrand(grid, roof), (grid.key, params)),
+             (_PassageIntegrand(keyless, roof), None)]
+    for integrand, want in cases:
+        assert integrand.key == want
+        assert integrand.key is integrand.key
+
 
 def _all_singular_stats(b):
     # only the Dirac: no dwell integral is taken, so only the top-level
