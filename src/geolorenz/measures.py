@@ -18,7 +18,8 @@ dwell and passage integrands, whose roof part is `RoofFunction.key`) is
 computed once per measure and depth and then read back from a memo; a
 catalog's periodic orbits share one batch, so a keyed integral that
 misses on one of its atoms is computed for all of them at once. The
-roof and dwell bounds are exact cylinder ranges (`model.monotone_ends`).
+roof and dwell bounds are exact cylinder ranges (`model.monotone_ends`);
+each of their entries on a cylinder scheme is 24 bytes per path.
 """
 
 import hashlib
@@ -65,7 +66,8 @@ class AtomicMeasure:
         self.orbit = orbit
         self.label = label
         self.batch = (orbit,)
-        self._points = orbit.orbit_points(lmap)
+        # locate the orbit now, so that a bad one fails here
+        orbit.orbit_points(lmap)
 
     @property
     def id(self):
@@ -73,9 +75,6 @@ class AtomicMeasure:
 
     def __repr__(self):
         return "AtomicMeasure(%s)" % self.id
-
-    def points(self):
-        return self._points
 
     def to_payload(self):
         return {"variant": "atomic", "word": self.orbit.word,
@@ -314,20 +313,17 @@ def integrate_many(integrand, measures, depth=DEFAULT_DEPTH):
     orbit points of every record of the missing atoms' batches that
     lacks the key, and each average is cached. So a catalog from
     `build_catalog`, walked member by member, evaluates a new keyed
-    integrand on its orbit points once. The roof and dwell integrands,
-    which depend on the model alone, also keep their (values, bounds) arrays,
-    read-only, on each `_CylinderScheme`, and the roof's entry keeps the
-    roof's max on each cylinder too; no other integrand's arrays are
-    kept. The passage integrand of a constant, coordinate or grid
-    potential reads the roof's values and range from that entry, so a miss
-    on a Markov measure evaluates the potential alone and never the roof
-    once the scheme has the roof's entry. Integrand keys are taken once,
-    when the integrand is built. Each cache holds at most
-    `symbolic.CACHE_LIMIT` keys and
-    evicts the least recently used one to take a new key. An integrand
-    without a key, such as a potential class of the caller's, is never
-    cached. A hit returns the cold floats, since each average and each
-    integral depends on its own points and masses only.
+    integrand on its orbit points once. Only the roof and dwell
+    integrands, which depend on the model alone, also keep arrays on each
+    `_CylinderScheme`: (values, width, top), read-only (`_model_arrays`).
+    A plain potential's passage reads the roof's values and range there,
+    so its miss on a Markov measure evaluates the potential alone. Keys
+    are taken once, when the integrand is built. Each cache holds at most
+    `symbolic.CACHE_LIMIT` keys and evicts the least recently used one to
+    take a new key. An integrand without a key, such as a potential class
+    of the caller's, goes the same way over the atoms' own records and is
+    never cached. A hit returns the cold floats, since each average and
+    each integral depends on its own points and masses only.
     """
     return _integrate_each([integrand], list(measures), depth)[0]
 
@@ -335,8 +331,8 @@ def integrate_many(integrand, measures, depth=DEFAULT_DEPTH):
 def _integrate_each(integrands, measures, depth):
     """[(values, bounds)] of each integrand over a list of measures (see
     `integrate_many`, also for what is cached), sorting the measures into
-    atoms and cylinder schemes. A keyed integrand that misses on some
-    atoms is evaluated once over their batches (`_fill_batches`). The
+    atoms and cylinder schemes. An integrand that misses on some atoms
+    is evaluated once over their batches (`_fill_batches`). The
     cylinder masses of each Markov measure that misses some integrand's
     memo are computed once for all integrands, before any integrand is
     evaluated. Raises
@@ -373,8 +369,8 @@ def _integrate_each(integrands, measures, depth):
     for i, leaf in markov:
         missed = set()
         for k, key in enumerate(keys):
-            cached = None if key is None else _recall(leaf.integrals,
-                                                      (key, depth))
+            # a keyless integrand (key None) is stored nowhere: it misses
+            cached = _recall(leaf.integrals, (key, depth))
             if cached is None:
                 missed.add(k)
             else:
@@ -393,24 +389,17 @@ def _integrate_each(integrands, measures, depth):
     out = []
     for k, (integrand, key) in enumerate(zip(integrands, keys)):
         value, bound = values[k], bounds[k]
-        if key is None:
-            if atoms:
-                averages = _orbit_averages(
-                    integrand, [atom.points() for _, atom in atoms])
-                for (i, _), average in zip(atoms, averages):
-                    value[i] = average
-        else:
-            missed = []
-            for i, atom in atoms:
-                cached = _recall(atom.orbit.averages, key)
-                if cached is None:
-                    missed.append((i, atom))
-                else:
-                    value[i] = cached
-            if missed:
-                filled = _fill_batches(integrand, key, missed)
-                for i, atom in missed:
-                    value[i] = filled[id(atom.orbit)]
+        missed = []
+        for i, atom in atoms:
+            cached = _recall(atom.orbit.averages, key)
+            if cached is None:
+                missed.append((i, atom))
+            else:
+                value[i] = cached
+        if missed:
+            filled = _fill_batches(integrand, key, missed)
+            for i, atom in missed:
+                value[i] = filled[id(atom.orbit)]
         for scheme, block in schemes.values():
             block = [entry for entry in block if k in entry[3]]
             if not block:
@@ -444,25 +433,20 @@ def _scheme_integrals(integrand, scheme):
     if isinstance(integrand, _PassageIntegrand) and integrand.plain:
         r, *roof_range = _model_arrays(integrand.roof_part, scheme)
         return (integrand.value(scheme.mid, r),
-                midpoint_error_many(integrand, scheme.lo, scheme.hi,
-                                    roof_range))
+                integrand.midpoint_error(scheme.lo, scheme.hi, roof_range))
     return (np.asarray(integrand.value(scheme.mid)),
             midpoint_error_many(integrand, scheme.lo, scheme.hi))
 
 
 def _model_arrays(integrand, scheme):
-    """The read-only arrays of a model-only integrand at a scheme's paths,
-    kept in `scheme.integrals` by its key: its values at the midpoints and
-    its bounds, the width of its range on each cylinder; the roof's entry
-    also keeps the roof's max on each cylinder, so that (bounds, max) is
-    the roof's range that a plain passage bound reads."""
+    """The read-only arrays (values, width, top) of a roof-model integrand
+    at a scheme's paths, kept in `scheme.integrals` by its key: its values
+    at the midpoints and its range on each cylinder (`_RoofIntegrand.ends`),
+    the roof's range being what a plain passage bound reads."""
     arrays = _recall(scheme.integrals, integrand.key)
     if arrays is None:
-        with_max = integrand.name == "roof"
-        values = np.asarray(integrand.value(scheme.mid))
-        bounds = midpoint_error_many(integrand, scheme.lo, scheme.hi,
-                                     with_max)
-        arrays = (values,) + (bounds if with_max else (bounds,))
+        arrays = (np.asarray(integrand.value(scheme.mid)),
+                  *integrand.ends(scheme.lo, scheme.hi))
         for arr in arrays:
             arr.flags.writeable = False
         _remember(scheme.integrals, integrand.key, arrays)
@@ -470,21 +454,26 @@ def _model_arrays(integrand, scheme):
 
 
 def _fill_batches(integrand, key, atoms):
-    """{id(record): average} of the keyed integrand over the orbit of every
+    """{id(record): average} of the integrand over the orbit of every
     record that lacks the key in the batches of the (position, atom)
     pairs, each atom's own record among them, each average cached on its
     record. Each distinct batch is read once, and every orbit goes
-    through one evaluation."""
+    through one evaluation. An integrand without a key (`key` None) is
+    averaged over the atoms' own records alone and cached nowhere."""
+    keyless = key is None
+    batches = {id(atom if keyless else atom.batch):
+               ((atom.orbit,) if keyless else atom.batch, atom.lmap)
+               for _, atom in atoms}
     records = {}
-    batches = {id(atom.batch): (atom.batch, atom.lmap) for _, atom in atoms}
     for batch, lmap in batches.values():
         for record in batch:
             if key not in record.averages:
                 records.setdefault(id(record), (record, lmap))
     orbits = [record.orbit_points(lmap) for record, lmap in records.values()]
     averages = _orbit_averages(integrand, orbits)
-    for (record, _), average in zip(records.values(), averages):
-        _remember(record.averages, key, average)
+    if not keyless:
+        for (record, _), average in zip(records.values(), averages):
+            _remember(record.averages, key, average)
     return dict(zip(records, averages))
 
 
@@ -621,9 +610,9 @@ def suspend_many(measures, roof, potential, depth=DEFAULT_DEPTH):
 def ball_fractions(stats, b):
     """`ball_fraction(b)` of each FlowMeasureStats, one dwell integral for all.
 
-    The stats must share one roof and depth, as those of one
-    `suspend_many` call do. The dwell integral is cached like the roof's,
-    under (c0, c1, eta0, b).
+    The stats must share one roof, by value (`RoofFunction.key`), and one
+    depth, as those of one `suspend_many` call do. The dwell integral is
+    cached like the roof's, under (c0, c1, eta0, b).
     """
     if not b > 0.0:
         raise PreconditionError("dwell radius must be positive")
@@ -632,7 +621,7 @@ def ball_fractions(stats, b):
         return [1.0] * len(stats)
     roof, depth = section[0].roof, section[0].depth
     for s in section:
-        if s.roof is not roof or s.depth != depth:
+        if s.roof.key != roof.key or s.depth != depth:
             raise PreconditionError(
                 "batched ball fractions need one roof and one depth")
     (dwells, _), = _integrate_each(
@@ -712,7 +701,6 @@ class _RoofIntegrand:
     """
 
     def __init__(self, name, fn, roof, *args):
-        self.name = name
         self.fn = fn
         self.roof = roof
         self.args = tuple(float(a) for a in args)
@@ -722,12 +710,15 @@ class _RoofIntegrand:
         out = self.fn(self.roof, x, *self.args)
         return out if np.ndim(x) else float(out)
 
-    def midpoint_error(self, lo, hi, with_max=False):
-        """The width high - low of the range over each cylinder [lo, hi]
-        (`monotone_ends`); with `with_max`, (width, high)."""
+    def ends(self, lo, hi):
+        """(width, top) of the range over each cylinder [lo, hi]: high - low
+        and high of `monotone_ends`."""
         low, high = monotone_ends(self.value, lo, hi, self.roof.c1 > 0.0)
-        width = high - low if np.ndim(lo) else float(high - low)
-        return (width, high) if with_max else width
+        return high - low, high
+
+    def midpoint_error(self, lo, hi):
+        width, _ = self.ends(lo, hi)
+        return width if np.ndim(lo) else float(width)
 
 
 class _PassageIntegrand:
@@ -770,8 +761,8 @@ class _PassageIntegrand:
 # masses and the cylinders are computed along it. A scheme keeps about 49
 # bytes per path at depth 20 (beta = 1.7): the int32 links of every
 # extension, the int32 start, the uint64 code and the float64 lo and hi.
-# Its model-only entries add 8 bytes per path per array: 24 for a roof
-# (values, bounds and the roof's max) and 16 for a dwell radius.
+# Each model-only entry, of a roof or of a dwell radius, adds 24 bytes per
+# path: its float64 values, widths and tops.
 
 
 class _CylinderScheme:
@@ -797,12 +788,12 @@ class _CylinderScheme:
     cylinder keeps its own interval. Only then are the levels extended to
     depth D.
 
-    `integrals` caches the read-only (values, bounds) arrays of the
-    model-only integrands, roof and dwell, by their key, the roof's with
-    its max on each cylinder (see `_model_arrays`, `integrate_many` and
-    `_remember`). Potential and passage integrands keep no arrays here:
-    their integrals are memoized as floats on each measure, which holds
-    the scheme's peak memory to the roof's and the dwell's arrays.
+    `integrals` caches the read-only (values, width, top) arrays of the
+    model-only integrands, roof and dwell, by their key (see
+    `_model_arrays`, `integrate_many` and `_remember`). Potential and
+    passage integrands keep no arrays here: their integrals are memoized
+    as floats on each measure, which holds the scheme's peak memory to
+    the roof's and the dwell's arrays.
     """
 
     def __init__(self, lmap, horseshoe, depth):

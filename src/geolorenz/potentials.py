@@ -394,11 +394,9 @@ PLAIN_POTENTIALS = (ConstantPotential, CoordinatePotential,
                     SectionGridPotential)
 
 
-def midpoint_error_many(potential, lo, hi, *args):
-    """Alias of `potential.midpoint_error` on endpoint arrays, with any
-    further arguments of the roof-model integrands (see
-    `measures._scheme_integrals`)."""
-    return potential.midpoint_error(lo, hi, *args)
+def midpoint_error_many(potential, lo, hi):
+    """Alias of `potential.midpoint_error` on endpoint arrays."""
+    return potential.midpoint_error(lo, hi)
 
 
 def passage_error_many(potential, roof, lo, hi, *roof_range):

@@ -174,6 +174,18 @@ def spectrum_scan(potential, catalog, level="map", roof=None):
     return PressureSpectrumReport(level, entries, gap_interval)
 
 
+def _gap_bump(h_top_est, margin, eta):
+    """The bump of `build_gap_potential`, checked against no population."""
+    if not (math.isfinite(h_top_est) and h_top_est > 0.0):
+        raise PreconditionError(
+            "h_top_est must be positive and finite, got %r" % (h_top_est,))
+    if not (math.isfinite(margin) and margin > 0.0):
+        raise PreconditionError(
+            "margin must be strictly positive and finite: the construction "
+            "needs L strictly above 4 * h_top, got %r" % (margin,))
+    return SingularBumpPotential(4.0 * h_top_est * (1.0 + margin), eta)
+
+
 def build_gap_potential(h_top_est, margin, eta, lmap=None, roof=None,
                         catalog=None):
     """Singular bump at level L = 4 * h_top_est * (1 + margin).
@@ -183,16 +195,10 @@ def build_gap_potential(h_top_est, margin, eta, lmap=None, roof=None,
     2*eta of the singularity must be < 1/4. When no catalog is supplied
     the check runs against the curated core population built from the
     model. The Dirac measure is exempt (its ball fraction is 1 by
-    convention; it is the isolated point the construction exhibits).
+    convention; it is the isolated point the construction exhibits). A
+    PreconditionError names an h_top_est or margin not finite and > 0.
     """
-    if h_top_est <= 0.0:
-        raise PreconditionError("h_top_est must be positive")
-    if margin <= 0.0:
-        raise PreconditionError(
-            "margin must be strictly positive: the construction needs "
-            "L strictly above 4 * h_top")
-    L = 4.0 * h_top_est * (1.0 + margin)
-    bump = SingularBumpPotential(L, eta)
+    bump = _gap_bump(h_top_est, margin, eta)
     if catalog is None:
         if lmap is None:
             raise PreconditionError(
@@ -249,16 +255,18 @@ def _with_dirac(measures):
 def gap_construction(lmap, roof, margin, eta, slack=1e-2, core=None,
                      measures=None):
     """(h_top_est, bump, report, scan) of the dense-case construction:
-    `build_gap_potential` checked on `core` (GAP_CORE_RECIPE's catalog if
-    None), then `verify_gap` and the flow `spectrum_scan` of `measures`
-    (the core and GAP_DEMONSTRATOR_RECIPE catalogs under the bump if
-    None), with the Dirac appended if it has none."""
+    `build_gap_potential` checked on `core` (GAP_CORE_RECIPE's catalog
+    under the bump if None, built once), then `verify_gap` and the flow
+    `spectrum_scan` of `measures` (`core` and the GAP_DEMONSTRATOR_RECIPE
+    catalog under the bump if None), with the Dirac appended if it has
+    none."""
     h_est = h_top_estimate(lmap)
-    bump = build_gap_potential(h_est, margin, eta, lmap=lmap, roof=roof,
-                               catalog=core)
+    if core is None:
+        core = build_catalog(lmap, _gap_bump(h_est, margin, eta),
+                             GAP_CORE_RECIPE)
+    bump = build_gap_potential(h_est, margin, eta, roof=roof, catalog=core)
     if measures is None:
-        measures = (build_catalog(lmap, bump, GAP_CORE_RECIPE)
-                    + build_catalog(lmap, bump, GAP_DEMONSTRATOR_RECIPE))
+        measures = core + build_catalog(lmap, bump, GAP_DEMONSTRATOR_RECIPE)
     measures = _with_dirac(measures)
     report = verify_gap(lmap, roof, bump, measures, slack=slack)
     scan = spectrum_scan(bump, measures, level="flow", roof=roof)

@@ -9,13 +9,13 @@ subshift-of-finite-type horseshoes whose cylinders keep a prescribed
 distance from x = 0.
 
 Everything here that depends on the model (alpha, beta) alone is built
-once per model and kept in the model's store: the cylinder levels, the
-horseshoes by (depth, x_gap) with their stored SCC decompositions, and
-the periodic orbits. Each `LorenzMap1D` takes its model's store when it
-is built, every live map of one model shares it, and the last of them
-frees it, so a sweep over many models holds only the models it still
-has maps of. Catalogs for different potentials and every realization
-request share these objects, so they are read-only.
+once per model and kept in the model's store: the kneading pairs, the
+cylinder levels, the horseshoes by (depth, x_gap) with their stored SCC
+decompositions, and the periodic orbits. Each `LorenzMap1D` takes its
+model's store when it is built, every live map of one model shares it,
+and the last of them frees it, so a sweep over many models holds only
+the models it still has maps of. Catalogs for different potentials and
+every realization request share these objects, so they are read-only.
 
 Words are held as integer codes: each level of `cylinder_levels` is a
 `CylinderLevel` of sorted uint64 codes (L = 0, R = 1, first symbol most
@@ -42,7 +42,6 @@ Two admissibility notions coexist and differ:
 """
 
 import collections.abc
-import functools
 import math
 import numbers
 import operator
@@ -172,27 +171,28 @@ def _mp_itinerary(alpha, beta, x0, depth, dps):
         return "".join(word), False
 
 
-@functools.lru_cache(maxsize=64)
-def _kneading_cached(alpha, beta, depth):
-    # the critical orbits lose about log10(beta) digits per step, so give
-    # the iteration depth-proportional precision plus headroom
-    dps = 30 + int(math.ceil(depth * max(0.0, math.log10(beta))))
-    km, trunc_m = _mp_itinerary(alpha, beta, 1.0, depth, dps)
-    kp, trunc_p = _mp_itinerary(alpha, beta, -1.0, depth, dps)
-    return KneadingPair(km, kp, trunc_m or trunc_p)
-
-
 def kneading(lmap, depth=64):
     """Kneading pair of the map to the given depth.
 
     The one-sided limits are iterated as the actual points 1 and -1 in
-    arbitrary precision; no floating epsilon offset is involved. Raises
+    arbitrary precision; no floating epsilon offset is involved. Each
+    depth's pair is computed once and kept in the model's store. Raises
     PreconditionError unless the depth is an integer >= 1.
     """
     if not (isinstance(depth, numbers.Integral) and depth >= 1):
         raise PreconditionError(
             "kneading depth %r is not an integer >= 1" % (depth,))
-    return _kneading_cached(lmap.alpha, lmap.beta, int(depth))
+    depth = int(depth)
+    pair = lmap.store.kneading.get(depth)
+    if pair is None:
+        # the critical orbits lose about log10(beta) digits per step, so
+        # give the iteration depth-proportional precision plus headroom
+        dps = 30 + int(math.ceil(depth * max(0.0, math.log10(lmap.beta))))
+        km, trunc_m = _mp_itinerary(lmap.alpha, lmap.beta, 1.0, depth, dps)
+        kp, trunc_p = _mp_itinerary(lmap.alpha, lmap.beta, -1.0, depth, dps)
+        pair = lmap.store.kneading[depth] = KneadingPair(
+            km, kp, trunc_m or trunc_p)
+    return pair
 
 
 def symbol_matrix(words):
@@ -328,6 +328,7 @@ class _ModelStore:
     Nothing in the store refers to a map or holds a reference cycle, so
     it goes by reference counts as soon as the last map does.
 
+    `kneading`: depth -> the kneading pair to that depth.
     `levels`: each depth handed out -> its list of cylinder levels, all
     prefixes of the deepest one, so each level is built once.
     `horseshoes`: (depth, x_gap) -> horseshoe. `orbits`: the periodic
@@ -338,6 +339,7 @@ class _ModelStore:
     def __init__(self):
         root = CylinderLevel(0, np.zeros(1, dtype=np.uint64),
                              np.array([-1.0, 1.0]))
+        self.kneading = {}
         self.levels = {0: [root]}
         self.horseshoes = {}
         self.orbits = []

@@ -408,6 +408,17 @@ def test_gap_demo_eta_too_large_exits_3(tmp_path, capsys):
     assert "precondition" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("margin", ["nan", "inf"])
+def test_gap_demo_non_finite_margin_exits_3_naming_it(tmp_path, capsys,
+                                                      margin):
+    # NaN passes a "<= 0" test; the margin is named, not the bump level
+    assert run(["--out", str(tmp_path / "r"), "gap-demo",
+                "--margin", margin]) == 3
+    err = capsys.readouterr().err
+    assert "margin must be strictly positive and finite" in err
+    assert "got %s" % margin in err
+
+
 def test_repro_entropy_suite(tmp_path, capsys):
     out = str(tmp_path / "r")
     assert run(["--out", out, "repro", "--suite", "entropy"]) == 0

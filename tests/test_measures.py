@@ -60,7 +60,7 @@ def test_atomic_entropy_zero_exact(atom):
 
 def test_atomic_integral_is_orbit_average(lmap, atom, coord):
     value, bound = integrate_map(coord, atom)
-    pts = atom.points()
+    pts = atom.orbit.orbit_points(lmap)
     assert bound == 0.0
     assert value == pytest.approx(float(np.mean(pts)), abs=1e-15)
 
@@ -236,6 +236,21 @@ def test_batched_suspension_equals_one_measure_calls(lmap, parry, atom,
         measures.ball_fractions([stats[0], other], 0.2)
 
 
+def test_ball_fractions_batch_stats_of_equal_roofs(parry, atom, coord):
+    # stats from separate suspend calls, each under its own roof object of
+    # equal value, batch to each stat's own ball fraction bit for bit; a
+    # roof of another value or another depth is still rejected
+    stats = [suspend(m, RoofFunction(1.0, 1.0, 0.5), coord)
+             for m in (atom, parry)]
+    assert stats[0].roof is not stats[1].roof
+    assert measures.ball_fractions(stats, 0.2) == [
+        s.ball_fraction(0.2) for s in stats]
+    for other in (suspend(parry, RoofFunction(1.0, 1.0, 0.25), coord),
+                  suspend(parry, RoofFunction(1.0, 1.0, 0.5), coord, 10)):
+        with pytest.raises(PreconditionError, match="one roof and one depth"):
+            measures.ball_fractions([stats[0], other], 0.2)
+
+
 def test_model_only_caches_give_the_cold_floats(lmap, roof,
                                                 fresh_model_cache,
                                                 monkeypatch):
@@ -369,7 +384,7 @@ def test_catalog_walk_evaluates_the_roof_once_per_scheme(lmap, roof,
     paths = {len(s.lo) for s in schemes.values()}
     # the atoms' one batch of orbit points has its own size
     atoms = [m for m in catalog if isinstance(m, AtomicMeasure)]
-    assert sum(m.points().size for m in atoms) not in paths
+    assert sum(m.orbit.orbit_points(lmap).size for m in atoms) not in paths
     assert len(markov) == 2 and len(schemes) == 1
     on_schemes = [sum(1 for n in walk if n in paths) for walk in walks]
     assert on_schemes == [3 * len(schemes), 0, 0]

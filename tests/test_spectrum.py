@@ -413,9 +413,11 @@ def test_verify_gap_uncertified_when_level_too_low(lmap, roof):
 
 
 @pytest.mark.parametrize("population", ["default", "file", "file+dirac"])
-def test_gap_construction_is_the_explicit_sequence(lmap, roof, population):
+def test_gap_construction_is_the_explicit_sequence(lmap, roof, population,
+                                                  monkeypatch):
     # build_gap_potential -> catalogs -> verify_gap -> spectrum_scan, with
-    # a non-default slack; a given population keeps its own Dirac
+    # a non-default slack; a given population keeps its own Dirac. The
+    # default core catalog is built once, for the check and the population
     slack = 0.5
     h = h_top_estimate(lmap)
     core = measures = None
@@ -426,8 +428,18 @@ def test_gap_construction_is_the_explicit_sequence(lmap, roof, population):
                                          find_periodic_point(lmap, "LLLRRR"))]
         if population == "file+dirac":
             measures.insert(1, SingularDeltaMeasure())
+    recipes = []
+
+    def counted(lm, potential, recipe):
+        recipes.append(recipe)
+        return build_catalog(lm, potential, recipe)
+
+    monkeypatch.setattr(spectrum, "build_catalog", counted)
     h_est, bump, report, scan = gap_construction(
         lmap, roof, 0.05, 0.1, slack=slack, core=core, measures=measures)
+    monkeypatch.undo()
+    assert recipes == ([GAP_CORE_RECIPE, GAP_DEMONSTRATOR_RECIPE]
+                       if measures is None else [])
 
     ref_bump = build_gap_potential(h, 0.05, 0.1, lmap=lmap, roof=roof,
                                    catalog=core)
@@ -494,7 +506,7 @@ def _member_integral(integrand, m, depth=12):
     masses against the midpoint values of a Markov measure, and a
     mixture's weighted sum from 0.0 in component order."""
     if isinstance(m, AtomicMeasure):
-        pts = m.points()
+        pts = m.orbit.orbit_points(m.lmap)
         return float(np.mean(integrand.value(pts)))
     if isinstance(m, ConvexMeasure):
         value = 0.0
@@ -609,6 +621,8 @@ def test_spectrum_scan_evaluates_each_integrand_once_per_catalog(
                 measures._PassageIntegrand):
         counted(cls, "value")
         counted(cls, "midpoint_error")
+    # the roof's bounds on a scheme are the width and top of its range
+    counted(measures._RoofIntegrand, "ends")
     spectrum_scan(phi, catalog, level="map")
     assert calls == {("SectionGridPotential", "value"): 1 + len(schemes),
                      ("SectionGridPotential", "midpoint_error"): len(schemes)}
@@ -622,7 +636,7 @@ def test_spectrum_scan_evaluates_each_integrand_once_per_catalog(
     new_roof = {("_PassageIntegrand", "value"): 1 + len(schemes),
                 ("_PassageIntegrand", "midpoint_error"): len(schemes),
                 ("_RoofIntegrand", "value"): 1 + len(schemes),
-                ("_RoofIntegrand", "midpoint_error"): len(schemes)}
+                ("_RoofIntegrand", "ends"): len(schemes)}
     for flow_roof, integrand_calls in (
             (roof, new_roof),
             # equal to the first roof but a distinct object: a cache hit

@@ -102,6 +102,18 @@ def test_kneading_matches_exact_arithmetic(lmap):
     assert kp.k_plus.startswith("LLLR")
 
 
+def test_kneading_pair_is_kept_in_the_model_store(lmap, fresh_model_cache):
+    # one pair per depth while the store lives; a renewed store computes
+    # it again, to the same words
+    first = kneading(lmap, 40)
+    assert kneading(LorenzMap1D(lmap.alpha, lmap.beta), 40) is first
+    assert kneading(lmap, 41) is not first
+    fresh_model_cache(lmap)
+    again = kneading(lmap, 40)
+    assert again is not first
+    assert (again.k_minus, again.k_plus) == (first.k_minus, first.k_plus)
+
+
 def test_kneading_symmetric_pair(lmap):
     # odd symmetry of the map swaps the two kneading words
     kp = kneading(lmap, 48)
