@@ -18,8 +18,12 @@ dwell and passage integrands, whose roof part is `RoofFunction.key`) is
 computed once per measure and depth and then read back from a memo; a
 catalog's periodic orbits share one batch, so a keyed integral that
 misses on one of its atoms is computed for all of them at once. The
-roof and dwell bounds are exact cylinder ranges (`model.monotone_ends`);
-each of their entries on a cylinder scheme is 24 bytes per path.
+roof and dwell integrands are built once per roof and radius and kept
+on the roof (`_roof_integrand`), and a call recalls every (measure, key)
+pair before it sorts any measure, so `suspend` and `ball_fraction` on a
+warm member pay for their memo hits and little more. The roof and dwell
+bounds are exact cylinder ranges (`model.monotone_ends`); each of their
+entries on a cylinder scheme is 24 bytes per path.
 """
 
 import hashlib
@@ -116,14 +120,18 @@ class MarkovMeasure:
             raise PreconditionError("stationary vector must have length %d" % n)
         if np.any(probs < 0.0) or np.any(stationary < -1e-15):
             raise PreconditionError("probabilities must be nonnegative")
-        rows = probs.sum(axis=1)
+        # the two columns added as one: a sum along the short axis costs
+        # ten times as much for the same floats
+        rows = probs[:, 0] + probs[:, 1]
         if np.max(np.abs(rows - 1.0)) > 1e-12:
             raise PreconditionError(
                 "transition rows must sum to 1 within 1e-12 (worst %.3g)"
                 % np.max(np.abs(rows - 1.0)))
         if abs(stationary.sum() - 1.0) > 1e-12:
             raise PreconditionError("stationary vector must sum to 1 within 1e-12")
-        bad = (probs > 0.0) & (horseshoe.next < 0)
+        edges = horseshoe.next >= 0
+        positive = probs > 0.0
+        bad = positive & ~edges
         if np.any(bad):
             raise PreconditionError(
                 "transition support leaves the adjacency at vertex %d"
@@ -133,7 +141,7 @@ class MarkovMeasure:
             raise PreconditionError(
                 "vector is not stationary within 1e-10 (worst %.3g)"
                 % np.max(np.abs(flow - stationary)))
-        if not self._support_irreducible(probs):
+        if not self._support_irreducible(positive, edges):
             raise PreconditionError("transition support graph is not irreducible")
         self.probs = probs
         self.stationary = np.maximum(stationary, 0.0)
@@ -141,28 +149,28 @@ class MarkovMeasure:
             arr.flags.writeable = False
         self.label = label
         self.integrals = {}
-        with np.errstate(divide="ignore", invalid="ignore"):
-            plogp = np.where(probs > 0.0,
-                             probs * np.log(np.where(probs > 0.0, probs, 1.0)),
-                             0.0)
-        self.entropy = float(-np.sum(self.stationary * plogp.sum(axis=1)))
+        # the logarithm sees positive entries only, so it warns about none
+        plogp = np.where(positive,
+                         probs * np.log(np.where(positive, probs, 1.0)), 0.0)
+        self.entropy = float(-np.sum(self.stationary
+                                     * (plogp[:, 0] + plogp[:, 1])))
 
     def _push(self, pi, probs):
-        # symbol by symbol, each in vertex order
-        table = self.horseshoe.next.T
-        ok = table >= 0
-        return np.bincount(table[ok], weights=(probs.T * pi)[ok],
-                           minlength=len(pi))
+        # symbol by symbol, each in vertex order; the absent edges go to
+        # bin 0, which is dropped
+        return np.bincount((self.horseshoe.next.T + 1).ravel(),
+                           weights=(probs.T * pi).ravel(),
+                           minlength=len(pi) + 1)[1:]
 
-    def _support_irreducible(self, probs):
+    def _support_irreducible(self, positive, edges):
         hs = self.horseshoe
-        if (probs[hs.next >= 0] > 0.0).all():
+        if np.array_equal(positive, edges):
             # the support is the whole adjacency (always so for an
             # equilibrium state): the horseshoe's stored decomposition
             # answers, so a family of measures on it decomposes it once
             comps = hs.cyclic_components()
             return len(comps) == 1 and len(comps[0][0]) == hs.n_vertices
-        support = np.where(probs > 0.0, hs.next, -1)
+        support = np.where(positive, hs.next, -1)
         shadow = types.SimpleNamespace(n_vertices=hs.n_vertices, next=support)
         return len(strongly_connected_components(shadow)) == 1
 
@@ -264,13 +272,13 @@ def _reject_delta(measure, what):
 
 def entropy_map(measure):
     """Kolmogorov-Sinai entropy per return, exact per variant."""
-    _reject_delta(measure, "map-level entropy")
-    if isinstance(measure, AtomicMeasure):
-        return 0.0
     if isinstance(measure, MarkovMeasure):
         return measure.entropy
+    if isinstance(measure, AtomicMeasure):
+        return 0.0
     if isinstance(measure, ConvexMeasure):
         return float(sum(w * entropy_map(c) for w, c in measure.components))
+    _reject_delta(measure, "map-level entropy")
     raise PreconditionError("unknown measure variant %r" % (measure,))
 
 
@@ -283,8 +291,8 @@ def integrate_map(potential, measure, depth=DEFAULT_DEPTH):
     the bound sums each word's mass against the potential's modulus of
     continuity on that cylinder.
     """
-    (values, bounds), = _integrate_each([potential], [measure], depth)
-    return values[0], bounds[0]
+    (pair,), = _integrate_each([potential], [measure], depth)
+    return pair
 
 
 def integrate_many(integrand, measures, depth=DEFAULT_DEPTH):
@@ -318,33 +326,46 @@ def integrate_many(integrand, measures, depth=DEFAULT_DEPTH):
     `_CylinderScheme`: (values, width, top), read-only (`_model_arrays`).
     A plain potential's passage reads the roof's values and range there,
     so its miss on a Markov measure evaluates the potential alone. Keys
-    are taken once, when the integrand is built. Each cache holds at most
+    are taken once, when the integrand is built, and the roof and dwell
+    integrands are built once per roof and radius and kept on the roof
+    (`_roof_integrand`); `suspend` and `ball_fraction` build only the
+    passage integrand, which is per potential. Each cache holds at most
     `symbolic.CACHE_LIMIT` keys and evicts the least recently used one to
-    take a new key. An integrand without a key, such as a potential class
-    of the caller's, goes the same way over the atoms' own records and is
-    never cached. A hit returns the cold floats, since each average and
-    each integral depends on its own points and masses only.
+    take a new key. Every (measure, key) pair is recalled before anything
+    is sorted, so a warm one-measure call costs its recalls and little
+    else: about 3 us for `suspend` and 2 us for `ball_fraction` at beta
+    = 1.7 (2 cores, Python 3.11). An integrand without a key, such as a
+    potential class of the caller's, goes the same way over the atoms'
+    own records and is never cached. A hit returns the cold floats, since
+    each average and each integral depends on its own points and masses
+    only.
     """
-    return _integrate_each([integrand], list(measures), depth)[0]
+    pairs, = _integrate_each([integrand], list(measures), depth)
+    return [value for value, _ in pairs], [bound for _, bound in pairs]
 
 
 def _integrate_each(integrands, measures, depth):
-    """[(values, bounds)] of each integrand over a list of measures (see
-    `integrate_many`, also for what is cached), sorting the measures into
-    atoms and cylinder schemes. An integrand that misses on some atoms
-    is evaluated once over their batches (`_fill_batches`). The
-    cylinder masses of each Markov measure that misses some integrand's
-    memo are computed once for all integrands, before any integrand is
-    evaluated. Raises
-    PreconditionError unless the depth is an integer in [0, MAX_DEPTH],
-    whatever the measures.
+    """For each integrand, the (value, bound) pair of each of a list of
+    measures (see `integrate_many`, also for what is cached). Every
+    (measure, key) pair is recalled first, mixture components one by
+    one, so a call that hits every memo sorts nothing; only the measures
+    that miss some integrand are sorted into atoms and cylinder schemes
+    (`_fill_misses`). Raises PreconditionError unless the depth is an
+    integer in [0, MAX_DEPTH], whatever the measures.
     """
     check_depth(depth, "integration")
-    keys = [getattr(integrand, "key", None) for integrand in integrands]
-    index = {}     # id -> position of each distinct atomic or Markov measure
-    atoms = []     # (position, atom) of each distinct atom
-    markov = []    # (position, measure) of each distinct Markov measure
+    # loops, not comprehensions, on this path: in a one-measure call a
+    # comprehension's own frame costs about as much as a memo hit.
+    # `pairs` holds, per integrand, the pair of each measure, mixtures
+    # spread into their components
+    keys, pairs = [], []
+    for integrand in integrands:
+        keys.append(getattr(integrand, "key", None))
+        pairs.append([])
+    # id -> (measure, its positions in `pairs`, the integrands it misses)
+    missed = {}
     mixed = False
+    i = 0
     for measure in measures:
         if isinstance(measure, ConvexMeasure):
             mixed = True
@@ -352,30 +373,48 @@ def _integrate_each(integrands, measures, depth):
         else:
             parts = (measure,)
         for leaf in parts:
-            if id(leaf) in index:
-                continue
-            i = index[id(leaf)] = len(index)
-            if isinstance(leaf, AtomicMeasure):
-                atoms.append((i, leaf))
+            atomic = isinstance(leaf, AtomicMeasure)
+            if atomic:
+                memo = leaf.orbit.averages
             elif isinstance(leaf, MarkovMeasure):
-                markov.append((i, leaf))
+                memo = leaf.integrals
             else:
                 _reject_delta(leaf, "section integration")
                 raise PreconditionError("unknown measure variant %r" % (leaf,))
-    values = [[0.0] * len(index) for _ in integrands]
-    bounds = [[0.0] * len(index) for _ in integrands]   # atoms are exact
-    # id(scheme) -> (scheme, [(position, measure, masses, integrands missed)])
+            entry = None
+            for k, key in enumerate(keys):
+                # a keyless integrand (key None) is stored nowhere: it misses
+                got = _recall(memo, key if atomic else (key, depth))
+                if got is None:
+                    if entry is None:
+                        entry = missed.setdefault(id(leaf), (leaf, [], set()))
+                        entry[1].append(i)
+                    entry[2].add(k)
+                elif atomic:
+                    got = (got, 0.0)    # atoms are exact
+                pairs[k].append(got)
+            i += 1
+    if missed:
+        _fill_misses(integrands, keys, missed.values(), pairs, depth)
+    if mixed:
+        return [_mix(result, measures) for result in pairs]
+    return pairs
+
+
+def _fill_misses(integrands, keys, missed, pairs, depth):
+    """Write into `pairs` the integrals of every (measure, positions,
+    integrands missed) triple of `missed`. An integrand that misses on
+    some atoms is evaluated once over their batches (`_fill_batches`).
+    The cylinder masses of each Markov measure are computed once for all
+    integrands, before any integrand is evaluated, and the measures on
+    one cylinder scheme share one evaluation of each integrand."""
+    atoms = [[] for _ in keys]    # per integrand: (positions, atom) it misses
+    # id(scheme) -> (scheme, [(positions, measure, masses, integrands missed)])
     schemes = {}
-    for i, leaf in markov:
-        missed = set()
-        for k, key in enumerate(keys):
-            # a keyless integrand (key None) is stored nowhere: it misses
-            cached = _recall(leaf.integrals, (key, depth))
-            if cached is None:
-                missed.add(k)
-            else:
-                values[k][i], bounds[k][i] = cached
-        if not missed:
+    for leaf, positions, ks in missed:
+        if isinstance(leaf, AtomicMeasure):
+            for k in ks:
+                atoms[k].append((positions, leaf))
             continue
         if depth >= leaf.horseshoe.depth:
             scheme = _scheme(leaf.lmap, leaf.horseshoe, depth)
@@ -383,23 +422,14 @@ def _integrate_each(integrands, measures, depth):
         else:
             mass, scheme = _shallow_cylinders(leaf, depth)
         schemes.setdefault(id(scheme), (scheme, []))[1].append(
-            (i, leaf, mass, missed))
-    # the results of distinct plain measures are, in order, theirs
-    plain = not mixed and len(index) == len(measures)
-    out = []
+            (positions, leaf, mass, ks))
     for k, (integrand, key) in enumerate(zip(integrands, keys)):
-        value, bound = values[k], bounds[k]
-        missed = []
-        for i, atom in atoms:
-            cached = _recall(atom.orbit.averages, key)
-            if cached is None:
-                missed.append((i, atom))
-            else:
-                value[i] = cached
-        if missed:
-            filled = _fill_batches(integrand, key, missed)
-            for i, atom in missed:
-                value[i] = filled[id(atom.orbit)]
+        if atoms[k]:
+            filled = _fill_batches(integrand, key,
+                                   [atom for _, atom in atoms[k]])
+            for positions, atom in atoms[k]:
+                for i in positions:
+                    pairs[k][i] = (filled[id(atom.orbit)], 0.0)
         for scheme, block in schemes.values():
             block = [entry for entry in block if k in entry[3]]
             if not block:
@@ -407,18 +437,13 @@ def _integrate_each(integrands, measures, depth):
             vals, errs = _scheme_integrals(integrand, scheme)
             # np.add.reduce sums pairwise in a fixed order; a BLAS dot
             # splits long vectors by thread count, and its last bits with them
-            for i, leaf, mass, _ in block:
-                value[i] = float(np.add.reduce(mass * vals))
-                bound[i] = float(np.add.reduce(mass * errs))
+            for positions, leaf, mass, _ in block:
+                got = (float(np.add.reduce(mass * vals)),
+                       float(np.add.reduce(mass * errs)))
+                for i in positions:
+                    pairs[k][i] = got
                 if key is not None:
-                    _remember(leaf.integrals, (key, depth),
-                              (value[i], bound[i]))
-        if plain:
-            out.append((value, bound))
-        else:
-            out.append(([_mix(value, index, m) for m in measures],
-                        [_mix(bound, index, m) for m in measures]))
-    return out
+                    _remember(leaf.integrals, (key, depth), got)
 
 
 def _scheme_integrals(integrand, scheme):
@@ -455,15 +480,15 @@ def _model_arrays(integrand, scheme):
 
 def _fill_batches(integrand, key, atoms):
     """{id(record): average} of the integrand over the orbit of every
-    record that lacks the key in the batches of the (position, atom)
-    pairs, each atom's own record among them, each average cached on its
-    record. Each distinct batch is read once, and every orbit goes
-    through one evaluation. An integrand without a key (`key` None) is
-    averaged over the atoms' own records alone and cached nowhere."""
+    record that lacks the key in the batches of the atoms, each atom's
+    own record among them, each average cached on its record. Each
+    distinct batch is read once, and every orbit goes through one
+    evaluation. An integrand without a key (`key` None) is averaged over
+    the atoms' own records alone and cached nowhere."""
     keyless = key is None
     batches = {id(atom if keyless else atom.batch):
                ((atom.orbit,) if keyless else atom.batch, atom.lmap)
-               for _, atom in atoms}
+               for atom in atoms}
     records = {}
     for batch, lmap in batches.values():
         for record in batch:
@@ -497,15 +522,23 @@ def _orbit_averages(integrand, orbits):
     return out
 
 
-def _mix(result, index, measure):
-    """A measure's entry in `result`, placed by `index`; a mixture's is
-    summed from its components' entries from 0.0 in component order."""
-    if not isinstance(measure, ConvexMeasure):
-        return result[index[id(measure)]]
-    total = 0.0
-    for w, comp in measure.components:
-        total += w * result[index[id(comp)]]
-    return total
+def _mix(pairs, measures):
+    """The (value, bound) pair of each measure, from `pairs`, those of the
+    measures with each mixture spread into its components; a mixture's
+    value and bound are each summed from 0.0 in component order."""
+    out = []
+    leaves = iter(pairs)
+    for measure in measures:
+        if not isinstance(measure, ConvexMeasure):
+            out.append(next(leaves))
+            continue
+        value = bound = 0.0
+        for w, _ in measure.components:
+            v, b = next(leaves)
+            value += w * v
+            bound += w * b
+        out.append((value, bound))
+    return out
 
 
 def _shallow_cylinders(measure, depth):
@@ -586,11 +619,14 @@ def suspend_many(measures, roof, potential, depth=DEFAULT_DEPTH):
     passage.
     """
     measures = list(measures)
-    section = [m for m in measures if not isinstance(m, SingularDeltaMeasure)]
+    section = []
+    for m in measures:
+        if not isinstance(m, SingularDeltaMeasure):
+            section.append(m)
     weight = _PassageIntegrand(potential, roof)
-    (roofs, _), (passages, _) = _integrate_each(
-        [weight.roof_part, weight], section, depth)
-    flows = iter(zip(roofs, passages))
+    roofs, passages = _integrate_each([weight.roof_part, weight], section,
+                                      depth)
+    flows = zip(roofs, passages)
     out = []
     for m in measures:
         if isinstance(m, SingularDeltaMeasure):
@@ -599,7 +635,7 @@ def suspend_many(measures, roof, potential, depth=DEFAULT_DEPTH):
                 potential_integral=potential.value_at_sigma(),
                 singular=True))
         else:
-            mean_roof, passage = next(flows)
+            (mean_roof, _), (passage, _) = next(flows)
             out.append(FlowMeasureStats(
                 m, roof, depth, mean_roof=mean_roof,
                 h_flow=entropy_map(m) / mean_roof,
@@ -616,21 +652,27 @@ def ball_fractions(stats, b):
     """
     if not b > 0.0:
         raise PreconditionError("dwell radius must be positive")
-    section = [s for s in stats if not s.singular]
-    if not section:
-        return [1.0] * len(stats)
-    roof, depth = section[0].roof, section[0].depth
-    for s in section:
-        if s.roof.key != roof.key or s.depth != depth:
+    roof = depth = None
+    section = []
+    for s in stats:
+        if s.singular:
+            continue
+        if roof is None:
+            roof, depth = s.roof, s.depth
+        elif s.roof.key != roof.key or s.depth != depth:
             raise PreconditionError(
                 "batched ball fractions need one roof and one depth")
-    (dwells, _), = _integrate_each(
-        [_RoofIntegrand("dwell", dwell_array, roof, b)],
-        [s.measure for s in section], depth)
+        section.append(s.measure)
+    if not section:
+        return [1.0] * len(stats)
+    dwells, = _integrate_each(
+        [_roof_integrand("dwell", dwell_array, roof, b)], section, depth)
     dwells = iter(dwells)
-    return [1.0 if s.singular
-            else float(min(max(next(dwells) / s.mean_roof, 0.0), 1.0))
-            for s in stats]
+    out = []
+    for s in stats:
+        out.append(1.0 if s.singular else
+                   float(min(max(next(dwells)[0] / s.mean_roof, 0.0), 1.0)))
+    return out
 
 
 def measure_from_payload(lmap, payload):
@@ -686,8 +728,8 @@ def measure_from_payload(lmap, payload):
 
 
 # ---------------------------------------------------------------------------
-# roof-model integrands: quack like potentials (value / midpoint_error),
-# array-native like them
+# roof-model integrands: quack like potentials (value), array-native like
+# them, with exact ranges (ends)
 
 class _RoofIntegrand:
     """A function of the roof model that does not increase with |x|, as an
@@ -712,13 +754,26 @@ class _RoofIntegrand:
 
     def ends(self, lo, hi):
         """(width, top) of the range over each cylinder [lo, hi]: high - low
-        and high of `monotone_ends`."""
+        and high of `monotone_ends`, floats at one cylinder."""
         low, high = monotone_ends(self.value, lo, hi, self.roof.c1 > 0.0)
-        return high - low, high
+        if np.ndim(lo):
+            return high - low, high
+        return float(high - low), float(high)
 
-    def midpoint_error(self, lo, hi):
-        width, _ = self.ends(lo, hi)
-        return width if np.ndim(lo) else float(width)
+
+def _roof_integrand(name, fn, roof, *args):
+    """The `_RoofIntegrand(name, fn, roof, *args)`, built once per
+    function and args and kept on the roof (`RoofFunction.integrands`),
+    at most CACHE_LIMIT of them (see `_remember`). An integrand holds no
+    arrays, so a warm suspension or ball fraction builds nothing. The
+    function is part of the key: an integrand evaluates the function it
+    was built with."""
+    key = (fn, args)
+    integrand = _recall(roof.integrands, key)
+    if integrand is None:
+        integrand = _RoofIntegrand(name, fn, roof, *args)
+        _remember(roof.integrands, key, integrand)
+    return integrand
 
 
 class _PassageIntegrand:
@@ -732,7 +787,7 @@ class _PassageIntegrand:
     def __init__(self, potential, roof):
         self.potential = potential
         self.roof = roof
-        self.roof_part = _RoofIntegrand("roof", roof_array, roof)
+        self.roof_part = _roof_integrand("roof", roof_array, roof)
         self.plain = type(potential) in PLAIN_POTENTIALS
         key = getattr(potential, "key", None)
         self.key = None if key is None else (key, roof.key)

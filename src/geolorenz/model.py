@@ -204,7 +204,9 @@ class RoofFunction:
     eta0 : float in (0, 1), calibration radius where the log term vanishes
 
     A roof is a value: `c0`, `c1` and `eta0` are read-only, so its `key`
-    is taken once, when it is built.
+    is taken once, when it is built. `integrands` keeps the roof and
+    dwell integrands of `measures` built on the roof, each once per
+    function and radius (`measures._roof_integrand`).
     """
 
     def __init__(self, c0=1.0, c1=1.0, eta0=0.5):
@@ -212,6 +214,7 @@ class RoofFunction:
         self._c1 = check_parameter("c1", c1)
         self._eta0 = check_parameter("eta0", eta0)
         self._key = np.array([self._c0, self._c1, self._eta0]).tobytes()
+        self.integrands = {}
 
     @property
     def c0(self):

@@ -24,14 +24,18 @@ depend on how small the max-normalized weights make lambda. Only
 certified steps read the Collatz-Wielandt bracket from M's own
 quotients, and the loop stops at one whose bracket is within 1e-12
 relative to its top; runs of plain steps of (M + s*I)/scale between
-them take no reduction at all. Each run ends where the contraction of
-the bracket measured over the last two certified steps says it will
-close, within CERTIFY_EVERY steps. Plain steps never widen the bracket,
-so the schedule can cost steps but never stop a solve early, and a
-bracket that holds relative to lambda keeps log lambda at the dense root
-for any tilt. What a solve needs of the graph alone, its classes and
-gather tables, is a `_PerronPlan`, built on the first solve of a
-successor table and kept on its `SFTHorseshoe`.
+them take no reduction at all. A plain step is four numpy calls on one
+(3, entries) buffer, v under its two gathered neighbours: one take, one
+multiply by the edge weights and s, all over scale, and two adds. A
+certified step reads each side's bracket as Python floats, and scales
+the weights for plain steps only when a run follows it. Each run ends
+where the contraction of the bracket measured over the last two
+certified steps says it will close, within CERTIFY_EVERY steps. Plain
+steps never widen the bracket, so the schedule can cost steps but never
+stop a solve early, and a bracket that holds relative to lambda keeps
+log lambda at the dense root for any tilt. What a solve needs of the
+graph alone, its classes and gather tables, is a `_PerronPlan`, built on
+the first solve of a successor table and kept on its `SFTHorseshoe`.
 
 Equilibrium states are memoized. A solve depends on the horseshoe and
 the log weights lw = t*phi(midpoints) alone, so `equilibrium_measure`
@@ -327,7 +331,7 @@ def _weighted_power(graph, log_weights, left=False, tol=1e-12,
     entries at every step, and h = H[succ], g = w * G[pred] are expanded
     on return. On horseshoes either side has a half to two thirds as
     many classes as vertices. The rows of the stacked vector gather their
-    at most two neighbours with one `take` into a (2, entries) table,
+    at most two neighbours with one `take` into the two rows above it,
     scaled by the edge weights in place; the per-side tops and bracket
     ends are taken with `reduceat`, and shifts and scales expanded with
     `repeat`.
@@ -347,12 +351,17 @@ def _weighted_power(graph, log_weights, left=False, tol=1e-12,
     hi - lo <= tol*hi, which holds however small lambda is. Otherwise the
     step sets s = lambda_hat/2 for the midpoint lambda_hat of the bracket
     and scale = lambda_hat + s, and plain steps v <- (M + s*I) v / scale
-    follow: one `take` of the two neighbours into a buffer, one multiply
-    by the weights divided by scale once per run, one add, and v scaled
-    by s/scale and the sum added in place, with no reduction and no
-    allocation. The run ends where the bracket should close
-    (`_plain_run`): from two certified steps, the contraction of the
-    relative width per step predicts the step at which it reaches tol.
+    follow. v is the last row of a (3, entries) buffer whose first two
+    rows receive its two neighbours by one `take`; one multiply by a
+    (3, entries) table, the edge weights over scale above s/scale, built
+    once per run, scales all three rows, and two adds give
+    (a0*w0/scale + a1*w1/scale) + v*s/scale, the neighbours' terms summed
+    first: four numpy calls, with no reduction and no allocation. The certified
+    step reads the one or two brackets as Python floats (`tolist`), and
+    builds that table only when a run follows it. The run ends where the
+    bracket should close (`_plain_run`): from two certified steps, the
+    contraction of the relative width per step predicts the step at which
+    it reaches tol.
     This is sound because:
 
     - plain steps never widen the bracket: B = M + s*I >= 0 commutes with
@@ -403,16 +412,19 @@ def _weighted_power(graph, log_weights, left=False, tol=1e-12,
         if not live.any():
             # M = 0, though D*A may not be: g*M = 0 for every g
             coef[:, m:] = 0.0
-    # every step works in these buffers and v, and allocates nothing
-    gathered, step = np.empty(coef.shape), np.empty(coef.shape)
+    # every step works in these buffers, and a plain step allocates
+    # nothing: v is the last row of `buf`, under the two rows that gather
+    # its neighbours, and `step` scales all three rows by one multiply
+    buf, step = np.empty((3, coef.shape[1])), np.empty((3, coef.shape[1]))
+    gathered, v = buf[:2], buf[2]
     # `gathered[0] += gathered[1]` would also copy the row onto itself
     # through `gathered.__setitem__`; the two row views add in place
     g0, g1 = gathered
-    diag = np.empty(coef.shape[1])
-    v = np.ones(coef.shape[1])
+    v.fill(1.0)
     take = v.take
-    s = np.ones(len(sizes))
-    est = np.zeros(len(sizes))
+    # each side's shift and estimate of lambda, as Python floats
+    s = [1.0] * len(sizes)
+    est = [0.0] * len(sizes)
     converged = False
     iterations = 0
     last_zeros = last = None
@@ -433,17 +445,17 @@ def _weighted_power(graph, log_weights, left=False, tol=1e-12,
         # fails the test)
         if np.minimum.reduce(v) > 0.0:
             quot = mv / v
-            lo, hi = minimum(quot, starts), maximum(quot, starts)
-            est = 0.5 * (lo + hi)
+            lo = minimum(quot, starts).tolist()
+            hi = maximum(quot, starts).tolist()
+            est = [0.5 * (a + b) for a, b in zip(lo, hi)]
             if stuck:
                 break
-            gap = hi - lo
-            if (gap <= tol * hi).all():
+            gap = [b - a for a, b in zip(lo, hi)]
+            if all(a <= tol * b for a, b in zip(gap, hi)):
                 converged = True
                 break
             # an open side has hi > lo >= 0
-            widths = [a / b if a > tol * b else 0.0
-                      for a, b in zip(gap.tolist(), hi.tolist())]
+            widths = [a / b if a > tol * b else 0.0 for a, b in zip(gap, hi)]
             run = min(_plain_run(widths, last, iterations - last_at, tol),
                       max_iter - iterations)
             last, last_at = widths, iterations
@@ -454,20 +466,22 @@ def _weighted_power(graph, log_weights, left=False, tol=1e-12,
                 break
             last_zeros = zeros
             last = None
-            est = maximum(mv, starts)
-        s = np.where(est > 0.0, 0.5 * est, s)
-        scale = est + s
-        each_s, each_scale = s.repeat(sizes), scale.repeat(sizes)
+            est = maximum(mv, starts).tolist()
+        s = [0.5 * e if e > 0.0 else a for e, a in zip(est, s)]
+        scale = [e + a for e, a in zip(est, s)]
+        each_s = np.array(s).repeat(sizes)
+        each_scale = np.array(scale).repeat(sizes)
         v *= each_s
         v += mv
         v /= each_scale
-        np.divide(coef, each_scale, out=step)
-        np.divide(each_s, each_scale, out=diag)
+        if not run:
+            continue
+        np.divide(coef, each_scale, out=step[:2])
+        np.divide(each_s, each_scale, out=step[2])
         for _ in range(run):
             take(gather, out=gathered, mode="clip")
-            gathered *= step
+            buf *= step
             g0 += g1
-            v *= diag
             v += g0
         iterations += run
     v = v / maximum(v, starts).repeat(sizes)
@@ -476,7 +490,7 @@ def _weighted_power(graph, log_weights, left=False, tol=1e-12,
     if left:
         g = w[:n] * v[m:].take(plan.pred)
         g /= np.maximum.reduce(g)
-    lam = float(est[0])
+    lam = est[0]
     if not lam > 0.0:
         return -math.inf, h, g, iterations, converged
     return math.log(lam) + c, h, g, iterations, converged

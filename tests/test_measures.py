@@ -302,8 +302,13 @@ def test_model_only_caches_give_the_cold_floats(lmap, roof,
                                               0.2),
                       measures._RoofIntegrand("dwell", dwell_array, other,
                                               0.2)):
-        keyless = types.SimpleNamespace(
-            value=integrand.value, midpoint_error=integrand.midpoint_error)
+        if isinstance(integrand, measures._RoofIntegrand):
+            def bound(lo, hi, integrand=integrand):
+                return integrand.ends(lo, hi)[0]
+        else:
+            bound = integrand.midpoint_error
+        keyless = types.SimpleNamespace(value=integrand.value,
+                                        midpoint_error=bound)
         assert measures.integrate_many(integrand, section) == \
             measures.integrate_many(keyless, section)
 
@@ -388,6 +393,102 @@ def test_catalog_walk_evaluates_the_roof_once_per_scheme(lmap, roof,
     assert len(markov) == 2 and len(schemes) == 1
     on_schemes = [sum(1 for n in walk if n in paths) for walk in walks]
     assert on_schemes == [3 * len(schemes), 0, 0]
+
+
+def _survey_walk(catalog, roof, phi, b=0.2):
+    """A survey's per-member calls: each member's suspension statistics
+    and its ball fraction, as in the survey workload."""
+    out = []
+    for m in catalog:
+        stats = suspend(m, roof, phi)
+        out.append((stats.as_dict(), stats.ball_fraction(b)))
+    return out
+
+
+def _walk_hexes(walk):
+    return [([v.hex() for v in stats.values()], bf.hex())
+            for stats, bf in walk]
+
+
+def test_catalog_walk_builds_each_roof_model_integrand_once(lmap,
+                                                            monkeypatch):
+    # a walk of suspend and ball_fraction over every member, under three
+    # potentials, builds one roof integrand and one dwell integrand in
+    # all, and each member's floats are those of the whole-catalog calls
+    from geolorenz.catalog import DEFAULT_RECIPE, build_catalog
+
+    built = []
+    original = measures._RoofIntegrand.__init__
+
+    def counted(self, name, *args):
+        built.append(name)
+        original(self, name, *args)
+
+    monkeypatch.setattr(measures._RoofIntegrand, "__init__", counted)
+    roof = RoofFunction(1.0, 1.0, 0.5)
+    for seed in (3, 5, 8):
+        phi = SectionGridPotential.seeded(seed)
+        catalog = build_catalog(lmap, phi, DEFAULT_RECIPE)
+        walk = _survey_walk(catalog, roof, phi)
+        stats = measures.suspend_many(catalog, roof, phi)
+        whole = list(zip([s.as_dict() for s in stats],
+                         measures.ball_fractions(stats, 0.2)))
+        assert _walk_hexes(walk) == _walk_hexes(whole)
+    assert sorted(built) == ["dwell", "roof"]
+
+
+def test_long_survey_keeps_the_roof_model_keys_in_every_memo(
+        lmap, fresh_model_cache, monkeypatch):
+    # one catalog walked under CACHE_LIMIT + 4 potentials: every memo on
+    # a member fills past its limit with passage keys, yet keeps at most
+    # CACHE_LIMIT keys, and the roof and dwell keys, recalled on every
+    # walk, are never the least recently used. So after the first
+    # potential no roof or dwell integral is evaluated again, and the
+    # roof is never evaluated at a scheme's paths
+    from geolorenz import potentials
+    from geolorenz.catalog import DEFAULT_RECIPE, build_catalog
+
+    sizes = []
+
+    def counted(roof, x, *args):
+        sizes.append(np.size(x))
+        return roof_array(roof, x, *args)
+
+    monkeypatch.setattr(measures, "roof_array", counted)
+    monkeypatch.setattr(potentials, "roof_array", counted)
+    evaluated = []
+    value = measures._RoofIntegrand.value
+
+    def counted_value(self, x):
+        evaluated.append(self.key[0])
+        return value(self, x)
+
+    monkeypatch.setattr(measures._RoofIntegrand, "value", counted_value)
+    roof = RoofFunction(1.0, 1.0, 0.5)
+    grids = [SectionGridPotential.seeded(seed)
+             for seed in range(symbolic.CACHE_LIMIT + 4)]
+    catalog = build_catalog(lmap, grids[0], DEFAULT_RECIPE)
+    markov = [m for m in catalog if isinstance(m, MarkovMeasure)]
+    paths = {len(measures._scheme(lmap, m.horseshoe,
+                                  measures.DEFAULT_DEPTH).lo)
+             for m in markov}
+    walks = []
+    for phi in grids:
+        del sizes[:], evaluated[:]
+        _survey_walk(catalog, roof, phi)
+        walks.append((sum(1 for n in sizes if n in paths), len(evaluated)))
+    assert walks[0][0] > 0 and walks[0][1] > 0
+    assert walks[1:] == [(0, 0)] * (len(grids) - 1)
+    keys = {measures._PassageIntegrand(grids[0], roof).roof_part.key,
+            measures._roof_integrand("dwell", dwell_array, roof, 0.2).key}
+    records = catalog[0].batch
+    assert len(records) == sum(isinstance(m, AtomicMeasure)
+                               for m in catalog)
+    memos = ([r.averages for r in records]
+             + [{k for k, _ in m.integrals} for m in markov])
+    for memo in memos:
+        assert len(memo) == symbolic.CACHE_LIMIT
+        assert keys <= set(memo)
 
 
 def test_a_second_roof_gets_its_own_scheme_entry(lmap, roof,

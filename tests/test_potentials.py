@@ -140,12 +140,14 @@ def _protocol_cases():
     for name, integrand in (
             ("_RoofIntegrand", _RoofIntegrand("roof", roof_array, roof)),
             ("_RoofIntegrand(dwell)",
-             _RoofIntegrand("dwell", dwell_array, roof, 0.2)),
-            ("_PassageIntegrand",
-             _PassageIntegrand(SingularBumpPotential(2.0, 0.1), roof))):
+             _RoofIntegrand("dwell", dwell_array, roof, 0.2))):
         cases += [(name + ".value",
                    lambda lo, hi, f=integrand: f.value(hi)),
-                  (name + ".midpoint_error", integrand.midpoint_error)]
+                  (name + ".width",
+                   lambda lo, hi, f=integrand: f.ends(lo, hi)[0])]
+    passage = _PassageIntegrand(SingularBumpPotential(2.0, 0.1), roof)
+    cases += [("_PassageIntegrand.value", lambda lo, hi: passage.value(hi)),
+              ("_PassageIntegrand.midpoint_error", passage.midpoint_error)]
     return cases
 
 
@@ -183,9 +185,9 @@ def test_constant_roof_bounds_are_exact_on_cylinders_reaching_zero():
         roof = RoofFunction(1.0, c1, 0.5)
         for integrand in (_RoofIntegrand("roof", roof_array, roof),
                           _RoofIntegrand("dwell", dwell_array, roof, 0.2)):
-            assert [integrand.midpoint_error(a, b)
+            assert [integrand.ends(a, b)[0]
                     for a, b in reach] == [want] * len(reach)
-            assert integrand.midpoint_error(lo, hi).tolist() == \
+            assert integrand.ends(lo, hi)[0].tolist() == \
                 [want] * len(reach)
 
 
